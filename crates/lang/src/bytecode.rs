@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 use skil_runtime::CostModel;
 
 use crate::builtins::{DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D};
-use crate::fo::{BinOp, FoExpr, FoFunc, FoProgram, FoStmt, SkelOp};
+use crate::fo::{BinOp, FoExpr, FoFunc, FoProgram, FoStmt, FoTy, SkelOp};
 use crate::value::{ConsList, Value};
 
 // ---------------------------------------------------------------------
@@ -473,6 +473,39 @@ pub enum KernelShape {
     General,
 }
 
+/// How the VM host stores values of a static type inside an array
+/// partition: `int` and `float` unboxed, everything else as a tagged
+/// [`Value`]. Chosen from the instantiated type alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ElemKind {
+    /// `int`: one `i64` per element.
+    Int,
+    /// `float`: one `f64` per element.
+    Float,
+    /// Structs, lists, `Index`, ...: one [`Value`] per element.
+    Boxed,
+}
+
+impl ElemKind {
+    /// The representation of values of type `ty`.
+    pub fn of(ty: &FoTy) -> ElemKind {
+        match ty {
+            FoTy::Int => ElemKind::Int,
+            FoTy::Float => ElemKind::Float,
+            _ => ElemKind::Boxed,
+        }
+    }
+
+    /// Listing spelling (`int` / `float` / `boxed`).
+    pub fn name(self) -> &'static str {
+        match self {
+            ElemKind::Int => "int",
+            ElemKind::Float => "float",
+            ElemKind::Boxed => "boxed",
+        }
+    }
+}
+
 /// One argument-function instance at a skeleton call site.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SkelFn {
@@ -495,6 +528,12 @@ pub struct SkelSite {
     /// lifted arguments sit above the value arguments on the stack, in
     /// the same order.
     pub fns: Vec<SkelFn>,
+    /// Representation of the site's array elements (`array_create`: of
+    /// the array it makes; otherwise of its first array argument).
+    pub elem: ElemKind,
+    /// Representation of the value the call itself yields — only
+    /// `array_fold` yields an element-like value, so `Boxed` elsewhere.
+    pub ret: ElemKind,
 }
 
 /// One compiled function.
@@ -856,7 +895,7 @@ impl FnCompiler<'_> {
                 }
                 self.code.push(Instr::Intr(op, args.len() as u8));
             }
-            FoExpr::Skel { op, fns, args, .. } => {
+            FoExpr::Skel { op, fns, args, elem } => {
                 for a in args {
                     self.expr(a);
                 }
@@ -876,7 +915,17 @@ impl FnCompiler<'_> {
                     });
                 }
                 let site = self.pools.sites.len() as u32;
-                self.pools.sites.push(SkelSite { op: *op, nargs: args.len(), fns: sfns });
+                let ret = match op {
+                    SkelOp::Fold => ElemKind::of(&self.prog.funcs[sfns[1].fid].ret),
+                    _ => ElemKind::Boxed,
+                };
+                self.pools.sites.push(SkelSite {
+                    op: *op,
+                    nargs: args.len(),
+                    fns: sfns,
+                    elem: ElemKind::of(elem),
+                    ret,
+                });
                 self.code.push(Instr::Skel(site));
             }
             FoExpr::Binary { op, float, lhs, rhs } => {
@@ -982,8 +1031,14 @@ pub fn disassemble(p: &Program) -> String {
                 format!("{}+{} [{shape}]", p.funcs[f.fid].name, f.n_lifted)
             })
             .collect();
-        let _ =
-            writeln!(out, "site {i}: {} args={} fns=({})", s.op.name(), s.nargs, fns.join(", "));
+        let _ = writeln!(
+            out,
+            "site {i}: {} elem={} args={} fns=({})",
+            s.op.name(),
+            s.elem.name(),
+            s.nargs,
+            fns.join(", ")
+        );
     }
     for f in &p.funcs {
         let _ = writeln!(out, "\nfn {} (params={}, slots={}):", f.name, f.nparams, f.nslots);
@@ -1013,7 +1068,8 @@ pub fn disassemble(p: &Program) -> String {
                 Instr::Intr(op, argc) => format!("intr {} {argc}", op.name()),
                 Instr::Call(fid) => format!("call {}", p.funcs[*fid as usize].name),
                 Instr::Skel(s) => {
-                    format!("skel {} (site {s})", p.sites[*s as usize].op.name())
+                    let site = &p.sites[*s as usize];
+                    format!("skel {} (site {s}, elem {})", site.op.name(), site.elem.name())
                 }
                 Instr::Ret => "ret".into(),
                 Instr::RetUnit => "ret_unit".into(),

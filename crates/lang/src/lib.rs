@@ -73,6 +73,7 @@ pub mod interp;
 mod native;
 pub mod opt;
 pub mod parser;
+mod store;
 pub mod token;
 pub mod types;
 pub mod value;

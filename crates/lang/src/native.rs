@@ -7,9 +7,10 @@
 //! `lib{hash}.so` from the on-disk artifact cache
 //! (`SKIL_NATIVE_CACHE_DIR`, default `$TMPDIR/skil-native-cache`) or
 //! compile one with the host `rustc` (`SKIL_NATIVE_RUSTC` overrides;
-//! compiled to a temp name and `rename`d, so concurrent processes
-//! sharing a cache dir never observe a half-written artifact). Loaded
-//! modules are additionally memoized in-process by hash. Modules are
+//! compiled to a name unique to the build and `rename`d, so concurrent
+//! builders — threads of one process or processes sharing a cache dir —
+//! never observe a half-written artifact or each other's temp file).
+//! Loaded modules are additionally memoized in-process by hash. Modules are
 //! never `dlclose`d — leaked handles are tiny and unloading a library
 //! with live generated `fn` pointers is never worth the risk.
 //!
@@ -18,7 +19,7 @@
 //! access, printing, and whole skeleton dispatch (so virtual time and
 //! skeleton semantics are *shared* with the VM, not reimplemented), and
 //! the VM's kernel dispatch routes `General`-shape kernels back into
-//! the module through [`KernelBackend`]. Panics never cross the FFI
+//! the module through [`NativeBackend`]. Panics never cross the FFI
 //! boundary in either direction: host callbacks catch and stash their
 //! payload (resumed verbatim after the module returns failure, so
 //! `SimAbort` and `skil runtime:` classification in the runtime is
@@ -34,15 +35,16 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use skil_array::{DistArray, Index};
+use skil_array::Index;
 use skil_runtime::{Machine, Run, SimFailure};
 
 use crate::bytecode::Program;
 use crate::emit_rust::{emit_rust, ABI_VERSION};
 use crate::fo::FoProgram;
 use crate::interp::{kernel_cycles, to_uindex};
+use crate::store::{ArrayStore, FloatElem, IntElem};
 use crate::value::Value;
-use crate::vm::{Host, KernelBackend, Sl, Vm};
+use crate::vm::{kernel_get_elem, Host, Sl, Vm};
 
 // ---------------------------------------------------------------------
 // FFI surface — layout-identical to the generated prelude.
@@ -50,7 +52,7 @@ use crate::vm::{Host, KernelBackend, Sl, Vm};
 
 #[repr(C)]
 #[derive(Clone, Copy)]
-struct FfiVal {
+pub(crate) struct FfiVal {
     tag: u64,
     a: u64,
     b: u64,
@@ -100,18 +102,91 @@ const HOST_VTABLE: HostVt = HostVt {
 // Value wire codec (mirror of the generated prelude's `enc`/`dec`).
 // ---------------------------------------------------------------------
 
-/// Encode for sending: `T_BYTES` payloads carry an *offset* into `buf`.
-fn enc_value(v: &Value, buf: &mut Vec<u8>) -> FfiVal {
-    match v {
-        Value::Unit => FfiVal { tag: T_UNIT, a: 0, b: 0 },
-        Value::Int(x) => FfiVal { tag: T_INT, a: *x as u64, b: 0 },
-        Value::Float(x) => FfiVal { tag: T_FLT, a: x.to_bits(), b: 0 },
-        Value::Array(h) => FfiVal { tag: T_ARR, a: *h as u64, b: 0 },
-        Value::Index(ix) => FfiVal { tag: T_IX, a: ix[0] as u64, b: ix[1] as u64 },
-        other => {
-            let start = buf.len();
-            enc_value_bytes(other, buf);
-            FfiVal { tag: T_BYTES, a: start as u64, b: (buf.len() - start) as u64 }
+/// What crosses the FFI boundary as one [`FfiVal`]: boxed values, VM
+/// slots, and the unboxed array elements, which skip the `Value` on
+/// both sides.
+pub(crate) trait FfiCodec: Sized {
+    /// Encode for sending: `T_BYTES` payloads carry an *offset* into
+    /// `buf`.
+    fn enc(&self, buf: &mut Vec<u8>) -> FfiVal;
+
+    /// Decode a value *received* from the module: `T_BYTES` payloads
+    /// carry an offset into the caller-provided byte buffer.
+    ///
+    /// # Safety
+    /// `base`/`blen` must describe the module's live encode buffer.
+    unsafe fn dec(fv: &FfiVal, base: *const u8, blen: usize) -> Self;
+}
+
+impl FfiCodec for Value {
+    fn enc(&self, buf: &mut Vec<u8>) -> FfiVal {
+        match self {
+            Value::Unit => FfiVal { tag: T_UNIT, a: 0, b: 0 },
+            Value::Int(x) => IntElem(*x).enc(buf),
+            Value::Float(x) => FloatElem(*x).enc(buf),
+            Value::Array(h) => FfiVal { tag: T_ARR, a: *h as u64, b: 0 },
+            Value::Index(ix) => FfiVal { tag: T_IX, a: ix[0] as u64, b: ix[1] as u64 },
+            other => {
+                let start = buf.len();
+                enc_value_bytes(other, buf);
+                FfiVal { tag: T_BYTES, a: start as u64, b: (buf.len() - start) as u64 }
+            }
+        }
+    }
+
+    unsafe fn dec(fv: &FfiVal, base: *const u8, blen: usize) -> Value {
+        match fv.tag {
+            T_UNIT => Value::Unit,
+            T_INT => Value::Int(fv.a as i64),
+            T_FLT => Value::Float(f64::from_bits(fv.a)),
+            T_ARR => Value::Array(fv.a as usize),
+            T_IX => Value::Index([fv.a as i64, fv.b as i64]),
+            T_BYTES => {
+                let s = std::slice::from_raw_parts(base, blen);
+                let mut p = fv.a as usize;
+                dec_value_bytes(s, &mut p)
+            }
+            other => panic!("skil native: bad ffi tag {other}"),
+        }
+    }
+}
+
+impl FfiCodec for IntElem {
+    fn enc(&self, _buf: &mut Vec<u8>) -> FfiVal {
+        FfiVal { tag: T_INT, a: self.0 as u64, b: 0 }
+    }
+
+    unsafe fn dec(fv: &FfiVal, _base: *const u8, _blen: usize) -> IntElem {
+        assert!(fv.tag == T_INT, "skil native: ffi tag {} where an int was expected", fv.tag);
+        IntElem(fv.a as i64)
+    }
+}
+
+impl FfiCodec for FloatElem {
+    fn enc(&self, _buf: &mut Vec<u8>) -> FfiVal {
+        FfiVal { tag: T_FLT, a: self.0.to_bits(), b: 0 }
+    }
+
+    unsafe fn dec(fv: &FfiVal, _base: *const u8, _blen: usize) -> FloatElem {
+        assert!(fv.tag == T_FLT, "skil native: ffi tag {} where a float was expected", fv.tag);
+        FloatElem(f64::from_bits(fv.a))
+    }
+}
+
+impl FfiCodec for Sl {
+    fn enc(&self, buf: &mut Vec<u8>) -> FfiVal {
+        match self {
+            Sl::I(x) => IntElem(*x).enc(buf),
+            Sl::F(x) => FloatElem(*x).enc(buf),
+            Sl::V(v) => v.enc(buf),
+        }
+    }
+
+    unsafe fn dec(fv: &FfiVal, base: *const u8, blen: usize) -> Sl {
+        match fv.tag {
+            T_INT => Sl::I(fv.a as i64),
+            T_FLT => Sl::F(f64::from_bits(fv.a)),
+            _ => Sl::from_value(Value::dec(fv, base, blen)),
         }
     }
 }
@@ -161,10 +236,10 @@ fn enc_value_bytes(v: &Value, buf: &mut Vec<u8>) {
     }
 }
 
-/// Encode one value for *returning* to the module: absolute pointer.
-fn enc_value_abs(v: &Value, buf: &mut Vec<u8>) -> FfiVal {
+/// Encode one slot for *returning* to the module: absolute pointer.
+fn enc_abs(v: &Sl, buf: &mut Vec<u8>) -> FfiVal {
     buf.clear();
-    let mut fv = enc_value(v, buf);
+    let mut fv = v.enc(buf);
     if fv.tag == T_BYTES {
         fv.a += buf.as_ptr() as u64;
     }
@@ -213,27 +288,6 @@ fn dec_value_bytes(s: &[u8], p: &mut usize) -> Value {
     }
 }
 
-/// Decode a value *received* from the module: `T_BYTES` payloads carry
-/// an offset into the caller-provided byte buffer.
-///
-/// # Safety
-/// `base`/`blen` must describe the module's live encode buffer.
-unsafe fn dec_value(fv: &FfiVal, base: *const u8, blen: usize) -> Value {
-    match fv.tag {
-        T_UNIT => Value::Unit,
-        T_INT => Value::Int(fv.a as i64),
-        T_FLT => Value::Float(f64::from_bits(fv.a)),
-        T_ARR => Value::Array(fv.a as usize),
-        T_IX => Value::Index([fv.a as i64, fv.b as i64]),
-        T_BYTES => {
-            let s = std::slice::from_raw_parts(base, blen);
-            let mut p = fv.a as usize;
-            dec_value_bytes(s, &mut p)
-        }
-        other => panic!("skil native: bad ffi tag {other}"),
-    }
-}
-
 // ---------------------------------------------------------------------
 // The loaded module.
 // ---------------------------------------------------------------------
@@ -278,8 +332,13 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn registry() -> &'static Mutex<HashMap<u64, Arc<NativeModule>>> {
-    static REG: OnceLock<Mutex<HashMap<u64, Arc<NativeModule>>>> = OnceLock::new();
+/// One slot per program hash: the loaded module once there is one, and
+/// the lock that queues concurrent first requests for the same program
+/// behind a single build.
+type ModuleSlot = Arc<Mutex<Option<Arc<NativeModule>>>>;
+
+fn registry() -> &'static Mutex<HashMap<u64, ModuleSlot>> {
+    static REG: OnceLock<Mutex<HashMap<u64, ModuleSlot>>> = OnceLock::new();
     REG.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -296,14 +355,18 @@ fn cache_dir() -> PathBuf {
 pub(crate) fn prepare(code: &Program) -> Result<Arc<NativeModule>, String> {
     let src = emit_rust(code);
     let hash = fnv1a64(src.as_bytes());
-    {
-        let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(m) = reg.get(&hash) {
-            return Ok(m.clone());
-        }
+    let slot =
+        registry().lock().unwrap_or_else(|e| e.into_inner()).entry(hash).or_default().clone();
+    // Held across the build: two threads first-compiling one program
+    // would otherwise run two `rustc`s onto one temp file, and the
+    // loser would report (and its `Compiled` memoize) a failure. A
+    // failure is not kept here, so a later `Compiled` may try again.
+    let mut loaded = slot.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(m) = &*loaded {
+        return Ok(m.clone());
     }
     let m = Arc::new(load_or_build(&src, hash)?);
-    registry().lock().unwrap_or_else(|e| e.into_inner()).insert(hash, m.clone());
+    *loaded = Some(m.clone());
     Ok(m)
 }
 
@@ -353,12 +416,18 @@ fn load_or_build(src: &str, hash: u64) -> Result<NativeModule, String> {
         .map_err(|e| format!("cannot create native cache dir {}: {e}", dir.display()))?;
     let lib = dir.join(format!("lib{hash:016x}.so"));
     if !lib.exists() {
+        // Source and artifact are both written under a name unique to
+        // this build (`prepare` admits one build per hash and process),
+        // then renamed into place: processes sharing the cache never
+        // see a torn file, whichever of them finishes first.
+        let tmp_stem = format!(".tmp-{}-{hash:016x}", std::process::id());
         let rs = dir.join(format!("{hash:016x}.rs"));
-        std::fs::write(&rs, src).map_err(|e| format!("cannot write {}: {e}", rs.display()))?;
+        let tmp_rs = dir.join(format!("{tmp_stem}.rs"));
+        std::fs::write(&tmp_rs, src)
+            .and_then(|()| std::fs::rename(&tmp_rs, &rs))
+            .map_err(|e| format!("cannot write {}: {e}", rs.display()))?;
         let rustc = env::var("SKIL_NATIVE_RUSTC").unwrap_or_else(|_| "rustc".to_string());
-        // compile to a process-unique name, then rename into place:
-        // concurrent builders sharing the cache never see a torn .so
-        let tmp = dir.join(format!(".tmp-{}-{hash:016x}.so", std::process::id()));
+        let tmp = dir.join(format!("{tmp_stem}.so"));
         let out = std::process::Command::new(&rustc)
             .arg("--edition=2021")
             .arg("--crate-type=cdylib")
@@ -377,7 +446,14 @@ fn load_or_build(src: &str, hash: u64) -> Result<NativeModule, String> {
                 String::from_utf8_lossy(&out.stderr)
             ));
         }
-        std::fs::rename(&tmp, &lib).map_err(|e| format!("cannot install native artifact: {e}"))?;
+        if let Err(e) = std::fs::rename(&tmp, &lib) {
+            let _ = std::fs::remove_file(&tmp);
+            // another builder installed the same content-addressed
+            // artifact first: that one serves equally well
+            if !lib.exists() {
+                return Err(format!("cannot install native artifact: {e}"));
+            }
+        }
     }
     let cpath = std::ffi::CString::new(lib.as_os_str().as_bytes()).expect("artifact path");
     let handle = unsafe { dl::dlopen(cpath.as_ptr(), dl::RTLD_NOW) };
@@ -433,9 +509,9 @@ struct HostBox {
     vm: *mut VmStatic,
     mode: Cell<Mode>,
     /// `Kernel` mode's array view: the slice the skeleton handed to
-    /// [`KernelBackend::run_kernel`] (raw because its lifetime is the
+    /// [`NativeBackend::run_kernel`] (raw because its lifetime is the
     /// duration of that one call).
-    karrays: Cell<(*const Option<DistArray<Value>>, usize)>,
+    karrays: Cell<(*const Option<ArrayStore>, usize)>,
     /// Panic payload caught in a callback, resumed verbatim host-side
     /// after the module reports failure.
     stash: RefCell<Option<Box<dyn Any + Send>>>,
@@ -526,20 +602,11 @@ extern "C" fn cb_get_elem(h: *mut c_void, arr: u64, i: i64, j: i64, out: *mut Ff
             Mode::Kernel => {
                 let (p, n) = hb.karrays.get();
                 let arrays = unsafe { std::slice::from_raw_parts(p, n) };
-                let a = arrays[arr as usize].as_ref().unwrap_or_else(|| {
-                    panic!(
-                        "skil runtime: use of an array being written by this skeleton or \
-                         already destroyed"
-                    )
-                });
-                match a.get(ix) {
-                    Ok(v) => v.clone(),
-                    Err(e) => panic!("skil runtime: {e}"),
-                }
+                kernel_get_elem(arrays, arr as usize, ix)
             }
         };
         let mut ob = hb.outbuf.borrow_mut();
-        let fv = enc_value_abs(&v, &mut ob);
+        let fv = enc_abs(&v, &mut ob);
         unsafe {
             *out = fv;
         }
@@ -558,7 +625,7 @@ extern "C" fn cb_put_elem(
     let hb = hostbox(h);
     guard(hb, || match hb.mode.get() {
         Mode::Full => {
-            let v = unsafe { dec_value(&*fv, base, blen) };
+            let v = unsafe { Sl::dec(&*fv, base, blen) };
             let ix = to_uindex([i, j]);
             let vm = unsafe { &mut *hb.vm };
             let a = vm.arrays[arr as usize].as_mut().expect("array alive");
@@ -599,7 +666,7 @@ extern "C" fn cb_print(h: *mut c_void, fv: *const FfiVal, base: *const u8, blen:
     let hb = hostbox(h);
     guard(hb, || match hb.mode.get() {
         Mode::Full => {
-            let v = unsafe { dec_value(&*fv, base, blen) };
+            let v = unsafe { Value::dec(&*fv, base, blen) };
             let vm = unsafe { &mut *hb.vm };
             vm.output.push(v.render());
         }
@@ -628,13 +695,13 @@ extern "C" fn cb_skel(
             let KScratch { stack, frames } = &mut *sc;
             stack.clear();
             for fv in args {
-                stack.push(Sl::from_value(unsafe { dec_value(fv, base, blen) }));
+                stack.push(unsafe { Sl::dec(fv, base, blen) });
             }
             vm.skel(site as usize, stack, frames);
-            stack.pop().expect("skeleton result").into_value()
+            stack.pop().expect("skeleton result")
         };
         let mut ob = hb.outbuf.borrow_mut();
-        let fv = enc_value_abs(&res, &mut ob);
+        let fv = enc_abs(&res, &mut ob);
         unsafe {
             *out = fv;
         }
@@ -651,8 +718,12 @@ extern "C" fn cb_set_error(h: *mut c_void, ptr: *const u8, len: usize) {
 // Kernel dispatch back into the module.
 // ---------------------------------------------------------------------
 
-/// The [`KernelBackend`] installed on the VM for native runs.
-struct NativeBackend {
+/// The native engine's hook into kernel dispatch, installed on the VM
+/// for native runs: `General`-shape skeleton argument functions are run
+/// by machine code compiled from the same (charge-stripped) bytecode.
+/// Trivial shapes (`Bin`, `Intrinsic`) never cross this boundary — the
+/// host fast paths in the kernel VM stay in force under every engine.
+pub(crate) struct NativeBackend {
     module: Arc<NativeModule>,
     gctx: Cell<*mut c_void>,
     hb: Cell<*const HostBox>,
@@ -669,18 +740,23 @@ struct LiftedEnc {
     buf: Vec<u8>,
 }
 
-impl KernelBackend for NativeBackend {
-    fn begin_skel(&self) {
+impl NativeBackend {
+    /// A skeleton call is starting: the encoded-lifted-argument cache
+    /// resets here. Lifted values are immutable and alive for the whole
+    /// skeleton call, so anything keyed on their address is valid until
+    /// the next `begin_skel`.
+    pub(crate) fn begin_skel(&self) {
         self.lifted.borrow_mut().clear();
     }
 
-    fn run_kernel(
+    /// Run argument function `fid` on `lifted ++ extra`.
+    pub(crate) fn run_kernel(
         &self,
         fid: usize,
         lifted: &[Value],
-        extra: &[Value],
-        arrays: &[Option<DistArray<Value>>],
-    ) -> Value {
+        extra: &[Sl],
+        arrays: &[Option<ArrayStore>],
+    ) -> Sl {
         let hb = unsafe { &*self.hb.get() };
         let mut buf = hb.kargbuf.borrow_mut();
         let mut av = hb.kargv.borrow_mut();
@@ -696,7 +772,7 @@ impl KernelBackend for NativeBackend {
                 Some(i) => &cache[i],
                 None => {
                     let mut ebuf = Vec::new();
-                    let vals = lifted.iter().map(|v| enc_value(v, &mut ebuf)).collect();
+                    let vals = lifted.iter().map(|v| v.enc(&mut ebuf)).collect();
                     cache.push(LiftedEnc { key, vals, buf: ebuf });
                     cache.last().expect("just pushed")
                 }
@@ -712,7 +788,7 @@ impl KernelBackend for NativeBackend {
         }
         let nl = av.len();
         for v in extra {
-            let fv = enc_value(v, &mut buf);
+            let fv = v.enc(&mut buf);
             av.push(fv);
         }
         // fix offsets to absolute pointers only after all extra
@@ -739,76 +815,76 @@ impl KernelBackend for NativeBackend {
         if st != 0 {
             hb.raise();
         }
-        unsafe { dec_value(&out, ob.ptr, ob.len) }
+        unsafe { Sl::dec(&out, ob.ptr, ob.len) }
     }
 
-    fn bulk_create(
+    /// `array_create`'s local pass in one call: `fid(ix)` per index, in
+    /// order. Behaves exactly like `ixs.len()` `run_kernel` calls.
+    pub(crate) fn bulk_create<U: FfiCodec>(
         &self,
         fid: usize,
         lifted: &[Value],
         ixs: &[Index],
-        arrays: &[Option<DistArray<Value>>],
-    ) -> Vec<Value> {
+        arrays: &[Option<ArrayStore>],
+    ) -> Vec<U> {
         if ixs.is_empty() {
             return Vec::new();
         }
-        self.bulk(BULK_CREATE, (fid, lifted), (0, &[]), None, ixs, arrays)
+        self.bulk(BULK_CREATE, (fid, lifted), (0, &[]), None::<&[Value]>, ixs, arrays)
     }
 
-    fn bulk_map(
+    /// `array_map`'s local pass in one call: `fid(v, ix)` per element.
+    pub(crate) fn bulk_map<T: FfiCodec, U: FfiCodec>(
         &self,
         fid: usize,
         lifted: &[Value],
-        vals: &[Value],
+        vals: &[T],
         ixs: &[Index],
-        arrays: &[Option<DistArray<Value>>],
-    ) -> Vec<Value> {
+        arrays: &[Option<ArrayStore>],
+    ) -> Vec<U> {
         if ixs.is_empty() {
             return Vec::new();
         }
         self.bulk(BULK_MAP, (fid, lifted), (0, &[]), Some(vals), ixs, arrays)
     }
 
-    fn bulk_fold(
+    /// `array_fold`'s fused local pass in one call: convert each
+    /// element and fold it into the running partition value. The caller
+    /// guarantees a non-empty partition.
+    pub(crate) fn bulk_fold<T: FfiCodec, U: FfiCodec>(
         &self,
         conv: (usize, &[Value]),
         fold: (usize, &[Value]),
-        vals: &[Value],
+        vals: &[T],
         ixs: &[Index],
-        arrays: &[Option<DistArray<Value>>],
-    ) -> Value {
+        arrays: &[Option<ArrayStore>],
+    ) -> U {
         self.bulk(BULK_FOLD, conv, fold, Some(vals), ixs, arrays).pop().expect("fold result")
     }
-}
 
-const BULK_CREATE: u32 = 0;
-const BULK_MAP: u32 = 1;
-const BULK_FOLD: u32 = 2;
-
-impl NativeBackend {
     /// One `skil_kbulk` call: the whole local pass of a skeleton in a
     /// single FFI round trip. Per element the module receives the same
     /// arguments — and makes host callbacks in the same order — as the
-    /// per-element [`KernelBackend::run_kernel`] path.
-    fn bulk(
+    /// per-element [`NativeBackend::run_kernel`] path.
+    fn bulk<T: FfiCodec, U: FfiCodec>(
         &self,
         op: u32,
         f1: (usize, &[Value]),
         f2: (usize, &[Value]),
-        vals: Option<&[Value]>,
+        vals: Option<&[T]>,
         ixs: &[Index],
-        arrays: &[Option<DistArray<Value>>],
-    ) -> Vec<Value> {
+        arrays: &[Option<ArrayStore>],
+    ) -> Vec<U> {
         let hb = unsafe { &*self.hb.get() };
         let mut buf = hb.kargbuf.borrow_mut();
         buf.clear();
-        let mut l1v: Vec<FfiVal> = f1.1.iter().map(|v| enc_value(v, &mut buf)).collect();
-        let mut l2v: Vec<FfiVal> = f2.1.iter().map(|v| enc_value(v, &mut buf)).collect();
+        let mut l1v: Vec<FfiVal> = f1.1.iter().map(|v| v.enc(&mut buf)).collect();
+        let mut l2v: Vec<FfiVal> = f2.1.iter().map(|v| v.enc(&mut buf)).collect();
         let ne = if vals.is_some() { 2 } else { 1 };
         let mut ev: Vec<FfiVal> = Vec::with_capacity(ixs.len() * ne);
         for (i, ix) in ixs.iter().enumerate() {
             if let Some(vs) = vals {
-                ev.push(enc_value(&vs[i], &mut buf));
+                ev.push(vs[i].enc(&mut buf));
             }
             ev.push(FfiVal { tag: T_IX, a: ix[0] as u64, b: ix[1] as u64 });
         }
@@ -844,9 +920,13 @@ impl NativeBackend {
         if st != 0 {
             hb.raise();
         }
-        out.iter().map(|fv| unsafe { dec_value(fv, ob.ptr, ob.len) }).collect()
+        out.iter().map(|fv| unsafe { U::dec(fv, ob.ptr, ob.len) }).collect()
     }
 }
+
+const BULK_CREATE: u32 = 0;
+const BULK_MAP: u32 = 1;
+const BULK_FOLD: u32 = 2;
 
 /// Frees the generated context even when the run unwinds.
 struct CtxGuard {
@@ -965,11 +1045,19 @@ mod tests {
             Value::List(ConsList::from_vec(vec![Value::Int(1), Value::Int(2)])),
         ];
         let mut buf = Vec::new();
-        let fvs: Vec<FfiVal> = vals.iter().map(|v| enc_value(v, &mut buf)).collect();
+        let fvs: Vec<FfiVal> = vals.iter().map(|v| v.enc(&mut buf)).collect();
         let base = buf.as_ptr();
         for (v, fv) in vals.iter().zip(&fvs) {
-            let back = unsafe { dec_value(fv, base, buf.len()) };
+            let back = unsafe { Value::dec(fv, base, buf.len()) };
             assert_eq!(*v, back);
+            // a slot decodes to the same value, unboxing the scalars
+            let slot = unsafe { Sl::dec(fv, base, buf.len()) };
+            assert_eq!(*v, slot.into_value());
         }
+        // unboxed elements use the scalar tags, so either side may box
+        let fv = IntElem(-7).enc(&mut buf);
+        assert_eq!(unsafe { Value::dec(&fv, base, 0) }, Value::Int(-7));
+        let fv = Value::Float(2.5).enc(&mut buf);
+        assert_eq!(unsafe { FloatElem::dec(&fv, base, 0) }, FloatElem(2.5));
     }
 }

@@ -262,15 +262,21 @@ impl Value {
     }
 }
 
+/// Wire tag of [`Value::Int`] — shared with the unboxed `int` array
+/// element, whose encoding must stay byte-identical.
+pub(crate) const WIRE_TAG_INT: u8 = 0;
+/// Wire tag of [`Value::Float`] (and of the unboxed `float` element).
+pub(crate) const WIRE_TAG_FLOAT: u8 = 1;
+
 impl Wire for Value {
     fn flatten(&self, out: &mut Vec<u8>) {
         match self {
             Value::Int(v) => {
-                out.push(0);
+                out.push(WIRE_TAG_INT);
                 v.flatten(out);
             }
             Value::Float(v) => {
-                out.push(1);
+                out.push(WIRE_TAG_FLOAT);
                 v.flatten(out);
             }
             Value::Unit => out.push(2),
@@ -310,8 +316,8 @@ impl Wire for Value {
 
     fn unflatten(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(match r.take(1)?[0] {
-            0 => Value::Int(i64::unflatten(r)?),
-            1 => Value::Float(f64::unflatten(r)?),
+            WIRE_TAG_INT => Value::Int(i64::unflatten(r)?),
+            WIRE_TAG_FLOAT => Value::Float(f64::unflatten(r)?),
             2 => Value::Unit,
             3 => Value::Index([i64::unflatten(r)?, i64::unflatten(r)?]),
             4 => Value::Bounds(

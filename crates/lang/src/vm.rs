@@ -23,20 +23,28 @@
 //! Trivial kernels — an operator section or one pure intrinsic over
 //! parameters — were classified by the compiler ([`KernelShape`]) and
 //! execute as direct computations without touching a frame at all.
+//!
+//! Arrays live in a typed [`ArrayStore`]: `array<int>` / `array<float>`
+//! partitions are unboxed, and each skeleton arm dispatches once per
+//! call on the store variant into one generic body, so `skil-core`'s
+//! skeletons run instantiated at the unboxed element type and elements
+//! cross into kernels as [`Sl`] slots without ever becoming a `Value`.
 
 use std::cell::RefCell;
 
 use skil_array::{ArraySpec, DistArray, Distribution, Index};
 use skil_core::{
     array_broadcast_part, array_copy, array_create, array_fold, array_fold_bulk, array_gen_mult,
-    array_map, array_map_inplace, array_permute_rows, Kernel,
+    array_map, array_map_inplace, array_permute_rows, array_scan, Kernel,
 };
 use skil_runtime::{Distr, Machine, Proc, Run};
 
 use crate::builtins::{DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D};
-use crate::bytecode::{Instr, Intr, KernelShape, Program, SkelFn, SkelSite, Src};
+use crate::bytecode::{Instr, Intr, KernelShape, Program, SkelSite, Src};
 use crate::fo::{BinOp, FoProgram, SkelOp};
-use crate::interp::{apply_binop, kernel_cycles, to_uindex, LANG_RESULT_TAG};
+use crate::interp::{kernel_cycles, to_uindex, LANG_RESULT_TAG};
+use crate::native::NativeBackend;
+use crate::store::{with_kind, with_store, ArrayStore, Elem, FloatElem, IntElem};
 use crate::value::{ConsList, Value};
 
 /// Run a compiled program on a machine; returns each processor's `print`
@@ -140,7 +148,7 @@ impl Sl {
         }
     }
 
-    fn as_int(&self) -> i64 {
+    pub(crate) fn as_int(&self) -> i64 {
         match self {
             Sl::I(v) => *v,
             Sl::F(v) => panic!("expected int, got Float({v:?})"),
@@ -148,7 +156,7 @@ impl Sl {
         }
     }
 
-    fn as_float(&self) -> f64 {
+    pub(crate) fn as_float(&self) -> f64 {
         match self {
             Sl::F(v) => *v,
             Sl::I(v) => panic!("expected float, got Int({v})"),
@@ -173,50 +181,94 @@ impl Sl {
     }
 }
 
-/// [`apply_binop`] over unboxed slots; semantics (wrapping integer
-/// arithmetic, division-by-zero panics, int-encoded comparisons, the
-/// float logical-op type error) are identical.
+/// Integer binary operators: wrapping arithmetic, division-by-zero
+/// panics, int-encoded comparisons and logic — value-identical to the
+/// walker's `apply_binop`.
+#[inline(always)]
+fn int_bin(op: BinOp, x: i64, y: i64) -> i64 {
+    match op {
+        BinOp::Add => x.wrapping_add(y),
+        BinOp::Sub => x.wrapping_sub(y),
+        BinOp::Mul => x.wrapping_mul(y),
+        BinOp::Div => {
+            assert!(y != 0, "skil runtime: integer division by zero");
+            x / y
+        }
+        BinOp::Rem => {
+            assert!(y != 0, "skil runtime: integer remainder by zero");
+            x % y
+        }
+        BinOp::Eq => (x == y) as i64,
+        BinOp::Ne => (x != y) as i64,
+        BinOp::Lt => (x < y) as i64,
+        BinOp::Le => (x <= y) as i64,
+        BinOp::Gt => (x > y) as i64,
+        BinOp::Ge => (x >= y) as i64,
+        BinOp::And => ((x != 0) && (y != 0)) as i64,
+        BinOp::Or => ((x != 0) || (y != 0)) as i64,
+    }
+}
+
+/// Float binary operators: arithmetic yields a float, comparisons an
+/// int, logic is the walker's type error.
+#[inline(always)]
+fn float_bin(op: BinOp, x: f64, y: f64) -> Sl {
+    match op {
+        BinOp::Add => Sl::F(x + y),
+        BinOp::Sub => Sl::F(x - y),
+        BinOp::Mul => Sl::F(x * y),
+        BinOp::Div => Sl::F(x / y),
+        BinOp::Rem => Sl::F(x % y),
+        BinOp::Eq => Sl::I((x == y) as i64),
+        BinOp::Ne => Sl::I((x != y) as i64),
+        BinOp::Lt => Sl::I((x < y) as i64),
+        BinOp::Le => Sl::I((x <= y) as i64),
+        BinOp::Gt => Sl::I((x > y) as i64),
+        BinOp::Ge => Sl::I((x >= y) as i64),
+        BinOp::And | BinOp::Or => panic!("skil runtime: logical op on float"),
+    }
+}
+
+/// The walker's `apply_binop` over unboxed slots.
 fn bin_sl(op: BinOp, float: bool, a: &Sl, b: &Sl) -> Sl {
     if float {
-        let (x, y) = (a.as_float(), b.as_float());
-        match op {
-            BinOp::Add => Sl::F(x + y),
-            BinOp::Sub => Sl::F(x - y),
-            BinOp::Mul => Sl::F(x * y),
-            BinOp::Div => Sl::F(x / y),
-            BinOp::Rem => Sl::F(x % y),
-            BinOp::Eq => Sl::I((x == y) as i64),
-            BinOp::Ne => Sl::I((x != y) as i64),
-            BinOp::Lt => Sl::I((x < y) as i64),
-            BinOp::Le => Sl::I((x <= y) as i64),
-            BinOp::Gt => Sl::I((x > y) as i64),
-            BinOp::Ge => Sl::I((x >= y) as i64),
-            BinOp::And | BinOp::Or => panic!("skil runtime: logical op on float"),
-        }
+        float_bin(op, a.as_float(), b.as_float())
     } else {
-        let (x, y) = (a.as_int(), b.as_int());
-        match op {
-            BinOp::Add => Sl::I(x.wrapping_add(y)),
-            BinOp::Sub => Sl::I(x.wrapping_sub(y)),
-            BinOp::Mul => Sl::I(x.wrapping_mul(y)),
-            BinOp::Div => {
-                assert!(y != 0, "skil runtime: integer division by zero");
-                Sl::I(x / y)
-            }
-            BinOp::Rem => {
-                assert!(y != 0, "skil runtime: integer remainder by zero");
-                Sl::I(x % y)
-            }
-            BinOp::Eq => Sl::I((x == y) as i64),
-            BinOp::Ne => Sl::I((x != y) as i64),
-            BinOp::Lt => Sl::I((x < y) as i64),
-            BinOp::Le => Sl::I((x <= y) as i64),
-            BinOp::Gt => Sl::I((x > y) as i64),
-            BinOp::Ge => Sl::I((x >= y) as i64),
-            BinOp::And => Sl::I(((x != 0) && (y != 0)) as i64),
-            BinOp::Or => Sl::I(((x != 0) || (y != 0)) as i64),
-        }
+        Sl::I(int_bin(op, a.as_int(), b.as_int()))
     }
+}
+
+/// One function per operator, each [`int_bin`] / [`float_bin`] with the
+/// operator folded in: what a skeleton over unboxed elements calls per
+/// element after resolving its operator section once.
+macro_rules! resolved_op {
+    ($op:expr, [$($v:ident),*], $body:expr $(, _ => $rest:expr)?) => {
+        match $op {
+            $(BinOp::$v => {
+                const OP: BinOp = BinOp::$v;
+                $body
+            })*
+            $(_ => $rest)?
+        }
+    };
+}
+
+/// `op` over `array<int>` elements as a direct function.
+pub(crate) fn int_fn(op: BinOp) -> fn(IntElem, IntElem) -> IntElem {
+    resolved_op!(op, [Add, Sub, Mul, Div, Rem, Eq, Ne, Lt, Le, Gt, Ge, And, Or], |x, y| IntElem(
+        int_bin(OP, x.0, y.0)
+    ))
+}
+
+/// `op` over `array<float>` elements as a direct function — arithmetic
+/// only: comparisons yield `int`, so they are not `(T, T) -> T`.
+pub(crate) fn float_fn(op: BinOp) -> Option<fn(FloatElem, FloatElem) -> FloatElem> {
+    resolved_op!(
+        op,
+        [Add, Sub, Mul, Div, Rem],
+        Some(|x, y| FloatElem(float_bin(OP, x.0, y.0).as_float())),
+        _ => None
+    )
 }
 
 /// Fetch a fused-instruction operand. `Top` operands pop; when a fused
@@ -246,7 +298,7 @@ pub(crate) trait Host {
     /// The constant pool, pre-converted to slots.
     fn kconsts(&self) -> &[Sl];
     /// `array_get_elem` read, shared by the fused and generic paths.
-    fn get_elem(&mut self, h: usize, ix: Index) -> Value;
+    fn get_elem(&mut self, h: usize, ix: Index) -> Sl;
     /// Non-pure intrinsics (`eval_pure` already declined).
     fn stateful(&mut self, op: Intr, vals: &[Value]) -> Value;
     fn skel(&mut self, site: usize, stack: &mut Vec<Sl>, frames: &mut Vec<Vec<Sl>>);
@@ -429,7 +481,7 @@ fn exec<H: Host>(
                 let av = fetch(a, stack, &frame, h.kconsts());
                 let ix = to_uindex([iv.as_int(), 0]);
                 let v = h.get_elem(av.as_array(), ix);
-                stack.push(Sl::from_value(v));
+                stack.push(v);
             }
             Instr::ArrGetI2(a, i, j) => {
                 let jv = fetch(j, stack, &frame, h.kconsts());
@@ -437,65 +489,12 @@ fn exec<H: Host>(
                 let av = fetch(a, stack, &frame, h.kconsts());
                 let ix = to_uindex([iv.as_int(), jv.as_int()]);
                 let v = h.get_elem(av.as_array(), ix);
-                stack.push(Sl::from_value(v));
+                stack.push(v);
             }
         }
     }
     frame.clear();
     frames.push(frame);
-}
-
-/// The native engine's hook into kernel dispatch: `General`-shape
-/// skeleton argument functions are run by machine code compiled from
-/// the same (charge-stripped) bytecode. Trivial shapes (`Bin`,
-/// `Intrinsic`) never cross this boundary — the host fast paths in
-/// [`KernelVm`] stay in force under every engine.
-pub(crate) trait KernelBackend {
-    /// A skeleton call is starting: per-invocation caches (encoded
-    /// lifted arguments) reset here. Lifted values are immutable and
-    /// alive for the whole skeleton call, so anything keyed on their
-    /// address is valid until the next `begin_skel`.
-    fn begin_skel(&self) {}
-
-    fn run_kernel(
-        &self,
-        fid: usize,
-        lifted: &[Value],
-        extra: &[Value],
-        arrays: &[Option<DistArray<Value>>],
-    ) -> Value;
-
-    /// `array_create`'s local pass in one call: `fid(ix)` per index, in
-    /// order. Must behave exactly like `ixs.len()` `run_kernel` calls.
-    fn bulk_create(
-        &self,
-        fid: usize,
-        lifted: &[Value],
-        ixs: &[Index],
-        arrays: &[Option<DistArray<Value>>],
-    ) -> Vec<Value>;
-
-    /// `array_map`'s local pass in one call: `fid(v, ix)` per element.
-    fn bulk_map(
-        &self,
-        fid: usize,
-        lifted: &[Value],
-        vals: &[Value],
-        ixs: &[Index],
-        arrays: &[Option<DistArray<Value>>],
-    ) -> Vec<Value>;
-
-    /// `array_fold`'s fused local pass in one call: convert each
-    /// element and fold it into the running partition value. The caller
-    /// guarantees a non-empty partition.
-    fn bulk_fold(
-        &self,
-        conv: (usize, &[Value]),
-        fold: (usize, &[Value]),
-        vals: &[Value],
-        ixs: &[Index],
-        arrays: &[Option<DistArray<Value>>],
-    ) -> Value;
 }
 
 /// Full execution mode: one per processor, owns the arrays and output.
@@ -510,11 +509,25 @@ pub(crate) struct Vm<'a, 'p, 'm> {
     /// `code.consts`, pre-converted to slots.
     pub(crate) consts: Vec<Sl>,
     pub(crate) proc: &'p mut Proc<'m>,
-    pub(crate) arrays: Vec<Option<DistArray<Value>>>,
+    pub(crate) arrays: Vec<Option<ArrayStore>>,
     pub(crate) output: Vec<String>,
     /// `Some` when the native engine drives this VM: `General` kernels
     /// are dispatched to compiled code instead of the interpreter.
-    pub(crate) native: Option<&'a dyn KernelBackend>,
+    pub(crate) native: Option<&'a NativeBackend>,
+}
+
+/// Unwrap a skeleton or array result; failures are Skil runtime errors.
+fn rt<T>(r: skil_array::Result<T>) -> T {
+    r.unwrap_or_else(|e| panic!("skil runtime: {e}"))
+}
+
+fn index_sl(ix: Index) -> Sl {
+    Sl::V(Value::Index([ix[0] as i64, ix[1] as i64]))
+}
+
+fn bounds_value(arr: &ArrayStore) -> Value {
+    let b = rt(arr.part_bounds());
+    Value::Bounds([b.lower[0] as i64, b.lower[1] as i64], [b.upper[0] as i64, b.upper[1] as i64])
 }
 
 impl Host for Vm<'_, '_, '_> {
@@ -526,12 +539,8 @@ impl Host for Vm<'_, '_, '_> {
         &self.consts
     }
 
-    fn get_elem(&mut self, h: usize, ix: Index) -> Value {
-        let arr = self.arrays[h].as_ref().expect("array alive");
-        match arr.get(ix) {
-            Ok(v) => v.clone(),
-            Err(e) => panic!("skil runtime: {e}"),
-        }
+    fn get_elem(&mut self, h: usize, ix: Index) -> Sl {
+        rt(self.arrays[h].as_ref().expect("array alive").get(ix))
     }
 
     /// Stateful intrinsics; the matching charge was already emitted as a
@@ -540,23 +549,16 @@ impl Host for Vm<'_, '_, '_> {
         match op {
             Intr::ProcId => Value::Int(self.proc.id() as i64),
             Intr::NProcs => Value::Int(self.proc.nprocs() as i64),
-            Intr::ArrayGetElem => self.get_elem(vals[0].as_array(), to_uindex(vals[1].as_index())),
+            Intr::ArrayGetElem => {
+                self.get_elem(vals[0].as_array(), to_uindex(vals[1].as_index())).into_value()
+            }
             Intr::ArrayPutElem => {
-                let h = vals[0].as_array();
-                let ix = to_uindex(vals[1].as_index());
-                let arr = self.arrays[h].as_mut().expect("array alive");
-                if let Err(e) = arr.put(ix, vals[2].clone()) {
-                    panic!("skil runtime: {e}");
-                }
+                let arr = self.arrays[vals[0].as_array()].as_mut().expect("array alive");
+                rt(arr.put(to_uindex(vals[1].as_index()), Sl::from_value_ref(&vals[2])));
                 Value::Unit
             }
             Intr::ArrayPartBounds => {
-                let arr = self.arrays[vals[0].as_array()].as_ref().expect("array alive");
-                let b = arr.part_bounds().unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                Value::Bounds(
-                    [b.lower[0] as i64, b.lower[1] as i64],
-                    [b.upper[0] as i64, b.upper[1] as i64],
-                )
+                bounds_value(self.arrays[vals[0].as_array()].as_ref().expect("array alive"))
             }
             Intr::Print => {
                 self.output.push(vals[0].render());
@@ -567,13 +569,14 @@ impl Host for Vm<'_, '_, '_> {
     }
 
     /// Dispatch a skeleton call site to `skil-core`, running argument
-    /// functions under the kernel VM.
+    /// functions under the kernel VM. Every array arm picks the store
+    /// variant once and hands the typed partitions to one generic body
+    /// ([`KernelVm`]'s skeleton methods).
     fn skel(&mut self, site_ix: usize, stack: &mut Vec<Sl>, _frames: &mut Vec<Vec<Sl>>) {
         if let Some(nb) = self.native {
             nb.begin_skel();
         }
         let site: &SkelSite = &self.code.sites[site_ix];
-        let cost = self.proc.cost().clone();
         // stack layout: [value args..., fn0 lifted..., fn1 lifted...]
         let mut lifted: Vec<Vec<Value>> = Vec::with_capacity(site.fns.len());
         for f in site.fns.iter().rev() {
@@ -583,9 +586,25 @@ impl Host for Vm<'_, '_, '_> {
         lifted.reverse();
         let at = stack.len() - site.nargs;
         let vals: Vec<Value> = stack.drain(at..).map(Sl::into_value).collect();
-        let cycles = &self.site_cycles[site_ix];
         let me = self.proc.id();
-        let np = self.proc.nprocs();
+        // the kernel executor over the current array table; rebuilt per
+        // arm because arms take the array they write out of the table
+        macro_rules! kvm {
+            () => {
+                KernelVm {
+                    code: self.kcode,
+                    consts: &self.consts,
+                    arrays: &self.arrays,
+                    me,
+                    nprocs: self.proc.nprocs(),
+                    native: self.native,
+                    site,
+                    lifted: &lifted,
+                    cycles: &self.site_cycles[site_ix],
+                    scratch: RefCell::default(),
+                }
+            };
+        }
 
         let result = match site.op {
             SkelOp::Create => {
@@ -611,40 +630,12 @@ impl Host for Vm<'_, '_, '_> {
                     distr,
                     dist: Distribution::Block,
                 };
-                let handle = self.arrays.len();
-                let arr = {
-                    let kvm =
-                        kernel_vm(self.kcode, &self.consts, &self.arrays, me, np, self.native);
-                    // Batch path: compiled initializer, one FFI round trip
-                    // for the whole partition. A spec `plan` error skips
-                    // the prefetch; `array_create` then reports the
-                    // identical error before any kernel call.
-                    let mut pre = batch_backend(self.native, site)
-                        .and_then(|nb| {
-                            let (layout, _) = spec.plan(self.proc).ok()?;
-                            let ixs: Vec<Index> = layout.local_indices(me).collect();
-                            Some(nb.bulk_create(site.fns[0].fid, &lifted[0], &ixs, &self.arrays))
-                        })
-                        .map(Vec::into_iter);
-                    let init = Kernel::new(
-                        |ix: Index| match pre.as_mut() {
-                            Some(it) => it.next().expect("planned bulk element"),
-                            None => kvm.run(
-                                &site.fns[0],
-                                &lifted[0],
-                                &[Value::Index([ix[0] as i64, ix[1] as i64])],
-                            ),
-                        },
-                        cycles[0],
-                    );
-                    array_create(self.proc, spec, init)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"))
-                };
+                let arr = with_kind!(site.elem, T => T::wrap(kvm!().create::<T>(self.proc, spec)));
                 self.arrays.push(Some(arr));
-                Value::Array(handle)
+                Value::Array(self.arrays.len() - 1)
             }
             SkelOp::Destroy => {
-                self.proc.charge(cost.call);
+                self.proc.charge(self.proc.cost().call);
                 let h = vals[0].as_array();
                 self.arrays[h] = None;
                 Value::Unit
@@ -652,174 +643,51 @@ impl Host for Vm<'_, '_, '_> {
             SkelOp::Map => {
                 let from_h = vals[0].as_array();
                 let to_h = vals[1].as_array();
+                // in-situ replacement (`from_h == to_h`), as the paper
+                // allows: kernels then see the array as being written
+                let mut to = self.arrays[to_h].take().expect("array alive");
                 if from_h == to_h {
-                    // in-situ replacement, as the paper allows
-                    let mut arr = self.arrays[from_h].take().expect("array alive");
-                    {
-                        let kvm =
-                            kernel_vm(self.kcode, &self.consts, &self.arrays, me, np, self.native);
-                        // batch path: the whole local pass in one FFI call,
-                        // reading the same pre-map snapshot
-                        let mut pre = batch_backend(self.native, site)
-                            .map(|nb| {
-                                let ixs: Vec<Index> =
-                                    arr.layout().local_indices(arr.proc_id()).collect();
-                                nb.bulk_map(
-                                    site.fns[0].fid,
-                                    &lifted[0],
-                                    arr.local_data(),
-                                    &ixs,
-                                    &self.arrays,
-                                )
-                            })
-                            .map(Vec::into_iter);
-                        let k = Kernel::new(
-                            |v: &Value, ix: Index| match pre.as_mut() {
-                                Some(it) => it.next().expect("prefetched map element"),
-                                None => kvm.run2(
-                                    &site.fns[0],
-                                    &lifted[0],
-                                    v.clone(),
-                                    Value::Index([ix[0] as i64, ix[1] as i64]),
-                                ),
-                            },
-                            cycles[0],
-                        );
-                        array_map_inplace(self.proc, k, &mut arr)
-                            .unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                    }
-                    self.arrays[from_h] = Some(arr);
+                    with_store!(&mut to, arr => kvm!().map_inplace(self.proc, arr));
                 } else {
-                    let mut to = self.arrays[to_h].take().expect("array alive");
-                    {
-                        let from = self.arrays[from_h].as_ref().expect("array alive");
-                        let kvm =
-                            kernel_vm(self.kcode, &self.consts, &self.arrays, me, np, self.native);
-                        // batch path, gated on the same conformability
-                        // check `array_map` makes before any kernel call
-                        let mut pre = batch_backend(self.native, site)
-                            .filter(|_| from.conformable(&to))
-                            .map(|nb| {
-                                let ixs: Vec<Index> =
-                                    from.layout().local_indices(from.proc_id()).collect();
-                                nb.bulk_map(
-                                    site.fns[0].fid,
-                                    &lifted[0],
-                                    from.local_data(),
-                                    &ixs,
-                                    &self.arrays,
-                                )
-                            })
-                            .map(Vec::into_iter);
-                        let k = Kernel::new(
-                            |v: &Value, ix: Index| match pre.as_mut() {
-                                Some(it) => it.next().expect("prefetched map element"),
-                                None => kvm.run2(
-                                    &site.fns[0],
-                                    &lifted[0],
-                                    v.clone(),
-                                    Value::Index([ix[0] as i64, ix[1] as i64]),
-                                ),
-                            },
-                            cycles[0],
-                        );
-                        array_map(self.proc, k, from, &mut to)
-                            .unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                    }
-                    self.arrays[to_h] = Some(to);
+                    let from = self.arrays[from_h].as_ref().expect("array alive");
+                    with_store!(from, from => {
+                        with_store!(&mut to, to => kvm!().map(self.proc, from, to))
+                    });
                 }
+                self.arrays[to_h] = Some(to);
                 Value::Unit
             }
             SkelOp::Fold => {
-                let h = vals[0].as_array();
-                let arr = self.arrays[h].as_ref().expect("array alive");
-                let kvm = kernel_vm(self.kcode, &self.consts, &self.arrays, me, np, self.native);
-                if let Some(nb) = batch_backend(self.native, site) {
-                    // batch path: the fused convert+fold local pass runs
-                    // compiled in one FFI call; the tree reduction still
-                    // dispatches per hop
-                    array_fold_bulk(
-                        self.proc,
-                        cycles[0],
-                        cycles[1],
-                        |vs: &[Value], ixs: &[Index]| {
-                            if vs.is_empty() {
-                                None
-                            } else {
-                                Some(nb.bulk_fold(
-                                    (site.fns[0].fid, &lifted[0]),
-                                    (site.fns[1].fid, &lifted[1]),
-                                    vs,
-                                    ixs,
-                                    &self.arrays,
-                                ))
-                            }
-                        },
-                        |x, y| kvm.run2(&site.fns[1], &lifted[1], x, y),
-                        arr,
-                    )
-                    .unwrap_or_else(|e| panic!("skil runtime: {e}"))
-                } else {
-                    let conv = Kernel::new(
-                        |v: &Value, ix: Index| {
-                            kvm.run2(
-                                &site.fns[0],
-                                &lifted[0],
-                                v.clone(),
-                                Value::Index([ix[0] as i64, ix[1] as i64]),
-                            )
-                        },
-                        cycles[0],
-                    );
-                    let fold = Kernel::new(
-                        |x: Value, y: Value| kvm.run2(&site.fns[1], &lifted[1], x, y),
-                        cycles[1],
-                    );
-                    array_fold(self.proc, conv, fold, arr)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"))
-                }
+                let arr = self.arrays[vals[0].as_array()].as_ref().expect("array alive");
+                with_store!(arr, arr => {
+                    with_kind!(site.ret, U => kvm!().fold::<_, U>(self.proc, arr).into_sl())
+                })
+                .into_value()
             }
             SkelOp::Copy => {
                 let from_h = vals[0].as_array();
                 let to_h = vals[1].as_array();
                 assert_ne!(from_h, to_h, "skil runtime: array_copy onto itself");
                 let mut to = self.arrays[to_h].take().expect("array alive");
-                {
-                    let from = self.arrays[from_h].as_ref().expect("array alive");
-                    array_copy(self.proc, from, &mut to)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                }
+                let from = self.arrays[from_h].as_ref().expect("array alive");
+                with_store!(&mut to, to => rt(array_copy(self.proc, Elem::of(from), to)));
                 self.arrays[to_h] = Some(to);
                 Value::Unit
             }
             SkelOp::BroadcastPart => {
-                let h = vals[0].as_array();
                 let ix = to_uindex(vals[1].as_index());
-                let mut arr = self.arrays[h].take().expect("array alive");
-                array_broadcast_part(self.proc, &mut arr, ix)
-                    .unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                self.arrays[h] = Some(arr);
+                let arr = self.arrays[vals[0].as_array()].as_mut().expect("array alive");
+                with_store!(arr, arr => rt(array_broadcast_part(self.proc, arr, ix)));
                 Value::Unit
             }
             SkelOp::PermuteRows => {
                 let from_h = vals[0].as_array();
                 let to_h = vals[1].as_array();
                 let mut to = self.arrays[to_h].take().expect("array alive");
-                {
-                    let from = self.arrays[from_h].as_ref().expect("array alive");
-                    // `array_permute_rows` wants `Fn`, not `FnMut`; the
-                    // kernel VM's scratch space is interior-mutable, so a
-                    // shared borrow suffices
-                    let kvm =
-                        kernel_vm(self.kcode, &self.consts, &self.arrays, me, np, self.native);
-                    let perm = |r: usize| -> usize {
-                        let v = kvm.run(&site.fns[0], &lifted[0], &[Value::Int(r as i64)]).as_int();
-                        assert!(v >= 0, "skil runtime: negative permuted row {v}");
-                        v as usize
-                    };
-                    array_permute_rows(self.proc, from, perm, &mut to)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                }
+                let from = self.arrays[from_h].as_ref().expect("array alive");
+                with_store!(&mut to, to => {
+                    kvm!().permute_rows(self.proc, Elem::of(from), to)
+                });
                 self.arrays[to_h] = Some(to);
                 Value::Unit
             }
@@ -828,63 +696,59 @@ impl Host for Vm<'_, '_, '_> {
                 let to_h = vals[1].as_array();
                 assert_ne!(from_h, to_h, "skil runtime: array_scan onto itself");
                 let mut to = self.arrays[to_h].take().expect("array alive");
-                {
-                    let from = self.arrays[from_h].as_ref().expect("array alive");
-                    let kvm =
-                        kernel_vm(self.kcode, &self.consts, &self.arrays, me, np, self.native);
-                    let k = Kernel::new(
-                        |x: Value, y: Value| kvm.run2(&site.fns[0], &lifted[0], x, y),
-                        cycles[0],
-                    );
-                    skil_core::array_scan(self.proc, k, from, &mut to)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                }
+                let from = self.arrays[from_h].as_ref().expect("array alive");
+                with_store!(&mut to, to => kvm!().scan(self.proc, Elem::of(from), to));
                 self.arrays[to_h] = Some(to);
+                Value::Unit
+            }
+            SkelOp::GenMult => {
+                let a_h = vals[0].as_array();
+                let b_h = vals[1].as_array();
+                let c_h = vals[2].as_array();
+                assert!(
+                    a_h != c_h && b_h != c_h && a_h != b_h,
+                    "skil runtime: array_gen_mult requires distinct arrays"
+                );
+                let mut c = self.arrays[c_h].take().expect("array alive");
+                let a = self.arrays[a_h].as_ref().expect("array alive");
+                let b = self.arrays[b_h].as_ref().expect("array alive");
+                with_store!(&mut c, c => {
+                    kvm!().gen_mult(self.proc, Elem::of(a), Elem::of(b), c)
+                });
+                self.arrays[c_h] = Some(c);
                 Value::Unit
             }
             SkelOp::Dc => {
                 let problem = vals[0].clone();
                 let result = {
-                    let kvm =
-                        kernel_vm(self.kcode, &self.consts, &self.arrays, me, np, self.native);
+                    let kvm = kvm!();
                     let mut ops = skil_core::DcOps {
                         is_trivial: Kernel::new(
-                            |p: &Value| {
-                                kvm.run(&site.fns[0], &lifted[0], std::slice::from_ref(p)).as_int()
-                                    != 0
-                            },
-                            cycles[0],
+                            |p: &Value| kvm.call(0, [Sl::from_value_ref(p)]).as_int() != 0,
+                            kvm.cycles[0],
                         ),
                         solve: Kernel::new(
-                            |p: &Value| kvm.run(&site.fns[1], &lifted[1], std::slice::from_ref(p)),
-                            cycles[1],
+                            |p: &Value| kvm.call(1, [Sl::from_value_ref(p)]).into_value(),
+                            kvm.cycles[1],
                         ),
                         split: Kernel::new(
-                            |p: &Value| match kvm.run(
-                                &site.fns[2],
-                                &lifted[2],
-                                std::slice::from_ref(p),
-                            ) {
+                            |p: &Value| match kvm.call(2, [Sl::from_value_ref(p)]).into_value() {
                                 Value::List(items) => items.to_vec(),
                                 other => {
                                     panic!("skil runtime: split returned {other:?}, not a list")
                                 }
                             },
-                            cycles[2],
+                            kvm.cycles[2],
                         ),
                         join: Kernel::new(
                             |parts: Vec<Value>| {
-                                kvm.run(
-                                    &site.fns[3],
-                                    &lifted[3],
-                                    &[Value::List(ConsList::from_vec(parts))],
-                                )
+                                let parts = Value::List(ConsList::from_vec(parts));
+                                kvm.call(3, [Sl::V(parts)]).into_value()
                             },
-                            cycles[3],
+                            kvm.cycles[3],
                         ),
                     };
-                    skil_core::divide_conquer(self.proc, (me == 0).then_some(problem), &mut ops)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"))
+                    rt(skil_core::divide_conquer(self.proc, (me == 0).then_some(problem), &mut ops))
                 };
                 // SPMD expression semantics: dc(...) has a value everywhere
                 if me == 0 {
@@ -899,14 +763,12 @@ impl Host for Vm<'_, '_, '_> {
                     panic!("skil runtime: farm needs a task list");
                 };
                 let result = {
-                    let kvm =
-                        kernel_vm(self.kcode, &self.consts, &self.arrays, me, np, self.native);
+                    let kvm = kvm!();
                     let worker = Kernel::new(
-                        |t: &Value| kvm.run(&site.fns[0], &lifted[0], std::slice::from_ref(t)),
-                        cycles[0],
+                        |t: &Value| kvm.call(0, [Sl::from_value_ref(t)]).into_value(),
+                        kvm.cycles[0],
                     );
-                    skil_core::farm(self.proc, 0, (me == 0).then_some(tasks.to_vec()), worker)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"))
+                    rt(skil_core::farm(self.proc, 0, (me == 0).then_some(tasks.to_vec()), worker))
                 };
                 if me == 0 {
                     let v =
@@ -916,61 +778,9 @@ impl Host for Vm<'_, '_, '_> {
                     self.proc.broadcast(0, LANG_RESULT_TAG, None)
                 }
             }
-            SkelOp::GenMult => {
-                let a_h = vals[0].as_array();
-                let b_h = vals[1].as_array();
-                let c_h = vals[2].as_array();
-                assert!(
-                    a_h != c_h && b_h != c_h && a_h != b_h,
-                    "skil runtime: array_gen_mult requires distinct arrays"
-                );
-                let mut carr = self.arrays[c_h].take().expect("array alive");
-                {
-                    let aarr = self.arrays[a_h].as_ref().expect("array alive");
-                    let barr = self.arrays[b_h].as_ref().expect("array alive");
-                    let kvm =
-                        kernel_vm(self.kcode, &self.consts, &self.arrays, me, np, self.native);
-                    let add = Kernel::new(
-                        |x: Value, y: Value| kvm.run2(&site.fns[0], &lifted[0], x, y),
-                        cycles[0],
-                    );
-                    let mul = Kernel::new(
-                        |x: &Value, y: &Value| {
-                            kvm.run2(&site.fns[1], &lifted[1], x.clone(), y.clone())
-                        },
-                        cycles[1],
-                    );
-                    array_gen_mult(self.proc, aarr, barr, add, mul, &mut carr)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                }
-                self.arrays[c_h] = Some(carr);
-                Value::Unit
-            }
         };
         stack.push(Sl::from_value(result));
     }
-}
-
-/// The backend to batch a skeleton's local pass through — only when a
-/// compiled module drives kernels *and* at least one argument function
-/// is `General`-shaped. Trivial shapes never cross the FFI alone;
-/// their host fast paths are cheaper than any round trip.
-fn batch_backend<'a>(
-    native: Option<&'a dyn KernelBackend>,
-    site: &SkelSite,
-) -> Option<&'a dyn KernelBackend> {
-    native.filter(|_| site.fns.iter().any(|f| matches!(f.shape, KernelShape::General)))
-}
-
-fn kernel_vm<'a>(
-    code: &'a Program,
-    consts: &'a [Sl],
-    arrays: &'a [Option<DistArray<Value>>],
-    me: usize,
-    nprocs: usize,
-    native: Option<&'a dyn KernelBackend>,
-) -> KernelVm<'a> {
-    KernelVm { code, consts, arrays, me, nprocs, native, scratch: RefCell::new(Scratch::default()) }
 }
 
 #[derive(Default)]
@@ -979,13 +789,22 @@ struct Scratch {
     frames: Vec<Vec<Sl>>,
 }
 
+/// Read a local element on behalf of a skeleton argument function:
+/// the array the running skeleton writes is out of the table.
+pub(crate) fn kernel_get_elem(arrays: &[Option<ArrayStore>], h: usize, ix: Index) -> Sl {
+    let arr = arrays[h].as_ref().unwrap_or_else(|| {
+        panic!("skil runtime: use of an array being written by this skeleton or already destroyed")
+    });
+    rt(arr.get(ix))
+}
+
 /// Kernel execution mode for the shared dispatch loop: read-only
 /// arrays, no skeletons, no printing, and `Charge` instructions compile
 /// to nothing — the per-element kernel charge is applied by the
 /// skeleton itself.
 struct KHost<'a> {
     consts: &'a [Sl],
-    arrays: &'a [Option<DistArray<Value>>],
+    arrays: &'a [Option<ArrayStore>],
     me: usize,
     nprocs: usize,
 }
@@ -997,30 +816,19 @@ impl Host for KHost<'_> {
         self.consts
     }
 
-    fn get_elem(&mut self, h: usize, ix: Index) -> Value {
-        let arr = self.arrays[h].as_ref().unwrap_or_else(|| {
-            panic!(
-                "skil runtime: use of an array being written by this skeleton or already destroyed"
-            )
-        });
-        match arr.get(ix) {
-            Ok(v) => v.clone(),
-            Err(e) => panic!("skil runtime: {e}"),
-        }
+    fn get_elem(&mut self, h: usize, ix: Index) -> Sl {
+        kernel_get_elem(self.arrays, h, ix)
     }
 
     fn stateful(&mut self, op: Intr, vals: &[Value]) -> Value {
         match op {
             Intr::ProcId => Value::Int(self.me as i64),
             Intr::NProcs => Value::Int(self.nprocs as i64),
-            Intr::ArrayGetElem => self.get_elem(vals[0].as_array(), to_uindex(vals[1].as_index())),
+            Intr::ArrayGetElem => {
+                self.get_elem(vals[0].as_array(), to_uindex(vals[1].as_index())).into_value()
+            }
             Intr::ArrayPartBounds => {
-                let arr = self.arrays[vals[0].as_array()].as_ref().expect("array alive");
-                let b = arr.part_bounds().unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                Value::Bounds(
-                    [b.lower[0] as i64, b.lower[1] as i64],
-                    [b.upper[0] as i64, b.upper[1] as i64],
-                )
+                bounds_value(self.arrays[vals[0].as_array()].as_ref().expect("array alive"))
             }
             Intr::ArrayPutElem => {
                 panic!("skil runtime: array_put_elem inside a skeleton argument function")
@@ -1035,56 +843,66 @@ impl Host for KHost<'_> {
     }
 }
 
-/// Executor for skeleton argument functions. Scratch space (operand
+/// One skeleton call's executor for its argument functions, plus the
+/// generic skeleton bodies written against it. Scratch space (operand
 /// stack + frame pool) is interior-mutable so kernels can be invoked
-/// through `Fn` closures; the `Value` boundary is only crossed at entry
-/// and exit.
+/// through `Fn` closures; elements cross as [`Sl`] slots.
 struct KernelVm<'a> {
     code: &'a Program,
     consts: &'a [Sl],
-    arrays: &'a [Option<DistArray<Value>>],
+    arrays: &'a [Option<ArrayStore>],
     me: usize,
     nprocs: usize,
-    native: Option<&'a dyn KernelBackend>,
+    native: Option<&'a NativeBackend>,
+    site: &'a SkelSite,
+    /// Per argument function: the lifted arguments the call site evaluated.
+    lifted: &'a [Vec<Value>],
+    /// Per argument function: the kernel charge per element.
+    cycles: &'a [u64],
     scratch: RefCell<Scratch>,
 }
 
 impl KernelVm<'_> {
-    /// Invoke an argument function with `lifted ++ extra` as arguments.
-    fn run(&self, f: &SkelFn, lifted: &[Value], extra: &[Value]) -> Value {
+    /// Invoke the site's `i`-th argument function with `lifted ++ args`.
+    fn call<const N: usize>(&self, i: usize, args: [Sl; N]) -> Sl {
+        let f = &self.site.fns[i];
+        let lifted = &self.lifted[i][..];
+        let n = lifted.len();
         let cf = &self.code.funcs[f.fid];
         assert_eq!(
             cf.nparams,
-            lifted.len() + extra.len(),
+            n + N,
             "skil runtime: arity mismatch calling `{}`: {} params, {} args",
             cf.name,
             cf.nparams,
-            lifted.len() + extra.len()
+            n + N
         );
         // parameter position → argument, without materializing a vector
-        let pick = |i: usize| {
-            if i < lifted.len() {
-                &lifted[i]
+        let pick = |p: usize| {
+            if p < n {
+                Sl::from_value_ref(&lifted[p])
             } else {
-                &extra[i - lifted.len()]
+                args[p - n].clone()
             }
         };
         match &f.shape {
-            KernelShape::Bin { op, float, a, b } => {
-                apply_binop(*op, *float, pick(*a).clone(), pick(*b).clone())
-            }
+            KernelShape::Bin { op, float, a, b } => bin_sl(*op, *float, &pick(*a), &pick(*b)),
             KernelShape::Intrinsic { op, slots } => {
-                let args: Vec<Value> = slots.iter().map(|&s| pick(s).clone()).collect();
-                op.eval_pure(&args).expect("shape-classified intrinsic is pure")
+                let mut buf = [Value::Unit, Value::Unit, Value::Unit];
+                for (slot, &p) in buf.iter_mut().zip(slots) {
+                    *slot = pick(p).into_value();
+                }
+                let v = op.eval_pure(&buf[..slots.len()]);
+                Sl::from_value(v.expect("shape-classified intrinsic is pure"))
             }
             KernelShape::General => {
                 if let Some(nb) = self.native {
-                    return nb.run_kernel(f.fid, lifted, extra, self.arrays);
+                    return nb.run_kernel(f.fid, lifted, &args, self.arrays);
                 }
                 let mut s = self.scratch.borrow_mut();
                 let Scratch { stack, frames } = &mut *s;
                 stack.extend(lifted.iter().map(Sl::from_value_ref));
-                stack.extend(extra.iter().map(Sl::from_value_ref));
+                stack.extend(args);
                 let mut h = KHost {
                     consts: self.consts,
                     arrays: self.arrays,
@@ -1092,39 +910,142 @@ impl KernelVm<'_> {
                     nprocs: self.nprocs,
                 };
                 exec(&mut h, self.code, f.fid, stack, frames);
-                stack.pop().expect("kernel return value").into_value()
+                stack.pop().expect("kernel return value")
             }
         }
     }
 
-    /// Two-element-argument variant (map / fold / scan kernels), sparing
-    /// the caller a temporary slice — and, for the overwhelmingly common
-    /// `f(x, y)` shapes, any clone at all.
-    fn run2(&self, f: &SkelFn, lifted: &[Value], x: Value, y: Value) -> Value {
-        let n = lifted.len();
-        match &f.shape {
-            KernelShape::Bin { op, float, a, b } => {
-                if *a == n && *b == n + 1 {
-                    return apply_binop(*op, *float, x, y);
-                }
-                if *a == n + 1 && *b == n {
-                    return apply_binop(*op, *float, y, x);
-                }
-                let pick = |i: usize| {
-                    if i < n {
-                        lifted[i].clone()
-                    } else if i == n {
-                        x.clone()
-                    } else {
-                        y.clone()
-                    }
-                };
-                apply_binop(*op, *float, pick(*a), pick(*b))
-            }
-            KernelShape::Intrinsic { op, slots } if slots[..] == [n, n + 1] => {
-                op.eval_pure(&[x, y]).expect("shape-classified intrinsic is pure")
-            }
-            _ => self.run(f, lifted, &[x, y]),
+    /// The site's `i`-th argument function as a `(T, T) -> T` combiner
+    /// (fold / scan / gen_mult kernels). Over unboxed elements an
+    /// operator section or `min`/`max` is resolved here, once, to a
+    /// direct function; everything else goes through [`Self::call`].
+    fn kernel2<T: Elem>(&self, i: usize) -> impl Fn(T, T) -> T + '_ {
+        let direct = T::direct2(&self.site.fns[i].shape, self.lifted[i].len());
+        move |x, y| match direct {
+            Some(op) => op(x, y),
+            None => T::from_sl(self.call(i, [x.into_sl(), y.into_sl()])),
         }
+    }
+
+    /// The backend to batch a skeleton's local pass through — only when
+    /// a compiled module drives kernels *and* at least one argument
+    /// function is `General`-shaped. Trivial shapes never cross the FFI
+    /// alone; their host fast paths are cheaper than any round trip.
+    fn batch(&self) -> Option<&NativeBackend> {
+        self.native.filter(|_| self.site.fns.iter().any(|f| f.shape == KernelShape::General))
+    }
+
+    /// Argument function 0 as the per-element `(element, index) -> U`
+    /// function of a map. On the batch path the whole local pass over
+    /// `src` runs compiled, now, in one FFI call, and the returned
+    /// function only hands the results out in order.
+    fn elem_fn<T: Elem, U: Elem>(
+        &self,
+        src: &DistArray<T>,
+        batch: Option<&NativeBackend>,
+    ) -> impl FnMut(&T, Index) -> U + '_ {
+        let mut pre = batch.map(|nb| {
+            let ixs: Vec<Index> = src.layout().local_indices(src.proc_id()).collect();
+            let fid = self.site.fns[0].fid;
+            nb.bulk_map::<T, U>(fid, &self.lifted[0], src.local_data(), &ixs, self.arrays)
+                .into_iter()
+        });
+        move |v, ix| match pre.as_mut() {
+            Some(it) => it.next().expect("prefetched map element"),
+            None => U::from_sl(self.call(0, [v.clone().into_sl(), index_sl(ix)])),
+        }
+    }
+
+    fn create<T: Elem>(&self, proc: &mut Proc<'_>, spec: ArraySpec) -> DistArray<T> {
+        // Batch path: compiled initializer, one FFI round trip for the
+        // whole partition. A spec `plan` error skips the prefetch;
+        // `array_create` then reports the identical error before any
+        // kernel call.
+        let mut pre = self.batch().and_then(|nb| {
+            let (layout, _) = spec.plan(proc).ok()?;
+            let ixs: Vec<Index> = layout.local_indices(self.me).collect();
+            let fid = self.site.fns[0].fid;
+            Some(nb.bulk_create::<T>(fid, &self.lifted[0], &ixs, self.arrays).into_iter())
+        });
+        let init = Kernel::new(
+            |ix: Index| match pre.as_mut() {
+                Some(it) => it.next().expect("planned bulk element"),
+                None => T::from_sl(self.call(0, [index_sl(ix)])),
+            },
+            self.cycles[0],
+        );
+        rt(array_create(proc, spec, init))
+    }
+
+    fn map<T: Elem, U: Elem>(
+        &self,
+        proc: &mut Proc<'_>,
+        from: &DistArray<T>,
+        to: &mut DistArray<U>,
+    ) {
+        // the batch path is gated on the same conformability check
+        // `array_map` makes before any kernel call
+        let f = self.elem_fn(from, self.batch().filter(|_| from.conformable(to)));
+        rt(array_map(proc, Kernel::new(f, self.cycles[0]), from, to))
+    }
+
+    fn map_inplace<T: Elem>(&self, proc: &mut Proc<'_>, arr: &mut DistArray<T>) {
+        // the batch path reads the same pre-map snapshot
+        let f = self.elem_fn::<T, T>(arr, self.batch());
+        rt(array_map_inplace(proc, Kernel::new(f, self.cycles[0]), arr))
+    }
+
+    fn fold<T: Elem, U: Elem>(&self, proc: &mut Proc<'_>, arr: &DistArray<T>) -> U {
+        let fold = self.kernel2::<U>(1);
+        if let Some(nb) = self.batch() {
+            // batch path: the fused convert+fold local pass runs
+            // compiled in one FFI call; the tree reduction still
+            // dispatches per hop
+            let local = |vs: &[T], ixs: &[Index]| {
+                (!vs.is_empty()).then(|| {
+                    let conv = (self.site.fns[0].fid, &self.lifted[0][..]);
+                    let fold = (self.site.fns[1].fid, &self.lifted[1][..]);
+                    nb.bulk_fold::<T, U>(conv, fold, vs, ixs, self.arrays)
+                })
+            };
+            rt(array_fold_bulk(proc, self.cycles[0], self.cycles[1], local, fold, arr))
+        } else {
+            let conv = Kernel::new(
+                |v: &T, ix: Index| U::from_sl(self.call(0, [v.clone().into_sl(), index_sl(ix)])),
+                self.cycles[0],
+            );
+            rt(array_fold(proc, conv, Kernel::new(fold, self.cycles[1]), arr))
+        }
+    }
+
+    fn scan<T: Elem>(&self, proc: &mut Proc<'_>, from: &DistArray<T>, to: &mut DistArray<T>) {
+        rt(array_scan(proc, Kernel::new(self.kernel2::<T>(0), self.cycles[0]), from, to))
+    }
+
+    fn permute_rows<T: Elem>(
+        &self,
+        proc: &mut Proc<'_>,
+        from: &DistArray<T>,
+        to: &mut DistArray<T>,
+    ) {
+        let perm = |r: usize| -> usize {
+            let v = self.call(0, [Sl::I(r as i64)]).as_int();
+            assert!(v >= 0, "skil runtime: negative permuted row {v}");
+            v as usize
+        };
+        rt(array_permute_rows(proc, from, perm, to))
+    }
+
+    fn gen_mult<T: Elem>(
+        &self,
+        proc: &mut Proc<'_>,
+        a: &DistArray<T>,
+        b: &DistArray<T>,
+        c: &mut DistArray<T>,
+    ) {
+        let add = Kernel::new(self.kernel2::<T>(0), self.cycles[0]);
+        let mul = self.kernel2::<T>(1);
+        let mul = Kernel::new(|x: &T, y: &T| mul(x.clone(), y.clone()), self.cycles[1]);
+        rt(array_gen_mult(proc, a, b, add, mul, c))
     }
 }

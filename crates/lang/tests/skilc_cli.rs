@@ -186,6 +186,43 @@ fn emit_bytecode_prints_listing_and_stats() {
 }
 
 #[test]
+fn emit_bytecode_names_each_skeleton_sites_array_representation() {
+    let src = "struct pt { int x; float w; };\n\
+               int ints(Index ix) { return ix[0]; }\n\
+               float floats(Index ix) { return itof(ix[0]); }\n\
+               pt pts(Index ix) { return pt{ix[0], 0.5}; }\n\
+               float weight(pt p, Index ix) { return p.w; }\n\
+               void main() {\n\
+                 array<int> a = array_create(1, {8,1}, {0,0}, {0-1,0-1}, ints, DISTR_DEFAULT);\n\
+                 array<float> b = array_create(1, {8,1}, {0,0}, {0-1,0-1}, floats, DISTR_DEFAULT);\n\
+                 array<pt> c = array_create(1, {8,1}, {0,0}, {0-1,0-1}, pts, DISTR_DEFAULT);\n\
+                 array_map(weight, c, b);\n\
+                 array_scan((+), b, b);\n\
+                 array_destroy(a);\n\
+               }";
+    let path = write_temp("emitbc_elem.skil", src);
+    for flag in ["--emit-bytecode", "--emit-bytecode=raw"] {
+        let out = skilc().arg(flag).arg(&path).output().expect("run skilc");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let listing = String::from_utf8_lossy(&out.stdout);
+        // the site table and the call instruction both say which store
+        // the site's array gets; a map is named after its source array
+        for want in [
+            "array_create elem=int",
+            "array_create elem=float",
+            "array_create elem=boxed",
+            "array_map elem=boxed",
+            "array_scan elem=float",
+            "array_destroy elem=int",
+        ] {
+            assert!(listing.contains(want), "{flag}: no `{want}` in:\n{listing}");
+        }
+        assert!(listing.contains("skel array_create (site 0, elem int)"), "{listing}");
+        assert!(listing.contains("skel array_map (site 3, elem boxed)"), "{listing}");
+    }
+}
+
+#[test]
 fn emit_rust_prints_native_module() {
     let src = "int initf(Index ix) { return ix[0] * 3; }\n\
                int conv(int v, Index ix) { return v; }\n\

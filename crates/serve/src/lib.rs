@@ -600,12 +600,14 @@ impl Server {
         }
         // Compile outside the lock: a slow compile must not stall
         // cache hits on other threads. Two threads may race to compile
-        // the same program; the second insert wins harmlessly.
+        // the same program; the first insert stays and both run it, so
+        // whatever one `Compiled` memoizes (the prepared native module)
+        // is what every later request sees.
         let compiled =
             Arc::new(compile_opt(&req.program, req.opt_level).map_err(|e| e.to_string())?);
         self.counters.compile_misses.fetch_add(1, Ordering::Relaxed);
-        self.programs.lock().unwrap().insert(key, Arc::clone(&compiled));
-        Ok((compiled, false))
+        let kept = Arc::clone(self.programs.lock().unwrap().entry(key).or_insert(compiled));
+        Ok((kept, false))
     }
 
     /// Take a warm machine for `key` from the pool, or build a cold
@@ -713,6 +715,32 @@ mod tests {
         assert_eq!(stats.machines_cold, 1);
         assert_eq!(stats.machines_warm, 2);
         assert_eq!(server.pooled_machines(), 1);
+    }
+
+    #[test]
+    fn racing_first_compiles_all_run_the_cached_program() {
+        // Several threads miss the cache for one program at once: the
+        // first insert must stay, and every thread must be handed that
+        // same `Compiled` (its memoized native module is per `Compiled`).
+        let server = Server::new();
+        let req = Request::program(FOLD);
+        let start = std::sync::Barrier::new(4);
+        let got: Vec<Arc<Compiled>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        server.compile_cached(&req).expect("compiles").0
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("compile thread")).collect()
+        });
+        let (cached, hit) = server.compile_cached(&req).expect("cached");
+        assert!(hit);
+        for c in &got {
+            assert!(Arc::ptr_eq(c, &cached), "a racing compile was handed a discarded program");
+        }
     }
 
     #[test]

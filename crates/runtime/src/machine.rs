@@ -3,7 +3,7 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use crate::collective::CollectiveAlgo;
@@ -14,7 +14,7 @@ use crate::fault::FaultPlan;
 use crate::mailbox::{Gate, Mailbox};
 use crate::proc::{Proc, Shared};
 use crate::report::{ProcReport, RunReport};
-use crate::sched::{worker_loop, EventSched};
+use crate::sched::{host_cores, worker_loop, EventSched, Seats};
 use crate::topology::{Mesh, Topology};
 
 /// Which execution core drives the simulated processors.
@@ -61,10 +61,13 @@ pub struct MachineConfig {
     /// (default [`SchedulerKind::Event`]).
     pub scheduler: Option<SchedulerKind>,
     /// Host-parallelism override; `None` resolves from
-    /// `SKIL_WORKER_THREADS`. Under the event scheduler this is the
-    /// worker-pool size; under the thread scheduler it is the permit
-    /// count of the concurrency gate. Either way it is a pure host
-    /// throttle — virtual time cannot observe it.
+    /// `SKIL_WORKER_THREADS`. Under the event scheduler an explicit
+    /// count means exactly that many workers, all in from the start of
+    /// every run; unset, a run starts on the calling thread alone and
+    /// recruits helpers (up to `min(cores, 8, nprocs)`) only while its
+    /// task quanta are coarse and a core is free. Under the thread
+    /// scheduler it is the permit count of the concurrency gate. Either
+    /// way it is a pure host throttle — virtual time cannot observe it.
     pub workers: Option<usize>,
 }
 
@@ -148,8 +151,9 @@ impl MachineConfig {
         self
     }
 
-    /// Bound host parallelism, overriding `SKIL_WORKER_THREADS`: event
-    /// workers or thread-gate permits, depending on the scheduler.
+    /// Fix host parallelism, overriding `SKIL_WORKER_THREADS`: exactly
+    /// `k` event workers from the start of every run, or `k` thread-gate
+    /// permits, depending on the scheduler.
     pub fn with_workers(mut self, k: usize) -> Self {
         self.workers = Some(k.max(1));
         self
@@ -170,9 +174,10 @@ pub struct Run<R> {
 ///
 /// `run` executes one SPMD program: the same closure on every processor,
 /// each with its own [`Proc`] handle. Under the default event scheduler
-/// every processor is a coroutine task multiplexed onto a small worker
-/// pool, so meshes of thousands of processors fit on one host; under
-/// `SKIL_SCHEDULER=threads` each processor owns a host thread. Virtual
+/// every processor is a coroutine task multiplexed onto the calling
+/// thread and a few recruited helpers, so meshes of thousands of
+/// processors fit on one host; under `SKIL_SCHEDULER=threads` each
+/// processor owns a host thread. Virtual
 /// time is fully deterministic for programs whose receives name their
 /// source (all skeletons do), independent of host scheduling *and* of
 /// the scheduler choice — CI pins golden `sim_cycles` across both.
@@ -204,6 +209,8 @@ pub struct Machine {
     arena: Mutex<Vec<RunArena>>,
     /// How many runs reused a parked arena instead of allocating.
     reuse_hits: AtomicU64,
+    /// How many helper workers runs on this machine have recruited.
+    helper_joins: AtomicU64,
 }
 
 /// The per-run allocations a warm machine keeps between runs. Everything
@@ -221,9 +228,14 @@ struct RunArena {
 
 /// The execution core a machine was built with.
 enum Backend {
-    /// Event scheduler: `workers` host threads drive every processor as
-    /// a coroutine task; `stacks` recycles coroutine stacks across runs.
-    Event { pool: WorkerPool, stacks: StackPool, workers: usize },
+    /// Event scheduler: the calling thread and up to `max_workers - 1`
+    /// helpers drive every processor as a coroutine task; `stacks`
+    /// recycles coroutine stacks across runs. `pool` holds the helper
+    /// threads, spawned at the first recruitment: a machine whose runs
+    /// never earn a helper never owns a thread. `adaptive` is whether
+    /// helpers are recruited on evidence (no explicit worker count) or
+    /// all dispatched at the start of every run.
+    Event { pool: OnceLock<WorkerPool>, stacks: StackPool, max_workers: usize, adaptive: bool },
     /// Thread scheduler: one worker thread per processor, with the
     /// optional `SKIL_WORKER_THREADS` permit gate.
     Threads { pool: WorkerPool, gate: Option<Arc<Gate>> },
@@ -257,7 +269,8 @@ impl std::fmt::Debug for Machine {
 impl Machine {
     /// Build a machine from a configuration. The machine owns its worker
     /// threads for its whole lifetime; repeated `run` calls dispatch onto
-    /// those instead of spawning fresh threads. The scheduler resolves
+    /// those instead of spawning fresh threads (the event backend spawns
+    /// them at the first run that uses a helper). The scheduler resolves
     /// from the config override, then `SKIL_SCHEDULER` (`event` |
     /// `threads`), defaulting to the event core.
     pub fn new(cfg: MachineConfig) -> Self {
@@ -275,26 +288,22 @@ impl Machine {
         let kind = if coro::SUPPORTED { kind } else { SchedulerKind::Threads };
         let backend = match kind {
             SchedulerKind::Event => {
-                let workers = cfg
-                    .workers
-                    .or_else(|| env_count("SKIL_WORKER_THREADS"))
-                    .unwrap_or_else(|| {
-                        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(8)
-                    })
-                    .min(n.max(1));
-                let workers = match max_host_threads() {
-                    Some(cap) => workers.min(cap),
-                    None => workers,
+                let explicit = cfg.workers.or_else(|| env_count("SKIL_WORKER_THREADS"));
+                let max_workers = explicit.unwrap_or_else(|| host_cores().min(8)).min(n.max(1));
+                let max_workers = match max_host_threads() {
+                    Some(cap) => max_workers.min(cap),
+                    None => max_workers,
                 };
-                // The calling thread acts as one of the workers for the
-                // duration of a run (see `try_run_faults`), so the pool
-                // only needs `workers - 1` threads — on a single-worker
-                // host the event backend spawns no threads at all and a
-                // run involves zero cross-thread dispatch.
+                // The calling thread is always one of a run's workers
+                // (see `try_run_faults`), so the pool needs at most
+                // `max_workers - 1` threads, and none before a run
+                // recruits a helper. A cap of one leaves nothing to
+                // adapt.
                 Backend::Event {
-                    pool: WorkerPool::new(workers - 1, "sim-worker"),
+                    pool: OnceLock::new(),
                     stacks: StackPool::new(coro::stack_size()),
-                    workers,
+                    max_workers,
+                    adaptive: explicit.is_none() && max_workers > 1,
                 }
             }
             SchedulerKind::Threads => {
@@ -306,7 +315,13 @@ impl Machine {
                 Backend::Threads { pool: WorkerPool::new(n, "proc"), gate }
             }
         };
-        Machine { cfg, backend, arena: Mutex::new(Vec::new()), reuse_hits: AtomicU64::new(0) }
+        Machine {
+            cfg,
+            backend,
+            arena: Mutex::new(Vec::new()),
+            reuse_hits: AtomicU64::new(0),
+            helper_joins: AtomicU64::new(0),
+        }
     }
 
     /// How many runs on this machine reused a parked run arena instead
@@ -314,6 +329,14 @@ impl Machine {
     /// warm-pool floor-reduction counter surfaced by the serving layer.
     pub fn setup_reuse_hits(&self) -> u64 {
         self.reuse_hits.load(Ordering::Relaxed)
+    }
+
+    /// How many helper workers runs on this machine have recruited onto
+    /// other host threads — zero for as long as every run was driven by
+    /// its calling thread alone. An explicit worker count `k` recruits
+    /// `k - 1` per run; the adaptive default recruits on evidence.
+    pub fn helper_joins(&self) -> u64 {
+        self.helper_joins.load(Ordering::Relaxed)
     }
 
     /// Number of processors.
@@ -407,7 +430,9 @@ impl Machine {
                 (0..n).map(|_| AtomicBool::new(false)).collect(),
                 vec![None; n],
                 match &self.backend {
-                    Backend::Event { workers, .. } => Some(Arc::new(EventSched::new(n, *workers))),
+                    Backend::Event { max_workers, adaptive, .. } => {
+                        Some(Arc::new(EventSched::new(n, *max_workers, *adaptive)))
+                    }
                     Backend::Threads { .. } => None,
                 },
             ),
@@ -509,14 +534,14 @@ impl Machine {
                     wait.expect += 1;
                 }
             }
-            Backend::Event { pool, stacks, workers } => {
+            Backend::Event { pool, stacks, max_workers, adaptive } => {
                 let ev: &EventSched = sched.as_deref().expect("event backend has a scheduler");
                 let shared = &shared;
                 let proc_body = &proc_body;
                 // One coroutine task per processor, all ready at virtual
-                // time 0. The pool's workers are idle until the
-                // `worker_loop` jobs are dispatched below, so seeding the
-                // ready heap during construction is race-free.
+                // time 0. No worker runs before `worker_loop` below, so
+                // seeding the ready heap during construction is
+                // race-free.
                 let mut tasks: Vec<Task> = Vec::with_capacity(n);
                 for id in 0..n {
                     let body = move |frame: *const TaskFrame| {
@@ -540,10 +565,28 @@ impl Machine {
                 {
                     let latch = &latch;
                     let tasks = &tasks;
+                    // An adaptive run's share of the process-wide core
+                    // budget; an explicit worker count sits outside it.
+                    // Declared first so it is given back last, after
+                    // `wait` has joined the helpers.
+                    let mut seats = adaptive.then(Seats::caller);
                     let mut wait = DispatchWait { latch, expect: 0 };
-                    {
+                    // Bring up to `want` helpers into the run: count
+                    // them in, then hand each pool thread a
+                    // `worker_loop` job.
+                    let mut recruit = |want: usize| {
+                        let helpers = match &mut seats {
+                            Some(seats) => seats.reserve(want),
+                            None => want,
+                        };
+                        if helpers == 0 {
+                            return;
+                        }
+                        let pool =
+                            pool.get_or_init(|| WorkerPool::new(max_workers - 1, "sim-worker"));
+                        let first = ev.add_workers(helpers);
                         let txs = lock(&pool.txs);
-                        for w in 0..*workers - 1 {
+                        for tx in &txs[first..first + helpers] {
                             let job = move || {
                                 // worker_loop is panic-free by
                                 // construction (task bodies contain
@@ -551,7 +594,7 @@ impl Machine {
                                 // backstop so a bug cannot kill the pool
                                 // thread or hang the dispatch.
                                 let _ = catch_unwind(AssertUnwindSafe(|| {
-                                    worker_loop(ev, tasks, shared)
+                                    worker_loop(ev, tasks, shared, None)
                                 }));
                                 latch.count_up();
                             };
@@ -560,17 +603,22 @@ impl Machine {
                             // every worker before the borrows go out of
                             // scope.
                             let job: Job = unsafe { std::mem::transmute(job) };
-                            txs[w].send(job).expect("worker thread alive");
+                            tx.send(job).expect("worker thread alive");
                             wait.expect += 1;
                         }
+                        self.helper_joins.fetch_add(helpers as u64, Ordering::Relaxed);
+                    };
+                    if !adaptive && *max_workers > 1 {
+                        recruit(max_workers - 1);
                     }
-                    // The calling thread is the final worker: it drives
-                    // the ready heap until every task is done. On a
-                    // single-worker machine the whole simulation runs
-                    // right here — no dispatch, no latch wait, no
-                    // cross-thread handoff at all.
-                    let _ = catch_unwind(AssertUnwindSafe(|| worker_loop(ev, tasks, shared)));
-                    // `wait` drops here, joining the pool workers.
+                    // The calling thread is the first worker, and until
+                    // a helper is recruited the only one: the whole
+                    // simulation runs right here — no dispatch, no
+                    // latch wait, no cross-thread handoff at all.
+                    let _ = catch_unwind(AssertUnwindSafe(|| {
+                        worker_loop(ev, tasks, shared, Some(&mut recruit))
+                    }));
+                    // `wait` drops here, joining the helpers.
                 }
                 for t in tasks {
                     t.recycle(stacks);
@@ -680,7 +728,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// simulated message, so machines that are run repeatedly (parameter
 /// sweeps, benches, the tables) keep their workers across runs. The
 /// thread backend owns one worker per simulated processor; the event
-/// backend owns a small fixed pool that multiplexes every processor.
+/// backend owns a few helper threads, spawned when first recruited.
 struct WorkerPool {
     txs: Mutex<Vec<mpsc::Sender<Job>>>,
     handles: Vec<std::thread::JoinHandle<()>>,

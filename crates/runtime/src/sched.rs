@@ -1,10 +1,12 @@
 //! The discrete-event scheduler: thousands of virtual processors on a
-//! small, fixed worker pool.
+//! few host workers that a run has to earn.
 //!
 //! Each processor is a coroutine [`Task`](crate::coro::Task). A ready
 //! queue — a binary heap ordered by the task's virtual clock (processor
-//! id as the deterministic tie-break) — feeds a pool of host workers;
-//! a task runs until it blocks on a `(src, tag)` receive, parks in its
+//! id as the deterministic tie-break) — feeds the run's workers: the
+//! calling thread, plus helpers recruited only while task quanta are
+//! coarse enough to pay for a cross-thread wake (see [`worker_loop`]).
+//! A task runs until it blocks on a `(src, tag)` receive, parks in its
 //! mailbox, and is made ready again by the deposit that matches it (or
 //! by a poison / peer-down / deadlock wake). Virtual time cannot observe
 //! any of this: arrival timestamps are computed analytically at the
@@ -32,8 +34,9 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 
 use crate::coro::{Task, WakeKind, YieldReason};
 use crate::mailbox::Mailbox;
@@ -41,6 +44,55 @@ use crate::proc::Shared;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// An adaptive worker times one task resume in this many.
+const SAMPLE_EVERY: u32 = 4;
+
+/// A sampled quantum longer than this is "coarse": it outlasts the
+/// futex wake and cache refill a cross-thread hand-off costs, so
+/// running the waiting tasks on a second core wins.
+const COARSE_QUANTUM: Duration = Duration::from_micros(50);
+
+/// Host threads driving adaptive event runs right now, process-wide:
+/// every calling thread plus every recruited helper. Recruitment stops
+/// at the host's core count, so a loaded daemon parallelises across
+/// requests and only a run with a core to spare goes multi-threaded.
+static DRIVERS: AtomicUsize = AtomicUsize::new(0);
+
+/// The host's core count, read once (the std call walks cgroup files).
+pub(crate) fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
+}
+
+/// One adaptive run's seats in [`DRIVERS`] — the calling thread's and
+/// those of the helpers it recruited — given back together on drop.
+pub(crate) struct Seats(usize);
+
+impl Seats {
+    /// Seat the calling thread; it drives its run whatever the load.
+    pub(crate) fn caller() -> Seats {
+        DRIVERS.fetch_add(1, Ordering::Relaxed);
+        Seats(1)
+    }
+
+    /// Seat up to `want` helpers, one per free core; returns how many.
+    pub(crate) fn reserve(&mut self, want: usize) -> usize {
+        let mut got = 0;
+        let _ = DRIVERS.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
+            got = want.min(host_cores().saturating_sub(d));
+            (got > 0).then_some(d + got)
+        });
+        self.0 += got;
+        got
+    }
+}
+
+impl Drop for Seats {
+    fn drop(&mut self) {
+        DRIVERS.fetch_sub(self.0, Ordering::Relaxed);
+    }
 }
 
 /// Shared state of one simulation's event scheduler. Intentionally
@@ -55,6 +107,12 @@ pub(crate) struct EventSched {
     /// clears the registration reads a current value for the ready-heap
     /// priority.
     vnow: Vec<AtomicU64>,
+    /// Most workers a run may reach.
+    max_workers: usize,
+    /// Whether helpers are recruited on evidence. When not (an explicit
+    /// worker count), the machine dispatches `max_workers - 1` helpers
+    /// before every run and the gate below stays open.
+    adaptive: bool,
 }
 
 #[derive(Debug)]
@@ -65,36 +123,47 @@ struct SchedState {
     live: usize,
     /// Workers currently parked in `next_ready`.
     idle: usize,
-    /// Total workers participating in this run.
+    /// Workers participating in this run: the calling thread plus
+    /// every helper recruited so far, counted *before* its job is
+    /// dispatched — a helper that has not arrived yet must already
+    /// stand between the idle count and a deadlock verdict.
     workers: usize,
+    /// The gate: whether a push wakes a parked worker. An adaptive run
+    /// opens it while the latest sampled quantum was coarse.
+    coarse: bool,
 }
 
 impl EventSched {
-    pub(crate) fn new(tasks: usize, workers: usize) -> Self {
+    pub(crate) fn new(tasks: usize, max_workers: usize, adaptive: bool) -> Self {
         EventSched {
             state: Mutex::new(SchedState {
                 ready: BinaryHeap::with_capacity(tasks),
                 live: tasks,
                 idle: 0,
-                workers,
+                workers: 1,
+                coarse: !adaptive,
             }),
             cond: Condvar::new(),
             vnow: (0..tasks).map(|_| AtomicU64::new(0)).collect(),
+            max_workers,
+            adaptive,
         }
     }
 
     /// Make task `id` runnable at virtual time `at`. The condvar signal
-    /// is skipped when no worker is parked in `next_ready` — `idle` is
-    /// only ever changed under the state lock, and a worker that is
-    /// about to park re-checks the heap under that lock, so a push it
-    /// could observe is a push it will pop. On a single-worker run
-    /// (sends happen *on* the only worker) every push takes this
+    /// is skipped when no worker is parked in `next_ready`, and while
+    /// the gate is shut: every push is made by a worker that is running
+    /// (a task's send, an abort sweep, the deadlock resolver), and that
+    /// worker pops the heap itself before it can park — `idle` and the
+    /// heap only change under the state lock — so an unsignalled push is
+    /// delayed by at most the pusher's current quantum, which a shut
+    /// gate says is short. On a single-worker run every push takes this
     /// lock-only path.
     pub(crate) fn push_ready(&self, id: usize, at: u64) {
         let notify = {
             let mut st = lock(&self.state);
             st.ready.push(Reverse((at, id)));
-            st.idle > 0
+            st.idle > 0 && st.coarse
         };
         if notify {
             self.cond.notify_one();
@@ -150,15 +219,48 @@ impl EventSched {
         }
     }
 
+    /// Record an adaptive worker's latest verdict and return how many
+    /// helpers the run could use right now: one per task waiting in the
+    /// heap, up to the cap, and none unless the quantum was coarse. A
+    /// coarse verdict also wakes a helper that parked while the gate
+    /// was shut and tasks have queued up since.
+    fn observe(&self, coarse: bool) -> usize {
+        let mut st = lock(&self.state);
+        st.coarse = coarse;
+        if !coarse || st.ready.is_empty() {
+            return 0;
+        }
+        let want = st.ready.len().min(self.max_workers - st.workers);
+        let wake = st.idle > 0;
+        drop(st);
+        if wake {
+            self.cond.notify_one();
+        }
+        want
+    }
+
+    /// Count `helpers` more workers into the run, ahead of their
+    /// dispatch. Returns how many helpers the run had before.
+    pub(crate) fn add_workers(&self, helpers: usize) -> usize {
+        let mut st = lock(&self.state);
+        let before = st.workers - 1;
+        st.workers += helpers;
+        before
+    }
+
     /// Rearm a scheduler kept in a machine's run arena for another run
     /// of the same shape: every task live again, empty heap, clocks at
-    /// zero. Callers only invoke this between runs, when no worker is
-    /// active on the scheduler.
+    /// zero, the calling thread the only worker and the gate as `new`
+    /// leaves it — what one run learned about granularity is not
+    /// carried to the next. Callers only invoke this between runs, when
+    /// no worker is active on the scheduler.
     pub(crate) fn reset(&self) {
         let mut st = lock(&self.state);
         st.ready.clear();
         st.live = self.vnow.len();
         st.idle = 0;
+        st.workers = 1;
+        st.coarse = !self.adaptive;
         for v in &self.vnow {
             v.store(0, Ordering::Relaxed);
         }
@@ -176,14 +278,42 @@ impl EventSched {
 
 /// Run scheduler work on the calling worker thread until every task of
 /// the simulation has completed.
-pub(crate) fn worker_loop(sched: &EventSched, tasks: &[Task], shared: &Shared) {
+///
+/// On an adaptive scheduler every worker times one resume in
+/// [`SAMPLE_EVERY`] and publishes the verdict (coarse or not), which
+/// gates the wake in [`EventSched::push_ready`]: a helper recruited in
+/// a compute phase sleeps through a later message-bound one, and is
+/// woken again when either worker next samples a long quantum. The
+/// calling thread passes `recruit`; it is called with the number of
+/// helpers worth adding when a coarse quantum ends with tasks waiting.
+/// None of this is visible in virtual time — the worker count is a host
+/// throttle (DESIGN.md §13).
+pub(crate) fn worker_loop(
+    sched: &EventSched,
+    tasks: &[Task],
+    shared: &Shared,
+    mut recruit: Option<&mut dyn FnMut(usize)>,
+) {
+    let mut resumes = 0u32;
     loop {
         let deadlock = || wake_deadlock_victim(sched, tasks, shared);
         let Some(id) = sched.next_ready(deadlock) else { return };
-        match tasks[id].resume() {
+        let sampled = (sched.adaptive && resumes.is_multiple_of(SAMPLE_EVERY)).then(Instant::now);
+        resumes = resumes.wrapping_add(1);
+        let yielded = tasks[id].resume();
+        let coarse = sampled.map(|t0| t0.elapsed() > COARSE_QUANTUM);
+        match yielded {
             YieldReason::Done => sched.task_done(),
             YieldReason::Blocked { src, tag, vnow } => {
                 block_task(sched, shared, id, src, tag, vnow)
+            }
+        }
+        if let Some(coarse) = coarse {
+            let want = sched.observe(coarse);
+            if want > 0 {
+                if let Some(recruit) = recruit.as_mut() {
+                    recruit(want);
+                }
             }
         }
     }

@@ -24,10 +24,10 @@
 //! ```
 //!
 //! `{"cmd":"stats"}` returns the serving counters. Every failure mode —
-//! bad JSON, compile error, Skil runtime error, injected crash — is a
-//! structured `{"ok":false,"error":{...}}` response; the daemon never
-//! exits on a request, only on stdin EOF (exit 0) or an I/O error
-//! (exit 1).
+//! a line that is not UTF-8 or not JSON, compile error, Skil runtime
+//! error, injected crash — is a structured `{"ok":false,"error":{...}}`
+//! response; the daemon never exits on a request, only on stdin EOF
+//! (exit 0) or an I/O error (exit 1).
 
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
@@ -66,7 +66,7 @@ fn main() -> ExitCode {
     }
 
     let server = Arc::new(Server::new());
-    let (tx, rx) = mpsc::channel::<String>();
+    let (tx, rx) = mpsc::channel::<Vec<u8>>();
     let rx = Arc::new(Mutex::new(rx));
     let stdout = Arc::new(Mutex::new(std::io::stdout()));
 
@@ -82,7 +82,7 @@ fn main() -> ExitCode {
                         Ok(line) => line,
                         Err(_) => return Ok(()), // channel closed: EOF
                     };
-                    let response = server.handle_line(&line);
+                    let response = server.handle_bytes(&line);
                     let mut out = stdout.lock().unwrap();
                     out.write_all(response.as_bytes())?;
                     out.write_all(b"\n")?;
@@ -92,8 +92,11 @@ fn main() -> ExitCode {
         })
         .collect();
 
+    // Lines are split as bytes: what is on one is the request's problem
+    // (a line that is not UTF-8 is answered `bad_request`), and only a
+    // failing read is the daemon's.
     let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
+    for line in stdin.lock().split(b'\n') {
         let line = match line {
             Ok(l) => l,
             Err(e) => {
@@ -101,7 +104,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if line.trim().is_empty() {
+        if line.iter().all(u8::is_ascii_whitespace) {
             continue;
         }
         if tx.send(line).is_err() {
@@ -131,7 +134,7 @@ fn main() -> ExitCode {
     let s = server.stats();
     eprintln!(
         "skild: served {} request(s): {} ok, {} error(s); compile cache {} hit / {} miss \
-         ({:.1}% hit rate); machines {} warm / {} cold / {} discarded",
+         ({:.1}% hit rate); machines {} warm / {} cold / {} discarded; {} helper join(s)",
         s.requests,
         s.ok,
         s.errors,
@@ -141,6 +144,7 @@ fn main() -> ExitCode {
         s.machines_warm,
         s.machines_cold,
         s.machines_discarded,
+        s.helper_joins,
     );
     for p in &s.pool {
         eprintln!(

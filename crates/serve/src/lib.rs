@@ -405,6 +405,10 @@ pub struct StatsSnapshot {
     /// parked run arena (mailboxes, scheduler state) instead of
     /// allocating — the per-run setup-floor reduction at work.
     pub setup_reuse_hits: u64,
+    /// Helper workers recruited onto other host threads by runs on the
+    /// currently idle pooled machines — zero for as long as every
+    /// request was driven by its request thread alone.
+    pub helper_joins: u64,
     /// Pool counters per mesh shape, sorted by shape.
     pub pool: Vec<PoolShapeStats>,
 }
@@ -451,6 +455,7 @@ impl StatsSnapshot {
                     ("machines_cold", Json::Num(self.machines_cold as f64)),
                     ("machines_discarded", Json::Num(self.machines_discarded as f64)),
                     ("setup_reuse_hits", Json::Num(self.setup_reuse_hits as f64)),
+                    ("helper_joins", Json::Num(self.helper_joins as f64)),
                     ("cache_hit_rate", Json::Num(self.cache_hit_rate())),
                     ("pool", pool),
                 ]),
@@ -494,6 +499,16 @@ impl Server {
         }
     }
 
+    /// Handle one raw request line as it came off the wire. A line that
+    /// is not UTF-8 is a bad request like any other malformed line: it
+    /// gets its one structured response and the daemon reads on.
+    pub fn handle_bytes(&self, line: &[u8]) -> String {
+        match std::str::from_utf8(line) {
+            Ok(line) => self.handle_line(line),
+            Err(e) => self.bad_request(None, format!("request line is not UTF-8: {e}")),
+        }
+    }
+
     /// Handle one raw JSONL request line, returning one response line
     /// (without the newline). Never panics: anything wrong with the
     /// line, the program, or the run becomes a structured error
@@ -501,30 +516,23 @@ impl Server {
     pub fn handle_line(&self, line: &str) -> String {
         let parsed = match json::parse(line) {
             Ok(v) => v,
-            Err(e) => {
-                self.counters.requests.fetch_add(1, Ordering::Relaxed);
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                return Response::Err {
-                    id: None,
-                    kind: ErrorKind::BadRequest,
-                    message: format!("bad JSON: {e}"),
-                }
-                .to_json_line();
-            }
+            Err(e) => return self.bad_request(None, format!("bad JSON: {e}")),
         };
         if parsed.get("cmd").and_then(Json::as_str) == Some("stats") {
             return Response::Stats(self.stats()).to_json_line();
         }
         let id = parsed.get("id").and_then(Json::as_str).map(str::to_string);
-        let request = match Request::from_json(&parsed) {
-            Ok(r) => r,
-            Err(message) => {
-                self.counters.requests.fetch_add(1, Ordering::Relaxed);
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                return Response::Err { id, kind: ErrorKind::BadRequest, message }.to_json_line();
-            }
-        };
-        self.handle(request).to_json_line()
+        match Request::from_json(&parsed) {
+            Ok(request) => self.handle(request).to_json_line(),
+            Err(message) => self.bad_request(id, message),
+        }
+    }
+
+    /// Count and render the reply to a line that never became a request.
+    fn bad_request(&self, id: Option<String>, message: String) -> String {
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+        Response::Err { id, kind: ErrorKind::BadRequest, message }.to_json_line()
     }
 
     /// Handle one parsed request.
@@ -637,12 +645,13 @@ impl Server {
     /// Snapshot the counters.
     pub fn stats(&self) -> StatsSnapshot {
         let c = &self.counters;
-        let (idle, setup_reuse_hits) = {
+        let (idle, setup_reuse_hits, helper_joins) = {
             let pool = self.pool.lock().unwrap();
             let idle: HashMap<PoolKey, u64> =
                 pool.iter().map(|(&key, v)| (key, v.len() as u64)).collect();
             let hits = pool.values().flatten().map(Machine::setup_reuse_hits).sum::<u64>();
-            (idle, hits)
+            let joins = pool.values().flatten().map(Machine::helper_joins).sum::<u64>();
+            (idle, hits, joins)
         };
         let mut pool: Vec<PoolShapeStats> = self
             .shape_counters
@@ -672,6 +681,7 @@ impl Server {
             machines_cold: c.machines_cold.load(Ordering::Relaxed),
             machines_discarded: c.machines_discarded.load(Ordering::Relaxed),
             setup_reuse_hits,
+            helper_joins,
             pool,
         }
     }
@@ -827,6 +837,31 @@ mod tests {
         assert_eq!(stats.get("requests").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("ok").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("compile_misses").and_then(Json::as_u64), Some(1));
+        // One 2x2 run: an explicit worker count `k` has `min(k, 4) - 1`
+        // helpers in from the start; the adaptive default recruits at
+        // most as many, and for a program this small almost surely none.
+        let joins = stats.get("helper_joins").and_then(Json::as_u64).expect("helper_joins");
+        assert_eq!(joins, server.stats().helper_joins);
+        let env = |name| std::env::var(name).ok();
+        let event = !matches!(env("SKIL_SCHEDULER").as_deref(), Some("threads" | "thread"));
+        match env("SKIL_WORKER_THREADS").and_then(|k| k.trim().parse::<u64>().ok()) {
+            Some(k) if event && k >= 1 && env("SKIL_MAX_HOST_THREADS").is_none() => {
+                assert_eq!(joins, k.min(4) - 1)
+            }
+            _ => assert!(joins <= 3, "{joins}"),
+        }
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_a_counted_bad_request() {
+        let server = Server::new();
+        let resp = server.handle_bytes(b"{\"program\":\"\xff\"}");
+        assert!(resp.contains("\"kind\":\"bad_request\""), "{resp}");
+        assert!(resp.contains("not UTF-8"), "{resp}");
+        let hello = br#"{"program":"void main() { if (procId == 0) { print(7); } }"}"#;
+        assert!(server.handle_bytes(hello).contains("\"ok\":true"));
+        let stats = server.stats();
+        assert_eq!((stats.requests, stats.ok, stats.errors), (2, 1, 1));
     }
 
     #[test]

@@ -1,15 +1,20 @@
-//! The abstract syntax tree of Skil source programs.
+//! The abstract syntax tree of Skil source programs. Identifiers are
+//! [`Sym`]s of the program's own symbol table ([`Program::syms`]).
+
+use std::rc::Rc;
 
 use crate::diag::Pos;
+use crate::fo::BinOp;
+use crate::sym::{Interner, Sym};
 
 /// A surface type expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TypeExpr {
     /// A named type, possibly with angle-bracket arguments:
     /// `int`, `float`, `void`, `Index`, `array<float>`, `list<$t>`.
-    Named(String, Vec<TypeExpr>),
+    Named(Sym, Vec<TypeExpr>),
     /// A type variable `$t`.
-    Var(String),
+    Var(Sym),
     /// A function type, written in parameter position as
     /// `ret name(argtypes...)`.
     Fun(Vec<TypeExpr>, Box<TypeExpr>),
@@ -17,8 +22,8 @@ pub enum TypeExpr {
 
 impl TypeExpr {
     /// Shorthand for a monomorphic named type.
-    pub fn named(n: &str) -> TypeExpr {
-        TypeExpr::Named(n.to_string(), vec![])
+    pub fn named(n: Sym) -> TypeExpr {
+        TypeExpr::Named(n, vec![])
     }
 }
 
@@ -26,7 +31,7 @@ impl TypeExpr {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Parameter name.
-    pub name: String,
+    pub name: Sym,
     /// Declared type (possibly a function type — that is what makes the
     /// enclosing function a higher-order function).
     pub ty: TypeExpr,
@@ -44,32 +49,38 @@ pub enum Item {
     /// skeletons that support them.
     Pardata {
         /// Structure name.
-        name: String,
+        name: Sym,
         /// Number of type parameters.
         arity: usize,
         /// Source position.
         pos: Pos,
     },
     /// `struct name <$t...> { type field ; ... } ;`
-    Struct {
-        /// Struct name.
-        name: String,
-        /// Type parameters (without `$`).
-        params: Vec<String>,
-        /// Field names and types, in declaration order.
-        fields: Vec<(String, TypeExpr)>,
-        /// Source position.
-        pos: Pos,
-    },
+    Struct(Rc<StructDecl>),
     /// A function definition.
-    Func(Func),
+    Func(Rc<Func>),
 }
 
-/// A function definition.
+/// A struct declaration. Shared (`Rc`) with the checker's tables, which
+/// read it for every field access and literal.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StructDecl {
+    /// Struct name.
+    pub name: Sym,
+    /// Type parameters (without `$`).
+    pub params: Vec<Sym>,
+    /// Field names and types, in declaration order.
+    pub fields: Vec<(Sym, TypeExpr)>,
+    /// Source position.
+    pub pos: Pos,
+}
+
+/// A function definition. Shared (`Rc`) with the checker and the
+/// instantiation pass, which walk the body once per instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Func {
     /// Function name.
-    pub name: String,
+    pub name: Sym,
     /// Parameters (functional parameters make this a HOF).
     pub params: Vec<Param>,
     /// Return type.
@@ -92,7 +103,7 @@ pub enum Stmt {
         /// Declared type.
         ty: TypeExpr,
         /// Variable name.
-        name: String,
+        name: Sym,
         /// Optional initializer.
         init: Option<Expr>,
         /// Source position.
@@ -101,7 +112,7 @@ pub enum Stmt {
     /// `name = expr;`
     Assign {
         /// Assigned variable.
-        name: String,
+        name: Sym,
         /// New value.
         value: Expr,
         /// Source position.
@@ -145,6 +156,15 @@ pub enum Stmt {
     Expr(Expr),
 }
 
+/// A unary operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnOp {
+    /// Arithmetic `-`.
+    Neg,
+    /// Logical `!`.
+    Not,
+}
+
 /// An expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -153,7 +173,7 @@ pub enum Expr {
     /// Float literal.
     Float(f64, Pos),
     /// Variable (or function) reference.
-    Var(String, Pos),
+    Var(Sym, Pos),
     /// Application. Currying: `f(a)(b)` parses as
     /// `Call(Call(f, [a]), [b])`; partial application is an application
     /// whose argument count is below the callee's arity.
@@ -167,11 +187,11 @@ pub enum Expr {
     },
     /// An operator converted to a function by enclosing it in brackets:
     /// `(+)`, `(*)`; can be partially applied: `(*)(2)`.
-    OpSection(String, Pos),
+    OpSection(BinOp, Pos),
     /// A binary operation.
     Binary {
-        /// Operator lexeme.
-        op: String,
+        /// Operator.
+        op: BinOp,
         /// Left operand.
         lhs: Box<Expr>,
         /// Right operand.
@@ -181,8 +201,8 @@ pub enum Expr {
     },
     /// Unary `-` or `!`.
     Unary {
-        /// Operator lexeme.
-        op: String,
+        /// Operator.
+        op: UnOp,
         /// Operand.
         expr: Box<Expr>,
         /// Source position.
@@ -193,7 +213,7 @@ pub enum Expr {
         /// The struct expression.
         expr: Box<Expr>,
         /// Field name.
-        field: String,
+        field: Sym,
         /// Source position.
         pos: Pos,
     },
@@ -219,7 +239,7 @@ pub enum Expr {
     /// declaration order.
     StructLit {
         /// Struct name.
-        name: String,
+        name: Sym,
         /// Field values in declaration order.
         fields: Vec<Expr>,
         /// Source position.
@@ -247,8 +267,10 @@ impl Expr {
 }
 
 /// A parsed program.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone)]
 pub struct Program {
     /// Top-level items in source order.
     pub items: Vec<Item>,
+    /// The identifiers the items refer to.
+    pub syms: Interner,
 }

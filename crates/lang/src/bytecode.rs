@@ -1,8 +1,8 @@
 //! Bytecode for instantiated Skil programs.
 //!
 //! The AST walker in [`crate::interp`] re-resolves every variable through
-//! a `Vec<HashMap>` scope stack and every callee through a name lookup,
-//! on every execution step. This module performs that resolution **once**,
+//! a scope stack and every callee through a name lookup, on every
+//! execution step. This module performs that resolution **once**,
 //! at compile time: a resolver pass turns variable references into frame
 //! slot indices and function names into dense indices into
 //! [`FoProgram::funcs`], and the statement tree is flattened into a
@@ -38,7 +38,8 @@ use std::fmt::Write as _;
 use skil_runtime::CostModel;
 
 use crate::builtins::{DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D};
-use crate::fo::{BinOp, FoExpr, FoFunc, FoProgram, FoStmt, FoTy, SkelOp};
+use crate::fo::{BinOp, FoExpr, FoFunc, FoProgram, FoStmt, FoTy, SkelCall, SkelOp};
+use crate::sym::{Names, Scopes, Sym};
 use crate::value::{ConsList, Value};
 
 // ---------------------------------------------------------------------
@@ -154,9 +155,9 @@ impl std::fmt::Display for CostExpr {
 // Intrinsics, resolved at compile time.
 // ---------------------------------------------------------------------
 
-/// An intrinsic operation, resolved from its name once at compile time
-/// so the execution engines dispatch on an enum instead of matching
-/// strings.
+/// An intrinsic operation or builtin constant. The instantiation pass
+/// resolves the surface name ([`crate::builtins::BUILTINS`]), so the
+/// first-order IR, the bytecode and every engine dispatch on this enum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)] // names mirror the surface intrinsics 1:1
 pub enum Intr {
@@ -191,41 +192,6 @@ pub enum Intr {
 }
 
 impl Intr {
-    /// Resolve a surface intrinsic name.
-    pub fn from_name(name: &str) -> Option<Intr> {
-        Some(match name {
-            "abs" => Intr::Abs,
-            "fabs" => Intr::Fabs,
-            "min" => Intr::Min,
-            "max" => Intr::Max,
-            "fmin" => Intr::Fmin,
-            "fmax" => Intr::Fmax,
-            "sqrt" => Intr::Sqrt,
-            "itof" => Intr::Itof,
-            "ftoi" => Intr::Ftoi,
-            "log2i" => Intr::Log2i,
-            "int_max" => Intr::IntMax,
-            "flt_max" => Intr::FltMax,
-            "DISTR_DEFAULT" => Intr::DistrDefault,
-            "DISTR_RING" => Intr::DistrRing,
-            "DISTR_TORUS2D" => Intr::DistrTorus2d,
-            "error" => Intr::Error,
-            "nil" => Intr::Nil,
-            "cons" => Intr::Cons,
-            "head" => Intr::Head,
-            "tail" => Intr::Tail,
-            "len" => Intr::Len,
-            "append" => Intr::Append,
-            "procId" => Intr::ProcId,
-            "nProcs" => Intr::NProcs,
-            "array_get_elem" => Intr::ArrayGetElem,
-            "array_put_elem" => Intr::ArrayPutElem,
-            "array_part_bounds" => Intr::ArrayPartBounds,
-            "print" => Intr::Print,
-            _ => return None,
-        })
-    }
-
     /// Surface name (for diagnostics and disassembly).
     pub fn name(&self) -> &'static str {
         match self {
@@ -539,8 +505,9 @@ pub struct SkelSite {
 /// One compiled function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledFunc {
-    /// Instance name (diagnostics and disassembly).
-    pub name: String,
+    /// Instance name (diagnostics and disassembly), in the string table
+    /// of the [`FoProgram`] this was compiled from.
+    pub name: Sym,
     /// Number of parameters (stored into slots `0..nparams`).
     pub nparams: usize,
     /// Flat frame size (every declaration got its own slot).
@@ -563,6 +530,30 @@ pub struct Program {
     pub sites: Vec<SkelSite>,
     /// Index of `main`, when the program has one.
     pub main: Option<usize>,
+}
+
+impl Program {
+    /// Heap bytes the program holds: instruction streams, pools, sites.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let shape = |s: &KernelShape| match s {
+            KernelShape::Intrinsic { slots, .. } => slots.capacity() * size_of::<usize>(),
+            _ => 0,
+        };
+        self.funcs.capacity() * size_of::<CompiledFunc>()
+            + self.funcs.iter().map(|f| f.code.capacity() * size_of::<Instr>()).sum::<usize>()
+            + self.consts.capacity() * size_of::<Value>()
+            + self.costs.capacity() * size_of::<CostExpr>()
+            + self.sites.capacity() * size_of::<SkelSite>()
+            + self
+                .sites
+                .iter()
+                .map(|s| {
+                    s.fns.capacity() * size_of::<SkelFn>()
+                        + s.fns.iter().map(|f| shape(&f.shape)).sum::<usize>()
+                })
+                .sum::<usize>()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -617,37 +608,33 @@ pub fn compile_program(prog: &FoProgram) -> Program {
         consts: pools.consts,
         costs: pools.costs,
         sites: pools.sites,
-        main: prog.func_id("main"),
+        main: prog.func_id(Sym::MAIN),
     }
 }
 
 /// Classify a function body for per-element execution — value-equivalent
 /// fast paths for the trivial shapes instantiation leaves behind.
 fn kernel_shape(f: &FoFunc) -> KernelShape {
-    let param_pos = |name: &str| f.params.iter().position(|(n, _)| n == name);
-    if let [FoStmt::Return(Some(expr))] = f.body.as_slice() {
+    let param_pos = |name: Sym| f.params.iter().position(|(n, _)| *n == name);
+    if let [FoStmt::Return(Some(expr))] = &*f.body {
         match expr {
-            FoExpr::Binary { op, float, lhs, rhs } => {
-                if let (FoExpr::Var(a), FoExpr::Var(b)) = (&**lhs, &**rhs) {
+            FoExpr::Binary { op, float, args } => {
+                if let [FoExpr::Var(a), FoExpr::Var(b)] = **args {
                     if let (Some(a), Some(b)) = (param_pos(a), param_pos(b)) {
                         return KernelShape::Bin { op: *op, float: *float, a, b };
                     }
                 }
             }
-            FoExpr::Intrinsic(name, args) => {
-                if let Some(op) = Intr::from_name(name) {
-                    if op.is_pure() && op != Intr::Error {
-                        let slots: Option<Vec<usize>> = args
-                            .iter()
-                            .map(|a| match a {
-                                FoExpr::Var(n) => param_pos(n),
-                                _ => None,
-                            })
-                            .collect();
-                        if let Some(slots) = slots {
-                            return KernelShape::Intrinsic { op, slots };
-                        }
-                    }
+            FoExpr::Intrinsic(op, args) if op.is_pure() && *op != Intr::Error => {
+                let slots: Option<Vec<usize>> = args
+                    .iter()
+                    .map(|a| match a {
+                        FoExpr::Var(n) => param_pos(*n),
+                        _ => None,
+                    })
+                    .collect();
+                if let Some(slots) = slots {
+                    return KernelShape::Intrinsic { op: *op, slots };
                 }
             }
             _ => {}
@@ -659,8 +646,9 @@ fn kernel_shape(f: &FoFunc) -> KernelShape {
 struct FnCompiler<'a> {
     prog: &'a FoProgram,
     pools: &'a mut Pools,
-    fname: &'a str,
-    scopes: Vec<HashMap<String, u16>>,
+    fname: Sym,
+    /// Frame slots of the variables in scope.
+    scopes: Scopes<u16>,
     nslots: usize,
     code: Vec<Instr>,
     /// Resolved label targets (`u32::MAX` while unbound).
@@ -673,15 +661,15 @@ struct FnCompiler<'a> {
 }
 
 fn compile_func(prog: &FoProgram, f: &FoFunc, pools: &mut Pools) -> CompiledFunc {
-    let mut params = HashMap::new();
+    let mut scopes = Scopes::default();
     for (i, (name, _)) in f.params.iter().enumerate() {
-        params.insert(name.clone(), i as u16);
+        scopes.declare(*name, i as u16);
     }
     let mut c = FnCompiler {
         prog,
         pools,
-        fname: &f.name,
-        scopes: vec![params],
+        fname: f.name,
+        scopes,
         nslots: f.params.len(),
         code: Vec::new(),
         labels: Vec::new(),
@@ -698,7 +686,7 @@ fn compile_func(prog: &FoProgram, f: &FoFunc, pools: &mut Pools) -> CompiledFunc
             other => unreachable!("patching non-jump {other:?}"),
         }
     }
-    CompiledFunc { name: f.name.clone(), nparams: f.params.len(), nslots: c.nslots, code: c.code }
+    CompiledFunc { name: f.name, nparams: f.params.len(), nslots: c.nslots, code: c.code }
 }
 
 impl FnCompiler<'_> {
@@ -739,17 +727,28 @@ impl FnCompiler<'_> {
 
     // ---- slots ----
 
-    fn declare(&mut self, name: &str) -> u16 {
+    fn declare(&mut self, name: Sym) -> u16 {
         let slot = u16::try_from(self.nslots).expect("frame fits u16 slots");
         self.nslots += 1;
-        self.scopes.last_mut().expect("scope").insert(name.to_string(), slot);
+        self.scopes.declare(name, slot);
         slot
     }
 
-    fn slot(&self, name: &str) -> u16 {
-        self.scopes.iter().rev().find_map(|s| s.get(name)).copied().unwrap_or_else(|| {
-            panic!("skil bytecode: unbound variable `{name}` in `{}`", self.fname)
-        })
+    fn slot(&self, name: Sym) -> u16 {
+        match self.scopes.lookup(name) {
+            Some(&slot) => slot,
+            None => panic!(
+                "skil bytecode: unbound variable `{}` in `{}`",
+                self.prog.name(name),
+                self.prog.name(self.fname)
+            ),
+        }
+    }
+
+    fn func_id(&self, name: Sym) -> usize {
+        self.prog
+            .func_id(name)
+            .unwrap_or_else(|| panic!("skil bytecode: no instance `{}`", self.prog.name(name)))
     }
 
     fn push_unit(&mut self) {
@@ -765,7 +764,7 @@ impl FnCompiler<'_> {
     // ---- statements ----
 
     fn stmts(&mut self, ss: &[FoStmt]) {
-        self.scopes.push(HashMap::new());
+        self.scopes.push();
         for s in ss {
             self.stmt(s);
         }
@@ -780,13 +779,13 @@ impl FnCompiler<'_> {
                     None => self.push_unit(),
                 }
                 self.charge(CostExpr::store(1));
-                let slot = self.declare(name);
+                let slot = self.declare(*name);
                 self.code.push(Instr::Store(slot));
             }
             FoStmt::Assign { name, value } => {
                 self.expr(value);
                 self.charge(CostExpr::store(1));
-                let slot = self.slot(name);
+                let slot = self.slot(*name);
                 self.code.push(Instr::Store(slot));
             }
             FoStmt::If { cond, then, els } => {
@@ -813,7 +812,7 @@ impl FnCompiler<'_> {
                 self.bind(l_end);
             }
             FoStmt::For { init, cond, step, body } => {
-                self.scopes.push(HashMap::new());
+                self.scopes.push();
                 if let Some(i) = init {
                     self.stmt(i);
                 }
@@ -858,33 +857,29 @@ impl FnCompiler<'_> {
             }
             FoExpr::Var(n) => {
                 self.charge(CostExpr::load(1));
-                let slot = self.slot(n);
+                let slot = self.slot(*n);
                 self.code.push(Instr::Load(slot));
             }
             FoExpr::Call(name, args) => {
-                for a in args {
+                for a in args.iter() {
                     self.expr(a);
                 }
-                let fid = self
-                    .prog
-                    .func_id(name)
-                    .unwrap_or_else(|| panic!("skil bytecode: no instance `{name}`"));
+                let fid = self.func_id(*name);
                 assert_eq!(
                     self.prog.funcs[fid].params.len(),
                     args.len(),
-                    "skil bytecode: arity mismatch calling `{name}` from `{}`",
-                    self.fname
+                    "skil bytecode: arity mismatch calling `{}` from `{}`",
+                    self.prog.name(*name),
+                    self.prog.name(self.fname)
                 );
                 // the walker charges the call cost on entry; same total
                 self.charge(CostExpr::call(1));
                 self.code.push(Instr::Call(fid as u32));
             }
-            FoExpr::Intrinsic(name, args) => {
-                for a in args {
+            FoExpr::Intrinsic(op, args) => {
+                for a in args.iter() {
                     self.expr(a);
                 }
-                let op = Intr::from_name(name)
-                    .unwrap_or_else(|| panic!("skil runtime: unknown intrinsic `{name}`"));
                 match op {
                     // procId / nProcs charge nothing in the walker
                     Intr::ProcId | Intr::NProcs => {}
@@ -893,21 +888,19 @@ impl FnCompiler<'_> {
                     Intr::Print => self.charge(CostExpr::call(1)),
                     _ => self.charge(CostExpr::int_op(1)),
                 }
-                self.code.push(Instr::Intr(op, args.len() as u8));
+                self.code.push(Instr::Intr(*op, args.len() as u8));
             }
-            FoExpr::Skel { op, fns, args, elem } => {
-                for a in args {
+            FoExpr::Skel(call) => {
+                let SkelCall { op, fns, args, elem } = &**call;
+                for a in args.iter() {
                     self.expr(a);
                 }
                 let mut sfns = Vec::with_capacity(fns.len());
-                for fi in fns {
-                    for l in &fi.lifted {
+                for fi in fns.iter() {
+                    for l in fi.lifted.iter() {
                         self.expr(l);
                     }
-                    let fid = self
-                        .prog
-                        .func_id(&fi.func)
-                        .unwrap_or_else(|| panic!("skil bytecode: no instance `{}`", fi.func));
+                    let fid = self.func_id(fi.func);
                     sfns.push(SkelFn {
                         fid,
                         n_lifted: fi.lifted.len(),
@@ -928,7 +921,8 @@ impl FnCompiler<'_> {
                 });
                 self.code.push(Instr::Skel(site));
             }
-            FoExpr::Binary { op, float, lhs, rhs } => {
+            FoExpr::Binary { op, float, args } => {
+                let [lhs, rhs] = &**args;
                 self.charge(CostExpr::binop(*op, *float));
                 if !*float && matches!(op, BinOp::And | BinOp::Or) {
                     // short-circuit, as the walker evaluates it
@@ -965,26 +959,25 @@ impl FnCompiler<'_> {
                 self.expr(expr);
                 self.code.push(Instr::Field(*index as u16));
             }
-            FoExpr::IndexAt { expr, index } => {
+            FoExpr::IndexAt(args) => {
                 self.charge(CostExpr::load(1));
-                self.expr(expr);
-                self.expr(index);
+                self.expr(&args[0]);
+                self.expr(&args[1]);
                 self.code.push(Instr::IndexAt);
             }
             FoExpr::MakeIndex(es) => {
                 self.charge(CostExpr::store(2));
-                for e in es {
+                for e in es.iter() {
                     self.expr(e);
                 }
                 self.code.push(Instr::MakeIndex(es.len() as u8));
             }
             FoExpr::MakeStruct(name, es) => {
                 self.charge(CostExpr::store(es.len() as u32));
-                let sid = self
-                    .prog
-                    .struct_id(name)
-                    .unwrap_or_else(|| panic!("skil bytecode: no struct instance `{name}`"));
-                for e in es {
+                let sid = self.prog.struct_id(*name).unwrap_or_else(|| {
+                    panic!("skil bytecode: no struct instance `{}`", self.prog.name(*name))
+                });
+                for e in es.iter() {
                     self.expr(e);
                 }
                 self.code.push(Instr::MakeStruct(sid as u32, es.len() as u16));
@@ -1005,8 +998,9 @@ fn src_str(p: &Program, s: &Src) -> String {
     }
 }
 
-/// Human-readable listing of a compiled program (`skilc --emit-bytecode`).
-pub fn disassemble(p: &Program) -> String {
+/// Human-readable listing of a compiled program (`skilc --emit-bytecode`);
+/// `names` is the string table of the [`FoProgram`] it was compiled from.
+pub fn disassemble(p: &Program, names: &Names) -> String {
     let mut out = String::new();
     for (i, ce) in p.costs.iter().enumerate() {
         let _ = writeln!(out, "cost {i}: {ce}");
@@ -1028,7 +1022,7 @@ pub fn disassemble(p: &Program) -> String {
                     }
                     KernelShape::General => "general".into(),
                 };
-                format!("{}+{} [{shape}]", p.funcs[f.fid].name, f.n_lifted)
+                format!("{}+{} [{shape}]", names.get(p.funcs[f.fid].name), f.n_lifted)
             })
             .collect();
         let _ = writeln!(
@@ -1041,7 +1035,8 @@ pub fn disassemble(p: &Program) -> String {
         );
     }
     for f in &p.funcs {
-        let _ = writeln!(out, "\nfn {} (params={}, slots={}):", f.name, f.nparams, f.nslots);
+        let _ =
+            writeln!(out, "\nfn {} (params={}, slots={}):", names.get(f.name), f.nparams, f.nslots);
         for (pc, ins) in f.code.iter().enumerate() {
             let detail = match ins {
                 // resolved cost-expr summary next to the pool index, so
@@ -1066,7 +1061,7 @@ pub fn disassemble(p: &Program) -> String {
                 Instr::MakeIndex(n) => format!("mkindex {n}"),
                 Instr::MakeStruct(sid, n) => format!("mkstruct {sid} {n}"),
                 Instr::Intr(op, argc) => format!("intr {} {argc}", op.name()),
-                Instr::Call(fid) => format!("call {}", p.funcs[*fid as usize].name),
+                Instr::Call(fid) => format!("call {}", names.get(p.funcs[*fid as usize].name)),
                 Instr::Skel(s) => {
                     let site = &p.sites[*s as usize];
                     format!("skel {} (site {s}, elem {})", site.op.name(), site.elem.name())
@@ -1141,22 +1136,6 @@ mod tests {
     }
 
     #[test]
-    fn intr_names_roundtrip() {
-        for op in [
-            Intr::Abs,
-            Intr::Sqrt,
-            Intr::Cons,
-            Intr::ProcId,
-            Intr::ArrayGetElem,
-            Intr::Print,
-            Intr::DistrTorus2d,
-        ] {
-            assert_eq!(Intr::from_name(op.name()), Some(op));
-        }
-        assert_eq!(Intr::from_name("no_such_intrinsic"), None);
-    }
-
-    #[test]
     fn pure_set_matches_eval_pure() {
         // every pure intrinsic evaluates; every stateful one declines
         assert!(Intr::Min.eval_pure(&[Value::Int(3), Value::Int(5)]).is_some());
@@ -1167,28 +1146,30 @@ mod tests {
         assert!(Intr::Len.is_pure());
     }
 
+    /// `f(x)` with the given body, as a one-function program.
+    fn program(ret: FoTy, body: Vec<FoStmt>) -> FoProgram {
+        FoProgram {
+            funcs: vec![FoFunc {
+                name: Sym::MAIN,
+                origin: Sym::MAIN,
+                params: Box::new([(Sym::X0, FoTy::Int)]),
+                ret,
+                body: body.into(),
+            }],
+            names: crate::sym::Interner::new().to_names(),
+            ..FoProgram::default()
+        }
+    }
+
     #[test]
     fn disassembly_resolves_charge_summaries() {
-        // int f(int x) { return x + 1; } — the binop charge (int_op)
-        // merges with the load of `x`, and the listing must show the
+        // int main(int x0) { return x0 + 1; } — the binop charge (int_op)
+        // merges with the load of `x0`, and the listing must show the
         // resolved cost expression next to the charge, not just the
         // pool index.
-        let f = FoFunc {
-            name: "f".into(),
-            origin: "f".into(),
-            params: vec![("x".into(), crate::fo::FoTy::Int)],
-            ret: crate::fo::FoTy::Int,
-            body: vec![FoStmt::Return(Some(FoExpr::Binary {
-                op: BinOp::Add,
-                float: false,
-                lhs: Box::new(FoExpr::Var("x".into())),
-                rhs: Box::new(FoExpr::Int(1)),
-            }))],
-        };
-        let mut prog = FoProgram::default();
-        prog.funcs.push(f);
-        prog.reindex();
-        let listing = disassemble(&compile_program(&prog));
+        let x_plus_1 = FoExpr::binary(BinOp::Add, false, FoExpr::Var(Sym::X0), FoExpr::Int(1));
+        let prog = program(FoTy::Int, vec![FoStmt::Return(Some(x_plus_1))]);
+        let listing = disassemble(&compile_program(&prog), &prog.names);
         // pool entry 0 is the binop charge alone (interned before the
         // load merged into it); entry 1 is the merged expression the
         // emitted instruction references
@@ -1198,41 +1179,47 @@ mod tests {
             "charge must carry its resolved summary:\n{listing}"
         );
         assert!(listing.contains("bin +"), "listing:\n{listing}");
+        assert!(listing.contains("fn main (params=1, slots=1):"), "listing:\n{listing}");
     }
 
     #[test]
     fn charge_merging_stops_at_labels() {
-        // while (x) { x = x - 1; } — the loop-top label must keep the
+        // while (x0) { x0 = x0 - 1; } — the loop-top label must keep the
         // per-iteration charge separate from the preceding charges
-        let f = FoFunc {
-            name: "f".into(),
-            origin: "f".into(),
-            params: vec![("x".into(), crate::fo::FoTy::Int)],
-            ret: crate::fo::FoTy::Void,
-            body: vec![FoStmt::While {
-                cond: FoExpr::Var("x".into()),
-                body: vec![FoStmt::Assign {
-                    name: "x".into(),
-                    value: FoExpr::Binary {
-                        op: BinOp::Sub,
-                        float: false,
-                        lhs: Box::new(FoExpr::Var("x".into())),
-                        rhs: Box::new(FoExpr::Int(1)),
-                    },
-                }],
+        let x_minus_1 = FoExpr::binary(BinOp::Sub, false, FoExpr::Var(Sym::X0), FoExpr::Int(1));
+        let prog = program(
+            FoTy::Void,
+            vec![FoStmt::While {
+                cond: FoExpr::Var(Sym::X0),
+                body: Box::new([FoStmt::Assign { name: Sym::X0, value: x_minus_1 }]),
             }],
-        };
-        let mut prog = FoProgram::default();
-        prog.funcs.push(f);
-        prog.reindex();
+        );
         let code = compile_program(&prog);
         let cf = &code.funcs[0];
         // first instruction is the loop-top charge (int_op for the
-        // condition merged with the load of `x`)
+        // condition merged with the load of `x0`)
         assert!(matches!(cf.code[0], Instr::Charge(_)));
         // a jump back to instruction 0 exists (the loop)
         assert!(cf.code.iter().any(|i| matches!(i, Instr::Jump(0))));
         // and the function ends by returning unit
         assert_eq!(*cf.code.last().unwrap(), Instr::RetUnit);
+    }
+
+    #[test]
+    fn inner_scopes_shadow_and_end() {
+        // { int x1 = 1; { int x1 = 2; } x1 = 3; } — the assignment after
+        // the inner block must hit the outer slot
+        let decl = |v| FoStmt::Decl { name: Sym::X1, ty: FoTy::Int, init: Some(FoExpr::Int(v)) };
+        let inner =
+            FoStmt::If { cond: FoExpr::Int(1), then: Box::new([decl(2)]), els: Box::new([]) };
+        let assign = FoStmt::Assign { name: Sym::X1, value: FoExpr::Int(3) };
+        let code = compile_program(&program(FoTy::Void, vec![decl(1), inner, assign]));
+        let stores: Vec<u16> = code.funcs[0]
+            .code
+            .iter()
+            .filter_map(|i| if let Instr::Store(s) = i { Some(*s) } else { None })
+            .collect();
+        assert_eq!(stores, [1, 2, 1]);
+        assert_eq!(code.funcs[0].nslots, 3);
     }
 }

@@ -1,244 +1,234 @@
 //! The polymorphic type checker.
 
-use std::collections::HashMap;
+use std::rc::Rc;
 
 use crate::ast::*;
-use crate::builtins::{builtin_consts, builtin_schemes};
+use crate::builtins::{Builtin, BuiltinKind};
 use crate::diag::{Diag, Phase, Pos, Result};
-use crate::types::{check_pardata_rules, Scheme, Ty, TypeDefs, Unifier};
+use crate::fo::BinOp;
+use crate::sym::{Interner, Sym, SymMap};
+use crate::types::{bound, Scheme, ShowTy, Ty, TypeDefs, Unifier, VarMap};
 
 /// Lexical scopes for local variables.
-#[derive(Debug, Default)]
-pub struct Scopes(Vec<HashMap<String, Ty>>);
-
-impl Scopes {
-    /// Enter a scope.
-    pub fn push(&mut self) {
-        self.0.push(HashMap::new());
-    }
-
-    /// Leave a scope.
-    pub fn pop(&mut self) {
-        self.0.pop();
-    }
-
-    /// Declare a variable in the innermost scope.
-    pub fn declare(&mut self, name: &str, ty: Ty) {
-        self.0.last_mut().expect("scope").insert(name.to_string(), ty);
-    }
-
-    /// Look a variable up, innermost first.
-    pub fn lookup(&self, name: &str) -> Option<&Ty> {
-        self.0.iter().rev().find_map(|s| s.get(name))
-    }
-}
+pub type Scopes = crate::sym::Scopes<Ty>;
 
 /// The checked program environment, consumed by the instantiation pass.
+/// Builtins are not in it: a name is looked up in
+/// [`crate::builtins::BUILTINS`] first and here second.
 pub struct Checked {
+    /// The program's identifiers (the instantiation pass adds the names
+    /// of the instances it makes, then hands the table to its output).
+    pub syms: Interner,
     /// Struct and pardata definitions.
     pub defs: TypeDefs,
-    /// Every function's type scheme (builtins + user functions).
-    pub funcs: HashMap<String, Scheme>,
-    /// Builtin constants.
-    pub consts: HashMap<String, Ty>,
-    /// User function ASTs by name.
-    pub user_funcs: HashMap<String, Func>,
+    /// Every user function's type scheme.
+    pub funcs: SymMap<Scheme>,
+    /// User function ASTs by name, shared with the parsed program.
+    pub user_funcs: SymMap<Rc<Func>>,
     /// The unifier (carried into instantiation for local inference).
     pub uni: Unifier,
 }
 
-fn contains_pardata(ty: &Ty) -> bool {
-    match ty {
-        Ty::Pardata(_, _) => true,
-        Ty::List(t) => contains_pardata(t),
-        Ty::Struct(_, args) => args.iter().any(contains_pardata),
-        Ty::Fun(args, ret) => args.iter().any(contains_pardata) || contains_pardata(ret),
-        _ => false,
-    }
-}
-
 /// Type-check a parsed program.
 pub fn check(prog: &Program) -> Result<Checked> {
-    let mut defs = TypeDefs::default();
-    defs.pardatas.insert("array".to_string(), 1);
-    let mut user_funcs: HashMap<String, Func> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
+    let mut ck = Checked {
+        syms: prog.syms.clone(),
+        defs: TypeDefs::default(),
+        funcs: SymMap::default(),
+        user_funcs: SymMap::default(),
+        uni: Unifier::default(),
+    };
+    let type_err = |pos, msg: String| Err(Diag::new(Phase::Type, pos, msg));
 
     // Pass 1: collect type definitions and function ASTs.
+    let mut order: Vec<&Rc<Func>> = Vec::new();
+    let mut structs: Vec<&Rc<StructDecl>> = Vec::new();
     for item in &prog.items {
         match item {
-            Item::Pardata { name, arity, pos } => {
-                if name == "array" {
-                    if *arity != 1 {
-                        return Err(Diag::new(
-                            Phase::Type,
-                            *pos,
-                            "the built-in pardata `array` has exactly one type parameter",
-                        ));
-                    }
-                    continue; // re-declaration of the builtin prototype
-                }
-                if defs.pardatas.insert(name.clone(), *arity).is_some() {
-                    return Err(Diag::new(
-                        Phase::Type,
+            Item::Pardata { name: Sym::ARRAY, arity, pos } => {
+                // re-declaration of the builtin prototype
+                if *arity != 1 {
+                    return type_err(
                         *pos,
-                        format!("duplicate pardata `{name}`"),
-                    ));
+                        "the built-in pardata `array` has exactly one type parameter".into(),
+                    );
                 }
             }
-            Item::Struct { name, params, fields, pos } => {
-                if defs.structs.insert(name.clone(), (params.clone(), fields.clone())).is_some() {
-                    return Err(Diag::new(Phase::Type, *pos, format!("duplicate struct `{name}`")));
+            Item::Pardata { name, arity, pos } => {
+                if ck.defs.pardatas.insert(*name, *arity).is_some() {
+                    return type_err(*pos, format!("duplicate pardata `{}`", ck.syms.get(*name)));
                 }
+            }
+            Item::Struct(decl) => {
+                if ck.defs.structs.insert(decl.name, Rc::clone(decl)).is_some() {
+                    return type_err(
+                        decl.pos,
+                        format!("duplicate struct `{}`", ck.syms.get(decl.name)),
+                    );
+                }
+                structs.push(decl);
             }
             Item::Func(f) => {
-                if user_funcs.insert(f.name.clone(), f.clone()).is_some() {
-                    return Err(Diag::new(
-                        Phase::Type,
+                if ck.user_funcs.insert(f.name, Rc::clone(f)).is_some() {
+                    return type_err(
                         f.pos,
-                        format!("duplicate function `{}`", f.name),
-                    ));
+                        format!("duplicate function `{}`", ck.syms.get(f.name)),
+                    );
                 }
-                order.push(f.name.clone());
+                order.push(f);
             }
         }
     }
-
-    let mut uni = Unifier::default();
-    let mut funcs = builtin_schemes();
-    let consts = builtin_consts();
 
     // Pass 1.5: struct fields may not contain pardata types (the paper's
     // composition rule — local structures are copied and flattened, a
     // distributed structure cannot live inside them).
-    for (name, (params, fields)) in defs.structs.clone() {
-        let mut var_map: HashMap<String, Ty> =
-            params.iter().map(|p| (p.clone(), uni.fresh())).collect();
-        for (fname, fty) in &fields {
-            let t = defs.lower(fty, &mut var_map, &mut uni, false, Pos::default())?;
-            if contains_pardata(&uni.resolve(&t)) {
-                return Err(Diag::new(
-                    Phase::Type,
-                    Pos::default(),
+    for decl in structs {
+        let mut var_map: VarMap = decl.params.iter().map(|&p| (p, ck.uni.fresh())).collect();
+        for (fname, fty) in &decl.fields {
+            let t = ck.lower(fty, &mut var_map, false, decl.pos)?;
+            if ck.uni.contains_pardata(&t) {
+                return type_err(
+                    decl.pos,
                     format!(
-                        "field `{fname}` of struct `{name}` has a pardata type; \
+                        "field `{}` of struct `{}` has a pardata type; \
                          distributed structures may not be components of other \
-                         data structures"
+                         data structures",
+                        ck.syms.get(*fname),
+                        ck.syms.get(decl.name)
                     ),
-                ));
+                );
             }
         }
     }
 
-    // Pass 2: lower all signatures (enables mutual recursion).
-    let mut sig_vars: HashMap<String, Vec<(String, u32)>> = HashMap::new();
-    for name in &order {
-        let f = &user_funcs[name];
-        if funcs.contains_key(name) {
-            return Err(Diag::new(
-                Phase::Type,
+    // Pass 2: lower all signatures (enables mutual recursion). A
+    // signature's type variables are numbered in order of appearance.
+    let mut sig_vars: Vec<VarMap> = Vec::with_capacity(order.len());
+    for f in &order {
+        if Builtin::of(f.name).is_some_and(|b| !matches!(b.kind, BuiltinKind::Const(_))) {
+            return type_err(
                 f.pos,
-                format!("`{name}` shadows a built-in function"),
-            ));
+                format!("`{}` shadows a built-in function", ck.syms.get(f.name)),
+            );
         }
-        let mut var_map = HashMap::new();
-        let mut params = Vec::new();
-        for p in &f.params {
-            params.push(defs.lower(&p.ty, &mut var_map, &mut uni, true, p.pos)?);
-        }
-        let ret = defs.lower(&f.ret, &mut var_map, &mut uni, true, f.pos)?;
-        let vars: Vec<(String, u32)> = var_map
+        let mut var_map = VarMap::new();
+        let params = f
+            .params
             .iter()
-            .map(|(n, t)| match t {
-                Ty::Var(v) => (n.clone(), *v),
+            .map(|p| ck.lower(&p.ty, &mut var_map, true, p.pos))
+            .collect::<Result<Rc<[Ty]>>>()?;
+        let ret = ck.lower(&f.ret, &mut var_map, true, f.pos)?;
+        let vars = var_map
+            .iter()
+            .map(|(_, t)| match t {
+                Ty::Var(v) => *v,
                 _ => unreachable!("open lowering introduces vars"),
             })
             .collect();
-        funcs.insert(
-            name.clone(),
-            Scheme {
-                vars: vars.iter().map(|(_, v)| *v).collect(),
-                ty: Ty::Fun(params, Box::new(ret)),
-            },
-        );
-        sig_vars.insert(name.clone(), vars);
+        ck.funcs.insert(f.name, Scheme { vars, ty: Ty::Fun(params, Rc::new(ret)) });
+        sig_vars.push(var_map);
     }
 
     // Pass 3: check bodies.
-    let mut checked = Checked { defs, funcs, consts, user_funcs, uni };
-    for name in &order {
-        checked.check_func(name, &sig_vars[name])?;
+    for (f, vars) in order.iter().zip(&sig_vars) {
+        ck.check_func(f, vars)?;
     }
 
     // main must exist with signature `void main()`.
-    match checked.funcs.get("main") {
-        Some(s) => {
-            let Ty::Fun(params, ret) = &s.ty else {
-                return Err(Diag::new(Phase::Type, Pos::default(), "main is not a function"));
-            };
-            if !params.is_empty() || checked.uni.resolve(ret) != Ty::Void {
-                return Err(Diag::new(
-                    Phase::Type,
-                    Pos::default(),
-                    "main must have the signature `void main()`",
-                ));
+    match (ck.funcs.get(Sym::MAIN), ck.user_funcs.get(Sym::MAIN)) {
+        (Some(Scheme { ty: Ty::Fun(params, ret), .. }), Some(main)) => {
+            if !params.is_empty() || *ck.uni.head(ret) != Ty::Void {
+                return type_err(main.pos, "main must have the signature `void main()`".into());
             }
         }
-        None => {
-            return Err(Diag::new(Phase::Type, Pos::default(), "program has no `main` function"))
-        }
+        _ => return type_err(Pos::default(), "program has no `main` function".into()),
     }
-    Ok(checked)
+    Ok(ck)
 }
 
 impl Checked {
-    fn check_func(&mut self, name: &str, sig_vars: &[(String, u32)]) -> Result<()> {
-        let f = self.user_funcs[name].clone();
-        let scheme = self.funcs[name].clone();
-        let Ty::Fun(params, ret) = &scheme.ty else { unreachable!() };
+    /// [`Unifier::unify`] with this program's names for the diagnostic.
+    pub fn unify(&mut self, a: &Ty, b: &Ty, pos: Pos) -> Result<()> {
+        self.uni.unify(a, b, pos, &self.syms)
+    }
+
+    /// `ty` as a diagnostic prints it.
+    pub fn show<'a>(&'a self, ty: &'a Ty) -> ShowTy<'a> {
+        self.uni.show(ty, &self.syms)
+    }
+
+    /// [`TypeDefs::lower`] over this program's definitions.
+    pub fn lower(
+        &mut self,
+        te: &TypeExpr,
+        var_map: &mut VarMap,
+        open: bool,
+        pos: Pos,
+    ) -> Result<Ty> {
+        self.defs.lower(te, var_map, &mut self.uni, open, pos, &self.syms)
+    }
+
+    /// The type a function or constant name presents at one use —
+    /// builtins first, then the program's own functions — with fresh
+    /// variables for its generic ones.
+    pub fn global_ty(&mut self, name: Sym) -> Option<Ty> {
+        match Builtin::of(name) {
+            Some(b) => Some(b.instantiate(&mut self.uni)),
+            None => self.funcs.get(name).map(|s| self.uni.instantiate(s)),
+        }
+    }
+
+    fn err<T>(&self, pos: Pos, msg: String) -> Result<T> {
+        Err(Diag::new(Phase::Type, pos, msg))
+    }
+
+    fn check_func(&mut self, f: &Func, sig_vars: &VarMap) -> Result<()> {
+        let Some(Ty::Fun(params, ret)) = self.funcs.get(f.name).map(|s| s.ty.clone()) else {
+            unreachable!("every user function has a function scheme")
+        };
         let mut scopes = Scopes::default();
         scopes.push();
-        for (p, ty) in f.params.iter().zip(params) {
-            scopes.declare(&p.name, ty.clone());
+        for (p, ty) in f.params.iter().zip(params.iter()) {
+            scopes.declare(p.name, ty.clone());
         }
-        let ret = (**ret).clone();
         self.check_block(&f.body, &mut scopes, &ret)?;
 
         // The body must not constrain the signature's type variables
         // ("skeletons depend only on the structure of the problem, not on
         // particular data types").
         let mut seen = Vec::new();
-        for (vname, vid) in sig_vars {
-            match self.uni.resolve(&Ty::Var(*vid)) {
+        for (vname, var) in sig_vars {
+            let (vname, fname) = (self.syms.get(*vname), self.syms.get(f.name));
+            match self.uni.head(var) {
                 Ty::Var(w) => {
-                    if seen.contains(&w) {
-                        return Err(Diag::new(
-                            Phase::Type,
+                    if seen.contains(w) {
+                        return self.err(
                             f.pos,
                             format!(
-                                "type variable ${vname} of `{name}` is forced equal to \
+                                "type variable ${vname} of `{fname}` is forced equal to \
                                  another signature variable by the body"
                             ),
-                        ));
+                        );
                     }
-                    seen.push(w);
+                    seen.push(*w);
                 }
                 concrete => {
-                    return Err(Diag::new(
-                        Phase::Type,
+                    return self.err(
                         f.pos,
                         format!(
-                            "type variable ${vname} of `{name}` is constrained to `{concrete}` \
-                             by the body; use a monomorphic signature instead"
+                            "type variable ${vname} of `{fname}` is constrained to `{}` \
+                             by the body; use a monomorphic signature instead",
+                            self.show(concrete)
                         ),
-                    ))
+                    )
                 }
             }
         }
 
         // Pardata composition rules on the (resolved) signature.
-        for ty in params {
-            check_pardata_rules(&self.uni.resolve(ty), f.pos)?;
+        for ty in params.iter() {
+            self.uni.check_pardata_rules(ty, f.pos, &self.syms)?;
         }
         Ok(())
     }
@@ -252,29 +242,34 @@ impl Checked {
         Ok(())
     }
 
+    /// `cond` must be an `int`.
+    fn check_cond(&mut self, cond: &Expr, scopes: &Scopes) -> Result<()> {
+        let ct = self.infer_expr(cond, scopes)?;
+        self.unify(&ct, &Ty::Int, cond.pos())
+    }
+
     fn check_stmt(&mut self, s: &Stmt, scopes: &mut Scopes, ret: &Ty) -> Result<()> {
         match s {
             Stmt::Decl { ty, name, init, pos } => {
-                let mut no_new_vars = HashMap::new();
-                let t = self.defs.lower(ty, &mut no_new_vars, &mut self.uni, false, *pos)?;
-                check_pardata_rules(&t, *pos)?;
+                let t = self.lower(ty, &mut VarMap::new(), false, *pos)?;
+                self.uni.check_pardata_rules(&t, *pos, &self.syms)?;
                 if let Some(e) = init {
                     let it = self.infer_expr(e, scopes)?;
-                    self.uni.unify(&t, &it, *pos)?;
+                    self.unify(&t, &it, *pos)?;
                 }
-                scopes.declare(name, t);
+                scopes.declare(*name, t);
                 Ok(())
             }
             Stmt::Assign { name, value, pos } => {
-                let vt = scopes.lookup(name).cloned().ok_or_else(|| {
-                    Diag::new(Phase::Type, *pos, format!("assignment to undeclared `{name}`"))
-                })?;
+                let Some(vt) = scopes.lookup(*name).cloned() else {
+                    return self
+                        .err(*pos, format!("assignment to undeclared `{}`", self.syms.get(*name)));
+                };
                 let et = self.infer_expr(value, scopes)?;
-                self.uni.unify(&vt, &et, *pos)
+                self.unify(&vt, &et, *pos)
             }
             Stmt::If { cond, then, els } => {
-                let ct = self.infer_expr(cond, scopes)?;
-                self.uni.unify(&ct, &Ty::Int, cond.pos())?;
+                self.check_cond(cond, scopes)?;
                 self.check_block(then, scopes, ret)?;
                 if let Some(e) = els {
                     self.check_block(e, scopes, ret)?;
@@ -282,8 +277,7 @@ impl Checked {
                 Ok(())
             }
             Stmt::While { cond, body } => {
-                let ct = self.infer_expr(cond, scopes)?;
-                self.uni.unify(&ct, &Ty::Int, cond.pos())?;
+                self.check_cond(cond, scopes)?;
                 self.check_block(body, scopes, ret)
             }
             Stmt::For { init, cond, step, body } => {
@@ -292,8 +286,7 @@ impl Checked {
                     self.check_stmt(i, scopes, ret)?;
                 }
                 if let Some(c) = cond {
-                    let ct = self.infer_expr(c, scopes)?;
-                    self.uni.unify(&ct, &Ty::Int, c.pos())?;
+                    self.check_cond(c, scopes)?;
                 }
                 if let Some(st) = step {
                     self.check_stmt(st, scopes, ret)?;
@@ -305,9 +298,9 @@ impl Checked {
             Stmt::Return { value, pos } => match value {
                 Some(e) => {
                     let t = self.infer_expr(e, scopes)?;
-                    self.uni.unify(ret, &t, *pos)
+                    self.unify(ret, &t, *pos)
                 }
-                None => self.uni.unify(ret, &Ty::Void, *pos),
+                None => self.unify(ret, &Ty::Void, *pos),
             },
             Stmt::Expr(e) => {
                 self.infer_expr(e, scopes)?;
@@ -322,94 +315,78 @@ impl Checked {
             Expr::Int(_, _) => Ok(Ty::Int),
             Expr::Float(_, _) => Ok(Ty::Float),
             Expr::Var(name, pos) => {
-                if let Some(t) = scopes.lookup(name) {
+                if let Some(t) = scopes.lookup(*name) {
                     return Ok(t.clone());
                 }
-                if let Some(t) = self.consts.get(name) {
-                    return Ok(t.clone());
+                match self.global_ty(*name) {
+                    Some(t) => Ok(t),
+                    None => {
+                        self.err(*pos, format!("unknown identifier `{}`", self.syms.get(*name)))
+                    }
                 }
-                if let Some(s) = self.funcs.get(name) {
-                    let s = s.clone();
-                    return Ok(self.uni.instantiate(&s));
-                }
-                Err(Diag::new(Phase::Type, *pos, format!("unknown identifier `{name}`")))
             }
             Expr::OpSection(op, _pos) => {
                 let a = self.uni.fresh();
-                match op.as_str() {
-                    "+" | "-" | "*" | "/" | "%" => {
-                        Ok(Ty::Fun(vec![a.clone(), a.clone()], Box::new(a)))
-                    }
-                    _ => Ok(Ty::Fun(vec![a.clone(), a], Box::new(Ty::Int))),
-                }
+                let ret = if op.is_arithmetic() { a.clone() } else { Ty::Int };
+                Ok(Ty::Fun(Rc::new([a.clone(), a]), Rc::new(ret)))
             }
             Expr::Call { callee, args, pos } => {
                 let ct = self.infer_expr(callee, scopes)?;
-                let ct = self.uni.resolve(&ct);
-                let Ty::Fun(params, ret) = ct else {
-                    return Err(Diag::new(
-                        Phase::Type,
+                let Ty::Fun(params, ret) = self.uni.resolve(&ct) else {
+                    return self.err(
                         *pos,
-                        format!("call of a non-function value of type `{ct}`"),
-                    ));
+                        format!("call of a non-function value of type `{}`", self.show(&ct)),
+                    );
                 };
                 if args.len() > params.len() {
-                    return Err(Diag::new(
-                        Phase::Type,
+                    return self.err(
                         *pos,
                         format!(
                             "too many arguments: function takes {}, got {}",
                             params.len(),
                             args.len()
                         ),
-                    ));
+                    );
                 }
-                for (a, p) in args.iter().zip(&params) {
+                for (a, p) in args.iter().zip(params.iter()) {
                     let at = self.infer_expr(a, scopes)?;
-                    self.uni.unify(p, &at, a.pos())?;
+                    self.unify(p, &at, a.pos())?;
                 }
                 if args.len() == params.len() {
-                    Ok(*ret)
+                    Ok((*ret).clone())
                 } else {
                     // partial application (currying)
-                    Ok(Ty::Fun(params[args.len()..].to_vec(), ret))
+                    Ok(Ty::Fun(params[args.len()..].into(), ret))
                 }
             }
             Expr::Binary { op, lhs, rhs, pos } => {
                 let lt = self.infer_expr(lhs, scopes)?;
                 let rt = self.infer_expr(rhs, scopes)?;
-                self.uni.unify(&lt, &rt, *pos)?;
-                match op.as_str() {
-                    "+" | "-" | "*" | "/" => {
+                self.unify(&lt, &rt, *pos)?;
+                match op {
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
                         self.require_numeric(&lt, *pos)?;
                         Ok(lt)
                     }
-                    "%" => {
-                        self.uni.unify(&lt, &Ty::Int, *pos)?;
+                    BinOp::Rem | BinOp::And | BinOp::Or => {
+                        self.unify(&lt, &Ty::Int, *pos)?;
                         Ok(Ty::Int)
                     }
-                    "==" | "!=" | "<" | "<=" | ">" | ">=" => {
+                    BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
                         self.require_numeric(&lt, *pos)?;
                         Ok(Ty::Int)
-                    }
-                    "&&" | "||" => {
-                        self.uni.unify(&lt, &Ty::Int, *pos)?;
-                        Ok(Ty::Int)
-                    }
-                    other => {
-                        Err(Diag::new(Phase::Type, *pos, format!("unknown operator `{other}`")))
                     }
                 }
             }
             Expr::Unary { op, expr, pos } => {
                 let t = self.infer_expr(expr, scopes)?;
-                match op.as_str() {
-                    "-" => {
+                match op {
+                    UnOp::Neg => {
                         self.require_numeric(&t, *pos)?;
                         Ok(t)
                     }
-                    _ => {
-                        self.uni.unify(&t, &Ty::Int, *pos)?;
+                    UnOp::Not => {
+                        self.unify(&t, &Ty::Int, *pos)?;
                         Ok(Ty::Int)
                     }
                 }
@@ -417,92 +394,89 @@ impl Checked {
             Expr::Field { expr, field, pos } => {
                 let t = self.infer_expr(expr, scopes)?;
                 match self.uni.resolve(&t) {
-                    Ty::Bounds => match field.as_str() {
-                        "lowerBd" | "upperBd" => Ok(Ty::Index),
-                        other => Err(Diag::new(
-                            Phase::Type,
+                    Ty::Bounds => match *field {
+                        Sym::LOWER_BD | Sym::UPPER_BD => Ok(Ty::Index),
+                        other => self.err(
                             *pos,
-                            format!("Bounds has fields `lowerBd`/`upperBd`, not `{other}`"),
-                        )),
+                            format!(
+                                "Bounds has fields `lowerBd`/`upperBd`, not `{}`",
+                                self.syms.get(other)
+                            ),
+                        ),
                     },
                     Ty::Struct(name, args) => {
-                        let (params, fields) = self.defs.structs[&name].clone();
-                        let (_, fty) =
-                            fields.iter().find(|(n, _)| n == field).ok_or_else(|| {
-                                Diag::new(
-                                    Phase::Type,
-                                    *pos,
-                                    format!("struct `{name}` has no field `{field}`"),
-                                )
-                            })?;
-                        let mut var_map: HashMap<String, Ty> =
-                            params.iter().cloned().zip(args.iter().cloned()).collect();
-                        self.defs.lower(fty, &mut var_map, &mut self.uni, false, *pos)
+                        let decl = self.defs.structs.get(name).expect("declared").clone();
+                        let Some((_, fty)) = decl.fields.iter().find(|(n, _)| n == field) else {
+                            return self.err(
+                                *pos,
+                                format!(
+                                    "struct `{}` has no field `{}`",
+                                    self.syms.get(name),
+                                    self.syms.get(*field)
+                                ),
+                            );
+                        };
+                        let mut var_map: VarMap =
+                            decl.params.iter().copied().zip(args.iter().cloned()).collect();
+                        self.lower(fty, &mut var_map, false, *pos)
                     }
-                    other => Err(Diag::new(
-                        Phase::Type,
+                    other => self.err(
                         *pos,
-                        format!("field access on non-struct type `{other}`"),
-                    )),
+                        format!("field access on non-struct type `{}`", self.show(&other)),
+                    ),
                 }
             }
             Expr::IndexAt { expr, index, pos } => {
                 let t = self.infer_expr(expr, scopes)?;
-                self.uni.unify(&t, &Ty::Index, *pos)?;
+                self.unify(&t, &Ty::Index, *pos)?;
                 let it = self.infer_expr(index, scopes)?;
-                self.uni.unify(&it, &Ty::Int, *pos)?;
+                self.unify(&it, &Ty::Int, *pos)?;
                 Ok(Ty::Int)
             }
             Expr::BraceList { elems, pos } => {
                 if elems.is_empty() || elems.len() > 2 {
-                    return Err(Diag::new(
-                        Phase::Type,
-                        *pos,
-                        "Index literals have one or two components",
-                    ));
+                    return self.err(*pos, "Index literals have one or two components".into());
                 }
                 for e in elems {
                     let t = self.infer_expr(e, scopes)?;
-                    self.uni.unify(&t, &Ty::Int, e.pos())?;
+                    self.unify(&t, &Ty::Int, e.pos())?;
                 }
                 Ok(Ty::Index)
             }
             Expr::StructLit { name, fields, pos } => {
-                let Some((params, def_fields)) = self.defs.structs.get(name).cloned() else {
-                    return Err(Diag::new(Phase::Type, *pos, format!("unknown struct `{name}`")));
+                let Some(decl) = self.defs.structs.get(*name).cloned() else {
+                    return self.err(*pos, format!("unknown struct `{}`", self.syms.get(*name)));
                 };
-                if fields.len() != def_fields.len() {
-                    return Err(Diag::new(
-                        Phase::Type,
+                if fields.len() != decl.fields.len() {
+                    return self.err(
                         *pos,
                         format!(
-                            "struct `{name}` has {} fields, literal provides {}",
-                            def_fields.len(),
+                            "struct `{}` has {} fields, literal provides {}",
+                            self.syms.get(*name),
+                            decl.fields.len(),
                             fields.len()
                         ),
-                    ));
+                    );
                 }
-                let mut var_map: HashMap<String, Ty> =
-                    params.iter().map(|p| (p.clone(), self.uni.fresh())).collect();
-                for (e, (_, fty)) in fields.iter().zip(&def_fields) {
-                    let want = self.defs.lower(fty, &mut var_map, &mut self.uni, false, *pos)?;
+                let mut var_map: VarMap =
+                    decl.params.iter().map(|&p| (p, self.uni.fresh())).collect();
+                for (e, (_, fty)) in fields.iter().zip(&decl.fields) {
+                    let want = self.lower(fty, &mut var_map, false, *pos)?;
                     let got = self.infer_expr(e, scopes)?;
-                    self.uni.unify(&want, &got, e.pos())?;
+                    self.unify(&want, &got, e.pos())?;
                 }
-                let args = params.iter().map(|p| var_map[p].clone()).collect();
-                Ok(Ty::Struct(name.clone(), args))
+                let args = decl.params.iter().map(|&p| bound(&var_map, p).expect("bound").clone());
+                Ok(Ty::Struct(*name, args.collect()))
             }
         }
     }
 
     fn require_numeric(&mut self, t: &Ty, pos: Pos) -> Result<()> {
-        match self.uni.resolve(t) {
+        match self.uni.head(t) {
             Ty::Int | Ty::Float | Ty::Var(_) => Ok(()),
-            other => Err(Diag::new(
-                Phase::Type,
-                pos,
-                format!("arithmetic on non-numeric type `{other}`"),
-            )),
+            other => {
+                self.err(pos, format!("arithmetic on non-numeric type `{}`", self.show(other)))
+            }
         }
     }
 }
@@ -701,5 +675,34 @@ mod tests {
               rec best = array_fold(conv, pick, a);\n\
               print(best.r);\n\
             }");
+    }
+
+    #[test]
+    fn pardata_struct_field_is_reported_at_the_struct() {
+        let e = bad("void f() { }\n\n  struct holder { array<int> a; int n; };\nvoid main() { }");
+        assert!(e.starts_with("type error at 3:3: field `a` of struct `holder`"), "{e}");
+    }
+
+    #[test]
+    fn unknown_struct_field_type_is_reported_at_the_struct() {
+        let e = bad("\n   struct holder { wibble a; };\nvoid main() { }");
+        assert_eq!(e, "type error at 2:4: unknown type `wibble`");
+    }
+
+    #[test]
+    fn wrong_main_signature_is_reported_at_main() {
+        let e = bad("int f() { return 1; }\n  int main() { return 1; }");
+        assert_eq!(e, "type error at 2:3: main must have the signature `void main()`");
+        let e = bad("\n\n void main(int x) { }");
+        assert_eq!(e, "type error at 3:2: main must have the signature `void main()`");
+    }
+
+    #[test]
+    fn signature_variables_are_checked_in_order_of_appearance() {
+        // two violations; the first variable of the signature is named
+        let e = bad("$b both($a x, $b y) { return x + 1; }\nvoid main() { }");
+        assert!(e.contains("type variable $a of `both` is constrained to `int`"), "{e}");
+        let e = bad("$a same($a x, $b y) { x = y; return x; }\nvoid main() { }");
+        assert!(e.contains("type variable $b of `same` is forced equal"), "{e}");
     }
 }

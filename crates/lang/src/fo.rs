@@ -7,10 +7,16 @@
 //! first-order argument-function *instances* plus the lifted arguments of
 //! former partial applications — the paper's calling convention after
 //! "inlining and lifting".
-
-use std::collections::HashMap;
+//!
+//! A compiled program keeps this tree for as long as it is cached, so it
+//! is built small: names are [`Sym`]s into the program's one string
+//! table, intrinsics are resolved to [`Intr`], child lists are
+//! exact-size boxed slices, and an expression node is three words.
 
 use skil_runtime::CostModel;
+
+use crate::bytecode::Intr;
+use crate::sym::{Names, Sym};
 
 /// A monomorphic first-order type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -26,7 +32,7 @@ pub enum FoTy {
     /// Partition bounds.
     Bounds,
     /// A monomorphized struct instance, by instance name.
-    Struct(String),
+    Struct(Sym),
     /// `list<T>`.
     List(Box<FoTy>),
     /// `array<T>`.
@@ -34,18 +40,31 @@ pub enum FoTy {
 }
 
 impl FoTy {
-    /// C-ish type name (for instance mangling and emission).
-    pub fn cname(&self) -> String {
+    /// Append the C-ish type name (for instance mangling and emission).
+    pub fn write_cname(&self, names: &Names, out: &mut String) {
         match self {
-            FoTy::Int => "int".into(),
-            FoTy::Float => "float".into(),
-            FoTy::Void => "void".into(),
-            FoTy::Index => "Index".into(),
-            FoTy::Bounds => "Bounds".into(),
-            FoTy::Struct(n) => n.clone(),
-            FoTy::List(t) => format!("{}_list", t.cname()),
-            FoTy::Array(t) => format!("{}array", t.cname()),
+            FoTy::Int => out.push_str("int"),
+            FoTy::Float => out.push_str("float"),
+            FoTy::Void => out.push_str("void"),
+            FoTy::Index => out.push_str("Index"),
+            FoTy::Bounds => out.push_str("Bounds"),
+            FoTy::Struct(n) => out.push_str(names.get(*n)),
+            FoTy::List(t) => {
+                t.write_cname(names, out);
+                out.push_str("_list");
+            }
+            FoTy::Array(t) => {
+                t.write_cname(names, out);
+                out.push_str("array");
+            }
         }
+    }
+
+    /// The C-ish type name.
+    pub fn cname(&self, names: &Names) -> String {
+        let mut out = String::new();
+        self.write_cname(names, &mut out);
+        out
     }
 }
 
@@ -53,9 +72,9 @@ impl FoTy {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FoStruct {
     /// Instance name (e.g. `elemrec` or `pair_int_float`).
-    pub name: String,
+    pub name: Sym,
     /// Fields in declaration order.
-    pub fields: Vec<(String, FoTy)>,
+    pub fields: Box<[(Sym, FoTy)]>,
 }
 
 /// A reference to a first-order argument-function instance, with the
@@ -64,9 +83,9 @@ pub struct FoStruct {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FnInst {
     /// Instance name.
-    pub func: String,
+    pub func: Sym,
     /// Lifted argument expressions, evaluated at the skeleton call site.
-    pub lifted: Vec<FoExpr>,
+    pub lifted: Box<[FoExpr]>,
 }
 
 /// The data-parallel skeletons a program can invoke.
@@ -148,24 +167,10 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Parse from the surface lexeme.
-    pub fn from_lexeme(op: &str) -> Option<BinOp> {
-        Some(match op {
-            "+" => BinOp::Add,
-            "-" => BinOp::Sub,
-            "*" => BinOp::Mul,
-            "/" => BinOp::Div,
-            "%" => BinOp::Rem,
-            "==" => BinOp::Eq,
-            "!=" => BinOp::Ne,
-            "<" => BinOp::Lt,
-            "<=" => BinOp::Le,
-            ">" => BinOp::Gt,
-            ">=" => BinOp::Ge,
-            "&&" => BinOp::And,
-            "||" => BinOp::Or,
-            _ => return None,
-        })
+    /// True for `+ - * / %`: the result has the operands' type (every
+    /// other operator yields an `int`).
+    pub fn is_arithmetic(&self) -> bool {
+        matches!(self, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem)
     }
 
     /// Surface lexeme.
@@ -196,34 +201,22 @@ pub enum FoExpr {
     /// Float literal.
     Float(f64),
     /// Local variable or parameter.
-    Var(String),
+    Var(Sym),
     /// Call of a first-order instance.
-    Call(String, Vec<FoExpr>),
-    /// Scalar intrinsic (`abs`, `array_get_elem`, `procId`, ...).
-    Intrinsic(String, Vec<FoExpr>),
+    Call(Sym, Box<[FoExpr]>),
+    /// Scalar intrinsic or builtin constant (`abs`, `array_get_elem`,
+    /// `procId`, ...).
+    Intrinsic(Intr, Box<[FoExpr]>),
     /// Skeleton invocation.
-    Skel {
-        /// Which skeleton.
-        op: SkelOp,
-        /// First-order argument-function instances (in skeleton
-        /// parameter order).
-        fns: Vec<FnInst>,
-        /// Value arguments (arrays, indices, scalars), in skeleton
-        /// parameter order with the functional slots removed.
-        args: Vec<FoExpr>,
-        /// The array element type.
-        elem: FoTy,
-    },
+    Skel(Box<SkelCall>),
     /// Binary operation.
     Binary {
         /// Operator.
         op: BinOp,
         /// Operates on floats.
         float: bool,
-        /// Left operand.
-        lhs: Box<FoExpr>,
-        /// Right operand.
-        rhs: Box<FoExpr>,
+        /// Left and right operand.
+        args: Box<[FoExpr; 2]>,
     },
     /// Unary negation / logical not.
     Unary {
@@ -239,21 +232,38 @@ pub enum FoExpr {
         /// Struct expression.
         expr: Box<FoExpr>,
         /// Field index.
-        index: usize,
+        index: u32,
         /// Field name (for emission).
-        name: String,
+        name: Sym,
     },
-    /// `Index` component access.
-    IndexAt {
-        /// Index expression.
-        expr: Box<FoExpr>,
-        /// Component.
-        index: Box<FoExpr>,
-    },
+    /// `Index` component access: `[indexed, component]`.
+    IndexAt(Box<[FoExpr; 2]>),
     /// Build an `Index` value.
-    MakeIndex(Vec<FoExpr>),
+    MakeIndex(Box<[FoExpr]>),
     /// Build a struct value (fields in declaration order).
-    MakeStruct(String, Vec<FoExpr>),
+    MakeStruct(Sym, Box<[FoExpr]>),
+}
+
+/// A skeleton invocation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SkelCall {
+    /// Which skeleton.
+    pub op: SkelOp,
+    /// First-order argument-function instances (in skeleton parameter
+    /// order).
+    pub fns: Box<[FnInst]>,
+    /// Value arguments (arrays, indices, scalars), in skeleton parameter
+    /// order with the functional slots removed.
+    pub args: Box<[FoExpr]>,
+    /// The array element type.
+    pub elem: FoTy,
+}
+
+impl FoExpr {
+    /// A binary operation node.
+    pub fn binary(op: BinOp, float: bool, lhs: FoExpr, rhs: FoExpr) -> FoExpr {
+        FoExpr::Binary { op, float, args: Box::new([lhs, rhs]) }
+    }
 }
 
 /// A first-order statement.
@@ -262,7 +272,7 @@ pub enum FoStmt {
     /// Variable declaration.
     Decl {
         /// Name.
-        name: String,
+        name: Sym,
         /// Monomorphic type.
         ty: FoTy,
         /// Optional initializer.
@@ -271,7 +281,7 @@ pub enum FoStmt {
     /// Assignment.
     Assign {
         /// Target variable.
-        name: String,
+        name: Sym,
         /// Value.
         value: FoExpr,
     },
@@ -280,16 +290,16 @@ pub enum FoStmt {
         /// Condition.
         cond: FoExpr,
         /// Then branch.
-        then: Vec<FoStmt>,
+        then: Box<[FoStmt]>,
         /// Else branch.
-        els: Vec<FoStmt>,
+        els: Box<[FoStmt]>,
     },
     /// While loop.
     While {
         /// Condition.
         cond: FoExpr,
         /// Body.
-        body: Vec<FoStmt>,
+        body: Box<[FoStmt]>,
     },
     /// For loop (kept structured for C emission).
     For {
@@ -300,7 +310,7 @@ pub enum FoStmt {
         /// Step.
         step: Option<Box<FoStmt>>,
         /// Body.
-        body: Vec<FoStmt>,
+        body: Box<[FoStmt]>,
     },
     /// Return.
     Return(Option<FoExpr>),
@@ -312,69 +322,124 @@ pub enum FoStmt {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FoFunc {
     /// Instance name (`above_thresh_1`, `op_add_int`, ...).
-    pub name: String,
-    /// The source function it was instantiated from.
-    pub origin: String,
+    pub name: Sym,
+    /// The source function it was instantiated from (`(+)` for an
+    /// operator section).
+    pub origin: Sym,
     /// Value parameters, lifted parameters appended.
-    pub params: Vec<(String, FoTy)>,
+    pub params: Box<[(Sym, FoTy)]>,
     /// Return type.
     pub ret: FoTy,
     /// Body.
-    pub body: Vec<FoStmt>,
+    pub body: Box<[FoStmt]>,
 }
 
-/// The complete instantiated program.
+/// The complete instantiated program. Instances are few (a program has
+/// tens), so lookup by name is a scan over their `Sym`s.
 #[derive(Debug, Clone, Default)]
 pub struct FoProgram {
     /// Monomorphized structs.
     pub structs: Vec<FoStruct>,
     /// Function instances; `main` is among them.
     pub funcs: Vec<FoFunc>,
-    /// Name → index into `funcs`, built by [`FoProgram::reindex`]. When
-    /// stale (an instance was pushed since the last reindex) lookups fall
-    /// back to the linear scan, so incremental construction stays correct.
-    fn_index: HashMap<String, usize>,
-    /// Name → index into `structs`; same staleness rule.
-    struct_index: HashMap<String, usize>,
+    /// The string table every `Sym` in the program indexes.
+    pub names: Names,
 }
 
 impl FoProgram {
-    /// Rebuild the name → index tables. The instantiation procedure calls
-    /// this once after the last instance is produced; every engine
-    /// (AST walker, bytecode compiler, VM) then resolves names in O(1)
-    /// instead of scanning `funcs`.
-    pub fn reindex(&mut self) {
-        self.fn_index = self.funcs.iter().enumerate().map(|(i, f)| (f.name.clone(), i)).collect();
-        self.struct_index =
-            self.structs.iter().enumerate().map(|(i, s)| (s.name.clone(), i)).collect();
+    /// The spelling of `sym`.
+    pub fn name(&self, sym: Sym) -> &str {
+        self.names.get(sym)
     }
 
     /// Index of a function instance by name.
-    pub fn func_id(&self, name: &str) -> Option<usize> {
-        if self.fn_index.len() == self.funcs.len() {
-            self.fn_index.get(name).copied()
-        } else {
-            self.funcs.iter().position(|f| f.name == name)
-        }
+    pub fn func_id(&self, name: Sym) -> Option<usize> {
+        self.funcs.iter().position(|f| f.name == name)
     }
 
     /// Find a function instance by name.
-    pub fn func(&self, name: &str) -> Option<&FoFunc> {
-        self.func_id(name).map(|i| &self.funcs[i])
+    pub fn func(&self, name: Sym) -> Option<&FoFunc> {
+        self.funcs.iter().find(|f| f.name == name)
+    }
+
+    /// Find a function instance by its spelling (tests and tools).
+    pub fn func_named(&self, name: &str) -> Option<&FoFunc> {
+        self.funcs.iter().find(|f| self.name(f.name) == name)
     }
 
     /// Index of a struct instance by name.
-    pub fn struct_id(&self, name: &str) -> Option<usize> {
-        if self.struct_index.len() == self.structs.len() {
-            self.struct_index.get(name).copied()
-        } else {
-            self.structs.iter().position(|s| s.name == name)
-        }
+    pub fn struct_id(&self, name: Sym) -> Option<usize> {
+        self.structs.iter().position(|s| s.name == name)
     }
 
     /// Find a struct instance by name.
-    pub fn struct_def(&self, name: &str) -> Option<&FoStruct> {
-        self.struct_id(name).map(|i| &self.structs[i])
+    pub fn struct_def(&self, name: Sym) -> Option<&FoStruct> {
+        self.structs.iter().find(|s| s.name == name)
+    }
+
+    /// Heap bytes the program holds: every node, list and name.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        fn ty(t: &FoTy) -> usize {
+            match t {
+                FoTy::List(t) | FoTy::Array(t) => size_of::<FoTy>() + ty(t),
+                _ => 0,
+            }
+        }
+        fn exprs(es: &[FoExpr]) -> usize {
+            std::mem::size_of_val(es) + es.iter().map(expr).sum::<usize>()
+        }
+        fn expr(e: &FoExpr) -> usize {
+            match e {
+                FoExpr::Int(_) | FoExpr::Float(_) | FoExpr::Var(_) => 0,
+                FoExpr::Call(_, args)
+                | FoExpr::Intrinsic(_, args)
+                | FoExpr::MakeIndex(args)
+                | FoExpr::MakeStruct(_, args) => exprs(args),
+                FoExpr::Skel(call) => {
+                    size_of::<SkelCall>()
+                        + std::mem::size_of_val(&*call.fns)
+                        + call.fns.iter().map(|f| exprs(&f.lifted)).sum::<usize>()
+                        + exprs(&call.args)
+                        + ty(&call.elem)
+                }
+                FoExpr::Binary { args, .. } | FoExpr::IndexAt(args) => exprs(&**args),
+                FoExpr::Unary { expr: e, .. } | FoExpr::Field { expr: e, .. } => {
+                    size_of::<FoExpr>() + expr(e)
+                }
+            }
+        }
+        fn stmts(ss: &[FoStmt]) -> usize {
+            std::mem::size_of_val(ss) + ss.iter().map(stmt).sum::<usize>()
+        }
+        fn stmt(s: &FoStmt) -> usize {
+            match s {
+                FoStmt::Decl { ty: t, init, .. } => ty(t) + init.as_ref().map_or(0, expr),
+                FoStmt::Assign { value, .. } => expr(value),
+                FoStmt::If { cond, then, els } => expr(cond) + stmts(then) + stmts(els),
+                FoStmt::While { cond, body } => expr(cond) + stmts(body),
+                FoStmt::For { init, cond, step, body } => {
+                    let boxed = |s: &Option<Box<FoStmt>>| {
+                        s.as_deref().map_or(0, |s| size_of::<FoStmt>() + stmt(s))
+                    };
+                    boxed(init) + cond.as_ref().map_or(0, expr) + boxed(step) + stmts(body)
+                }
+                FoStmt::Return(e) => e.as_ref().map_or(0, expr),
+                FoStmt::Expr(e) => expr(e),
+            }
+        }
+        let fields = |fs: &[(Sym, FoTy)]| {
+            std::mem::size_of_val(fs) + fs.iter().map(|(_, t)| ty(t)).sum::<usize>()
+        };
+        self.structs.capacity() * size_of::<FoStruct>()
+            + self.structs.iter().map(|s| fields(&s.fields)).sum::<usize>()
+            + self.funcs.capacity() * size_of::<FoFunc>()
+            + self
+                .funcs
+                .iter()
+                .map(|f| fields(&f.params) + ty(&f.ret) + stmts(&f.body))
+                .sum::<usize>()
+            + self.names.heap_bytes()
     }
 
     /// True when no expression anywhere contains a higher-order construct
@@ -382,25 +447,25 @@ impl FoProgram {
     pub fn is_first_order(&self) -> bool {
         // By construction FoExpr cannot express closures; what remains to
         // check is that every called instance exists.
+        fn all_ok(es: &[FoExpr], prog: &FoProgram) -> bool {
+            es.iter().all(|e| expr_ok(e, prog))
+        }
         fn expr_ok(e: &FoExpr, prog: &FoProgram) -> bool {
             match e {
-                FoExpr::Call(name, args) => {
-                    prog.func(name).is_some() && args.iter().all(|a| expr_ok(a, prog))
+                FoExpr::Call(name, args) => prog.func(*name).is_some() && all_ok(args, prog),
+                FoExpr::Skel(call) => {
+                    call.fns
+                        .iter()
+                        .all(|fi| prog.func(fi.func).is_some() && all_ok(&fi.lifted, prog))
+                        && all_ok(&call.args, prog)
                 }
-                FoExpr::Skel { fns, args, .. } => {
-                    fns.iter().all(|fi| {
-                        prog.func(&fi.func).is_some() && fi.lifted.iter().all(|l| expr_ok(l, prog))
-                    }) && args.iter().all(|a| expr_ok(a, prog))
+                FoExpr::Intrinsic(_, args) | FoExpr::MakeIndex(args) => all_ok(args, prog),
+                FoExpr::MakeStruct(name, args) => {
+                    prog.struct_def(*name).is_some() && all_ok(args, prog)
                 }
-                FoExpr::Intrinsic(_, args) => args.iter().all(|a| expr_ok(a, prog)),
-                FoExpr::Binary { lhs, rhs, .. } => expr_ok(lhs, prog) && expr_ok(rhs, prog),
-                FoExpr::Unary { expr, .. } => expr_ok(expr, prog),
-                FoExpr::Field { expr, .. } => expr_ok(expr, prog),
-                FoExpr::IndexAt { expr, index } => expr_ok(expr, prog) && expr_ok(index, prog),
-                FoExpr::MakeIndex(es) | FoExpr::MakeStruct(_, es) => {
-                    es.iter().all(|e| expr_ok(e, prog))
-                }
-                _ => true,
+                FoExpr::Binary { args, .. } | FoExpr::IndexAt(args) => all_ok(&**args, prog),
+                FoExpr::Unary { expr, .. } | FoExpr::Field { expr, .. } => expr_ok(expr, prog),
+                FoExpr::Int(_) | FoExpr::Float(_) | FoExpr::Var(_) => true,
             }
         }
         fn stmt_ok(s: &FoStmt, prog: &FoProgram) -> bool {
@@ -439,20 +504,20 @@ pub fn static_cost(f: &FoFunc, c: &CostModel) -> u64 {
             FoExpr::Int(_) | FoExpr::Float(_) => 0,
             FoExpr::Var(_) => c.load,
             FoExpr::Call(_, args) => c.call + args.iter().map(|a| expr(a, c)).sum::<u64>(),
-            FoExpr::Intrinsic(name, args) => {
-                let base = match name.as_str() {
-                    "array_get_elem" => 2 * c.load,
-                    "array_put_elem" => 2 * c.load + c.store,
-                    "array_part_bounds" => 2 * c.load,
-                    "sqrt" => c.flt_div,
-                    "fabs" | "fmin" | "fmax" => c.flt_add,
-                    "print" | "error" => c.call,
+            FoExpr::Intrinsic(op, args) => {
+                let base = match op {
+                    Intr::ArrayGetElem | Intr::ArrayPartBounds => 2 * c.load,
+                    Intr::ArrayPutElem => 2 * c.load + c.store,
+                    Intr::Sqrt => c.flt_div,
+                    Intr::Fabs | Intr::Fmin | Intr::Fmax => c.flt_add,
+                    Intr::Print | Intr::Error => c.call,
                     _ => c.int_op,
                 };
                 base + args.iter().map(|a| expr(a, c)).sum::<u64>()
             }
-            FoExpr::Skel { .. } => c.call, // nested skeletons are rejected at run time
-            FoExpr::Binary { op, float, lhs, rhs } => {
+            FoExpr::Skel(_) => c.call, // nested skeletons are rejected at run time
+            FoExpr::Binary { op, float, args } => {
+                let [lhs, rhs] = &**args;
                 let opc = if *float {
                     match op {
                         BinOp::Mul => c.flt_mul,
@@ -468,7 +533,7 @@ pub fn static_cost(f: &FoFunc, c: &CostModel) -> u64 {
                 (if *float { c.flt_add } else { c.int_op }) + expr(e, c)
             }
             FoExpr::Field { expr: e, .. } => c.load + expr(e, c),
-            FoExpr::IndexAt { expr: e, index } => c.load + expr(e, c) + expr(index, c),
+            FoExpr::IndexAt(args) => c.load + expr(&args[0], c) + expr(&args[1], c),
             FoExpr::MakeIndex(es) => 2 * c.store + es.iter().map(|e| expr(e, c)).sum::<u64>(),
             FoExpr::MakeStruct(_, es) => {
                 es.len() as u64 * c.store + es.iter().map(|e| expr(e, c)).sum::<u64>()
@@ -502,64 +567,85 @@ pub fn static_cost(f: &FoFunc, c: &CostModel) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sym::Interner;
 
-    #[test]
-    fn foty_names() {
-        assert_eq!(FoTy::Int.cname(), "int");
-        assert_eq!(FoTy::Array(Box::new(FoTy::Float)).cname(), "floatarray");
-        assert_eq!(FoTy::Struct("elemrec".into()).cname(), "elemrec");
+    fn func(params: &[Sym], ret: FoTy, body: Vec<FoStmt>) -> FoFunc {
+        FoFunc {
+            name: Sym::MAIN,
+            origin: Sym::MAIN,
+            params: params.iter().map(|&p| (p, FoTy::Int)).collect(),
+            ret,
+            body: body.into(),
+        }
     }
 
     #[test]
-    fn binop_roundtrip() {
-        for op in ["+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&&", "||"] {
-            let b = BinOp::from_lexeme(op).unwrap();
-            assert_eq!(b.lexeme(), op);
-        }
-        assert!(BinOp::from_lexeme("**").is_none());
+    fn foty_names() {
+        let mut names = Interner::new();
+        let elemrec = names.intern("elemrec");
+        assert_eq!(FoTy::Int.cname(&names), "int");
+        assert_eq!(FoTy::Array(Box::new(FoTy::Float)).cname(&names), "floatarray");
+        assert_eq!(FoTy::Struct(elemrec).cname(&names), "elemrec");
+        assert_eq!(FoTy::List(Box::new(FoTy::Struct(elemrec))).cname(&names), "elemrec_list");
+    }
+
+    #[test]
+    fn nodes_stay_small() {
+        // what a cached program pays per expression / statement
+        assert_eq!(std::mem::size_of::<FoExpr>(), 24);
+        assert_eq!(std::mem::size_of::<FoTy>(), 16);
+        assert!(std::mem::size_of::<FoStmt>() <= 64);
     }
 
     #[test]
     fn static_cost_counts_ops() {
         let c = CostModel::t800();
-        let f = FoFunc {
-            name: "f".into(),
-            origin: "f".into(),
-            params: vec![("x".into(), FoTy::Int)],
-            ret: FoTy::Int,
-            body: vec![FoStmt::Return(Some(FoExpr::Binary {
-                op: BinOp::Add,
-                float: false,
-                lhs: Box::new(FoExpr::Var("x".into())),
-                rhs: Box::new(FoExpr::Int(1)),
-            }))],
-        };
+        let f = func(
+            &[Sym::X0],
+            FoTy::Int,
+            vec![FoStmt::Return(Some(FoExpr::binary(
+                BinOp::Add,
+                false,
+                FoExpr::Var(Sym::X0),
+                FoExpr::Int(1),
+            )))],
+        );
         assert_eq!(static_cost(&f, &c), c.int_op + c.load);
     }
 
     #[test]
     fn static_cost_takes_max_branch() {
         let c = CostModel::t800();
-        let heavy = FoStmt::Expr(FoExpr::Binary {
-            op: BinOp::Mul,
-            float: true,
-            lhs: Box::new(FoExpr::Var("x".into())),
-            rhs: Box::new(FoExpr::Var("y".into())),
-        });
+        let heavy = FoStmt::Expr(FoExpr::binary(
+            BinOp::Mul,
+            true,
+            FoExpr::Var(Sym::X0),
+            FoExpr::Var(Sym::X1),
+        ));
         let light = FoStmt::Expr(FoExpr::Int(0));
-        let f = FoFunc {
-            name: "f".into(),
-            origin: "f".into(),
-            params: vec![],
-            ret: FoTy::Void,
-            body: vec![FoStmt::If {
-                cond: FoExpr::Var("c".into()),
-                then: vec![heavy],
-                els: vec![light],
+        let f = func(
+            &[],
+            FoTy::Void,
+            vec![FoStmt::If {
+                cond: FoExpr::Var(Sym::X0),
+                then: Box::new([heavy]),
+                els: Box::new([light]),
             }],
-        };
+        );
         let expect = c.int_op + c.load + (c.flt_mul + 2 * c.load);
         assert_eq!(static_cost(&f, &c), expect);
+    }
+
+    #[test]
+    fn static_cost_prices_intrinsics_by_kind() {
+        let c = CostModel::t800();
+        let call =
+            |op| func(&[], FoTy::Void, vec![FoStmt::Expr(FoExpr::Intrinsic(op, Box::new([])))]);
+        assert_eq!(static_cost(&call(Intr::Sqrt), &c), c.flt_div);
+        assert_eq!(static_cost(&call(Intr::Fmax), &c), c.flt_add);
+        assert_eq!(static_cost(&call(Intr::Print), &c), c.call);
+        assert_eq!(static_cost(&call(Intr::ArrayPutElem), &c), 2 * c.load + c.store);
+        assert_eq!(static_cost(&call(Intr::Abs), &c), c.int_op);
     }
 
     #[test]

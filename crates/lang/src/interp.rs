@@ -12,8 +12,6 @@
 //! may not mutate arrays, call skeletons, or print — which is exactly the
 //! discipline the paper's argument functions observe.
 
-use std::collections::HashMap;
-
 use skil_array::{ArraySpec, DistArray, Distribution, Index};
 use skil_core::{
     array_broadcast_part, array_copy, array_create, array_fold, array_gen_mult, array_map,
@@ -22,7 +20,9 @@ use skil_core::{
 use skil_runtime::{Distr, Machine, Proc, Run};
 
 use crate::builtins::{DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D};
-use crate::fo::{static_cost, BinOp, FnInst, FoExpr, FoFunc, FoProgram, FoStmt, SkelOp};
+use crate::bytecode::Intr;
+use crate::fo::{static_cost, BinOp, FoExpr, FoFunc, FoProgram, FoStmt, SkelCall, SkelOp};
+use crate::sym::{Scopes, Sym};
 use crate::value::{ConsList, Value};
 
 /// Tag used to broadcast task-skeleton results to all processors.
@@ -56,9 +56,9 @@ pub fn try_run_program_faults(
 ) -> Result<Run<Vec<String>>, skil_runtime::SimFailure> {
     machine.try_run_faults(faults, |p| {
         let mut interp = Interp { prog, proc: p, arrays: Vec::new(), output: Vec::new() };
-        let main = prog.func("main").expect("instantiated program has main");
+        let main = prog.func(Sym::MAIN).expect("instantiated program has main");
         debug_assert!(main.params.is_empty());
-        let mut locals = Locals::new("main", HashMap::new());
+        let mut locals = Locals::new(main, Vec::new());
         // main's return value (if any) is discarded: the program's
         // observable output is what it printed
         interp.eval_stmts(&main.body, &mut locals);
@@ -71,36 +71,43 @@ enum Flow {
     Return(Value),
 }
 
-/// The scope stack of one function activation, plus the enclosing
+/// The variables of one function activation, plus the enclosing
 /// instance name so runtime diagnostics can say *where* they happened.
-struct Locals<'f> {
-    scopes: Vec<HashMap<String, Value>>,
-    fname: &'f str,
+struct Locals {
+    vars: Scopes<Value>,
+    fname: Sym,
 }
 
-impl<'f> Locals<'f> {
-    fn new(fname: &'f str, args: HashMap<String, Value>) -> Self {
-        Locals { scopes: vec![args], fname }
+impl Locals {
+    /// The activation of `f` on `args`.
+    fn new(f: &FoFunc, args: Vec<Value>) -> Self {
+        let mut vars = Scopes::default();
+        for ((name, _), v) in f.params.iter().zip(args) {
+            vars.declare(*name, v);
+        }
+        Locals { vars, fname: f.name }
     }
-}
 
-fn lookup<'v>(locals: &'v Locals<'_>, name: &str) -> &'v Value {
-    locals
-        .scopes
-        .iter()
-        .rev()
-        .find_map(|s| s.get(name))
-        .unwrap_or_else(|| panic!("skil runtime: unbound variable `{name}` in `{}`", locals.fname))
-}
+    fn lookup(&self, name: Sym, prog: &FoProgram) -> &Value {
+        self.vars.lookup(name).unwrap_or_else(|| {
+            panic!(
+                "skil runtime: unbound variable `{}` in `{}`",
+                prog.name(name),
+                prog.name(self.fname)
+            )
+        })
+    }
 
-fn assign(locals: &mut Locals<'_>, name: &str, v: Value) {
-    for scope in locals.scopes.iter_mut().rev() {
-        if let Some(slot) = scope.get_mut(name) {
-            *slot = v;
-            return;
+    fn assign(&mut self, name: Sym, v: Value, prog: &FoProgram) {
+        match self.vars.lookup_mut(name) {
+            Some(slot) => *slot = v,
+            None => panic!(
+                "skil runtime: assignment to unbound `{}` in `{}`",
+                prog.name(name),
+                prog.name(self.fname)
+            ),
         }
     }
-    panic!("skil runtime: assignment to unbound `{name}` in `{}`", locals.fname);
 }
 
 pub(crate) fn apply_binop(op: BinOp, float: bool, a: Value, b: Value) -> Value {
@@ -150,23 +157,16 @@ pub(crate) fn apply_binop(op: BinOp, float: bool, a: Value, b: Value) -> Value {
     }
 }
 
-/// Pure scalar intrinsics shared by both evaluators (and mirrored by the
-/// bytecode VM's opcode table). Returns `None` for intrinsics that need
-/// machine or array state.
-pub(crate) fn pure_intrinsic(name: &str, args: &[Value]) -> Option<Value> {
-    crate::bytecode::Intr::from_name(name).and_then(|i| i.eval_pure(args))
-}
-
 /// The virtual-cycle charge for one invocation of a skeleton argument
 /// function. The instantiation procedure *inlines* trivial bodies — an
 /// operator section or a single intrinsic call — into the skeleton
 /// instance, so those cost just the operation; anything larger keeps the
 /// residual first-order call plus its statically estimated body.
 pub(crate) fn kernel_cycles(f: &FoFunc, cost: &skil_runtime::CostModel) -> u64 {
-    if let [FoStmt::Return(Some(expr))] = f.body.as_slice() {
+    if let [FoStmt::Return(Some(expr))] = &*f.body {
         match expr {
-            FoExpr::Binary { op, float, lhs, rhs }
-                if matches!(**lhs, FoExpr::Var(_)) && matches!(**rhs, FoExpr::Var(_)) =>
+            FoExpr::Binary { op, float, args }
+                if matches!(**args, [FoExpr::Var(_), FoExpr::Var(_)]) =>
             {
                 return if *float {
                     match op {
@@ -207,18 +207,20 @@ struct KernelEv<'a> {
 }
 
 impl<'a> KernelEv<'a> {
-    fn call(&self, name: &str, args: Vec<Value>) -> Value {
-        let f =
-            self.prog.func(name).unwrap_or_else(|| panic!("skil runtime: no instance `{name}`"));
+    fn call(&self, name: Sym, args: Vec<Value>) -> Value {
+        let f = self
+            .prog
+            .func(name)
+            .unwrap_or_else(|| panic!("skil runtime: no instance `{}`", self.prog.name(name)));
         assert_eq!(
             f.params.len(),
             args.len(),
-            "skil runtime: arity mismatch calling `{name}`: {} params, {} args",
+            "skil runtime: arity mismatch calling `{}`: {} params, {} args",
+            self.prog.name(name),
             f.params.len(),
             args.len()
         );
-        let mut locals =
-            Locals::new(&f.name, f.params.iter().map(|(n, _)| n.clone()).zip(args).collect());
+        let mut locals = Locals::new(f, args);
         match self.eval_stmts(&f.body, &mut locals) {
             Flow::Return(v) => v,
             Flow::Normal => Value::Unit,
@@ -226,17 +228,17 @@ impl<'a> KernelEv<'a> {
     }
 
     fn eval_stmts(&self, stmts: &[FoStmt], locals: &mut Locals) -> Flow {
-        locals.scopes.push(HashMap::new());
+        locals.vars.push();
         for s in stmts {
             match self.eval_stmt(s, locals) {
                 Flow::Normal => {}
                 r => {
-                    locals.scopes.pop();
+                    locals.vars.pop();
                     return r;
                 }
             }
         }
-        locals.scopes.pop();
+        locals.vars.pop();
         Flow::Normal
     }
 
@@ -244,12 +246,12 @@ impl<'a> KernelEv<'a> {
         match s {
             FoStmt::Decl { name, init, .. } => {
                 let v = init.as_ref().map_or(Value::Unit, |e| self.eval_expr(e, locals));
-                locals.scopes.last_mut().expect("scope").insert(name.clone(), v);
+                locals.vars.declare(*name, v);
                 Flow::Normal
             }
             FoStmt::Assign { name, value } => {
                 let v = self.eval_expr(value, locals);
-                assign(locals, name, v);
+                locals.assign(*name, v, self.prog);
                 Flow::Normal
             }
             FoStmt::If { cond, then, els } => {
@@ -268,10 +270,10 @@ impl<'a> KernelEv<'a> {
                 Flow::Normal
             }
             FoStmt::For { init, cond, step, body } => {
-                locals.scopes.push(HashMap::new());
+                locals.vars.push();
                 if let Some(i) = init {
                     if let Flow::Return(v) = self.eval_stmt(i, locals) {
-                        locals.scopes.pop();
+                        locals.vars.pop();
                         return Flow::Return(v);
                     }
                 }
@@ -282,17 +284,17 @@ impl<'a> KernelEv<'a> {
                         }
                     }
                     if let Flow::Return(v) = self.eval_stmts(body, locals) {
-                        locals.scopes.pop();
+                        locals.vars.pop();
                         return Flow::Return(v);
                     }
                     if let Some(st) = step {
                         if let Flow::Return(v) = self.eval_stmt(st, locals) {
-                            locals.scopes.pop();
+                            locals.vars.pop();
                             return Flow::Return(v);
                         }
                     }
                 }
-                locals.scopes.pop();
+                locals.vars.pop();
                 Flow::Normal
             }
             FoStmt::Return(e) => {
@@ -309,20 +311,20 @@ impl<'a> KernelEv<'a> {
         match e {
             FoExpr::Int(v) => Value::Int(*v),
             FoExpr::Float(v) => Value::Float(*v),
-            FoExpr::Var(n) => lookup(locals, n).clone(),
+            FoExpr::Var(n) => locals.lookup(*n, self.prog).clone(),
             FoExpr::Call(name, args) => {
                 let vals: Vec<Value> = args.iter().map(|a| self.eval_expr(a, locals)).collect();
-                self.call(name, vals)
+                self.call(*name, vals)
             }
-            FoExpr::Intrinsic(name, args) => {
+            FoExpr::Intrinsic(op, args) => {
                 let vals: Vec<Value> = args.iter().map(|a| self.eval_expr(a, locals)).collect();
-                if let Some(v) = pure_intrinsic(name, &vals) {
+                if let Some(v) = op.eval_pure(&vals) {
                     return v;
                 }
-                match name.as_str() {
-                    "procId" => Value::Int(self.me as i64),
-                    "nProcs" => Value::Int(self.nprocs as i64),
-                    "array_get_elem" => {
+                match op {
+                    Intr::ProcId => Value::Int(self.me as i64),
+                    Intr::NProcs => Value::Int(self.nprocs as i64),
+                    Intr::ArrayGetElem => {
                         let arr = self.arrays[vals[0].as_array()]
                             .as_ref()
                             .unwrap_or_else(|| {
@@ -334,7 +336,7 @@ impl<'a> KernelEv<'a> {
                             Err(e) => panic!("skil runtime: {e}"),
                         }
                     }
-                    "array_part_bounds" => {
+                    Intr::ArrayPartBounds => {
                         let arr = self.arrays[vals[0].as_array()].as_ref().expect("array alive");
                         let b = arr.part_bounds().unwrap_or_else(|e| panic!("skil runtime: {e}"));
                         Value::Bounds(
@@ -342,17 +344,20 @@ impl<'a> KernelEv<'a> {
                             [b.upper[0] as i64, b.upper[1] as i64],
                         )
                     }
-                    "array_put_elem" => {
+                    Intr::ArrayPutElem => {
                         panic!("skil runtime: array_put_elem inside a skeleton argument function")
                     }
-                    "print" => panic!("skil runtime: print inside a skeleton argument function"),
-                    other => panic!("skil runtime: unknown intrinsic `{other}`"),
+                    Intr::Print => {
+                        panic!("skil runtime: print inside a skeleton argument function")
+                    }
+                    other => unreachable!("pure intrinsic {} fell through", other.name()),
                 }
             }
-            FoExpr::Skel { .. } => {
+            FoExpr::Skel(_) => {
                 panic!("skil runtime: skeleton call inside a skeleton argument function")
             }
-            FoExpr::Binary { op, float, lhs, rhs } => {
+            FoExpr::Binary { op, float, args } => {
+                let [lhs, rhs] = &**args;
                 // short-circuit logical operators
                 if !*float && matches!(op, BinOp::And | BinOp::Or) {
                     let l = self.eval_expr(lhs, locals).as_int() != 0;
@@ -377,14 +382,14 @@ impl<'a> KernelEv<'a> {
             FoExpr::Field { expr, index, .. } => {
                 let v = self.eval_expr(expr, locals);
                 match v {
-                    Value::Struct(_, fields) => fields[*index].clone(),
+                    Value::Struct(_, fields) => fields[*index as usize].clone(),
                     Value::Bounds(lo, up) => Value::Index(if *index == 0 { lo } else { up }),
                     other => panic!("skil runtime: field access on {other:?}"),
                 }
             }
-            FoExpr::IndexAt { expr, index } => {
-                let ix = self.eval_expr(expr, locals).as_index();
-                let i = self.eval_expr(index, locals).as_int();
+            FoExpr::IndexAt(args) => {
+                let ix = self.eval_expr(&args[0], locals).as_index();
+                let i = self.eval_expr(&args[1], locals).as_int();
                 assert!((0..2).contains(&i), "skil runtime: Index component {i} out of range");
                 Value::Int(ix[i as usize])
             }
@@ -396,7 +401,7 @@ impl<'a> KernelEv<'a> {
                 Value::Index(ix)
             }
             FoExpr::MakeStruct(name, es) => {
-                let id = self.prog.struct_id(name).expect("struct instance");
+                let id = self.prog.struct_id(*name).expect("struct instance");
                 let fields = es.iter().map(|e| self.eval_expr(e, locals)).collect();
                 Value::Struct(id as u32, fields)
             }
@@ -416,20 +421,26 @@ struct Interp<'a, 'p, 'm> {
 }
 
 impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
-    fn call(&mut self, name: &str, args: Vec<Value>, caller: &str) -> Value {
-        let f = self.prog.func(name).unwrap_or_else(|| {
-            panic!("skil runtime: no instance `{name}` (called from `{caller}`)")
+    fn call(&mut self, name: Sym, args: Vec<Value>, caller: Sym) -> Value {
+        let prog = self.prog;
+        let f = prog.func(name).unwrap_or_else(|| {
+            panic!(
+                "skil runtime: no instance `{}` (called from `{}`)",
+                prog.name(name),
+                prog.name(caller)
+            )
         });
         assert_eq!(
             f.params.len(),
             args.len(),
-            "arity mismatch calling `{name}` from `{caller}`: {} params, {} args",
+            "arity mismatch calling `{}` from `{}`: {} params, {} args",
+            prog.name(name),
+            prog.name(caller),
             f.params.len(),
             args.len()
         );
         self.proc.charge(self.proc.cost().call);
-        let mut locals =
-            Locals::new(&f.name, f.params.iter().map(|(n, _)| n.clone()).zip(args).collect());
+        let mut locals = Locals::new(f, args);
         match self.eval_stmts(&f.body, &mut locals) {
             Flow::Return(v) => v,
             Flow::Normal => Value::Unit,
@@ -437,17 +448,17 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
     }
 
     fn eval_stmts(&mut self, stmts: &[FoStmt], locals: &mut Locals) -> Flow {
-        locals.scopes.push(HashMap::new());
+        locals.vars.push();
         for s in stmts {
             match self.eval_stmt(s, locals) {
                 Flow::Normal => {}
                 r => {
-                    locals.scopes.pop();
+                    locals.vars.pop();
                     return r;
                 }
             }
         }
-        locals.scopes.pop();
+        locals.vars.pop();
         Flow::Normal
     }
 
@@ -456,13 +467,13 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
             FoStmt::Decl { name, init, .. } => {
                 let v = init.as_ref().map_or(Value::Unit, |e| self.eval_expr(e, locals));
                 self.proc.charge(self.proc.cost().store);
-                locals.scopes.last_mut().expect("scope").insert(name.clone(), v);
+                locals.vars.declare(*name, v);
                 Flow::Normal
             }
             FoStmt::Assign { name, value } => {
                 let v = self.eval_expr(value, locals);
                 self.proc.charge(self.proc.cost().store);
-                assign(locals, name, v);
+                locals.assign(*name, v, self.prog);
                 Flow::Normal
             }
             FoStmt::If { cond, then, els } => {
@@ -486,10 +497,10 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                 Flow::Normal
             }
             FoStmt::For { init, cond, step, body } => {
-                locals.scopes.push(HashMap::new());
+                locals.vars.push();
                 if let Some(i) = init {
                     if let Flow::Return(v) = self.eval_stmt(i, locals) {
-                        locals.scopes.pop();
+                        locals.vars.pop();
                         return Flow::Return(v);
                     }
                 }
@@ -501,17 +512,17 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                         }
                     }
                     if let Flow::Return(v) = self.eval_stmts(body, locals) {
-                        locals.scopes.pop();
+                        locals.vars.pop();
                         return Flow::Return(v);
                     }
                     if let Some(st) = step {
                         if let Flow::Return(v) = self.eval_stmt(st, locals) {
-                            locals.scopes.pop();
+                            locals.vars.pop();
                             return Flow::Return(v);
                         }
                     }
                 }
-                locals.scopes.pop();
+                locals.vars.pop();
                 Flow::Normal
             }
             FoStmt::Return(e) => {
@@ -530,18 +541,19 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
             FoExpr::Float(v) => Value::Float(*v),
             FoExpr::Var(n) => {
                 self.proc.charge(self.proc.cost().load);
-                lookup(locals, n).clone()
+                locals.lookup(*n, self.prog).clone()
             }
             FoExpr::Call(name, args) => {
                 let vals: Vec<Value> = args.iter().map(|a| self.eval_expr(a, locals)).collect();
-                self.call(name, vals, locals.fname)
+                self.call(*name, vals, locals.fname)
             }
-            FoExpr::Intrinsic(name, args) => {
+            FoExpr::Intrinsic(op, args) => {
                 let vals: Vec<Value> = args.iter().map(|a| self.eval_expr(a, locals)).collect();
-                self.eval_intrinsic(name, vals)
+                self.eval_intrinsic(*op, vals)
             }
-            FoExpr::Skel { op, fns, args, .. } => self.eval_skel(*op, fns, args, locals),
-            FoExpr::Binary { op, float, lhs, rhs } => {
+            FoExpr::Skel(call) => self.eval_skel(call, locals),
+            FoExpr::Binary { op, float, args } => {
+                let [lhs, rhs] = &**args;
                 let c = self.proc.cost();
                 let cycles = if *float {
                     match op {
@@ -582,15 +594,15 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                 self.proc.charge(self.proc.cost().load);
                 let v = self.eval_expr(expr, locals);
                 match v {
-                    Value::Struct(_, fields) => fields[*index].clone(),
+                    Value::Struct(_, fields) => fields[*index as usize].clone(),
                     Value::Bounds(lo, up) => Value::Index(if *index == 0 { lo } else { up }),
                     other => panic!("skil runtime: field access on {other:?}"),
                 }
             }
-            FoExpr::IndexAt { expr, index } => {
+            FoExpr::IndexAt(args) => {
                 self.proc.charge(self.proc.cost().load);
-                let ix = self.eval_expr(expr, locals).as_index();
-                let i = self.eval_expr(index, locals).as_int();
+                let ix = self.eval_expr(&args[0], locals).as_index();
+                let i = self.eval_expr(&args[1], locals).as_int();
                 assert!((0..2).contains(&i), "skil runtime: Index component {i} out of range");
                 Value::Int(ix[i as usize])
             }
@@ -604,23 +616,23 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
             }
             FoExpr::MakeStruct(name, es) => {
                 self.proc.charge(es.len() as u64 * self.proc.cost().store);
-                let id = self.prog.struct_id(name).expect("struct instance");
+                let id = self.prog.struct_id(*name).expect("struct instance");
                 let fields = es.iter().map(|e| self.eval_expr(e, locals)).collect();
                 Value::Struct(id as u32, fields)
             }
         }
     }
 
-    fn eval_intrinsic(&mut self, name: &str, vals: Vec<Value>) -> Value {
+    fn eval_intrinsic(&mut self, op: Intr, vals: Vec<Value>) -> Value {
         let c = self.proc.cost().clone();
-        if let Some(v) = pure_intrinsic(name, &vals) {
+        if let Some(v) = op.eval_pure(&vals) {
             self.proc.charge(c.int_op);
             return v;
         }
-        match name {
-            "procId" => Value::Int(self.proc.id() as i64),
-            "nProcs" => Value::Int(self.proc.nprocs() as i64),
-            "array_get_elem" => {
+        match op {
+            Intr::ProcId => Value::Int(self.proc.id() as i64),
+            Intr::NProcs => Value::Int(self.proc.nprocs() as i64),
+            Intr::ArrayGetElem => {
                 self.proc.charge(2 * c.load);
                 let arr = self.arrays[vals[0].as_array()].as_ref().expect("array alive");
                 let ix = to_uindex(vals[1].as_index());
@@ -629,7 +641,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                     Err(e) => panic!("skil runtime: {e}"),
                 }
             }
-            "array_put_elem" => {
+            Intr::ArrayPutElem => {
                 self.proc.charge(2 * c.load + c.store);
                 let h = vals[0].as_array();
                 let ix = to_uindex(vals[1].as_index());
@@ -639,7 +651,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                 }
                 Value::Unit
             }
-            "array_part_bounds" => {
+            Intr::ArrayPartBounds => {
                 self.proc.charge(2 * c.load);
                 let arr = self.arrays[vals[0].as_array()].as_ref().expect("array alive");
                 let b = arr.part_bounds().unwrap_or_else(|e| panic!("skil runtime: {e}"));
@@ -648,36 +660,31 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                     [b.upper[0] as i64, b.upper[1] as i64],
                 )
             }
-            "print" => {
+            Intr::Print => {
                 self.proc.charge(c.call);
                 self.output.push(vals[0].render());
                 Value::Unit
             }
-            other => panic!("skil runtime: unknown intrinsic `{other}`"),
+            other => unreachable!("pure intrinsic {} fell through", other.name()),
         }
     }
 
     /// Evaluate a skeleton invocation by dispatching to `skil-core`.
-    fn eval_skel(
-        &mut self,
-        op: SkelOp,
-        fns: &[FnInst],
-        args: &[FoExpr],
-        locals: &mut Locals,
-    ) -> Value {
+    fn eval_skel(&mut self, call: &SkelCall, locals: &mut Locals) -> Value {
+        let SkelCall { op, fns, args, .. } = call;
         let cost = self.proc.cost().clone();
         // evaluate value arguments left to right
         let vals: Vec<Value> = args.iter().map(|a| self.eval_expr(a, locals)).collect();
         // evaluate lifted arguments of each functional instance
-        let mut fn_insts: Vec<(String, Vec<Value>, u64)> = Vec::new();
-        for fi in fns {
+        let mut fn_insts: Vec<(Sym, Vec<Value>, u64)> = Vec::new();
+        for fi in fns.iter() {
             let lifted: Vec<Value> = fi.lifted.iter().map(|e| self.eval_expr(e, locals)).collect();
-            let f = self.prog.func(&fi.func).expect("instance exists");
+            let f = self.prog.func(fi.func).expect("instance exists");
             let cycles = kernel_cycles(f, &cost);
-            fn_insts.push((fi.func.clone(), lifted, cycles));
+            fn_insts.push((fi.func, lifted, cycles));
         }
 
-        match op {
+        match *op {
             SkelOp::Create => {
                 let dim = vals[0].as_int();
                 assert!((1..=2).contains(&dim), "skil runtime: array dim must be 1 or 2");
@@ -713,7 +720,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                         |ix: Index| {
                             let mut a = lifted.clone();
                             a.push(Value::Index([ix[0] as i64, ix[1] as i64]));
-                            kev.call(name, a)
+                            kev.call(*name, a)
                         },
                         *cycles,
                     );
@@ -746,7 +753,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                             let mut a = lifted.clone();
                             a.push(v.clone());
                             a.push(Value::Index([ix[0] as i64, ix[1] as i64]));
-                            kev.call(name, a)
+                            kev.call(*name, a)
                         },
                         *cycles,
                     );
@@ -767,7 +774,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                                 let mut a = lifted.clone();
                                 a.push(v.clone());
                                 a.push(Value::Index([ix[0] as i64, ix[1] as i64]));
-                                kev.call(name, a)
+                                kev.call(*name, a)
                             },
                             *cycles,
                         );
@@ -793,7 +800,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                         let mut a = clifted.clone();
                         a.push(v.clone());
                         a.push(Value::Index([ix[0] as i64, ix[1] as i64]));
-                        kev.call(cname, a)
+                        kev.call(*cname, a)
                     },
                     *ccycles,
                 );
@@ -803,7 +810,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                         let mut a = flifted.clone();
                         a.push(x);
                         a.push(y);
-                        kev2.call(fname, a)
+                        kev2.call(*fname, a)
                     },
                     *fcycles,
                 );
@@ -847,7 +854,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                     let perm = |r: usize| -> usize {
                         let mut a = lifted.clone();
                         a.push(Value::Int(r as i64));
-                        let v = kev.call(name, a).as_int();
+                        let v = kev.call(*name, a).as_int();
                         assert!(v >= 0, "skil runtime: negative permuted row {v}");
                         v as usize
                     };
@@ -875,7 +882,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                             let mut a = lifted.clone();
                             a.push(x);
                             a.push(y);
-                            kev.call(name, a)
+                            kev.call(*name, a)
                         },
                         *cycles,
                     );
@@ -896,7 +903,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                     let np = self.proc.nprocs();
                     let mk = |i: usize| {
                         (
-                            fn_insts[i].0.clone(),
+                            fn_insts[i].0,
                             fn_insts[i].1.clone(),
                             fn_insts[i].2,
                             KernelEv { prog, arrays, me, nprocs: np },
@@ -911,7 +918,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                             move |p: &Value| {
                                 let mut a = tl.clone();
                                 a.push(p.clone());
-                                tk.call(&tn, a).as_int() != 0
+                                tk.call(tn, a).as_int() != 0
                             },
                             tc,
                         ),
@@ -919,7 +926,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                             move |p: &Value| {
                                 let mut a = sl.clone();
                                 a.push(p.clone());
-                                sk.call(&sn, a)
+                                sk.call(sn, a)
                             },
                             sc,
                         ),
@@ -927,7 +934,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                             move |p: &Value| {
                                 let mut a = pl.clone();
                                 a.push(p.clone());
-                                match pk.call(&pn, a) {
+                                match pk.call(pn, a) {
                                     Value::List(items) => items.to_vec(),
                                     other => {
                                         panic!("skil runtime: split returned {other:?}, not a list")
@@ -940,7 +947,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                             move |parts: Vec<Value>| {
                                 let mut a = jl.clone();
                                 a.push(Value::List(ConsList::from_vec(parts)));
-                                jk.call(&jn, a)
+                                jk.call(jn, a)
                             },
                             jc,
                         ),
@@ -972,7 +979,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                         |t: &Value| {
                             let mut a = lifted.clone();
                             a.push(t.clone());
-                            kev.call(name, a)
+                            kev.call(*name, a)
                         },
                         *cycles,
                     );
@@ -1012,7 +1019,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                             let mut a = alifted.clone();
                             a.push(x);
                             a.push(y);
-                            kev.call(aname, a)
+                            kev.call(*aname, a)
                         },
                         *acycles,
                     );
@@ -1021,7 +1028,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                             let mut a = mlifted.clone();
                             a.push(x.clone());
                             a.push(y.clone());
-                            kev2.call(mname, a)
+                            kev2.call(*mname, a)
                         },
                         *mcycles,
                     );

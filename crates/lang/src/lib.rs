@@ -7,6 +7,10 @@
 //!
 //! The pipeline mirrors the paper's §2:
 //!
+//! 0. [`sym`] — identifiers are interned once, by the lexer, into a
+//!    symbol table that belongs to this compile alone; every later pass
+//!    carries `u32` symbols, and the table ends up as the string table
+//!    of the result.
 //! 1. [`parser::parse`] — a C-subset grammar extended with type
 //!    variables (`$t`), functional parameters (`int is_trivial($a)`),
 //!    currying/partial application (`above_thresh(t)`), operator sections
@@ -74,6 +78,7 @@ mod native;
 pub mod opt;
 pub mod parser;
 mod store;
+pub mod sym;
 pub mod token;
 pub mod types;
 pub mod value;
@@ -123,14 +128,17 @@ impl Engine {
 }
 
 /// A compiled Skil program: parsed, type-checked, instantiated, and
-/// compiled to (optimized) bytecode.
-#[derive(Debug, Clone)]
+/// compiled to (optimized) bytecode. It keeps what a run reads — the
+/// first-order program (the walker's input, the kernel cost estimates,
+/// and the one string table) and the optimized bytecode — at exact
+/// capacity; the syntax tree, the checker's tables and the unoptimized
+/// bytecode are gone when `compile_opt` returns.
+#[derive(Debug)]
 pub struct Compiled {
     /// The instantiated first-order program.
     pub fo: FoProgram,
-    /// Raw `compile_program` bytecode (slot-resolved, charge-annotated).
-    pub raw: bytecode::Program,
-    /// The bytecode the VM executes: `raw` after [`opt::optimize`].
+    /// The bytecode the VM executes: `compile_program`'s output after
+    /// [`opt::optimize`].
     pub code: bytecode::Program,
     /// The opt level `code` was produced at.
     pub opt_level: OptLevel,
@@ -156,7 +164,7 @@ pub fn compile_opt(src: &str, level: OptLevel) -> diag::Result<Compiled> {
     let fo = instantiate::instantiate(&mut ck)?;
     let raw = bytecode::compile_program(&fo);
     let (code, opt_stats) = opt::optimize(&raw, level);
-    Ok(Compiled { fo, raw, code, opt_level: level, opt_stats, native_cache: Default::default() })
+    Ok(Compiled { fo, code, opt_level: level, opt_stats, native_cache: Default::default() })
 }
 
 impl Compiled {
@@ -211,7 +219,7 @@ impl Compiled {
         match engine {
             Engine::Ast => interp::try_run_program_faults(&self.fo, machine, faults),
             Engine::Vm => vm::try_run_program_vm_faults(&self.fo, &self.code, machine, faults),
-            Engine::Native => match self.native_cache.prepare(&self.code) {
+            Engine::Native => match self.native_cache.prepare(&self.code, &self.fo.names) {
                 Ok(module) => {
                     native::try_run_native_faults(&module, &self.fo, &self.code, machine, faults)
                 }
@@ -228,24 +236,33 @@ impl Compiled {
     /// diagnostic; [`Compiled::try_run_faults`] with [`Engine::Native`]
     /// silently falls back to the VM in that case.
     pub fn native_ready(&self) -> Result<(), String> {
-        self.native_cache.prepare(&self.code).map(|_| ())
+        self.native_cache.prepare(&self.code, &self.fo.names).map(|_| ())
     }
 
     /// The generated Rust module the native engine compiles
     /// (`skilc --emit-rust`).
     pub fn emit_rust(&self) -> String {
-        emit_rust::emit_rust(&self.code)
+        emit_rust::emit_rust(&self.code, &self.fo.names)
     }
 
     /// Human-readable bytecode listing of the code the VM executes
     /// (`skilc --emit-bytecode` / `--emit-bytecode=opt`).
     pub fn disassemble(&self) -> String {
-        bytecode::disassemble(&self.code)
+        bytecode::disassemble(&self.code, &self.fo.names)
     }
 
     /// Listing of the unoptimized `compile_program` output
-    /// (`skilc --emit-bytecode=raw`).
+    /// (`skilc --emit-bytecode=raw`), recompiled from the first-order
+    /// program: nothing but this listing reads it.
     pub fn disassemble_raw(&self) -> String {
-        bytecode::disassemble(&self.raw)
+        bytecode::disassemble(&bytecode::compile_program(&self.fo), &self.fo.names)
+    }
+
+    /// Heap bytes this program holds while it is cached: the
+    /// first-order program with its string table, and the bytecode with
+    /// its pools. (The native engine's loaded module is shared by
+    /// content hash across programs and not counted.)
+    pub fn heap_bytes(&self) -> usize {
+        self.fo.heap_bytes() + self.code.heap_bytes()
     }
 }

@@ -43,6 +43,7 @@ use crate::emit_rust::{emit_rust, ABI_VERSION};
 use crate::fo::FoProgram;
 use crate::interp::{kernel_cycles, to_uindex};
 use crate::store::{ArrayStore, FloatElem, IntElem};
+use crate::sym::Names;
 use crate::value::Value;
 use crate::vm::{kernel_get_elem, Host, Sl, Vm};
 
@@ -352,8 +353,8 @@ fn cache_dir() -> PathBuf {
 /// Emit, compile (or reuse the cached artifact), and load the native
 /// module for `code`. `Err` means the native engine is unavailable on
 /// this host or for this program — callers fall back to the VM.
-pub(crate) fn prepare(code: &Program) -> Result<Arc<NativeModule>, String> {
-    let src = emit_rust(code);
+pub(crate) fn prepare(code: &Program, names: &Names) -> Result<Arc<NativeModule>, String> {
+    let src = emit_rust(code, names);
     let hash = fnv1a64(src.as_bytes());
     let slot =
         registry().lock().unwrap_or_else(|e| e.into_inner()).entry(hash).or_default().clone();
@@ -945,10 +946,9 @@ impl Drop for CtxGuard {
 // ---------------------------------------------------------------------
 
 /// Per-[`crate::Compiled`] memo of the prepared module: emit + hash +
-/// load happen once per compiled program, not once per run. Clones
-/// share the memo (they are the same program).
-#[derive(Clone, Default)]
-pub(crate) struct ModuleCache(Arc<std::sync::OnceLock<Result<Arc<NativeModule>, String>>>);
+/// load happen once per compiled program, not once per run.
+#[derive(Default)]
+pub(crate) struct ModuleCache(std::sync::OnceLock<Result<Arc<NativeModule>, String>>);
 
 impl std::fmt::Debug for ModuleCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -957,8 +957,12 @@ impl std::fmt::Debug for ModuleCache {
 }
 
 impl ModuleCache {
-    pub(crate) fn prepare(&self, code: &Program) -> Result<Arc<NativeModule>, String> {
-        self.0.get_or_init(|| prepare(code)).clone()
+    pub(crate) fn prepare(
+        &self,
+        code: &Program,
+        names: &Names,
+    ) -> Result<Arc<NativeModule>, String> {
+        self.0.get_or_init(|| prepare(code, names)).clone()
     }
 }
 

@@ -165,12 +165,14 @@ struct Intern {
 
 impl Intern {
     fn new(consts: Vec<Value>, costs: Vec<CostExpr>) -> Intern {
-        let const_ix = consts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| CKey::of(v).map(|k| (k, i as u32)))
-            .collect();
-        let cost_ix = costs.iter().enumerate().map(|(i, c)| (*c, i as u32)).collect();
+        // sized for the few entries folding and merging add, so that
+        // neither map rehashes
+        let mut const_ix = HashMap::with_capacity(consts.len() + 16);
+        const_ix.extend(
+            consts.iter().enumerate().filter_map(|(i, v)| CKey::of(v).map(|k| (k, i as u32))),
+        );
+        let mut cost_ix = HashMap::with_capacity(costs.len() * 2 + 16);
+        cost_ix.extend(costs.iter().enumerate().map(|(i, c)| (*c, i as u32)));
         Intern { consts, const_ix, costs, cost_ix }
     }
 
@@ -236,39 +238,41 @@ fn set_jump_label(ins: &mut Instr, l: u32) {
 /// Abstract pc-based jumps into label items. Returns the items and the
 /// number of labels allocated.
 fn to_items(code: &[Instr]) -> (Vec<Item>, u32) {
-    let mut label_at: HashMap<u32, u32> = HashMap::new();
+    // pc -> label, numbered in order of first mention (`NONE`: no target)
+    let mut label_at = vec![NONE; code.len() + 1];
+    let mut nlabels = 0u32;
     for ins in code {
         if let Some(t) = jump_label(ins) {
-            let next = label_at.len() as u32;
-            label_at.entry(t).or_insert(next);
+            if label_at[t as usize] == NONE {
+                label_at[t as usize] = nlabels;
+                nlabels += 1;
+            }
         }
     }
-    let mut items = Vec::with_capacity(code.len() + label_at.len());
+    let mut items = Vec::with_capacity(code.len() + nlabels as usize);
     for (pc, ins) in code.iter().enumerate() {
-        if let Some(&l) = label_at.get(&(pc as u32)) {
-            items.push(Item::Label(l));
+        if label_at[pc] != NONE {
+            items.push(Item::Label(label_at[pc]));
         }
         let mut ins = *ins;
         if let Some(t) = jump_label(&ins) {
-            set_jump_label(&mut ins, label_at[&t]);
+            set_jump_label(&mut ins, label_at[t as usize]);
         }
         items.push(Item::I(ins));
     }
-    if let Some(&l) = label_at.get(&(code.len() as u32)) {
-        items.push(Item::Label(l));
+    if label_at[code.len()] != NONE {
+        items.push(Item::Label(label_at[code.len()]));
     }
-    (items, label_at.len() as u32)
+    (items, nlabels)
 }
 
-/// Resolve label items back into pc targets.
-fn from_items(items: &[Item]) -> Vec<Instr> {
-    let mut label_pc: HashMap<u32, u32> = HashMap::new();
+/// Resolve label items (numbered below `nlabels`) back into pc targets.
+fn from_items(items: &[Item], nlabels: u32) -> Vec<Instr> {
+    let mut label_pc = vec![NONE; nlabels as usize];
     let mut pc = 0u32;
     for item in items {
         match item {
-            Item::Label(l) => {
-                label_pc.insert(*l, pc);
-            }
+            Item::Label(l) => label_pc[*l as usize] = pc,
             Item::I(_) => pc += 1,
         }
     }
@@ -277,7 +281,7 @@ fn from_items(items: &[Item]) -> Vec<Instr> {
         if let Item::I(ins) = item {
             let mut ins = *ins;
             if let Some(l) = jump_label(&ins) {
-                set_jump_label(&mut ins, label_pc[&l]);
+                set_jump_label(&mut ins, label_pc[l as usize]);
             }
             code.push(ins);
         }
@@ -301,11 +305,10 @@ pub fn optimize(p: &Program, level: OptLevel) -> (Program, OptStats) {
         stats.instrs_after = stats.instrs_before;
         return (p.clone(), stats);
     }
-    let mut out = p.clone();
-    let mut intern = Intern::new(std::mem::take(&mut out.consts), std::mem::take(&mut out.costs));
+    let mut intern = Intern::new(p.consts.clone(), p.costs.clone());
     let can_inline: Vec<bool> = p.funcs.iter().map(inlinable).collect();
-    for fid in 0..out.funcs.len() {
-        let src = &p.funcs[fid];
+    let mut funcs = Vec::with_capacity(p.funcs.len());
+    for (fid, src) in p.funcs.iter().enumerate() {
         let (mut items, mut nlabels) = to_items(&src.code);
         let mut nslots = src.nslots;
         if level >= OptLevel::O2 {
@@ -322,14 +325,21 @@ pub fn optimize(p: &Program, level: OptLevel) -> (Program, OptStats) {
         }
         let items = forward_pass(items, p, &mut intern, &mut stats);
         let mut items = items;
-        dse(&mut items, &mut stats);
-        let new_nslots = compact_slots(&mut items, src.nparams, nslots, &mut stats);
-        out.funcs[fid].code = from_items(&items);
-        out.funcs[fid].nslots = new_nslots;
+        dse(&mut items, nlabels, &mut stats);
+        let nslots = compact_slots(&mut items, src.nparams, nslots, &mut stats);
+        funcs.push(CompiledFunc { code: from_items(&items, nlabels), nslots, ..*src });
     }
-    out.consts = intern.consts;
-    out.costs = intern.costs;
-    stats.instrs_after = out.funcs.iter().map(|f| f.code.len()).sum();
+    // the pools grew by pushes; the result is kept, so give back the slack
+    intern.consts.shrink_to_fit();
+    intern.costs.shrink_to_fit();
+    stats.instrs_after = funcs.iter().map(|f| f.code.len()).sum();
+    let out = Program {
+        funcs,
+        consts: intern.consts,
+        costs: intern.costs,
+        sites: p.sites.clone(),
+        main: p.main,
+    };
     (out, stats)
 }
 
@@ -1238,174 +1248,184 @@ fn is_terminator(ins: &Instr) -> bool {
 
 /// Backward liveness over the item CFG, then one elimination sweep;
 /// repeated until nothing changes (an eliminated copy can kill the
-/// store feeding it).
-fn dse(items: &mut Vec<Item>, stats: &mut OptStats) {
-    loop {
-        if !dse_once(items, stats) {
-            break;
+/// store feeding it). `nlabels` bounds the label numbers in `items`.
+fn dse(items: &mut Vec<Item>, nlabels: u32, stats: &mut OptStats) {
+    let mut scratch = Dse::default();
+    while scratch.once(items, nlabels, stats) {}
+}
+
+/// The tables of one liveness round, kept across rounds so that a
+/// function's rounds share their allocations.
+#[derive(Default)]
+struct Dse {
+    /// First item of each block, ascending.
+    starts: Vec<usize>,
+    /// Label number -> block that starts with it.
+    label_block: Vec<u32>,
+    /// Per block: the block its closing jump targets and the one it
+    /// falls into (`NONE` where there is none).
+    succ: Vec<[u32; 2]>,
+    /// Per block, per slot: live on entry (row-major).
+    live_in: Vec<bool>,
+    live: Vec<bool>,
+    uses: Vec<u16>,
+}
+
+const NONE: u32 = u32::MAX;
+
+impl Dse {
+    /// What is live at the end of block `b`: the union of its
+    /// successors' live-in rows, into `self.live`.
+    fn live_out(&mut self, b: usize, nslots: usize) {
+        self.live.clear();
+        self.live.resize(nslots, false);
+        for s in self.succ[b] {
+            if s != NONE {
+                let row = &self.live_in[s as usize * nslots..][..nslots];
+                for (l, &r) in self.live.iter_mut().zip(row) {
+                    *l |= r;
+                }
+            }
         }
+    }
+
+    /// Step `self.live` backward over `ins`.
+    fn step(&mut self, ins: &Instr) {
+        if let Some(d) = slot_def(ins) {
+            self.live[d as usize] = false;
+        }
+        slot_uses(ins, &mut self.uses);
+        for &u in &self.uses {
+            self.live[u as usize] = true;
+        }
+    }
+
+    fn once(&mut self, items: &mut Vec<Item>, nlabels: u32, stats: &mut OptStats) -> bool {
+        // block boundaries: a label starts a block; a jump/terminator ends one
+        self.starts.clear();
+        self.starts.push(0);
+        for (i, item) in items.iter().enumerate() {
+            match item {
+                Item::Label(_) if self.starts.last() != Some(&i) => self.starts.push(i),
+                Item::I(ins)
+                    if (jump_label(ins).is_some() || is_terminator(ins)) && i + 1 < items.len() =>
+                {
+                    self.starts.push(i + 1)
+                }
+                _ => {}
+            }
+        }
+        self.starts.dedup();
+        let nb = self.starts.len();
+        let nitems = items.len();
+        self.label_block.clear();
+        self.label_block.resize(nlabels as usize, NONE);
+        for (b, &start) in self.starts.iter().enumerate() {
+            // labels sit only at block starts (consecutive ones share a block)
+            let end = self.starts.get(b + 1).copied().unwrap_or(nitems);
+            for item in &items[start..end] {
+                match item {
+                    Item::Label(l) => self.label_block[*l as usize] = b as u32,
+                    Item::I(_) => break,
+                }
+            }
+        }
+        let starts = &self.starts;
+        let end_of = |b: usize| starts.get(b + 1).copied().unwrap_or(nitems);
+
+        // successors: a block holds at most one jump, its last item
+        self.succ.clear();
+        self.succ.resize(nb, [NONE; 2]);
+        for b in 0..nb {
+            let mut falls = true;
+            if let Item::I(ins) = &items[end_of(b) - 1] {
+                if let Some(l) = jump_label(ins) {
+                    self.succ[b][0] = self.label_block[l as usize];
+                }
+                if is_terminator(ins) {
+                    falls = false;
+                }
+            }
+            if falls && b + 1 < nb {
+                self.succ[b][1] = b as u32 + 1;
+            }
+        }
+
+        // per-block gen/kill and iterative live-in/out
+        let mut nslots = 0usize;
+        for item in items.iter() {
+            if let Item::I(ins) = item {
+                slot_uses(ins, &mut self.uses);
+                let top = self.uses.iter().copied().chain(slot_def(ins)).max();
+                nslots = nslots.max(top.map_or(0, |s| s as usize + 1));
+            }
+        }
+        if nslots == 0 {
+            return false;
+        }
+        self.live_in.clear();
+        self.live_in.resize(nb * nslots, false);
+        loop {
+            let mut changed = false;
+            for b in (0..nb).rev() {
+                self.live_out(b, nslots);
+                for i in (self.starts[b]..end_of_block(&self.starts, b, nitems)).rev() {
+                    if let Item::I(ins) = &items[i] {
+                        self.step(ins);
+                    }
+                }
+                let row = &mut self.live_in[b * nslots..][..nslots];
+                if *row != *self.live {
+                    row.copy_from_slice(&self.live);
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+
+        // elimination sweep
+        let mut any = false;
+        for b in 0..nb {
+            self.live_out(b, nslots);
+            for i in (self.starts[b]..end_of_block(&self.starts, b, nitems)).rev() {
+                let Item::I(ins) = items[i] else { continue };
+                let dead_def = slot_def(&ins).is_some_and(|d| !self.live[d as usize]);
+                if dead_def {
+                    match ins {
+                        Instr::Store(_) => {
+                            items[i] = Item::I(Instr::Pop);
+                            stats.stores_eliminated += 1;
+                            any = true;
+                            continue; // the Pop has no slot effect
+                        }
+                        // pure slot copy or constant store with a dead
+                        // destination: delete
+                        Instr::StoreS(_, Src::Slot(_) | Src::Const(_)) => {
+                            items.remove(i);
+                            stats.stores_eliminated += 1;
+                            any = true;
+                            continue;
+                        }
+                        // BinStore: keep — eliminating it would also elide a
+                        // possible division-by-zero panic and any Top pops
+                        _ => {}
+                    }
+                }
+                self.step(&ins);
+            }
+            if any {
+                // indices shifted; recompute blocks on the next round
+                return true;
+            }
+        }
+        false
     }
 }
 
-fn dse_once(items: &mut Vec<Item>, stats: &mut OptStats) -> bool {
-    // block boundaries: a label starts a block; a jump/terminator ends one
-    let mut starts: Vec<usize> = vec![0];
-    for (i, item) in items.iter().enumerate() {
-        match item {
-            Item::Label(_) if starts.last() != Some(&i) => starts.push(i),
-            Item::I(ins)
-                if (jump_label(ins).is_some() || is_terminator(ins)) && i + 1 < items.len() =>
-            {
-                starts.push(i + 1)
-            }
-            _ => {}
-        }
-    }
-    starts.dedup();
-    let nb = starts.len();
-    let block_of = |i: usize| match starts.binary_search(&i) {
-        Ok(b) => b,
-        Err(b) => b - 1,
-    };
-    let mut label_block: HashMap<u32, usize> = HashMap::new();
-    for (i, item) in items.iter().enumerate() {
-        if let Item::Label(l) = item {
-            label_block.insert(*l, block_of(i));
-        }
-    }
-    let nitems = items.len();
-    let starts_for_end = starts.clone();
-    let end_of = move |b: usize| if b + 1 < nb { starts_for_end[b + 1] } else { nitems };
-
-    // successors
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    for b in 0..nb {
-        let last = end_of(b) - 1;
-        let mut falls = true;
-        for item in items.iter().take(end_of(b)).skip(starts[b]) {
-            if let Item::I(ins) = item {
-                if let Some(l) = jump_label(ins) {
-                    succ[b].push(label_block[&l]);
-                }
-            }
-        }
-        if let Item::I(ins) = &items[last] {
-            if is_terminator(ins) {
-                falls = false;
-            }
-        }
-        if falls && b + 1 < nb {
-            succ[b].push(b + 1);
-        }
-    }
-
-    // per-block gen/kill and iterative live-in/out (bitsets as Vec<bool>)
-    let nslots = items
-        .iter()
-        .filter_map(|it| match it {
-            Item::I(ins) => {
-                let mut uses = Vec::new();
-                slot_uses(ins, &mut uses);
-                uses.iter()
-                    .map(|s| *s as usize + 1)
-                    .max()
-                    .max(slot_def(ins).map(|s| s as usize + 1))
-            }
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-    if nslots == 0 {
-        return false;
-    }
-    let mut live_in: Vec<Vec<bool>> = vec![vec![false; nslots]; nb];
-    let mut uses_buf = Vec::new();
-    loop {
-        let mut changed = false;
-        for b in (0..nb).rev() {
-            let mut live = vec![false; nslots];
-            for &s in &succ[b] {
-                for k in 0..nslots {
-                    if live_in[s][k] {
-                        live[k] = true;
-                    }
-                }
-            }
-            for i in (starts[b]..end_of(b)).rev() {
-                if let Item::I(ins) = &items[i] {
-                    if let Some(d) = slot_def(ins) {
-                        live[d as usize] = false;
-                    }
-                    slot_uses(ins, &mut uses_buf);
-                    for &u in &uses_buf {
-                        live[u as usize] = true;
-                    }
-                }
-            }
-            if live != live_in[b] {
-                live_in[b] = live;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // elimination sweep
-    let mut any = false;
-    for b in 0..nb {
-        let mut live = vec![false; nslots];
-        for &s in &succ[b] {
-            for k in 0..nslots {
-                if live_in[s][k] {
-                    live[k] = true;
-                }
-            }
-        }
-        for i in (starts[b]..end_of(b)).rev() {
-            let Item::I(ins) = items[i] else { continue };
-            let dead_def = slot_def(&ins).is_some_and(|d| !live[d as usize]);
-            if dead_def {
-                match ins {
-                    Instr::Store(_) => {
-                        items[i] = Item::I(Instr::Pop);
-                        stats.stores_eliminated += 1;
-                        any = true;
-                        continue; // the Pop has no slot effect
-                    }
-                    Instr::StoreS(_, src) if src_slot(&src).is_some() => {
-                        // pure slot copy with a dead destination: delete
-                        items.remove(i);
-                        stats.stores_eliminated += 1;
-                        any = true;
-                        continue;
-                    }
-                    Instr::StoreS(_, Src::Const(_)) => {
-                        items.remove(i);
-                        stats.stores_eliminated += 1;
-                        any = true;
-                        continue;
-                    }
-                    // BinStore: keep — eliminating it would also elide a
-                    // possible division-by-zero panic and any Top pops
-                    _ => {}
-                }
-            }
-            if let Some(d) = slot_def(&ins) {
-                live[d as usize] = false;
-            }
-            slot_uses(&ins, &mut uses_buf);
-            for &u in &uses_buf {
-                live[u as usize] = true;
-            }
-        }
-        if any {
-            // indices shifted; recompute blocks on the next iteration
-            return true;
-        }
-    }
-    false
+fn end_of_block(starts: &[usize], b: usize, nitems: usize) -> usize {
+    starts.get(b + 1).copied().unwrap_or(nitems)
 }
 
 // ---------------------------------------------------------------------
@@ -1548,7 +1568,8 @@ mod tests {
                    }\n\
                    void main() { print(sumto(10)); }";
         let c = compile_opt(src, OptLevel::O1).expect("compiles");
-        let f = c.code.funcs.iter().find(|f| f.name.starts_with("sumto")).expect("instantiated");
+        let f =
+            &c.code.funcs[c.fo.funcs.iter().position(|f| c.fo.name(f.name) == "sumto_1").unwrap()];
         let has_cmp_branch =
             f.code.iter().any(|i| matches!(i, Instr::JumpCmpZ(..) | Instr::JumpCmpNz(..)));
         let has_bin_store = f.code.iter().any(|i| matches!(i, Instr::BinStore(..)));
@@ -1563,7 +1584,7 @@ mod tests {
         let src = "int f(int x) { int t = x; return x; }\n\
                    void main() { print(f(5)); }";
         let c = compile_opt(src, OptLevel::O1).expect("compiles");
-        let f = c.code.funcs.iter().find(|f| f.name.starts_with('f')).expect("instantiated");
+        let f = &c.code.funcs[c.fo.funcs.iter().position(|f| c.fo.name(f.name) == "f_1").unwrap()];
         assert!(
             !f.code.iter().any(|i| matches!(i, Instr::Store(_) | Instr::StoreS(..))),
             "the copy into t is dead and must disappear: {:?}",
@@ -1600,7 +1621,8 @@ mod tests {
     fn o0_is_the_raw_compiler_output() {
         let src = "void main() { print(procId + nProcs); }";
         let c = compile_opt(src, OptLevel::O0).expect("compiles");
-        assert_eq!(c.raw.funcs[0].code, c.code.funcs[0].code);
+        assert_eq!(crate::bytecode::compile_program(&c.fo), c.code);
+        assert_eq!(c.disassemble_raw(), c.disassemble());
         assert_eq!(c.opt_stats.instrs_before, c.opt_stats.instrs_after);
         assert_eq!(c.opt_stats.fused, 0);
     }

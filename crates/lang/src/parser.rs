@@ -1,30 +1,35 @@
 //! Recursive-descent parser for Skil.
 
+use std::rc::Rc;
+
 use crate::ast::*;
 use crate::diag::{Diag, Phase, Pos, Result};
-use crate::token::{lex, Spanned, Tok};
+use crate::fo::BinOp;
+use crate::sym::{Interner, Sym};
+use crate::token::{lex_into, Punct as P, Spanned, Tok};
 
 /// Parse a complete Skil program.
 pub fn parse(src: &str) -> Result<Program> {
-    let toks = lex(src)?;
-    let mut p = Parser { toks, at: 0 };
-    p.program()
+    let mut syms = Interner::new();
+    let toks = lex_into(src, &mut syms)?;
+    let mut p = Parser { toks, at: 0, syms };
+    let items = p.program()?;
+    Ok(Program { items, syms: p.syms })
 }
 
 struct Parser {
     toks: Vec<Spanned>,
     at: usize,
+    syms: Interner,
 }
 
-const KEYWORDS: [&str; 8] = ["pardata", "struct", "if", "else", "while", "for", "return", "int"];
-
 impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.at].tok
+    fn peek(&self) -> Tok {
+        self.toks[self.at].tok
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.toks[(self.at + 1).min(self.toks.len() - 1)].tok
+    fn peek2(&self) -> Tok {
+        self.toks[(self.at + 1).min(self.toks.len() - 1)].tok
     }
 
     fn pos(&self) -> Pos {
@@ -32,7 +37,7 @@ impl Parser {
     }
 
     fn bump(&mut self) -> Tok {
-        let t = self.toks[self.at].tok.clone();
+        let t = self.toks[self.at].tok;
         if self.at + 1 < self.toks.len() {
             self.at += 1;
         }
@@ -43,141 +48,136 @@ impl Parser {
         Err(Diag::new(Phase::Parse, self.pos(), msg.into()))
     }
 
-    fn eat_punct(&mut self, p: &str) -> Result<()> {
-        match self.peek() {
-            Tok::Punct(q) if *q == p => {
-                self.bump();
-                Ok(())
-            }
-            other => {
-                let d = other.describe();
-                self.err(format!("expected `{p}`, found {d}"))
-            }
+    fn describe(&self, t: Tok) -> String {
+        t.describe(&self.syms)
+    }
+
+    fn eat_punct(&mut self, p: P) -> Result<()> {
+        if self.at_punct(p) {
+            self.bump();
+            Ok(())
+        } else {
+            let d = self.describe(self.peek());
+            self.err(format!("expected `{}`, found {d}", p.as_str()))
         }
     }
 
-    fn at_punct(&self, p: &str) -> bool {
-        matches!(self.peek(), Tok::Punct(q) if *q == p)
+    fn at_punct(&self, p: P) -> bool {
+        self.peek() == Tok::Punct(p)
     }
 
-    fn eat_ident(&mut self) -> Result<String> {
-        match self.peek().clone() {
+    fn eat_ident(&mut self) -> Result<Sym> {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.bump();
                 Ok(s)
             }
             other => {
-                let d = other.describe();
+                let d = self.describe(other);
                 self.err(format!("expected identifier, found {d}"))
             }
         }
     }
 
-    fn at_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s == kw)
+    fn at_kw(&self, kw: Sym) -> bool {
+        self.peek() == Tok::Ident(kw)
     }
 
-    // ---------------- items ----------------
-
-    fn program(&mut self) -> Result<Program> {
-        let mut items = Vec::new();
-        while !matches!(self.peek(), Tok::Eof) {
-            items.push(self.item()?);
-        }
-        Ok(Program { items })
-    }
-
-    fn item(&mut self) -> Result<Item> {
-        let pos = self.pos();
-        if self.at_kw("pardata") {
-            self.bump();
-            let name = self.eat_ident()?;
-            let mut arity = 0;
-            if self.at_punct("<") {
-                self.bump();
-                loop {
-                    match self.bump() {
-                        Tok::TypeVar(_) => arity += 1,
-                        other => {
-                            return Err(Diag::new(
-                                Phase::Parse,
-                                pos,
-                                format!(
-                                    "pardata type parameters must be type variables, found {}",
-                                    other.describe()
-                                ),
-                            ))
-                        }
-                    }
-                    if self.at_punct(",") {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                self.eat_punct(">")?;
-            }
-            self.eat_punct(";")?;
-            return Ok(Item::Pardata { name, arity, pos });
-        }
-        if self.at_kw("struct") {
-            self.bump();
-            let name = self.eat_ident()?;
-            let mut params = Vec::new();
-            if self.at_punct("<") {
-                self.bump();
-                loop {
-                    match self.bump() {
-                        Tok::TypeVar(v) => params.push(v),
-                        other => {
-                            return Err(Diag::new(
-                                Phase::Parse,
-                                pos,
-                                format!(
-                                    "struct type parameters must be type variables, found {}",
-                                    other.describe()
-                                ),
-                            ))
-                        }
-                    }
-                    if self.at_punct(",") {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                self.eat_punct(">")?;
-            }
-            self.eat_punct("{")?;
-            let mut fields = Vec::new();
-            while !self.at_punct("}") {
-                let fty = self.type_expr()?;
-                let fname = self.eat_ident()?;
-                self.eat_punct(";")?;
-                fields.push((fname, fty));
-            }
-            self.eat_punct("}")?;
-            self.eat_punct(";")?;
-            return Ok(Item::Struct { name, params, fields, pos });
-        }
-        // function: type name ( params ) { body }
-        let ret = self.type_expr()?;
-        let name = self.eat_ident()?;
-        self.eat_punct("(")?;
-        let mut params = Vec::new();
-        if !self.at_punct(")") {
+    /// `item (, item)*` up to (not including) `close`; empty when the
+    /// next token is `close`.
+    fn comma_list<T>(
+        &mut self,
+        close: P,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let mut out = Vec::new();
+        if !self.at_punct(close) {
             loop {
-                params.push(self.param()?);
-                if self.at_punct(",") {
+                out.push(item(self)?);
+                if self.at_punct(P::Comma) {
                     self.bump();
                 } else {
                     break;
                 }
             }
         }
-        self.eat_punct(")")?;
+        Ok(out)
+    }
+
+    // ---------------- items ----------------
+
+    fn program(&mut self) -> Result<Vec<Item>> {
+        let mut items = Vec::new();
+        while self.peek() != Tok::Eof {
+            items.push(self.item()?);
+        }
+        Ok(items)
+    }
+
+    /// `<$a, $b>` after `pardata name` / `struct name`; `what` names the
+    /// construct in the diagnostic, which points at the item.
+    fn type_params(&mut self, what: &str, item_pos: Pos) -> Result<Vec<Sym>> {
+        let mut params = Vec::new();
+        if self.at_punct(P::Lt) {
+            self.bump();
+            loop {
+                match self.bump() {
+                    Tok::TypeVar(v) => params.push(v),
+                    other => {
+                        return Err(Diag::new(
+                            Phase::Parse,
+                            item_pos,
+                            format!(
+                                "{what} type parameters must be type variables, found {}",
+                                self.describe(other)
+                            ),
+                        ))
+                    }
+                }
+                if self.at_punct(P::Comma) {
+                    self.bump();
+                } else {
+                    break;
+                }
+            }
+            self.eat_punct(P::Gt)?;
+        }
+        Ok(params)
+    }
+
+    fn item(&mut self) -> Result<Item> {
+        let pos = self.pos();
+        if self.at_kw(Sym::PARDATA) {
+            self.bump();
+            let name = self.eat_ident()?;
+            let arity = self.type_params("pardata", pos)?.len();
+            self.eat_punct(P::Semi)?;
+            return Ok(Item::Pardata { name, arity, pos });
+        }
+        if self.at_kw(Sym::STRUCT) {
+            self.bump();
+            let name = self.eat_ident()?;
+            let params = self.type_params("struct", pos)?;
+            self.eat_punct(P::LBrace)?;
+            let mut fields = Vec::new();
+            while !self.at_punct(P::RBrace) {
+                let fty = self.type_expr()?;
+                let fname = self.eat_ident()?;
+                self.eat_punct(P::Semi)?;
+                fields.push((fname, fty));
+            }
+            self.eat_punct(P::RBrace)?;
+            self.eat_punct(P::Semi)?;
+            return Ok(Item::Struct(Rc::new(StructDecl { name, params, fields, pos })));
+        }
+        // function: type name ( params ) { body }
+        let ret = self.type_expr()?;
+        let name = self.eat_ident()?;
+        self.eat_punct(P::LParen)?;
+        let params = self.comma_list(P::RParen, Self::param)?;
+        self.eat_punct(P::RParen)?;
         let body = self.block()?;
-        Ok(Item::Func(Func { name, params, ret, body, pos }))
+        Ok(Item::Func(Rc::new(Func { name, params, ret, body, pos })))
     }
 
     /// `type name` or the functional form `type name(argtypes...)`.
@@ -185,20 +185,10 @@ impl Parser {
         let pos = self.pos();
         let ty = self.type_expr()?;
         let name = self.eat_ident()?;
-        if self.at_punct("(") {
+        if self.at_punct(P::LParen) {
             self.bump();
-            let mut args = Vec::new();
-            if !self.at_punct(")") {
-                loop {
-                    args.push(self.type_expr()?);
-                    if self.at_punct(",") {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            self.eat_punct(")")?;
+            let args = self.comma_list(P::RParen, Self::type_expr)?;
+            self.eat_punct(P::RParen)?;
             return Ok(Param { name, ty: TypeExpr::Fun(args, Box::new(ty)), pos });
         }
         Ok(Param { name, ty, pos })
@@ -207,33 +197,33 @@ impl Parser {
     // ---------------- types ----------------
 
     fn type_expr(&mut self) -> Result<TypeExpr> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::TypeVar(v) => {
                 self.bump();
                 Ok(TypeExpr::Var(v))
             }
             Tok::Ident(name) => {
-                if KEYWORDS.contains(&name.as_str()) && name != "int" {
-                    return self.err(format!("`{name}` is not a type"));
+                if name.is_reserved() {
+                    return self.err(format!("`{}` is not a type", self.syms.get(name)));
                 }
                 self.bump();
                 let mut args = Vec::new();
-                if self.at_punct("<") {
+                if self.at_punct(P::Lt) {
                     self.bump();
                     loop {
                         args.push(self.type_expr()?);
-                        if self.at_punct(",") {
+                        if self.at_punct(P::Comma) {
                             self.bump();
                         } else {
                             break;
                         }
                     }
-                    self.eat_punct(">")?;
+                    self.eat_punct(P::Gt)?;
                 }
                 Ok(TypeExpr::Named(name, args))
             }
             other => {
-                let d = other.describe();
+                let d = self.describe(other);
                 self.err(format!("expected a type, found {d}"))
             }
         }
@@ -242,17 +232,17 @@ impl Parser {
     // ---------------- statements ----------------
 
     fn block(&mut self) -> Result<Block> {
-        self.eat_punct("{")?;
+        self.eat_punct(P::LBrace)?;
         let mut stmts = Vec::new();
-        while !self.at_punct("}") {
+        while !self.at_punct(P::RBrace) {
             stmts.push(self.stmt()?);
         }
-        self.eat_punct("}")?;
+        self.eat_punct(P::RBrace)?;
         Ok(Block(stmts))
     }
 
     fn block_or_single(&mut self) -> Result<Block> {
-        if self.at_punct("{") {
+        if self.at_punct(P::LBrace) {
             self.block()
         } else {
             Ok(Block(vec![self.stmt()?]))
@@ -261,13 +251,13 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt> {
         let pos = self.pos();
-        if self.at_kw("if") {
+        if self.at_kw(Sym::IF) {
             self.bump();
-            self.eat_punct("(")?;
+            self.eat_punct(P::LParen)?;
             let cond = self.expr()?;
-            self.eat_punct(")")?;
+            self.eat_punct(P::RParen)?;
             let then = self.block_or_single()?;
-            let els = if self.at_kw("else") {
+            let els = if self.at_kw(Sym::ELSE) {
                 self.bump();
                 Some(self.block_or_single()?)
             } else {
@@ -275,36 +265,42 @@ impl Parser {
             };
             return Ok(Stmt::If { cond, then, els });
         }
-        if self.at_kw("while") {
+        if self.at_kw(Sym::WHILE) {
             self.bump();
-            self.eat_punct("(")?;
+            self.eat_punct(P::LParen)?;
             let cond = self.expr()?;
-            self.eat_punct(")")?;
+            self.eat_punct(P::RParen)?;
             let body = self.block_or_single()?;
             return Ok(Stmt::While { cond, body });
         }
-        if self.at_kw("for") {
+        if self.at_kw(Sym::FOR) {
             self.bump();
-            self.eat_punct("(")?;
-            let init =
-                if self.at_punct(";") { None } else { Some(Box::new(self.simple_stmt_no_semi()?)) };
-            self.eat_punct(";")?;
-            let cond = if self.at_punct(";") { None } else { Some(self.expr()?) };
-            self.eat_punct(";")?;
-            let step =
-                if self.at_punct(")") { None } else { Some(Box::new(self.simple_stmt_no_semi()?)) };
-            self.eat_punct(")")?;
+            self.eat_punct(P::LParen)?;
+            let init = if self.at_punct(P::Semi) {
+                None
+            } else {
+                Some(Box::new(self.simple_stmt_no_semi()?))
+            };
+            self.eat_punct(P::Semi)?;
+            let cond = if self.at_punct(P::Semi) { None } else { Some(self.expr()?) };
+            self.eat_punct(P::Semi)?;
+            let step = if self.at_punct(P::RParen) {
+                None
+            } else {
+                Some(Box::new(self.simple_stmt_no_semi()?))
+            };
+            self.eat_punct(P::RParen)?;
             let body = self.block_or_single()?;
             return Ok(Stmt::For { init, cond, step, body });
         }
-        if self.at_kw("return") {
+        if self.at_kw(Sym::RETURN) {
             self.bump();
-            let value = if self.at_punct(";") { None } else { Some(self.expr()?) };
-            self.eat_punct(";")?;
+            let value = if self.at_punct(P::Semi) { None } else { Some(self.expr()?) };
+            self.eat_punct(P::Semi)?;
             return Ok(Stmt::Return { value, pos });
         }
         let s = self.simple_stmt_no_semi()?;
-        self.eat_punct(";")?;
+        self.eat_punct(P::Semi)?;
         Ok(s)
     }
 
@@ -312,41 +308,28 @@ impl Parser {
     /// semicolon (shared with `for` headers).
     fn simple_stmt_no_semi(&mut self) -> Result<Stmt> {
         let pos = self.pos();
-        // Try a declaration: `type ident [= expr]`. Backtrack on failure.
+        // Try a declaration: `type ident` followed by `=`, `;` or `,`.
+        // Anything else (`f (x)`, `a < b`, ...) backtracks.
         let save = self.at;
         if matches!(self.peek(), Tok::Ident(_) | Tok::TypeVar(_)) {
-            if let Ok(ty) = self.type_expr() {
-                if let Tok::Ident(_) = self.peek() {
-                    // `type ident` where the next token is not `(`
-                    // (which would be a call like `f (x)`... but calls
-                    // are Expr::Var applied, and `ident ident(` is not
-                    // valid expression syntax, so `(` after the second
-                    // ident still means a declaration of a variable is
-                    // NOT intended — treat as declaration only when
-                    // followed by `=`, `;` or `,`).
-                    let name = self.eat_ident()?;
-                    match self.peek() {
-                        Tok::Punct("=") => {
-                            self.bump();
-                            let init = self.expr()?;
-                            return Ok(Stmt::Decl { ty, name, init: Some(init), pos });
-                        }
-                        Tok::Punct(";") | Tok::Punct(",") => {
-                            return Ok(Stmt::Decl { ty, name, init: None, pos });
-                        }
-                        _ => {
-                            self.at = save;
-                        }
+            if let (Ok(ty), Tok::Ident(name)) = (self.type_expr(), self.peek()) {
+                self.bump();
+                match self.peek() {
+                    Tok::Punct(P::Assign) => {
+                        self.bump();
+                        let init = self.expr()?;
+                        return Ok(Stmt::Decl { ty, name, init: Some(init), pos });
                     }
-                } else {
-                    self.at = save;
+                    Tok::Punct(P::Semi | P::Comma) => {
+                        return Ok(Stmt::Decl { ty, name, init: None, pos });
+                    }
+                    _ => {}
                 }
-            } else {
-                self.at = save;
             }
+            self.at = save;
         }
         // Assignment: `ident = expr`
-        if let (Tok::Ident(name), Tok::Punct("=")) = (self.peek().clone(), self.peek2().clone()) {
+        if let (Tok::Ident(name), Tok::Punct(P::Assign)) = (self.peek(), self.peek2()) {
             self.bump();
             self.bump();
             let value = self.expr()?;
@@ -360,138 +343,76 @@ impl Parser {
     // ---------------- expressions ----------------
 
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.binary_expr(0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.at_punct("||") {
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary { op: "||".into(), lhs: Box::new(lhs), rhs: Box::new(rhs), pos };
+    /// Left-associative binary operators by precedence level, loosest
+    /// first: `||`, `&&`, equality, relational, additive, multiplicative.
+    fn binary_expr(&mut self, level: usize) -> Result<Expr> {
+        const LEVELS: [&[BinOp]; 6] = [
+            &[BinOp::Or],
+            &[BinOp::And],
+            &[BinOp::Eq, BinOp::Ne],
+            &[BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge],
+            &[BinOp::Add, BinOp::Sub],
+            &[BinOp::Mul, BinOp::Div, BinOp::Rem],
+        ];
+        if level == LEVELS.len() {
+            return self.unary_expr();
         }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.eq_expr()?;
-        while self.at_punct("&&") {
+        let mut lhs = self.binary_expr(level + 1)?;
+        loop {
+            let op = match self.peek() {
+                Tok::Punct(p) => p.binop().filter(|op| LEVELS[level].contains(op)),
+                _ => None,
+            };
+            let Some(op) = op else { return Ok(lhs) };
             let pos = self.pos();
             self.bump();
-            let rhs = self.eq_expr()?;
-            lhs = Expr::Binary { op: "&&".into(), lhs: Box::new(lhs), rhs: Box::new(rhs), pos };
-        }
-        Ok(lhs)
-    }
-
-    fn eq_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.rel_expr()?;
-        while let Tok::Punct(p @ ("==" | "!=")) = self.peek() {
-            let op = p.to_string();
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.rel_expr()?;
+            let rhs = self.binary_expr(level + 1)?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), pos };
         }
-        Ok(lhs)
-    }
-
-    fn rel_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.add_expr()?;
-        while let Tok::Punct(p @ ("<" | "<=" | ">" | ">=")) = self.peek() {
-            let op = p.to_string();
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.add_expr()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), pos };
-        }
-        Ok(lhs)
-    }
-
-    fn add_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.mul_expr()?;
-        while let Tok::Punct(p @ ("+" | "-")) = self.peek() {
-            let op = p.to_string();
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), pos };
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.unary_expr()?;
-        while let Tok::Punct(p @ ("*" | "/" | "%")) = self.peek() {
-            let op = p.to_string();
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), pos };
-        }
-        Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr> {
         let pos = self.pos();
-        if self.at_punct("-") {
-            self.bump();
-            let e = self.unary_expr()?;
-            return Ok(Expr::Unary { op: "-".into(), expr: Box::new(e), pos });
-        }
-        if self.at_punct("!") {
-            self.bump();
-            let e = self.unary_expr()?;
-            return Ok(Expr::Unary { op: "!".into(), expr: Box::new(e), pos });
-        }
-        self.postfix_expr()
+        let op = match self.peek() {
+            Tok::Punct(P::Minus) => UnOp::Neg,
+            Tok::Punct(P::Bang) => UnOp::Not,
+            _ => return self.postfix_expr(),
+        };
+        self.bump();
+        let e = self.unary_expr()?;
+        Ok(Expr::Unary { op, expr: Box::new(e), pos })
     }
 
     fn postfix_expr(&mut self) -> Result<Expr> {
         let mut e = self.primary_expr()?;
         loop {
-            if self.at_punct("(") {
-                let pos = self.pos();
+            let pos = self.pos();
+            if self.at_punct(P::LParen) {
                 self.bump();
-                let mut args = Vec::new();
-                if !self.at_punct(")") {
-                    loop {
-                        args.push(self.expr()?);
-                        if self.at_punct(",") {
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                self.eat_punct(")")?;
+                let args = self.comma_list(P::RParen, Self::expr)?;
+                self.eat_punct(P::RParen)?;
                 e = Expr::Call { callee: Box::new(e), args, pos };
-                continue;
-            }
-            if self.at_punct(".") || self.at_punct("->") {
-                let pos = self.pos();
+            } else if self.at_punct(P::Dot) || self.at_punct(P::Arrow) {
                 self.bump();
                 let field = self.eat_ident()?;
                 e = Expr::Field { expr: Box::new(e), field, pos };
-                continue;
-            }
-            if self.at_punct("[") {
-                let pos = self.pos();
+            } else if self.at_punct(P::LBracket) {
                 self.bump();
                 let index = self.expr()?;
-                self.eat_punct("]")?;
+                self.eat_punct(P::RBracket)?;
                 e = Expr::IndexAt { expr: Box::new(e), index: Box::new(index), pos };
-                continue;
+            } else {
+                return Ok(e);
             }
-            break;
         }
-        Ok(e)
     }
 
     fn primary_expr(&mut self) -> Result<Expr> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(Expr::Int(v, pos))
@@ -503,59 +424,36 @@ impl Parser {
             Tok::Ident(name) => {
                 self.bump();
                 // struct literal `name{...}`
-                if self.at_punct("{") {
+                if self.at_punct(P::LBrace) {
                     self.bump();
-                    let mut fields = Vec::new();
-                    if !self.at_punct("}") {
-                        loop {
-                            fields.push(self.expr()?);
-                            if self.at_punct(",") {
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.eat_punct("}")?;
+                    let fields = self.comma_list(P::RBrace, Self::expr)?;
+                    self.eat_punct(P::RBrace)?;
                     return Ok(Expr::StructLit { name, fields, pos });
                 }
                 Ok(Expr::Var(name, pos))
             }
-            Tok::Punct("{") => {
+            Tok::Punct(P::LBrace) => {
                 self.bump();
-                let mut elems = Vec::new();
-                if !self.at_punct("}") {
-                    loop {
-                        elems.push(self.expr()?);
-                        if self.at_punct(",") {
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                self.eat_punct("}")?;
+                let elems = self.comma_list(P::RBrace, Self::expr)?;
+                self.eat_punct(P::RBrace)?;
                 Ok(Expr::BraceList { elems, pos })
             }
-            Tok::Punct("(") => {
+            Tok::Punct(P::LParen) => {
                 self.bump();
-                // operator section `(+)` etc.
-                if let Tok::Punct(
-                    op @ ("+" | "-" | "*" | "/" | "%" | "==" | "!=" | "<" | "<=" | ">" | ">="),
-                ) = self.peek().clone()
-                {
-                    if matches!(self.peek2(), Tok::Punct(")")) {
+                // operator section `(+)` etc. (`&&` / `||` have none)
+                if let (Tok::Punct(p), Tok::Punct(P::RParen)) = (self.peek(), self.peek2()) {
+                    if let Some(op) = p.binop().filter(|op| !matches!(op, BinOp::And | BinOp::Or)) {
                         self.bump();
                         self.bump();
-                        return Ok(Expr::OpSection(op.to_string(), pos));
+                        return Ok(Expr::OpSection(op, pos));
                     }
                 }
                 let e = self.expr()?;
-                self.eat_punct(")")?;
+                self.eat_punct(P::RParen)?;
                 Ok(e)
             }
             other => {
-                let d = other.describe();
+                let d = self.describe(other);
                 self.err(format!("expected an expression, found {d}"))
             }
         }
@@ -574,12 +472,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.items.len(), 2);
-        assert!(matches!(&p.items[0], Item::Pardata { name, arity: 1, .. } if name == "array"));
+        assert!(matches!(&p.items[0], Item::Pardata { name: Sym::ARRAY, arity: 1, .. }));
         match &p.items[1] {
-            Item::Struct { name, fields, .. } => {
-                assert_eq!(name, "elemrec");
-                assert_eq!(fields.len(), 3);
-                assert_eq!(fields[1].0, "row");
+            Item::Struct(s) => {
+                assert_eq!(p.syms.get(s.name), "elemrec");
+                assert_eq!(s.fields.len(), 3);
+                assert_eq!(p.syms.get(s.fields[1].0), "row");
             }
             other => panic!("expected struct, got {other:?}"),
         }
@@ -589,7 +487,10 @@ mod tests {
     fn parses_polymorphic_struct() {
         let p = parse("struct pair <$a, $b> { $a fst; $b snd; };").unwrap();
         match &p.items[0] {
-            Item::Struct { params, .. } => assert_eq!(params, &["a", "b"]),
+            Item::Struct(s) => {
+                let params: Vec<&str> = s.params.iter().map(|&v| p.syms.get(v)).collect();
+                assert_eq!(params, ["a", "b"]);
+            }
             _ => panic!(),
         }
     }
@@ -603,9 +504,9 @@ mod tests {
         .unwrap();
         match &p.items[0] {
             Item::Func(f) => {
-                assert_eq!(f.name, "above_thresh");
+                assert_eq!(p.syms.get(f.name), "above_thresh");
                 assert_eq!(f.params.len(), 3);
-                assert_eq!(f.params[2].ty, TypeExpr::named("Index"));
+                assert_eq!(f.params[2].ty, TypeExpr::named(Sym::INDEX));
             }
             _ => panic!(),
         }
@@ -616,14 +517,12 @@ mod tests {
         let p = parse("$b apply($b f($a), $a x) { return f(x); }").unwrap();
         match &p.items[0] {
             Item::Func(f) => {
+                let (a, b) = (p.syms.find("a").unwrap(), p.syms.find("b").unwrap());
                 assert_eq!(
                     f.params[0].ty,
-                    TypeExpr::Fun(
-                        vec![TypeExpr::Var("a".into())],
-                        Box::new(TypeExpr::Var("b".into()))
-                    )
+                    TypeExpr::Fun(vec![TypeExpr::Var(a)], Box::new(TypeExpr::Var(b)))
                 );
-                assert_eq!(f.ret, TypeExpr::Var("b".into()));
+                assert_eq!(f.ret, TypeExpr::Var(b));
             }
             _ => panic!(),
         }
@@ -656,8 +555,8 @@ mod tests {
             Item::Func(f) => {
                 assert!(matches!(
                     &f.body.0[0],
-                    Stmt::Decl { ty: TypeExpr::Named(n, args), .. }
-                        if n == "array" && args.len() == 1
+                    Stmt::Decl { ty: TypeExpr::Named(Sym::ARRAY, args), .. }
+                        if args.len() == 1
                 ));
                 assert!(matches!(&f.body.0[1], Stmt::Decl { init: Some(_), .. }));
             }
@@ -673,7 +572,7 @@ mod tests {
         // fold((+), l)
         match &f.body.0[0] {
             Stmt::Assign { value: Expr::Call { args, .. }, .. } => {
-                assert!(matches!(&args[0], Expr::OpSection(op, _) if op == "+"));
+                assert!(matches!(&args[0], Expr::OpSection(BinOp::Add, _)));
             }
             other => panic!("{other:?}"),
         }
@@ -681,7 +580,7 @@ mod tests {
         match &f.body.0[1] {
             Stmt::Assign { value: Expr::Call { args, .. }, .. } => match &args[0] {
                 Expr::Call { callee, args, .. } => {
-                    assert!(matches!(&**callee, Expr::OpSection(op, _) if op == "*"));
+                    assert!(matches!(&**callee, Expr::OpSection(BinOp::Mul, _)));
                     assert_eq!(args.len(), 1);
                 }
                 other => panic!("{other:?}"),
@@ -708,7 +607,7 @@ mod tests {
         assert!(matches!(
             &f.body.0[1],
             Stmt::Assign { value: Expr::StructLit { name, fields, .. }, .. }
-                if name == "elemrec" && fields.len() == 3
+                if p.syms.get(*name) == "elemrec" && fields.len() == 3
         ));
     }
 
@@ -729,7 +628,7 @@ mod tests {
         assert!(matches!(&**lhs, Expr::IndexAt { .. }));
         match &**rhs {
             Expr::IndexAt { expr, .. } => {
-                assert!(matches!(&**expr, Expr::Field { field, .. } if field == "lowerBd"));
+                assert!(matches!(&**expr, Expr::Field { field: Sym::LOWER_BD, .. }));
             }
             other => panic!("{other:?}"),
         }
@@ -741,7 +640,7 @@ mod tests {
         let Item::Func(f) = &p.items[0] else { panic!() };
         let Stmt::Assign { value, .. } = &f.body.0[0] else { panic!() };
         // top node is &&
-        assert!(matches!(value, Expr::Binary { op, .. } if op == "&&"));
+        assert!(matches!(value, Expr::Binary { op: BinOp::And, .. }));
     }
 
     #[test]
@@ -760,5 +659,18 @@ mod tests {
         let Item::Func(f) = &p.items[0] else { panic!() };
         assert!(matches!(&f.body.0[0], Stmt::For { init: Some(s), .. }
             if matches!(&**s, Stmt::Decl { .. })));
+    }
+
+    #[test]
+    fn sections_exist_for_arithmetic_and_comparison_only() {
+        assert!(parse("void main() { x = f((>=)); }").is_ok());
+        assert!(parse("void main() { x = f((&&)); }").is_err());
+        // `(-x)` is a parenthesized negation, not a section
+        let p = parse("void main() { x = (-y); }").unwrap();
+        let Item::Func(f) = &p.items[0] else { panic!() };
+        assert!(matches!(
+            &f.body.0[0],
+            Stmt::Assign { value: Expr::Unary { op: UnOp::Neg, .. }, .. }
+        ));
     }
 }

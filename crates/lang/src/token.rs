@@ -1,40 +1,97 @@
 //! Tokens and the lexer.
 
 use crate::diag::{Diag, Phase, Pos, Result};
+use crate::fo::BinOp;
+use crate::sym::{Interner, Names, Sym};
+
+macro_rules! puncts {
+    ($($variant:ident = $lexeme:literal,)*) => {
+        /// Punctuation and operators.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[allow(missing_docs)] // each is the lexeme `as_str` spells
+        pub enum Punct { $($variant,)* }
+
+        impl Punct {
+            /// Every token with its lexeme, in declaration order.
+            const ALL: &'static [(Punct, &'static str)] = &[$((Punct::$variant, $lexeme),)*];
+        }
+    };
+}
+
+// Two-character lexemes first: the lexer takes the first that matches.
+puncts! {
+    EqEq = "==", Ne = "!=", Le = "<=", Ge = ">=", AndAnd = "&&", OrOr = "||", Arrow = "->",
+    PlusEq = "+=", MinusEq = "-=", ColonColon = "::",
+    LParen = "(", RParen = ")", LBrace = "{", RBrace = "}", LBracket = "[", RBracket = "]",
+    Lt = "<", Gt = ">", Comma = ",", Semi = ";", Plus = "+", Minus = "-", Star = "*",
+    Slash = "/", Percent = "%", Assign = "=", Bang = "!", Dot = ".", Amp = "&", Pipe = "|",
+}
+
+impl Punct {
+    /// The lexeme.
+    pub fn as_str(self) -> &'static str {
+        Punct::ALL[self as usize].1
+    }
+
+    /// The token `bytes` starts with, if any.
+    fn at(bytes: &[u8]) -> Option<Punct> {
+        Punct::ALL.iter().find(|(_, lexeme)| bytes.starts_with(lexeme.as_bytes())).map(|(p, _)| *p)
+    }
+
+    /// The binary operator this token spells, if any.
+    pub fn binop(self) -> Option<BinOp> {
+        Some(match self {
+            Punct::Plus => BinOp::Add,
+            Punct::Minus => BinOp::Sub,
+            Punct::Star => BinOp::Mul,
+            Punct::Slash => BinOp::Div,
+            Punct::Percent => BinOp::Rem,
+            Punct::EqEq => BinOp::Eq,
+            Punct::Ne => BinOp::Ne,
+            Punct::Lt => BinOp::Lt,
+            Punct::Le => BinOp::Le,
+            Punct::Gt => BinOp::Gt,
+            Punct::Ge => BinOp::Ge,
+            Punct::AndAnd => BinOp::And,
+            Punct::OrOr => BinOp::Or,
+            _ => return None,
+        })
+    }
+}
 
 /// One lexical token.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Tok {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(Sym),
     /// Type variable `$t`.
-    TypeVar(String),
+    TypeVar(Sym),
     /// Integer literal.
     Int(i64),
     /// Float literal.
     Float(f64),
     /// Punctuation / operator.
-    Punct(&'static str),
+    Punct(Punct),
     /// End of input.
     Eof,
 }
 
 impl Tok {
     /// Render for error messages.
-    pub fn describe(&self) -> String {
+    pub fn describe(&self, names: &Names) -> String {
         match self {
-            Tok::Ident(s) => format!("identifier `{s}`"),
-            Tok::TypeVar(s) => format!("type variable `${s}`"),
+            Tok::Ident(s) => format!("identifier `{}`", names.get(*s)),
+            Tok::TypeVar(s) => format!("type variable `${}`", names.get(*s)),
             Tok::Int(v) => format!("integer `{v}`"),
             Tok::Float(v) => format!("float `{v}`"),
-            Tok::Punct(p) => format!("`{p}`"),
+            Tok::Punct(p) => format!("`{}`", p.as_str()),
             Tok::Eof => "end of input".into(),
         }
     }
 }
 
 /// A token with its source position.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spanned {
     /// The token.
     pub tok: Tok,
@@ -42,16 +99,17 @@ pub struct Spanned {
     pub pos: Pos,
 }
 
-const PUNCTS2: [&str; 10] = ["==", "!=", "<=", ">=", "&&", "||", "->", "+=", "-=", "::"];
-const PUNCTS1: [&str; 20] = [
-    "(", ")", "{", "}", "[", "]", "<", ">", ",", ";", "+", "-", "*", "/", "%", "=", "!", ".", "&",
-    "|",
-];
-
-/// Tokenize Skil source text.
+/// Tokenize Skil source text with a symbol table of its own (the
+/// identifiers' spellings are dropped with it; [`lex_into`] keeps them).
 pub fn lex(src: &str) -> Result<Vec<Spanned>> {
+    lex_into(src, &mut Interner::new())
+}
+
+/// Tokenize Skil source text, interning identifiers into `syms`.
+pub fn lex_into(src: &str, syms: &mut Interner) -> Result<Vec<Spanned>> {
     let bytes = src.as_bytes();
-    let mut out = Vec::new();
+    // one allocation: a token is rarely shorter than two bytes
+    let mut out = Vec::with_capacity(bytes.len() / 2 + 1);
     let mut i = 0usize;
     let mut line = 1u32;
     let mut col = 1u32;
@@ -124,7 +182,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>> {
             if j == i + 1 {
                 return Err(Diag::new(Phase::Lex, start, "`$` must begin a type variable"));
             }
-            let name = src[i + 1..j].to_string();
+            let name = syms.intern(&src[i + 1..j]);
             col += (j - i) as u32;
             i = j;
             out.push(Spanned { tok: Tok::TypeVar(name), pos: start });
@@ -138,7 +196,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>> {
             {
                 j += 1;
             }
-            let name = src[i..j].to_string();
+            let name = syms.intern(&src[i..j]);
             col += (j - i) as u32;
             i = j;
             out.push(Spanned { tok: Tok::Ident(name), pos: start });
@@ -191,21 +249,10 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>> {
             out.push(Spanned { tok, pos: start });
             continue;
         }
-        // two-char puncts (guard the slice: the next byte may start a
-        // multibyte char, which is rejected on the following iteration)
-        if i + 1 < bytes.len() && src.is_char_boundary(i + 2) {
-            let two = &src[i..i + 2];
-            if let Some(&p) = PUNCTS2.iter().find(|&&p| p == two) {
-                i += 2;
-                col += 2;
-                out.push(Spanned { tok: Tok::Punct(p), pos: start });
-                continue;
-            }
-        }
-        let one = &src[i..i + 1];
-        if let Some(&p) = PUNCTS1.iter().find(|&&p| p == one) {
-            i += 1;
-            col += 1;
+        if let Some(p) = Punct::at(&bytes[i..]) {
+            let len = p.as_str().len();
+            i += len;
+            col += len as u32;
             out.push(Spanned { tok: Tok::Punct(p), pos: start });
             continue;
         }
@@ -219,85 +266,76 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
-        lex(src).unwrap().into_iter().map(|s| s.tok).collect()
+    /// Tokens rendered back to text, identifiers by their spelling.
+    fn toks(src: &str) -> Vec<String> {
+        let mut syms = Interner::new();
+        let toks = lex_into(src, &mut syms).unwrap();
+        toks.iter()
+            .map(|s| match s.tok {
+                Tok::Ident(n) => syms.get(n).to_string(),
+                Tok::TypeVar(n) => format!("${}", syms.get(n)),
+                Tok::Int(v) => format!("{v}"),
+                Tok::Float(v) => format!("{v:?}"),
+                Tok::Punct(p) => p.as_str().to_string(),
+                Tok::Eof => "<eof>".to_string(),
+            })
+            .collect()
     }
 
     #[test]
     fn lexes_basic_program() {
-        let t = toks("int f(int x) { return x + 1; }");
         assert_eq!(
-            t,
-            vec![
-                Tok::Ident("int".into()),
-                Tok::Ident("f".into()),
-                Tok::Punct("("),
-                Tok::Ident("int".into()),
-                Tok::Ident("x".into()),
-                Tok::Punct(")"),
-                Tok::Punct("{"),
-                Tok::Ident("return".into()),
-                Tok::Ident("x".into()),
-                Tok::Punct("+"),
-                Tok::Int(1),
-                Tok::Punct(";"),
-                Tok::Punct("}"),
-                Tok::Eof,
-            ]
+            toks("int f(int x) { return x + 1; }"),
+            ["int", "f", "(", "int", "x", ")", "{", "return", "x", "+", "1", ";", "}", "<eof>"]
         );
     }
 
     #[test]
+    fn identifiers_are_interned_once() {
+        let mut syms = Interner::new();
+        let t = lex_into("int f(int x) { return x; }", &mut syms).unwrap();
+        assert_eq!(t[0].tok, Tok::Ident(Sym::INT));
+        assert_eq!(t[0].tok, t[3].tok);
+        assert_eq!(t[4].tok, t[8].tok, "both `x`");
+        assert_ne!(t[1].tok, t[4].tok);
+    }
+
+    #[test]
     fn lexes_type_vars_and_pardata() {
-        let t = toks("pardata array <$t> ;");
         assert_eq!(
-            t,
-            vec![
-                Tok::Ident("pardata".into()),
-                Tok::Ident("array".into()),
-                Tok::Punct("<"),
-                Tok::TypeVar("t".into()),
-                Tok::Punct(">"),
-                Tok::Punct(";"),
-                Tok::Eof,
-            ]
+            toks("pardata array <$t> ;"),
+            ["pardata", "array", "<", "$t", ">", ";", "<eof>"]
         );
     }
 
     #[test]
     fn lexes_numbers() {
-        assert_eq!(toks("42")[0], Tok::Int(42));
-        assert_eq!(toks("3.25")[0], Tok::Float(3.25));
-        assert_eq!(toks("1e3")[0], Tok::Float(1000.0));
-        assert_eq!(toks("2.5e-1")[0], Tok::Float(0.25));
+        assert_eq!(toks("42")[0], "42");
+        assert_eq!(toks("3.25")[0], "3.25");
+        assert_eq!(toks("1e3")[0], "1000.0");
+        assert_eq!(toks("2.5e-1")[0], "0.25");
         // `1.` is Int then Punct (field access style), not a float
-        assert_eq!(toks("1.x")[..2], [Tok::Int(1), Tok::Punct(".")]);
+        assert_eq!(toks("1.x")[..2], ["1", "."]);
     }
 
     #[test]
     fn lexes_two_char_operators() {
-        let t = toks("a == b != c <= d >= e && f || g");
-        let puncts: Vec<&Tok> = t.iter().filter(|t| matches!(t, Tok::Punct(_))).collect();
         assert_eq!(
-            puncts,
-            vec![
-                &Tok::Punct("=="),
-                &Tok::Punct("!="),
-                &Tok::Punct("<="),
-                &Tok::Punct(">="),
-                &Tok::Punct("&&"),
-                &Tok::Punct("||"),
+            toks("a == b != c <= d >= e && f || g -> h"),
+            [
+                "a", "==", "b", "!=", "c", "<=", "d", ">=", "e", "&&", "f", "||", "g", "->", "h",
+                "<eof>"
             ]
         );
+        for p in [Punct::EqEq, Punct::Lt, Punct::OrOr, Punct::Percent] {
+            assert_eq!(p.binop().map(|b| b.lexeme()), Some(p.as_str()));
+        }
+        assert_eq!(Punct::Arrow.binop(), None);
     }
 
     #[test]
     fn comments_are_skipped() {
-        let t = toks("a // line comment\n b /* block\n comment */ c");
-        assert_eq!(
-            t,
-            vec![Tok::Ident("a".into()), Tok::Ident("b".into()), Tok::Ident("c".into()), Tok::Eof]
-        );
+        assert_eq!(toks("a // line comment\n b /* block\n comment */ c"), ["a", "b", "c", "<eof>"]);
     }
 
     #[test]
@@ -312,6 +350,7 @@ mod tests {
         assert!(lex("a $ b").is_err());
         assert!(lex("/* unterminated").is_err());
         assert!(lex("a ~ b").is_err());
+        assert!(lex("a : b").is_err());
         assert!(lex("99999999999999999999").is_err());
     }
 

@@ -872,8 +872,8 @@ impl KernelVm<'_> {
         assert_eq!(
             cf.nparams,
             n + N,
-            "skil runtime: arity mismatch calling `{}`: {} params, {} args",
-            cf.name,
+            "skil runtime: arity mismatch calling function {}: {} params, {} args",
+            f.fid,
             cf.nparams,
             n + N
         );

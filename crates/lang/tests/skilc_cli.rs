@@ -330,3 +330,36 @@ fn runtime_out_of_bounds_index_is_structured_under_every_engine() {
         assert!(!stderr.contains("panicked at"), "raw panic leaked ({engine}): {stderr}");
     }
 }
+
+/// `--emit-bytecode=raw` and `=opt` over every shipped example, held
+/// against listings written by the compiler that still kept the raw
+/// bytecode in every `Compiled` (`tests/fixtures/listings/`): the raw
+/// listing is recompiled on demand now, and neither may differ by a
+/// byte.
+#[test]
+fn bytecode_listings_of_the_examples_match_their_fixtures() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/listings");
+    let mut examples: Vec<_> = std::fs::read_dir(format!("{root}/examples/skil"))
+        .expect("examples/skil exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "skil"))
+        .collect();
+    examples.sort();
+    assert!(examples.len() >= 8, "expected the shipped examples, found {}", examples.len());
+    for path in examples {
+        let stem = path.file_stem().expect("file stem").to_string_lossy().into_owned();
+        for mode in ["raw", "opt"] {
+            let out = skilc()
+                .arg(format!("--emit-bytecode={mode}"))
+                .arg(&path)
+                .output()
+                .expect("run skilc");
+            assert!(out.status.success(), "{stem} {mode}");
+            let want = std::fs::read_to_string(format!("{fixtures}/{stem}.{mode}.txt"))
+                .unwrap_or_else(|e| panic!("fixture for {stem} {mode}: {e}"));
+            let got = String::from_utf8_lossy(&out.stdout);
+            assert!(got == want, "{stem}: the {mode} listing differs from its fixture");
+        }
+    }
+}

@@ -134,13 +134,16 @@ fn main() -> ExitCode {
     let s = server.stats();
     eprintln!(
         "skild: served {} request(s): {} ok, {} error(s); compile cache {} hit / {} miss \
-         ({:.1}% hit rate); machines {} warm / {} cold / {} discarded; {} helper join(s)",
+         ({:.1}% hit rate), {} program(s) in {} byte(s); machines {} warm / {} cold / \
+         {} discarded; {} helper join(s)",
         s.requests,
         s.ok,
         s.errors,
         s.compile_hits,
         s.compile_misses,
         100.0 * s.cache_hit_rate(),
+        s.cache_programs,
+        s.cache_bytes,
         s.machines_warm,
         s.machines_cold,
         s.machines_discarded,

@@ -280,18 +280,34 @@ impl<'a> Parser<'a> {
 /// quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    let _ = write_escaped(&mut out, s);
+    out
+}
+
+/// Write `s` escaped as the contents of a JSON string.
+pub fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out
+    Ok(())
+}
+
+/// Write `n` the way a [`Json::Num`] prints: integral values below
+/// 9e15 without a fraction, everything else as Rust prints an `f64`.
+pub fn write_num<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
+    if n.fract() == 0.0 && n.abs() < 9e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
+    }
 }
 
 impl fmt::Display for Json {
@@ -299,14 +315,12 @@ impl fmt::Display for Json {
         match self {
             Json::Null => write!(f, "null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
+            Json::Num(n) => write_num(f, *n),
+            Json::Str(s) => {
+                write!(f, "\"")?;
+                write_escaped(f, s)?;
+                write!(f, "\"")
             }
-            Json::Str(s) => write!(f, "\"{}\"", escape(s)),
             Json::Arr(items) => {
                 write!(f, "[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -323,12 +337,73 @@ impl fmt::Display for Json {
                     if i > 0 {
                         write!(f, ",")?;
                     }
-                    write!(f, "\"{}\":{v}", escape(k))?;
+                    write!(f, "\"")?;
+                    write_escaped(f, k)?;
+                    write!(f, "\":{v}")?;
                 }
                 write!(f, "}}")
             }
         }
     }
+}
+
+/// Writes one JSON object straight into a string, member by member,
+/// without building a [`Json`] tree. Members must come in ascending key
+/// order — the order a [`Json::Obj`] prints them in — so that both
+/// encoders produce the same bytes; debug builds check it.
+pub struct ObjWriter<'a> {
+    out: &'a mut String,
+    last: &'static str,
+}
+
+impl<'a> ObjWriter<'a> {
+    /// Open an object at the end of `out`.
+    pub fn begin(out: &'a mut String) -> ObjWriter<'a> {
+        out.push('{');
+        ObjWriter { out, last: "" }
+    }
+
+    /// Write `"key":` and hand back the string for the value. Keys are
+    /// the protocol's own field names: plain ASCII, nothing to escape.
+    pub fn value(&mut self, key: &'static str) -> &mut String {
+        debug_assert!(self.last < key, "`{key}` after `{}`", self.last);
+        debug_assert!(key.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_'));
+        if !self.last.is_empty() {
+            self.out.push(',');
+        }
+        self.last = key;
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    /// A number member.
+    pub fn num(&mut self, key: &'static str, n: f64) {
+        let _ = write_num(self.value(key), n);
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &'static str, s: &str) {
+        write_str(self.value(key), s);
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &'static str, b: bool) {
+        self.value(key).push_str(if b { "true" } else { "false" });
+    }
+
+    /// Close the object.
+    pub fn end(self) {
+        self.out.push('}');
+    }
+}
+
+/// Append `s` as a JSON string, quoted and escaped.
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    let _ = write_escaped(out, s);
+    out.push('"');
 }
 
 /// Build a `Json::Obj` from key/value pairs.

@@ -7,7 +7,7 @@
 //! Three pieces:
 //!
 //! - a **compiled-program cache** keyed by
-//!   `(source hash, cost model, opt level, engine)` — re-submitting the
+//!   `(source text, cost model, opt level, engine)` — re-submitting the
 //!   same program skips the whole front end;
 //! - a **warm-[`Machine`] pool** keyed by mesh shape — worker threads
 //!   and coroutine stacks are reused across requests, and per-request
@@ -48,35 +48,63 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use json::{obj, Json};
+use json::{Json, ObjWriter};
 use skil_lang::{compile_opt, Compiled, Engine, OptLevel};
 use skil_runtime::{CollectiveAlgo, FaultPlan, Machine, MachineConfig, Mesh, Run, Topology};
 
-/// Compiled-program cache key. The cost model is part of the key per
-/// the serving contract — today every pooled machine uses the T800
-/// model, but a cached program must never outlive the model its cycles
-/// were validated against. The engine is included for the same
-/// forward-compatibility reason (every engine currently shares one
-/// bytecode image; the native engine's compiled module rides inside
-/// [`Compiled`] keyed by content hash, so cached programs reuse the
-/// `dlopen`ed artifact across requests).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ProgramKey {
-    src_hash: u64,
+/// What a cached program depends on besides its source text. The cost
+/// model is part of it per the serving contract — today every pooled
+/// machine uses the T800 model, but a cached program must never outlive
+/// the model its cycles were validated against. The engine is included
+/// for the same forward-compatibility reason (every engine currently
+/// shares one bytecode image; the native engine's compiled module rides
+/// inside [`Compiled`] keyed by content hash, so cached programs reuse
+/// the `dlopen`ed artifact across requests).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Variant {
     cost_model: &'static str,
     opt_level: OptLevel,
     engine: Engine,
 }
 
-/// FNV-1a over the program source: stable, dependency-free, and cheap
-/// relative to parsing.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// The compiled-program cache: source text -> the variants compiled
+/// from it. The key is the text itself (one shared copy per source,
+/// hashed by std's keyed `RandomState`), never a digest of it: two
+/// different programs can not be handed each other's compiled code,
+/// whatever their bytes.
+#[derive(Default)]
+struct ProgramCache {
+    by_source: HashMap<Arc<str>, Vec<(Variant, Arc<Compiled>)>>,
+}
+
+impl ProgramCache {
+    fn get(&self, src: &str, variant: Variant) -> Option<&Arc<Compiled>> {
+        self.by_source.get(src)?.iter().find(|(v, _)| *v == variant).map(|(_, c)| c)
     }
-    h
+
+    /// Keep `compiled` for `(src, variant)` unless a racing compile got
+    /// there first; returns the kept program and the heap bytes this
+    /// insert added to the cache (0 when nothing was kept).
+    fn insert(
+        &mut self,
+        src: &str,
+        variant: Variant,
+        compiled: Arc<Compiled>,
+    ) -> (Arc<Compiled>, usize) {
+        if let Some(first) = self.get(src, variant) {
+            return (Arc::clone(first), 0);
+        }
+        let mut added = compiled.heap_bytes() + std::mem::size_of::<Compiled>();
+        let variants = match self.by_source.get_mut(src) {
+            Some(variants) => variants,
+            None => {
+                added += src.len();
+                self.by_source.entry(Arc::from(src)).or_default()
+            }
+        };
+        variants.push((variant, Arc::clone(&compiled)));
+        (compiled, added)
+    }
 }
 
 /// The cost model every pooled machine runs — [`MachineConfig::mesh`]'s
@@ -275,70 +303,77 @@ pub enum Response {
 }
 
 impl Response {
-    /// Serialize to one JSON line (no trailing newline).
+    /// Serialize to one JSON line (no trailing newline). The line is
+    /// written straight into one string, members in ascending key order
+    /// — byte for byte what the [`Json`] tree of the same response
+    /// prints (the tests hold the two against each other).
     pub fn to_json_line(&self) -> String {
+        let mut out = String::with_capacity(256);
         match self {
             Response::Ok { id, run, cache_hit, warm_machine } => {
-                let results = Json::Arr(
-                    run.results
-                        .iter()
-                        .map(|lines| {
-                            Json::Arr(lines.iter().map(|l| Json::Str(l.clone())).collect())
-                        })
-                        .collect(),
-                );
-                let procs = Json::Arr(
-                    run.report
-                        .procs
-                        .iter()
-                        .map(|p| {
-                            let s = &p.stats;
-                            obj(vec![
-                                ("compute", Json::Num(s.compute as f64)),
-                                ("wait", Json::Num(s.wait as f64)),
-                                ("sends", Json::Num(s.sends as f64)),
-                                ("recvs", Json::Num(s.recvs as f64)),
-                                ("bytes_sent", Json::Num(s.bytes_sent as f64)),
-                                ("bytes_recvd", Json::Num(s.bytes_recvd as f64)),
-                                ("retries", Json::Num(s.retries as f64)),
-                                ("drops", Json::Num(s.drops as f64)),
-                                ("dups", Json::Num(s.dups as f64)),
-                                ("delays", Json::Num(s.delays as f64)),
-                            ])
-                        })
-                        .collect(),
-                );
-                let mut pairs = vec![("ok", Json::Bool(true))];
+                let mut o = ObjWriter::begin(&mut out);
+                o.str("cache", if *cache_hit { "hit" } else { "miss" });
                 if let Some(id) = id {
-                    pairs.push(("id", Json::Str(id.clone())));
+                    o.str("id", id);
                 }
-                pairs.push(("results", results));
-                pairs.push(("sim_cycles", Json::Num(run.report.sim_cycles as f64)));
-                pairs.push(("sim_seconds", Json::Num(run.report.sim_seconds)));
-                pairs.push(("procs", procs));
-                pairs.push(("cache", Json::Str(if *cache_hit { "hit" } else { "miss" }.into())));
-                pairs.push((
-                    "machine",
-                    Json::Str(if *warm_machine { "warm" } else { "cold" }.into()),
-                ));
-                obj(pairs).to_string()
+                o.str("machine", if *warm_machine { "warm" } else { "cold" });
+                o.bool("ok", true);
+                let procs = o.value("procs");
+                procs.push('[');
+                for (i, p) in run.report.procs.iter().enumerate() {
+                    if i > 0 {
+                        procs.push(',');
+                    }
+                    let s = &p.stats;
+                    let mut po = ObjWriter::begin(procs);
+                    po.num("bytes_recvd", s.bytes_recvd as f64);
+                    po.num("bytes_sent", s.bytes_sent as f64);
+                    po.num("compute", s.compute as f64);
+                    po.num("delays", s.delays as f64);
+                    po.num("drops", s.drops as f64);
+                    po.num("dups", s.dups as f64);
+                    po.num("recvs", s.recvs as f64);
+                    po.num("retries", s.retries as f64);
+                    po.num("sends", s.sends as f64);
+                    po.num("wait", s.wait as f64);
+                    po.end();
+                }
+                procs.push(']');
+                let results = o.value("results");
+                results.push('[');
+                for (i, lines) in run.results.iter().enumerate() {
+                    if i > 0 {
+                        results.push(',');
+                    }
+                    results.push('[');
+                    for (j, l) in lines.iter().enumerate() {
+                        if j > 0 {
+                            results.push(',');
+                        }
+                        json::write_str(results, l);
+                    }
+                    results.push(']');
+                }
+                results.push(']');
+                o.num("sim_cycles", run.report.sim_cycles as f64);
+                o.num("sim_seconds", run.report.sim_seconds);
+                o.end();
             }
             Response::Err { id, kind, message } => {
-                let mut pairs = vec![("ok", Json::Bool(false))];
+                let mut o = ObjWriter::begin(&mut out);
+                let mut e = ObjWriter::begin(o.value("error"));
+                e.str("kind", kind.as_str());
+                e.str("message", message);
+                e.end();
                 if let Some(id) = id {
-                    pairs.push(("id", Json::Str(id.clone())));
+                    o.str("id", id);
                 }
-                pairs.push((
-                    "error",
-                    obj(vec![
-                        ("kind", Json::Str(kind.as_str().into())),
-                        ("message", Json::Str(message.clone())),
-                    ]),
-                ));
-                obj(pairs).to_string()
+                o.bool("ok", false);
+                o.end();
             }
-            Response::Stats(s) => s.to_json().to_string(),
+            Response::Stats(s) => s.write_json(&mut out),
         }
+        out
     }
 }
 
@@ -350,6 +385,8 @@ struct Counters {
     errors: AtomicU64,
     compile_hits: AtomicU64,
     compile_misses: AtomicU64,
+    cache_programs: AtomicU64,
+    cache_bytes: AtomicU64,
     machines_warm: AtomicU64,
     machines_cold: AtomicU64,
     machines_discarded: AtomicU64,
@@ -409,6 +446,12 @@ pub struct StatsSnapshot {
     /// currently idle pooled machines — zero for as long as every
     /// request was driven by its request thread alone.
     pub helper_joins: u64,
+    /// Compiled programs held by the cache (it never evicts).
+    pub cache_programs: u64,
+    /// Heap bytes the cache holds: every program's
+    /// [`Compiled::heap_bytes`] plus the `Compiled` itself, and each
+    /// distinct source text once (it is the key).
+    pub cache_bytes: u64,
     /// Pool counters per mesh shape, sorted by shape.
     pub pool: Vec<PoolShapeStats>,
 }
@@ -425,42 +468,41 @@ impl StatsSnapshot {
         }
     }
 
-    fn to_json(&self) -> Json {
-        let pool = Json::Arr(
-            self.pool
-                .iter()
-                .map(|p| {
-                    obj(vec![
-                        ("mesh", Json::Str(format!("{}x{}", p.mesh.0, p.mesh.1))),
-                        ("topology", Json::Str(p.topology.clone())),
-                        ("algo", Json::Str(p.algo.into())),
-                        ("warm", Json::Num(p.warm as f64)),
-                        ("cold", Json::Num(p.cold as f64)),
-                        ("idle", Json::Num(p.idle as f64)),
-                    ])
-                })
-                .collect(),
-        );
-        obj(vec![
-            ("ok", Json::Bool(true)),
-            (
-                "stats",
-                obj(vec![
-                    ("requests", Json::Num(self.requests as f64)),
-                    ("ok", Json::Num(self.ok as f64)),
-                    ("errors", Json::Num(self.errors as f64)),
-                    ("compile_hits", Json::Num(self.compile_hits as f64)),
-                    ("compile_misses", Json::Num(self.compile_misses as f64)),
-                    ("machines_warm", Json::Num(self.machines_warm as f64)),
-                    ("machines_cold", Json::Num(self.machines_cold as f64)),
-                    ("machines_discarded", Json::Num(self.machines_discarded as f64)),
-                    ("setup_reuse_hits", Json::Num(self.setup_reuse_hits as f64)),
-                    ("helper_joins", Json::Num(self.helper_joins as f64)),
-                    ("cache_hit_rate", Json::Num(self.cache_hit_rate())),
-                    ("pool", pool),
-                ]),
-            ),
-        ])
+    fn write_json(&self, out: &mut String) {
+        let mut o = ObjWriter::begin(out);
+        o.bool("ok", true);
+        let mut st = ObjWriter::begin(o.value("stats"));
+        st.num("cache_bytes", self.cache_bytes as f64);
+        st.num("cache_hit_rate", self.cache_hit_rate());
+        st.num("cache_programs", self.cache_programs as f64);
+        st.num("compile_hits", self.compile_hits as f64);
+        st.num("compile_misses", self.compile_misses as f64);
+        st.num("errors", self.errors as f64);
+        st.num("helper_joins", self.helper_joins as f64);
+        st.num("machines_cold", self.machines_cold as f64);
+        st.num("machines_discarded", self.machines_discarded as f64);
+        st.num("machines_warm", self.machines_warm as f64);
+        st.num("ok", self.ok as f64);
+        let pool = st.value("pool");
+        pool.push('[');
+        for (i, p) in self.pool.iter().enumerate() {
+            if i > 0 {
+                pool.push(',');
+            }
+            let mut po = ObjWriter::begin(pool);
+            po.str("algo", p.algo);
+            po.num("cold", p.cold as f64);
+            po.num("idle", p.idle as f64);
+            po.str("mesh", &format!("{}x{}", p.mesh.0, p.mesh.1));
+            po.str("topology", &p.topology);
+            po.num("warm", p.warm as f64);
+            po.end();
+        }
+        pool.push(']');
+        st.num("requests", self.requests as f64);
+        st.num("setup_reuse_hits", self.setup_reuse_hits as f64);
+        st.end();
+        o.end();
     }
 }
 
@@ -468,7 +510,7 @@ impl StatsSnapshot {
 /// across request threads behind an `Arc`; all interior state is
 /// synchronized.
 pub struct Server {
-    programs: Mutex<HashMap<ProgramKey, Arc<Compiled>>>,
+    programs: Mutex<ProgramCache>,
     pool: Mutex<HashMap<PoolKey, Vec<Machine>>>,
     /// Warm/cold checkout totals per machine shape (the pool map itself
     /// only knows the machines currently idle).
@@ -492,7 +534,7 @@ impl Server {
     /// An empty server: no cached programs, no warm machines.
     pub fn new() -> Server {
         Server {
-            programs: Mutex::new(HashMap::new()),
+            programs: Mutex::new(ProgramCache::default()),
             pool: Mutex::new(HashMap::new()),
             shape_counters: Mutex::new(HashMap::new()),
             counters: Counters::default(),
@@ -596,13 +638,9 @@ impl Server {
 
     /// Look the program up in the cache, compiling on a miss.
     fn compile_cached(&self, req: &Request) -> Result<(Arc<Compiled>, bool), String> {
-        let key = ProgramKey {
-            src_hash: fnv1a64(req.program.as_bytes()),
-            cost_model: COST_MODEL,
-            opt_level: req.opt_level,
-            engine: req.engine,
-        };
-        if let Some(hit) = self.programs.lock().unwrap().get(&key) {
+        let variant =
+            Variant { cost_model: COST_MODEL, opt_level: req.opt_level, engine: req.engine };
+        if let Some(hit) = self.programs.lock().unwrap().get(&req.program, variant) {
             self.counters.compile_hits.fetch_add(1, Ordering::Relaxed);
             return Ok((Arc::clone(hit), true));
         }
@@ -614,7 +652,11 @@ impl Server {
         let compiled =
             Arc::new(compile_opt(&req.program, req.opt_level).map_err(|e| e.to_string())?);
         self.counters.compile_misses.fetch_add(1, Ordering::Relaxed);
-        let kept = Arc::clone(self.programs.lock().unwrap().entry(key).or_insert(compiled));
+        let (kept, added) = self.programs.lock().unwrap().insert(&req.program, variant, compiled);
+        if added > 0 {
+            self.counters.cache_programs.fetch_add(1, Ordering::Relaxed);
+            self.counters.cache_bytes.fetch_add(added as u64, Ordering::Relaxed);
+        }
         Ok((kept, false))
     }
 
@@ -682,6 +724,8 @@ impl Server {
             machines_discarded: c.machines_discarded.load(Ordering::Relaxed),
             setup_reuse_hits,
             helper_joins,
+            cache_programs: c.cache_programs.load(Ordering::Relaxed),
+            cache_bytes: c.cache_bytes.load(Ordering::Relaxed),
             pool,
         }
     }
@@ -695,6 +739,229 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use json::obj;
+
+    /// A response as a [`Json`] tree: the encoder `to_json_line` used to
+    /// be, kept as its oracle. A `BTreeMap` orders the members.
+    fn tree(resp: &Response) -> Json {
+        let num = |n: u64| Json::Num(n as f64);
+        match resp {
+            Response::Ok { id, run, cache_hit, warm_machine } => {
+                let results = Json::Arr(
+                    run.results
+                        .iter()
+                        .map(|lines| {
+                            Json::Arr(lines.iter().map(|l| Json::Str(l.clone())).collect())
+                        })
+                        .collect(),
+                );
+                let procs = Json::Arr(
+                    run.report
+                        .procs
+                        .iter()
+                        .map(|p| {
+                            let s = &p.stats;
+                            obj(vec![
+                                ("compute", num(s.compute)),
+                                ("wait", num(s.wait)),
+                                ("sends", num(s.sends)),
+                                ("recvs", num(s.recvs)),
+                                ("bytes_sent", num(s.bytes_sent)),
+                                ("bytes_recvd", num(s.bytes_recvd)),
+                                ("retries", num(s.retries)),
+                                ("drops", num(s.drops)),
+                                ("dups", num(s.dups)),
+                                ("delays", num(s.delays)),
+                            ])
+                        })
+                        .collect(),
+                );
+                let mut pairs = vec![("ok", Json::Bool(true))];
+                if let Some(id) = id {
+                    pairs.push(("id", Json::Str(id.clone())));
+                }
+                pairs.push(("results", results));
+                pairs.push(("sim_cycles", num(run.report.sim_cycles)));
+                pairs.push(("sim_seconds", Json::Num(run.report.sim_seconds)));
+                pairs.push(("procs", procs));
+                pairs.push(("cache", Json::Str(if *cache_hit { "hit" } else { "miss" }.into())));
+                pairs.push((
+                    "machine",
+                    Json::Str(if *warm_machine { "warm" } else { "cold" }.into()),
+                ));
+                obj(pairs)
+            }
+            Response::Err { id, kind, message } => {
+                let mut pairs = vec![("ok", Json::Bool(false))];
+                if let Some(id) = id {
+                    pairs.push(("id", Json::Str(id.clone())));
+                }
+                pairs.push((
+                    "error",
+                    obj(vec![
+                        ("kind", Json::Str(kind.as_str().into())),
+                        ("message", Json::Str(message.clone())),
+                    ]),
+                ));
+                obj(pairs)
+            }
+            Response::Stats(s) => {
+                let pool = Json::Arr(
+                    s.pool
+                        .iter()
+                        .map(|p| {
+                            obj(vec![
+                                ("mesh", Json::Str(format!("{}x{}", p.mesh.0, p.mesh.1))),
+                                ("topology", Json::Str(p.topology.clone())),
+                                ("algo", Json::Str(p.algo.into())),
+                                ("warm", num(p.warm)),
+                                ("cold", num(p.cold)),
+                                ("idle", num(p.idle)),
+                            ])
+                        })
+                        .collect(),
+                );
+                obj(vec![
+                    ("ok", Json::Bool(true)),
+                    (
+                        "stats",
+                        obj(vec![
+                            ("requests", num(s.requests)),
+                            ("ok", num(s.ok)),
+                            ("errors", num(s.errors)),
+                            ("compile_hits", num(s.compile_hits)),
+                            ("compile_misses", num(s.compile_misses)),
+                            ("machines_warm", num(s.machines_warm)),
+                            ("machines_cold", num(s.machines_cold)),
+                            ("machines_discarded", num(s.machines_discarded)),
+                            ("setup_reuse_hits", num(s.setup_reuse_hits)),
+                            ("helper_joins", num(s.helper_joins)),
+                            ("cache_programs", num(s.cache_programs)),
+                            ("cache_bytes", num(s.cache_bytes)),
+                            ("cache_hit_rate", Json::Num(s.cache_hit_rate())),
+                            ("pool", pool),
+                        ]),
+                    ),
+                ])
+            }
+        }
+    }
+
+    #[test]
+    fn the_direct_encoder_prints_what_the_tree_prints() {
+        let server = Server::new();
+        let mut responses = Vec::new();
+        // ok: with and without an id, cold and warm, miss and hit, one
+        // and sixteen processors, output that needs escaping
+        let quoted = "void main() { if (procId == 0) { print(1.5); print(0 - 7); } }";
+        for (id, mesh, program) in [
+            (None, (2, 2), FOLD),
+            (Some("r-1"), (2, 2), FOLD),
+            (Some("tab\there \"quoted\" back\\slash \u{1} \u{e9}\u{1f600}"), (4, 4), quoted),
+            (Some(""), (1, 1), HELLO),
+        ] {
+            let req = Request { id: id.map(str::to_string), mesh, ..Request::program(program) };
+            let resp = server.handle(req);
+            assert!(matches!(resp, Response::Ok { .. }));
+            responses.push(resp);
+        }
+        // errors of every kind
+        responses.push(server.handle(Request::program("void main() { int x = 1.5; }")));
+        responses.push(server.handle(Request {
+            id: Some("line\nbreak".into()),
+            ..Request::program("void main() { int z = procId - procId; print(1 / z); }")
+        }));
+        responses.push(Response::Err {
+            id: None,
+            kind: ErrorKind::BadRequest,
+            message: "bad JSON: unexpected '\u{7}' at byte 0".into(),
+        });
+        responses.push(Response::Err {
+            id: Some("x".into()),
+            kind: ErrorKind::Internal,
+            message: "engine panicked: \"quoted\"".into(),
+        });
+        // stats: empty and populated
+        responses.push(Response::Stats(Server::new().stats()));
+        responses.push(Response::Stats(server.stats()));
+        // numbers at the edge of the integer rendering
+        let mut big = server.stats();
+        big.requests = 9_000_000_000_000_000;
+        big.cache_bytes = u64::MAX;
+        responses.push(Response::Stats(big));
+
+        for resp in &responses {
+            let line = resp.to_json_line();
+            assert_eq!(line, tree(resp).to_string());
+            assert_eq!(json::parse(&line).expect("valid JSON"), tree(resp), "{line}");
+        }
+    }
+
+    #[test]
+    fn the_cache_is_keyed_by_source_text_not_by_a_digest_of_it() {
+        // Two sources that differ in one byte are two entries, each
+        // served its own program; so are two variants of one source,
+        // which share the one copy of its text.
+        let a = "void main() { if (procId == 0) { print(1); } }";
+        let b = "void main() { if (procId == 0) { print(2); } }";
+        let vm = Variant { cost_model: COST_MODEL, opt_level: OptLevel::O2, engine: Engine::Vm };
+        let ast = Variant { engine: Engine::Ast, ..vm };
+        let compiled = |src| Arc::new(compile_opt(src, OptLevel::O2).expect("compiles"));
+        let mut cache = ProgramCache::default();
+        assert!(cache.get(a, vm).is_none());
+        let (ca, added_a) = cache.insert(a, vm, compiled(a));
+        let (cb, added_b) = cache.insert(b, vm, compiled(b));
+        assert!(Arc::ptr_eq(cache.get(a, vm).unwrap(), &ca));
+        assert!(Arc::ptr_eq(cache.get(b, vm).unwrap(), &cb));
+        assert!(!Arc::ptr_eq(&ca, &cb));
+        assert!(cache.get(a, ast).is_none());
+        // the text is paid for once per source ...
+        assert_eq!(added_a, ca.heap_bytes() + std::mem::size_of::<Compiled>() + a.len());
+        assert_eq!(added_b, added_a);
+        let (_, added_ast) = cache.insert(a, ast, compiled(a));
+        assert_eq!(added_ast, added_a - a.len());
+        assert_eq!(cache.by_source.len(), 2);
+        // ... and a second compile of a cached key is dropped, not kept
+        let (again, added) = cache.insert(a, vm, compiled(a));
+        assert!(Arc::ptr_eq(&again, &ca));
+        assert_eq!(added, 0);
+
+        // end to end: each source prints its own constant, hit or miss
+        let server = Server::new();
+        for (src, want) in [(a, "1"), (b, "2"), (a, "1"), (b, "2")] {
+            let Response::Ok { run, .. } = server.handle(Request::program(src)) else {
+                panic!("{src} failed");
+            };
+            assert_eq!(run.results[0], vec![want.to_string()]);
+        }
+        assert_eq!((server.stats().compile_misses, server.stats().compile_hits), (2, 2));
+    }
+
+    #[test]
+    fn stats_report_the_size_of_the_cache() {
+        let server = Server::new();
+        assert_eq!((server.stats().cache_programs, server.stats().cache_bytes), (0, 0));
+        server.handle(Request::program(HELLO));
+        server.handle(Request::program(HELLO));
+        let one = server.stats();
+        assert_eq!(one.cache_programs, 1);
+        let hello = compile_opt(HELLO, OptLevel::default()).unwrap();
+        let per_program = (hello.heap_bytes() + std::mem::size_of::<Compiled>()) as u64;
+        assert_eq!(one.cache_bytes, per_program + HELLO.len() as u64);
+        // a compile error caches nothing
+        server.handle(Request::program("void main() { int x = 1.5; }"));
+        assert_eq!(server.stats().cache_bytes, one.cache_bytes);
+        server.handle(Request { opt_level: OptLevel::O0, ..Request::program(HELLO) });
+        server.handle(Request::program(FOLD));
+        let three = server.stats();
+        assert_eq!(three.cache_programs, 3);
+        assert!(three.cache_bytes > one.cache_bytes + per_program + FOLD.len() as u64);
+        let line = server.handle_line(r#"{"cmd":"stats"}"#);
+        let v = json::parse(&line).unwrap();
+        let stats = v.get("stats").expect("stats object");
+        assert_eq!(stats.get("cache_programs").and_then(Json::as_u64), Some(3));
+        assert_eq!(stats.get("cache_bytes").and_then(Json::as_u64), Some(three.cache_bytes));
+    }
 
     const HELLO: &str = "void main() { if (procId == 0) { print(procId + 7); } }";
 

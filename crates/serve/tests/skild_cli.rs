@@ -61,4 +61,9 @@ fn blank_and_crlf_lines_are_read_as_before() {
     let stats = lines[1].get("stats").expect("stats reply");
     assert!(stats.get("helper_joins").and_then(Json::as_u64).is_some(), "{stats:?}");
     assert!(stderr.contains("helper join(s)"), "{stderr}");
+    // ... and how much the compile cache holds.
+    assert_eq!(stats.get("cache_programs").and_then(Json::as_u64), Some(1), "{stats:?}");
+    let bytes = stats.get("cache_bytes").and_then(Json::as_u64).expect("cache_bytes");
+    assert!(bytes > 0, "{stats:?}");
+    assert!(stderr.contains(&format!("1 program(s) in {bytes} byte(s)")), "{stderr}");
 }

@@ -14,6 +14,7 @@
 //! skilc --check <file.skil>          parse + type check only
 //! skilc --emit-bytecode <file.skil>  disassemble the optimized bytecode
 //! skilc --emit-bytecode=raw ...      disassemble before optimization
+//! skilc --emit-bytecode=kernel ...   what skeleton argument functions run as
 //! skilc --emit-rust <file.skil>      print the native engine's generated Rust
 //! skilc --run --trace <file.skil>    also print a virtual-time timeline
 //! skilc --run --trace-out FILE ...   write a Chrome trace_events JSON
@@ -35,14 +36,16 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: skilc [--check | --emit-bytecode[=raw|opt] | --emit-rust | --run [--mesh RxC] \
+        "usage: skilc [--check | --emit-bytecode[=raw|opt|kernel] | --emit-rust | --run [--mesh RxC] \
 [--topology SPEC] [--collective-algo tree|ring|rd|auto] [--engine ast|vm|native] [--trace] \
 [--faults SPEC]] [--opt-level 0|1|2] <file.skil>\n\
          \n\
          default: emit the instantiated first-order C to stdout\n\
          --check: stop after the polymorphic type check\n\
          --emit-bytecode: print the slot-resolved bytecode listing\n\
-                  (=opt, the default, after the optimizer; =raw before);\n\
+                  (=opt, the default, after the optimizer; =raw before;\n\
+                  =kernel what skeleton argument functions run as, each\n\
+                  [typed] register code or [generic] bytecode);\n\
                   per-pass optimizer stats go to stderr\n\
          --emit-rust: print the self-contained Rust module the native\n\
                   engine compiles (at the selected --opt-level)\n\
@@ -79,6 +82,7 @@ fn main() -> ExitCode {
     let mut check_only = false;
     let mut emit_bytecode = false;
     let mut emit_raw = false;
+    let mut emit_kernel = false;
     let mut emit_rust = false;
     let mut opt_level = OptLevel::default();
     let mut engine = Engine::Vm;
@@ -99,6 +103,10 @@ fn main() -> ExitCode {
             "--emit-bytecode=raw" => {
                 emit_bytecode = true;
                 emit_raw = true;
+            }
+            "--emit-bytecode=kernel" => {
+                emit_bytecode = true;
+                emit_kernel = true;
             }
             "--emit-rust" => emit_rust = true,
             "--opt-level" => {
@@ -198,6 +206,8 @@ fn main() -> ExitCode {
     if emit_bytecode {
         if emit_raw {
             print!("{}", compiled.disassemble_raw());
+        } else if emit_kernel {
+            print!("{}", compiled.disassemble_kernel());
         } else {
             print!("{}", compiled.disassemble());
         }

@@ -39,6 +39,7 @@ use skil_runtime::CostModel;
 
 use crate::builtins::{DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D};
 use crate::fo::{BinOp, FoExpr, FoFunc, FoProgram, FoStmt, FoTy, SkelCall, SkelOp};
+use crate::scalar::scalar_intr;
 use crate::sym::{Names, Scopes, Sym};
 use crate::value::{ConsList, Value};
 
@@ -244,25 +245,13 @@ impl Intr {
     /// Evaluate a pure intrinsic; `None` for the stateful ones. This is
     /// the single implementation shared by the AST walker (via
     /// `interp::pure_intrinsic`) and both VM execution modes, so the
-    /// engines cannot drift.
+    /// engines cannot drift; the scalar intrinsics are
+    /// `scalar::scalar_intr` over boxed operands.
     pub fn eval_pure(&self, args: &[Value]) -> Option<Value> {
+        if let Some(v) = scalar_intr(*self, |k| args[k].as_int(), |k| args[k].as_float()) {
+            return Some(v.into());
+        }
         Some(match self {
-            Intr::Abs => Value::Int(args[0].as_int().abs()),
-            Intr::Fabs => Value::Float(args[0].as_float().abs()),
-            Intr::Min => Value::Int(args[0].as_int().min(args[1].as_int())),
-            Intr::Max => Value::Int(args[0].as_int().max(args[1].as_int())),
-            Intr::Fmin => Value::Float(args[0].as_float().min(args[1].as_float())),
-            Intr::Fmax => Value::Float(args[0].as_float().max(args[1].as_float())),
-            Intr::Sqrt => Value::Float(args[0].as_float().sqrt()),
-            Intr::Itof => Value::Float(args[0].as_int() as f64),
-            Intr::Ftoi => Value::Int(args[0].as_float() as i64),
-            Intr::Log2i => {
-                let n = args[0].as_int();
-                assert!(n > 0, "skil runtime: log2i of non-positive value");
-                Value::Int((64 - ((n - 1).max(0) as u64).leading_zeros() as i64).max(0))
-            }
-            Intr::IntMax => Value::Int(i64::MAX / 4),
-            Intr::FltMax => Value::Float(f64::MAX / 4.0),
             Intr::DistrDefault => Value::Int(DISTR_DEFAULT),
             Intr::DistrRing => Value::Int(DISTR_RING),
             Intr::DistrTorus2d => Value::Int(DISTR_TORUS2D),
@@ -437,6 +426,20 @@ pub enum KernelShape {
     /// Anything else: run the function's bytecode on a reusable flat
     /// frame in kernel mode.
     General,
+}
+
+impl KernelShape {
+    /// Listing spelling of a trivial shape; `None` for `General`, which
+    /// each listing spells in its own terms.
+    pub(crate) fn listing(&self) -> Option<String> {
+        match self {
+            KernelShape::Bin { op, float, a, b } => {
+                Some(format!("bin {}{} #{a} #{b}", op.lexeme(), if *float { "f" } else { "" }))
+            }
+            KernelShape::Intrinsic { op, slots } => Some(format!("intr {} {slots:?}", op.name())),
+            KernelShape::General => None,
+        }
+    }
 }
 
 /// How the VM host stores values of a static type inside an array
@@ -1013,15 +1016,7 @@ pub fn disassemble(p: &Program, names: &Names) -> String {
             .fns
             .iter()
             .map(|f| {
-                let shape = match &f.shape {
-                    KernelShape::Bin { op, float, a, b } => {
-                        format!("bin {}{} #{a} #{b}", op.lexeme(), if *float { "f" } else { "" })
-                    }
-                    KernelShape::Intrinsic { op, slots } => {
-                        format!("intr {} {slots:?}", op.name())
-                    }
-                    KernelShape::General => "general".into(),
-                };
+                let shape = f.shape.listing().unwrap_or_else(|| "general".into());
                 format!("{}+{} [{shape}]", names.get(p.funcs[f.fid].name), f.n_lifted)
             })
             .collect();

@@ -22,6 +22,7 @@ use skil_runtime::{Distr, Machine, Proc, Run};
 use crate::builtins::{DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D};
 use crate::bytecode::Intr;
 use crate::fo::{static_cost, BinOp, FoExpr, FoFunc, FoProgram, FoStmt, SkelCall, SkelOp};
+use crate::scalar::neg_int;
 use crate::sym::{Scopes, Sym};
 use crate::value::{ConsList, Value};
 
@@ -375,7 +376,7 @@ impl<'a> KernelEv<'a> {
                 let v = self.eval_expr(expr, locals);
                 match (neg, float) {
                     (true, true) => Value::Float(-v.as_float()),
-                    (true, false) => Value::Int(-v.as_int()),
+                    (true, false) => Value::Int(neg_int(v.as_int())),
                     (false, _) => Value::Int((v.as_int() == 0) as i64),
                 }
             }
@@ -586,7 +587,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                 let v = self.eval_expr(expr, locals);
                 match (neg, float) {
                     (true, true) => Value::Float(-v.as_float()),
-                    (true, false) => Value::Int(-v.as_int()),
+                    (true, false) => Value::Int(neg_int(v.as_int())),
                     (false, _) => Value::Int((v.as_int() == 0) as i64),
                 }
             }

@@ -1,0 +1,1892 @@
+//! The kernel view of a compiled program: what skeleton argument
+//! functions run as, built once per [`crate::Compiled`].
+//!
+//! Instantiation leaves first-order *monomorphic* code, so an argument
+//! function whose parameters, locals, result and callees are all `int`,
+//! `float`, `Index`, handles of `array<int>` / `array<float>` or structs
+//! of `int` and `float` fields needs no tagged slots at all. At
+//! `-O1`/`-O2` every such function of shape [`KernelShape::General`] is
+//! lowered — from the optimized bytecode, so inlining, folding and
+//! fusion are inherited and there is still one optimizer — into
+//! three-address code over untagged 8-byte registers ([`KIns`]): the
+//! operator and the operand type are resolved per instruction, an
+//! `Index` is two consecutive registers and a struct one per field (a
+//! field access is the register itself), constants sit in registers,
+//! and there is no operand stack at run time. A function that uses
+//! anything else (lists, `Bounds`, structs of more than scalars,
+//! `print`, `array_put_elem`, a skeleton, a callee over structs) is not
+//! lowered and runs on the generic loop of [`crate::vm`] over the
+//! program's own bytecode, exactly as it does at `-O0`. Skeletons still
+//! hand structs over as [`Value`]s: one is spread over a parameter's
+//! registers on the way in and collected from the result's on the way
+//! out.
+//!
+//! ## Frame layout
+//!
+//! ```text
+//! [ constants | parameters (lifted.., element args..) | locals | temporaries ]
+//! ```
+//!
+//! Constants and lifted arguments are written once per skeleton call,
+//! the element arguments once per element. Operand-stack depth `d` of
+//! the source bytecode owns the temporary `tbase + w*d` — `w` registers
+//! wide: two, or what the widest struct of the function takes — so
+//! values that meet at a jump target meet in the same register without
+//! any allocation pass. A call pushes the callee's frame above the
+//! caller's in the same register file.
+//!
+//! ## Virtual time
+//!
+//! Kernel mode charges nothing per instruction — the skeleton charges
+//! the statically estimated kernel cost per element — so `Charge`s are
+//! dropped here (and are no-ops on the generic loop) and no virtual
+//! cycle can move, whichever form runs.
+
+use std::fmt::Write as _;
+
+use skil_array::Index;
+
+use crate::bytecode::{CompiledFunc, Instr, Intr, KernelShape, Program, Src};
+use crate::fo::{BinOp, FoProgram, FoTy};
+use crate::interp::to_uindex;
+use crate::opt::OptLevel;
+use crate::scalar::{float_arith, float_cmp, int_bin, neg_int, scalar_intr, Scalar};
+use crate::store::{ArrayStore, Elem, FloatElem, IntElem};
+use crate::sym::Names;
+use crate::value::Value;
+use crate::vm::{live_array, rt, Sl};
+
+// ---------------------------------------------------------------------
+// Types and instructions.
+// ---------------------------------------------------------------------
+
+/// The static types the typed tier handles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KTy {
+    /// `void`: no register.
+    Unit,
+    Int,
+    Float,
+    /// Two consecutive registers.
+    Index,
+    /// Handle of an `array<int>`.
+    ArrInt,
+    /// Handle of an `array<float>`.
+    ArrFloat,
+    /// A struct of `int` and `float` fields: one register per field.
+    Struct(Flat),
+}
+
+/// A struct instance whose fields are all `int` or `float`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Flat {
+    /// Index into `FoProgram::structs`.
+    pub(crate) sid: u16,
+    /// Number of fields (at most [`Flat::MAX_FIELDS`]).
+    pub(crate) n: u8,
+    /// Bit `k`: field `k` is a `float`.
+    floats: u8,
+}
+
+impl Flat {
+    const MAX_FIELDS: usize = 8;
+
+    fn of(fo: &FoProgram, sid: usize) -> Option<Flat> {
+        let fields = &fo.structs.get(sid)?.fields;
+        if fields.len() > Flat::MAX_FIELDS {
+            return None;
+        }
+        let mut floats = 0;
+        for (k, (_, ty)) in fields.iter().enumerate() {
+            match ty {
+                FoTy::Int => {}
+                FoTy::Float => floats |= 1 << k,
+                _ => return None,
+            }
+        }
+        Some(Flat { sid: u16::try_from(sid).ok()?, n: fields.len() as u8, floats })
+    }
+
+    /// The type of field `k`.
+    pub(crate) fn field(self, k: usize) -> KTy {
+        if self.floats >> k & 1 == 1 {
+            KTy::Float
+        } else {
+            KTy::Int
+        }
+    }
+}
+
+impl KTy {
+    fn of(fo: &FoProgram, ty: &FoTy) -> Option<KTy> {
+        Some(match ty {
+            FoTy::Void => KTy::Unit,
+            FoTy::Int => KTy::Int,
+            FoTy::Float => KTy::Float,
+            FoTy::Index => KTy::Index,
+            FoTy::Array(t) if **t == FoTy::Int => KTy::ArrInt,
+            FoTy::Array(t) if **t == FoTy::Float => KTy::ArrFloat,
+            FoTy::Struct(name) => {
+                let sid = fo.structs.iter().position(|s| s.name == *name)?;
+                KTy::Struct(Flat::of(fo, sid)?)
+            }
+            _ => return None,
+        })
+    }
+
+    fn words(self) -> u16 {
+        match self {
+            KTy::Unit => 0,
+            KTy::Index => 2,
+            KTy::Struct(flat) => flat.n as u16,
+            _ => 1,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            KTy::Unit => "void",
+            KTy::Int => "int",
+            KTy::Float => "float",
+            KTy::Index => "Index",
+            KTy::ArrInt => "array<int>",
+            KTy::ArrFloat => "array<float>",
+            KTy::Struct(_) => "struct",
+        }
+    }
+}
+
+/// A frame register.
+type R = u16;
+/// A jump target (instruction index within the function).
+type T = u16;
+
+/// Defines [`KIns`] from one table: per variant its operands, each a
+/// register (`r`), a jump target (`t`), a callee (`f`), an intrinsic
+/// (`i`) or a register count (`n`) — which is also all the listing and
+/// the jump patcher need.
+macro_rules! kins {
+    (@ty r) => { R };
+    (@ty t) => { T };
+    (@ty f) => { u16 };
+    (@ty i) => { Intr };
+    (@ty n) => { u16 };
+    (@show r $v:ident) => { format!("r{}", $v) };
+    (@show t $v:ident) => { format!("@{}", $v) };
+    (@show f $v:ident) => { format!("fn#{}", $v) };
+    (@show i $v:ident) => { $v.name().to_string() };
+    (@show n $v:ident) => { format!("{}", $v) };
+    (@target t $v:ident) => { return Some($v) };
+    (@target $k:ident $v:ident) => { let _ = $v; };
+    ($( $(#[$doc:meta])* $name:ident ( $($arg:ident : $kind:ident),* ) ),* $(,)?) => {
+        /// One typed three-address instruction: destination first, then
+        /// sources. `I`/`F` name the operand type; `Jx a, b, t` jumps
+        /// when `a x b` holds, `Jnx` when it does not (for floats the two
+        /// differ on NaN; for ints `Jnx` is the complementary `Jy`).
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub(crate) enum KIns {
+            $( $(#[$doc])* $name( $(kins!(@ty $kind)),* ) ),*
+        }
+
+        impl KIns {
+            #[allow(unreachable_code)]
+            fn target_mut(&mut self) -> Option<&mut T> {
+                match self {
+                    $( KIns::$name($($arg),*) => { $( kins!(@target $kind $arg); )* None } )*
+                }
+            }
+        }
+
+        impl std::fmt::Display for KIns {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                match self {
+                    $( KIns::$name($($arg),*) => {
+                        let args: Vec<String> = vec![$( kins!(@show $kind $arg) ),*];
+                        let listed = format!("{} {}", stringify!($name).to_lowercase(), args.join(", "));
+                        f.write_str(listed.trim_end())
+                    } )*
+                }
+            }
+        }
+    };
+}
+
+kins! {
+    AddI(d: r, a: r, b: r),
+    SubI(d: r, a: r, b: r),
+    MulI(d: r, a: r, b: r),
+    DivI(d: r, a: r, b: r),
+    RemI(d: r, a: r, b: r),
+    AddF(d: r, a: r, b: r),
+    SubF(d: r, a: r, b: r),
+    MulF(d: r, a: r, b: r),
+    DivF(d: r, a: r, b: r),
+    RemF(d: r, a: r, b: r),
+    EqI(d: r, a: r, b: r),
+    NeI(d: r, a: r, b: r),
+    LtI(d: r, a: r, b: r),
+    LeI(d: r, a: r, b: r),
+    GtI(d: r, a: r, b: r),
+    GeI(d: r, a: r, b: r),
+    EqF(d: r, a: r, b: r),
+    NeF(d: r, a: r, b: r),
+    LtF(d: r, a: r, b: r),
+    LeF(d: r, a: r, b: r),
+    GtF(d: r, a: r, b: r),
+    GeF(d: r, a: r, b: r),
+    NegI(d: r, a: r),
+    NegF(d: r, a: r),
+    /// `d = (a == 0)`.
+    Not(d: r, a: r),
+    /// `d = (a != 0)`.
+    ToBool(d: r, a: r),
+    Mov(d: r, a: r),
+    /// Move an `Index` (two registers).
+    Mov2(d: r, a: r),
+    /// Move a struct (`n` registers).
+    MovN(d: r, a: r, n: n),
+    /// `d, d+1 = a, b`.
+    MkIx(d: r, a: r, b: r),
+    /// `d = ix[comp]` with a run-time component.
+    IxAt(d: r, ix: r, comp: r),
+    /// A one-operand scalar intrinsic ([`scalar_intr`]).
+    Intr1(op: i, d: r, a: r),
+    /// A two-operand scalar intrinsic.
+    Intr2(op: i, d: r, a: r, b: r),
+    ProcId(d: r),
+    NProcs(d: r),
+    /// `d = array_get_elem(arr, {i, j})` over an `array<int>`.
+    GetI(d: r, arr: r, i: r, j: r),
+    /// The same over an `array<float>`.
+    GetF(d: r, arr: r, i: r, j: r),
+    /// `error(a)`.
+    Error(a: r),
+    Jmp(to: t),
+    Jz(a: r, to: t),
+    Jnz(a: r, to: t),
+    JEqI(a: r, b: r, to: t),
+    JNeI(a: r, b: r, to: t),
+    JLtI(a: r, b: r, to: t),
+    JLeI(a: r, b: r, to: t),
+    JGtI(a: r, b: r, to: t),
+    JGeI(a: r, b: r, to: t),
+    JEqF(a: r, b: r, to: t),
+    JNeF(a: r, b: r, to: t),
+    JLtF(a: r, b: r, to: t),
+    JLeF(a: r, b: r, to: t),
+    JGtF(a: r, b: r, to: t),
+    JGeF(a: r, b: r, to: t),
+    JnEqF(a: r, b: r, to: t),
+    JnNeF(a: r, b: r, to: t),
+    JnLtF(a: r, b: r, to: t),
+    JnLeF(a: r, b: r, to: t),
+    JnGtF(a: r, b: r, to: t),
+    JnGeF(a: r, b: r, to: t),
+    /// Call function `fid` with its arguments at the temporaries from
+    /// `args` on (one temporary per argument); the result goes to `d`.
+    Call(fid: f, args: r, d: r),
+    Ret(a: r),
+    /// Return an `Index`.
+    Ret2(a: r),
+    /// Return a struct: it stays in the frame, at register `a`, where
+    /// the skeleton reads it.
+    RetN(a: r),
+    /// Return from a `void` function.
+    Ret0(),
+}
+
+impl KIns {
+    /// `d = a op b`; `None` for what the tier does not lower (logic on
+    /// floats is a runtime type error, ints short-circuit in branches).
+    fn bin(op: BinOp, float: bool, d: R, a: R, b: R) -> Option<KIns> {
+        use BinOp::*;
+        let make = match (op, float) {
+            (Add, false) => KIns::AddI,
+            (Sub, false) => KIns::SubI,
+            (Mul, false) => KIns::MulI,
+            (Div, false) => KIns::DivI,
+            (Rem, false) => KIns::RemI,
+            (Eq, false) => KIns::EqI,
+            (Ne, false) => KIns::NeI,
+            (Lt, false) => KIns::LtI,
+            (Le, false) => KIns::LeI,
+            (Gt, false) => KIns::GtI,
+            (Ge, false) => KIns::GeI,
+            (Add, true) => KIns::AddF,
+            (Sub, true) => KIns::SubF,
+            (Mul, true) => KIns::MulF,
+            (Div, true) => KIns::DivF,
+            (Rem, true) => KIns::RemF,
+            (Eq, true) => KIns::EqF,
+            (Ne, true) => KIns::NeF,
+            (Lt, true) => KIns::LtF,
+            (Le, true) => KIns::LeF,
+            (Gt, true) => KIns::GtF,
+            (Ge, true) => KIns::GeF,
+            (And | Or, _) => return None,
+        };
+        Some(make(d, a, b))
+    }
+
+    /// `(op, float, d, a, b)` of a comparison into a register.
+    fn as_cmp(&self) -> Option<(BinOp, bool, R, R, R)> {
+        use BinOp::*;
+        Some(match *self {
+            KIns::EqI(d, a, b) => (Eq, false, d, a, b),
+            KIns::NeI(d, a, b) => (Ne, false, d, a, b),
+            KIns::LtI(d, a, b) => (Lt, false, d, a, b),
+            KIns::LeI(d, a, b) => (Le, false, d, a, b),
+            KIns::GtI(d, a, b) => (Gt, false, d, a, b),
+            KIns::GeI(d, a, b) => (Ge, false, d, a, b),
+            KIns::EqF(d, a, b) => (Eq, true, d, a, b),
+            KIns::NeF(d, a, b) => (Ne, true, d, a, b),
+            KIns::LtF(d, a, b) => (Lt, true, d, a, b),
+            KIns::LeF(d, a, b) => (Le, true, d, a, b),
+            KIns::GtF(d, a, b) => (Gt, true, d, a, b),
+            KIns::GeF(d, a, b) => (Ge, true, d, a, b),
+            _ => return None,
+        })
+    }
+
+    /// Jump when `a op b` is `want`; the target is patched later.
+    fn jump_cmp(op: BinOp, float: bool, want: bool, a: R, b: R) -> Option<KIns> {
+        use BinOp::*;
+        // an int comparison that must fail is the complementary one
+        let op = match (op, float || want) {
+            (_, true) => op,
+            (Eq, false) => Ne,
+            (Ne, false) => Eq,
+            (Lt, false) => Ge,
+            (Le, false) => Gt,
+            (Gt, false) => Le,
+            (Ge, false) => Lt,
+            (other, false) => other,
+        };
+        let make = match (op, float, float && !want) {
+            (Eq, false, _) => KIns::JEqI,
+            (Ne, false, _) => KIns::JNeI,
+            (Lt, false, _) => KIns::JLtI,
+            (Le, false, _) => KIns::JLeI,
+            (Gt, false, _) => KIns::JGtI,
+            (Ge, false, _) => KIns::JGeI,
+            (Eq, true, false) => KIns::JEqF,
+            (Ne, true, false) => KIns::JNeF,
+            (Lt, true, false) => KIns::JLtF,
+            (Le, true, false) => KIns::JLeF,
+            (Gt, true, false) => KIns::JGtF,
+            (Ge, true, false) => KIns::JGeF,
+            (Eq, true, true) => KIns::JnEqF,
+            (Ne, true, true) => KIns::JnNeF,
+            (Lt, true, true) => KIns::JnLtF,
+            (Le, true, true) => KIns::JnLeF,
+            (Gt, true, true) => KIns::JnGtF,
+            (Ge, true, true) => KIns::JnGeF,
+            _ => return None,
+        };
+        Some(make(a, b, 0))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Lowering: optimized bytecode -> typed code.
+// ---------------------------------------------------------------------
+
+/// Why a function stays on the generic loop.
+type Why = &'static str;
+
+/// A function's signature in tier types; `None` when a parameter or the
+/// result is a list, `Bounds`, a struct with a field that is not `int`
+/// or `float`, or an array of such.
+fn signature(fo: &FoProgram, fid: usize) -> Option<(Vec<KTy>, KTy)> {
+    let f = &fo.funcs[fid];
+    let params: Option<Vec<KTy>> =
+        f.params.iter().map(|(_, ty)| KTy::of(fo, ty).filter(|t| *t != KTy::Unit)).collect();
+    Some((params?, KTy::of(fo, &f.ret)?))
+}
+
+/// A value on the abstract operand stack: its type (`None` while slot
+/// types are still being inferred) and the register it currently lives
+/// in — its depth's own temporary, or an alias of a slot or constant
+/// register that no instruction has had to copy yet.
+#[derive(Debug, Clone, Copy)]
+struct Opnd {
+    ty: Option<KTy>,
+    reg: R,
+    /// The value, when this is an int constant.
+    int: Option<i64>,
+}
+
+impl Opnd {
+    fn new(ty: Option<KTy>, reg: R) -> Opnd {
+        Opnd { ty, reg, int: None }
+    }
+
+    const UNIT: Opnd = Opnd { ty: Some(KTy::Unit), reg: 0, int: None };
+}
+
+/// One function after lowering.
+struct Lowered {
+    code: Vec<KIns>,
+    /// Constant registers: type and raw bits.
+    consts: Vec<(KTy, u64)>,
+    nregs: u16,
+    params: Vec<KTy>,
+    ret: KTy,
+    twidth: R,
+    /// Stores into a parameter register: the prologue (constants and
+    /// lifted arguments) must be rewritten per element.
+    clobbers: bool,
+    /// Callees, by function index.
+    calls: Vec<usize>,
+}
+
+struct Lower<'a> {
+    code: &'a Program,
+    f: &'a CompiledFunc,
+    fo: &'a FoProgram,
+    nparams: usize,
+    ret: KTy,
+    /// Inferred type per frame slot; parameters are given.
+    slot_ty: Vec<Option<KTy>>,
+    /// Constant registers, in first-use order: type and raw bits.
+    consts: Vec<(KTy, u64)>,
+    /// Deepest operand stack seen, in entries.
+    max_depth: usize,
+    /// Pass mode: the inference passes emit nothing and have no layout.
+    emit: bool,
+    slot_reg: Vec<R>,
+    tbase: R,
+    /// Registers per temporary: two, or what the widest struct takes.
+    twidth: R,
+    out: Vec<KIns>,
+    vs: Vec<Opnd>,
+    /// Every address a lowered jump can name: targets after threading,
+    /// and both ways out of a conditional jump that an unconditional
+    /// one is merged into.
+    is_target: Vec<bool>,
+    /// Typed address of each such bytecode address.
+    typed_at: Vec<u32>,
+    /// Stack types on entry to each jump target, once known.
+    entry: Vec<Option<Vec<Option<KTy>>>>,
+    /// Jumps awaiting the typed address of their bytecode target.
+    patches: Vec<(usize, u32)>,
+    /// Address of the bytecode instruction being lowered.
+    pc: usize,
+    /// Typed address of the last jump target: nothing before it may be
+    /// merged with what follows.
+    fence: usize,
+    /// The current position follows an unconditional transfer.
+    dead: bool,
+    /// An inference pass learned a slot type.
+    changed: bool,
+    /// An inference pass read a slot whose type it did not know yet.
+    unknown: bool,
+    clobbers: bool,
+    calls: Vec<usize>,
+}
+
+/// The first instruction at or after `pc` that is not a `Charge`.
+fn skip_charges(code: &[Instr], mut pc: usize) -> usize {
+    while matches!(code.get(pc), Some(Instr::Charge(_))) {
+        pc += 1;
+    }
+    pc
+}
+
+/// The conditional jump at `pc`, if there is one: its target, and
+/// whether it jumps on zero.
+fn cond_jump_at(code: &[Instr], pc: usize) -> Option<(u32, bool)> {
+    match code.get(pc) {
+        Some(Instr::JumpIfZero(x)) => Some((*x, true)),
+        Some(Instr::JumpIfNonZero(x)) => Some((*x, false)),
+        _ => None,
+    }
+}
+
+/// Where a jump to `t` ends up: through jumps, and through the
+/// `const c; jz x` tails the compiler leaves at the short-circuit exit
+/// of `&&` / `||`, whose outcome is known. The operand stack is the same
+/// at both ends.
+fn thread(p: &Program, code: &[Instr], mut t: usize) -> usize {
+    // bounded: `l: jump l` is a legal program
+    for _ in 0..8 {
+        let at = skip_charges(code, t);
+        t = match code.get(at) {
+            Some(Instr::Jump(x)) => *x as usize,
+            Some(Instr::Const(c)) => {
+                let after = skip_charges(code, at + 1);
+                match (&p.consts[*c as usize], cond_jump_at(code, after)) {
+                    (Value::Int(v), Some((x, on_zero))) if (*v == 0) == on_zero => x as usize,
+                    (Value::Int(_), Some(_)) => after + 1,
+                    _ => break,
+                }
+            }
+            _ => break,
+        };
+    }
+    t
+}
+
+/// Delete every `jmp` to the next instruction (an `if` without `else`
+/// ends in one) and renumber the targets.
+fn drop_jumps_to_next(code: &mut Vec<KIns>) {
+    loop {
+        let dropped: Vec<bool> = code
+            .iter()
+            .enumerate()
+            .map(|(i, ins)| matches!(ins, KIns::Jmp(t) if *t as usize == i + 1))
+            .collect();
+        if !dropped.contains(&true) {
+            return;
+        }
+        let mut new_at = Vec::with_capacity(code.len() + 1);
+        let mut kept = 0;
+        for &d in &dropped {
+            new_at.push(kept);
+            kept += !d as T;
+        }
+        new_at.push(kept);
+        let mut at = 0;
+        code.retain(|_| {
+            at += 1;
+            !dropped[at - 1]
+        });
+        for t in code.iter_mut().filter_map(KIns::target_mut) {
+            *t = new_at[*t as usize];
+        }
+    }
+}
+
+fn lower_fn(code: &Program, fo: &FoProgram, fid: usize) -> Result<Lowered, Why> {
+    let f = &code.funcs[fid];
+    let (params, ret) = signature(fo, fid)
+        .ok_or("a parameter or the result is a list, Bounds or a struct of more than scalars")?;
+    if params.len() > 32 {
+        return Err("more than 32 parameters");
+    }
+    // every struct in the function is a parameter or is built in it
+    let built = f.code.iter().filter_map(|ins| match ins {
+        Instr::MakeStruct(sid, _) => Flat::of(fo, *sid as usize).map(KTy::Struct),
+        _ => None,
+    });
+    let twidth = params.iter().copied().chain(built).map(KTy::words).fold(2, R::max);
+    let mut slot_ty = vec![None; f.nslots];
+    for (slot, ty) in slot_ty.iter_mut().zip(&params) {
+        *slot = Some(*ty);
+    }
+    let mut is_target = vec![false; f.code.len() + 1];
+    for ins in &f.code {
+        if let Some(t) = crate::opt::jump_label(ins) {
+            is_target[thread(code, &f.code, t as usize)] = true;
+            let at = skip_charges(&f.code, t as usize);
+            if let (Instr::Jump(_), Some((x, _))) = (ins, cond_jump_at(&f.code, at)) {
+                is_target[thread(code, &f.code, x as usize)] = true;
+                is_target[thread(code, &f.code, at + 1)] = true;
+            }
+        }
+    }
+    let mut lw = Lower {
+        code,
+        f,
+        fo,
+        nparams: params.len(),
+        ret,
+        slot_ty,
+        consts: Vec::new(),
+        max_depth: 0,
+        emit: false,
+        slot_reg: vec![0; f.nslots],
+        tbase: 0,
+        twidth,
+        out: Vec::new(),
+        vs: Vec::new(),
+        is_target,
+        typed_at: vec![0; f.code.len() + 1],
+        entry: vec![None; f.code.len() + 1],
+        patches: Vec::new(),
+        pc: 0,
+        fence: 0,
+        dead: false,
+        changed: false,
+        unknown: false,
+        clobbers: false,
+        calls: Vec::new(),
+    };
+    // infer slot types: one pass, unless it read a slot before the
+    // store that types it; then to a fixed point
+    loop {
+        lw.pass()?;
+        if !(lw.unknown && lw.changed) {
+            break;
+        }
+    }
+    // lay the frame out and emit
+    let mut next = lw.consts.len();
+    for (reg, ty) in lw.slot_reg.iter_mut().zip(&lw.slot_ty) {
+        *reg = R::try_from(next).map_err(|_| "frame too large")?;
+        next += ty.map_or(0, |t| t.words() as usize);
+    }
+    let nregs = next + twidth as usize * lw.max_depth;
+    if nregs > R::MAX as usize || f.code.len() > T::MAX as usize {
+        return Err("frame or code too large");
+    }
+    lw.tbase = next as R;
+    lw.emit = true;
+    lw.pass()?;
+    if lw.out.len() > T::MAX as usize {
+        return Err("frame or code too large");
+    }
+    Ok(Lowered {
+        code: lw.out,
+        consts: lw.consts,
+        // a frame is never empty: `call` tells a fresh one by that
+        nregs: nregs.max(1) as u16,
+        params,
+        ret,
+        twidth,
+        clobbers: lw.clobbers,
+        calls: lw.calls,
+    })
+}
+
+impl Lower<'_> {
+    /// One walk over the bytecode in address order, simulating the
+    /// operand stack.
+    fn pass(&mut self) -> Result<(), Why> {
+        let code = &self.f.code;
+        self.out.clear();
+        self.vs.clear();
+        self.patches.clear();
+        self.calls.clear();
+        self.entry.fill(None);
+        self.fence = 0;
+        self.dead = false;
+        self.changed = false;
+        self.unknown = false;
+        for (pc, ins) in code.iter().enumerate() {
+            self.pc = pc;
+            if self.is_target[pc] {
+                self.label(pc)?;
+                self.fence = self.out.len();
+                self.typed_at[pc] = self.out.len() as u32;
+            }
+            if !self.dead {
+                self.step(*ins)?;
+            }
+        }
+        if !self.dead {
+            return Err("control can run off the end");
+        }
+        for &(at, target) in &self.patches {
+            let to = T::try_from(self.typed_at[target as usize]).map_err(|_| "code too large")?;
+            *self.out[at].target_mut().expect("patching a jump") = to;
+        }
+        drop_jumps_to_next(&mut self.out);
+        Ok(())
+    }
+
+    // ---- registers and the abstract stack ----
+
+    /// The temporary owned by stack depth `depth`.
+    fn home(&self, depth: usize) -> R {
+        self.tbase + self.twidth * depth as R
+    }
+
+    fn ins(&mut self, ins: KIns) {
+        if self.emit {
+            self.out.push(ins);
+        }
+    }
+
+    fn push(&mut self, o: Opnd) {
+        self.vs.push(o);
+        self.max_depth = self.max_depth.max(self.vs.len());
+    }
+
+    /// Push a fresh result of type `ty`; returns the register to write.
+    fn push_result(&mut self, ty: Option<KTy>) -> R {
+        let reg = self.home(self.vs.len());
+        self.push(Opnd::new(ty, reg));
+        reg
+    }
+
+    fn pop(&mut self) -> Opnd {
+        self.vs.pop().expect("bytecode pops what it pushed")
+    }
+
+    /// Pop an operand that must have type `want`.
+    fn pop_as(&mut self, want: KTy) -> Result<Opnd, Why> {
+        let o = self.pop();
+        self.expect(o, want)
+    }
+
+    fn expect(&self, o: Opnd, want: KTy) -> Result<Opnd, Why> {
+        match o.ty {
+            Some(ty) if ty != want => Err("an operand has an unexpected type"),
+            None if self.emit => Err("a value's type could not be inferred"),
+            _ => Ok(o),
+        }
+    }
+
+    fn mov(&mut self, ty: Option<KTy>, d: R, a: R) {
+        if d != a {
+            match ty {
+                Some(KTy::Unit) => {}
+                Some(KTy::Index) => self.ins(KIns::Mov2(d, a)),
+                Some(KTy::Struct(flat)) => self.ins(KIns::MovN(d, a, flat.n as u16)),
+                _ => self.ins(KIns::Mov(d, a)),
+            }
+        }
+    }
+
+    /// Copy stack entry `depth` into its own temporary.
+    fn materialize(&mut self, depth: usize) {
+        let Opnd { ty, reg, .. } = self.vs[depth];
+        let home = self.home(depth);
+        self.mov(ty, home, reg);
+        self.vs[depth] = Opnd::new(ty, home);
+    }
+
+    fn materialize_all(&mut self) {
+        for depth in 0..self.vs.len() {
+            self.materialize(depth);
+        }
+    }
+
+    /// Before registers `reg..reg + words` are overwritten: copy out
+    /// every stack entry still aliasing them.
+    fn spill_aliases(&mut self, reg: R, words: u16) {
+        for depth in 0..self.vs.len() {
+            let o = self.vs[depth];
+            let w = o.ty.map_or(1, KTy::words);
+            if o.reg < reg + words && reg < o.reg + w {
+                self.materialize(depth);
+            }
+        }
+    }
+
+    fn konst_raw(&mut self, ty: KTy, bits: u64) -> Opnd {
+        let reg = match self.consts.iter().position(|c| *c == (ty, bits)) {
+            Some(i) => i,
+            None => {
+                self.consts.push((ty, bits));
+                self.consts.len() - 1
+            }
+        };
+        let int = (ty == KTy::Int).then_some(bits as i64);
+        Opnd { ty: Some(ty), reg: reg as R, int }
+    }
+
+    fn konst(&mut self, i: usize) -> Result<Opnd, Why> {
+        Ok(match &self.code.consts[i] {
+            Value::Int(v) => self.konst_raw(KTy::Int, *v as u64),
+            Value::Float(v) => self.konst_raw(KTy::Float, v.to_bits()),
+            Value::Unit => Opnd::UNIT,
+            _ => return Err("an aggregate constant"),
+        })
+    }
+
+    fn slot(&mut self, s: u16) -> Result<Opnd, Why> {
+        let ty = self.slot_ty[s as usize];
+        if ty.is_none() {
+            if self.emit {
+                return Err("a variable is read but never assigned a scalar");
+            }
+            self.unknown = true;
+        }
+        Ok(Opnd::new(ty, self.slot_reg[s as usize]))
+    }
+
+    /// Fetch a fused operand.
+    fn src(&mut self, s: Src) -> Result<Opnd, Why> {
+        match s {
+            Src::Top => Ok(self.pop()),
+            Src::Slot(s) => self.slot(s),
+            Src::Const(c) => self.konst(c as usize),
+        }
+    }
+
+    /// The register a store to slot `s` of a `ty` value writes, after
+    /// recording the slot's type and saving what still aliases it.
+    fn slot_dest(&mut self, s: u16, ty: KTy) -> Result<R, Why> {
+        let slot = &mut self.slot_ty[s as usize];
+        match *slot {
+            None => {
+                *slot = Some(ty);
+                self.changed = true;
+            }
+            Some(have) if have != ty => return Err("a variable holds values of two types"),
+            Some(_) => {}
+        }
+        if (s as usize) < self.nparams {
+            self.clobbers = true;
+        }
+        let reg = self.slot_reg[s as usize];
+        self.spill_aliases(reg, ty.words());
+        Ok(reg)
+    }
+
+    fn store(&mut self, s: u16, v: Opnd) -> Result<(), Why> {
+        match v.ty {
+            // `T x;` without an initializer stores the unit placeholder
+            Some(KTy::Unit) => Ok(()),
+            None if self.emit => Err("a value's type could not be inferred"),
+            None => Ok(()),
+            Some(ty) => {
+                let d = self.slot_dest(s, ty)?;
+                self.mov(Some(ty), d, v.reg);
+                Ok(())
+            }
+        }
+    }
+
+    // ---- control flow ----
+
+    /// Record (or check) the stack types a jump target is entered with.
+    fn meet(&mut self, pc: usize) -> Result<(), Why> {
+        let now: Vec<Option<KTy>> = self.vs.iter().map(|o| o.ty).collect();
+        match &mut self.entry[pc] {
+            e @ None => *e = Some(now),
+            Some(have) => {
+                if have.len() != now.len() {
+                    return Err("unbalanced operand stack at a jump target");
+                }
+                for (h, n) in have.iter_mut().zip(now) {
+                    match (*h, n) {
+                        (Some(a), Some(b)) if a != b => {
+                            return Err("operand types disagree at a jump target")
+                        }
+                        (None, Some(_)) => *h = n,
+                        _ => {}
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A jump target: whatever falls into it joins the jumps that named
+    /// it, every entry in its own temporary.
+    fn label(&mut self, pc: usize) -> Result<(), Why> {
+        if !self.dead {
+            self.materialize_all();
+            self.meet(pc)
+        } else if let Some(tys) = self.entry[pc].clone() {
+            self.vs.clear();
+            for ty in tys {
+                self.push_result(ty);
+            }
+            self.dead = false;
+            Ok(())
+        } else {
+            // no jump seen so far reaches it (a later backward jump
+            // that does is declined in `jump`)
+            Ok(())
+        }
+    }
+
+    fn jump(&mut self, ins: KIns, target: usize) -> Result<(), Why> {
+        self.materialize_all();
+        let t = thread(self.code, &self.f.code, target);
+        if t <= self.pc && self.entry[t].is_none() {
+            // its target was skipped as unreachable on the way here
+            return Err("a loop is entered from below");
+        }
+        self.meet(t)?;
+        if self.emit {
+            self.patches.push((self.out.len(), t as u32));
+            self.out.push(ins);
+        }
+        Ok(())
+    }
+
+    /// Jump to `target` when `v` is zero (`on_zero`) or non-zero. A
+    /// comparison that produced `v` just before becomes the jump.
+    fn cond_jump(&mut self, v: Opnd, on_zero: bool, target: usize) -> Result<(), Why> {
+        let v = self.expect(v, KTy::Int)?;
+        let fused = match self.out.last().and_then(KIns::as_cmp) {
+            // `v` was popped: only the jump could still read its register
+            Some((op, float, d, a, b))
+                if self.emit && d == v.reg && d >= self.tbase && self.out.len() > self.fence =>
+            {
+                self.out.pop();
+                KIns::jump_cmp(op, float, !on_zero, a, b)
+            }
+            _ => None,
+        };
+        let plain = if on_zero { KIns::Jz(v.reg, 0) } else { KIns::Jnz(v.reg, 0) };
+        self.jump(fused.unwrap_or(plain), target)
+    }
+
+    // ---- instructions ----
+
+    fn bin(
+        &mut self,
+        op: BinOp,
+        float: bool,
+        l: Opnd,
+        r: Opnd,
+        dest: Option<u16>,
+    ) -> Result<(), Why> {
+        let operand = if float { KTy::Float } else { KTy::Int };
+        let (l, r) = (self.expect(l, operand)?, self.expect(r, operand)?);
+        let ty = if float && op.is_arithmetic() { KTy::Float } else { KTy::Int };
+        let d = match dest {
+            Some(s) => self.slot_dest(s, ty)?,
+            None => self.push_result(Some(ty)),
+        };
+        let ins =
+            KIns::bin(op, float, d, l.reg, r.reg).ok_or("a logical operator outside a branch")?;
+        self.ins(ins);
+        Ok(())
+    }
+
+    /// Jump to `t` when `l op r` is non-zero (`want`) or zero.
+    fn jump_cmp(
+        &mut self,
+        op: BinOp,
+        float: bool,
+        want: bool,
+        l: Opnd,
+        r: Opnd,
+        t: u32,
+    ) -> Result<(), Why> {
+        if op.is_arithmetic() {
+            // `if (a - b)`: the value, then a test of it
+            self.bin(op, float, l, r, None)?;
+            let v = self.pop();
+            return self.cond_jump(v, !want, t as usize);
+        }
+        let operand = if float { KTy::Float } else { KTy::Int };
+        let (l, r) = (self.expect(l, operand)?, self.expect(r, operand)?);
+        let ins = KIns::jump_cmp(op, float, want, l.reg, r.reg)
+            .ok_or("a logical operator outside a branch")?;
+        self.jump(ins, t as usize)
+    }
+
+    fn index_at(&mut self, ix: Opnd, comp: Opnd) -> Result<(), Why> {
+        let (ix, comp) = (self.expect(ix, KTy::Index)?, self.expect(comp, KTy::Int)?);
+        match comp.int {
+            // a constant component is the register itself
+            Some(c @ 0..=1) => self.push(Opnd::new(Some(KTy::Int), ix.reg + c as R)),
+            _ => {
+                let d = self.push_result(Some(KTy::Int));
+                self.ins(KIns::IxAt(d, ix.reg, comp.reg));
+            }
+        }
+        Ok(())
+    }
+
+    /// Field `i` of struct `v`: the register it already sits in.
+    fn field(&mut self, v: Opnd, i: u16) -> Result<(), Why> {
+        match v.ty {
+            Some(KTy::Struct(flat)) if i < flat.n as u16 => {
+                self.push(Opnd::new(Some(flat.field(i as usize)), v.reg + i));
+                Ok(())
+            }
+            Some(_) => Err("a field of a Bounds value"),
+            None if self.emit => Err("a value's type could not be inferred"),
+            None => {
+                self.push(Opnd::new(None, v.reg));
+                Ok(())
+            }
+        }
+    }
+
+    /// Build struct `sid` from the top `n` stack entries, in the
+    /// temporary of the first.
+    fn make_struct(&mut self, sid: usize, n: usize) -> Result<(), Why> {
+        let flat = Flat::of(self.fo, sid)
+            .filter(|flat| flat.n as usize == n)
+            .ok_or("a struct of more than scalars")?;
+        let first = self.vs.len() - n;
+        let d = self.home(first);
+        for k in 0..n {
+            let v = self.expect(self.vs[first + k], flat.field(k))?;
+            // in order: a later field never sits where an earlier one
+            // lands, which is the temporary of a shallower depth
+            self.mov(v.ty, d + k as R, v.reg);
+        }
+        self.vs.truncate(first);
+        self.push(Opnd::new(Some(KTy::Struct(flat)), d));
+        Ok(())
+    }
+
+    fn get_elem(&mut self, arr: Opnd, i: R, j: R) -> Result<(), Why> {
+        match arr.ty {
+            Some(KTy::ArrInt) => {
+                let d = self.push_result(Some(KTy::Int));
+                self.ins(KIns::GetI(d, arr.reg, i, j));
+            }
+            Some(KTy::ArrFloat) => {
+                let d = self.push_result(Some(KTy::Float));
+                self.ins(KIns::GetF(d, arr.reg, i, j));
+            }
+            None if !self.emit => {
+                self.push_result(None);
+            }
+            _ => return Err("array_get_elem on something that is not a scalar array"),
+        }
+        Ok(())
+    }
+
+    /// An intrinsic over `args` (left to right).
+    fn intr(&mut self, op: Intr, args: &[Opnd]) -> Result<(), Why> {
+        let int = KTy::Int;
+        let scalar = |ty: KTy, params: &[KTy]| Some((ty, params.to_vec()));
+        let sig = match op {
+            Intr::Abs | Intr::Log2i => scalar(int, &[int]),
+            Intr::Min | Intr::Max => scalar(int, &[int, int]),
+            Intr::Ftoi => scalar(int, &[KTy::Float]),
+            Intr::Itof => scalar(KTy::Float, &[int]),
+            Intr::Fabs | Intr::Sqrt => scalar(KTy::Float, &[KTy::Float]),
+            Intr::Fmin | Intr::Fmax => scalar(KTy::Float, &[KTy::Float, KTy::Float]),
+            Intr::IntMax => scalar(int, &[]),
+            Intr::FltMax => scalar(KTy::Float, &[]),
+            _ => None,
+        };
+        if let Some((ty, params)) = sig {
+            if params.len() != args.len() {
+                return Err("an intrinsic is called with the wrong arity");
+            }
+            for (a, p) in args.iter().zip(&params) {
+                self.expect(*a, *p)?;
+            }
+            match *args {
+                [] => {
+                    let bits = match scalar_intr(op, |_| 0, |_| 0.0).expect("a scalar intrinsic") {
+                        Scalar::I(v) => v as u64,
+                        Scalar::F(v) => v.to_bits(),
+                    };
+                    let c = self.konst_raw(ty, bits);
+                    self.push(c);
+                }
+                [a] => {
+                    let d = self.push_result(Some(ty));
+                    self.ins(KIns::Intr1(op, d, a.reg));
+                }
+                [a, b] => {
+                    let d = self.push_result(Some(ty));
+                    self.ins(KIns::Intr2(op, d, a.reg, b.reg));
+                }
+                _ => unreachable!("scalar intrinsics take at most two operands"),
+            }
+            return Ok(());
+        }
+        match (op, args) {
+            (Intr::ProcId, []) => {
+                let d = self.push_result(Some(int));
+                self.ins(KIns::ProcId(d));
+            }
+            (Intr::NProcs, []) => {
+                let d = self.push_result(Some(int));
+                self.ins(KIns::NProcs(d));
+            }
+            (Intr::Error, [a]) => {
+                let a = self.expect(*a, int)?;
+                self.ins(KIns::Error(a.reg));
+                self.push(Opnd::UNIT);
+            }
+            (Intr::ArrayGetElem, [arr, ix]) => {
+                let ix = self.expect(*ix, KTy::Index)?;
+                self.get_elem(*arr, ix.reg, ix.reg + 1)?;
+            }
+            (Intr::Print, _) => return Err("print"),
+            (Intr::ArrayPutElem, _) => return Err("array_put_elem"),
+            (Intr::ArrayPartBounds, _) => return Err("array_part_bounds yields Bounds"),
+            _ => return Err("a list or constant intrinsic"),
+        }
+        Ok(())
+    }
+
+    fn call(&mut self, fid: usize) -> Result<(), Why> {
+        let (params, ret) = signature(self.fo, fid)
+            .filter(|(params, ret)| {
+                !params.iter().chain([ret]).any(|t| matches!(t, KTy::Struct(_)))
+            })
+            .ok_or("calls a function over structs, lists or Bounds")?;
+        let fid16 = u16::try_from(fid).map_err(|_| "too many functions")?;
+        if params.len() > 32 {
+            return Err("calls a function with more than 32 parameters");
+        }
+        // arguments go to the callee from their own temporaries
+        let first = self.vs.len() - params.len();
+        for (k, ty) in params.iter().enumerate() {
+            self.expect(self.vs[first + k], *ty)?;
+            self.materialize(first + k);
+        }
+        self.vs.truncate(first);
+        let args = self.home(first);
+        self.calls.push(fid);
+        self.ins(KIns::Call(fid16, args, args));
+        if ret == KTy::Unit {
+            self.push(Opnd::UNIT);
+        } else {
+            self.push_result(Some(ret));
+        }
+        Ok(())
+    }
+
+    fn ret(&mut self, v: Opnd) -> Result<(), Why> {
+        let v = self.expect(v, self.ret)?;
+        self.ins(match self.ret {
+            KTy::Unit => KIns::Ret0(),
+            KTy::Index => KIns::Ret2(v.reg),
+            KTy::Struct(_) => KIns::RetN(v.reg),
+            _ => KIns::Ret(v.reg),
+        });
+        self.dead = true;
+        Ok(())
+    }
+
+    fn step(&mut self, ins: Instr) -> Result<(), Why> {
+        let int = KTy::Int;
+        match ins {
+            Instr::Charge(_) => {}
+            Instr::Const(i) => {
+                let c = self.konst(i as usize)?;
+                self.push(c);
+            }
+            Instr::Load(s) => {
+                let v = self.slot(s)?;
+                self.push(v);
+            }
+            Instr::Store(s) => {
+                let v = self.pop();
+                self.store(s, v)?;
+            }
+            Instr::StoreS(d, s) => {
+                let v = self.src(s)?;
+                self.store(d, v)?;
+            }
+            Instr::Pop => {
+                self.pop();
+            }
+            Instr::Jump(t) => {
+                let at = skip_charges(&self.f.code, t as usize);
+                match cond_jump_at(&self.f.code, at) {
+                    // a jump to a conditional jump on the value it
+                    // carries (the long way out of `&&` / `||`) is that
+                    // conditional jump, here
+                    Some((x, on_zero)) if !self.vs.is_empty() => {
+                        let v = self.pop();
+                        self.cond_jump(v, on_zero, x as usize)?;
+                        self.jump(KIns::Jmp(0), at + 1)?;
+                    }
+                    _ => self.jump(KIns::Jmp(0), t as usize)?,
+                }
+                self.dead = true;
+            }
+            Instr::JumpIfZero(t) => {
+                let v = self.pop();
+                self.cond_jump(v, true, t as usize)?;
+            }
+            Instr::JumpIfNonZero(t) => {
+                let v = self.pop();
+                self.cond_jump(v, false, t as usize)?;
+            }
+            Instr::JumpZS(s, t) => {
+                let v = self.src(s)?;
+                self.cond_jump(v, true, t as usize)?;
+            }
+            Instr::JumpNzS(s, t) => {
+                let v = self.src(s)?;
+                self.cond_jump(v, false, t as usize)?;
+            }
+            Instr::JumpCmpZ(op, float, l, r, t) => {
+                let (r, l) = (self.src(r)?, self.src(l)?);
+                self.jump_cmp(op, float, false, l, r, t)?;
+            }
+            Instr::JumpCmpNz(op, float, l, r, t) => {
+                let (r, l) = (self.src(r)?, self.src(l)?);
+                self.jump_cmp(op, float, true, l, r, t)?;
+            }
+            Instr::ToBool => {
+                // normalizing is pointless when all that follows is the
+                // jump to a test for zero
+                let code = &self.f.code;
+                let to_test = match code.get(skip_charges(code, self.pc + 1)) {
+                    Some(Instr::Jump(t)) => {
+                        cond_jump_at(code, skip_charges(code, *t as usize)).is_some()
+                    }
+                    _ => false,
+                };
+                if !to_test {
+                    let a = self.pop_as(int)?;
+                    let d = self.push_result(Some(int));
+                    self.ins(KIns::ToBool(d, a.reg));
+                }
+            }
+            Instr::Not => {
+                let a = self.pop_as(int)?;
+                let d = self.push_result(Some(int));
+                self.ins(KIns::Not(d, a.reg));
+            }
+            Instr::Neg(float) => {
+                let ty = if float { KTy::Float } else { int };
+                let a = self.pop_as(ty)?;
+                let d = self.push_result(Some(ty));
+                self.ins(if float { KIns::NegF(d, a.reg) } else { KIns::NegI(d, a.reg) });
+            }
+            Instr::Bin(op, float) => {
+                let (r, l) = (self.pop(), self.pop());
+                self.bin(op, float, l, r, None)?;
+            }
+            Instr::BinS(op, float, l, r) => {
+                let (r, l) = (self.src(r)?, self.src(l)?);
+                self.bin(op, float, l, r, None)?;
+            }
+            Instr::BinStore(op, float, l, r, d) => {
+                let (r, l) = (self.src(r)?, self.src(l)?);
+                self.bin(op, float, l, r, Some(d))?;
+            }
+            Instr::IndexAt => {
+                let (comp, ix) = (self.pop(), self.pop());
+                self.index_at(ix, comp)?;
+            }
+            Instr::IndexAtS(x, c) => {
+                let (comp, ix) = (self.src(c)?, self.src(x)?);
+                self.index_at(ix, comp)?;
+            }
+            Instr::MakeIndex(n) => {
+                let b = match n {
+                    1 => self.konst_raw(int, 0),
+                    2 => self.pop_as(int)?,
+                    _ => return Err("an Index of more than two components"),
+                };
+                let a = self.pop_as(int)?;
+                let d = self.push_result(Some(KTy::Index));
+                self.ins(KIns::MkIx(d, a.reg, b.reg));
+            }
+            Instr::Intr(op, argc) => {
+                let at = self.vs.len() - argc as usize;
+                let args = self.vs.split_off(at);
+                self.intr(op, &args)?;
+            }
+            Instr::IntrS(op, argc, srcs) => {
+                let n = argc as usize;
+                let mut args = [Opnd::UNIT; 3];
+                for k in (0..n).rev() {
+                    args[k] = self.src(srcs[k])?;
+                }
+                self.intr(op, &args[..n])?;
+            }
+            Instr::ArrGetI1(a, i) => {
+                let (i, arr) = (self.src(i)?, self.src(a)?);
+                let i = self.expect(i, int)?;
+                let zero = self.konst_raw(int, 0);
+                self.get_elem(arr, i.reg, zero.reg)?;
+            }
+            Instr::ArrGetI2(a, i, j) => {
+                let (j, i, arr) = (self.src(j)?, self.src(i)?, self.src(a)?);
+                let (i, j) = (self.expect(i, int)?, self.expect(j, int)?);
+                self.get_elem(arr, i.reg, j.reg)?;
+            }
+            Instr::Call(fid) => self.call(fid as usize)?,
+            Instr::Ret => {
+                let v = self.pop();
+                self.ret(v)?;
+            }
+            Instr::RetS(s) => {
+                let v = self.src(s)?;
+                self.ret(v)?;
+            }
+            Instr::RetUnit => {
+                if self.ret != KTy::Unit {
+                    return Err("may return without a value");
+                }
+                self.ins(KIns::Ret0());
+                self.dead = true;
+            }
+            Instr::Field(i) => {
+                let v = self.pop();
+                self.field(v, i)?;
+            }
+            Instr::FieldS(s, i) => {
+                let v = self.src(s)?;
+                self.field(v, i)?;
+            }
+            Instr::MakeStruct(sid, n) => self.make_struct(sid as usize, n as usize)?,
+            Instr::Skel(_) => return Err("a skeleton call"),
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
+// The view.
+// ---------------------------------------------------------------------
+
+const NONE: u16 = u16::MAX;
+
+/// A lowered function's place in the view's pools.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TypedFn {
+    /// First instruction in `KernelView::code`, and how many.
+    code_at: u32,
+    ncode: T,
+    /// First constant in `KernelView::consts`, and how many: also the
+    /// register the parameters start at.
+    consts_at: u32,
+    nconsts: u16,
+    nregs: u16,
+    /// Bit `k`: parameter `k` is an `Index` (two registers). Read when
+    /// typed code calls this function, which struct parameters rule out.
+    wide: u32,
+    ret: KTy,
+    nparams: u8,
+    /// Registers per temporary.
+    twidth: u8,
+    clobbers: bool,
+}
+
+/// The typed code of a program: built by [`KernelView::build`] once per
+/// `Compiled`, shared by every run, four allocations however many
+/// functions lowered. A function that is not in it runs the program's
+/// own bytecode in kernel mode.
+#[derive(Debug, Default)]
+pub(crate) struct KernelView {
+    /// Function index -> entry in `fns`; `NONE` for everything that
+    /// did not lower.
+    index: Box<[u16]>,
+    fns: Box<[TypedFn]>,
+    code: Box<[KIns]>,
+    consts: Box<[u64]>,
+}
+
+/// The `General`-shape argument functions of every skeleton site.
+fn roots(code: &Program) -> Vec<usize> {
+    let mut roots: Vec<usize> = code
+        .sites
+        .iter()
+        .flat_map(|s| &s.fns)
+        .filter(|f| f.shape == KernelShape::General)
+        .map(|f| f.fid)
+        .collect();
+    roots.sort_unstable();
+    roots.dedup();
+    roots
+}
+
+/// Lower what lowers: every function a root reaches through calls is
+/// attempted, and a function whose callee did not lower does not either.
+fn lower_all(fo: &FoProgram, code: &Program, roots: &[usize]) -> Vec<Option<Lowered>> {
+    let n = code.funcs.len();
+    let mut lowered: Vec<Option<Lowered>> = (0..n).map(|_| None).collect();
+    let mut seen = vec![false; n];
+    let mut work = roots.to_vec();
+    while let Some(fid) = work.pop() {
+        if std::mem::replace(&mut seen[fid], true) {
+            continue;
+        }
+        if let Ok(l) = lower_fn(code, fo, fid) {
+            work.extend(&l.calls);
+            lowered[fid] = Some(l);
+        }
+    }
+    loop {
+        let orphan = (0..n).find(|&fid| {
+            lowered[fid].as_ref().is_some_and(|l| l.calls.iter().any(|&c| lowered[c].is_none()))
+        });
+        match orphan {
+            Some(fid) => lowered[fid] = None,
+            None => break,
+        }
+    }
+    // keep only what a typed root still reaches
+    let mut keep = vec![false; n];
+    let mut work: Vec<usize> = roots.iter().copied().filter(|&r| lowered[r].is_some()).collect();
+    while let Some(fid) = work.pop() {
+        if !std::mem::replace(&mut keep[fid], true) {
+            work.extend(&lowered[fid].as_ref().expect("typed callee").calls);
+        }
+    }
+    for (fid, l) in lowered.iter_mut().enumerate() {
+        if !keep[fid] {
+            *l = None;
+        }
+    }
+    lowered
+}
+
+impl KernelView {
+    /// Build the kernel view of `code` (the optimized bytecode of `fo`).
+    /// `-O0` stays the plain stack machine: nothing is lowered there.
+    pub(crate) fn build(fo: &FoProgram, code: &Program, level: OptLevel) -> KernelView {
+        if level == OptLevel::O0 {
+            return KernelView::default();
+        }
+        let mut index = vec![NONE; code.funcs.len()];
+        let (mut fns, mut typed_code, mut consts) = (Vec::new(), Vec::new(), Vec::new());
+        for (fid, l) in lower_all(fo, code, &roots(code)).into_iter().enumerate() {
+            let Some(l) = l else { continue };
+            index[fid] = u16::try_from(fns.len()).ok().filter(|i| *i != NONE).expect("few kernels");
+            fns.push(TypedFn {
+                code_at: typed_code.len() as u32,
+                ncode: l.code.len() as T,
+                consts_at: consts.len() as u32,
+                nconsts: l.consts.len() as u16,
+                nregs: l.nregs,
+                wide: l
+                    .params
+                    .iter()
+                    .enumerate()
+                    .fold(0, |w, (k, ty)| w | ((*ty == KTy::Index) as u32) << k),
+                ret: l.ret,
+                nparams: l.params.len() as u8,
+                twidth: l.twidth as u8,
+                clobbers: l.clobbers,
+            });
+            typed_code.extend(l.code);
+            consts.extend(l.consts.iter().map(|c| c.1));
+        }
+        if fns.is_empty() {
+            return KernelView::default();
+        }
+        KernelView {
+            index: index.into(),
+            fns: fns.into(),
+            code: typed_code.into(),
+            consts: consts.into(),
+        }
+    }
+
+    /// Heap bytes the view holds.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&*self.index)
+            + size_of_val(&*self.fns)
+            + size_of_val(&*self.code)
+            + size_of_val(&*self.consts)
+    }
+
+    fn consts_of(&self, tf: &TypedFn) -> &[u64] {
+        &self.consts[tf.consts_at as usize..][..tf.nconsts as usize]
+    }
+
+    /// The typed code of function `fid`, when it lowered.
+    pub(crate) fn typed(&self, fid: usize) -> Option<&TypedFn> {
+        match self.index.get(fid) {
+            None | Some(&NONE) => None,
+            Some(&i) => Some(&self.fns[i as usize]),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Execution.
+// ---------------------------------------------------------------------
+
+/// An argument a skeleton hands to an argument function: a scalar or an
+/// index as it is, anything else by reference.
+#[derive(Clone, Copy)]
+pub(crate) enum KArg<'a> {
+    I(i64),
+    F(f64),
+    Ix(Index),
+    V(&'a Value),
+}
+
+impl KArg<'_> {
+    /// The argument as a slot of the generic loop.
+    pub(crate) fn sl(self) -> Sl {
+        match self {
+            KArg::I(v) => Sl::I(v),
+            KArg::F(v) => Sl::F(v),
+            KArg::Ix(ix) => Sl::V(Value::Index([ix[0] as i64, ix[1] as i64])),
+            KArg::V(v) => Sl::from_value_ref(v),
+        }
+    }
+}
+
+/// Write a value a typed parameter can take into its registers;
+/// returns the register after it.
+fn write_value(regs: &mut [u64], at: usize, v: &Value) -> usize {
+    match v {
+        Value::Int(i) => regs[at] = *i as u64,
+        Value::Float(f) => regs[at] = f.to_bits(),
+        Value::Array(h) => regs[at] = *h as u64,
+        Value::Index(ix) => {
+            regs[at] = ix[0] as u64;
+            regs[at + 1] = ix[1] as u64;
+            return at + 2;
+        }
+        Value::Struct(_, fields) => {
+            return fields.iter().fold(at, |at, field| write_value(regs, at, field));
+        }
+        other => panic!("typed kernel parameter given {other:?}"),
+    }
+    at + 1
+}
+
+/// How many registers [`write_value`] fills for `v`.
+fn value_words(v: &Value) -> usize {
+    match v {
+        Value::Index(_) => 2,
+        Value::Struct(_, fields) => fields.len(),
+        _ => 1,
+    }
+}
+
+/// What typed code can see of the processor it runs on.
+pub(crate) struct KEnv<'a> {
+    pub(crate) arrays: &'a [Option<ArrayStore>],
+    pub(crate) me: usize,
+    pub(crate) nprocs: usize,
+}
+
+impl KernelView {
+    /// Call typed function `tf` as a skeleton's argument function on
+    /// `lifted ++ args`. `regs` is that function's register file for
+    /// the whole skeleton call: empty on the first element, when the
+    /// constants and lifted arguments are written; later elements only
+    /// write their own arguments.
+    pub(crate) fn call<U: Elem>(
+        &self,
+        tf: &TypedFn,
+        regs: &mut Vec<u64>,
+        lifted: &[Value],
+        args: &[KArg<'_>],
+        env: &KEnv<'_>,
+    ) -> U {
+        let nconsts = tf.nconsts as usize;
+        if regs.is_empty() || tf.clobbers {
+            regs.resize(regs.len().max(tf.nregs as usize), 0);
+            regs[..nconsts].copy_from_slice(self.consts_of(tf));
+            let mut at = nconsts;
+            for v in lifted {
+                at = write_value(regs, at, v);
+            }
+        }
+        let mut at = nconsts + lifted.iter().map(value_words).sum::<usize>();
+        for arg in args {
+            match *arg {
+                KArg::I(v) => regs[at] = v as u64,
+                KArg::F(v) => regs[at] = v.to_bits(),
+                KArg::Ix(ix) => {
+                    regs[at] = ix[0] as u64;
+                    at += 1;
+                    regs[at] = ix[1] as u64;
+                }
+                KArg::V(v) => at = write_value(regs, at, v) - 1,
+            }
+            at += 1;
+        }
+        let out = self.run(tf, regs, 0, env);
+        match tf.ret {
+            KTy::Struct(flat) => U::from_words(tf.ret, &regs[out[0] as usize..][..flat.n as usize]),
+            ty => U::from_words(ty, &out),
+        }
+    }
+
+    /// Run `tf` on the frame at `base`; returns its result registers
+    /// or, of a struct (which stays in the frame), the first's number.
+    fn run(&self, tf: &TypedFn, stack: &mut Vec<u64>, base: usize, env: &KEnv<'_>) -> [u64; 2] {
+        let code = &self.code[tf.code_at as usize..][..tf.ncode as usize];
+        let mut pc = 0usize;
+        loop {
+            let r = &mut stack[base..base + tf.nregs as usize];
+            macro_rules! int {
+                ($x:expr) => {
+                    r[$x as usize] as i64
+                };
+            }
+            macro_rules! flt {
+                ($x:expr) => {
+                    f64::from_bits(r[$x as usize])
+                };
+            }
+            macro_rules! jump_if {
+                ($cond:expr, $t:expr) => {
+                    if $cond {
+                        pc = $t as usize;
+                    }
+                };
+            }
+            // dispatch until a call needs the whole register file
+            let (fid, args, d) = loop {
+                let ins = code[pc];
+                pc += 1;
+                match ins {
+                    KIns::AddI(d, a, b) => {
+                        r[d as usize] = int_bin(BinOp::Add, int!(a), int!(b)) as u64
+                    }
+                    KIns::SubI(d, a, b) => {
+                        r[d as usize] = int_bin(BinOp::Sub, int!(a), int!(b)) as u64
+                    }
+                    KIns::MulI(d, a, b) => {
+                        r[d as usize] = int_bin(BinOp::Mul, int!(a), int!(b)) as u64
+                    }
+                    KIns::DivI(d, a, b) => {
+                        r[d as usize] = int_bin(BinOp::Div, int!(a), int!(b)) as u64
+                    }
+                    KIns::RemI(d, a, b) => {
+                        r[d as usize] = int_bin(BinOp::Rem, int!(a), int!(b)) as u64
+                    }
+                    KIns::EqI(d, a, b) => r[d as usize] = (int!(a) == int!(b)) as u64,
+                    KIns::NeI(d, a, b) => r[d as usize] = (int!(a) != int!(b)) as u64,
+                    KIns::LtI(d, a, b) => r[d as usize] = (int!(a) < int!(b)) as u64,
+                    KIns::LeI(d, a, b) => r[d as usize] = (int!(a) <= int!(b)) as u64,
+                    KIns::GtI(d, a, b) => r[d as usize] = (int!(a) > int!(b)) as u64,
+                    KIns::GeI(d, a, b) => r[d as usize] = (int!(a) >= int!(b)) as u64,
+                    KIns::AddF(d, a, b) => {
+                        r[d as usize] = float_arith(BinOp::Add, flt!(a), flt!(b)).to_bits()
+                    }
+                    KIns::SubF(d, a, b) => {
+                        r[d as usize] = float_arith(BinOp::Sub, flt!(a), flt!(b)).to_bits()
+                    }
+                    KIns::MulF(d, a, b) => {
+                        r[d as usize] = float_arith(BinOp::Mul, flt!(a), flt!(b)).to_bits()
+                    }
+                    KIns::DivF(d, a, b) => {
+                        r[d as usize] = float_arith(BinOp::Div, flt!(a), flt!(b)).to_bits()
+                    }
+                    KIns::RemF(d, a, b) => {
+                        r[d as usize] = float_arith(BinOp::Rem, flt!(a), flt!(b)).to_bits()
+                    }
+                    KIns::EqF(d, a, b) => {
+                        r[d as usize] = float_cmp(BinOp::Eq, flt!(a), flt!(b)) as u64
+                    }
+                    KIns::NeF(d, a, b) => {
+                        r[d as usize] = float_cmp(BinOp::Ne, flt!(a), flt!(b)) as u64
+                    }
+                    KIns::LtF(d, a, b) => {
+                        r[d as usize] = float_cmp(BinOp::Lt, flt!(a), flt!(b)) as u64
+                    }
+                    KIns::LeF(d, a, b) => {
+                        r[d as usize] = float_cmp(BinOp::Le, flt!(a), flt!(b)) as u64
+                    }
+                    KIns::GtF(d, a, b) => {
+                        r[d as usize] = float_cmp(BinOp::Gt, flt!(a), flt!(b)) as u64
+                    }
+                    KIns::GeF(d, a, b) => {
+                        r[d as usize] = float_cmp(BinOp::Ge, flt!(a), flt!(b)) as u64
+                    }
+                    KIns::NegI(d, a) => r[d as usize] = neg_int(int!(a)) as u64,
+                    KIns::NegF(d, a) => r[d as usize] = (-flt!(a)).to_bits(),
+                    KIns::Not(d, a) => r[d as usize] = (r[a as usize] == 0) as u64,
+                    KIns::ToBool(d, a) => r[d as usize] = (r[a as usize] != 0) as u64,
+                    KIns::Mov(d, a) => r[d as usize] = r[a as usize],
+                    KIns::Mov2(d, a) => {
+                        let v = [r[a as usize], r[a as usize + 1]];
+                        r[d as usize] = v[0];
+                        r[d as usize + 1] = v[1];
+                    }
+                    KIns::MovN(d, a, n) => {
+                        r.copy_within(a as usize..a as usize + n as usize, d as usize)
+                    }
+                    KIns::MkIx(d, a, b) => {
+                        let v = [r[a as usize], r[b as usize]];
+                        r[d as usize] = v[0];
+                        r[d as usize + 1] = v[1];
+                    }
+                    KIns::IxAt(d, ix, comp) => {
+                        let i = int!(comp);
+                        assert!(
+                            (0..2).contains(&i),
+                            "skil runtime: Index component {i} out of range"
+                        );
+                        r[d as usize] = r[ix as usize + i as usize];
+                    }
+                    KIns::Intr1(op, d, a) => {
+                        r[d as usize] = scalar_bits(scalar_intr(op, |_| int!(a), |_| flt!(a)));
+                    }
+                    KIns::Intr2(op, d, a, b) => {
+                        let v = scalar_intr(
+                            op,
+                            |k| if k == 0 { int!(a) } else { int!(b) },
+                            |k| if k == 0 { flt!(a) } else { flt!(b) },
+                        );
+                        r[d as usize] = scalar_bits(v);
+                    }
+                    KIns::ProcId(d) => r[d as usize] = env.me as u64,
+                    KIns::NProcs(d) => r[d as usize] = env.nprocs as u64,
+                    KIns::GetI(d, arr, i, j) => {
+                        let ix = to_uindex([int!(i), int!(j)]);
+                        let store = live_array(env.arrays, r[arr as usize] as usize);
+                        r[d as usize] = rt(IntElem::of(store).get(ix)).0 as u64;
+                    }
+                    KIns::GetF(d, arr, i, j) => {
+                        let ix = to_uindex([int!(i), int!(j)]);
+                        let store = live_array(env.arrays, r[arr as usize] as usize);
+                        r[d as usize] = rt(FloatElem::of(store).get(ix)).0.to_bits();
+                    }
+                    KIns::Error(a) => panic!("skil program called error({})", int!(a)),
+                    KIns::Jmp(t) => pc = t as usize,
+                    KIns::Jz(a, t) => jump_if!(r[a as usize] == 0, t),
+                    KIns::Jnz(a, t) => jump_if!(r[a as usize] != 0, t),
+                    KIns::JEqI(a, b, t) => jump_if!(int!(a) == int!(b), t),
+                    KIns::JNeI(a, b, t) => jump_if!(int!(a) != int!(b), t),
+                    KIns::JLtI(a, b, t) => jump_if!(int!(a) < int!(b), t),
+                    KIns::JLeI(a, b, t) => jump_if!(int!(a) <= int!(b), t),
+                    KIns::JGtI(a, b, t) => jump_if!(int!(a) > int!(b), t),
+                    KIns::JGeI(a, b, t) => jump_if!(int!(a) >= int!(b), t),
+                    KIns::JEqF(a, b, t) => jump_if!(float_cmp(BinOp::Eq, flt!(a), flt!(b)), t),
+                    KIns::JNeF(a, b, t) => jump_if!(float_cmp(BinOp::Ne, flt!(a), flt!(b)), t),
+                    KIns::JLtF(a, b, t) => jump_if!(float_cmp(BinOp::Lt, flt!(a), flt!(b)), t),
+                    KIns::JLeF(a, b, t) => jump_if!(float_cmp(BinOp::Le, flt!(a), flt!(b)), t),
+                    KIns::JGtF(a, b, t) => jump_if!(float_cmp(BinOp::Gt, flt!(a), flt!(b)), t),
+                    KIns::JGeF(a, b, t) => jump_if!(float_cmp(BinOp::Ge, flt!(a), flt!(b)), t),
+                    KIns::JnEqF(a, b, t) => jump_if!(!float_cmp(BinOp::Eq, flt!(a), flt!(b)), t),
+                    KIns::JnNeF(a, b, t) => jump_if!(!float_cmp(BinOp::Ne, flt!(a), flt!(b)), t),
+                    KIns::JnLtF(a, b, t) => jump_if!(!float_cmp(BinOp::Lt, flt!(a), flt!(b)), t),
+                    KIns::JnLeF(a, b, t) => jump_if!(!float_cmp(BinOp::Le, flt!(a), flt!(b)), t),
+                    KIns::JnGtF(a, b, t) => jump_if!(!float_cmp(BinOp::Gt, flt!(a), flt!(b)), t),
+                    KIns::JnGeF(a, b, t) => jump_if!(!float_cmp(BinOp::Ge, flt!(a), flt!(b)), t),
+                    KIns::Call(fid, args, d) => break (fid, args, d),
+                    KIns::Ret(a) => return [r[a as usize], 0],
+                    KIns::Ret2(a) => return [r[a as usize], r[a as usize + 1]],
+                    KIns::RetN(a) => return [a as u64, 0],
+                    KIns::Ret0() => return [0, 0],
+                }
+            };
+            // the callee's frame sits above this one: constants, then
+            // the arguments from this frame's temporaries
+            let callee = self.typed(fid as usize).expect("a typed function calls typed functions");
+            let cbase = base + tf.nregs as usize;
+            if stack.len() < cbase + callee.nregs as usize {
+                stack.resize(cbase + callee.nregs as usize, 0);
+            }
+            let nconsts = callee.nconsts as usize;
+            stack[cbase..cbase + nconsts].copy_from_slice(self.consts_of(callee));
+            let mut to = cbase + nconsts;
+            for k in 0..callee.nparams as usize {
+                let from = base + args as usize + tf.twidth as usize * k;
+                let words = 1 + (callee.wide >> k & 1) as usize;
+                stack.copy_within(from..from + words, to);
+                to += words;
+            }
+            let out = self.run(callee, stack, cbase, env);
+            stack[base + d as usize] = out[0];
+            if callee.ret == KTy::Index {
+                stack[base + d as usize + 1] = out[1];
+            }
+        }
+    }
+}
+
+fn scalar_bits(v: Option<Scalar>) -> u64 {
+    match v.expect("the tier lowers scalar intrinsics only") {
+        Scalar::I(v) => v as u64,
+        Scalar::F(v) => v.to_bits(),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Listing.
+// ---------------------------------------------------------------------
+
+impl KernelView {
+    /// Human-readable listing of the view (`skilc --emit-bytecode=kernel`):
+    /// per skeleton site which argument functions are `[typed]` and
+    /// which `[generic]`, why each generic one is (worked out again
+    /// here, not kept in the view; its code is in `--emit-bytecode`),
+    /// then the typed code.
+    pub(crate) fn listing(&self, fo: &FoProgram, code: &Program, level: OptLevel) -> String {
+        let names: &Names = &fo.names;
+        let name = |fid: usize| names.get(code.funcs[fid].name);
+        let mut out = String::new();
+        for (i, s) in code.sites.iter().enumerate() {
+            let fns: Vec<String> = s
+                .fns
+                .iter()
+                .map(|f| {
+                    let form = f.shape.listing().unwrap_or_else(|| {
+                        if self.typed(f.fid).is_some() { "typed" } else { "generic" }.into()
+                    });
+                    format!("{}+{} [{form}]", name(f.fid), f.n_lifted)
+                })
+                .collect();
+            let _ = writeln!(out, "site {i}: {} fns=({})", s.op.name(), fns.join(", "));
+        }
+        for fid in roots(code) {
+            if self.typed(fid).is_none() {
+                let why = match level {
+                    OptLevel::O0 => "-O0",
+                    _ => lower_fn(code, fo, fid).err().unwrap_or("calls a generic function"),
+                };
+                let _ = writeln!(out, "\nfn {} [generic: {why}]", name(fid));
+            }
+        }
+        for (fid, t) in (0..code.funcs.len()).filter_map(|fid| Some((fid, self.typed(fid)?))) {
+            let ret = match t.ret {
+                KTy::Struct(flat) => names.get(fo.structs[flat.sid as usize].name),
+                ty => ty.name(),
+            };
+            let _ = writeln!(
+                out,
+                "\nfn {} [typed] (params={} at r{}, regs={}) -> {}:",
+                name(fid),
+                t.nparams,
+                t.nconsts,
+                t.nregs,
+                ret
+            );
+            // the view keeps a constant's bits only; its type comes
+            // from lowering the function again
+            let lowered = lower_fn(code, fo, fid).expect("lowered before");
+            for (r, (ty, bits)) in lowered.consts.iter().enumerate() {
+                let v = match ty {
+                    KTy::Float => format!("{:?}", f64::from_bits(*bits)),
+                    _ => format!("{}", *bits as i64),
+                };
+                let _ = writeln!(out, "        r{r} = {v}");
+            }
+            let body = &self.code[t.code_at as usize..][..t.ncode as usize];
+            for (pc, ins) in body.iter().enumerate() {
+                let callee = match ins {
+                    KIns::Call(c, ..) => format!("  ; {}", name(*c as usize)),
+                    _ => String::new(),
+                };
+                let _ = writeln!(out, "  {pc:>4}: {ins}{callee}");
+            }
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_view_is_compact() {
+        // what DESIGN.md §10 and the cold_compile memory bound count on
+        assert_eq!(std::mem::size_of::<KIns>(), 10);
+        assert_eq!(std::mem::size_of::<TypedFn>(), 28);
+    }
+
+    #[test]
+    fn jumps_to_the_next_instruction_are_dropped_and_targets_follow() {
+        let mut code = vec![
+            KIns::Jz(0, 2),
+            KIns::Jmp(2),
+            KIns::Mov(1, 0),
+            KIns::Jmp(5),
+            KIns::Jmp(5),
+            KIns::Jnz(0, 0),
+            KIns::Ret(1),
+        ];
+        drop_jumps_to_next(&mut code);
+        // dropping 4 made 3 a jump to its successor too
+        assert_eq!(code, [KIns::Jz(0, 1), KIns::Mov(1, 0), KIns::Jnz(0, 0), KIns::Ret(1)]);
+    }
+
+    #[test]
+    fn an_int_comparison_that_must_fail_jumps_on_its_complement() {
+        assert_eq!(KIns::jump_cmp(BinOp::Lt, false, false, 1, 2), Some(KIns::JGeI(1, 2, 0)));
+        assert_eq!(KIns::jump_cmp(BinOp::Lt, false, true, 1, 2), Some(KIns::JLtI(1, 2, 0)));
+        // not so for floats: a NaN fails both `<` and `>=`
+        assert_eq!(KIns::jump_cmp(BinOp::Lt, true, false, 1, 2), Some(KIns::JnLtF(1, 2, 0)));
+        assert_eq!(KIns::jump_cmp(BinOp::And, false, true, 1, 2), None);
+    }
+
+    #[test]
+    fn instructions_list_as_mnemonic_and_operands() {
+        assert_eq!(KIns::MulF(3, 1, 2).to_string(), "mulf r3, r1, r2");
+        assert_eq!(KIns::JnLeF(1, 2, 30).to_string(), "jnlef r1, r2, @30");
+        assert_eq!(KIns::Intr1(Intr::Itof, 4, 1).to_string(), "intr1 itof, r4, r1");
+        assert_eq!(KIns::Call(7, 20, 20).to_string(), "call fn#7, r20, r20");
+        assert_eq!(KIns::Ret0().to_string(), "ret0");
+    }
+}

@@ -37,7 +37,7 @@
 //!    it SPMD on a [`skil_runtime::Machine`] with skeleton calls
 //!    dispatched to `skil-core` and virtual cycles charged per IR
 //!    operation. Three engines exist: the bytecode VM
-//!    ([`vm::run_program_vm`], the default), the AST walker
+//!    ([`Engine::Vm`], the default: [`vm`]), the AST walker
 //!    ([`interp::run_program`], the reference), and the native engine
 //!    ([`Engine::Native`]: [`emit_rust::emit_rust`] output compiled by
 //!    the host `rustc` to a `cdylib` and loaded with `dlopen`) — their
@@ -74,9 +74,11 @@ pub mod emit_rust;
 pub mod fo;
 pub mod instantiate;
 pub mod interp;
+mod kernel;
 mod native;
 pub mod opt;
 pub mod parser;
+mod scalar;
 mod store;
 pub mod sym;
 pub mod token;
@@ -144,6 +146,9 @@ pub struct Compiled {
     pub opt_level: OptLevel,
     /// Per-pass optimizer counters.
     pub opt_stats: OptStats,
+    /// The typed register code of the skeleton argument functions that
+    /// lowered; the VM runs the others from `code`, in kernel mode.
+    kernel: kernel::KernelView,
     /// Memo of the prepared native module (emit + hash + load happen
     /// once per `Compiled`, not once per run).
     native_cache: native::ModuleCache,
@@ -164,7 +169,8 @@ pub fn compile_opt(src: &str, level: OptLevel) -> diag::Result<Compiled> {
     let fo = instantiate::instantiate(&mut ck)?;
     let raw = bytecode::compile_program(&fo);
     let (code, opt_stats) = opt::optimize(&raw, level);
-    Ok(Compiled { fo, code, opt_level: level, opt_stats, native_cache: Default::default() })
+    let kernel = kernel::KernelView::build(&fo, &code, level);
+    Ok(Compiled { fo, code, opt_level: level, opt_stats, kernel, native_cache: Default::default() })
 }
 
 impl Compiled {
@@ -186,10 +192,9 @@ impl Compiled {
     pub fn run_with(&self, engine: Engine, machine: &Machine) -> Run<Vec<String>> {
         match engine {
             Engine::Ast => interp::run_program(&self.fo, machine),
-            Engine::Vm => vm::run_program_vm(&self.fo, &self.code, machine),
-            Engine::Native => self
-                .try_run_with(Engine::Native, machine)
-                .unwrap_or_else(|failure| panic!("{failure}")),
+            Engine::Vm | Engine::Native => {
+                self.try_run_with(engine, machine).unwrap_or_else(|failure| panic!("{failure}"))
+            }
         }
     }
 
@@ -218,14 +223,12 @@ impl Compiled {
     ) -> Result<Run<Vec<String>>, skil_runtime::SimFailure> {
         match engine {
             Engine::Ast => interp::try_run_program_faults(&self.fo, machine, faults),
-            Engine::Vm => vm::try_run_program_vm_faults(&self.fo, &self.code, machine, faults),
+            Engine::Vm => vm::try_run_program_vm_faults(self, machine, faults),
             Engine::Native => match self.native_cache.prepare(&self.code, &self.fo.names) {
-                Ok(module) => {
-                    native::try_run_native_faults(&module, &self.fo, &self.code, machine, faults)
-                }
+                Ok(module) => native::try_run_native_faults(&module, self, machine, faults),
                 // Unavailable host toolchain degrades, never fails: the
                 // VM computes the same results and virtual time.
-                Err(_) => vm::try_run_program_vm_faults(&self.fo, &self.code, machine, faults),
+                Err(_) => vm::try_run_program_vm_faults(self, machine, faults),
             },
         }
     }
@@ -258,11 +261,19 @@ impl Compiled {
         bytecode::disassemble(&bytecode::compile_program(&self.fo), &self.fo.names)
     }
 
+    /// Listing of the kernel view (`skilc --emit-bytecode=kernel`): which
+    /// skeleton argument functions lowered to typed register code
+    /// (`[typed]`) and which run on the generic loop (`[generic]`), and
+    /// the code each of them runs.
+    pub fn disassemble_kernel(&self) -> String {
+        self.kernel.listing(&self.fo, &self.code, self.opt_level)
+    }
+
     /// Heap bytes this program holds while it is cached: the
-    /// first-order program with its string table, and the bytecode with
-    /// its pools. (The native engine's loaded module is shared by
-    /// content hash across programs and not counted.)
+    /// first-order program with its string table, the bytecode with its
+    /// pools, and the kernel view. (The native engine's loaded module
+    /// is shared by content hash across programs and not counted.)
     pub fn heap_bytes(&self) -> usize {
-        self.fo.heap_bytes() + self.code.heap_bytes()
+        self.fo.heap_bytes() + self.code.heap_bytes() + self.kernel.heap_bytes()
     }
 }

@@ -40,12 +40,11 @@ use skil_runtime::{Machine, Run, SimFailure};
 
 use crate::bytecode::Program;
 use crate::emit_rust::{emit_rust, ABI_VERSION};
-use crate::fo::FoProgram;
-use crate::interp::{kernel_cycles, to_uindex};
+use crate::interp::to_uindex;
 use crate::store::{ArrayStore, FloatElem, IntElem};
 use crate::sym::Names;
 use crate::value::Value;
-use crate::vm::{kernel_get_elem, Host, Sl, Vm};
+use crate::vm::{kernel_get_elem, Host, RunTables, Sl, Vm};
 
 // ---------------------------------------------------------------------
 // FFI surface — layout-identical to the generated prelude.
@@ -968,27 +967,18 @@ impl ModuleCache {
 
 /// Execute a prepared native module on a machine — the native-engine
 /// mirror of [`crate::vm::try_run_program_vm_faults`], sharing its
-/// per-run setup (cost resolution, kernel cycle estimates, const pool)
-/// and the whole `Vm` host side.
+/// per-run tables and the whole `Vm` host side.
 pub(crate) fn try_run_native_faults(
     module: &Arc<NativeModule>,
-    prog: &FoProgram,
-    code: &Program,
+    compiled: &crate::Compiled,
     machine: &Machine,
     faults: Option<&skil_runtime::FaultPlan>,
 ) -> Result<Run<Vec<String>>, SimFailure> {
+    let code = &compiled.code;
     let main = code.main.expect("instantiated program has main");
     assert_eq!(code.funcs[main].nparams, 0, "main takes no arguments");
-    let kcode = crate::opt::strip_charges(code);
+    let tables = RunTables::resolve(&compiled.fo, code, &machine.config().cost);
     machine.try_run_faults(faults, |p| {
-        let cost = p.cost().clone();
-        let costs: Vec<u64> = code.costs.iter().map(|ce| ce.resolve(&cost)).collect();
-        let site_cycles: Vec<Vec<u64>> = code
-            .sites
-            .iter()
-            .map(|s| s.fns.iter().map(|f| kernel_cycles(&prog.funcs[f.fid], &cost)).collect())
-            .collect();
-        let consts: Vec<Sl> = code.consts.iter().map(|v| Sl::from_value(v.clone())).collect();
         let me = p.id() as i64;
         let np = p.nprocs() as i64;
         let backend = NativeBackend {
@@ -997,18 +987,8 @@ pub(crate) fn try_run_native_faults(
             hb: Cell::new(std::ptr::null()),
             lifted: RefCell::new(Vec::new()),
         };
-        let mut vm = Vm {
-            code,
-            kcode: &kcode,
-            costs,
-            site_cycles,
-            consts,
-            proc: p,
-            arrays: Vec::new(),
-            output: Vec::new(),
-            native: Some(&backend),
-        };
-        let costs_ptr = vm.costs.as_ptr();
+        let mut vm = Vm::new(code, &compiled.kernel, &tables, p, Some(&backend));
+        let costs_ptr = tables.costs.as_ptr();
         let hb = HostBox::new(&mut vm as *mut Vm<'_, '_, '_> as *mut VmStatic);
         backend.hb.set(&hb as *const HostBox);
         let gctx =

@@ -209,7 +209,7 @@ enum Item {
     I(Instr),
 }
 
-fn jump_label(ins: &Instr) -> Option<u32> {
+pub(crate) fn jump_label(ins: &Instr) -> Option<u32> {
     match ins {
         Instr::Jump(t)
         | Instr::JumpIfZero(t)
@@ -341,43 +341,6 @@ pub fn optimize(p: &Program, level: OptLevel) -> (Program, OptStats) {
         main: p.main,
     };
     (out, stats)
-}
-
-/// The kernel-mode view of a program: every `Charge` deleted, jump
-/// targets retargeted. Kernel execution charges the statically
-/// estimated per-element kernel cost instead of interpreting `Charge`s
-/// (the kernel host's `charge_ix` is a no-op), so inside skeleton
-/// argument functions they are pure dispatch overhead. The constant
-/// pool is untouched: slot and const indices stay valid in both views.
-/// Virtual time is unaffected by construction.
-pub(crate) fn strip_charges(p: &Program) -> Program {
-    let mut out = p.clone();
-    for f in &mut out.funcs {
-        // map[i] = index instruction i lands on once charges are gone; a
-        // jump to a charge retargets to the next surviving instruction
-        let mut map = Vec::with_capacity(f.code.len() + 1);
-        let mut n = 0u32;
-        for ins in &f.code {
-            map.push(n);
-            if !matches!(ins, Instr::Charge(_)) {
-                n += 1;
-            }
-        }
-        map.push(n);
-        let mut code = Vec::with_capacity(n as usize);
-        for ins in &f.code {
-            if matches!(ins, Instr::Charge(_)) {
-                continue;
-            }
-            let mut ins = *ins;
-            if let Some(t) = jump_label(&ins) {
-                set_jump_label(&mut ins, map[t as usize]);
-            }
-            code.push(ins);
-        }
-        f.code = code;
-    }
-    out
 }
 
 // ---------------------------------------------------------------------

@@ -21,6 +21,7 @@ use skil_runtime::{Wire, WireError, WireReader};
 
 use crate::bytecode::{ElemKind, Intr, KernelShape};
 use crate::fo::BinOp;
+use crate::kernel::{KArg, KTy};
 use crate::native::FfiCodec;
 use crate::value::{Value, WIRE_TAG_FLOAT, WIRE_TAG_INT};
 use crate::vm::{float_fn, int_fn, Sl};
@@ -68,6 +69,14 @@ pub(crate) trait Elem: Wire + Clone + FfiCodec + 'static {
 
     /// Hand an element to the VM as a slot.
     fn into_sl(self) -> Sl;
+
+    /// Hand an element to an argument function.
+    fn arg(&self) -> KArg<'_>;
+
+    /// Take a typed kernel's result, of type `ty`, out of its result
+    /// registers (as many as the type has). The type checker guarantees
+    /// the type; a mismatch is an engine bug and panics.
+    fn from_words(ty: KTy, w: &[u64]) -> Self;
 
     /// Wrap a typed partition as a store.
     fn wrap(arr: DistArray<Self>) -> ArrayStore;
@@ -130,6 +139,15 @@ impl Elem for IntElem {
         Sl::I(self.0)
     }
 
+    fn arg(&self) -> KArg<'_> {
+        KArg::I(self.0)
+    }
+
+    fn from_words(ty: KTy, w: &[u64]) -> Self {
+        assert_eq!(ty, KTy::Int, "expected an int result");
+        IntElem(w[0] as i64)
+    }
+
     fn direct2(shape: &KernelShape, n_lifted: usize) -> Option<fn(Self, Self) -> Self> {
         match direct_shape(shape, n_lifted)? {
             Direct::Bin(op, false) => Some(int_fn(op)),
@@ -151,6 +169,15 @@ impl Elem for FloatElem {
         Sl::F(self.0)
     }
 
+    fn arg(&self) -> KArg<'_> {
+        KArg::F(self.0)
+    }
+
+    fn from_words(ty: KTy, w: &[u64]) -> Self {
+        assert_eq!(ty, KTy::Float, "expected a float result");
+        FloatElem(f64::from_bits(w[0]))
+    }
+
     fn direct2(shape: &KernelShape, n_lifted: usize) -> Option<fn(Self, Self) -> Self> {
         match direct_shape(shape, n_lifted)? {
             Direct::Bin(op, true) => float_fn(op),
@@ -170,6 +197,24 @@ impl Elem for Value {
 
     fn into_sl(self) -> Sl {
         Sl::from_value(self)
+    }
+
+    fn arg(&self) -> KArg<'_> {
+        KArg::V(self)
+    }
+
+    fn from_words(ty: KTy, w: &[u64]) -> Self {
+        match ty {
+            KTy::Unit => Value::Unit,
+            KTy::Int => Value::Int(w[0] as i64),
+            KTy::Float => Value::Float(f64::from_bits(w[0])),
+            KTy::Index => Value::Index([w[0] as i64, w[1] as i64]),
+            KTy::ArrInt | KTy::ArrFloat => Value::Array(w[0] as usize),
+            KTy::Struct(flat) => {
+                let field = |(k, w): (usize, &u64)| Value::from_words(flat.field(k), &[*w]);
+                Value::Struct(flat.sid as u32, w.iter().enumerate().map(field).collect())
+            }
+        }
     }
 }
 

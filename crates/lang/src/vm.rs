@@ -28,7 +28,12 @@
 //! partitions are unboxed, and each skeleton arm dispatches once per
 //! call on the store variant into one generic body, so `skil-core`'s
 //! skeletons run instantiated at the unboxed element type and elements
-//! cross into kernels as [`Sl`] slots without ever becoming a `Value`.
+//! cross into kernels as [`KArg`]s without ever becoming a `Value`.
+//!
+//! What a `General` argument function runs as is decided once per
+//! compiled program by its [`KernelView`]: typed register code where
+//! the function lowered ([`crate::kernel`]), else this module's
+//! dispatch loop in kernel mode over the same bytecode.
 
 use std::cell::RefCell;
 
@@ -37,73 +42,64 @@ use skil_core::{
     array_broadcast_part, array_copy, array_create, array_fold, array_fold_bulk, array_gen_mult,
     array_map, array_map_inplace, array_permute_rows, array_scan, Kernel,
 };
-use skil_runtime::{Distr, Machine, Proc, Run};
+use skil_runtime::{CostModel, Distr, Machine, Proc, Run};
 
 use crate::builtins::{DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D};
 use crate::bytecode::{Instr, Intr, KernelShape, Program, SkelSite, Src};
 use crate::fo::{BinOp, FoProgram, SkelOp};
 use crate::interp::{kernel_cycles, to_uindex, LANG_RESULT_TAG};
+use crate::kernel::{KArg, KEnv, KernelView};
 use crate::native::NativeBackend;
+use crate::scalar::{float_arith, float_cmp, int_bin, neg_int, scalar_intr, Scalar};
 use crate::store::{with_kind, with_store, ArrayStore, Elem, FloatElem, IntElem};
 use crate::value::{ConsList, Value};
+use crate::Compiled;
 
-/// Run a compiled program on a machine; returns each processor's `print`
-/// output. Virtual time is bit-identical to [`crate::interp::run_program`].
-/// Panics on a simulated failure — use [`try_run_program_vm`] to handle
-/// fault-plan crashes structurally.
-pub fn run_program_vm(prog: &FoProgram, code: &Program, machine: &Machine) -> Run<Vec<String>> {
-    try_run_program_vm(prog, code, machine).unwrap_or_else(|failure| panic!("{failure}"))
+/// What a run resolves against its machine's cost model before any
+/// processor starts, shared by reference across all of them: the
+/// instruction stream itself never changes.
+pub(crate) struct RunTables {
+    /// `code.costs` resolved to cycles.
+    pub(crate) costs: Vec<u64>,
+    /// Per site, per argument function: the kernel charge per element.
+    pub(crate) site_cycles: Vec<Vec<u64>>,
+    /// `code.consts`, pre-converted to slots.
+    pub(crate) consts: Vec<Sl>,
 }
 
-/// Run a compiled program, surfacing simulated failures (fault-plan
-/// crashes, retry-budget give-ups, Skil runtime errors, `PeerDown`
-/// cascades) as a structured `Err` instead of a panic or a hang.
-pub fn try_run_program_vm(
-    prog: &FoProgram,
-    code: &Program,
-    machine: &Machine,
-) -> Result<Run<Vec<String>>, skil_runtime::SimFailure> {
-    try_run_program_vm_faults(prog, code, machine, None)
+impl RunTables {
+    pub(crate) fn resolve(prog: &FoProgram, code: &Program, cost: &CostModel) -> RunTables {
+        RunTables {
+            costs: code.costs.iter().map(|ce| ce.resolve(cost)).collect(),
+            site_cycles: code
+                .sites
+                .iter()
+                .map(|s| s.fns.iter().map(|f| kernel_cycles(&prog.funcs[f.fid], cost)).collect())
+                .collect(),
+            consts: code.consts.iter().map(Sl::from_value_ref).collect(),
+        }
+    }
 }
 
-/// Like [`try_run_program_vm`], with the machine's fault plan overridden
-/// for this run only (`None` keeps the configured plan). The serving
-/// layer uses this to attach per-request fault plans to pooled warm
-/// machines.
-pub fn try_run_program_vm_faults(
-    prog: &FoProgram,
-    code: &Program,
+/// Run a compiled program under the VM, surfacing simulated failures
+/// (fault-plan crashes, retry-budget give-ups, Skil runtime errors,
+/// `PeerDown` cascades) as a structured `Err` instead of a panic or a
+/// hang. Virtual time is bit-identical to
+/// [`crate::interp::run_program`]. `faults` overrides the machine's
+/// fault plan for this run only (`None` keeps the configured plan): the
+/// serving layer attaches per-request fault plans to pooled warm
+/// machines this way.
+pub(crate) fn try_run_program_vm_faults(
+    compiled: &Compiled,
     machine: &Machine,
     faults: Option<&skil_runtime::FaultPlan>,
 ) -> Result<Run<Vec<String>>, skil_runtime::SimFailure> {
+    let code = &compiled.code;
     let main = code.main.expect("instantiated program has main");
     assert_eq!(code.funcs[main].nparams, 0, "main takes no arguments");
-    // Kernel mode never charges per instruction (the skeleton charges
-    // the statically estimated kernel cost per element), so skeleton
-    // argument functions run a charge-free view of the same code.
-    let kcode = crate::opt::strip_charges(code);
+    let tables = RunTables::resolve(&compiled.fo, code, &machine.config().cost);
     machine.try_run_faults(faults, |p| {
-        // resolve the symbolic pools against this machine's cost model,
-        // once per run: the instruction stream itself never changes
-        let cost = p.cost().clone();
-        let costs: Vec<u64> = code.costs.iter().map(|ce| ce.resolve(&cost)).collect();
-        let site_cycles: Vec<Vec<u64>> = code
-            .sites
-            .iter()
-            .map(|s| s.fns.iter().map(|f| kernel_cycles(&prog.funcs[f.fid], &cost)).collect())
-            .collect();
-        let consts: Vec<Sl> = code.consts.iter().map(Sl::from_value_ref).collect();
-        let mut vm = Vm {
-            code,
-            kcode: &kcode,
-            costs,
-            site_cycles,
-            consts,
-            proc: p,
-            arrays: Vec::new(),
-            output: Vec::new(),
-            native: None,
-        };
+        let mut vm = Vm::new(code, &compiled.kernel, &tables, p, None);
         let mut stack = Vec::new();
         let mut frames = Vec::new();
         exec(&mut vm, code, main, &mut stack, &mut frames);
@@ -132,7 +128,7 @@ impl Sl {
         }
     }
 
-    fn from_value_ref(v: &Value) -> Sl {
+    pub(crate) fn from_value_ref(v: &Value) -> Sl {
         match v {
             Value::Int(i) => Sl::I(*i),
             Value::Float(f) => Sl::F(*f),
@@ -181,64 +177,21 @@ impl Sl {
     }
 }
 
-/// Integer binary operators: wrapping arithmetic, division-by-zero
-/// panics, int-encoded comparisons and logic — value-identical to the
-/// walker's `apply_binop`.
-#[inline(always)]
-fn int_bin(op: BinOp, x: i64, y: i64) -> i64 {
-    match op {
-        BinOp::Add => x.wrapping_add(y),
-        BinOp::Sub => x.wrapping_sub(y),
-        BinOp::Mul => x.wrapping_mul(y),
-        BinOp::Div => {
-            assert!(y != 0, "skil runtime: integer division by zero");
-            x / y
-        }
-        BinOp::Rem => {
-            assert!(y != 0, "skil runtime: integer remainder by zero");
-            x % y
-        }
-        BinOp::Eq => (x == y) as i64,
-        BinOp::Ne => (x != y) as i64,
-        BinOp::Lt => (x < y) as i64,
-        BinOp::Le => (x <= y) as i64,
-        BinOp::Gt => (x > y) as i64,
-        BinOp::Ge => (x >= y) as i64,
-        BinOp::And => ((x != 0) && (y != 0)) as i64,
-        BinOp::Or => ((x != 0) || (y != 0)) as i64,
-    }
-}
-
-/// Float binary operators: arithmetic yields a float, comparisons an
-/// int, logic is the walker's type error.
-#[inline(always)]
-fn float_bin(op: BinOp, x: f64, y: f64) -> Sl {
-    match op {
-        BinOp::Add => Sl::F(x + y),
-        BinOp::Sub => Sl::F(x - y),
-        BinOp::Mul => Sl::F(x * y),
-        BinOp::Div => Sl::F(x / y),
-        BinOp::Rem => Sl::F(x % y),
-        BinOp::Eq => Sl::I((x == y) as i64),
-        BinOp::Ne => Sl::I((x != y) as i64),
-        BinOp::Lt => Sl::I((x < y) as i64),
-        BinOp::Le => Sl::I((x <= y) as i64),
-        BinOp::Gt => Sl::I((x > y) as i64),
-        BinOp::Ge => Sl::I((x >= y) as i64),
-        BinOp::And | BinOp::Or => panic!("skil runtime: logical op on float"),
-    }
-}
-
 /// The walker's `apply_binop` over unboxed slots.
 fn bin_sl(op: BinOp, float: bool, a: &Sl, b: &Sl) -> Sl {
     if float {
-        float_bin(op, a.as_float(), b.as_float())
+        let (x, y) = (a.as_float(), b.as_float());
+        if op.is_arithmetic() {
+            Sl::F(float_arith(op, x, y))
+        } else {
+            Sl::I(float_cmp(op, x, y) as i64)
+        }
     } else {
         Sl::I(int_bin(op, a.as_int(), b.as_int()))
     }
 }
 
-/// One function per operator, each [`int_bin`] / [`float_bin`] with the
+/// One function per operator, each [`int_bin`] / [`float_arith`] with the
 /// operator folded in: what a skeleton over unboxed elements calls per
 /// element after resolving its operator section once.
 macro_rules! resolved_op {
@@ -266,7 +219,7 @@ pub(crate) fn float_fn(op: BinOp) -> Option<fn(FloatElem, FloatElem) -> FloatEle
     resolved_op!(
         op,
         [Add, Sub, Mul, Div, Rem],
-        Some(|x, y| FloatElem(float_bin(OP, x.0, y.0).as_float())),
+        Some(|x, y| FloatElem(float_arith(OP, x.0, y.0))),
         _ => None
     )
 }
@@ -281,6 +234,28 @@ fn fetch(src: Src, stack: &mut Vec<Sl>, frame: &[Sl], consts: &[Sl]) -> Sl {
         Src::Slot(s) => frame[s as usize].clone(),
         Src::Const(c) => consts[c as usize].clone(),
     }
+}
+
+/// A scalar intrinsic over slots, unboxed end to end.
+#[inline(always)]
+fn scalar_sl(op: Intr, arg: impl Fn(usize) -> Sl) -> Option<Sl> {
+    scalar_intr(op, |k| arg(k).as_int(), |k| arg(k).as_float()).map(|v| match v {
+        Scalar::I(i) => Sl::I(i),
+        Scalar::F(f) => Sl::F(f),
+    })
+}
+
+/// Intrinsic `op` over the first `n` slots of `args`: the scalar ones
+/// directly, the rest (lists, `error`, the stateful ones) boxed.
+fn intr_sl<H: Host>(h: &mut H, op: Intr, args: [Sl; 3], n: usize) -> Sl {
+    if let Some(v) = scalar_sl(op, |k| args[k].clone()) {
+        return v;
+    }
+    let vals = args.map(Sl::into_value);
+    Sl::from_value(match op.eval_pure(&vals[..n]) {
+        Some(v) => v,
+        None => h.stateful(op, &vals[..n]),
+    })
 }
 
 fn field_sl(v: Sl, index: usize) -> Sl {
@@ -360,7 +335,7 @@ fn exec<H: Host>(
             }
             Instr::Neg(float) => {
                 let v = stack.pop().expect("operand");
-                stack.push(if float { Sl::F(-v.as_float()) } else { Sl::I(-v.as_int()) });
+                stack.push(if float { Sl::F(-v.as_float()) } else { Sl::I(neg_int(v.as_int())) });
             }
             Instr::Not => {
                 let v = stack.pop().expect("operand");
@@ -391,15 +366,11 @@ fn exec<H: Host>(
             Instr::Intr(op, argc) => {
                 let n = argc as usize;
                 assert!(n <= 3, "intrinsic arity {n} exceeds the operand buffer");
-                let mut buf = [Value::Unit, Value::Unit, Value::Unit];
+                let mut buf = [Sl::I(0), Sl::I(0), Sl::I(0)];
                 for k in (0..n).rev() {
-                    buf[k] = stack.pop().expect("intrinsic arg").into_value();
+                    buf[k] = stack.pop().expect("intrinsic arg");
                 }
-                let v = match op.eval_pure(&buf[..n]) {
-                    Some(v) => v,
-                    None => h.stateful(op, &buf[..n]),
-                };
-                stack.push(Sl::from_value(v));
+                stack.push(intr_sl(h, op, buf, n));
             }
             Instr::Call(callee) => exec(h, code, callee as usize, stack, frames),
             Instr::Skel(site) => h.skel(site as usize, stack, frames),
@@ -466,15 +437,11 @@ fn exec<H: Host>(
             }
             Instr::IntrS(op, argc, srcs) => {
                 let n = argc as usize;
-                let mut buf = [Value::Unit, Value::Unit, Value::Unit];
+                let mut buf = [Sl::I(0), Sl::I(0), Sl::I(0)];
                 for k in (0..n).rev() {
-                    buf[k] = fetch(srcs[k], stack, &frame, h.kconsts()).into_value();
+                    buf[k] = fetch(srcs[k], stack, &frame, h.kconsts());
                 }
-                let v = match op.eval_pure(&buf[..n]) {
-                    Some(v) => v,
-                    None => h.stateful(op, &buf[..n]),
-                };
-                stack.push(Sl::from_value(v));
+                stack.push(intr_sl(h, op, buf, n));
             }
             Instr::ArrGetI1(a, i) => {
                 let iv = fetch(i, stack, &frame, h.kconsts());
@@ -500,29 +467,33 @@ fn exec<H: Host>(
 /// Full execution mode: one per processor, owns the arrays and output.
 pub(crate) struct Vm<'a, 'p, 'm> {
     pub(crate) code: &'a Program,
-    /// `code` with `Charge`s stripped — what kernel execution runs.
-    pub(crate) kcode: &'a Program,
-    /// `code.costs` resolved to cycles under this machine's cost model.
-    pub(crate) costs: Vec<u64>,
-    /// Per site, per argument function: the kernel charge per element.
-    pub(crate) site_cycles: Vec<Vec<u64>>,
-    /// `code.consts`, pre-converted to slots.
-    pub(crate) consts: Vec<Sl>,
+    /// What skeleton argument functions run as.
+    kernel: &'a KernelView,
+    /// The run's resolved pools.
+    pub(crate) tables: &'a RunTables,
     pub(crate) proc: &'p mut Proc<'m>,
     pub(crate) arrays: Vec<Option<ArrayStore>>,
     pub(crate) output: Vec<String>,
     /// `Some` when the native engine drives this VM: `General` kernels
     /// are dispatched to compiled code instead of the interpreter.
-    pub(crate) native: Option<&'a NativeBackend>,
+    native: Option<&'a NativeBackend>,
+}
+
+impl<'a, 'p, 'm> Vm<'a, 'p, 'm> {
+    pub(crate) fn new(
+        code: &'a Program,
+        kernel: &'a KernelView,
+        tables: &'a RunTables,
+        proc: &'p mut Proc<'m>,
+        native: Option<&'a NativeBackend>,
+    ) -> Self {
+        Vm { code, kernel, tables, proc, arrays: Vec::new(), output: Vec::new(), native }
+    }
 }
 
 /// Unwrap a skeleton or array result; failures are Skil runtime errors.
-fn rt<T>(r: skil_array::Result<T>) -> T {
+pub(crate) fn rt<T>(r: skil_array::Result<T>) -> T {
     r.unwrap_or_else(|e| panic!("skil runtime: {e}"))
-}
-
-fn index_sl(ix: Index) -> Sl {
-    Sl::V(Value::Index([ix[0] as i64, ix[1] as i64]))
 }
 
 fn bounds_value(arr: &ArrayStore) -> Value {
@@ -532,11 +503,11 @@ fn bounds_value(arr: &ArrayStore) -> Value {
 
 impl Host for Vm<'_, '_, '_> {
     fn charge_ix(&mut self, i: u32) {
-        self.proc.charge(self.costs[i as usize]);
+        self.proc.charge(self.tables.costs[i as usize]);
     }
 
     fn kconsts(&self) -> &[Sl] {
-        &self.consts
+        &self.tables.consts
     }
 
     fn get_elem(&mut self, h: usize, ix: Index) -> Sl {
@@ -592,16 +563,18 @@ impl Host for Vm<'_, '_, '_> {
         macro_rules! kvm {
             () => {
                 KernelVm {
-                    code: self.kcode,
-                    consts: &self.consts,
+                    code: self.code,
+                    kernel: self.kernel,
+                    consts: &self.tables.consts,
                     arrays: &self.arrays,
                     me,
                     nprocs: self.proc.nprocs(),
                     native: self.native,
                     site,
                     lifted: &lifted,
-                    cycles: &self.site_cycles[site_ix],
+                    cycles: &self.tables.site_cycles[site_ix],
                     scratch: RefCell::default(),
+                    typed_regs: Default::default(),
                 }
             };
         }
@@ -724,15 +697,15 @@ impl Host for Vm<'_, '_, '_> {
                     let kvm = kvm!();
                     let mut ops = skil_core::DcOps {
                         is_trivial: Kernel::new(
-                            |p: &Value| kvm.call(0, [Sl::from_value_ref(p)]).as_int() != 0,
+                            |p: &Value| kvm.call::<IntElem, 1>(0, [KArg::V(p)]).0 != 0,
                             kvm.cycles[0],
                         ),
                         solve: Kernel::new(
-                            |p: &Value| kvm.call(1, [Sl::from_value_ref(p)]).into_value(),
+                            |p: &Value| kvm.call::<Value, 1>(1, [KArg::V(p)]),
                             kvm.cycles[1],
                         ),
                         split: Kernel::new(
-                            |p: &Value| match kvm.call(2, [Sl::from_value_ref(p)]).into_value() {
+                            |p: &Value| match kvm.call::<Value, 1>(2, [KArg::V(p)]) {
                                 Value::List(items) => items.to_vec(),
                                 other => {
                                     panic!("skil runtime: split returned {other:?}, not a list")
@@ -743,7 +716,7 @@ impl Host for Vm<'_, '_, '_> {
                         join: Kernel::new(
                             |parts: Vec<Value>| {
                                 let parts = Value::List(ConsList::from_vec(parts));
-                                kvm.call(3, [Sl::V(parts)]).into_value()
+                                kvm.call::<Value, 1>(3, [KArg::V(&parts)])
                             },
                             kvm.cycles[3],
                         ),
@@ -765,7 +738,7 @@ impl Host for Vm<'_, '_, '_> {
                 let result = {
                     let kvm = kvm!();
                     let worker = Kernel::new(
-                        |t: &Value| kvm.call(0, [Sl::from_value_ref(t)]).into_value(),
+                        |t: &Value| kvm.call::<Value, 1>(0, [KArg::V(t)]),
                         kvm.cycles[0],
                     );
                     rt(skil_core::farm(self.proc, 0, (me == 0).then_some(tasks.to_vec()), worker))
@@ -789,13 +762,17 @@ struct Scratch {
     frames: Vec<Vec<Sl>>,
 }
 
-/// Read a local element on behalf of a skeleton argument function:
-/// the array the running skeleton writes is out of the table.
-pub(crate) fn kernel_get_elem(arrays: &[Option<ArrayStore>], h: usize, ix: Index) -> Sl {
-    let arr = arrays[h].as_ref().unwrap_or_else(|| {
+/// The array behind handle `h` as a skeleton argument function may
+/// read it: the array the running skeleton writes is out of the table.
+pub(crate) fn live_array(arrays: &[Option<ArrayStore>], h: usize) -> &ArrayStore {
+    arrays[h].as_ref().unwrap_or_else(|| {
         panic!("skil runtime: use of an array being written by this skeleton or already destroyed")
-    });
-    rt(arr.get(ix))
+    })
+}
+
+/// Read a local element on behalf of a skeleton argument function.
+pub(crate) fn kernel_get_elem(arrays: &[Option<ArrayStore>], h: usize, ix: Index) -> Sl {
+    rt(live_array(arrays, h).get(ix))
 }
 
 /// Kernel execution mode for the shared dispatch loop: read-only
@@ -845,10 +822,12 @@ impl Host for KHost<'_> {
 
 /// One skeleton call's executor for its argument functions, plus the
 /// generic skeleton bodies written against it. Scratch space (operand
-/// stack + frame pool) is interior-mutable so kernels can be invoked
-/// through `Fn` closures; elements cross as [`Sl`] slots.
+/// stack + frame pool, and one register file per typed argument
+/// function) is interior-mutable so kernels can be invoked through `Fn`
+/// closures.
 struct KernelVm<'a> {
     code: &'a Program,
+    kernel: &'a KernelView,
     consts: &'a [Sl],
     arrays: &'a [Option<ArrayStore>],
     me: usize,
@@ -860,21 +839,24 @@ struct KernelVm<'a> {
     /// Per argument function: the kernel charge per element.
     cycles: &'a [u64],
     scratch: RefCell<Scratch>,
+    /// Per argument function (a site has at most four): its typed
+    /// register file, empty until its first element.
+    typed_regs: [RefCell<Vec<u64>>; 4],
 }
 
 impl KernelVm<'_> {
     /// Invoke the site's `i`-th argument function with `lifted ++ args`.
-    fn call<const N: usize>(&self, i: usize, args: [Sl; N]) -> Sl {
+    fn call<U: Elem, const N: usize>(&self, i: usize, args: [KArg<'_>; N]) -> U {
         let f = &self.site.fns[i];
         let lifted = &self.lifted[i][..];
         let n = lifted.len();
-        let cf = &self.code.funcs[f.fid];
+        let nparams = self.code.funcs[f.fid].nparams;
         assert_eq!(
-            cf.nparams,
+            nparams,
             n + N,
             "skil runtime: arity mismatch calling function {}: {} params, {} args",
             f.fid,
-            cf.nparams,
+            nparams,
             n + N
         );
         // parameter position → argument, without materializing a vector
@@ -882,27 +864,40 @@ impl KernelVm<'_> {
             if p < n {
                 Sl::from_value_ref(&lifted[p])
             } else {
-                args[p - n].clone()
+                args[p - n].sl()
             }
         };
-        match &f.shape {
+        U::from_sl(match &f.shape {
             KernelShape::Bin { op, float, a, b } => bin_sl(*op, *float, &pick(*a), &pick(*b)),
-            KernelShape::Intrinsic { op, slots } => {
-                let mut buf = [Value::Unit, Value::Unit, Value::Unit];
-                for (slot, &p) in buf.iter_mut().zip(slots) {
-                    *slot = pick(p).into_value();
+            KernelShape::Intrinsic { op, slots } => match scalar_sl(*op, |k| pick(slots[k])) {
+                Some(v) => v,
+                None => {
+                    let mut buf = [Value::Unit, Value::Unit, Value::Unit];
+                    for (slot, &p) in buf.iter_mut().zip(slots) {
+                        *slot = pick(p).into_value();
+                    }
+                    let v = op.eval_pure(&buf[..slots.len()]);
+                    Sl::from_value(v.expect("shape-classified intrinsic is pure"))
                 }
-                let v = op.eval_pure(&buf[..slots.len()]);
-                Sl::from_value(v.expect("shape-classified intrinsic is pure"))
-            }
+            },
             KernelShape::General => {
                 if let Some(nb) = self.native {
-                    return nb.run_kernel(f.fid, lifted, &args, self.arrays);
+                    return U::from_sl(nb.run_kernel(
+                        f.fid,
+                        lifted,
+                        &args.map(KArg::sl),
+                        self.arrays,
+                    ));
+                }
+                if let Some(tf) = self.kernel.typed(f.fid) {
+                    let env = KEnv { arrays: self.arrays, me: self.me, nprocs: self.nprocs };
+                    let mut regs = self.typed_regs[i].borrow_mut();
+                    return self.kernel.call(tf, &mut regs, lifted, &args, &env);
                 }
                 let mut s = self.scratch.borrow_mut();
                 let Scratch { stack, frames } = &mut *s;
                 stack.extend(lifted.iter().map(Sl::from_value_ref));
-                stack.extend(args);
+                stack.extend(args.iter().map(|a| a.sl()));
                 let mut h = KHost {
                     consts: self.consts,
                     arrays: self.arrays,
@@ -912,7 +907,7 @@ impl KernelVm<'_> {
                 exec(&mut h, self.code, f.fid, stack, frames);
                 stack.pop().expect("kernel return value")
             }
-        }
+        })
     }
 
     /// The site's `i`-th argument function as a `(T, T) -> T` combiner
@@ -923,7 +918,7 @@ impl KernelVm<'_> {
         let direct = T::direct2(&self.site.fns[i].shape, self.lifted[i].len());
         move |x, y| match direct {
             Some(op) => op(x, y),
-            None => T::from_sl(self.call(i, [x.into_sl(), y.into_sl()])),
+            None => self.call(i, [x.arg(), y.arg()]),
         }
     }
 
@@ -952,7 +947,7 @@ impl KernelVm<'_> {
         });
         move |v, ix| match pre.as_mut() {
             Some(it) => it.next().expect("prefetched map element"),
-            None => U::from_sl(self.call(0, [v.clone().into_sl(), index_sl(ix)])),
+            None => self.call(0, [v.arg(), KArg::Ix(ix)]),
         }
     }
 
@@ -970,7 +965,7 @@ impl KernelVm<'_> {
         let init = Kernel::new(
             |ix: Index| match pre.as_mut() {
                 Some(it) => it.next().expect("planned bulk element"),
-                None => T::from_sl(self.call(0, [index_sl(ix)])),
+                None => self.call(0, [KArg::Ix(ix)]),
             },
             self.cycles[0],
         );
@@ -1011,7 +1006,7 @@ impl KernelVm<'_> {
             rt(array_fold_bulk(proc, self.cycles[0], self.cycles[1], local, fold, arr))
         } else {
             let conv = Kernel::new(
-                |v: &T, ix: Index| U::from_sl(self.call(0, [v.clone().into_sl(), index_sl(ix)])),
+                |v: &T, ix: Index| self.call::<U, 2>(0, [v.arg(), KArg::Ix(ix)]),
                 self.cycles[0],
             );
             rt(array_fold(proc, conv, Kernel::new(fold, self.cycles[1]), arr))
@@ -1029,7 +1024,7 @@ impl KernelVm<'_> {
         to: &mut DistArray<T>,
     ) {
         let perm = |r: usize| -> usize {
-            let v = self.call(0, [Sl::I(r as i64)]).as_int();
+            let v = self.call::<IntElem, 1>(0, [KArg::I(r as i64)]).0;
             assert!(v >= 0, "skil runtime: negative permuted row {v}");
             v as usize
         };

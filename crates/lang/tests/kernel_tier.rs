@@ -1,0 +1,134 @@
+//! Which skeleton argument functions of the shipped programs run as
+//! typed register code and which on the generic loop, pinned: a
+//! function that silently stops lowering fails here, not in a
+//! benchmark.
+
+use skil_lang::{compile_opt, OptLevel};
+
+/// `General`-shape argument functions by source name, in order of first
+/// use at a skeleton site, with how each runs at `-O1`/`-O2`
+/// (`true`: typed). Operator sections and single intrinsics never reach
+/// either tier and are not listed.
+const PINNED: [(&str, &[(&str, bool)]); 13] = [
+    ("div_zero", &[]),
+    ("farm_sweep", &[("score", true)]),
+    ("fold16", &[("initf", true), ("conv", true)]),
+    ("fold_ladder", &[("initf", true), ("conv", true)]),
+    (
+        "gauss",
+        &[
+            ("init_f", true),
+            ("zerof", true),
+            // a struct of scalars is one register per field; the fold
+            // still passes `Value`s between them
+            ("make_elemrec", true),
+            ("max_abs_in_col", true),
+            ("switch_rows", true),
+            // `array_part_bounds` yields `Bounds`
+            ("copy_pivot", false),
+            ("eliminate", true),
+            ("normalize", true),
+        ],
+    ),
+    ("hello", &[]),
+    ("horner", &[("xval", true), ("horner", true), ("conv", true), ("fmaxf", true)]),
+    ("mandelbrot", &[("escape", true), ("conv", true)]),
+    ("monte_carlo", &[("hits", true), ("conv", true)]),
+    ("prefix_stats", &[("sample", true), ("zero", true), ("conv", true)]),
+    // lists all the way down
+    ("quicksort", &[("is_simple", false), ("ident", false), ("divide", false), ("concat3", false)]),
+    ("shortest_paths", &[("init_f", true), ("zero", true), ("conv", true)]),
+    ("type_error", &[]),
+];
+
+const PARAMS: [(&str, &str); 5] = [
+    ("__N__", "16"),
+    ("__TASKS__", "4"),
+    ("__ITERS__", "10"),
+    ("__LEN__", "8"),
+    ("__FOLDS__", "3"),
+];
+
+/// `(source name, typed?)` per `General` argument function, from the
+/// `site` lines of the kernel listing.
+fn classify(listing: &str) -> Vec<(String, bool)> {
+    let mut out: Vec<(String, bool)> = Vec::new();
+    for line in listing.lines().filter(|l| l.starts_with("site ")) {
+        // `init_f_1+0 [typed]`; trivial shapes carry other tags
+        let mut found: Vec<(usize, bool)> = line
+            .match_indices(" [typed]")
+            .map(|(at, _)| (at, true))
+            .chain(line.match_indices(" [generic]").map(|(at, _)| (at, false)))
+            .collect();
+        found.sort_unstable();
+        for (at, typed) in found {
+            let instance = line[..at].rsplit(['(', ' ']).next().expect("a name before the tag");
+            let name = instance.split_once('+').expect("name+lifted").0;
+            let name = name.rsplit_once('_').expect("instance suffix").0.to_string();
+            if !out.iter().any(|(n, _)| *n == name) {
+                out.push((name, typed));
+            }
+        }
+    }
+    out
+}
+
+fn programs(dir: &str) -> Vec<(String, String)> {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let mut out: Vec<(String, String)> = std::fs::read_dir(format!("{root}/{dir}"))
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "skil"))
+        .map(|p| {
+            let mut src = std::fs::read_to_string(&p).expect("readable");
+            for (placeholder, value) in PARAMS {
+                src = src.replace(placeholder, value);
+            }
+            (p.file_stem().expect("stem").to_string_lossy().into_owned(), src)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn shipped_argument_functions_lower_as_pinned() {
+    let mut seen = 0;
+    for dir in ["benchmark/programs", "examples/skil"] {
+        for (stem, src) in programs(dir) {
+            let want = PINNED
+                .iter()
+                .find(|(s, _)| *s == stem)
+                .unwrap_or_else(|| panic!("{dir}/{stem}.skil is not pinned: add it to PINNED"));
+            let want: Vec<(String, bool)> =
+                want.1.iter().map(|(n, t)| (n.to_string(), *t)).collect();
+            for level in [OptLevel::O1, OptLevel::O2] {
+                // one program is there for its type error
+                let Ok(c) = compile_opt(&src, level) else {
+                    assert_eq!(stem, "type_error");
+                    continue;
+                };
+                assert_eq!(
+                    classify(&c.disassemble_kernel()),
+                    want,
+                    "{dir}/{stem}.skil @ -O{level}: (argument function, typed)"
+                );
+                seen += 1;
+            }
+        }
+    }
+    assert!(seen >= 2 * 19, "expected the benchmark programs and the examples, saw {seen}");
+}
+
+#[test]
+fn nothing_lowers_at_o0() {
+    for (stem, src) in programs("examples/skil") {
+        let c = compile_opt(&src, OptLevel::O0).expect("the examples compile");
+        let listing = c.disassemble_kernel();
+        assert!(!listing.contains("[typed]"), "{stem} @ -O0:\n{listing}");
+        assert!(
+            classify(&listing).iter().all(|(_, typed)| !typed),
+            "{stem} @ -O0 stays the plain stack machine"
+        );
+    }
+}

@@ -363,3 +363,31 @@ fn bytecode_listings_of_the_examples_match_their_fixtures() {
         }
     }
 }
+
+/// `--emit-bytecode=kernel` over the examples whose argument functions
+/// the benchmark's `kernel` workload spends its time in: what lowers to
+/// typed register code, what stays generic and why, and the code itself.
+#[test]
+fn kernel_listings_match_their_fixtures() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/listings");
+    for stem in ["mandelbrot", "horner", "monte_carlo", "gauss"] {
+        let out = skilc()
+            .arg("--emit-bytecode=kernel")
+            .arg(format!("{root}/examples/skil/{stem}.skil"))
+            .output()
+            .expect("run skilc");
+        assert!(out.status.success(), "{stem}");
+        let want = std::fs::read_to_string(format!("{fixtures}/{stem}.kernel.txt"))
+            .unwrap_or_else(|e| panic!("fixture for {stem}: {e}"));
+        let got = String::from_utf8_lossy(&out.stdout);
+        assert!(got == want, "{stem}: the kernel listing differs from its fixture:\n{got}");
+    }
+    // the tags the fixtures are read for
+    let gauss = std::fs::read_to_string(format!("{fixtures}/gauss.kernel.txt")).expect("fixture");
+    assert!(gauss.contains("fn eliminate_1 [typed]"), "{gauss}");
+    assert!(
+        gauss.contains("fn copy_pivot_1 [generic: array_part_bounds yields Bounds]"),
+        "{gauss}"
+    );
+}

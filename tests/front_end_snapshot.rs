@@ -256,20 +256,6 @@ fn examples() -> Vec<(String, String)> {
     out
 }
 
-/// 160 bytes of generator DNA for `seed` (SplitMix64).
-fn dna(seed: u64) -> Vec<u8> {
-    let mut state = seed;
-    let mut out = Vec::with_capacity(160);
-    while out.len() < 160 {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
-    }
-    out
-}
-
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
@@ -278,7 +264,7 @@ fn corpus() -> Vec<(String, String)> {
     let mut out = examples();
     out.extend(ACCEPTED.iter().map(|&(n, s)| (n.to_string(), s.to_string())));
     for seed in 0..200 {
-        let dna = dna(seed);
+        let dna = program_gen::dna(seed);
         out.push((format!("gen{seed:03}"), program_gen::Gen { dna: &dna, pos: 0 }.program()));
     }
     out.extend(rejected().into_iter().map(|(n, s)| (n.to_string(), s)));

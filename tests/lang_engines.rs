@@ -387,6 +387,232 @@ fn kernel_runtime_errors_over_typed_stores_match_the_walker() {
     }
 }
 
+/// What a failed run reports: the structured aborts of a Skil runtime
+/// error, or the message of the panic a program's `error(n)` raises.
+fn failure_of(
+    c: &skil::lang::Compiled,
+    engine: Engine,
+    machine: &Machine,
+) -> Result<Vec<skil::runtime::SimAbort>, String> {
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        c.try_run_with(engine, machine).expect_err("the program fails at run time").aborts
+    }));
+    run.map_err(|payload| {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("a string panic")
+    })
+}
+
+/// Runtime errors raised inside `General` argument functions: the typed
+/// register tier (`-O1`, `-O2`), the generic loop (`-O0`, and every
+/// function that does not lower) and the native engine fail on the same
+/// processors with the walker's message.
+#[test]
+fn kernel_runtime_errors_match_the_walker_on_every_kernel_tier() {
+    let prelude = "pardata array <$t>;
+        int initf(Index ix) { return ix[0] - 5; }
+        array<int> ints() {
+            return array_create(1, {16, 1}, {0,0}, {0-1,0-1}, initf, DISTR_DEFAULT);
+        }
+        void run(int f(int, Index)) {
+            array<int> a = ints();
+            array<int> b = ints();
+            array_map(f, a, b);
+        }";
+    let cases = [
+        // v is 0 at element 5: a loop keeps the kernel `General` and typed
+        (
+            "division by zero",
+            "int k(int v, Index ix) { int s = 0; int i = 0; while (i < 2) { s = s + 100 / v; i = i + 1; } return s; }
+             void main() { run(k); }",
+            "integer division by zero",
+        ),
+        (
+            "remainder by zero",
+            "int k(int v, Index ix) { int m = v - 3; return (ix[0] + 7) % m + m; }
+             void main() { run(k); }",
+            "integer remainder by zero",
+        ),
+        // element 5 is 0: a struct-valued fold, typed one register per field
+        (
+            "remainder by a struct's zero field",
+            "struct pr { int a; int b; };
+             pr mk(int v, Index ix) { return pr{v, ix[0]}; }
+             pr comb(pr x, pr y) { return pr{x.a + y.a, x.b % y.a}; }
+             void main() { array<int> a = ints(); pr r = array_fold(mk, comb, a); print(r.b); }",
+            "integer remainder by zero",
+        ),
+        (
+            "error(n)",
+            "int k(int v, Index ix) { if (v == 9) { error(41); } return v + 1; }
+             void main() { run(k); }",
+            "skil program called error(41)",
+        ),
+        (
+            "Index component out of range",
+            "int k(int v, Index ix) { int c = ix[0] / 8 + 1; return ix[c] + v; }
+             void main() { run(k); }",
+            "Index component 2 out of range",
+        ),
+        (
+            "reading the array the skeleton writes",
+            "int k(array<int> dst, int v, Index ix) { return array_get_elem(dst, ix) + v; }
+             void main() { array<int> a = ints(); array<int> b = ints(); array_map(k(b), a, b); }",
+            "use of an array being written by this skeleton",
+        ),
+        (
+            "array_put_elem in a kernel",
+            "int k(array<int> dst, int v, Index ix) { array_put_elem(dst, ix, v); return v; }
+             void main() { array<int> a = ints(); array<int> b = ints(); array<int> c = ints(); array_map(k(c), a, b); }",
+            "array_put_elem inside a skeleton argument function",
+        ),
+        (
+            "print in a kernel",
+            "int k(int v, Index ix) { print(v); return v; }
+             void main() { run(k); }",
+            "print inside a skeleton argument function",
+        ),
+    ];
+    for (name, body, message) in cases {
+        let src = format!("{prelude}\n{body}");
+        // a panic that is not a Skil runtime error poisons its machine
+        let machine = || Machine::new(MachineConfig::square(2).unwrap());
+        let compiled = compile(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let want = failure_of(&compiled, Engine::Ast, &machine());
+        let text = match &want {
+            Ok(aborts) => format!("{aborts:?}"),
+            Err(panic) => panic.clone(),
+        };
+        assert!(text.contains(message), "{name}: the walker reports `{text}`");
+        for level in LEVELS {
+            let c = compile_opt(&src, level).unwrap();
+            for engine in [Engine::Vm, Engine::Native] {
+                let got = failure_of(&c, engine, &machine());
+                assert_eq!(want, got, "{name} @ -O{level} under {engine:?}");
+            }
+        }
+    }
+}
+
+/// Integer negation and `abs` wrap on the minimum, like every other
+/// integer operator, at run time and in the constant folder alike.
+#[test]
+fn negation_and_abs_of_the_minimum_wrap_under_every_engine() {
+    // `procId - procId` keeps `z` out of the constant folder's reach
+    let src = "int neg(int v, Index ix) { int z = 0 - v - 1; int i = 0; while (i < 1) { z = -z; i = i + 1; } return z; }
+        int big(Index ix) { return int_max * 4 + 3; }
+        int conv(int v, Index ix) { return abs(v); }
+        int first(int a, int b) { return a; }
+        void main() {
+            int m = int_max * 4 + 3;
+            int z = 0 - m - 1 + (procId - procId);
+            print(-z);
+            print(abs(z));
+            print(-(0 - m - 1));
+            array<int> a = array_create(1, {4, 1}, {0,0}, {0-1,0-1}, big, DISTR_DEFAULT);
+            array_map(neg, a, a);
+            print(array_fold(conv, first, a));
+        }";
+    let machine = Machine::new(MachineConfig::square(2).unwrap());
+    assert_engines_agree("i64::MIN", src, &machine);
+    let min = i64::MIN.to_string();
+    let run = compile(src).unwrap().run(&machine);
+    assert_eq!(run.results[0], vec![min.clone(), min.clone(), min.clone(), min]);
+}
+
+/// A NaN fails every ordered comparison and its own equality, so
+/// "jump unless `a < b`" is not "jump if `a >= b`": each float
+/// comparison in branch position, in both polarities, on a NaN operand.
+#[test]
+fn nan_comparisons_branch_the_same_way_under_every_engine() {
+    let src = "int k(float v, Index ix) {
+            float z = v - v;
+            float nan = z / z;
+            int n = 0;
+            if (nan < v) { n = n + 1; }
+            if (nan <= v) { n = n + 2; }
+            if (nan > v) { n = n + 4; }
+            if (nan >= v) { n = n + 8; }
+            if (nan == nan) { n = n + 16; }
+            if (nan != nan) { n = n + 32; }
+            if (v < nan || v <= nan || v > nan || v >= nan || v == nan) { n = n + 64; }
+            if (v != nan || n < 0) { n = n + 128; }
+            return n;
+        }
+        float ones(Index ix) { return itof(ix[0] + 1); }
+        int zero(Index ix) { return 0; }
+        int conv(int v, Index ix) { return v; }
+        void main() {
+            array<float> a = array_create(1, {8, 1}, {0,0}, {0-1,0-1}, ones, DISTR_DEFAULT);
+            array<int> b = array_create(1, {8, 1}, {0,0}, {0-1,0-1}, zero, DISTR_DEFAULT);
+            array_map(k, a, b);
+            print(array_fold(conv, max, b));
+        }";
+    let machine = Machine::new(MachineConfig::square(2).unwrap());
+    assert_engines_agree("nan", src, &machine);
+    let run = compile(src).unwrap().run(&machine);
+    assert_eq!(run.results[0], vec!["160".to_string()]);
+}
+
+/// Structs of scalars in typed argument functions, one register per
+/// field: as element, lifted argument, local, result, across a join, and
+/// rebuilt from their own fields in another order. Structs of more than
+/// scalars stay on the generic loop. Either way the walker's output.
+#[test]
+fn struct_kernels_agree_on_both_kernel_tiers() {
+    let src = "pardata array <$t>;
+        struct rec { float val; int row; int col; };
+        struct wide { int a; int b; int c; int d; int e; int f; int g; int h; int i; };
+        struct nest { rec r; int n; };
+        rec mk(float v, Index ix) { return rec{v, ix[0], ix[1]}; }
+        float init(Index ix) { return itof((ix[0] * 5 + ix[1] * 3) % 7) - 2.5; }
+        rec best(int k, rec a, rec b) {
+            int a_in = a.col == k && a.row >= k;
+            int b_in = b.col == k && b.row >= k;
+            if (a_in && !b_in) { return a; }
+            if (b_in && !a_in) { return b; }
+            if (fabs(b.val) > fabs(a.val)) { return b; }
+            return a;
+        }
+        rec turn(rec bias, rec a, rec b) {
+            rec t = rec{itof(a.col), b.row, a.row};
+            if (a.val < b.val) { t = rec{t.val + bias.val, t.col, t.row}; } else { t = b; }
+            a = rec{t.val - a.val, a.col + bias.row, t.row};
+            int i = 0;
+            while (i < 3) { a = rec{a.val * 0.5, a.col, a.row + i}; i = i + 1; }
+            return a;
+        }
+        int rowof(rec r, Index ix) { return r.row * 100 + r.col; }
+        wide mkw(float v, Index ix) { return wide{ix[0], ix[1], 1, 2, 3, 4, 5, 6, 7}; }
+        wide addw(wide x, wide y) { return wide{x.a + y.a, x.b + y.b, 1, 2, 3, 4, 5, 6, x.i + y.i}; }
+        nest mkn(float v, Index ix) { return nest{rec{v, ix[0], ix[1]}, 1}; }
+        nest addn(nest x, nest y) { return nest{x.r, x.n + y.n}; }
+        void main() {
+            array<float> a = array_create(2, {8, 6}, {0,0}, {0-1,0-1}, init, DISTR_DEFAULT);
+            int k;
+            for (k = 0; k < 3; k = k + 1) {
+                rec e = array_fold(mk, best(k), a);
+                if (procId == 0) { print(e.val); print(e.row); print(e.col); }
+            }
+            rec t = array_fold(mk, turn(rec{0.25, 2, 0 - 1}), a);
+            wide w = array_fold(mkw, addw, a);
+            nest n = array_fold(mkn, addn, a);
+            if (procId == 0) { print(t); print(w.a + w.b + w.i); print(n.n); print(n.r.val); }
+        }";
+    let machine = Machine::new(MachineConfig::square(2).unwrap());
+    assert_engines_agree("struct kernels", src, &machine);
+    let listing = compile_opt(src, OptLevel::O2).unwrap().disassemble_kernel();
+    for typed in ["mk_1", "best_1", "turn_1"] {
+        assert!(listing.contains(&format!("fn {typed} [typed]")), "{typed}:\n{listing}");
+    }
+    for generic in ["mkw_1", "addw_1", "mkn_1", "addn_1"] {
+        assert!(listing.contains(&format!("fn {generic} [generic: ")), "{generic}:\n{listing}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Random first-order programs.
 // ---------------------------------------------------------------------
@@ -394,6 +620,35 @@ fn kernel_runtime_errors_over_typed_stores_match_the_walker() {
 #[path = "support/program_gen.rs"]
 mod program_gen;
 use program_gen::Gen;
+
+/// 200 generated kernel-heavy programs — float locals and loops in
+/// argument functions, partial applications that lift array handles,
+/// `array_get_elem` reads — under the walker and the VM at every opt
+/// level: `-O0` runs every kernel on the generic loop, `-O1`/`-O2` on
+/// the typed register tier wherever it lowers.
+#[test]
+fn generated_kernels_agree_on_both_kernel_tiers() {
+    let machine = Machine::new(MachineConfig::square(2).unwrap());
+    for seed in 0..200 {
+        let dna = program_gen::dna(seed);
+        let src = Gen { dna: &dna, pos: 0 }.kernel_program();
+        let compiled = compile(&src)
+            .unwrap_or_else(|e| panic!("seed {seed}: generated program rejected: {e}\n{src}"));
+        let ast = compiled.run_with(Engine::Ast, &machine);
+        for level in LEVELS {
+            let vm = compile_opt(&src, level).unwrap().run_with(Engine::Vm, &machine);
+            assert_eq!(
+                ast.results, vm.results,
+                "seed {seed} @ -O{level}: output differs for:\n{src}"
+            );
+            assert_eq!(
+                fingerprint(&ast.report),
+                fingerprint(&vm.report),
+                "seed {seed} @ -O{level}: stats differ for:\n{src}"
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

@@ -1,6 +1,23 @@
 //! The deterministic random Skil program generator, shared by the
-//! engine-agreement proptest (`lang_engines.rs`) and the front-end
+//! engine-agreement tests (`lang_engines.rs`) and the front-end
 //! snapshot (`front_end_snapshot.rs`).
+
+// each of the two test crates uses its own part of this file
+#![allow(dead_code)]
+
+/// 160 bytes of generator DNA for `seed` (SplitMix64).
+pub fn dna(seed: u64) -> Vec<u8> {
+    let mut state = seed;
+    let mut out = Vec::with_capacity(160);
+    while out.len() < 160 {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+    }
+    out
+}
 
 /// How the random skeleton section represents its array elements: the
 /// type's name and declaration, an int expression wrapped as an
@@ -270,5 +287,212 @@ impl<'a> Gen<'a> {
         src.push_str(&skeletons);
         src.push_str("}\n");
         src
+    }
+
+    // -----------------------------------------------------------------
+    // Kernel-heavy programs (`kernel_program`). `program` above is
+    // pinned byte for byte by the front-end snapshot; everything below
+    // is separate from it.
+    // -----------------------------------------------------------------
+
+    /// A float expression over the float variables `fv` and the int
+    /// variables `iv`, bounded depth. `call` permits `fstep(...)`.
+    fn fexpr(&mut self, fv: &[String], iv: &[String], depth: u32, call: bool) -> String {
+        const LITS: [&str; 6] = ["0.5", "1.5", "2.0", "0.25", "3.0", "0.0"];
+        let b = self.byte();
+        if depth == 0 {
+            return if b.is_multiple_of(2) || fv.is_empty() {
+                LITS[b as usize / 2 % LITS.len()].to_string()
+            } else {
+                fv[b as usize % fv.len()].clone()
+            };
+        }
+        match b % 9 {
+            0 => LITS[self.byte() as usize % LITS.len()].to_string(),
+            1 if !fv.is_empty() => fv[self.byte() as usize % fv.len()].clone(),
+            1..=3 => {
+                let op = ["+", "-", "*"][self.byte() as usize % 3];
+                let l = self.fexpr(fv, iv, depth - 1, call);
+                let r = self.fexpr(fv, iv, depth - 1, call);
+                format!("({l} {op} {r})")
+            }
+            4 => {
+                // now and then by zero: infinities and NaNs are values,
+                // and a NaN tells `!(a < b)` from `a >= b`
+                let d = ["2.0", "4.0", "0.5", "3.0", "2.0", "4.0", "0.5", "0.0"]
+                    [self.byte() as usize % 8];
+                let l = self.fexpr(fv, iv, depth - 1, call);
+                format!("({l} / {d})")
+            }
+            5 => format!("itof({})", self.expr_in(iv, depth - 1, false)),
+            6 => {
+                let l = self.fexpr(fv, iv, depth - 1, call);
+                match self.byte() % 4 {
+                    0 => format!("fabs({l})"),
+                    1 => format!("sqrt(fabs({l}))"),
+                    2 => format!("fmin({l}, {})", self.fexpr(fv, iv, depth - 1, call)),
+                    _ => format!("fmax({l}, {})", self.fexpr(fv, iv, depth - 1, call)),
+                }
+            }
+            7 => format!("(-{})", self.fexpr(fv, iv, depth - 1, call)),
+            _ => {
+                let l = self.fexpr(fv, iv, depth - 1, call);
+                if call {
+                    let r = self.fexpr(fv, iv, depth - 1, call);
+                    format!("fstep({l}, {r})")
+                } else {
+                    format!("(0.0 - {l})")
+                }
+            }
+        }
+    }
+
+    /// A condition: a float comparison, an int comparison, or a
+    /// short-circuit pair of them.
+    fn cond(&mut self, fv: &[String], iv: &[String]) -> String {
+        let op = ["<", "<=", ">", ">=", "==", "!="][self.byte() as usize % 6];
+        match self.byte() % 4 {
+            0 => format!("{} {op} {}", self.expr_in(iv, 1, false), self.expr_in(iv, 1, false)),
+            1 => {
+                let l = self.cond(fv, iv);
+                let r = self.cond(fv, iv);
+                let join = ["&&", "||"][self.byte() as usize % 2];
+                format!("({l}) {join} ({r})")
+            }
+            _ => format!("{} {op} {}", self.fexpr(fv, iv, 1, true), self.fexpr(fv, iv, 1, true)),
+        }
+    }
+
+    /// `acc = ...;` / `t = ...;` / `n = ...;`, or an `if` around two.
+    fn kernel_stmt(&mut self, fv: &[String], iv: &[String], out: &mut String, indent: &str) {
+        match self.byte() % 4 {
+            0 => {
+                let e = self.expr_in(iv, 2, true);
+                out.push_str(&format!("{indent}n = {e};\n"));
+            }
+            1 if indent.len() < 10 => {
+                let c = self.cond(fv, iv);
+                out.push_str(&format!("{indent}if ({c}) {{\n"));
+                self.kernel_stmt(fv, iv, out, &format!("{indent}    "));
+                out.push_str(&format!("{indent}}} else {{\n"));
+                self.kernel_stmt(fv, iv, out, &format!("{indent}    "));
+                out.push_str(&format!("{indent}}}\n"));
+            }
+            b => {
+                let target = ["acc", "t"][b as usize % 2];
+                let e = self.fexpr(fv, iv, 2, true);
+                out.push_str(&format!("{indent}{target} = {e};\n"));
+            }
+        }
+    }
+
+    /// The body of a kernel with float and int locals and a bounded
+    /// loop: `seed_f` / `seed_i` initialize `acc` and `n` from the
+    /// parameters, `reads` are `array_get_elem` expressions (float-typed)
+    /// the loop may use, `ret` turns `acc` / `n` into the result.
+    fn kernel_body(&mut self, seed_f: &str, seed_i: &str, reads: &[String], ret: &str) -> String {
+        let mut fv: Vec<String> = vec!["acc".into(), "t".into()];
+        fv.extend_from_slice(reads);
+        let iv: Vec<String> = vec!["n".into(), "k".into(), "ix[0]".into(), "ix[1]".into()];
+        let mut body =
+            format!("    float acc = {seed_f};\n    float t = 0.0;\n    int n = {seed_i};\n");
+        let trips = self.byte() % 4;
+        body += &format!("    int k = 0;\n    while (k < {trips}) {{\n");
+        for _ in 0..1 + self.byte() % 3 {
+            self.kernel_stmt(&fv, &iv, &mut body, "        ");
+        }
+        body += "        k = k + 1;\n    }\n";
+        if self.byte().is_multiple_of(3) {
+            let c = self.cond(&fv, &iv);
+            body += &format!("    if ({c}) {{ return {ret}; }}\n");
+            self.kernel_stmt(&fv, &iv, &mut body, "    ");
+        }
+        body + &format!("    return {ret};\n")
+    }
+
+    /// A program whose work is in its skeleton argument functions:
+    /// `float` locals and loops, partial applications whose lifted
+    /// arguments include array handles, `array_get_elem` reads of other
+    /// arrays (at the element's own index, so always local), a float
+    /// helper that is called, and every `(T, T) -> T` skeleton with a
+    /// generated combiner.
+    pub fn kernel_program(&mut self) -> String {
+        let mut src = String::from("pardata array <$t>;\n");
+        src += "int helper(int a, int b) { return ";
+        src += &self.expr_in(&["a".into(), "b".into()], 2, false);
+        src += "; }\nfloat fstep(float x, float y) { return ";
+        src += &self.fexpr(&["x".into(), "y".into()], &[], 2, false);
+        src += "; }\n";
+
+        let ix = ["ix[0]".to_string(), "ix[1]".to_string()];
+        src += &format!("int iinit(Index ix) {{ return {}; }}\n", self.expr_in(&ix, 2, true));
+        src += "float finit(Index ix) {\n";
+        src +=
+            &self.kernel_body("itof(ix[0] - ix[1])", "ix[0] * 4 + ix[1]", &[], "acc + itof(n % 7)");
+        src += "}\n";
+        // lifted: an int array handle and a float; reads it both ways
+        src += "float fmapk(array<int> src, float scale, float v, Index ix) {\n";
+        let reads = [
+            "itof(array_get_elem(src, ix))".to_string(),
+            "itof(array_get_elem(src, {ix[0], ix[1]}))".to_string(),
+            "scale".into(),
+            "v".into(),
+        ];
+        src += &self.kernel_body("v * scale", "array_get_elem(src, ix)", &reads, "acc");
+        src += "}\n";
+        // lifted: a float array handle and an int
+        src += "int imapk(array<float> fsrc, int c, int v, Index ix) {\n";
+        let reads = ["array_get_elem(fsrc, ix)".to_string(), "itof(c)".into(), "itof(v)".into()];
+        src += &self.kernel_body(
+            "array_get_elem(fsrc, {ix[0], ix[1]})",
+            "v + c",
+            &reads,
+            "n + ftoi(fmin(fmax(acc, -99.0), 99.0))",
+        );
+        src += "}\n";
+        src += "float fcomb(float a, float b) {\n";
+        let ab = ["a".to_string(), "b".to_string()];
+        let c = self.cond(&ab, &[]);
+        src += &format!("    float m = {};\n", self.fexpr(&ab, &[], 2, true));
+        src += &format!(
+            "    if ({c}) {{ return m; }}\n    return {};\n}}\n",
+            self.fexpr(&ab, &[], 1, true)
+        );
+        src += "float fkey(float v, Index ix) { return v; }\n";
+        src += "int ikey(int v, Index ix) { return v; }\n";
+        src += "int rot(int s, int r) { return (r + s) % 4; }\n";
+
+        src += "void main() {\n";
+        for a in ["ia", "ib"] {
+            src += &format!("  array<int> {a} = array_create(2, {{4, 4}}, {{0,0}}, {{0-1,0-1}}, iinit, DISTR_TORUS2D);\n");
+        }
+        for a in ["fa", "fb", "fc"] {
+            src += &format!("  array<float> {a} = array_create(2, {{4, 4}}, {{0,0}}, {{0-1,0-1}}, finit, DISTR_TORUS2D);\n");
+        }
+        for a in ["ra", "rb"] {
+            src += &format!("  array<float> {a} = array_create(2, {{4, 3}}, {{0,0}}, {{0-1,0-1}}, finit, DISTR_DEFAULT);\n");
+        }
+        for i in 0..3 + self.byte() % 5 {
+            let scale = ["0.5", "2.0", "1.5"][self.byte() as usize % 3];
+            let c = self.byte() % 5;
+            src += &match self.byte() % 7 {
+                0 => format!("  array_map(fmapk(ia, {scale}), fa, fb);\n"),
+                1 => format!("  array_map(fmapk(ib, {scale}), fb, fb);\n"),
+                2 => format!("  array_map(imapk(fb, {c}), ia, ib);\n"),
+                3 => format!("  array_map(imapk(fa, {c}), ib, ib);\n"),
+                4 => "  array_gen_mult(fa, fb, fcomb, (*), fc);\n".to_string(),
+                5 => format!("  array_scan(fcomb, ra, rb);\n  array_permute_rows(rb, rot({c}), ra);\n"),
+                _ => format!("  float r{i} = array_fold(fkey, fcomb, fb);\n  if (procId == 0) {{ print(r{i}); }}\n"),
+            };
+        }
+        for a in ["fa", "fb", "fc", "ra", "rb"] {
+            src += &format!("  float s{a} = array_fold(fkey, (+), {a});\n  if (procId == 0) {{ print(s{a}); }}\n");
+        }
+        for a in ["ia", "ib"] {
+            src += &format!(
+                "  int s{a} = array_fold(ikey, (+), {a});\n  if (procId == 0) {{ print(s{a}); }}\n"
+            );
+        }
+        src + "}\n"
     }
 }

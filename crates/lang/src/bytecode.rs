@@ -404,7 +404,8 @@ pub enum Instr {
 #[derive(Debug, Clone, PartialEq)]
 pub enum KernelShape {
     /// Body is `return a <op> b;` over two parameters — an instantiated
-    /// operator section. Executes as one direct `apply_binop`, no frame.
+    /// operator section. Executes as one direct operator application,
+    /// no frame.
     Bin {
         /// The operator.
         op: BinOp,

@@ -173,6 +173,17 @@ impl BinOp {
         matches!(self, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem)
     }
 
+    /// The virtual cycles one application costs, over `float` or `int`
+    /// operands.
+    pub fn cycles(&self, float: bool, c: &CostModel) -> u64 {
+        match (float, self) {
+            (false, _) => c.int_op,
+            (true, BinOp::Mul) => c.flt_mul,
+            (true, BinOp::Div) => c.flt_div,
+            (true, _) => c.flt_add,
+        }
+    }
+
     /// Surface lexeme.
     pub fn lexeme(&self) -> &'static str {
         match self {
@@ -518,16 +529,7 @@ pub fn static_cost(f: &FoFunc, c: &CostModel) -> u64 {
             FoExpr::Skel(_) => c.call, // nested skeletons are rejected at run time
             FoExpr::Binary { op, float, args } => {
                 let [lhs, rhs] = &**args;
-                let opc = if *float {
-                    match op {
-                        BinOp::Mul => c.flt_mul,
-                        BinOp::Div => c.flt_div,
-                        _ => c.flt_add,
-                    }
-                } else {
-                    c.int_op
-                };
-                opc + expr(lhs, c) + expr(rhs, c)
+                op.cycles(*float, c) + expr(lhs, c) + expr(rhs, c)
             }
             FoExpr::Unary { float, expr: e, .. } => {
                 (if *float { c.flt_add } else { c.int_op }) + expr(e, c)

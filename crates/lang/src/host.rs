@@ -1,0 +1,562 @@
+//! The skeleton host: everything between a [`SkelOp`] and `skil-core`,
+//! once, for every engine.
+//!
+//! A processor's run-time state ([`SkelHost`]: the processor, its array
+//! table, its `print` output), the skeleton dispatch ([`SkelHost::skel`]:
+//! argument unpacking, the array specification, the distinct-array
+//! checks, the task-skeleton result broadcast), one generic body per
+//! array skeleton ([`Site`]), and the stateful intrinsics in their two
+//! modes — full ([`SkelHost::stateful`]) and, for code running inside a
+//! skeleton, read-only ([`KEnv::stateful`]) — live here and nowhere
+//! else.
+//!
+//! The bodies are written against the one thing that differs between
+//! engines, [`ArgFns`]: how a site's argument functions are invoked. It
+//! has two implementations, monomorphized into the bodies: the VM's
+//! (`KernelVm` in [`crate::vm`]: trivial shapes, typed register code,
+//! the generic loop, or the native module) and the AST walker's
+//! ([`crate::interp`], which evaluates the first-order tree). Arrays
+//! live in an [`ArrayStore`]; the `vm` and `native` engines pick the
+//! variant from the static element type, the walker keeps every array
+//! [`ArrayStore::Boxed`].
+
+use skil_array::{ArraySpec, Bounds, DistArray, Distribution, Index};
+use skil_core::{
+    array_broadcast_part, array_copy, array_create, array_fold, array_fold_bulk, array_gen_mult,
+    array_map, array_map_inplace, array_permute_rows, array_scan, divide_conquer, farm, DcOps,
+    Kernel,
+};
+use skil_runtime::{CostModel, Distr, Proc};
+
+use crate::builtins::{DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D};
+use crate::bytecode::{ElemKind, Intr, SkelFn};
+use crate::fo::{static_cost, FoExpr, FoFunc, FoStmt, SkelOp};
+use crate::kernel::KArg;
+use crate::native::NativeBackend;
+use crate::store::{with_kind, with_store, ArrayStore, Elem, IntElem};
+use crate::value::{ConsList, Value};
+use crate::vm::Sl;
+
+/// Tag used to broadcast task-skeleton results to all processors.
+const LANG_RESULT_TAG: u64 = 0x3100_0000;
+
+/// The virtual-cycle charge for one invocation of a skeleton argument
+/// function. The instantiation procedure *inlines* trivial bodies — an
+/// operator section or a single intrinsic call — into the skeleton
+/// instance, so those cost just the operation; anything larger keeps the
+/// residual first-order call plus its statically estimated body.
+pub(crate) fn kernel_cycles(f: &FoFunc, cost: &CostModel) -> u64 {
+    if let [FoStmt::Return(Some(expr))] = &*f.body {
+        match expr {
+            FoExpr::Binary { op, float, args }
+                if matches!(**args, [FoExpr::Var(_), FoExpr::Var(_)]) =>
+            {
+                return op.cycles(*float, cost);
+            }
+            FoExpr::Intrinsic(_, args) if args.iter().all(|a| matches!(a, FoExpr::Var(_))) => {
+                return cost.int_op;
+            }
+            _ => {}
+        }
+    }
+    cost.call + static_cost(f, cost)
+}
+
+pub(crate) fn to_uindex(v: [i64; 2]) -> Index {
+    assert!(v[0] >= 0 && v[1] >= 0, "skil runtime: negative index {{{}, {}}}", v[0], v[1]);
+    [v[0] as usize, v[1] as usize]
+}
+
+/// Unwrap a skeleton or array result; failures are Skil runtime errors.
+pub(crate) fn rt<T>(r: skil_array::Result<T>) -> T {
+    r.unwrap_or_else(|e| panic!("skil runtime: {e}"))
+}
+
+/// What a skeleton argument function may not do.
+pub(crate) fn kernel_forbids(what: &str) -> ! {
+    panic!("skil runtime: {what} inside a skeleton argument function")
+}
+
+// ---------------------------------------------------------------------
+// The array table.
+// ---------------------------------------------------------------------
+
+fn dead_array() -> ! {
+    panic!("skil runtime: use of an array being written by this skeleton or already destroyed")
+}
+
+/// The array behind handle `h`. Every handle lookup ends here or in the
+/// two functions below: a destroyed array — or, for an argument
+/// function, the one the running skeleton writes, which is out of the
+/// table — is a Skil runtime error.
+pub(crate) fn live_array(arrays: &[Option<ArrayStore>], h: usize) -> &ArrayStore {
+    arrays.get(h).and_then(Option::as_ref).unwrap_or_else(|| dead_array())
+}
+
+fn live_array_mut(arrays: &mut [Option<ArrayStore>], h: usize) -> &mut ArrayStore {
+    arrays.get_mut(h).and_then(Option::as_mut).unwrap_or_else(|| dead_array())
+}
+
+/// Take the array a skeleton is about to write out of the table.
+fn take_array(arrays: &mut [Option<ArrayStore>], h: usize) -> ArrayStore {
+    arrays.get_mut(h).and_then(Option::take).unwrap_or_else(|| dead_array())
+}
+
+/// `array_get_elem`: read a local element.
+pub(crate) fn get_elem(arrays: &[Option<ArrayStore>], h: usize, ix: Index) -> Sl {
+    rt(live_array(arrays, h).get(ix))
+}
+
+/// `array_part_bounds`.
+pub(crate) fn part_bounds(arrays: &[Option<ArrayStore>], h: usize) -> Bounds {
+    rt(live_array(arrays, h).part_bounds())
+}
+
+// ---------------------------------------------------------------------
+// The two execution modes' state.
+// ---------------------------------------------------------------------
+
+/// What code running inside a skeleton — an argument function — can see
+/// of its processor: the arrays read-only, and who it is.
+pub(crate) struct KEnv<'a> {
+    pub(crate) arrays: &'a [Option<ArrayStore>],
+    pub(crate) me: usize,
+    pub(crate) nprocs: usize,
+}
+
+impl KEnv<'_> {
+    /// The stateful intrinsics (`eval_pure` already declined) that only
+    /// read; the others are errors inside an argument function.
+    pub(crate) fn stateful(&self, op: Intr, vals: &[Value]) -> Value {
+        match op {
+            Intr::ProcId => Value::Int(self.me as i64),
+            Intr::NProcs => Value::Int(self.nprocs as i64),
+            Intr::ArrayGetElem => {
+                get_elem(self.arrays, vals[0].as_array(), to_uindex(vals[1].as_index()))
+                    .into_value()
+            }
+            Intr::ArrayPartBounds => {
+                let b = part_bounds(self.arrays, vals[0].as_array());
+                Value::Bounds(
+                    [b.lower[0] as i64, b.lower[1] as i64],
+                    [b.upper[0] as i64, b.upper[1] as i64],
+                )
+            }
+            Intr::ArrayPutElem => kernel_forbids("array_put_elem"),
+            Intr::Print => kernel_forbids("print"),
+            other => unreachable!("pure intrinsic {} fell through", other.name()),
+        }
+    }
+}
+
+/// One processor's run-time state under any engine: the processor, the
+/// arrays it holds a partition of (by handle; `None` once destroyed or
+/// while a skeleton writes it), and what it printed.
+pub(crate) struct SkelHost<'p, 'm> {
+    pub(crate) proc: &'p mut Proc<'m>,
+    pub(crate) arrays: Vec<Option<ArrayStore>>,
+    pub(crate) output: Vec<String>,
+}
+
+impl<'p, 'm> SkelHost<'p, 'm> {
+    pub(crate) fn new(proc: &'p mut Proc<'m>) -> Self {
+        SkelHost { proc, arrays: Vec::new(), output: Vec::new() }
+    }
+
+    /// `array_put_elem`: overwrite a local element.
+    pub(crate) fn put_elem(&mut self, h: usize, ix: Index, v: Sl) {
+        rt(live_array_mut(&mut self.arrays, h).put(ix, v));
+    }
+
+    /// `print`.
+    pub(crate) fn print(&mut self, v: &Value) {
+        self.output.push(v.render());
+    }
+
+    /// The stateful intrinsics (`eval_pure` already declined), uncharged:
+    /// each engine charges them where its own accounting says.
+    pub(crate) fn stateful(&mut self, op: Intr, vals: &[Value]) -> Value {
+        match op {
+            Intr::ArrayPutElem => {
+                let ix = to_uindex(vals[1].as_index());
+                self.put_elem(vals[0].as_array(), ix, Sl::from_value_ref(&vals[2]));
+                Value::Unit
+            }
+            Intr::Print => {
+                self.print(&vals[0]);
+                Value::Unit
+            }
+            _ => {
+                let (me, nprocs) = (self.proc.id(), self.proc.nprocs());
+                KEnv { arrays: &self.arrays, me, nprocs }.stateful(op, vals)
+            }
+        }
+    }
+
+    /// Execute one skeleton call: `vals` are its value arguments, `k`
+    /// its argument functions, `elem` the representation of the site's
+    /// arrays and `ret` that of the value an `array_fold` yields. Every
+    /// array arm picks the store variant once and hands the typed
+    /// partitions to one generic body ([`Site`]'s methods).
+    pub(crate) fn skel<K: ArgFns>(
+        &mut self,
+        op: SkelOp,
+        elem: ElemKind,
+        ret: ElemKind,
+        vals: &[Value],
+        k: &K,
+    ) -> Value {
+        let me = self.proc.id();
+        // the argument functions over the current array table; rebuilt
+        // per arm because arms take the array they write out of the table
+        macro_rules! site {
+            () => {
+                Site { k, env: KEnv { arrays: &self.arrays, me, nprocs: self.proc.nprocs() } }
+            };
+        }
+        match op {
+            SkelOp::Create => {
+                let dim = vals[0].as_int();
+                assert!((1..=2).contains(&dim), "skil runtime: array dim must be 1 or 2");
+                let size = vals[1].as_index();
+                let bs = vals[2].as_index();
+                let lb = vals[3].as_index();
+                let distr = match vals[4].as_int() {
+                    DISTR_DEFAULT => Distr::Default,
+                    DISTR_RING => Distr::Ring,
+                    DISTR_TORUS2D => Distr::Torus2d,
+                    other => panic!("skil runtime: bad distribution constant {other}"),
+                };
+                let spec = ArraySpec {
+                    ndim: dim as usize,
+                    size: [
+                        size[0].max(0) as usize,
+                        if dim == 1 { 1 } else { size[1].max(0) as usize },
+                    ],
+                    blocksize: [bs[0].max(0) as usize, bs[1].max(0) as usize],
+                    lowerbd: [lb[0], lb[1]],
+                    distr,
+                    dist: Distribution::Block,
+                };
+                let arr = with_kind!(elem, T => T::wrap(site!().create::<T>(self.proc, spec)));
+                self.arrays.push(Some(arr));
+                Value::Array(self.arrays.len() - 1)
+            }
+            SkelOp::Destroy => {
+                self.proc.charge(self.proc.cost().call);
+                let h = vals[0].as_array();
+                self.arrays[h] = None;
+                Value::Unit
+            }
+            SkelOp::Map => {
+                let from_h = vals[0].as_array();
+                let to_h = vals[1].as_array();
+                // in-situ replacement (`from_h == to_h`), as the paper
+                // allows: kernels then see the array as being written
+                let mut to = take_array(&mut self.arrays, to_h);
+                if from_h == to_h {
+                    with_store!(&mut to, arr => site!().map_inplace(self.proc, arr));
+                } else {
+                    let from = live_array(&self.arrays, from_h);
+                    with_store!(from, from => {
+                        with_store!(&mut to, to => site!().map(self.proc, from, to))
+                    });
+                }
+                self.arrays[to_h] = Some(to);
+                Value::Unit
+            }
+            SkelOp::Fold => {
+                let arr = live_array(&self.arrays, vals[0].as_array());
+                with_store!(arr, arr => {
+                    with_kind!(ret, U => site!().fold::<_, U>(self.proc, arr).into_sl())
+                })
+                .into_value()
+            }
+            SkelOp::Copy => {
+                let from_h = vals[0].as_array();
+                let to_h = vals[1].as_array();
+                assert_ne!(from_h, to_h, "skil runtime: array_copy onto itself");
+                let mut to = take_array(&mut self.arrays, to_h);
+                let from = live_array(&self.arrays, from_h);
+                with_store!(&mut to, to => rt(array_copy(self.proc, Elem::of(from), to)));
+                self.arrays[to_h] = Some(to);
+                Value::Unit
+            }
+            SkelOp::BroadcastPart => {
+                let ix = to_uindex(vals[1].as_index());
+                let arr = live_array_mut(&mut self.arrays, vals[0].as_array());
+                with_store!(arr, arr => rt(array_broadcast_part(self.proc, arr, ix)));
+                Value::Unit
+            }
+            SkelOp::PermuteRows => {
+                let from_h = vals[0].as_array();
+                let to_h = vals[1].as_array();
+                let mut to = take_array(&mut self.arrays, to_h);
+                let from = live_array(&self.arrays, from_h);
+                with_store!(&mut to, to => {
+                    site!().permute_rows(self.proc, Elem::of(from), to)
+                });
+                self.arrays[to_h] = Some(to);
+                Value::Unit
+            }
+            SkelOp::Scan => {
+                let from_h = vals[0].as_array();
+                let to_h = vals[1].as_array();
+                assert_ne!(from_h, to_h, "skil runtime: array_scan onto itself");
+                let mut to = take_array(&mut self.arrays, to_h);
+                let from = live_array(&self.arrays, from_h);
+                with_store!(&mut to, to => site!().scan(self.proc, Elem::of(from), to));
+                self.arrays[to_h] = Some(to);
+                Value::Unit
+            }
+            SkelOp::GenMult => {
+                let a_h = vals[0].as_array();
+                let b_h = vals[1].as_array();
+                let c_h = vals[2].as_array();
+                assert!(
+                    a_h != c_h && b_h != c_h && a_h != b_h,
+                    "skil runtime: array_gen_mult requires distinct arrays"
+                );
+                let mut c = take_array(&mut self.arrays, c_h);
+                let a = live_array(&self.arrays, a_h);
+                let b = live_array(&self.arrays, b_h);
+                with_store!(&mut c, c => {
+                    site!().gen_mult(self.proc, Elem::of(a), Elem::of(b), c)
+                });
+                self.arrays[c_h] = Some(c);
+                Value::Unit
+            }
+            SkelOp::Dc => {
+                // the paper's introduction skeleton, bridged to the
+                // parallel divide&conquer implementation
+                let problem = vals[0].clone();
+                let result = {
+                    let site = site!();
+                    let mut ops = DcOps {
+                        is_trivial: Kernel::new(
+                            |p: &Value| site.call::<IntElem, 1>(0, [KArg::V(p)]).0 != 0,
+                            k.cycles(0),
+                        ),
+                        solve: Kernel::new(
+                            |p: &Value| site.call::<Value, 1>(1, [KArg::V(p)]),
+                            k.cycles(1),
+                        ),
+                        split: Kernel::new(
+                            |p: &Value| match site.call::<Value, 1>(2, [KArg::V(p)]) {
+                                Value::List(items) => items.to_vec(),
+                                other => {
+                                    panic!("skil runtime: split returned {other:?}, not a list")
+                                }
+                            },
+                            k.cycles(2),
+                        ),
+                        join: Kernel::new(
+                            |parts: Vec<Value>| {
+                                let parts = Value::List(ConsList::from_vec(parts));
+                                site.call::<Value, 1>(3, [KArg::V(&parts)])
+                            },
+                            k.cycles(3),
+                        ),
+                    };
+                    rt(divide_conquer(self.proc, (me == 0).then_some(problem), &mut ops))
+                };
+                // SPMD expression semantics: dc(...) has a value on every
+                // processor, and only processor 0 holds it so far
+                self.proc.broadcast(0, LANG_RESULT_TAG, result)
+            }
+            SkelOp::Farm => {
+                let Value::List(tasks) = &vals[0] else {
+                    panic!("skil runtime: farm needs a task list");
+                };
+                let result = {
+                    let site = site!();
+                    let worker = Kernel::new(
+                        |t: &Value| site.call::<Value, 1>(0, [KArg::V(t)]),
+                        k.cycles(0),
+                    );
+                    rt(farm(self.proc, 0, (me == 0).then(|| tasks.to_vec()), worker))
+                };
+                let result = result.map(|rs| Value::List(ConsList::from_vec(rs)));
+                self.proc.broadcast(0, LANG_RESULT_TAG, result)
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Argument functions, and the skeleton bodies over them.
+// ---------------------------------------------------------------------
+
+/// The argument functions of one skeleton call site as an engine runs
+/// them: the one interface the skeleton bodies are written against.
+pub(crate) trait ArgFns {
+    /// Invoke the site's `i`-th argument function with `lifted ++ args`.
+    fn call<U: Elem, const N: usize>(&self, env: &KEnv<'_>, i: usize, args: [KArg<'_>; N]) -> U;
+
+    /// What the skeleton charges per invocation of argument function `i`.
+    fn cycles(&self, i: usize) -> u64;
+
+    /// Argument function `i` as one direct `(T, T) -> T` operation, when
+    /// the engine resolved it to one (once per call, outside the element
+    /// loop).
+    fn direct2<T: Elem>(&self, _i: usize) -> Option<fn(T, T) -> T> {
+        None
+    }
+
+    /// The compiled module to run a skeleton's whole local pass through
+    /// in one call, when one drives this site.
+    fn batch(&self) -> Option<Batch<'_>> {
+        None
+    }
+}
+
+/// A compiled module, and how it names a site's argument functions.
+pub(crate) struct Batch<'a> {
+    pub(crate) nb: &'a NativeBackend,
+    pub(crate) fns: &'a [SkelFn],
+    /// Per argument function: the lifted arguments the site evaluated.
+    pub(crate) lifted: &'a [Vec<Value>],
+}
+
+impl Batch<'_> {
+    /// Argument function `i`: its index in the module and its lifted
+    /// arguments.
+    fn arg_fn(&self, i: usize) -> (usize, &[Value]) {
+        (self.fns[i].fid, &self.lifted[i])
+    }
+}
+
+/// One skeleton call's argument functions over the array table as it is
+/// while the skeleton runs, plus the generic skeleton bodies.
+struct Site<'a, K> {
+    k: &'a K,
+    env: KEnv<'a>,
+}
+
+impl<K: ArgFns> Site<'_, K> {
+    fn call<U: Elem, const N: usize>(&self, i: usize, args: [KArg<'_>; N]) -> U {
+        self.k.call(&self.env, i, args)
+    }
+
+    /// The site's `i`-th argument function as a `(T, T) -> T` combiner
+    /// (fold / scan / gen_mult kernels).
+    fn kernel2<T: Elem>(&self, i: usize) -> impl Fn(T, T) -> T + '_ {
+        let direct = self.k.direct2::<T>(i);
+        move |x, y| match direct {
+            Some(op) => op(x, y),
+            None => self.call(i, [x.arg(), y.arg()]),
+        }
+    }
+
+    /// Argument function 0 as the per-element `(element, index) -> U`
+    /// function of a map. On the batch path the whole local pass over
+    /// `src` runs compiled, now, in one FFI call, and the returned
+    /// function only hands the results out in order.
+    fn elem_fn<T: Elem, U: Elem>(
+        &self,
+        src: &DistArray<T>,
+        batch: Option<Batch<'_>>,
+    ) -> impl FnMut(&T, Index) -> U + '_ {
+        let mut pre = batch.map(|b| {
+            let ixs: Vec<Index> = src.layout().local_indices(src.proc_id()).collect();
+            let (fid, lifted) = b.arg_fn(0);
+            b.nb.bulk_map::<T, U>(fid, lifted, src.local_data(), &ixs, self.env.arrays).into_iter()
+        });
+        move |v, ix| match pre.as_mut() {
+            Some(it) => it.next().expect("prefetched map element"),
+            None => self.call(0, [v.arg(), KArg::Ix(ix)]),
+        }
+    }
+
+    fn create<T: Elem>(&self, proc: &mut Proc<'_>, spec: ArraySpec) -> DistArray<T> {
+        // Batch path: compiled initializer, one FFI round trip for the
+        // whole partition. A spec `plan` error skips the prefetch;
+        // `array_create` then reports the identical error before any
+        // kernel call.
+        let mut pre = self.k.batch().and_then(|b| {
+            let (layout, _) = spec.plan(proc).ok()?;
+            let ixs: Vec<Index> = layout.local_indices(self.env.me).collect();
+            let (fid, lifted) = b.arg_fn(0);
+            Some(b.nb.bulk_create::<T>(fid, lifted, &ixs, self.env.arrays).into_iter())
+        });
+        let init = Kernel::new(
+            |ix: Index| match pre.as_mut() {
+                Some(it) => it.next().expect("planned bulk element"),
+                None => self.call(0, [KArg::Ix(ix)]),
+            },
+            self.k.cycles(0),
+        );
+        rt(array_create(proc, spec, init))
+    }
+
+    fn map<T: Elem, U: Elem>(
+        &self,
+        proc: &mut Proc<'_>,
+        from: &DistArray<T>,
+        to: &mut DistArray<U>,
+    ) {
+        // the batch path is gated on the same conformability check
+        // `array_map` makes before any kernel call
+        let f = self.elem_fn(from, self.k.batch().filter(|_| from.conformable(to)));
+        rt(array_map(proc, Kernel::new(f, self.k.cycles(0)), from, to))
+    }
+
+    fn map_inplace<T: Elem>(&self, proc: &mut Proc<'_>, arr: &mut DistArray<T>) {
+        // the batch path reads the same pre-map snapshot
+        let f = self.elem_fn::<T, T>(arr, self.k.batch());
+        rt(array_map_inplace(proc, Kernel::new(f, self.k.cycles(0)), arr))
+    }
+
+    fn fold<T: Elem, U: Elem>(&self, proc: &mut Proc<'_>, arr: &DistArray<T>) -> U {
+        let (conv_cycles, fold_cycles) = (self.k.cycles(0), self.k.cycles(1));
+        let fold = self.kernel2::<U>(1);
+        if let Some(b) = self.k.batch() {
+            // batch path: the fused convert+fold local pass runs
+            // compiled in one FFI call; the tree reduction still
+            // dispatches per hop
+            let local = |vs: &[T], ixs: &[Index]| {
+                (!vs.is_empty()).then(|| {
+                    b.nb.bulk_fold::<T, U>(b.arg_fn(0), b.arg_fn(1), vs, ixs, self.env.arrays)
+                })
+            };
+            rt(array_fold_bulk(proc, conv_cycles, fold_cycles, local, fold, arr))
+        } else {
+            let conv = Kernel::new(
+                |v: &T, ix: Index| self.call::<U, 2>(0, [v.arg(), KArg::Ix(ix)]),
+                conv_cycles,
+            );
+            rt(array_fold(proc, conv, Kernel::new(fold, fold_cycles), arr))
+        }
+    }
+
+    fn scan<T: Elem>(&self, proc: &mut Proc<'_>, from: &DistArray<T>, to: &mut DistArray<T>) {
+        rt(array_scan(proc, Kernel::new(self.kernel2::<T>(0), self.k.cycles(0)), from, to))
+    }
+
+    fn permute_rows<T: Elem>(
+        &self,
+        proc: &mut Proc<'_>,
+        from: &DistArray<T>,
+        to: &mut DistArray<T>,
+    ) {
+        let perm = |r: usize| -> usize {
+            let v = self.call::<IntElem, 1>(0, [KArg::I(r as i64)]).0;
+            assert!(v >= 0, "skil runtime: negative permuted row {v}");
+            v as usize
+        };
+        rt(array_permute_rows(proc, from, perm, to))
+    }
+
+    fn gen_mult<T: Elem>(
+        &self,
+        proc: &mut Proc<'_>,
+        a: &DistArray<T>,
+        b: &DistArray<T>,
+        c: &mut DistArray<T>,
+    ) {
+        let add = Kernel::new(self.kernel2::<T>(0), self.k.cycles(0));
+        let mul = self.kernel2::<T>(1);
+        let mul = Kernel::new(|x: &T, y: &T| mul(x.clone(), y.clone()), self.k.cycles(1));
+        rt(array_gen_mult(proc, a, b, add, mul, c))
+    }
+}

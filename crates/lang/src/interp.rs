@@ -1,33 +1,39 @@
-//! The SPMD interpreter for instantiated (first-order) Skil programs.
+//! The AST walker: the SPMD reference interpreter for instantiated
+//! (first-order) Skil programs.
 //!
-//! Every simulated processor interprets the same first-order program;
-//! skeleton calls dispatch into `skil-core`'s native skeletons over
-//! `DistArray<Value>`. Virtual time is charged per IR operation from the
-//! machine's [`CostModel`](skil_runtime::CostModel) — so the *modelled*
-//! cost reflects compiled Skil code, independent of how fast the host
-//! interprets.
+//! Every simulated processor walks the same first-order tree. Virtual
+//! time is charged per IR operation from the machine's
+//! [`CostModel`] — so the *modelled* cost reflects compiled Skil code,
+//! independent of how fast the host interprets.
 //!
-//! Argument functions invoked inside skeletons run under a restricted
-//! kernel evaluator: they may read local array elements and compute, but
-//! may not mutate arrays, call skeletons, or print — which is exactly the
+//! What makes this engine the reference the differential suites compare
+//! the others against is what it keeps to itself: statement and
+//! expression evaluation over the tree, argument-function calls over
+//! the tree, where and what it charges, and boxed array elements (every
+//! array is an `ArrayStore::Boxed`). Everything below a skeleton call —
+//! the array table, the dispatch to `skil-core`, the stateful
+//! intrinsics — is the skeleton host it shares with the other engines
+//! ([`crate::host`]), and operators are [`crate::scalar`]'s.
+//!
+//! One evaluator serves both execution modes through the (monomorphized)
+//! [`Mode`] trait. The full mode charges and drives the host. Argument
+//! functions invoked inside skeletons run in kernel mode: they charge
+//! nothing (the skeleton charges the statically estimated kernel cost
+//! per invocation), may read local array elements and compute, but may
+//! not mutate arrays, call skeletons, or print — which is exactly the
 //! discipline the paper's argument functions observe.
 
-use skil_array::{ArraySpec, DistArray, Distribution, Index};
-use skil_core::{
-    array_broadcast_part, array_copy, array_create, array_fold, array_gen_mult, array_map,
-    array_map_inplace, array_permute_rows, Kernel,
-};
-use skil_runtime::{Distr, Machine, Proc, Run};
+use skil_runtime::{CostModel, Machine, Run};
 
-use crate::builtins::{DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D};
-use crate::bytecode::Intr;
-use crate::fo::{static_cost, BinOp, FoExpr, FoFunc, FoProgram, FoStmt, SkelCall, SkelOp};
-use crate::scalar::neg_int;
+use crate::bytecode::{ElemKind, Intr};
+use crate::fo::{BinOp, FoExpr, FoFunc, FoProgram, FoStmt, SkelCall};
+use crate::host::{kernel_cycles, kernel_forbids, ArgFns, KEnv, SkelHost};
+use crate::kernel::KArg;
+use crate::scalar::{float_arith, float_cmp, int_bin, neg_int};
+use crate::store::Elem;
 use crate::sym::{Scopes, Sym};
-use crate::value::{ConsList, Value};
-
-/// Tag used to broadcast task-skeleton results to all processors.
-pub(crate) const LANG_RESULT_TAG: u64 = 0x3100_0000;
+use crate::value::Value;
+use crate::vm::Sl;
 
 /// Run an instantiated program on a machine; returns each processor's
 /// `print` output. Panics on a simulated failure — use
@@ -56,14 +62,14 @@ pub fn try_run_program_faults(
     faults: Option<&skil_runtime::FaultPlan>,
 ) -> Result<Run<Vec<String>>, skil_runtime::SimFailure> {
     machine.try_run_faults(faults, |p| {
-        let mut interp = Interp { prog, proc: p, arrays: Vec::new(), output: Vec::new() };
+        let mut ev = Ev { prog, mode: Full { host: SkelHost::new(p) } };
         let main = prog.func(Sym::MAIN).expect("instantiated program has main");
         debug_assert!(main.params.is_empty());
         let mut locals = Locals::new(main, Vec::new());
         // main's return value (if any) is discarded: the program's
         // observable output is what it printed
-        interp.eval_stmts(&main.body, &mut locals);
-        interp.output
+        ev.eval_stmts(&main.body, &mut locals);
+        ev.mode.host.output
     })
 }
 
@@ -111,317 +117,127 @@ impl Locals {
     }
 }
 
-pub(crate) fn apply_binop(op: BinOp, float: bool, a: Value, b: Value) -> Value {
-    if float {
-        let (x, y) = (a.as_float(), b.as_float());
-        match op {
-            BinOp::Add => Value::Float(x + y),
-            BinOp::Sub => Value::Float(x - y),
-            BinOp::Mul => Value::Float(x * y),
-            BinOp::Div => Value::Float(x / y),
-            BinOp::Rem => Value::Float(x % y),
-            BinOp::Eq => Value::Int((x == y) as i64),
-            BinOp::Ne => Value::Int((x != y) as i64),
-            BinOp::Lt => Value::Int((x < y) as i64),
-            BinOp::Le => Value::Int((x <= y) as i64),
-            BinOp::Gt => Value::Int((x > y) as i64),
-            BinOp::Ge => Value::Int((x >= y) as i64),
-            BinOp::And | BinOp::Or => panic!("skil runtime: logical op on float"),
-        }
+/// A binary operator over boxed values.
+fn bin_value(op: BinOp, float: bool, a: &Value, b: &Value) -> Value {
+    if !float {
+        Value::Int(int_bin(op, a.as_int(), b.as_int()))
+    } else if op.is_arithmetic() {
+        Value::Float(float_arith(op, a.as_float(), b.as_float()))
     } else {
-        let (x, y) = (a.as_int(), b.as_int());
-        match op {
-            BinOp::Add => Value::Int(x.wrapping_add(y)),
-            BinOp::Sub => Value::Int(x.wrapping_sub(y)),
-            BinOp::Mul => Value::Int(x.wrapping_mul(y)),
-            BinOp::Div => {
-                if y == 0 {
-                    panic!("skil runtime: integer division by zero");
-                }
-                Value::Int(x / y)
-            }
-            BinOp::Rem => {
-                if y == 0 {
-                    panic!("skil runtime: integer remainder by zero");
-                }
-                Value::Int(x % y)
-            }
-            BinOp::Eq => Value::Int((x == y) as i64),
-            BinOp::Ne => Value::Int((x != y) as i64),
-            BinOp::Lt => Value::Int((x < y) as i64),
-            BinOp::Le => Value::Int((x <= y) as i64),
-            BinOp::Gt => Value::Int((x > y) as i64),
-            BinOp::Ge => Value::Int((x >= y) as i64),
-            BinOp::And => Value::Int(((x != 0) && (y != 0)) as i64),
-            BinOp::Or => Value::Int(((x != 0) || (y != 0)) as i64),
-        }
+        Value::Int(float_cmp(op, a.as_float(), b.as_float()) as i64)
     }
 }
 
-/// The virtual-cycle charge for one invocation of a skeleton argument
-/// function. The instantiation procedure *inlines* trivial bodies — an
-/// operator section or a single intrinsic call — into the skeleton
-/// instance, so those cost just the operation; anything larger keeps the
-/// residual first-order call plus its statically estimated body.
-pub(crate) fn kernel_cycles(f: &FoFunc, cost: &skil_runtime::CostModel) -> u64 {
-    if let [FoStmt::Return(Some(expr))] = &*f.body {
-        match expr {
-            FoExpr::Binary { op, float, args }
-                if matches!(**args, [FoExpr::Var(_), FoExpr::Var(_)]) =>
-            {
-                return if *float {
-                    match op {
-                        BinOp::Mul => cost.flt_mul,
-                        BinOp::Div => cost.flt_div,
-                        _ => cost.flt_add,
-                    }
-                } else {
-                    cost.int_op
-                };
-            }
-            FoExpr::Intrinsic(_, args) if args.iter().all(|a| matches!(a, FoExpr::Var(_))) => {
-                return cost.int_op;
-            }
+// ---------------------------------------------------------------------
+// The two execution modes.
+// ---------------------------------------------------------------------
+
+/// What the evaluator defers to its execution mode. Monomorphized per
+/// mode, so kernel-mode `charge` compiles to nothing.
+trait Mode: Sized {
+    /// Charge what `pick` takes from the cost model.
+    fn charge(&mut self, pick: impl FnOnce(&CostModel) -> u64);
+    /// A stateful intrinsic (`eval_pure` already declined).
+    fn stateful(&mut self, op: Intr, vals: &[Value]) -> Value;
+    fn skel(ev: &mut Ev<'_, Self>, call: &SkelCall, locals: &mut Locals) -> Value;
+}
+
+/// Full mode: one per processor; charges, and drives the skeleton host.
+struct Full<'p, 'm> {
+    host: SkelHost<'p, 'm>,
+}
+
+impl Mode for Full<'_, '_> {
+    fn charge(&mut self, pick: impl FnOnce(&CostModel) -> u64) {
+        let cycles = pick(self.host.proc.cost());
+        self.host.proc.charge(cycles);
+    }
+
+    fn stateful(&mut self, op: Intr, vals: &[Value]) -> Value {
+        match op {
+            Intr::ArrayGetElem | Intr::ArrayPartBounds => self.charge(|c| 2 * c.load),
+            Intr::ArrayPutElem => self.charge(|c| 2 * c.load + c.store),
+            Intr::Print => self.charge(|c| c.call),
+            // `procId` and `nProcs` are free
             _ => {}
         }
+        self.host.stateful(op, vals)
     }
-    cost.call + static_cost(f, cost)
+
+    /// Evaluate the value arguments left to right, then each argument
+    /// function's lifted arguments, and hand the call to the host.
+    fn skel(ev: &mut Ev<'_, Self>, call: &SkelCall, locals: &mut Locals) -> Value {
+        let prog = ev.prog;
+        let vals: Vec<Value> = call.args.iter().map(|a| ev.eval_expr(a, locals)).collect();
+        let mut fns = Vec::with_capacity(call.fns.len());
+        for fi in call.fns.iter() {
+            let lifted = fi.lifted.iter().map(|e| ev.eval_expr(e, locals)).collect();
+            let f = prog.func(fi.func).expect("instance exists");
+            fns.push(AstFn { f, lifted, cycles: kernel_cycles(f, ev.mode.host.proc.cost()) });
+        }
+        let fns = AstFns { prog, fns };
+        ev.mode.host.skel(call.op, ElemKind::Boxed, ElemKind::Boxed, &vals, &fns)
+    }
 }
 
-pub(crate) fn to_uindex(v: [i64; 2]) -> Index {
-    assert!(v[0] >= 0 && v[1] >= 0, "skil runtime: negative index {{{}, {}}}", v[0], v[1]);
-    [v[0] as usize, v[1] as usize]
+/// Kernel mode: a skeleton argument function over the host's read-only
+/// view.
+struct Kern<'e> {
+    env: &'e KEnv<'e>,
 }
 
-// ---------------------------------------------------------------------
-// The restricted kernel evaluator.
-// ---------------------------------------------------------------------
+impl Mode for Kern<'_> {
+    fn charge(&mut self, _pick: impl FnOnce(&CostModel) -> u64) {}
 
-/// Evaluates skeleton argument functions: read-only array access, no
-/// skeletons, no charging (the skeleton charges the statically estimated
-/// kernel cost per invocation).
-struct KernelEv<'a> {
+    fn stateful(&mut self, op: Intr, vals: &[Value]) -> Value {
+        self.env.stateful(op, vals)
+    }
+
+    fn skel(_ev: &mut Ev<'_, Self>, _call: &SkelCall, _locals: &mut Locals) -> Value {
+        kernel_forbids("skeleton call")
+    }
+}
+
+/// One argument function of a skeleton call as the walker runs it.
+struct AstFn<'a> {
+    f: &'a FoFunc,
+    /// The lifted arguments the call site evaluated.
+    lifted: Vec<Value>,
+    /// The kernel charge per invocation.
+    cycles: u64,
+}
+
+/// The walker's side of the skeleton host: an argument function is
+/// evaluated over the tree, in kernel mode.
+struct AstFns<'a> {
     prog: &'a FoProgram,
-    arrays: &'a [Option<DistArray<Value>>],
-    me: usize,
-    nprocs: usize,
+    fns: Vec<AstFn<'a>>,
 }
 
-impl<'a> KernelEv<'a> {
-    fn call(&self, name: Sym, args: Vec<Value>) -> Value {
-        let f = self
-            .prog
-            .func(name)
-            .unwrap_or_else(|| panic!("skil runtime: no instance `{}`", self.prog.name(name)));
-        assert_eq!(
-            f.params.len(),
-            args.len(),
-            "skil runtime: arity mismatch calling `{}`: {} params, {} args",
-            self.prog.name(name),
-            f.params.len(),
-            args.len()
-        );
-        let mut locals = Locals::new(f, args);
-        match self.eval_stmts(&f.body, &mut locals) {
-            Flow::Return(v) => v,
-            Flow::Normal => Value::Unit,
-        }
+impl ArgFns for AstFns<'_> {
+    fn call<U: Elem, const N: usize>(&self, env: &KEnv<'_>, i: usize, args: [KArg<'_>; N]) -> U {
+        let AstFn { f, lifted, .. } = &self.fns[i];
+        let mut vals = lifted.clone();
+        vals.extend(args.iter().map(|a| a.sl().into_value()));
+        let v = Ev { prog: self.prog, mode: Kern { env } }.apply(f, vals);
+        U::from_sl(Sl::from_value(v))
     }
 
-    fn eval_stmts(&self, stmts: &[FoStmt], locals: &mut Locals) -> Flow {
-        locals.vars.push();
-        for s in stmts {
-            match self.eval_stmt(s, locals) {
-                Flow::Normal => {}
-                r => {
-                    locals.vars.pop();
-                    return r;
-                }
-            }
-        }
-        locals.vars.pop();
-        Flow::Normal
-    }
-
-    fn eval_stmt(&self, s: &FoStmt, locals: &mut Locals) -> Flow {
-        match s {
-            FoStmt::Decl { name, init, .. } => {
-                let v = init.as_ref().map_or(Value::Unit, |e| self.eval_expr(e, locals));
-                locals.vars.declare(*name, v);
-                Flow::Normal
-            }
-            FoStmt::Assign { name, value } => {
-                let v = self.eval_expr(value, locals);
-                locals.assign(*name, v, self.prog);
-                Flow::Normal
-            }
-            FoStmt::If { cond, then, els } => {
-                if self.eval_expr(cond, locals).as_int() != 0 {
-                    self.eval_stmts(then, locals)
-                } else {
-                    self.eval_stmts(els, locals)
-                }
-            }
-            FoStmt::While { cond, body } => {
-                while self.eval_expr(cond, locals).as_int() != 0 {
-                    if let Flow::Return(v) = self.eval_stmts(body, locals) {
-                        return Flow::Return(v);
-                    }
-                }
-                Flow::Normal
-            }
-            FoStmt::For { init, cond, step, body } => {
-                locals.vars.push();
-                if let Some(i) = init {
-                    if let Flow::Return(v) = self.eval_stmt(i, locals) {
-                        locals.vars.pop();
-                        return Flow::Return(v);
-                    }
-                }
-                loop {
-                    if let Some(c) = cond {
-                        if self.eval_expr(c, locals).as_int() == 0 {
-                            break;
-                        }
-                    }
-                    if let Flow::Return(v) = self.eval_stmts(body, locals) {
-                        locals.vars.pop();
-                        return Flow::Return(v);
-                    }
-                    if let Some(st) = step {
-                        if let Flow::Return(v) = self.eval_stmt(st, locals) {
-                            locals.vars.pop();
-                            return Flow::Return(v);
-                        }
-                    }
-                }
-                locals.vars.pop();
-                Flow::Normal
-            }
-            FoStmt::Return(e) => {
-                Flow::Return(e.as_ref().map_or(Value::Unit, |e| self.eval_expr(e, locals)))
-            }
-            FoStmt::Expr(e) => {
-                self.eval_expr(e, locals);
-                Flow::Normal
-            }
-        }
-    }
-
-    fn eval_expr(&self, e: &FoExpr, locals: &mut Locals) -> Value {
-        match e {
-            FoExpr::Int(v) => Value::Int(*v),
-            FoExpr::Float(v) => Value::Float(*v),
-            FoExpr::Var(n) => locals.lookup(*n, self.prog).clone(),
-            FoExpr::Call(name, args) => {
-                let vals: Vec<Value> = args.iter().map(|a| self.eval_expr(a, locals)).collect();
-                self.call(*name, vals)
-            }
-            FoExpr::Intrinsic(op, args) => {
-                let vals: Vec<Value> = args.iter().map(|a| self.eval_expr(a, locals)).collect();
-                if let Some(v) = op.eval_pure(&vals) {
-                    return v;
-                }
-                match op {
-                    Intr::ProcId => Value::Int(self.me as i64),
-                    Intr::NProcs => Value::Int(self.nprocs as i64),
-                    Intr::ArrayGetElem => {
-                        let arr = self.arrays[vals[0].as_array()]
-                            .as_ref()
-                            .unwrap_or_else(|| {
-                                panic!("skil runtime: use of an array being written by this skeleton or already destroyed")
-                            });
-                        let ix = to_uindex(vals[1].as_index());
-                        match arr.get(ix) {
-                            Ok(v) => v.clone(),
-                            Err(e) => panic!("skil runtime: {e}"),
-                        }
-                    }
-                    Intr::ArrayPartBounds => {
-                        let arr = self.arrays[vals[0].as_array()].as_ref().expect("array alive");
-                        let b = arr.part_bounds().unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                        Value::Bounds(
-                            [b.lower[0] as i64, b.lower[1] as i64],
-                            [b.upper[0] as i64, b.upper[1] as i64],
-                        )
-                    }
-                    Intr::ArrayPutElem => {
-                        panic!("skil runtime: array_put_elem inside a skeleton argument function")
-                    }
-                    Intr::Print => {
-                        panic!("skil runtime: print inside a skeleton argument function")
-                    }
-                    other => unreachable!("pure intrinsic {} fell through", other.name()),
-                }
-            }
-            FoExpr::Skel(_) => {
-                panic!("skil runtime: skeleton call inside a skeleton argument function")
-            }
-            FoExpr::Binary { op, float, args } => {
-                let [lhs, rhs] = &**args;
-                // short-circuit logical operators
-                if !*float && matches!(op, BinOp::And | BinOp::Or) {
-                    let l = self.eval_expr(lhs, locals).as_int() != 0;
-                    return match op {
-                        BinOp::And if !l => Value::Int(0),
-                        BinOp::Or if l => Value::Int(1),
-                        _ => Value::Int((self.eval_expr(rhs, locals).as_int() != 0) as i64),
-                    };
-                }
-                let a = self.eval_expr(lhs, locals);
-                let b = self.eval_expr(rhs, locals);
-                apply_binop(*op, *float, a, b)
-            }
-            FoExpr::Unary { neg, float, expr } => {
-                let v = self.eval_expr(expr, locals);
-                match (neg, float) {
-                    (true, true) => Value::Float(-v.as_float()),
-                    (true, false) => Value::Int(neg_int(v.as_int())),
-                    (false, _) => Value::Int((v.as_int() == 0) as i64),
-                }
-            }
-            FoExpr::Field { expr, index, .. } => {
-                let v = self.eval_expr(expr, locals);
-                match v {
-                    Value::Struct(_, fields) => fields[*index as usize].clone(),
-                    Value::Bounds(lo, up) => Value::Index(if *index == 0 { lo } else { up }),
-                    other => panic!("skil runtime: field access on {other:?}"),
-                }
-            }
-            FoExpr::IndexAt(args) => {
-                let ix = self.eval_expr(&args[0], locals).as_index();
-                let i = self.eval_expr(&args[1], locals).as_int();
-                assert!((0..2).contains(&i), "skil runtime: Index component {i} out of range");
-                Value::Int(ix[i as usize])
-            }
-            FoExpr::MakeIndex(es) => {
-                let mut ix = [0i64; 2];
-                for (i, e) in es.iter().enumerate() {
-                    ix[i] = self.eval_expr(e, locals).as_int();
-                }
-                Value::Index(ix)
-            }
-            FoExpr::MakeStruct(name, es) => {
-                let id = self.prog.struct_id(*name).expect("struct instance");
-                let fields = es.iter().map(|e| self.eval_expr(e, locals)).collect();
-                Value::Struct(id as u32, fields)
-            }
-        }
+    fn cycles(&self, i: usize) -> u64 {
+        self.fns[i].cycles
     }
 }
 
 // ---------------------------------------------------------------------
-// The full interpreter.
+// The evaluator.
 // ---------------------------------------------------------------------
 
-struct Interp<'a, 'p, 'm> {
+struct Ev<'a, M> {
     prog: &'a FoProgram,
-    proc: &'p mut Proc<'m>,
-    arrays: Vec<Option<DistArray<Value>>>,
-    output: Vec<String>,
+    mode: M,
 }
 
-impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
+impl<M: Mode> Ev<'_, M> {
     fn call(&mut self, name: Sym, args: Vec<Value>, caller: Sym) -> Value {
         let prog = self.prog;
         let f = prog.func(name).unwrap_or_else(|| {
@@ -431,16 +247,20 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                 prog.name(caller)
             )
         });
+        self.mode.charge(|c| c.call);
+        self.apply(f, args)
+    }
+
+    /// Run `f` on `args`, uncharged.
+    fn apply(&mut self, f: &FoFunc, args: Vec<Value>) -> Value {
         assert_eq!(
             f.params.len(),
             args.len(),
-            "arity mismatch calling `{}` from `{}`: {} params, {} args",
-            prog.name(name),
-            prog.name(caller),
+            "skil runtime: arity mismatch calling `{}`: {} params, {} args",
+            self.prog.name(f.name),
             f.params.len(),
             args.len()
         );
-        self.proc.charge(self.proc.cost().call);
         let mut locals = Locals::new(f, args);
         match self.eval_stmts(&f.body, &mut locals) {
             Flow::Return(v) => v,
@@ -467,18 +287,18 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
         match s {
             FoStmt::Decl { name, init, .. } => {
                 let v = init.as_ref().map_or(Value::Unit, |e| self.eval_expr(e, locals));
-                self.proc.charge(self.proc.cost().store);
+                self.mode.charge(|c| c.store);
                 locals.vars.declare(*name, v);
                 Flow::Normal
             }
             FoStmt::Assign { name, value } => {
                 let v = self.eval_expr(value, locals);
-                self.proc.charge(self.proc.cost().store);
+                self.mode.charge(|c| c.store);
                 locals.assign(*name, v, self.prog);
                 Flow::Normal
             }
             FoStmt::If { cond, then, els } => {
-                self.proc.charge(self.proc.cost().int_op);
+                self.mode.charge(|c| c.int_op);
                 if self.eval_expr(cond, locals).as_int() != 0 {
                     self.eval_stmts(then, locals)
                 } else {
@@ -487,7 +307,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
             }
             FoStmt::While { cond, body } => {
                 loop {
-                    self.proc.charge(self.proc.cost().int_op);
+                    self.mode.charge(|c| c.int_op);
                     if self.eval_expr(cond, locals).as_int() == 0 {
                         break;
                     }
@@ -507,7 +327,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                 }
                 loop {
                     if let Some(c) = cond {
-                        self.proc.charge(self.proc.cost().int_op);
+                        self.mode.charge(|c| c.int_op);
                         if self.eval_expr(c, locals).as_int() == 0 {
                             break;
                         }
@@ -541,7 +361,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
             FoExpr::Int(v) => Value::Int(*v),
             FoExpr::Float(v) => Value::Float(*v),
             FoExpr::Var(n) => {
-                self.proc.charge(self.proc.cost().load);
+                self.mode.charge(|c| c.load);
                 locals.lookup(*n, self.prog).clone()
             }
             FoExpr::Call(name, args) => {
@@ -550,22 +370,19 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
             }
             FoExpr::Intrinsic(op, args) => {
                 let vals: Vec<Value> = args.iter().map(|a| self.eval_expr(a, locals)).collect();
-                self.eval_intrinsic(*op, vals)
+                match op.eval_pure(&vals) {
+                    Some(v) => {
+                        self.mode.charge(|c| c.int_op);
+                        v
+                    }
+                    None => self.mode.stateful(*op, &vals),
+                }
             }
-            FoExpr::Skel(call) => self.eval_skel(call, locals),
+            FoExpr::Skel(call) => M::skel(self, call, locals),
             FoExpr::Binary { op, float, args } => {
                 let [lhs, rhs] = &**args;
-                let c = self.proc.cost();
-                let cycles = if *float {
-                    match op {
-                        BinOp::Mul => c.flt_mul,
-                        BinOp::Div => c.flt_div,
-                        _ => c.flt_add,
-                    }
-                } else {
-                    c.int_op
-                };
-                self.proc.charge(cycles);
+                self.mode.charge(|c| op.cycles(*float, c));
+                // short-circuit logical operators
                 if !*float && matches!(op, BinOp::And | BinOp::Or) {
                     let l = self.eval_expr(lhs, locals).as_int() != 0;
                     return match op {
@@ -576,14 +393,10 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                 }
                 let a = self.eval_expr(lhs, locals);
                 let b = self.eval_expr(rhs, locals);
-                apply_binop(*op, *float, a, b)
+                bin_value(*op, *float, &a, &b)
             }
             FoExpr::Unary { neg, float, expr } => {
-                self.proc.charge(if *float {
-                    self.proc.cost().flt_add
-                } else {
-                    self.proc.cost().int_op
-                });
+                self.mode.charge(|c| if *float { c.flt_add } else { c.int_op });
                 let v = self.eval_expr(expr, locals);
                 match (neg, float) {
                     (true, true) => Value::Float(-v.as_float()),
@@ -592,7 +405,7 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                 }
             }
             FoExpr::Field { expr, index, .. } => {
-                self.proc.charge(self.proc.cost().load);
+                self.mode.charge(|c| c.load);
                 let v = self.eval_expr(expr, locals);
                 match v {
                     Value::Struct(_, fields) => fields[*index as usize].clone(),
@@ -601,14 +414,14 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                 }
             }
             FoExpr::IndexAt(args) => {
-                self.proc.charge(self.proc.cost().load);
+                self.mode.charge(|c| c.load);
                 let ix = self.eval_expr(&args[0], locals).as_index();
                 let i = self.eval_expr(&args[1], locals).as_int();
                 assert!((0..2).contains(&i), "skil runtime: Index component {i} out of range");
                 Value::Int(ix[i as usize])
             }
             FoExpr::MakeIndex(es) => {
-                self.proc.charge(2 * self.proc.cost().store);
+                self.mode.charge(|c| 2 * c.store);
                 let mut ix = [0i64; 2];
                 for (i, e) in es.iter().enumerate() {
                     ix[i] = self.eval_expr(e, locals).as_int();
@@ -616,428 +429,10 @@ impl<'a, 'p, 'm> Interp<'a, 'p, 'm> {
                 Value::Index(ix)
             }
             FoExpr::MakeStruct(name, es) => {
-                self.proc.charge(es.len() as u64 * self.proc.cost().store);
+                self.mode.charge(|c| es.len() as u64 * c.store);
                 let id = self.prog.struct_id(*name).expect("struct instance");
                 let fields = es.iter().map(|e| self.eval_expr(e, locals)).collect();
                 Value::Struct(id as u32, fields)
-            }
-        }
-    }
-
-    fn eval_intrinsic(&mut self, op: Intr, vals: Vec<Value>) -> Value {
-        let c = self.proc.cost().clone();
-        if let Some(v) = op.eval_pure(&vals) {
-            self.proc.charge(c.int_op);
-            return v;
-        }
-        match op {
-            Intr::ProcId => Value::Int(self.proc.id() as i64),
-            Intr::NProcs => Value::Int(self.proc.nprocs() as i64),
-            Intr::ArrayGetElem => {
-                self.proc.charge(2 * c.load);
-                let arr = self.arrays[vals[0].as_array()].as_ref().expect("array alive");
-                let ix = to_uindex(vals[1].as_index());
-                match arr.get(ix) {
-                    Ok(v) => v.clone(),
-                    Err(e) => panic!("skil runtime: {e}"),
-                }
-            }
-            Intr::ArrayPutElem => {
-                self.proc.charge(2 * c.load + c.store);
-                let h = vals[0].as_array();
-                let ix = to_uindex(vals[1].as_index());
-                let arr = self.arrays[h].as_mut().expect("array alive");
-                if let Err(e) = arr.put(ix, vals[2].clone()) {
-                    panic!("skil runtime: {e}");
-                }
-                Value::Unit
-            }
-            Intr::ArrayPartBounds => {
-                self.proc.charge(2 * c.load);
-                let arr = self.arrays[vals[0].as_array()].as_ref().expect("array alive");
-                let b = arr.part_bounds().unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                Value::Bounds(
-                    [b.lower[0] as i64, b.lower[1] as i64],
-                    [b.upper[0] as i64, b.upper[1] as i64],
-                )
-            }
-            Intr::Print => {
-                self.proc.charge(c.call);
-                self.output.push(vals[0].render());
-                Value::Unit
-            }
-            other => unreachable!("pure intrinsic {} fell through", other.name()),
-        }
-    }
-
-    /// Evaluate a skeleton invocation by dispatching to `skil-core`.
-    fn eval_skel(&mut self, call: &SkelCall, locals: &mut Locals) -> Value {
-        let SkelCall { op, fns, args, .. } = call;
-        let cost = self.proc.cost().clone();
-        // evaluate value arguments left to right
-        let vals: Vec<Value> = args.iter().map(|a| self.eval_expr(a, locals)).collect();
-        // evaluate lifted arguments of each functional instance
-        let mut fn_insts: Vec<(Sym, Vec<Value>, u64)> = Vec::new();
-        for fi in fns.iter() {
-            let lifted: Vec<Value> = fi.lifted.iter().map(|e| self.eval_expr(e, locals)).collect();
-            let f = self.prog.func(fi.func).expect("instance exists");
-            let cycles = kernel_cycles(f, &cost);
-            fn_insts.push((fi.func, lifted, cycles));
-        }
-
-        match *op {
-            SkelOp::Create => {
-                let dim = vals[0].as_int();
-                assert!((1..=2).contains(&dim), "skil runtime: array dim must be 1 or 2");
-                let size = vals[1].as_index();
-                let bs = vals[2].as_index();
-                let lb = vals[3].as_index();
-                let distr = match vals[4].as_int() {
-                    DISTR_DEFAULT => Distr::Default,
-                    DISTR_RING => Distr::Ring,
-                    DISTR_TORUS2D => Distr::Torus2d,
-                    other => panic!("skil runtime: bad distribution constant {other}"),
-                };
-                let spec = ArraySpec {
-                    ndim: dim as usize,
-                    size: [
-                        size[0].max(0) as usize,
-                        if dim == 1 { 1 } else { size[1].max(0) as usize },
-                    ],
-                    blocksize: [bs[0].max(0) as usize, bs[1].max(0) as usize],
-                    lowerbd: [lb[0], lb[1]],
-                    distr,
-                    dist: Distribution::Block,
-                };
-                let (name, lifted, cycles) = &fn_insts[0];
-                let handle = self.arrays.len();
-                let arr = {
-                    let prog = self.prog;
-                    let arrays = &self.arrays;
-                    let me = self.proc.id();
-                    let np = self.proc.nprocs();
-                    let kev = KernelEv { prog, arrays, me, nprocs: np };
-                    let init = Kernel::new(
-                        |ix: Index| {
-                            let mut a = lifted.clone();
-                            a.push(Value::Index([ix[0] as i64, ix[1] as i64]));
-                            kev.call(*name, a)
-                        },
-                        *cycles,
-                    );
-                    array_create(self.proc, spec, init)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"))
-                };
-                self.arrays.push(Some(arr));
-                Value::Array(handle)
-            }
-            SkelOp::Destroy => {
-                self.proc.charge(cost.call);
-                let h = vals[0].as_array();
-                self.arrays[h] = None;
-                Value::Unit
-            }
-            SkelOp::Map => {
-                let (name, lifted, cycles) = &fn_insts[0];
-                let from_h = vals[0].as_array();
-                let to_h = vals[1].as_array();
-                if from_h == to_h {
-                    // in-situ replacement, as the paper allows
-                    let mut arr = self.arrays[from_h].take().expect("array alive");
-                    let prog = self.prog;
-                    let arrays = &self.arrays;
-                    let me = self.proc.id();
-                    let np = self.proc.nprocs();
-                    let kev = KernelEv { prog, arrays, me, nprocs: np };
-                    let k = Kernel::new(
-                        |v: &Value, ix: Index| {
-                            let mut a = lifted.clone();
-                            a.push(v.clone());
-                            a.push(Value::Index([ix[0] as i64, ix[1] as i64]));
-                            kev.call(*name, a)
-                        },
-                        *cycles,
-                    );
-                    array_map_inplace(self.proc, k, &mut arr)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                    self.arrays[from_h] = Some(arr);
-                } else {
-                    let mut to = self.arrays[to_h].take().expect("array alive");
-                    {
-                        let prog = self.prog;
-                        let arrays = &self.arrays;
-                        let me = self.proc.id();
-                        let np = self.proc.nprocs();
-                        let from = arrays[from_h].as_ref().expect("array alive");
-                        let kev = KernelEv { prog, arrays, me, nprocs: np };
-                        let k = Kernel::new(
-                            |v: &Value, ix: Index| {
-                                let mut a = lifted.clone();
-                                a.push(v.clone());
-                                a.push(Value::Index([ix[0] as i64, ix[1] as i64]));
-                                kev.call(*name, a)
-                            },
-                            *cycles,
-                        );
-                        array_map(self.proc, k, from, &mut to)
-                            .unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                    }
-                    self.arrays[to_h] = Some(to);
-                }
-                Value::Unit
-            }
-            SkelOp::Fold => {
-                let (cname, clifted, ccycles) = &fn_insts[0];
-                let (fname, flifted, fcycles) = &fn_insts[1];
-                let h = vals[0].as_array();
-                let prog = self.prog;
-                let arrays = &self.arrays;
-                let me = self.proc.id();
-                let np = self.proc.nprocs();
-                let arr = arrays[h].as_ref().expect("array alive");
-                let kev = KernelEv { prog, arrays, me, nprocs: np };
-                let conv = Kernel::new(
-                    |v: &Value, ix: Index| {
-                        let mut a = clifted.clone();
-                        a.push(v.clone());
-                        a.push(Value::Index([ix[0] as i64, ix[1] as i64]));
-                        kev.call(*cname, a)
-                    },
-                    *ccycles,
-                );
-                let kev2 = KernelEv { prog, arrays, me, nprocs: np };
-                let fold = Kernel::new(
-                    |x: Value, y: Value| {
-                        let mut a = flifted.clone();
-                        a.push(x);
-                        a.push(y);
-                        kev2.call(*fname, a)
-                    },
-                    *fcycles,
-                );
-                array_fold(self.proc, conv, fold, arr)
-                    .unwrap_or_else(|e| panic!("skil runtime: {e}"))
-            }
-            SkelOp::Copy => {
-                let from_h = vals[0].as_array();
-                let to_h = vals[1].as_array();
-                assert_ne!(from_h, to_h, "skil runtime: array_copy onto itself");
-                let mut to = self.arrays[to_h].take().expect("array alive");
-                {
-                    let from = self.arrays[from_h].as_ref().expect("array alive");
-                    array_copy(self.proc, from, &mut to)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                }
-                self.arrays[to_h] = Some(to);
-                Value::Unit
-            }
-            SkelOp::BroadcastPart => {
-                let h = vals[0].as_array();
-                let ix = to_uindex(vals[1].as_index());
-                let mut arr = self.arrays[h].take().expect("array alive");
-                array_broadcast_part(self.proc, &mut arr, ix)
-                    .unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                self.arrays[h] = Some(arr);
-                Value::Unit
-            }
-            SkelOp::PermuteRows => {
-                let (name, lifted, _cycles) = &fn_insts[0];
-                let from_h = vals[0].as_array();
-                let to_h = vals[1].as_array();
-                let mut to = self.arrays[to_h].take().expect("array alive");
-                {
-                    let prog = self.prog;
-                    let arrays = &self.arrays;
-                    let me = self.proc.id();
-                    let np = self.proc.nprocs();
-                    let from = arrays[from_h].as_ref().expect("array alive");
-                    let kev = KernelEv { prog, arrays, me, nprocs: np };
-                    let perm = |r: usize| -> usize {
-                        let mut a = lifted.clone();
-                        a.push(Value::Int(r as i64));
-                        let v = kev.call(*name, a).as_int();
-                        assert!(v >= 0, "skil runtime: negative permuted row {v}");
-                        v as usize
-                    };
-                    array_permute_rows(self.proc, from, perm, &mut to)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                }
-                self.arrays[to_h] = Some(to);
-                Value::Unit
-            }
-            SkelOp::Scan => {
-                let (name, lifted, cycles) = &fn_insts[0];
-                let from_h = vals[0].as_array();
-                let to_h = vals[1].as_array();
-                assert_ne!(from_h, to_h, "skil runtime: array_scan onto itself");
-                let mut to = self.arrays[to_h].take().expect("array alive");
-                {
-                    let prog = self.prog;
-                    let arrays = &self.arrays;
-                    let me = self.proc.id();
-                    let np = self.proc.nprocs();
-                    let from = arrays[from_h].as_ref().expect("array alive");
-                    let kev = KernelEv { prog, arrays, me, nprocs: np };
-                    let k = Kernel::new(
-                        |x: Value, y: Value| {
-                            let mut a = lifted.clone();
-                            a.push(x);
-                            a.push(y);
-                            kev.call(*name, a)
-                        },
-                        *cycles,
-                    );
-                    skil_core::array_scan(self.proc, k, from, &mut to)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                }
-                self.arrays[to_h] = Some(to);
-                Value::Unit
-            }
-            SkelOp::Dc => {
-                // the paper's introduction skeleton, bridged to the
-                // parallel divide&conquer implementation
-                let problem = vals[0].clone();
-                let me = self.proc.id();
-                let result = {
-                    let prog = self.prog;
-                    let arrays = &self.arrays;
-                    let np = self.proc.nprocs();
-                    let mk = |i: usize| {
-                        (
-                            fn_insts[i].0,
-                            fn_insts[i].1.clone(),
-                            fn_insts[i].2,
-                            KernelEv { prog, arrays, me, nprocs: np },
-                        )
-                    };
-                    let (tn, tl, tc, tk) = mk(0);
-                    let (sn, sl, sc, sk) = mk(1);
-                    let (pn, pl, pc, pk) = mk(2);
-                    let (jn, jl, jc, jk) = mk(3);
-                    let mut ops = skil_core::DcOps {
-                        is_trivial: Kernel::new(
-                            move |p: &Value| {
-                                let mut a = tl.clone();
-                                a.push(p.clone());
-                                tk.call(tn, a).as_int() != 0
-                            },
-                            tc,
-                        ),
-                        solve: Kernel::new(
-                            move |p: &Value| {
-                                let mut a = sl.clone();
-                                a.push(p.clone());
-                                sk.call(sn, a)
-                            },
-                            sc,
-                        ),
-                        split: Kernel::new(
-                            move |p: &Value| {
-                                let mut a = pl.clone();
-                                a.push(p.clone());
-                                match pk.call(pn, a) {
-                                    Value::List(items) => items.to_vec(),
-                                    other => {
-                                        panic!("skil runtime: split returned {other:?}, not a list")
-                                    }
-                                }
-                            },
-                            pc,
-                        ),
-                        join: Kernel::new(
-                            move |parts: Vec<Value>| {
-                                let mut a = jl.clone();
-                                a.push(Value::List(ConsList::from_vec(parts)));
-                                jk.call(jn, a)
-                            },
-                            jc,
-                        ),
-                    };
-                    skil_core::divide_conquer(self.proc, (me == 0).then_some(problem), &mut ops)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"))
-                };
-                // make the solution known everywhere (SPMD expression
-                // semantics: dc(...) has a value on every processor)
-                if me == 0 {
-                    let v = result.expect("root holds the d&c result");
-                    self.proc.broadcast(0, LANG_RESULT_TAG, Some(v))
-                } else {
-                    self.proc.broadcast(0, LANG_RESULT_TAG, None)
-                }
-            }
-            SkelOp::Farm => {
-                let Value::List(tasks) = vals[0].clone() else {
-                    panic!("skil runtime: farm needs a task list");
-                };
-                let me = self.proc.id();
-                let result = {
-                    let prog = self.prog;
-                    let arrays = &self.arrays;
-                    let np = self.proc.nprocs();
-                    let (name, lifted, cycles) = &fn_insts[0];
-                    let kev = KernelEv { prog, arrays, me, nprocs: np };
-                    let worker = Kernel::new(
-                        |t: &Value| {
-                            let mut a = lifted.clone();
-                            a.push(t.clone());
-                            kev.call(*name, a)
-                        },
-                        *cycles,
-                    );
-                    skil_core::farm(self.proc, 0, (me == 0).then_some(tasks.to_vec()), worker)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"))
-                };
-                if me == 0 {
-                    let v =
-                        Value::List(ConsList::from_vec(result.expect("master holds the results")));
-                    self.proc.broadcast(0, LANG_RESULT_TAG, Some(v))
-                } else {
-                    self.proc.broadcast(0, LANG_RESULT_TAG, None)
-                }
-            }
-            SkelOp::GenMult => {
-                let (aname, alifted, acycles) = &fn_insts[0];
-                let (mname, mlifted, mcycles) = &fn_insts[1];
-                let a_h = vals[0].as_array();
-                let b_h = vals[1].as_array();
-                let c_h = vals[2].as_array();
-                assert!(
-                    a_h != c_h && b_h != c_h && a_h != b_h,
-                    "skil runtime: array_gen_mult requires distinct arrays"
-                );
-                let mut carr = self.arrays[c_h].take().expect("array alive");
-                {
-                    let prog = self.prog;
-                    let arrays = &self.arrays;
-                    let me = self.proc.id();
-                    let np = self.proc.nprocs();
-                    let aarr = arrays[a_h].as_ref().expect("array alive");
-                    let barr = arrays[b_h].as_ref().expect("array alive");
-                    let kev = KernelEv { prog, arrays, me, nprocs: np };
-                    let kev2 = KernelEv { prog, arrays, me, nprocs: np };
-                    let add = Kernel::new(
-                        |x: Value, y: Value| {
-                            let mut a = alifted.clone();
-                            a.push(x);
-                            a.push(y);
-                            kev.call(*aname, a)
-                        },
-                        *acycles,
-                    );
-                    let mul = Kernel::new(
-                        |x: &Value, y: &Value| {
-                            let mut a = mlifted.clone();
-                            a.push(x.clone());
-                            a.push(y.clone());
-                            kev2.call(*mname, a)
-                        },
-                        *mcycles,
-                    );
-                    array_gen_mult(self.proc, aarr, barr, add, mul, &mut carr)
-                        .unwrap_or_else(|e| panic!("skil runtime: {e}"));
-                }
-                self.arrays[c_h] = Some(carr);
-                Value::Unit
             }
         }
     }

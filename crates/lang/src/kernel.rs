@@ -48,13 +48,13 @@ use skil_array::Index;
 
 use crate::bytecode::{CompiledFunc, Instr, Intr, KernelShape, Program, Src};
 use crate::fo::{BinOp, FoProgram, FoTy};
-use crate::interp::to_uindex;
+use crate::host::{live_array, rt, to_uindex, KEnv};
 use crate::opt::OptLevel;
 use crate::scalar::{float_arith, float_cmp, int_bin, neg_int, scalar_intr, Scalar};
-use crate::store::{ArrayStore, Elem, FloatElem, IntElem};
+use crate::store::{Elem, FloatElem, IntElem};
 use crate::sym::Names;
 use crate::value::Value;
-use crate::vm::{live_array, rt, Sl};
+use crate::vm::Sl;
 
 // ---------------------------------------------------------------------
 // Types and instructions.
@@ -1526,13 +1526,6 @@ fn value_words(v: &Value) -> usize {
         Value::Struct(_, fields) => fields.len(),
         _ => 1,
     }
-}
-
-/// What typed code can see of the processor it runs on.
-pub(crate) struct KEnv<'a> {
-    pub(crate) arrays: &'a [Option<ArrayStore>],
-    pub(crate) me: usize,
-    pub(crate) nprocs: usize,
 }
 
 impl KernelView {

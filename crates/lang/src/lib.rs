@@ -72,6 +72,7 @@ pub mod diag;
 pub mod emit_c;
 pub mod emit_rust;
 pub mod fo;
+mod host;
 pub mod instantiate;
 pub mod interp;
 mod kernel;

@@ -40,11 +40,11 @@ use skil_runtime::{Machine, Run, SimFailure};
 
 use crate::bytecode::Program;
 use crate::emit_rust::{emit_rust, ABI_VERSION};
-use crate::interp::to_uindex;
+use crate::host::{get_elem, kernel_forbids, part_bounds, to_uindex};
 use crate::store::{ArrayStore, FloatElem, IntElem};
 use crate::sym::Names;
 use crate::value::Value;
-use crate::vm::{kernel_get_elem, Host, RunTables, Sl, Vm};
+use crate::vm::{Host, RunTables, Sl, Vm};
 
 // ---------------------------------------------------------------------
 // FFI surface — layout-identical to the generated prelude.
@@ -547,6 +547,22 @@ impl HostBox {
         }
     }
 
+    /// The array table a callback reads in the current mode.
+    fn arrays(&self) -> &[Option<ArrayStore>] {
+        match self.mode.get() {
+            // SAFETY: `vm` is the `Vm` of the run this box serves; in
+            // full mode `skil_main` is running and no host frame holds a
+            // reference into it.
+            Mode::Full => unsafe { &(*self.vm).host.arrays },
+            // SAFETY: `run_kernel` / `bulk` set the slice for exactly
+            // the call during which the mode is `Kernel`.
+            Mode::Kernel => {
+                let (p, n) = self.karrays.get();
+                unsafe { std::slice::from_raw_parts(p, n) }
+            }
+        }
+    }
+
     /// After the module reported failure: re-raise what really
     /// happened, preserving the payload for the runtime's classifier.
     fn raise(&self) -> ! {
@@ -585,7 +601,7 @@ extern "C" fn cb_charge(h: *mut c_void, sum: u64) -> i32 {
         // a flush can only arrive in full mode
         if let Mode::Full = hb.mode.get() {
             let vm = unsafe { &mut *hb.vm };
-            vm.proc.charge(sum);
+            vm.host.proc.charge(sum);
         }
     })
 }
@@ -593,18 +609,7 @@ extern "C" fn cb_charge(h: *mut c_void, sum: u64) -> i32 {
 extern "C" fn cb_get_elem(h: *mut c_void, arr: u64, i: i64, j: i64, out: *mut FfiVal) -> i32 {
     let hb = hostbox(h);
     guard(hb, || {
-        let ix = to_uindex([i, j]);
-        let v = match hb.mode.get() {
-            Mode::Full => {
-                let vm = unsafe { &mut *hb.vm };
-                vm.get_elem(arr as usize, ix)
-            }
-            Mode::Kernel => {
-                let (p, n) = hb.karrays.get();
-                let arrays = unsafe { std::slice::from_raw_parts(p, n) };
-                kernel_get_elem(arrays, arr as usize, ix)
-            }
-        };
+        let v = get_elem(hb.arrays(), arr as usize, to_uindex([i, j]));
         let mut ob = hb.outbuf.borrow_mut();
         let fv = enc_abs(&v, &mut ob);
         unsafe {
@@ -626,35 +631,17 @@ extern "C" fn cb_put_elem(
     guard(hb, || match hb.mode.get() {
         Mode::Full => {
             let v = unsafe { Sl::dec(&*fv, base, blen) };
-            let ix = to_uindex([i, j]);
             let vm = unsafe { &mut *hb.vm };
-            let a = vm.arrays[arr as usize].as_mut().expect("array alive");
-            if let Err(e) = a.put(ix, v) {
-                panic!("skil runtime: {e}");
-            }
+            vm.host.put_elem(arr as usize, to_uindex([i, j]), v);
         }
-        Mode::Kernel => {
-            panic!("skil runtime: array_put_elem inside a skeleton argument function")
-        }
+        Mode::Kernel => kernel_forbids("array_put_elem"),
     })
 }
 
 extern "C" fn cb_part_bounds(h: *mut c_void, arr: u64, out: *mut i64) -> i32 {
     let hb = hostbox(h);
     guard(hb, || {
-        let b = match hb.mode.get() {
-            Mode::Full => {
-                let vm = unsafe { &mut *hb.vm };
-                let a = vm.arrays[arr as usize].as_ref().expect("array alive");
-                a.part_bounds()
-            }
-            Mode::Kernel => {
-                let (p, n) = hb.karrays.get();
-                let arrays = unsafe { std::slice::from_raw_parts(p, n) };
-                arrays[arr as usize].as_ref().expect("array alive").part_bounds()
-            }
-        }
-        .unwrap_or_else(|e| panic!("skil runtime: {e}"));
+        let b = part_bounds(hb.arrays(), arr as usize);
         let vals = [b.lower[0] as i64, b.lower[1] as i64, b.upper[0] as i64, b.upper[1] as i64];
         unsafe {
             std::ptr::copy_nonoverlapping(vals.as_ptr(), out, 4);
@@ -668,9 +655,9 @@ extern "C" fn cb_print(h: *mut c_void, fv: *const FfiVal, base: *const u8, blen:
         Mode::Full => {
             let v = unsafe { Value::dec(&*fv, base, blen) };
             let vm = unsafe { &mut *hb.vm };
-            vm.output.push(v.render());
+            vm.host.print(&v);
         }
-        Mode::Kernel => panic!("skil runtime: print inside a skeleton argument function"),
+        Mode::Kernel => kernel_forbids("print"),
     })
 }
 
@@ -686,7 +673,7 @@ extern "C" fn cb_skel(
     let hb = hostbox(h);
     guard(hb, || {
         if let Mode::Kernel = hb.mode.get() {
-            panic!("skil runtime: skeleton call inside a skeleton argument function");
+            kernel_forbids("skeleton call");
         }
         let args = unsafe { std::slice::from_raw_parts(argv, argc as usize) };
         let res = {
@@ -999,7 +986,7 @@ pub(crate) fn try_run_native_faults(
         if st != 0 {
             hb.raise();
         }
-        std::mem::take(&mut vm.output)
+        std::mem::take(&mut vm.host.output)
     })
 }
 

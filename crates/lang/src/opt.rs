@@ -49,6 +49,7 @@ use std::collections::HashMap;
 
 use crate::bytecode::{CompiledFunc, CostExpr, Instr, Intr, Program, Src};
 use crate::fo::BinOp;
+use crate::scalar::{float_arith, float_cmp, int_bin, neg_int};
 use crate::value::Value;
 
 /// How hard to optimize. `O0` returns `compile_program` output
@@ -922,44 +923,21 @@ impl Fwd<'_> {
         self.vs.push(Desc::Top(Some(self.out.len() - 1)));
     }
 
-    /// Compile-time evaluation mirroring `interp::apply_binop` exactly;
-    /// `None` when folding would change behavior (division by zero, a
-    /// type error the runtime would report).
+    /// Compile-time evaluation through the operators every engine runs
+    /// ([`crate::scalar`]); `None` when folding would change behavior
+    /// (division by zero, a type error the runtime would report).
     fn fold_bin(&mut self, op: BinOp, float: bool, ld: Desc, rd: Desc) -> Option<Value> {
-        if float {
-            let (x, y) = (self.const_float(ld)?, self.const_float(rd)?);
-            Some(match op {
-                BinOp::Add => Value::Float(x + y),
-                BinOp::Sub => Value::Float(x - y),
-                BinOp::Mul => Value::Float(x * y),
-                BinOp::Div => Value::Float(x / y),
-                BinOp::Rem => Value::Float(x % y),
-                BinOp::Eq => Value::Int((x == y) as i64),
-                BinOp::Ne => Value::Int((x != y) as i64),
-                BinOp::Lt => Value::Int((x < y) as i64),
-                BinOp::Le => Value::Int((x <= y) as i64),
-                BinOp::Gt => Value::Int((x > y) as i64),
-                BinOp::Ge => Value::Int((x >= y) as i64),
-                BinOp::And | BinOp::Or => return None,
-            })
-        } else {
+        if !float {
             let (x, y) = (self.const_int(ld)?, self.const_int(rd)?);
-            Some(match op {
-                BinOp::Add => Value::Int(x.wrapping_add(y)),
-                BinOp::Sub => Value::Int(x.wrapping_sub(y)),
-                BinOp::Mul => Value::Int(x.wrapping_mul(y)),
-                BinOp::Div if y != 0 => Value::Int(x / y),
-                BinOp::Rem if y != 0 => Value::Int(x % y),
-                BinOp::Div | BinOp::Rem => return None,
-                BinOp::Eq => Value::Int((x == y) as i64),
-                BinOp::Ne => Value::Int((x != y) as i64),
-                BinOp::Lt => Value::Int((x < y) as i64),
-                BinOp::Le => Value::Int((x <= y) as i64),
-                BinOp::Gt => Value::Int((x > y) as i64),
-                BinOp::Ge => Value::Int((x >= y) as i64),
-                BinOp::And => Value::Int(((x != 0) && (y != 0)) as i64),
-                BinOp::Or => Value::Int(((x != 0) || (y != 0)) as i64),
-            })
+            let by_zero = y == 0 && matches!(op, BinOp::Div | BinOp::Rem);
+            (!by_zero).then(|| Value::Int(int_bin(op, x, y)))
+        } else {
+            let (x, y) = (self.const_float(ld)?, self.const_float(rd)?);
+            match op {
+                BinOp::And | BinOp::Or => None,
+                _ if op.is_arithmetic() => Some(Value::Float(float_arith(op, x, y))),
+                _ => Some(Value::Int(float_cmp(op, x, y) as i64)),
+            }
         }
     }
 
@@ -967,7 +945,7 @@ impl Fwd<'_> {
         let d = self.pop_desc();
         if !float {
             if let Some(v) = self.const_int(d) {
-                let c = self.intern.konst(Value::Int(v.wrapping_neg()));
+                let c = self.intern.konst(Value::Int(neg_int(v)));
                 self.vs.push(Desc::Cst(c));
                 self.stats.consts_folded += 1;
                 return;

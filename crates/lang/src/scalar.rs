@@ -1,10 +1,12 @@
 //! The scalar operations of the language, implemented once.
 //!
-//! Integer arithmetic wraps, division and remainder by zero are Skil
-//! runtime errors, comparisons and logic are int-encoded. Every engine
-//! — the AST walker, the VM's generic loop, the constant folder and the
-//! typed kernel tier — evaluates operators and scalar intrinsics through
-//! the functions below, so they cannot drift.
+//! Integer arithmetic wraps (`i64::MIN / -1` included), division and
+//! remainder by zero are Skil runtime errors, comparisons and logic are
+//! int-encoded. The AST walker, the VM's generic loop, the constant
+//! folder and the typed kernel tier evaluate operators and scalar
+//! intrinsics through the functions below, so they cannot drift; the
+//! native module cannot call them and restates them in its prelude
+//! ([`crate::emit_rust`]), which the differential tests hold to these.
 
 use crate::bytecode::Intr;
 use crate::fo::BinOp;
@@ -25,11 +27,11 @@ pub(crate) fn int_bin(op: BinOp, x: i64, y: i64) -> i64 {
         BinOp::Mul => x.wrapping_mul(y),
         BinOp::Div => {
             assert!(y != 0, "skil runtime: integer division by zero");
-            x / y
+            x.wrapping_div(y)
         }
         BinOp::Rem => {
             assert!(y != 0, "skil runtime: integer remainder by zero");
-            x % y
+            x.wrapping_rem(y)
         }
         BinOp::Eq => (x == y) as i64,
         BinOp::Ne => (x != y) as i64,
@@ -138,6 +140,14 @@ mod tests {
         assert_eq!(neg_int(5), -5);
         assert_eq!(int1(Intr::Abs, i64::MIN), Scalar::I(i64::MIN));
         assert_eq!(int1(Intr::Abs, -7), Scalar::I(7));
+    }
+
+    #[test]
+    fn division_of_the_minimum_by_minus_one_wraps() {
+        assert_eq!(int_bin(BinOp::Div, i64::MIN, -1), i64::MIN);
+        assert_eq!(int_bin(BinOp::Rem, i64::MIN, -1), 0);
+        assert_eq!(int_bin(BinOp::Div, -7, 2), -3);
+        assert_eq!(int_bin(BinOp::Rem, -7, 2), -1);
     }
 
     #[test]

@@ -1,20 +1,20 @@
-//! The VM host's typed array store.
+//! The skeleton host's typed array store.
 //!
 //! Instantiation leaves every array with a static element type, so the
-//! host (shared by the `vm` and `native` engines) keeps `array<int>` and
-//! `array<float>` partitions unboxed — one `i64` / `f64` per element —
-//! and falls back to a tagged [`Value`] per element only for structs,
-//! lists and `Index`. `skil-core`'s skeletons are generic over the
-//! element type, so each [`ArrayStore`] variant instantiates them at its
-//! own representation; the [`Elem`] trait is the one interface the
-//! skeleton bridge in [`crate::vm`] is written against.
+//! `vm` and `native` engines keep `array<int>` and `array<float>`
+//! partitions unboxed — one `i64` / `f64` per element — and fall back to
+//! a tagged [`Value`] per element only for structs, lists and `Index`.
+//! `skil-core`'s skeletons are generic over the element type, so each
+//! [`ArrayStore`] variant instantiates them at its own representation;
+//! the [`Elem`] trait is the one interface the skeleton bodies in
+//! [`crate::host`] are written against.
 //!
 //! The unboxed elements flatten to exactly the bytes of the `Value` they
 //! stand for (tag + 8 bytes), so message lengths, the inline/heap
 //! envelope split, transit charges and therefore virtual time cannot
-//! tell the representations apart. The AST walker stays on
-//! `DistArray<Value>` as the reference the differential tests compare
-//! against.
+//! tell the representations apart. The AST walker runs the same host
+//! with every array [`ArrayStore::Boxed`]: that the typed variants agree
+//! with it is what the differential tests check.
 
 use skil_array::{Bounds, DistArray, Index};
 use skil_runtime::{Wire, WireError, WireReader};

@@ -24,11 +24,10 @@
 //! parameters — were classified by the compiler ([`KernelShape`]) and
 //! execute as direct computations without touching a frame at all.
 //!
-//! Arrays live in a typed [`ArrayStore`]: `array<int>` / `array<float>`
-//! partitions are unboxed, and each skeleton arm dispatches once per
-//! call on the store variant into one generic body, so `skil-core`'s
-//! skeletons run instantiated at the unboxed element type and elements
-//! cross into kernels as [`KArg`]s without ever becoming a `Value`.
+//! Arrays, skeleton dispatch and the stateful intrinsics belong to the
+//! skeleton host shared by every engine ([`crate::host`]); this module
+//! contributes how argument functions run (`KernelVm`): elements cross
+//! into kernels as [`KArg`]s without ever becoming a `Value`.
 //!
 //! What a `General` argument function runs as is decided once per
 //! compiled program by its [`KernelView`]: typed register code where
@@ -37,22 +36,19 @@
 
 use std::cell::RefCell;
 
-use skil_array::{ArraySpec, DistArray, Distribution, Index};
-use skil_core::{
-    array_broadcast_part, array_copy, array_create, array_fold, array_fold_bulk, array_gen_mult,
-    array_map, array_map_inplace, array_permute_rows, array_scan, Kernel,
-};
-use skil_runtime::{CostModel, Distr, Machine, Proc, Run};
+use skil_array::Index;
+use skil_runtime::{CostModel, Machine, Proc, Run};
 
-use crate::builtins::{DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D};
 use crate::bytecode::{Instr, Intr, KernelShape, Program, SkelSite, Src};
-use crate::fo::{BinOp, FoProgram, SkelOp};
-use crate::interp::{kernel_cycles, to_uindex, LANG_RESULT_TAG};
-use crate::kernel::{KArg, KEnv, KernelView};
+use crate::fo::{BinOp, FoProgram};
+use crate::host::{
+    get_elem, kernel_cycles, kernel_forbids, to_uindex, ArgFns, Batch, KEnv, SkelHost,
+};
+use crate::kernel::{KArg, KernelView};
 use crate::native::NativeBackend;
 use crate::scalar::{float_arith, float_cmp, int_bin, neg_int, scalar_intr, Scalar};
-use crate::store::{with_kind, with_store, ArrayStore, Elem, FloatElem, IntElem};
-use crate::value::{ConsList, Value};
+use crate::store::{Elem, FloatElem, IntElem};
+use crate::value::Value;
 use crate::Compiled;
 
 /// What a run resolves against its machine's cost model before any
@@ -105,7 +101,7 @@ pub(crate) fn try_run_program_vm_faults(
         exec(&mut vm, code, main, &mut stack, &mut frames);
         // main's return value (if any) is discarded, as in the walker
         stack.pop();
-        vm.output
+        vm.host.output
     })
 }
 
@@ -177,7 +173,7 @@ impl Sl {
     }
 }
 
-/// The walker's `apply_binop` over unboxed slots.
+/// A binary operator over unboxed slots.
 fn bin_sl(op: BinOp, float: bool, a: &Sl, b: &Sl) -> Sl {
     if float {
         let (x, y) = (a.as_float(), b.as_float());
@@ -464,16 +460,15 @@ fn exec<H: Host>(
     frames.push(frame);
 }
 
-/// Full execution mode: one per processor, owns the arrays and output.
+/// Full execution mode: one per processor, over the shared skeleton
+/// host that owns the arrays and the output.
 pub(crate) struct Vm<'a, 'p, 'm> {
     pub(crate) code: &'a Program,
     /// What skeleton argument functions run as.
     kernel: &'a KernelView,
     /// The run's resolved pools.
     pub(crate) tables: &'a RunTables,
-    pub(crate) proc: &'p mut Proc<'m>,
-    pub(crate) arrays: Vec<Option<ArrayStore>>,
-    pub(crate) output: Vec<String>,
+    pub(crate) host: SkelHost<'p, 'm>,
     /// `Some` when the native engine drives this VM: `General` kernels
     /// are dispatched to compiled code instead of the interpreter.
     native: Option<&'a NativeBackend>,
@@ -487,23 +482,13 @@ impl<'a, 'p, 'm> Vm<'a, 'p, 'm> {
         proc: &'p mut Proc<'m>,
         native: Option<&'a NativeBackend>,
     ) -> Self {
-        Vm { code, kernel, tables, proc, arrays: Vec::new(), output: Vec::new(), native }
+        Vm { code, kernel, tables, host: SkelHost::new(proc), native }
     }
-}
-
-/// Unwrap a skeleton or array result; failures are Skil runtime errors.
-pub(crate) fn rt<T>(r: skil_array::Result<T>) -> T {
-    r.unwrap_or_else(|e| panic!("skil runtime: {e}"))
-}
-
-fn bounds_value(arr: &ArrayStore) -> Value {
-    let b = rt(arr.part_bounds());
-    Value::Bounds([b.lower[0] as i64, b.lower[1] as i64], [b.upper[0] as i64, b.upper[1] as i64])
 }
 
 impl Host for Vm<'_, '_, '_> {
     fn charge_ix(&mut self, i: u32) {
-        self.proc.charge(self.tables.costs[i as usize]);
+        self.host.proc.charge(self.tables.costs[i as usize]);
     }
 
     fn kconsts(&self) -> &[Sl] {
@@ -511,38 +496,17 @@ impl Host for Vm<'_, '_, '_> {
     }
 
     fn get_elem(&mut self, h: usize, ix: Index) -> Sl {
-        rt(self.arrays[h].as_ref().expect("array alive").get(ix))
+        get_elem(&self.host.arrays, h, ix)
     }
 
     /// Stateful intrinsics; the matching charge was already emitted as a
     /// `Charge` instruction by the compiler.
     fn stateful(&mut self, op: Intr, vals: &[Value]) -> Value {
-        match op {
-            Intr::ProcId => Value::Int(self.proc.id() as i64),
-            Intr::NProcs => Value::Int(self.proc.nprocs() as i64),
-            Intr::ArrayGetElem => {
-                self.get_elem(vals[0].as_array(), to_uindex(vals[1].as_index())).into_value()
-            }
-            Intr::ArrayPutElem => {
-                let arr = self.arrays[vals[0].as_array()].as_mut().expect("array alive");
-                rt(arr.put(to_uindex(vals[1].as_index()), Sl::from_value_ref(&vals[2])));
-                Value::Unit
-            }
-            Intr::ArrayPartBounds => {
-                bounds_value(self.arrays[vals[0].as_array()].as_ref().expect("array alive"))
-            }
-            Intr::Print => {
-                self.output.push(vals[0].render());
-                Value::Unit
-            }
-            other => unreachable!("pure intrinsic {} fell through", other.name()),
-        }
+        self.host.stateful(op, vals)
     }
 
-    /// Dispatch a skeleton call site to `skil-core`, running argument
-    /// functions under the kernel VM. Every array arm picks the store
-    /// variant once and hands the typed partitions to one generic body
-    /// ([`KernelVm`]'s skeleton methods).
+    /// Hand a skeleton call site to the shared host, with the kernel VM
+    /// as what runs its argument functions.
     fn skel(&mut self, site_ix: usize, stack: &mut Vec<Sl>, _frames: &mut Vec<Vec<Sl>>) {
         if let Some(nb) = self.native {
             nb.begin_skel();
@@ -557,201 +521,18 @@ impl Host for Vm<'_, '_, '_> {
         lifted.reverse();
         let at = stack.len() - site.nargs;
         let vals: Vec<Value> = stack.drain(at..).map(Sl::into_value).collect();
-        let me = self.proc.id();
-        // the kernel executor over the current array table; rebuilt per
-        // arm because arms take the array they write out of the table
-        macro_rules! kvm {
-            () => {
-                KernelVm {
-                    code: self.code,
-                    kernel: self.kernel,
-                    consts: &self.tables.consts,
-                    arrays: &self.arrays,
-                    me,
-                    nprocs: self.proc.nprocs(),
-                    native: self.native,
-                    site,
-                    lifted: &lifted,
-                    cycles: &self.tables.site_cycles[site_ix],
-                    scratch: RefCell::default(),
-                    typed_regs: Default::default(),
-                }
-            };
-        }
-
-        let result = match site.op {
-            SkelOp::Create => {
-                let dim = vals[0].as_int();
-                assert!((1..=2).contains(&dim), "skil runtime: array dim must be 1 or 2");
-                let size = vals[1].as_index();
-                let bs = vals[2].as_index();
-                let lb = vals[3].as_index();
-                let distr = match vals[4].as_int() {
-                    DISTR_DEFAULT => Distr::Default,
-                    DISTR_RING => Distr::Ring,
-                    DISTR_TORUS2D => Distr::Torus2d,
-                    other => panic!("skil runtime: bad distribution constant {other}"),
-                };
-                let spec = ArraySpec {
-                    ndim: dim as usize,
-                    size: [
-                        size[0].max(0) as usize,
-                        if dim == 1 { 1 } else { size[1].max(0) as usize },
-                    ],
-                    blocksize: [bs[0].max(0) as usize, bs[1].max(0) as usize],
-                    lowerbd: [lb[0], lb[1]],
-                    distr,
-                    dist: Distribution::Block,
-                };
-                let arr = with_kind!(site.elem, T => T::wrap(kvm!().create::<T>(self.proc, spec)));
-                self.arrays.push(Some(arr));
-                Value::Array(self.arrays.len() - 1)
-            }
-            SkelOp::Destroy => {
-                self.proc.charge(self.proc.cost().call);
-                let h = vals[0].as_array();
-                self.arrays[h] = None;
-                Value::Unit
-            }
-            SkelOp::Map => {
-                let from_h = vals[0].as_array();
-                let to_h = vals[1].as_array();
-                // in-situ replacement (`from_h == to_h`), as the paper
-                // allows: kernels then see the array as being written
-                let mut to = self.arrays[to_h].take().expect("array alive");
-                if from_h == to_h {
-                    with_store!(&mut to, arr => kvm!().map_inplace(self.proc, arr));
-                } else {
-                    let from = self.arrays[from_h].as_ref().expect("array alive");
-                    with_store!(from, from => {
-                        with_store!(&mut to, to => kvm!().map(self.proc, from, to))
-                    });
-                }
-                self.arrays[to_h] = Some(to);
-                Value::Unit
-            }
-            SkelOp::Fold => {
-                let arr = self.arrays[vals[0].as_array()].as_ref().expect("array alive");
-                with_store!(arr, arr => {
-                    with_kind!(site.ret, U => kvm!().fold::<_, U>(self.proc, arr).into_sl())
-                })
-                .into_value()
-            }
-            SkelOp::Copy => {
-                let from_h = vals[0].as_array();
-                let to_h = vals[1].as_array();
-                assert_ne!(from_h, to_h, "skil runtime: array_copy onto itself");
-                let mut to = self.arrays[to_h].take().expect("array alive");
-                let from = self.arrays[from_h].as_ref().expect("array alive");
-                with_store!(&mut to, to => rt(array_copy(self.proc, Elem::of(from), to)));
-                self.arrays[to_h] = Some(to);
-                Value::Unit
-            }
-            SkelOp::BroadcastPart => {
-                let ix = to_uindex(vals[1].as_index());
-                let arr = self.arrays[vals[0].as_array()].as_mut().expect("array alive");
-                with_store!(arr, arr => rt(array_broadcast_part(self.proc, arr, ix)));
-                Value::Unit
-            }
-            SkelOp::PermuteRows => {
-                let from_h = vals[0].as_array();
-                let to_h = vals[1].as_array();
-                let mut to = self.arrays[to_h].take().expect("array alive");
-                let from = self.arrays[from_h].as_ref().expect("array alive");
-                with_store!(&mut to, to => {
-                    kvm!().permute_rows(self.proc, Elem::of(from), to)
-                });
-                self.arrays[to_h] = Some(to);
-                Value::Unit
-            }
-            SkelOp::Scan => {
-                let from_h = vals[0].as_array();
-                let to_h = vals[1].as_array();
-                assert_ne!(from_h, to_h, "skil runtime: array_scan onto itself");
-                let mut to = self.arrays[to_h].take().expect("array alive");
-                let from = self.arrays[from_h].as_ref().expect("array alive");
-                with_store!(&mut to, to => kvm!().scan(self.proc, Elem::of(from), to));
-                self.arrays[to_h] = Some(to);
-                Value::Unit
-            }
-            SkelOp::GenMult => {
-                let a_h = vals[0].as_array();
-                let b_h = vals[1].as_array();
-                let c_h = vals[2].as_array();
-                assert!(
-                    a_h != c_h && b_h != c_h && a_h != b_h,
-                    "skil runtime: array_gen_mult requires distinct arrays"
-                );
-                let mut c = self.arrays[c_h].take().expect("array alive");
-                let a = self.arrays[a_h].as_ref().expect("array alive");
-                let b = self.arrays[b_h].as_ref().expect("array alive");
-                with_store!(&mut c, c => {
-                    kvm!().gen_mult(self.proc, Elem::of(a), Elem::of(b), c)
-                });
-                self.arrays[c_h] = Some(c);
-                Value::Unit
-            }
-            SkelOp::Dc => {
-                let problem = vals[0].clone();
-                let result = {
-                    let kvm = kvm!();
-                    let mut ops = skil_core::DcOps {
-                        is_trivial: Kernel::new(
-                            |p: &Value| kvm.call::<IntElem, 1>(0, [KArg::V(p)]).0 != 0,
-                            kvm.cycles[0],
-                        ),
-                        solve: Kernel::new(
-                            |p: &Value| kvm.call::<Value, 1>(1, [KArg::V(p)]),
-                            kvm.cycles[1],
-                        ),
-                        split: Kernel::new(
-                            |p: &Value| match kvm.call::<Value, 1>(2, [KArg::V(p)]) {
-                                Value::List(items) => items.to_vec(),
-                                other => {
-                                    panic!("skil runtime: split returned {other:?}, not a list")
-                                }
-                            },
-                            kvm.cycles[2],
-                        ),
-                        join: Kernel::new(
-                            |parts: Vec<Value>| {
-                                let parts = Value::List(ConsList::from_vec(parts));
-                                kvm.call::<Value, 1>(3, [KArg::V(&parts)])
-                            },
-                            kvm.cycles[3],
-                        ),
-                    };
-                    rt(skil_core::divide_conquer(self.proc, (me == 0).then_some(problem), &mut ops))
-                };
-                // SPMD expression semantics: dc(...) has a value everywhere
-                if me == 0 {
-                    let v = result.expect("root holds the d&c result");
-                    self.proc.broadcast(0, LANG_RESULT_TAG, Some(v))
-                } else {
-                    self.proc.broadcast(0, LANG_RESULT_TAG, None)
-                }
-            }
-            SkelOp::Farm => {
-                let Value::List(tasks) = vals[0].clone() else {
-                    panic!("skil runtime: farm needs a task list");
-                };
-                let result = {
-                    let kvm = kvm!();
-                    let worker = Kernel::new(
-                        |t: &Value| kvm.call::<Value, 1>(0, [KArg::V(t)]),
-                        kvm.cycles[0],
-                    );
-                    rt(skil_core::farm(self.proc, 0, (me == 0).then_some(tasks.to_vec()), worker))
-                };
-                if me == 0 {
-                    let v =
-                        Value::List(ConsList::from_vec(result.expect("master holds the results")));
-                    self.proc.broadcast(0, LANG_RESULT_TAG, Some(v))
-                } else {
-                    self.proc.broadcast(0, LANG_RESULT_TAG, None)
-                }
-            }
+        let kvm = KernelVm {
+            code: self.code,
+            kernel: self.kernel,
+            consts: &self.tables.consts,
+            native: self.native,
+            site,
+            lifted: &lifted,
+            cycles: &self.tables.site_cycles[site_ix],
+            scratch: RefCell::default(),
+            typed_regs: Default::default(),
         };
+        let result = self.host.skel(site.op, site.elem, site.ret, &vals, &kvm);
         stack.push(Sl::from_value(result));
     }
 }
@@ -762,28 +543,13 @@ struct Scratch {
     frames: Vec<Vec<Sl>>,
 }
 
-/// The array behind handle `h` as a skeleton argument function may
-/// read it: the array the running skeleton writes is out of the table.
-pub(crate) fn live_array(arrays: &[Option<ArrayStore>], h: usize) -> &ArrayStore {
-    arrays[h].as_ref().unwrap_or_else(|| {
-        panic!("skil runtime: use of an array being written by this skeleton or already destroyed")
-    })
-}
-
-/// Read a local element on behalf of a skeleton argument function.
-pub(crate) fn kernel_get_elem(arrays: &[Option<ArrayStore>], h: usize, ix: Index) -> Sl {
-    rt(live_array(arrays, h).get(ix))
-}
-
 /// Kernel execution mode for the shared dispatch loop: read-only
 /// arrays, no skeletons, no printing, and `Charge` instructions compile
 /// to nothing — the per-element kernel charge is applied by the
 /// skeleton itself.
 struct KHost<'a> {
     consts: &'a [Sl],
-    arrays: &'a [Option<ArrayStore>],
-    me: usize,
-    nprocs: usize,
+    env: &'a KEnv<'a>,
 }
 
 impl Host for KHost<'_> {
@@ -794,44 +560,26 @@ impl Host for KHost<'_> {
     }
 
     fn get_elem(&mut self, h: usize, ix: Index) -> Sl {
-        kernel_get_elem(self.arrays, h, ix)
+        get_elem(self.env.arrays, h, ix)
     }
 
     fn stateful(&mut self, op: Intr, vals: &[Value]) -> Value {
-        match op {
-            Intr::ProcId => Value::Int(self.me as i64),
-            Intr::NProcs => Value::Int(self.nprocs as i64),
-            Intr::ArrayGetElem => {
-                self.get_elem(vals[0].as_array(), to_uindex(vals[1].as_index())).into_value()
-            }
-            Intr::ArrayPartBounds => {
-                bounds_value(self.arrays[vals[0].as_array()].as_ref().expect("array alive"))
-            }
-            Intr::ArrayPutElem => {
-                panic!("skil runtime: array_put_elem inside a skeleton argument function")
-            }
-            Intr::Print => panic!("skil runtime: print inside a skeleton argument function"),
-            other => unreachable!("pure intrinsic {} fell through", other.name()),
-        }
+        self.env.stateful(op, vals)
     }
 
     fn skel(&mut self, _site: usize, _stack: &mut Vec<Sl>, _frames: &mut Vec<Vec<Sl>>) {
-        panic!("skil runtime: skeleton call inside a skeleton argument function")
+        kernel_forbids("skeleton call")
     }
 }
 
-/// One skeleton call's executor for its argument functions, plus the
-/// generic skeleton bodies written against it. Scratch space (operand
-/// stack + frame pool, and one register file per typed argument
-/// function) is interior-mutable so kernels can be invoked through `Fn`
-/// closures.
+/// How the `vm` and `native` engines run one skeleton call's argument
+/// functions. Scratch space (operand stack + frame pool, and one
+/// register file per typed argument function) is interior-mutable so
+/// kernels can be invoked through `Fn` closures.
 struct KernelVm<'a> {
     code: &'a Program,
     kernel: &'a KernelView,
     consts: &'a [Sl],
-    arrays: &'a [Option<ArrayStore>],
-    me: usize,
-    nprocs: usize,
     native: Option<&'a NativeBackend>,
     site: &'a SkelSite,
     /// Per argument function: the lifted arguments the call site evaluated.
@@ -844,9 +592,8 @@ struct KernelVm<'a> {
     typed_regs: [RefCell<Vec<u64>>; 4],
 }
 
-impl KernelVm<'_> {
-    /// Invoke the site's `i`-th argument function with `lifted ++ args`.
-    fn call<U: Elem, const N: usize>(&self, i: usize, args: [KArg<'_>; N]) -> U {
+impl ArgFns for KernelVm<'_> {
+    fn call<U: Elem, const N: usize>(&self, env: &KEnv<'_>, i: usize, args: [KArg<'_>; N]) -> U {
         let f = &self.site.fns[i];
         let lifted = &self.lifted[i][..];
         let n = lifted.len();
@@ -886,161 +633,42 @@ impl KernelVm<'_> {
                         f.fid,
                         lifted,
                         &args.map(KArg::sl),
-                        self.arrays,
+                        env.arrays,
                     ));
                 }
                 if let Some(tf) = self.kernel.typed(f.fid) {
-                    let env = KEnv { arrays: self.arrays, me: self.me, nprocs: self.nprocs };
                     let mut regs = self.typed_regs[i].borrow_mut();
-                    return self.kernel.call(tf, &mut regs, lifted, &args, &env);
+                    return self.kernel.call(tf, &mut regs, lifted, &args, env);
                 }
                 let mut s = self.scratch.borrow_mut();
                 let Scratch { stack, frames } = &mut *s;
                 stack.extend(lifted.iter().map(Sl::from_value_ref));
                 stack.extend(args.iter().map(|a| a.sl()));
-                let mut h = KHost {
-                    consts: self.consts,
-                    arrays: self.arrays,
-                    me: self.me,
-                    nprocs: self.nprocs,
-                };
+                let mut h = KHost { consts: self.consts, env };
                 exec(&mut h, self.code, f.fid, stack, frames);
                 stack.pop().expect("kernel return value")
             }
         })
     }
 
-    /// The site's `i`-th argument function as a `(T, T) -> T` combiner
-    /// (fold / scan / gen_mult kernels). Over unboxed elements an
-    /// operator section or `min`/`max` is resolved here, once, to a
-    /// direct function; everything else goes through [`Self::call`].
-    fn kernel2<T: Elem>(&self, i: usize) -> impl Fn(T, T) -> T + '_ {
-        let direct = T::direct2(&self.site.fns[i].shape, self.lifted[i].len());
-        move |x, y| match direct {
-            Some(op) => op(x, y),
-            None => self.call(i, [x.arg(), y.arg()]),
-        }
+    fn cycles(&self, i: usize) -> u64 {
+        self.cycles[i]
     }
 
-    /// The backend to batch a skeleton's local pass through — only when
-    /// a compiled module drives kernels *and* at least one argument
-    /// function is `General`-shaped. Trivial shapes never cross the FFI
-    /// alone; their host fast paths are cheaper than any round trip.
-    fn batch(&self) -> Option<&NativeBackend> {
-        self.native.filter(|_| self.site.fns.iter().any(|f| f.shape == KernelShape::General))
+    /// Over unboxed elements an operator section or `min`/`max` is one
+    /// direct function.
+    fn direct2<T: Elem>(&self, i: usize) -> Option<fn(T, T) -> T> {
+        T::direct2(&self.site.fns[i].shape, self.lifted[i].len())
     }
 
-    /// Argument function 0 as the per-element `(element, index) -> U`
-    /// function of a map. On the batch path the whole local pass over
-    /// `src` runs compiled, now, in one FFI call, and the returned
-    /// function only hands the results out in order.
-    fn elem_fn<T: Elem, U: Elem>(
-        &self,
-        src: &DistArray<T>,
-        batch: Option<&NativeBackend>,
-    ) -> impl FnMut(&T, Index) -> U + '_ {
-        let mut pre = batch.map(|nb| {
-            let ixs: Vec<Index> = src.layout().local_indices(src.proc_id()).collect();
-            let fid = self.site.fns[0].fid;
-            nb.bulk_map::<T, U>(fid, &self.lifted[0], src.local_data(), &ixs, self.arrays)
-                .into_iter()
-        });
-        move |v, ix| match pre.as_mut() {
-            Some(it) => it.next().expect("prefetched map element"),
-            None => self.call(0, [v.arg(), KArg::Ix(ix)]),
-        }
-    }
-
-    fn create<T: Elem>(&self, proc: &mut Proc<'_>, spec: ArraySpec) -> DistArray<T> {
-        // Batch path: compiled initializer, one FFI round trip for the
-        // whole partition. A spec `plan` error skips the prefetch;
-        // `array_create` then reports the identical error before any
-        // kernel call.
-        let mut pre = self.batch().and_then(|nb| {
-            let (layout, _) = spec.plan(proc).ok()?;
-            let ixs: Vec<Index> = layout.local_indices(self.me).collect();
-            let fid = self.site.fns[0].fid;
-            Some(nb.bulk_create::<T>(fid, &self.lifted[0], &ixs, self.arrays).into_iter())
-        });
-        let init = Kernel::new(
-            |ix: Index| match pre.as_mut() {
-                Some(it) => it.next().expect("planned bulk element"),
-                None => self.call(0, [KArg::Ix(ix)]),
-            },
-            self.cycles[0],
-        );
-        rt(array_create(proc, spec, init))
-    }
-
-    fn map<T: Elem, U: Elem>(
-        &self,
-        proc: &mut Proc<'_>,
-        from: &DistArray<T>,
-        to: &mut DistArray<U>,
-    ) {
-        // the batch path is gated on the same conformability check
-        // `array_map` makes before any kernel call
-        let f = self.elem_fn(from, self.batch().filter(|_| from.conformable(to)));
-        rt(array_map(proc, Kernel::new(f, self.cycles[0]), from, to))
-    }
-
-    fn map_inplace<T: Elem>(&self, proc: &mut Proc<'_>, arr: &mut DistArray<T>) {
-        // the batch path reads the same pre-map snapshot
-        let f = self.elem_fn::<T, T>(arr, self.batch());
-        rt(array_map_inplace(proc, Kernel::new(f, self.cycles[0]), arr))
-    }
-
-    fn fold<T: Elem, U: Elem>(&self, proc: &mut Proc<'_>, arr: &DistArray<T>) -> U {
-        let fold = self.kernel2::<U>(1);
-        if let Some(nb) = self.batch() {
-            // batch path: the fused convert+fold local pass runs
-            // compiled in one FFI call; the tree reduction still
-            // dispatches per hop
-            let local = |vs: &[T], ixs: &[Index]| {
-                (!vs.is_empty()).then(|| {
-                    let conv = (self.site.fns[0].fid, &self.lifted[0][..]);
-                    let fold = (self.site.fns[1].fid, &self.lifted[1][..]);
-                    nb.bulk_fold::<T, U>(conv, fold, vs, ixs, self.arrays)
-                })
-            };
-            rt(array_fold_bulk(proc, self.cycles[0], self.cycles[1], local, fold, arr))
-        } else {
-            let conv = Kernel::new(
-                |v: &T, ix: Index| self.call::<U, 2>(0, [v.arg(), KArg::Ix(ix)]),
-                self.cycles[0],
-            );
-            rt(array_fold(proc, conv, Kernel::new(fold, self.cycles[1]), arr))
-        }
-    }
-
-    fn scan<T: Elem>(&self, proc: &mut Proc<'_>, from: &DistArray<T>, to: &mut DistArray<T>) {
-        rt(array_scan(proc, Kernel::new(self.kernel2::<T>(0), self.cycles[0]), from, to))
-    }
-
-    fn permute_rows<T: Elem>(
-        &self,
-        proc: &mut Proc<'_>,
-        from: &DistArray<T>,
-        to: &mut DistArray<T>,
-    ) {
-        let perm = |r: usize| -> usize {
-            let v = self.call::<IntElem, 1>(0, [KArg::I(r as i64)]).0;
-            assert!(v >= 0, "skil runtime: negative permuted row {v}");
-            v as usize
-        };
-        rt(array_permute_rows(proc, from, perm, to))
-    }
-
-    fn gen_mult<T: Elem>(
-        &self,
-        proc: &mut Proc<'_>,
-        a: &DistArray<T>,
-        b: &DistArray<T>,
-        c: &mut DistArray<T>,
-    ) {
-        let add = Kernel::new(self.kernel2::<T>(0), self.cycles[0]);
-        let mul = self.kernel2::<T>(1);
-        let mul = Kernel::new(|x: &T, y: &T| mul(x.clone(), y.clone()), self.cycles[1]);
-        rt(array_gen_mult(proc, a, b, add, mul, c))
+    /// Only when a compiled module drives kernels *and* at least one
+    /// argument function is `General`-shaped. Trivial shapes never cross
+    /// the FFI alone; their host fast paths are cheaper than any round
+    /// trip.
+    fn batch(&self) -> Option<Batch<'_>> {
+        let nb = self.native?;
+        let fns = &self.site.fns[..];
+        let general = fns.iter().any(|f| f.shape == KernelShape::General);
+        general.then_some(Batch { nb, fns, lifted: self.lifted })
     }
 }

@@ -590,38 +590,46 @@ impl Server {
 
     fn run_request(&self, req: &Request) -> Response {
         let id = req.id.clone();
-        let (compiled, cache_hit) = match self.compile_cached(req) {
-            Ok(pair) => pair,
-            Err(message) => {
-                return Response::Err { id, kind: ErrorKind::Compile, message };
-            }
-        };
         let key = PoolKey::of(req);
-        let (machine, warm_machine) = match self.checkout_machine(key) {
-            Ok(pair) => pair,
-            Err(message) => {
-                return Response::Err { id, kind: ErrorKind::BadRequest, message };
-            }
-        };
-        // A structured failure (Err) leaves the machine clean — mailbox
-        // and stats state is rebuilt per run — so it goes back to the
-        // pool either way. Only a genuine panic unwinding out of the
-        // engine discards it.
+        // Front end and engine run under one guard, so whatever panics
+        // the request still gets its response line. The machine sits
+        // outside the guard so that a panic can find and discard it.
+        let mut machine = None;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            compiled.try_run_faults(req.engine, &machine, req.faults.as_ref())
+            let (compiled, cache_hit) =
+                self.compile_cached(req).map_err(|message| (ErrorKind::Compile, message))?;
+            let (cold_or_warm, warm_machine) =
+                self.checkout_machine(key).map_err(|message| (ErrorKind::BadRequest, message))?;
+            let run = compiled
+                .try_run_faults(req.engine, machine.insert(cold_or_warm), req.faults.as_ref())
+                .map_err(|failure| (ErrorKind::Runtime, failure.to_string()))?;
+            Ok((run, cache_hit, warm_machine))
         }));
         match outcome {
-            Ok(Ok(run)) => {
-                self.checkin_machine(key, machine);
-                Response::Ok { id, run, cache_hit, warm_machine }
-            }
-            Ok(Err(failure)) => {
-                self.checkin_machine(key, machine);
-                Response::Err { id, kind: ErrorKind::Runtime, message: failure.to_string() }
+            // A structured failure (Err) leaves the machine clean —
+            // mailbox and stats state is rebuilt per run — so it goes
+            // back to the pool either way. Only a genuine panic
+            // unwinding out of the engine discards it.
+            Ok(result) => {
+                if let Some(machine) = machine {
+                    self.checkin_machine(key, machine);
+                }
+                match result {
+                    Ok((run, cache_hit, warm_machine)) => {
+                        Response::Ok { id, run, cache_hit, warm_machine }
+                    }
+                    Err((kind, message)) => Response::Err { id, kind, message },
+                }
             }
             Err(payload) => {
-                drop(machine);
-                self.counters.machines_discarded.fetch_add(1, Ordering::Relaxed);
+                // the machine, if one was taken, is dropped, not re-pooled
+                let stage = if machine.is_some() {
+                    self.counters.machines_discarded.fetch_add(1, Ordering::Relaxed);
+                    "engine"
+                } else {
+                    // nothing was cached and no machine was taken
+                    "front end"
+                };
                 let what = payload
                     .downcast_ref::<String>()
                     .map(String::as_str)
@@ -630,7 +638,7 @@ impl Server {
                 Response::Err {
                     id,
                     kind: ErrorKind::Internal,
-                    message: format!("engine panicked: {what}"),
+                    message: format!("{stage} panicked: {what}"),
                 }
             }
         }

@@ -409,7 +409,8 @@ fn failure_of(
 /// Runtime errors raised inside `General` argument functions: the typed
 /// register tier (`-O1`, `-O2`), the generic loop (`-O0`, and every
 /// function that does not lower) and the native engine fail on the same
-/// processors with the walker's message.
+/// processors with the walker's message. So do the errors the skeleton
+/// host raises itself, whichever engine drives it.
 #[test]
 fn kernel_runtime_errors_match_the_walker_on_every_kernel_tier() {
     let prelude = "pardata array <$t>;
@@ -475,6 +476,53 @@ fn kernel_runtime_errors_match_the_walker_on_every_kernel_tier() {
              void main() { run(k); }",
             "print inside a skeleton argument function",
         ),
+        (
+            "array dim",
+            "void main() { array<int> a = array_create(3, {16, 1}, {0,0}, {0-1,0-1}, initf, DISTR_DEFAULT); }",
+            "array dim must be 1 or 2",
+        ),
+        (
+            "distribution constant",
+            "void main() { array<int> a = array_create(1, {16, 1}, {0,0}, {0-1,0-1}, initf, 7); }",
+            "bad distribution constant 7",
+        ),
+        (
+            "array_copy onto itself",
+            "void main() { array<int> a = ints(); array_copy(a, a); }",
+            "array_copy onto itself",
+        ),
+        (
+            "array_scan onto itself",
+            "void main() { array<int> a = ints(); array_scan((+), a, a); }",
+            "array_scan onto itself",
+        ),
+        (
+            "array_gen_mult onto an operand",
+            "int zero(Index ix) { return 0; }
+             void main() {
+                 array<int> a = array_create(2, {4, 4}, {0,0}, {0-1,0-1}, zero, DISTR_TORUS2D);
+                 array<int> b = array_create(2, {4, 4}, {0,0}, {0-1,0-1}, zero, DISTR_TORUS2D);
+                 array_gen_mult(a, b, (+), (*), a);
+             }",
+            "array_gen_mult requires distinct arrays",
+        ),
+        (
+            "negative permuted row",
+            "int up(int r) { return r - 1; }
+             int zero(Index ix) { return 0; }
+             void main() {
+                 array<int> a = array_create(2, {4, 4}, {0,0}, {0-1,0-1}, zero, DISTR_DEFAULT);
+                 array<int> b = array_create(2, {4, 4}, {0,0}, {0-1,0-1}, zero, DISTR_DEFAULT);
+                 array_permute_rows(a, up, b);
+             }",
+            "negative permuted row -1",
+        ),
+        (
+            "use after destroy",
+            "int inc(int v, Index ix) { return v + 1; }
+             void main() { array<int> a = ints(); array<int> b = ints(); array_destroy(a); array_map(inc, a, b); }",
+            "use of an array being written by this skeleton or already destroyed",
+        ),
     ];
     for (name, body, message) in cases {
         let src = format!("{prelude}\n{body}");
@@ -497,14 +545,17 @@ fn kernel_runtime_errors_match_the_walker_on_every_kernel_tier() {
     }
 }
 
-/// Integer negation and `abs` wrap on the minimum, like every other
-/// integer operator, at run time and in the constant folder alike.
+/// Integer negation, `abs`, and division and remainder by -1 wrap on the
+/// minimum, like every other integer operator, at run time and in the
+/// constant folder alike.
 #[test]
 fn negation_and_abs_of_the_minimum_wrap_under_every_engine() {
     // `procId - procId` keeps `z` out of the constant folder's reach
     let src = "int neg(int v, Index ix) { int z = 0 - v - 1; int i = 0; while (i < 1) { z = -z; i = i + 1; } return z; }
+        int quot(int v, Index ix) { int d = 0 - 1; int q = 0; int i = 0; while (i < 1) { q = v / d + v % d; i = i + 1; } return q; }
         int big(Index ix) { return int_max * 4 + 3; }
         int conv(int v, Index ix) { return abs(v); }
+        int same(int v, Index ix) { return v; }
         int first(int a, int b) { return a; }
         void main() {
             int m = int_max * 4 + 3;
@@ -512,15 +563,22 @@ fn negation_and_abs_of_the_minimum_wrap_under_every_engine() {
             print(-z);
             print(abs(z));
             print(-(0 - m - 1));
+            print(z / (0 - 1));
+            print(z % (0 - 1));
+            print((0 - m - 1) / (0 - 1));
+            print((0 - m - 1) % (0 - 1));
             array<int> a = array_create(1, {4, 1}, {0,0}, {0-1,0-1}, big, DISTR_DEFAULT);
             array_map(neg, a, a);
             print(array_fold(conv, first, a));
+            array_map(quot, a, a);
+            print(array_fold(same, first, a));
         }";
     let machine = Machine::new(MachineConfig::square(2).unwrap());
     assert_engines_agree("i64::MIN", src, &machine);
     let min = i64::MIN.to_string();
     let run = compile(src).unwrap().run(&machine);
-    assert_eq!(run.results[0], vec![min.clone(), min.clone(), min.clone(), min]);
+    let want = [&min, &min, &min, &min, "0", &min, "0", &min, &min];
+    assert_eq!(run.results[0], want);
 }
 
 /// A NaN fails every ordered comparison and its own equality, so

@@ -99,3 +99,44 @@ fn server_pool_serves_golden_runs_from_warm_machines() {
     }
     assert_eq!(server.stats().machines_discarded, 0);
 }
+
+/// The three programs that used to cost `skild` a response line, a
+/// worker or a warm machine: `i64::MIN / -1` met by the constant folder
+/// (a panic in the front end, outside the request's guard), `% -1` met
+/// at run time, and an array used after `array_destroy`. Each is
+/// followed by a request that must find the daemon as it was.
+#[test]
+fn overflowing_division_and_a_destroyed_array_cost_no_response_and_no_machine() {
+    let folded = "void main() { int m = int_max * 4 + 3; int z = 0 - m - 1; print(z / (0 - 1)); }";
+    let run_time =
+        "void main() { int m = int_max * 4 + 3; int z = 0 - m - 1 + (procId - procId); print(z % (0 - 1)); }";
+    let destroyed = "int one(Index ix) { return 1; }
+        int inc(int v, Index ix) { return v + 1; }
+        void main() {
+            array<int> a = array_create(1, {8, 1}, {0,0}, {0-1,0-1}, one, DISTR_DEFAULT);
+            array<int> b = array_create(1, {8, 1}, {0,0}, {0-1,0-1}, one, DISTR_DEFAULT);
+            array_destroy(a);
+            array_map(inc, a, b);
+        }";
+    let server = Server::new();
+    let printed = |line: &str| {
+        let reply = server.handle_line(line);
+        assert!(reply.contains(r#""ok":true"#), "{reply}");
+        reply
+    };
+    for engine in ["ast", "vm"] {
+        let request = |program: &str| {
+            format!(r#"{{"id":"p","engine":"{engine}","mesh":"2x2","program":"{program}"}}"#)
+        };
+        let min = format!(r#"["{}"]"#, i64::MIN);
+        assert!(printed(&request(folded)).contains(&min), "{engine}: folded `/ -1`");
+        assert!(printed(&request(run_time)).contains(r#"["0"]"#), "{engine}: run-time `% -1`");
+        let reply = server.handle_line(&request(&destroyed.replace('\n', " ")));
+        assert!(reply.contains(r#""kind":"runtime""#), "{engine}: {reply}");
+        assert!(reply.contains("already destroyed"), "{engine}: {reply}");
+        assert!(printed(&request("void main() { print(1); }")).contains(r#"["1"]"#));
+    }
+    let stats = server.stats();
+    assert_eq!((stats.requests, stats.ok, stats.errors), (8, 6, 2));
+    assert_eq!(stats.machines_discarded, 0);
+}

@@ -16,6 +16,12 @@
 //! Emits `BENCH_serving.json` (schema `skil-bench/serving/v1`, gated
 //! by `scripts/bench_gate.py`).
 //!
+//! The worker loop below is this generator's own: threads pull parsed
+//! [`Request`]s off a shared schedule and call [`Server::handle`], with
+//! no pipe, no JSON line and no reply written. It is not the daemon's
+//! front door — `skild`'s read-handle-write loop is [`Server::serve`] —
+//! and the frozen gate measures it as it is.
+//!
 //! Usage:
 //!
 //! ```text

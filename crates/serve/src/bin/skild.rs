@@ -1,10 +1,14 @@
 //! `skild` — the Skil serving daemon.
 //!
-//! Reads JSONL requests from stdin, runs them on a shared
-//! [`skil_serve::Server`] (compiled-program cache + warm-machine pool),
-//! and writes one JSON response line per request to stdout. Responses
-//! may be emitted out of order under `--threads > 1`; clients correlate
-//! by the echoed `"id"` field.
+//! Answers JSONL requests on stdin with one JSON response line each on
+//! stdout, from a shared [`skil_serve::Server`] (compiled-program cache
+//! and warm-machine pool). This file parses the arguments and prints the
+//! EOF summary; the front door itself is [`Server::serve`]: `--threads`
+//! workers take turns reading a line from stdin and each answers the
+//! line it read, with one write per reply. Responses may be emitted out
+//! of order under `--threads > 1`; clients correlate by the echoed
+//! `"id"` field. Nothing is read ahead of the workers, so a stalled
+//! stdout stalls the reads.
 //!
 //! ```text
 //! echo '{"id":"a","program":"void main() { if (procId == 0) { print(42); } }"}' \
@@ -27,12 +31,9 @@
 //! a line that is not UTF-8 or not JSON, compile error, Skil runtime
 //! error, injected crash — is a structured `{"ok":false,"error":{...}}`
 //! response; the daemon never exits on a request, only on stdin EOF
-//! (exit 0) or an I/O error (exit 1).
+//! (exit 0) or the first failing read or write (exit 1).
 
-use std::io::{BufRead, Write};
 use std::process::ExitCode;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 
 use skil_serve::Server;
 
@@ -65,70 +66,10 @@ fn main() -> ExitCode {
         i += 1;
     }
 
-    let server = Arc::new(Server::new());
-    let (tx, rx) = mpsc::channel::<Vec<u8>>();
-    let rx = Arc::new(Mutex::new(rx));
-    let stdout = Arc::new(Mutex::new(std::io::stdout()));
-
-    let workers: Vec<_> = (0..threads)
-        .map(|_| {
-            let server = Arc::clone(&server);
-            let rx = Arc::clone(&rx);
-            let stdout = Arc::clone(&stdout);
-            std::thread::spawn(move || -> std::io::Result<()> {
-                loop {
-                    // Hold the receiver lock only while popping.
-                    let line = match rx.lock().unwrap().recv() {
-                        Ok(line) => line,
-                        Err(_) => return Ok(()), // channel closed: EOF
-                    };
-                    let response = server.handle_bytes(&line);
-                    let mut out = stdout.lock().unwrap();
-                    out.write_all(response.as_bytes())?;
-                    out.write_all(b"\n")?;
-                    out.flush()?;
-                }
-            })
-        })
-        .collect();
-
-    // Lines are split as bytes: what is on one is the request's problem
-    // (a line that is not UTF-8 is answered `bad_request`), and only a
-    // failing read is the daemon's.
-    let stdin = std::io::stdin();
-    for line in stdin.lock().split(b'\n') {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("skild: stdin error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if line.iter().all(u8::is_ascii_whitespace) {
-            continue;
-        }
-        if tx.send(line).is_err() {
-            eprintln!("skild: all workers exited");
-            return ExitCode::FAILURE;
-        }
-    }
-    drop(tx); // EOF: let the workers drain and exit
-
-    let mut io_failed = false;
-    for w in workers {
-        match w.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                eprintln!("skild: stdout error: {e}");
-                io_failed = true;
-            }
-            Err(_) => {
-                // A worker panicked — Server::handle_line is supposed to
-                // make this impossible; surface it loudly.
-                eprintln!("skild: worker panicked");
-                io_failed = true;
-            }
-        }
+    let server = Server::new();
+    let served = server.serve(std::io::stdin(), std::io::stdout(), threads);
+    if let Err(e) = &served {
+        eprintln!("skild: {e}");
     }
 
     let s = server.stats();
@@ -155,9 +96,8 @@ fn main() -> ExitCode {
             p.topology, p.algo, p.warm, p.cold, p.idle
         );
     }
-    if io_failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    match served {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(_) => ExitCode::FAILURE,
     }
 }

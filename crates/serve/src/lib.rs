@@ -44,8 +44,9 @@
 pub mod json;
 
 use std::collections::HashMap;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use json::{Json, ObjWriter};
@@ -387,8 +388,6 @@ struct Counters {
     compile_misses: AtomicU64,
     cache_programs: AtomicU64,
     cache_bytes: AtomicU64,
-    machines_warm: AtomicU64,
-    machines_cold: AtomicU64,
     machines_discarded: AtomicU64,
 }
 
@@ -405,6 +404,15 @@ impl PoolKey {
     fn of(req: &Request) -> PoolKey {
         PoolKey { topo: req.effective_topology(), algo: req.collective_algo }
     }
+}
+
+/// One machine shape's share of the pool: the machines idle right now
+/// and how often a request was handed a warm or a cold one.
+#[derive(Default)]
+struct PoolShape {
+    idle: Vec<Machine>,
+    warm: u64,
+    cold: u64,
 }
 
 /// Per-machine-shape pool counters: how often requests for this shape
@@ -507,14 +515,11 @@ impl StatsSnapshot {
 }
 
 /// The serving core: program cache + machine pool + counters. Shared
-/// across request threads behind an `Arc`; all interior state is
-/// synchronized.
+/// by reference across request threads ([`Server::serve`] hands machines
+/// from one to another); all interior state is synchronized.
 pub struct Server {
     programs: Mutex<ProgramCache>,
-    pool: Mutex<HashMap<PoolKey, Vec<Machine>>>,
-    /// Warm/cold checkout totals per machine shape (the pool map itself
-    /// only knows the machines currently idle).
-    shape_counters: Mutex<HashMap<PoolKey, (u64, u64)>>,
+    pool: Mutex<HashMap<PoolKey, PoolShape>>,
     counters: Counters,
 }
 
@@ -524,11 +529,9 @@ impl Default for Server {
     }
 }
 
-/// The machine pool hands machines across threads; this pins the
-/// `Send` bound the pool relies on at compile time.
-fn _machines_cross_threads(m: Machine) -> impl Send {
-    m
-}
+/// Why a `lock()` on server state can fail: requests run under
+/// `catch_unwind`, so only a bug outside that guard gets here.
+const POISONED: &str = "a thread panicked holding this lock";
 
 impl Server {
     /// An empty server: no cached programs, no warm machines.
@@ -536,9 +539,71 @@ impl Server {
         Server {
             programs: Mutex::new(ProgramCache::default()),
             pool: Mutex::new(HashMap::new()),
-            shape_counters: Mutex::new(HashMap::new()),
             counters: Counters::default(),
         }
+    }
+
+    /// The daemon's front door: answer every line of `input` (`skild`'s
+    /// stdin) with one line on `output` (its stdout), until end of input
+    /// (`Ok`) or the first failing read or write (`Err`, named
+    /// `stdin error` / `stdout error`). The `threads` workers are leader
+    /// and followers: whoever holds the input lock reads one line, hands
+    /// the lock on and answers the line itself — a request is woken by
+    /// the client's write and crosses no queue — with one `write_all` per
+    /// reply. Nothing is read ahead of the workers: with `output` stalled
+    /// at most `threads` lines and one read buffer are held, whatever
+    /// `input` has queued. Replies are unordered under `threads > 1`;
+    /// whitespace-only lines get none.
+    pub fn serve<R, W>(&self, input: R, output: W, threads: usize) -> io::Result<()>
+    where
+        R: Read + Send,
+        W: Write + Send,
+    {
+        let input = Mutex::new(BufReader::new(input));
+        let output = Mutex::new(output);
+        // Set at end of input and by the first I/O failure: whoever
+        // takes the input lock next stops instead of reading.
+        let stop = AtomicBool::new(false);
+        let fail = |what: &str, e: io::Error| {
+            stop.store(true, Ordering::SeqCst);
+            io::Error::new(e.kind(), format!("{what}: {e}"))
+        };
+        let worker = || -> io::Result<()> {
+            let mut line = Vec::new();
+            loop {
+                line.clear();
+                {
+                    let mut input = input.lock().expect(POISONED);
+                    if stop.load(Ordering::SeqCst) {
+                        return Ok(());
+                    }
+                    if input.read_until(b'\n', &mut line).map_err(|e| fail("stdin error", e))? == 0
+                    {
+                        stop.store(true, Ordering::SeqCst);
+                        return Ok(());
+                    }
+                }
+                if line.iter().all(u8::is_ascii_whitespace) {
+                    continue;
+                }
+                let mut response = self.handle_bytes(line.strip_suffix(b"\n").unwrap_or(&line));
+                response.push('\n');
+                let mut output = output.lock().expect(POISONED);
+                let written = output.write_all(response.as_bytes()).and_then(|()| output.flush());
+                written.map_err(|e| fail("stdout error", e))?;
+            }
+        };
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
+            // Every worker is joined and the first failure is the daemon's;
+            // a panic (`handle_bytes` has none) is one, not an unwind.
+            let mut served = Ok(());
+            for w in workers {
+                let result = w.join().unwrap_or_else(|_| Err(io::Error::other("worker panicked")));
+                served = served.and(result);
+            }
+            served
+        })
     }
 
     /// Handle one raw request line as it came off the wire. A line that
@@ -671,10 +736,12 @@ impl Server {
     /// Take a warm machine for `key` from the pool, or build a cold
     /// one. The returned bool is `true` for warm.
     fn checkout_machine(&self, key: PoolKey) -> Result<(Machine, bool), String> {
-        if let Some(m) = self.pool.lock().unwrap().get_mut(&key).and_then(Vec::pop) {
-            self.counters.machines_warm.fetch_add(1, Ordering::Relaxed);
-            self.shape_counters.lock().unwrap().entry(key).or_default().0 += 1;
-            return Ok((m, true));
+        let mut pool = self.pool.lock().expect(POISONED);
+        if let Some(shape) = pool.get_mut(&key) {
+            if let Some(m) = shape.idle.pop() {
+                shape.warm += 1;
+                return Ok((m, true));
+            }
         }
         let cfg = MachineConfig::on_topology(key.topo)
             .map_err(|e| format!("bad machine shape {}: {e}", key.topo.spec()))?;
@@ -682,65 +749,53 @@ impl Server {
             Some(algo) => cfg.with_collective_algo(algo),
             None => cfg,
         };
-        self.counters.machines_cold.fetch_add(1, Ordering::Relaxed);
-        self.shape_counters.lock().unwrap().entry(key).or_default().1 += 1;
+        pool.entry(key).or_default().cold += 1;
+        drop(pool);
         Ok((Machine::new(cfg), false))
     }
 
     /// Return a machine to the pool for reuse.
     fn checkin_machine(&self, key: PoolKey, machine: Machine) {
-        self.pool.lock().unwrap().entry(key).or_default().push(machine);
+        self.pool.lock().expect(POISONED).entry(key).or_default().idle.push(machine);
     }
 
     /// Snapshot the counters.
     pub fn stats(&self) -> StatsSnapshot {
         let c = &self.counters;
-        let (idle, setup_reuse_hits, helper_joins) = {
-            let pool = self.pool.lock().unwrap();
-            let idle: HashMap<PoolKey, u64> =
-                pool.iter().map(|(&key, v)| (key, v.len() as u64)).collect();
-            let hits = pool.values().flatten().map(Machine::setup_reuse_hits).sum::<u64>();
-            let joins = pool.values().flatten().map(Machine::helper_joins).sum::<u64>();
-            (idle, hits, joins)
-        };
-        let mut pool: Vec<PoolShapeStats> = self
-            .shape_counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(&key, &(warm, cold))| {
-                let grid = key.topo.grid();
-                PoolShapeStats {
-                    mesh: (grid.rows, grid.cols),
-                    topology: key.topo.spec(),
-                    algo: key.algo.map_or("default", |a| a.as_str()),
-                    warm,
-                    cold,
-                    idle: idle.get(&key).copied().unwrap_or(0),
-                }
-            })
-            .collect();
-        pool.sort_by(|a, b| (&a.topology, a.algo).cmp(&(&b.topology, b.algo)));
-        StatsSnapshot {
+        let mut snapshot = StatsSnapshot {
             requests: c.requests.load(Ordering::Relaxed),
             ok: c.ok.load(Ordering::Relaxed),
             errors: c.errors.load(Ordering::Relaxed),
             compile_hits: c.compile_hits.load(Ordering::Relaxed),
             compile_misses: c.compile_misses.load(Ordering::Relaxed),
-            machines_warm: c.machines_warm.load(Ordering::Relaxed),
-            machines_cold: c.machines_cold.load(Ordering::Relaxed),
+            machines_warm: 0,
+            machines_cold: 0,
             machines_discarded: c.machines_discarded.load(Ordering::Relaxed),
-            setup_reuse_hits,
-            helper_joins,
+            setup_reuse_hits: 0,
+            helper_joins: 0,
             cache_programs: c.cache_programs.load(Ordering::Relaxed),
             cache_bytes: c.cache_bytes.load(Ordering::Relaxed),
-            pool,
+            pool: Vec::new(),
+        };
+        for (key, shape) in self.pool.lock().expect(POISONED).iter() {
+            snapshot.machines_warm += shape.warm;
+            snapshot.machines_cold += shape.cold;
+            for machine in &shape.idle {
+                snapshot.setup_reuse_hits += machine.setup_reuse_hits();
+                snapshot.helper_joins += machine.helper_joins();
+            }
+            let grid = key.topo.grid();
+            snapshot.pool.push(PoolShapeStats {
+                mesh: (grid.rows, grid.cols),
+                topology: key.topo.spec(),
+                algo: key.algo.map_or("default", |a| a.as_str()),
+                warm: shape.warm,
+                cold: shape.cold,
+                idle: shape.idle.len() as u64,
+            });
         }
-    }
-
-    /// Number of idle warm machines currently pooled (tests).
-    pub fn pooled_machines(&self) -> usize {
-        self.pool.lock().unwrap().values().map(Vec::len).sum()
+        snapshot.pool.sort_by(|a, b| (&a.topology, a.algo).cmp(&(&b.topology, b.algo)));
+        snapshot
     }
 }
 
@@ -999,7 +1054,7 @@ mod tests {
         assert_eq!(stats.compile_hits, 2);
         assert_eq!(stats.machines_cold, 1);
         assert_eq!(stats.machines_warm, 2);
-        assert_eq!(server.pooled_machines(), 1);
+        assert_eq!(stats.pool[0].idle, 1);
     }
 
     #[test]

@@ -1,21 +1,31 @@
 //! End-to-end tests of the `skild` daemon binary over its pipes.
 
-use std::io::Write;
-use std::process::{Command, Output, Stdio};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::process::{Child, Command, Output, Stdio};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use skil_serve::json::{self, Json};
 
+#[path = "../../../tests/support/front_door.rs"]
+mod front_door;
+
 const HELLO: &str = r#"{"id":"a","program":"void main() { if (procId == 0) { print(42); } }"}"#;
 
-/// Feed `input` to a fresh `skild` and wait for it to exit at EOF.
-fn skild(input: &[u8]) -> Output {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_skild"))
-        .args(["--threads", "1"])
+/// A fresh `skild --threads <threads>` on three pipes.
+fn spawn(threads: &str) -> Child {
+    Command::new(env!("CARGO_BIN_EXE_skild"))
+        .args(["--threads", threads])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("start skild");
+        .expect("start skild")
+}
+
+/// Feed `input` to a fresh `skild` and wait for it to exit at EOF.
+fn skild(input: &[u8]) -> Output {
+    let mut child = spawn("1");
     child.stdin.take().expect("piped stdin").write_all(input).expect("write requests");
     child.wait_with_output().expect("skild exits at EOF")
 }
@@ -115,4 +125,81 @@ fn overflowing_division_and_a_destroyed_array_get_one_response_each() {
     assert_eq!(first_print(&lines[3]).as_deref(), Some("1"), "{:?}", lines[3]);
     let stats = lines[4].get("stats").expect("stats reply");
     assert_eq!(stats.get("machines_discarded").and_then(Json::as_u64), Some(0), "{stats:?}");
+}
+
+/// Wait for `child` to exit by itself; a daemon that is still there
+/// after a minute is killed, and reads as killed.
+fn exit_of(mut child: Child) -> (Option<i32>, String) {
+    let mut stderr = child.stderr.take().expect("piped stderr");
+    let (exited, has_exited) = mpsc::channel::<()>();
+    let status = std::thread::scope(|s| {
+        let pid = child.id().to_string();
+        s.spawn(move || {
+            let minute = Duration::from_secs(60);
+            if has_exited.recv_timeout(minute) == Err(mpsc::RecvTimeoutError::Timeout) {
+                let _ = Command::new("kill").args(["-9", &pid]).status();
+            }
+        });
+        let status = child.wait().expect("wait for skild");
+        drop(exited);
+        status
+    });
+    let mut said = String::new();
+    stderr.read_to_string(&mut said).expect("stderr is UTF-8");
+    (status.code(), said)
+}
+
+#[test]
+fn four_workers_answer_a_mixed_batch_line_for_line() {
+    let batch = front_door::mixed_batch(2_000);
+    let mut child = spawn("4");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let (all_answered, wait_for_answers) = mpsc::channel::<()>();
+    let mut replies = Vec::new();
+    let mut stats = String::new();
+    std::thread::scope(|s| {
+        let input = &batch.input;
+        s.spawn(move || {
+            stdin.write_all(input).expect("write the batch");
+            // Only when every reply is in does the daemon get its last
+            // line: the stats request, ended by end of input alone.
+            wait_for_answers.recv().expect("the batch is answered");
+            stdin.write_all(br#"{"cmd":"stats"}"#).expect("write the stats request");
+            drop(stdin);
+        });
+        for _ in 0..batch.answered() {
+            assert!(stdout.read_until(b'\n', &mut replies).expect("read a reply") > 0, "early EOF");
+        }
+        all_answered.send(()).expect("the writer is waiting");
+        stdout.read_to_string(&mut stats).expect("read to EOF");
+    });
+    let (code, stderr) = exit_of(child);
+    assert_eq!(code, Some(0), "{stderr}");
+    front_door::check(&batch, &replies);
+    assert_eq!(stats.lines().count(), 1, "one reply to the stats request: {stats}");
+    let stats = json::parse(stats.trim_end()).expect("the stats reply is JSON");
+    let requests = stats.get("stats").and_then(|s| s.get("requests")).and_then(Json::as_u64);
+    assert_eq!(requests, Some(batch.answered() as u64), "{stats:?}");
+    assert!(stderr.contains(&format!("served {} request(s)", batch.answered())), "{stderr}");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_daemon_with_exit_1_at_end_of_input() {
+    let mut child = spawn("4");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    stdin.write_all(format!("{HELLO}\n").as_bytes()).expect("write a request");
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("read the reply");
+    assert!(first.contains("\"ok\":true"), "{first}");
+    // Nobody reads any more. No worker has had a write fail yet, so all
+    // four are alive and this one write reaches them.
+    drop(stdout);
+    stdin.write_all(format!("{HELLO}\n").repeat(8).as_bytes()).expect("write eight more");
+    drop(stdin);
+    let (code, stderr) = exit_of(child);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("skild: stdout error: "), "{stderr}");
+    assert!(stderr.contains("served "), "the summary is still printed: {stderr}");
 }

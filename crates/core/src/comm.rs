@@ -40,12 +40,12 @@ where
 pub fn array_permute_rows<T, F>(
     proc: &mut Proc<'_>,
     from: &DistArray<T>,
-    perm_f: F,
+    mut perm_f: F,
     to: &mut DistArray<T>,
 ) -> Result<()>
 where
     T: Wire + Clone,
-    F: Fn(usize) -> usize,
+    F: FnMut(usize) -> usize,
 {
     if from.shape().ndim != 2 {
         return Err(ArrayError::BadSpec("array_permute_rows requires a 2-D array".into()));

@@ -50,53 +50,84 @@ where
     FC: FnMut(&T, Index) -> U,
     FF: FnMut(U, U) -> U,
 {
-    let mut conv = conv_f.f;
     let mut fold = fold_f.f;
-    let c = proc.cost();
-    // Fused local pass: convert each element and immediately fold it into
-    // the running partition value.
-    let conv_cost = c.call + 2 * c.load + c.index_calc + conv_f.cycles;
-    let fold_cost = c.call + c.load + fold_f.cycles;
-
     let span = proc.span_begin();
-    let mut acc: Option<U> = None;
-    let mut elems = 0u64;
-    for (ix, v) in a.iter_local() {
-        let converted = conv(v, ix);
-        elems += 1;
-        acc = Some(match acc {
-            None => converted,
-            Some(prev) => fold(prev, converted),
-        });
-    }
-    proc.charge(conv_cost * elems + fold_cost * elems.saturating_sub(1));
+    let acc = fold_local(a, conv_f.f, &mut fold);
+    charge_local_pass(proc, a.local_len(), conv_f.cycles, fold_f.cycles);
+    reduce_partitions(proc, span, acc, fold_f.cycles, &mut fold)
+}
 
-    // Tree reduction of partition results, then broadcast from the root
-    // "in order to make the result known to all processors". Processors
-    // whose partition is empty (ragged distributions) contribute nothing.
-    let combined = proc.allreduce(
-        tags::FOLD,
-        acc,
-        |x, y| match (x, y) {
-            (Some(a), Some(b)) => Some(fold(a, b)),
-            (a, None) => a,
-            (None, b) => b,
-        },
-        fold_cost,
-    );
+/// The fused local pass of a fold: convert each element of this
+/// processor's partition and immediately fold it into the running value,
+/// `fold(..fold(conv(v0,ix0), conv(v1,ix1)).., conv(vn,ixn))`; `None`
+/// for an empty partition.
+pub fn fold_local<T, U>(
+    a: &DistArray<T>,
+    mut conv: impl FnMut(&T, Index) -> U,
+    mut fold: impl FnMut(U, U) -> U,
+) -> Option<U> {
+    let mut elems = a.iter_local();
+    let (ix, v) = elems.next()?;
+    let mut acc = conv(v, ix);
+    for (ix, v) in elems {
+        acc = fold(acc, conv(v, ix));
+    }
+    Some(acc)
+}
+
+/// The per-hop cost of one `fold_f` application.
+fn fold_cost(proc: &Proc<'_>, fold_cycles: u64) -> u64 {
+    let c = proc.cost();
+    c.call + c.load + fold_cycles
+}
+
+/// What the fused local pass over `elems` elements costs.
+fn charge_local_pass(proc: &mut Proc<'_>, elems: usize, conv_cycles: u64, fold_cycles: u64) {
+    let c = proc.cost();
+    let conv_cost = c.call + 2 * c.load + c.index_calc + conv_cycles;
+    let elems = elems as u64;
+    proc.charge(conv_cost * elems + fold_cost(proc, fold_cycles) * elems.saturating_sub(1));
+}
+
+/// Tree reduction of partition results, then broadcast from the root
+/// "in order to make the result known to all processors". Processors
+/// whose partition is empty (ragged distributions) contribute nothing.
+///
+/// The folding function is applied a few times per processor here, so it
+/// comes by reference: the collective is instantiated per result type,
+/// not per caller's closure.
+fn reduce_partitions<U: Wire + Clone>(
+    proc: &mut Proc<'_>,
+    span: skil_runtime::SpanStart,
+    acc: Option<U>,
+    fold_cycles: u64,
+    fold: &mut dyn FnMut(U, U) -> U,
+) -> Result<U> {
+    let hop_cost = fold_cost(proc, fold_cycles);
+    let combined = proc.allreduce(tags::FOLD, acc, merge_partials(fold), hop_cost);
     proc.span_end("fold", span);
     combined.ok_or_else(|| ArrayError::BadSpec("array_fold over an empty array".into()))
 }
 
-/// [`array_fold`] whose fused local pass (convert each element, fold it
-/// into the running partition value) runs as **one** `local` call over
-/// the whole partition — the native engine's batch path, which crosses
-/// its FFI boundary once per skeleton instead of once per element.
-/// `local` must perform exactly the fused chain
-/// `fold(..fold(conv(v0,ix0), conv(v1,ix1)).., conv(vn,ixn))` (or
-/// return `None` for an empty partition); charges and the tree
-/// reduction are identical to `array_fold` with kernels of
-/// `conv_cycles` / `fold_cycles`.
+/// `fold` lifted to partition results that may be absent.
+fn merge_partials<U>(
+    mut fold: impl FnMut(U, U) -> U,
+) -> impl FnMut(Option<U>, Option<U>) -> Option<U> {
+    move |x, y| match (x, y) {
+        (Some(a), Some(b)) => Some(fold(a, b)),
+        (a, None) => a,
+        (None, b) => b,
+    }
+}
+
+/// [`array_fold`] whose fused local pass runs as **one** `local` call
+/// over the whole partition: the native engine's batch path crosses its
+/// FFI boundary once per skeleton instead of once per element, and a
+/// caller that knows its folding operator picks a specialised pass once
+/// instead of dispatching on it per element. `local` must perform
+/// exactly what [`fold_local`] does; charges and the tree reduction are
+/// identical to `array_fold` with kernels of `conv_cycles` /
+/// `fold_cycles`.
 pub fn array_fold_bulk<T, U, FL, FF>(
     proc: &mut Proc<'_>,
     conv_cycles: u64,
@@ -107,31 +138,13 @@ pub fn array_fold_bulk<T, U, FL, FF>(
 ) -> Result<U>
 where
     U: Wire + Clone,
-    FL: FnOnce(&[T], &[Index]) -> Option<U>,
+    FL: FnOnce(&DistArray<T>) -> Option<U>,
     FF: FnMut(U, U) -> U,
 {
-    let c = proc.cost();
-    let conv_cost = c.call + 2 * c.load + c.index_calc + conv_cycles;
-    let fold_cost = c.call + c.load + fold_cycles;
-
     let span = proc.span_begin();
-    let ixs: Vec<Index> = a.layout().local_indices(a.proc_id()).collect();
-    let elems = ixs.len() as u64;
-    let acc = local(a.local_data(), &ixs);
-    proc.charge(conv_cost * elems + fold_cost * elems.saturating_sub(1));
-
-    let combined = proc.allreduce(
-        tags::FOLD,
-        acc,
-        |x, y| match (x, y) {
-            (Some(a), Some(b)) => Some(fold(a, b)),
-            (a, None) => a,
-            (None, b) => b,
-        },
-        fold_cost,
-    );
-    proc.span_end("fold", span);
-    combined.ok_or_else(|| ArrayError::BadSpec("array_fold over an empty array".into()))
+    let acc = local(a);
+    charge_local_pass(proc, a.local_len(), conv_cycles, fold_cycles);
+    reduce_partitions(proc, span, acc, fold_cycles, &mut fold)
 }
 
 /// Fold without the final broadcast: the result lands only on `root`
@@ -149,35 +162,11 @@ where
     FC: FnMut(&T, Index) -> U,
     FF: FnMut(U, U) -> U,
 {
-    let mut conv = conv_f.f;
     let mut fold = fold_f.f;
-    let c = proc.cost();
-    let conv_cost = c.call + 2 * c.load + c.index_calc + conv_f.cycles;
-    let fold_cost = c.call + c.load + fold_f.cycles;
-
-    let mut acc: Option<U> = None;
-    let mut elems = 0u64;
-    for (ix, v) in a.iter_local() {
-        let converted = conv(v, ix);
-        elems += 1;
-        acc = Some(match acc {
-            None => converted,
-            Some(prev) => fold(prev, converted),
-        });
-    }
-    proc.charge(conv_cost * elems + fold_cost * elems.saturating_sub(1));
-    let reduced = proc.reduce(
-        root,
-        tags::FOLD,
-        acc,
-        |x, y| match (x, y) {
-            (Some(a), Some(b)) => Some(fold(a, b)),
-            (a, None) => a,
-            (None, b) => b,
-        },
-        fold_cost,
-    );
-    match reduced {
+    let acc = fold_local(a, conv_f.f, &mut fold);
+    charge_local_pass(proc, a.local_len(), conv_f.cycles, fold_f.cycles);
+    let hop_cost = fold_cost(proc, fold_f.cycles);
+    match proc.reduce(root, tags::FOLD, acc, merge_partials(fold), hop_cost) {
         Some(Some(v)) => Ok(Some(v)),
         Some(None) => Err(ArrayError::BadSpec("array_fold over an empty array".into())),
         None => Ok(None),

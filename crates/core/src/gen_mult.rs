@@ -46,6 +46,58 @@ where
     FA: FnMut(T, T) -> T,
     FM: FnMut(&T, &T) -> T,
 {
+    let (mut add, mut mul) = (gen_add.f, gen_mult.f);
+    let block = |a: &[T], b: &[T], c: &mut [T], nb: usize| {
+        block_mult_add(a, b, c, nb, &mut add, &mut mul);
+    };
+    array_gen_mult_blocks(proc, a, b, gen_add.cycles, gen_mult.cycles, block, c)
+}
+
+/// One local block multiply-accumulate, `c := c (add) a x b` over
+/// row-major `nb x nb` blocks, as a row-major `i-k-j` pass:
+/// `c[i][·] = add(c[i][·], mul(a[i][k], b[k][·]))`. Every `c[i][j]`
+/// still meets its products in ascending `k`, so the result is that of
+/// the textbook `i-j-k` loop bit for bit, even under a `gen_add` that is
+/// not associative; the inner loop walks `b` and `c` along their rows.
+pub fn block_mult_add<T: Clone>(
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    nb: usize,
+    mut add: impl FnMut(T, T) -> T,
+    mut mul: impl FnMut(&T, &T) -> T,
+) {
+    if nb == 0 {
+        return;
+    }
+    for (a_row, c_row) in a.chunks_exact(nb).zip(c.chunks_exact_mut(nb)) {
+        for (a_ik, b_row) in a_row.iter().zip(b.chunks_exact(nb)) {
+            for (c_ij, b_kj) in c_row.iter_mut().zip(b_row) {
+                *c_ij = add(c_ij.clone(), mul(a_ik, b_kj));
+            }
+        }
+    }
+}
+
+/// [`array_gen_mult`] with the local block multiply-accumulate handed in
+/// as one function of `(a block, b block, c block, nb)` — which must do
+/// what [`block_mult_add`] does with kernels of `add_cycles` /
+/// `mul_cycles` — so a caller that knows its operators can pick a
+/// specialised pass once per block instead of once per element. Checks,
+/// rotations and charges are those of `array_gen_mult`.
+pub fn array_gen_mult_blocks<T, FB>(
+    proc: &mut Proc<'_>,
+    a: &DistArray<T>,
+    b: &DistArray<T>,
+    add_cycles: u64,
+    mul_cycles: u64,
+    mut block: FB,
+    c: &mut DistArray<T>,
+) -> Result<()>
+where
+    T: Wire + Clone,
+    FB: FnMut(&[T], &[T], &mut [T], usize),
+{
     a.check_distinct(b, "array_gen_mult")?;
     a.check_distinct(c, "array_gen_mult")?;
     b.check_distinct(c, "array_gen_mult")?;
@@ -77,8 +129,6 @@ where
     let cost = proc.cost().clone();
 
     let span = proc.span_begin();
-    let mut add = gen_add.f;
-    let mut mul = gen_mult.f;
 
     // Work on local copies so the operand arrays survive unrotated.
     let mut a_loc: Vec<T> = a.local_data().to_vec();
@@ -117,23 +167,11 @@ where
     // Per inner-loop element: two operand loads, loop/index bookkeeping,
     // plus the customizing functions. With integer kernels this totals
     // the calibrated ≈290 cycles of compiled Skil code (DESIGN.md §4).
-    let inner_cost = 2 * cost.load + cost.index_calc + gen_add.cycles + gen_mult.cycles;
+    let inner_cost = 2 * cost.load + cost.index_calc + add_cycles + mul_cycles;
 
     for step in 0..s {
         // Local block multiply-accumulate into c.
-        {
-            let c_loc = c.local_data_mut();
-            for i in 0..nb {
-                for j in 0..nb {
-                    let mut acc = c_loc[i * nb + j].clone();
-                    for k in 0..nb {
-                        let prod = mul(&a_loc[i * nb + k], &b_loc[k * nb + j]);
-                        acc = add(acc, prod);
-                    }
-                    c_loc[i * nb + j] = acc;
-                }
-            }
-        }
+        block(&a_loc, &b_loc, c.local_data_mut(), nb);
         proc.charge(inner_cost * (nb * nb * nb) as u64);
 
         if step + 1 == s || s == 1 {
@@ -227,6 +265,37 @@ mod tests {
         for r in &run.results {
             assert_eq!(&r.2, c);
         }
+    }
+
+    #[test]
+    fn the_row_major_pass_is_the_textbook_loop_under_a_non_associative_add() {
+        // `i-k-j` regroups nothing: each c[i][j] meets its products in
+        // ascending k, so even `x / 3 - y` over floats (neither
+        // associative nor commutative, and it rounds) gives the bits of
+        // the `i-j-k` loop
+        let add = |x: f64, y: f64| x / 3.0 - y;
+        let mul = |x: &f64, y: &f64| x * y + 0.1;
+        for nb in [1usize, 2, 7, 8] {
+            let cell = |seed: usize| move |i: usize| ((i * seed) % 17) as f64 / 7.0 - 1.0;
+            let a: Vec<f64> = (0..nb * nb).map(cell(5)).collect();
+            let b: Vec<f64> = (0..nb * nb).map(cell(11)).collect();
+            let c0: Vec<f64> = (0..nb * nb).map(cell(3)).collect();
+            let mut want = c0.clone();
+            for i in 0..nb {
+                for j in 0..nb {
+                    let mut acc = want[i * nb + j];
+                    for k in 0..nb {
+                        acc = add(acc, mul(&a[i * nb + k], &b[k * nb + j]));
+                    }
+                    want[i * nb + j] = acc;
+                }
+            }
+            let mut got = c0;
+            block_mult_add(&a, &b, &mut got, nb, add, mul);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "nb={nb}");
+        }
+        block_mult_add(&[], &[], &mut [] as &mut [f64], 0, add, mul);
     }
 
     #[test]

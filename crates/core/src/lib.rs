@@ -42,8 +42,8 @@ pub use comm::{array_broadcast_part, array_permute_rows, switch_rows};
 pub use copy::array_copy;
 pub use create::{array_create, array_destroy};
 pub use dlist_skel::{dl_filter, dl_gather, dl_len, dl_map, dl_rebalance, dl_reduce};
-pub use fold::{array_fold, array_fold_bulk, array_fold_to_root};
-pub use gen_mult::array_gen_mult;
+pub use fold::{array_fold, array_fold_bulk, array_fold_to_root, fold_local};
+pub use gen_mult::{array_gen_mult, array_gen_mult_blocks, block_mult_add};
 pub use halo_skel::{halo_exchange, stencil_map};
 pub use kernel::Kernel;
 pub use map::{

@@ -44,8 +44,9 @@ fn usage() -> ExitCode {
          --check: stop after the polymorphic type check\n\
          --emit-bytecode: print the slot-resolved bytecode listing\n\
                   (=opt, the default, after the optimizer; =raw before;\n\
-                  =kernel what skeleton argument functions run as, each\n\
-                  [typed] register code or [generic] bytecode);\n\
+                  =kernel per skeleton site the store of its arrays and\n\
+                  what each argument function runs as: a [direct(op)]\n\
+                  operator, [typed] register code, [generic: why]);\n\
                   per-pass optimizer stats go to stderr\n\
          --emit-rust: print the self-contained Rust module the native\n\
                   engine compiles (at the selected --opt-level)\n\

@@ -39,7 +39,9 @@ use skil_runtime::CostModel;
 
 use crate::builtins::{DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D};
 use crate::fo::{BinOp, FoExpr, FoFunc, FoProgram, FoStmt, FoTy, SkelCall, SkelOp};
+use crate::kernel::Flat;
 use crate::scalar::scalar_intr;
+use crate::store::Direct;
 use crate::sym::{Names, Scopes, Sym};
 use crate::value::{ConsList, Value};
 
@@ -255,7 +257,7 @@ impl Intr {
             Intr::DistrDefault => Value::Int(DISTR_DEFAULT),
             Intr::DistrRing => Value::Int(DISTR_RING),
             Intr::DistrTorus2d => Value::Int(DISTR_TORUS2D),
-            Intr::Error => panic!("skil program called error({})", args[0].as_int()),
+            Intr::Error => crate::host::program_error(args[0].as_int()),
             Intr::Nil => Value::List(ConsList::new()),
             Intr::Cons => {
                 // O(1): the new cell shares the tail instead of copying it
@@ -444,33 +446,49 @@ impl KernelShape {
 }
 
 /// How the VM host stores values of a static type inside an array
-/// partition: `int` and `float` unboxed, everything else as a tagged
-/// [`Value`]. Chosen from the instantiated type alone.
+/// partition: `int` and `float` unboxed, a struct of at most eight
+/// `int` / `float` fields as its fields' words, everything else as a
+/// tagged [`Value`]. Chosen from the instantiated type alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElemKind {
     /// `int`: one `i64` per element.
     Int,
     /// `float`: one `f64` per element.
     Float,
-    /// Structs, lists, `Index`, ...: one [`Value`] per element.
+    /// A flat struct: one word per field, no allocation per element.
+    Flat,
+    /// Other structs, lists, `Index`, ...: one [`Value`] per element.
     Boxed,
 }
 
 impl ElemKind {
-    /// The representation of values of type `ty`.
-    pub fn of(ty: &FoTy) -> ElemKind {
+    /// The representation of values of type `ty` in `prog`.
+    pub fn of(prog: &FoProgram, ty: &FoTy) -> ElemKind {
         match ty {
             FoTy::Int => ElemKind::Int,
             FoTy::Float => ElemKind::Float,
+            FoTy::Struct(_) if Flat::of_ty(prog, ty).is_some() => ElemKind::Flat,
             _ => ElemKind::Boxed,
         }
     }
 
-    /// Listing spelling (`int` / `float` / `boxed`).
+    /// Spelling in the stack machine's own listing (`--emit-bytecode`):
+    /// on its operand stack a struct is a boxed `Value` however the host
+    /// stores arrays of them, so `flat` reads `boxed` there. The kernel
+    /// listing names the store.
+    fn stack_name(self) -> &'static str {
+        match self {
+            ElemKind::Flat => ElemKind::Boxed.name(),
+            kind => kind.name(),
+        }
+    }
+
+    /// Listing spelling (`int` / `float` / `flat` / `boxed`).
     pub fn name(self) -> &'static str {
         match self {
             ElemKind::Int => "int",
             ElemKind::Float => "float",
+            ElemKind::Flat => "flat",
             ElemKind::Boxed => "boxed",
         }
     }
@@ -504,6 +522,26 @@ pub struct SkelSite {
     /// Representation of the value the call itself yields — only
     /// `array_fold` yields an element-like value, so `Boxed` elsewhere.
     pub ret: ElemKind,
+}
+
+impl SkelSite {
+    /// Argument function `i` as one closed operator over the site's
+    /// unboxed scalars, when it is a combiner — a fold's folding
+    /// function, a scan's, either of `array_gen_mult`'s — and an
+    /// operator section or `min` / `max` over exactly its two elements.
+    pub(crate) fn direct(&self, i: usize) -> Option<Direct> {
+        let over = match (self.op, i) {
+            (SkelOp::Fold, 1) => self.ret,
+            (SkelOp::Scan, 0) | (SkelOp::GenMult, 0 | 1) => self.elem,
+            _ => return None,
+        };
+        let f = &self.fns[i];
+        match over {
+            ElemKind::Int => Direct::of(&f.shape, f.n_lifted, false),
+            ElemKind::Float => Direct::of(&f.shape, f.n_lifted, true),
+            ElemKind::Flat | ElemKind::Boxed => None,
+        }
+    }
 }
 
 /// One compiled function.
@@ -913,14 +951,14 @@ impl FnCompiler<'_> {
                 }
                 let site = self.pools.sites.len() as u32;
                 let ret = match op {
-                    SkelOp::Fold => ElemKind::of(&self.prog.funcs[sfns[1].fid].ret),
+                    SkelOp::Fold => ElemKind::of(self.prog, &self.prog.funcs[sfns[1].fid].ret),
                     _ => ElemKind::Boxed,
                 };
                 self.pools.sites.push(SkelSite {
                     op: *op,
                     nargs: args.len(),
                     fns: sfns,
-                    elem: ElemKind::of(elem),
+                    elem: ElemKind::of(self.prog, elem),
                     ret,
                 });
                 self.code.push(Instr::Skel(site));
@@ -1025,7 +1063,7 @@ pub fn disassemble(p: &Program, names: &Names) -> String {
             out,
             "site {i}: {} elem={} args={} fns=({})",
             s.op.name(),
-            s.elem.name(),
+            s.elem.stack_name(),
             s.nargs,
             fns.join(", ")
         );
@@ -1060,7 +1098,7 @@ pub fn disassemble(p: &Program, names: &Names) -> String {
                 Instr::Call(fid) => format!("call {}", names.get(p.funcs[*fid as usize].name)),
                 Instr::Skel(s) => {
                     let site = &p.sites[*s as usize];
-                    format!("skel {} (site {s}, elem {})", site.op.name(), site.elem.name())
+                    format!("skel {} (site {s}, elem {})", site.op.name(), site.elem.stack_name())
                 }
                 Instr::Ret => "ret".into(),
                 Instr::RetUnit => "ret_unit".into(),

@@ -27,7 +27,7 @@ use skil_runtime::{CostModel, Machine, Run};
 
 use crate::bytecode::{ElemKind, Intr};
 use crate::fo::{BinOp, FoExpr, FoFunc, FoProgram, FoStmt, SkelCall};
-use crate::host::{kernel_cycles, kernel_forbids, ArgFns, KEnv, SkelHost};
+use crate::host::{kernel_cycles, kernel_forbids, ArgFn, ArgFns, KEnv, SkelHost};
 use crate::kernel::KArg;
 use crate::scalar::{float_arith, float_cmp, int_bin, neg_int};
 use crate::store::Elem;
@@ -214,13 +214,28 @@ struct AstFns<'a> {
     fns: Vec<AstFn<'a>>,
 }
 
-impl ArgFns for AstFns<'_> {
-    fn call<U: Elem, const N: usize>(&self, env: &KEnv<'_>, i: usize, args: [KArg<'_>; N]) -> U {
-        let AstFn { f, lifted, .. } = &self.fns[i];
-        let mut vals = lifted.clone();
+/// One of a site's argument functions over the processor as it is while
+/// the skeleton runs.
+struct AstCall<'a> {
+    prog: &'a FoProgram,
+    f: &'a AstFn<'a>,
+    env: &'a KEnv<'a>,
+}
+
+impl<const N: usize> ArgFn<N> for AstCall<'_> {
+    fn call<U: Elem>(&mut self, args: [KArg<'_>; N]) -> U {
+        let mut vals = self.f.lifted.clone();
         vals.extend(args.iter().map(|a| a.sl().into_value()));
-        let v = Ev { prog: self.prog, mode: Kern { env } }.apply(f, vals);
+        let v = Ev { prog: self.prog, mode: Kern { env: self.env } }.apply(self.f.f, vals);
         U::from_sl(Sl::from_value(v))
+    }
+}
+
+impl ArgFns for AstFns<'_> {
+    const TYPED_STORES: bool = false;
+
+    fn prepare<'a, const N: usize>(&'a self, env: &'a KEnv<'a>, i: usize) -> impl ArgFn<N> + 'a {
+        AstCall { prog: self.prog, f: &self.fns[i], env }
     }
 
     fn cycles(&self, i: usize) -> u64 {

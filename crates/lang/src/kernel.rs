@@ -3,23 +3,23 @@
 //!
 //! Instantiation leaves first-order *monomorphic* code, so an argument
 //! function whose parameters, locals, result and callees are all `int`,
-//! `float`, `Index`, handles of `array<int>` / `array<float>` or structs
-//! of `int` and `float` fields needs no tagged slots at all. At
-//! `-O1`/`-O2` every such function of shape [`KernelShape::General`] is
-//! lowered — from the optimized bytecode, so inlining, folding and
-//! fusion are inherited and there is still one optimizer — into
-//! three-address code over untagged 8-byte registers ([`KIns`]): the
-//! operator and the operand type are resolved per instruction, an
-//! `Index` is two consecutive registers and a struct one per field (a
-//! field access is the register itself), constants sit in registers,
-//! and there is no operand stack at run time. A function that uses
-//! anything else (lists, `Bounds`, structs of more than scalars,
-//! `print`, `array_put_elem`, a skeleton, a callee over structs) is not
-//! lowered and runs on the generic loop of [`crate::vm`] over the
-//! program's own bytecode, exactly as it does at `-O0`. Skeletons still
-//! hand structs over as [`Value`]s: one is spread over a parameter's
-//! registers on the way in and collected from the result's on the way
-//! out.
+//! `float`, `Index`, `Bounds`, handles of `array<int>` / `array<float>`
+//! or flat structs (at most eight `int` / `float` fields) needs no
+//! tagged slots at all. At `-O1`/`-O2` every such function of shape
+//! [`KernelShape::General`] is lowered — from the optimized bytecode, so
+//! inlining, folding and fusion are inherited and there is still one
+//! optimizer — into three-address code over untagged 8-byte registers
+//! ([`KIns`]): the operator and the operand type are resolved per
+//! instruction, an `Index` is two consecutive registers, a `Bounds` four
+//! and a struct one per field (a field access is the register itself),
+//! constants sit in registers, and there is no operand stack at run
+//! time. A loop is bottom-tested ([`rotate_loops`]) and a division or
+//! remainder by a positive power-of-two constant is a shift or a mask.
+//! A function that uses anything else (lists, structs of more than
+//! scalars, `print`, `array_put_elem`, a skeleton, a callee over structs)
+//! or needs more registers than a frame window has is not lowered and
+//! runs on the generic loop of [`crate::vm`] over the program's own
+//! bytecode, exactly as it does at `-O0`.
 //!
 //! ## Frame layout
 //!
@@ -27,13 +27,24 @@
 //! [ constants | parameters (lifted.., element args..) | locals | temporaries ]
 //! ```
 //!
-//! Constants and lifted arguments are written once per skeleton call,
-//! the element arguments once per element. Operand-stack depth `d` of
-//! the source bytecode owns the temporary `tbase + w*d` — `w` registers
-//! wide: two, or what the widest struct of the function takes — so
-//! values that meet at a jump target meet in the same register without
-//! any allocation pass. A call pushes the callee's frame above the
-//! caller's in the same register file.
+//! A register is a `u8` and a frame lives in a window of 256 registers,
+//! so the dispatch loop indexes a `[u64; 256]` and no register access is
+//! bounds-checked. Operand-stack depth `d` of the source bytecode owns
+//! the temporary `tbase + w*d` — `w` registers wide: two, or what the
+//! widest struct (or a `Bounds`) of the function takes — so values that
+//! meet at a jump target meet in the same register without any
+//! allocation pass. A call opens the callee's window right above the
+//! caller's frame in the same register file.
+//!
+//! ## A site's argument function
+//!
+//! A skeleton call readies each typed argument function once
+//! ([`TypedSite`]): register file allocated, constants and lifted
+//! arguments written, first element-argument register known. Per
+//! element the skeleton writes the arguments — a scalar or an index as
+//! it is, a flat struct as its words ([`KArg::W`]) — and runs; a struct
+//! result is read back as words, so a struct-valued fold allocates
+//! nothing per element.
 //!
 //! ## Virtual time
 //!
@@ -42,16 +53,19 @@
 //! dropped here (and are no-ops on the generic loop) and no virtual
 //! cycle can move, whichever form runs.
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
 
 use skil_array::Index;
 
 use crate::bytecode::{CompiledFunc, Instr, Intr, KernelShape, Program, Src};
-use crate::fo::{BinOp, FoProgram, FoTy};
-use crate::host::{live_array, rt, to_uindex, KEnv};
+use crate::fo::{BinOp, FoProgram, FoTy, SkelOp};
+use crate::host::{live_array, part_bounds, program_error, rt, to_uindex, KEnv};
 use crate::opt::OptLevel;
-use crate::scalar::{float_arith, float_cmp, int_bin, neg_int, scalar_intr, Scalar};
-use crate::store::{Elem, FloatElem, IntElem};
+use crate::scalar::{
+    div_pow2, float_arith, float_cmp, int_bin, neg_int, rem_pow2, scalar_intr, Scalar,
+};
+use crate::store::{Elem, FlatElem, FloatElem, IntElem};
 use crate::sym::Names;
 use crate::value::Value;
 use crate::vm::Sl;
@@ -75,6 +89,9 @@ pub(crate) enum KTy {
     ArrFloat,
     /// A struct of `int` and `float` fields: one register per field.
     Struct(Flat),
+    /// Partition bounds: four registers, `lower[0], lower[1], upper[0],
+    /// upper[1]` — each of its two fields is an `Index` in place.
+    Bounds,
 }
 
 /// A struct instance whose fields are all `int` or `float`.
@@ -89,7 +106,20 @@ pub(crate) struct Flat {
 }
 
 impl Flat {
-    const MAX_FIELDS: usize = 8;
+    pub(crate) const MAX_FIELDS: usize = 8;
+
+    /// A flat struct by its parts; bit `k` of `floats` says field `k` is
+    /// a `float`.
+    pub(crate) fn new(sid: u16, n: u8, floats: u8) -> Flat {
+        debug_assert!(n as usize <= Flat::MAX_FIELDS);
+        Flat { sid, n, floats }
+    }
+
+    /// `ty` as a flat struct, when it is one.
+    pub(crate) fn of_ty(fo: &FoProgram, ty: &FoTy) -> Option<Flat> {
+        let FoTy::Struct(name) = ty else { return None };
+        Flat::of(fo, fo.structs.iter().position(|s| s.name == *name)?)
+    }
 
     fn of(fo: &FoProgram, sid: usize) -> Option<Flat> {
         let fields = &fo.structs.get(sid)?.fields;
@@ -126,24 +156,23 @@ impl KTy {
             FoTy::Index => KTy::Index,
             FoTy::Array(t) if **t == FoTy::Int => KTy::ArrInt,
             FoTy::Array(t) if **t == FoTy::Float => KTy::ArrFloat,
-            FoTy::Struct(name) => {
-                let sid = fo.structs.iter().position(|s| s.name == *name)?;
-                KTy::Struct(Flat::of(fo, sid)?)
-            }
+            FoTy::Struct(_) => KTy::Struct(Flat::of_ty(fo, ty)?),
+            FoTy::Bounds => KTy::Bounds,
             _ => return None,
         })
     }
 
-    fn words(self) -> u16 {
+    fn words(self) -> usize {
         match self {
             KTy::Unit => 0,
             KTy::Index => 2,
-            KTy::Struct(flat) => flat.n as u16,
+            KTy::Struct(flat) => flat.n as usize,
+            KTy::Bounds => 4,
             _ => 1,
         }
     }
 
-    fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             KTy::Unit => "void",
             KTy::Int => "int",
@@ -152,14 +181,28 @@ impl KTy {
             KTy::ArrInt => "array<int>",
             KTy::ArrFloat => "array<float>",
             KTy::Struct(_) => "struct",
+            KTy::Bounds => "Bounds",
         }
     }
 }
 
-/// A frame register.
-type R = u16;
+/// A frame register: an index into the activation's window of
+/// [`WINDOW`] registers, whatever its value — which is what lets the
+/// dispatch loop read and write registers without bounds checks.
+type R = u8;
 /// A jump target (instruction index within the function).
 type T = u16;
+
+/// Registers in a frame window: every `R` names one. A function that
+/// needs more stays on the generic loop.
+const WINDOW: usize = R::MAX as usize + 1;
+
+/// Register `k` places after `r`. Lowering lays frames out inside one
+/// window, so nothing wraps in emitted code; the inference passes, which
+/// run before there is a layout and emit nothing, may wrap freely.
+fn reg_at(r: R, k: usize) -> R {
+    r.wrapping_add(k as R)
+}
 
 /// Defines [`KIns`] from one table: per variant its operands, each a
 /// register (`r`), a jump target (`t`), a callee (`f`), an intrinsic
@@ -170,7 +213,7 @@ macro_rules! kins {
     (@ty t) => { T };
     (@ty f) => { u16 };
     (@ty i) => { Intr };
-    (@ty n) => { u16 };
+    (@ty n) => { u8 };
     (@show r $v:ident) => { format!("r{}", $v) };
     (@show t $v:ident) => { format!("@{}", $v) };
     (@show f $v:ident) => { format!("fn#{}", $v) };
@@ -222,6 +265,10 @@ kins! {
     MulF(d: r, a: r, b: r),
     DivF(d: r, a: r, b: r),
     RemF(d: r, a: r, b: r),
+    /// `d = a / 2^k`: division by a positive power-of-two constant.
+    DivP2(d: r, a: r, k: n),
+    /// `d = a % 2^k`.
+    RemP2(d: r, a: r, k: n),
     EqI(d: r, a: r, b: r),
     NeI(d: r, a: r, b: r),
     LtI(d: r, a: r, b: r),
@@ -259,6 +306,8 @@ kins! {
     GetI(d: r, arr: r, i: r, j: r),
     /// The same over an `array<float>`.
     GetF(d: r, arr: r, i: r, j: r),
+    /// `d..d+4 = array_part_bounds(arr)`, over either scalar array.
+    PartBounds(d: r, arr: r),
     /// `error(a)`.
     Error(a: r),
     Jmp(to: t),
@@ -348,6 +397,53 @@ impl KIns {
         })
     }
 
+    /// Where the instruction may jump to.
+    fn target(&self) -> Option<usize> {
+        let mut ins = *self;
+        ins.target_mut().map(|t| *t as usize)
+    }
+
+    /// Control never reaches the next instruction.
+    fn leaves(&self) -> bool {
+        matches!(
+            self,
+            KIns::Jmp(_)
+                | KIns::Ret(_)
+                | KIns::Ret2(_)
+                | KIns::RetN(_)
+                | KIns::Ret0()
+                | KIns::Error(_)
+        )
+    }
+
+    /// The conditional jump to `to` that is taken exactly when `self`
+    /// is not; `None` for everything that is not a conditional jump.
+    fn inverted(&self, to: T) -> Option<KIns> {
+        Some(match *self {
+            KIns::Jz(a, _) => KIns::Jnz(a, to),
+            KIns::Jnz(a, _) => KIns::Jz(a, to),
+            KIns::JEqI(a, b, _) => KIns::JNeI(a, b, to),
+            KIns::JNeI(a, b, _) => KIns::JEqI(a, b, to),
+            KIns::JLtI(a, b, _) => KIns::JGeI(a, b, to),
+            KIns::JLeI(a, b, _) => KIns::JGtI(a, b, to),
+            KIns::JGtI(a, b, _) => KIns::JLeI(a, b, to),
+            KIns::JGeI(a, b, _) => KIns::JLtI(a, b, to),
+            KIns::JEqF(a, b, _) => KIns::JnEqF(a, b, to),
+            KIns::JNeF(a, b, _) => KIns::JnNeF(a, b, to),
+            KIns::JLtF(a, b, _) => KIns::JnLtF(a, b, to),
+            KIns::JLeF(a, b, _) => KIns::JnLeF(a, b, to),
+            KIns::JGtF(a, b, _) => KIns::JnGtF(a, b, to),
+            KIns::JGeF(a, b, _) => KIns::JnGeF(a, b, to),
+            KIns::JnEqF(a, b, _) => KIns::JEqF(a, b, to),
+            KIns::JnNeF(a, b, _) => KIns::JNeF(a, b, to),
+            KIns::JnLtF(a, b, _) => KIns::JLtF(a, b, to),
+            KIns::JnLeF(a, b, _) => KIns::JLeF(a, b, to),
+            KIns::JnGtF(a, b, _) => KIns::JGtF(a, b, to),
+            KIns::JnGeF(a, b, _) => KIns::JGeF(a, b, to),
+            _ => return None,
+        })
+    }
+
     /// Jump when `a op b` is `want`; the target is patched later.
     fn jump_cmp(op: BinOp, float: bool, want: bool, a: R, b: R) -> Option<KIns> {
         use BinOp::*;
@@ -395,8 +491,8 @@ impl KIns {
 type Why = &'static str;
 
 /// A function's signature in tier types; `None` when a parameter or the
-/// result is a list, `Bounds`, a struct with a field that is not `int`
-/// or `float`, or an array of such.
+/// result is a list, a struct that is not flat, or an array of anything
+/// but `int` or `float`.
 fn signature(fo: &FoProgram, fid: usize) -> Option<(Vec<KTy>, KTy)> {
     let f = &fo.funcs[fid];
     let params: Option<Vec<KTy>> =
@@ -432,10 +528,7 @@ struct Lowered {
     nregs: u16,
     params: Vec<KTy>,
     ret: KTy,
-    twidth: R,
-    /// Stores into a parameter register: the prologue (constants and
-    /// lifted arguments) must be rewritten per element.
-    clobbers: bool,
+    twidth: usize,
     /// Callees, by function index.
     calls: Vec<usize>,
 }
@@ -444,7 +537,6 @@ struct Lower<'a> {
     code: &'a Program,
     f: &'a CompiledFunc,
     fo: &'a FoProgram,
-    nparams: usize,
     ret: KTy,
     /// Inferred type per frame slot; parameters are given.
     slot_ty: Vec<Option<KTy>>,
@@ -455,9 +547,10 @@ struct Lower<'a> {
     /// Pass mode: the inference passes emit nothing and have no layout.
     emit: bool,
     slot_reg: Vec<R>,
-    tbase: R,
-    /// Registers per temporary: two, or what the widest struct takes.
-    twidth: R,
+    tbase: usize,
+    /// Registers per temporary: two, or what the widest struct (or a
+    /// `Bounds`) takes.
+    twidth: usize,
     out: Vec<KIns>,
     vs: Vec<Opnd>,
     /// Every address a lowered jump can name: targets after threading,
@@ -481,7 +574,6 @@ struct Lower<'a> {
     changed: bool,
     /// An inference pass read a slot whose type it did not know yet.
     unknown: bool,
-    clobbers: bool,
     calls: Vec<usize>,
 }
 
@@ -557,19 +649,80 @@ fn drop_jumps_to_next(code: &mut Vec<KIns>) {
     }
 }
 
+/// The longest loop head [`rotate_loops`] copies.
+const MAX_HEAD: usize = 16;
+
+/// Make loops bottom-tested. A `while` lowers to `head: test, leave when
+/// it fails; body; jmp head` — two dispatches per iteration for the back
+/// edge and the test. Where the head is straight-line code up to a
+/// conditional jump to just past the back edge, the back edge becomes a
+/// copy of that head with its last jump inverted to re-enter the loop:
+/// one fused back edge, falling out of the loop when the test fails. The
+/// head itself stays, as the test on entry.
+fn rotate_loops(code: &mut Vec<KIns>) {
+    // (back edge, first and last instruction of the head)
+    let mut loops: Vec<(usize, usize, usize)> = Vec::new();
+    for (p, ins) in code.iter().enumerate() {
+        let KIns::Jmp(h) = *ins else { continue };
+        let h = h as usize;
+        if h >= p {
+            continue;
+        }
+        let mut last = None;
+        for (e, ins) in code[h..p].iter().enumerate().take(MAX_HEAD) {
+            match (ins.inverted(0), ins.target()) {
+                (Some(_), Some(t)) if t == p + 1 => last = Some(h + e),
+                (None, None) if !ins.leaves() => {}
+                _ => break,
+            }
+        }
+        if let Some(e) = last {
+            loops.push((p, h, e));
+        }
+    }
+    if loops.is_empty() {
+        return;
+    }
+    let mut out = Vec::with_capacity(code.len() + loops.len() * MAX_HEAD);
+    let mut new_at = Vec::with_capacity(code.len() + 1);
+    let mut loops = loops.into_iter().peekable();
+    for (i, ins) in code.iter().enumerate() {
+        // a `T` that truncates here belongs to code `lower_fn` discards
+        new_at.push(out.len() as T);
+        match loops.next_if(|&(p, ..)| p == i) {
+            Some((_, h, e)) => {
+                out.extend_from_slice(&code[h..e]);
+                out.push(code[e].inverted((e + 1) as T).expect("a conditional jump"));
+            }
+            None => out.push(*ins),
+        }
+    }
+    new_at.push(out.len() as T);
+    for t in out.iter_mut().filter_map(KIns::target_mut) {
+        *t = new_at[*t as usize];
+    }
+    *code = out;
+}
+
 fn lower_fn(code: &Program, fo: &FoProgram, fid: usize) -> Result<Lowered, Why> {
     let f = &code.funcs[fid];
-    let (params, ret) = signature(fo, fid)
-        .ok_or("a parameter or the result is a list, Bounds or a struct of more than scalars")?;
+    let (params, ret) =
+        signature(fo, fid).ok_or("its signature has a list or a struct of more than scalars")?;
+    if ret == KTy::Bounds {
+        return Err("returns Bounds");
+    }
     if params.len() > 32 {
         return Err("more than 32 parameters");
     }
-    // every struct in the function is a parameter or is built in it
-    let built = f.code.iter().filter_map(|ins| match ins {
+    // every aggregate in the function is a parameter or is made in it
+    let made = f.code.iter().filter_map(|ins| match ins {
         Instr::MakeStruct(sid, _) => Flat::of(fo, *sid as usize).map(KTy::Struct),
+        Instr::Intr(Intr::ArrayPartBounds, _) | Instr::IntrS(Intr::ArrayPartBounds, ..) => {
+            Some(KTy::Bounds)
+        }
         _ => None,
     });
-    let twidth = params.iter().copied().chain(built).map(KTy::words).fold(2, R::max);
+    let twidth = params.iter().copied().chain(made).map(KTy::words).fold(2, usize::max);
     let mut slot_ty = vec![None; f.nslots];
     for (slot, ty) in slot_ty.iter_mut().zip(&params) {
         *slot = Some(*ty);
@@ -589,7 +742,6 @@ fn lower_fn(code: &Program, fo: &FoProgram, fid: usize) -> Result<Lowered, Why> 
         code,
         f,
         fo,
-        nparams: params.len(),
         ret,
         slot_ty,
         consts: Vec::new(),
@@ -609,7 +761,6 @@ fn lower_fn(code: &Program, fo: &FoProgram, fid: usize) -> Result<Lowered, Why> 
         dead: false,
         changed: false,
         unknown: false,
-        clobbers: false,
         calls: Vec::new(),
     };
     // infer slot types: one pass, unless it read a slot before the
@@ -623,28 +774,31 @@ fn lower_fn(code: &Program, fo: &FoProgram, fid: usize) -> Result<Lowered, Why> 
     // lay the frame out and emit
     let mut next = lw.consts.len();
     for (reg, ty) in lw.slot_reg.iter_mut().zip(&lw.slot_ty) {
-        *reg = R::try_from(next).map_err(|_| "frame too large")?;
-        next += ty.map_or(0, |t| t.words() as usize);
+        // truncation is caught below: then nothing is emitted
+        *reg = next as R;
+        next += ty.map_or(0, KTy::words);
     }
-    let nregs = next + twidth as usize * lw.max_depth;
-    if nregs > R::MAX as usize || f.code.len() > T::MAX as usize {
-        return Err("frame or code too large");
+    let nregs = next + twidth * lw.max_depth;
+    if nregs > WINDOW {
+        return Err("needs more registers than a frame window has");
     }
-    lw.tbase = next as R;
+    if f.code.len() > T::MAX as usize {
+        return Err("code too large");
+    }
+    lw.tbase = next;
     lw.emit = true;
     lw.pass()?;
+    rotate_loops(&mut lw.out);
     if lw.out.len() > T::MAX as usize {
-        return Err("frame or code too large");
+        return Err("code too large");
     }
     Ok(Lowered {
         code: lw.out,
         consts: lw.consts,
-        // a frame is never empty: `call` tells a fresh one by that
-        nregs: nregs.max(1) as u16,
+        nregs: nregs as u16,
         params,
         ret,
         twidth,
-        clobbers: lw.clobbers,
         calls: lw.calls,
     })
 }
@@ -689,7 +843,7 @@ impl Lower<'_> {
 
     /// The temporary owned by stack depth `depth`.
     fn home(&self, depth: usize) -> R {
-        self.tbase + self.twidth * depth as R
+        (self.tbase + self.twidth * depth) as R
     }
 
     fn ins(&mut self, ins: KIns) {
@@ -733,7 +887,8 @@ impl Lower<'_> {
             match ty {
                 Some(KTy::Unit) => {}
                 Some(KTy::Index) => self.ins(KIns::Mov2(d, a)),
-                Some(KTy::Struct(flat)) => self.ins(KIns::MovN(d, a, flat.n as u16)),
+                Some(KTy::Struct(flat)) => self.ins(KIns::MovN(d, a, flat.n)),
+                Some(KTy::Bounds) => self.ins(KIns::MovN(d, a, 4)),
                 _ => self.ins(KIns::Mov(d, a)),
             }
         }
@@ -755,11 +910,12 @@ impl Lower<'_> {
 
     /// Before registers `reg..reg + words` are overwritten: copy out
     /// every stack entry still aliasing them.
-    fn spill_aliases(&mut self, reg: R, words: u16) {
+    fn spill_aliases(&mut self, reg: R, words: usize) {
+        let reg = reg as usize;
         for depth in 0..self.vs.len() {
             let o = self.vs[depth];
             let w = o.ty.map_or(1, KTy::words);
-            if o.reg < reg + words && reg < o.reg + w {
+            if (o.reg as usize) < reg + words && reg < o.reg as usize + w {
                 self.materialize(depth);
             }
         }
@@ -817,9 +973,6 @@ impl Lower<'_> {
             }
             Some(have) if have != ty => return Err("a variable holds values of two types"),
             Some(_) => {}
-        }
-        if (s as usize) < self.nparams {
-            self.clobbers = true;
         }
         let reg = self.slot_reg[s as usize];
         self.spill_aliases(reg, ty.words());
@@ -907,7 +1060,10 @@ impl Lower<'_> {
         let fused = match self.out.last().and_then(KIns::as_cmp) {
             // `v` was popped: only the jump could still read its register
             Some((op, float, d, a, b))
-                if self.emit && d == v.reg && d >= self.tbase && self.out.len() > self.fence =>
+                if self.emit
+                    && d == v.reg
+                    && d as usize >= self.tbase
+                    && self.out.len() > self.fence =>
             {
                 self.out.pop();
                 KIns::jump_cmp(op, float, !on_zero, a, b)
@@ -935,8 +1091,20 @@ impl Lower<'_> {
             Some(s) => self.slot_dest(s, ty)?,
             None => self.push_result(Some(ty)),
         };
-        let ins =
-            KIns::bin(op, float, d, l.reg, r.reg).ok_or("a logical operator outside a branch")?;
+        let ins = match (op, r.int) {
+            // by a positive power of two: a shift or a mask, in the
+            // words of `scalar::{div_pow2, rem_pow2}`
+            (BinOp::Div | BinOp::Rem, Some(c)) if !float && c > 0 && c & (c - 1) == 0 => {
+                let k = c.trailing_zeros() as u8;
+                if op == BinOp::Div {
+                    KIns::DivP2(d, l.reg, k)
+                } else {
+                    KIns::RemP2(d, l.reg, k)
+                }
+            }
+            _ => KIns::bin(op, float, d, l.reg, r.reg)
+                .ok_or("a logical operator outside a branch")?,
+        };
         self.ins(ins);
         Ok(())
     }
@@ -968,7 +1136,7 @@ impl Lower<'_> {
         let (ix, comp) = (self.expect(ix, KTy::Index)?, self.expect(comp, KTy::Int)?);
         match comp.int {
             // a constant component is the register itself
-            Some(c @ 0..=1) => self.push(Opnd::new(Some(KTy::Int), ix.reg + c as R)),
+            Some(c @ 0..=1) => self.push(Opnd::new(Some(KTy::Int), reg_at(ix.reg, c as usize))),
             _ => {
                 let d = self.push_result(Some(KTy::Int));
                 self.ins(KIns::IxAt(d, ix.reg, comp.reg));
@@ -977,14 +1145,20 @@ impl Lower<'_> {
         Ok(())
     }
 
-    /// Field `i` of struct `v`: the register it already sits in.
+    /// Field `i` of struct (or `Bounds`) `v`: the register, or pair of
+    /// registers, it already sits in.
     fn field(&mut self, v: Opnd, i: u16) -> Result<(), Why> {
+        let i = i as usize;
         match v.ty {
-            Some(KTy::Struct(flat)) if i < flat.n as u16 => {
-                self.push(Opnd::new(Some(flat.field(i as usize)), v.reg + i));
+            Some(KTy::Struct(flat)) if i < flat.n as usize => {
+                self.push(Opnd::new(Some(flat.field(i)), reg_at(v.reg, i)));
                 Ok(())
             }
-            Some(_) => Err("a field of a Bounds value"),
+            Some(KTy::Bounds) if i < 2 => {
+                self.push(Opnd::new(Some(KTy::Index), reg_at(v.reg, 2 * i)));
+                Ok(())
+            }
+            Some(_) => Err("a field of something that is not a struct"),
             None if self.emit => Err("a value's type could not be inferred"),
             None => {
                 self.push(Opnd::new(None, v.reg));
@@ -1005,7 +1179,7 @@ impl Lower<'_> {
             let v = self.expect(self.vs[first + k], flat.field(k))?;
             // in order: a later field never sits where an earlier one
             // lands, which is the temporary of a shallower depth
-            self.mov(v.ty, d + k as R, v.reg);
+            self.mov(v.ty, reg_at(d, k), v.reg);
         }
         self.vs.truncate(first);
         self.push(Opnd::new(Some(KTy::Struct(flat)), d));
@@ -1089,11 +1263,20 @@ impl Lower<'_> {
             }
             (Intr::ArrayGetElem, [arr, ix]) => {
                 let ix = self.expect(*ix, KTy::Index)?;
-                self.get_elem(*arr, ix.reg, ix.reg + 1)?;
+                self.get_elem(*arr, ix.reg, reg_at(ix.reg, 1))?;
             }
             (Intr::Print, _) => return Err("print"),
             (Intr::ArrayPutElem, _) => return Err("array_put_elem"),
-            (Intr::ArrayPartBounds, _) => return Err("array_part_bounds yields Bounds"),
+            (Intr::ArrayPartBounds, [arr]) => match arr.ty {
+                Some(KTy::ArrInt | KTy::ArrFloat) => {
+                    let d = self.push_result(Some(KTy::Bounds));
+                    self.ins(KIns::PartBounds(d, arr.reg));
+                }
+                None if !self.emit => {
+                    self.push_result(Some(KTy::Bounds));
+                }
+                _ => return Err("array_part_bounds of something that is not a scalar array"),
+            },
             _ => return Err("a list or constant intrinsic"),
         }
         Ok(())
@@ -1102,7 +1285,7 @@ impl Lower<'_> {
     fn call(&mut self, fid: usize) -> Result<(), Why> {
         let (params, ret) = signature(self.fo, fid)
             .filter(|(params, ret)| {
-                !params.iter().chain([ret]).any(|t| matches!(t, KTy::Struct(_)))
+                !params.iter().chain([ret]).any(|t| matches!(t, KTy::Struct(_) | KTy::Bounds))
             })
             .ok_or("calls a function over structs, lists or Bounds")?;
         let fid16 = u16::try_from(fid).map_err(|_| "too many functions")?;
@@ -1337,7 +1520,6 @@ pub(crate) struct TypedFn {
     nparams: u8,
     /// Registers per temporary.
     twidth: u8,
-    clobbers: bool,
 }
 
 /// The typed code of a program: built by [`KernelView::build`] once per
@@ -1435,7 +1617,6 @@ impl KernelView {
                 ret: l.ret,
                 nparams: l.params.len() as u8,
                 twidth: l.twidth as u8,
-                clobbers: l.clobbers,
             });
             typed_code.extend(l.code);
             consts.extend(l.consts.iter().map(|c| c.1));
@@ -1478,12 +1659,14 @@ impl KernelView {
 // ---------------------------------------------------------------------
 
 /// An argument a skeleton hands to an argument function: a scalar or an
-/// index as it is, anything else by reference.
+/// index as it is, a flat struct as its words, anything else by
+/// reference.
 #[derive(Clone, Copy)]
 pub(crate) enum KArg<'a> {
     I(i64),
     F(f64),
     Ix(Index),
+    W(&'a FlatElem),
     V(&'a Value),
 }
 
@@ -1494,8 +1677,30 @@ impl KArg<'_> {
             KArg::I(v) => Sl::I(v),
             KArg::F(v) => Sl::F(v),
             KArg::Ix(ix) => Sl::V(Value::Index([ix[0] as i64, ix[1] as i64])),
+            KArg::W(e) => Sl::V(e.to_value()),
             KArg::V(v) => Sl::from_value_ref(v),
         }
+    }
+
+    /// Write the argument into a typed parameter's registers; returns
+    /// the register after it.
+    fn write(self, regs: &mut [u64], at: usize) -> usize {
+        match self {
+            KArg::I(v) => regs[at] = v as u64,
+            KArg::F(v) => regs[at] = v.to_bits(),
+            KArg::Ix(ix) => {
+                regs[at] = ix[0] as u64;
+                regs[at + 1] = ix[1] as u64;
+                return at + 2;
+            }
+            KArg::W(e) => {
+                let w = e.words();
+                regs[at..at + w.len()].copy_from_slice(w);
+                return at + w.len();
+            }
+            KArg::V(v) => return write_value(regs, at, v),
+        }
+        at + 1
     }
 }
 
@@ -1511,6 +1716,12 @@ fn write_value(regs: &mut [u64], at: usize, v: &Value) -> usize {
             regs[at + 1] = ix[1] as u64;
             return at + 2;
         }
+        Value::Bounds(lo, up) => {
+            for (k, w) in lo.iter().chain(up).enumerate() {
+                regs[at + k] = *w as u64;
+            }
+            return at + 4;
+        }
         Value::Struct(_, fields) => {
             return fields.iter().fold(at, |at, field| write_value(regs, at, field));
         }
@@ -1519,66 +1730,77 @@ fn write_value(regs: &mut [u64], at: usize, v: &Value) -> usize {
     at + 1
 }
 
-/// How many registers [`write_value`] fills for `v`.
-fn value_words(v: &Value) -> usize {
-    match v {
-        Value::Index(_) => 2,
-        Value::Struct(_, fields) => fields.len(),
-        _ => 1,
+thread_local! {
+    /// This thread's register file: the frame window of the typed
+    /// function it is running, and its callees' above it. A typed
+    /// function runs to its `ret` without yielding — it cannot
+    /// communicate — so one file per thread serves every processor
+    /// scheduled on it, and no skeleton call holds a window of its own.
+    static REGS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A typed argument function readied for one skeleton call: its
+/// constants and lifted arguments laid out as register words and the
+/// first element-argument register worked out, once — so that an
+/// element is "copy the prologue, write its arguments, run".
+pub(crate) struct TypedSite<'a> {
+    view: &'a KernelView,
+    tf: &'a TypedFn,
+    env: &'a KEnv<'a>,
+    /// The frame's first registers: constants, then the lifted
+    /// arguments. The element arguments follow.
+    prologue: Vec<u64>,
+}
+
+impl<'a> TypedSite<'a> {
+    pub(crate) fn new(
+        view: &'a KernelView,
+        tf: &'a TypedFn,
+        lifted: &'a [Value],
+        env: &'a KEnv<'a>,
+    ) -> Self {
+        let consts = view.consts_of(tf);
+        let mut prologue = vec![0; tf.nregs as usize];
+        prologue[..consts.len()].copy_from_slice(consts);
+        let args_at = lifted.iter().fold(consts.len(), |at, v| write_value(&mut prologue, at, v));
+        prologue.truncate(args_at);
+        TypedSite { view, tf, env, prologue }
+    }
+
+    /// Call the function on `lifted ++ args`.
+    pub(crate) fn call<U: Elem>(&mut self, args: &[KArg<'_>]) -> U {
+        REGS.with_borrow_mut(|regs| {
+            if regs.len() < WINDOW {
+                regs.resize(WINDOW, 0);
+            }
+            let args_at = self.prologue.len();
+            regs[..args_at].copy_from_slice(&self.prologue);
+            args.iter().fold(args_at, |at, arg| arg.write(regs, at));
+            let out = self.view.run(self.tf, regs, 0, self.env);
+            match self.tf.ret {
+                // a struct stays in the frame
+                KTy::Struct(flat) => {
+                    U::from_words(self.tf.ret, &regs[out[0] as usize..][..flat.n as usize])
+                }
+                ty => U::from_words(ty, &out),
+            }
+        })
     }
 }
 
 impl KernelView {
-    /// Call typed function `tf` as a skeleton's argument function on
-    /// `lifted ++ args`. `regs` is that function's register file for
-    /// the whole skeleton call: empty on the first element, when the
-    /// constants and lifted arguments are written; later elements only
-    /// write their own arguments.
-    pub(crate) fn call<U: Elem>(
-        &self,
-        tf: &TypedFn,
-        regs: &mut Vec<u64>,
-        lifted: &[Value],
-        args: &[KArg<'_>],
-        env: &KEnv<'_>,
-    ) -> U {
-        let nconsts = tf.nconsts as usize;
-        if regs.is_empty() || tf.clobbers {
-            regs.resize(regs.len().max(tf.nregs as usize), 0);
-            regs[..nconsts].copy_from_slice(self.consts_of(tf));
-            let mut at = nconsts;
-            for v in lifted {
-                at = write_value(regs, at, v);
-            }
-        }
-        let mut at = nconsts + lifted.iter().map(value_words).sum::<usize>();
-        for arg in args {
-            match *arg {
-                KArg::I(v) => regs[at] = v as u64,
-                KArg::F(v) => regs[at] = v.to_bits(),
-                KArg::Ix(ix) => {
-                    regs[at] = ix[0] as u64;
-                    at += 1;
-                    regs[at] = ix[1] as u64;
-                }
-                KArg::V(v) => at = write_value(regs, at, v) - 1,
-            }
-            at += 1;
-        }
-        let out = self.run(tf, regs, 0, env);
-        match tf.ret {
-            KTy::Struct(flat) => U::from_words(tf.ret, &regs[out[0] as usize..][..flat.n as usize]),
-            ty => U::from_words(ty, &out),
-        }
-    }
-
-    /// Run `tf` on the frame at `base`; returns its result registers
-    /// or, of a struct (which stays in the frame), the first's number.
+    /// Run `tf` on the frame at `base` (`stack` holds a whole window
+    /// from there on); returns its result registers or, of a struct
+    /// (which stays in the frame), the first's number.
     fn run(&self, tf: &TypedFn, stack: &mut Vec<u64>, base: usize, env: &KEnv<'_>) -> [u64; 2] {
         let code = &self.code[tf.code_at as usize..][..tf.ncode as usize];
         let mut pc = 0usize;
         loop {
-            let r = &mut stack[base..base + tf.nregs as usize];
+            // the one conversion per activation that makes every
+            // register access below check-free: an `R` indexes an array
+            // of exactly as many registers as an `R` can name
+            let r: &mut [u64; WINDOW] =
+                (&mut stack[base..base + WINDOW]).try_into().expect("a window is WINDOW long");
             macro_rules! int {
                 ($x:expr) => {
                     r[$x as usize] as i64
@@ -1592,6 +1814,10 @@ impl KernelView {
             macro_rules! jump_if {
                 ($cond:expr, $t:expr) => {
                     if $cond {
+                        // keeps this a branch the processor predicts:
+                        // as a conditional move of `pc` the next fetch
+                        // would wait for the comparison's operands
+                        std::hint::black_box(());
                         pc = $t as usize;
                     }
                 };
@@ -1637,6 +1863,8 @@ impl KernelView {
                     KIns::RemF(d, a, b) => {
                         r[d as usize] = float_arith(BinOp::Rem, flt!(a), flt!(b)).to_bits()
                     }
+                    KIns::DivP2(d, a, k) => r[d as usize] = div_pow2(int!(a), k as u32) as u64,
+                    KIns::RemP2(d, a, k) => r[d as usize] = rem_pow2(int!(a), k as u32) as u64,
                     KIns::EqF(d, a, b) => {
                         r[d as usize] = float_cmp(BinOp::Eq, flt!(a), flt!(b)) as u64
                     }
@@ -1704,7 +1932,13 @@ impl KernelView {
                         let store = live_array(env.arrays, r[arr as usize] as usize);
                         r[d as usize] = rt(FloatElem::of(store).get(ix)).0.to_bits();
                     }
-                    KIns::Error(a) => panic!("skil program called error({})", int!(a)),
+                    KIns::PartBounds(d, arr) => {
+                        let b = part_bounds(env.arrays, r[arr as usize] as usize);
+                        for (k, w) in b.lower.iter().chain(&b.upper).enumerate() {
+                            r[d as usize + k] = *w as u64;
+                        }
+                    }
+                    KIns::Error(a) => program_error(int!(a)),
                     KIns::Jmp(t) => pc = t as usize,
                     KIns::Jz(a, t) => jump_if!(r[a as usize] == 0, t),
                     KIns::Jnz(a, t) => jump_if!(r[a as usize] != 0, t),
@@ -1733,12 +1967,12 @@ impl KernelView {
                     KIns::Ret0() => return [0, 0],
                 }
             };
-            // the callee's frame sits above this one: constants, then
-            // the arguments from this frame's temporaries
+            // the callee's window starts above this frame: constants,
+            // then the arguments from this frame's temporaries
             let callee = self.typed(fid as usize).expect("a typed function calls typed functions");
             let cbase = base + tf.nregs as usize;
-            if stack.len() < cbase + callee.nregs as usize {
-                stack.resize(cbase + callee.nregs as usize, 0);
+            if stack.len() < cbase + WINDOW {
+                stack.resize(cbase + WINDOW, 0);
             }
             let nconsts = callee.nconsts as usize;
             stack[cbase..cbase + nconsts].copy_from_slice(self.consts_of(callee));
@@ -1771,9 +2005,11 @@ fn scalar_bits(v: Option<Scalar>) -> u64 {
 
 impl KernelView {
     /// Human-readable listing of the view (`skilc --emit-bytecode=kernel`):
-    /// per skeleton site which argument functions are `[typed]` and
-    /// which `[generic]`, why each generic one is (worked out again
-    /// here, not kept in the view; its code is in `--emit-bytecode`),
+    /// per skeleton site the representation of its elements and how the
+    /// `vm` engine runs each argument function — `direct(op)` (a
+    /// combiner resolved to one closed operator, its loop monomorphic),
+    /// a trivial shape, `typed`, or `generic: why` (worked out again
+    /// here, not kept in the view; its code is in `--emit-bytecode`) —
     /// then the typed code.
     pub(crate) fn listing(&self, fo: &FoProgram, code: &Program, level: OptLevel) -> String {
         let names: &Names = &fo.names;
@@ -1783,23 +2019,36 @@ impl KernelView {
             let fns: Vec<String> = s
                 .fns
                 .iter()
-                .map(|f| {
-                    let form = f.shape.listing().unwrap_or_else(|| {
-                        if self.typed(f.fid).is_some() { "typed" } else { "generic" }.into()
-                    });
+                .enumerate()
+                .map(|(k, f)| {
+                    let form = match (s.direct(k), f.shape.listing()) {
+                        (Some(op), _) => format!("direct({})", op.name()),
+                        (None, Some(shape)) => shape,
+                        (None, None) if self.typed(f.fid).is_some() => "typed".into(),
+                        (None, None) => {
+                            let why = match level {
+                                OptLevel::O0 => "-O0",
+                                _ => lower_fn(code, fo, f.fid)
+                                    .err()
+                                    .unwrap_or("calls a generic function"),
+                            };
+                            format!("generic: {why}")
+                        }
+                    };
                     format!("{}+{} [{form}]", name(f.fid), f.n_lifted)
                 })
                 .collect();
-            let _ = writeln!(out, "site {i}: {} fns=({})", s.op.name(), fns.join(", "));
-        }
-        for fid in roots(code) {
-            if self.typed(fid).is_none() {
-                let why = match level {
-                    OptLevel::O0 => "-O0",
-                    _ => lower_fn(code, fo, fid).err().unwrap_or("calls a generic function"),
-                };
-                let _ = writeln!(out, "\nfn {} [generic: {why}]", name(fid));
-            }
+            let ret = match s.op {
+                SkelOp::Fold => format!(" ret={}", s.ret.name()),
+                _ => String::new(),
+            };
+            let _ = writeln!(
+                out,
+                "site {i}: {} elem={}{ret} fns=({})",
+                s.op.name(),
+                s.elem.name(),
+                fns.join(", ")
+            );
         }
         for (fid, t) in (0..code.funcs.len()).filter_map(|fid| Some((fid, self.typed(fid)?))) {
             let ret = match t.ret {
@@ -1845,7 +2094,7 @@ mod tests {
     #[test]
     fn the_view_is_compact() {
         // what DESIGN.md §10 and the cold_compile memory bound count on
-        assert_eq!(std::mem::size_of::<KIns>(), 10);
+        assert_eq!(std::mem::size_of::<KIns>(), 6);
         assert_eq!(std::mem::size_of::<TypedFn>(), 28);
     }
 
@@ -1866,6 +2115,43 @@ mod tests {
     }
 
     #[test]
+    fn a_loops_back_edge_becomes_its_test() {
+        // i = 0; while (i < n && x <= 4.0) { x = x * x; if (x) { i = i + 1; } } ret i
+        let mut code = vec![
+            KIns::Mov(2, 0),
+            KIns::JGeI(2, 1, 7),
+            KIns::JnLeF(3, 4, 7),
+            KIns::MulF(3, 3, 3),
+            KIns::Jz(3, 6), // a jump inside the body: the head ends before it
+            KIns::AddI(2, 2, 5),
+            KIns::Jmp(1),
+            KIns::Ret(2),
+        ];
+        rotate_loops(&mut code);
+        assert_eq!(
+            code,
+            [
+                KIns::Mov(2, 0),
+                KIns::JGeI(2, 1, 8),
+                KIns::JnLeF(3, 4, 8),
+                KIns::MulF(3, 3, 3),
+                KIns::Jz(3, 6),
+                KIns::AddI(2, 2, 5),
+                // the head again, leaving on its first test and
+                // re-entering the body on its last
+                KIns::JGeI(2, 1, 8),
+                KIns::JLeF(3, 4, 3),
+                KIns::Ret(2),
+            ]
+        );
+        // a forward jump, and a back edge whose target is no test, stay
+        let mut plain = vec![KIns::Jmp(2), KIns::Mov(1, 0), KIns::AddI(1, 1, 0), KIns::Jmp(2)];
+        let before = plain.clone();
+        rotate_loops(&mut plain);
+        assert_eq!(plain, before);
+    }
+
+    #[test]
     fn an_int_comparison_that_must_fail_jumps_on_its_complement() {
         assert_eq!(KIns::jump_cmp(BinOp::Lt, false, false, 1, 2), Some(KIns::JGeI(1, 2, 0)));
         assert_eq!(KIns::jump_cmp(BinOp::Lt, false, true, 1, 2), Some(KIns::JLtI(1, 2, 0)));
@@ -1880,6 +2166,7 @@ mod tests {
         assert_eq!(KIns::JnLeF(1, 2, 30).to_string(), "jnlef r1, r2, @30");
         assert_eq!(KIns::Intr1(Intr::Itof, 4, 1).to_string(), "intr1 itof, r4, r1");
         assert_eq!(KIns::Call(7, 20, 20).to_string(), "call fn#7, r20, r20");
+        assert_eq!(KIns::RemP2(3, 1, 10).to_string(), "remp2 r3, r1, 10");
         assert_eq!(KIns::Ret0().to_string(), "ret0");
     }
 }

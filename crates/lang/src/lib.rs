@@ -262,10 +262,10 @@ impl Compiled {
         bytecode::disassemble(&bytecode::compile_program(&self.fo), &self.fo.names)
     }
 
-    /// Listing of the kernel view (`skilc --emit-bytecode=kernel`): which
-    /// skeleton argument functions lowered to typed register code
-    /// (`[typed]`) and which run on the generic loop (`[generic]`), and
-    /// the code each of them runs.
+    /// Listing of the kernel view (`skilc --emit-bytecode=kernel`): per
+    /// skeleton site the store of its arrays (`elem=`) and how each
+    /// argument function runs — `[direct(op)]`, a trivial shape,
+    /// `[typed]` register code or `[generic: why]` — and the typed code.
     pub fn disassemble_kernel(&self) -> String {
         self.kernel.listing(&self.fo, &self.code, self.opt_level)
     }

@@ -41,7 +41,7 @@ use skil_runtime::{Machine, Run, SimFailure};
 use crate::bytecode::Program;
 use crate::emit_rust::{emit_rust, ABI_VERSION};
 use crate::host::{get_elem, kernel_forbids, part_bounds, to_uindex};
-use crate::store::{ArrayStore, FloatElem, IntElem};
+use crate::store::{ArrayStore, FlatElem, FloatElem, IntElem};
 use crate::sym::Names;
 use crate::value::Value;
 use crate::vm::{Host, RunTables, Sl, Vm};
@@ -170,6 +170,18 @@ impl FfiCodec for FloatElem {
     unsafe fn dec(fv: &FfiVal, _base: *const u8, _blen: usize) -> FloatElem {
         assert!(fv.tag == T_FLT, "skil native: ffi tag {} where a float was expected", fv.tag);
         FloatElem(f64::from_bits(fv.a))
+    }
+}
+
+/// The module keeps structs boxed: a flat element crosses as the
+/// `Value` it stands for.
+impl FfiCodec for FlatElem {
+    fn enc(&self, buf: &mut Vec<u8>) -> FfiVal {
+        self.to_value().enc(buf)
+    }
+
+    unsafe fn dec(fv: &FfiVal, base: *const u8, blen: usize) -> FlatElem {
+        FlatElem::from_value(&Value::dec(fv, base, blen))
     }
 }
 

@@ -12,15 +12,29 @@ use crate::token::{lex_into, Punct as P, Spanned, Tok};
 pub fn parse(src: &str) -> Result<Program> {
     let mut syms = Interner::new();
     let toks = lex_into(src, &mut syms)?;
-    let mut p = Parser { toks, at: 0, syms };
+    let mut p = Parser { toks, at: 0, syms, nest: 0, height: 0 };
     let items = p.program()?;
     Ok(Program { items, syms: p.syms })
 }
+
+/// How deep statements, expressions and types may nest, each. The
+/// parser recurses per level of nesting and every later pass recurses
+/// per level of the tree it builds, so without a cap a program of
+/// nothing but `(((((…` overflows the stack of the thread compiling it.
+/// A level of parentheses is a dozen parser frames — some 12 kB of
+/// stack in an unoptimised build, which has to fit a 2 MB thread.
+pub const MAX_NESTING: usize = 100;
 
 struct Parser {
     toks: Vec<Spanned>,
     at: usize,
     syms: Interner,
+    /// Statements, expressions and types open around `at`: how deep the
+    /// parser's own recursion is.
+    nest: usize,
+    /// Height of the expression tree parsed last. Operator and postfix
+    /// chains grow a tree without recursing, so this is capped as well.
+    height: usize,
 }
 
 impl Parser {
@@ -50,6 +64,39 @@ impl Parser {
 
     fn describe(&self, t: Tok) -> String {
         t.describe(&self.syms)
+    }
+
+    /// Parse one statement, expression or type a level further in.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.nest == MAX_NESTING {
+            return self.err(format!("nested deeper than {MAX_NESTING} levels"));
+        }
+        self.nest += 1;
+        let parsed = parse(self);
+        self.nest -= 1;
+        parsed
+    }
+
+    /// The height of a node at `pos` over subtrees of height `below`.
+    fn grow(&mut self, below: usize, pos: Pos) -> Result<()> {
+        if below == MAX_NESTING {
+            let msg = format!("expression nested deeper than {MAX_NESTING} levels");
+            return Err(Diag::new(Phase::Parse, pos, msg));
+        }
+        self.height = below + 1;
+        Ok(())
+    }
+
+    /// A comma-separated list of expressions up to `close`, and the
+    /// height of the tallest.
+    fn expr_list(&mut self, close: P) -> Result<(Vec<Expr>, usize)> {
+        let mut tallest = 0;
+        let items = self.comma_list(close, |p| {
+            let e = p.expr()?;
+            tallest = tallest.max(p.height);
+            Ok(e)
+        })?;
+        Ok((items, tallest))
     }
 
     fn eat_punct(&mut self, p: P) -> Result<()> {
@@ -197,6 +244,10 @@ impl Parser {
     // ---------------- types ----------------
 
     fn type_expr(&mut self) -> Result<TypeExpr> {
+        self.nested(Self::type_expr_here)
+    }
+
+    fn type_expr_here(&mut self) -> Result<TypeExpr> {
         match self.peek() {
             Tok::TypeVar(v) => {
                 self.bump();
@@ -250,6 +301,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt> {
+        self.nested(Self::stmt_here)
+    }
+
+    fn stmt_here(&mut self) -> Result<Stmt> {
         let pos = self.pos();
         if self.at_kw(Sym::IF) {
             self.bump();
@@ -343,7 +398,7 @@ impl Parser {
     // ---------------- expressions ----------------
 
     fn expr(&mut self) -> Result<Expr> {
-        self.binary_expr(0)
+        self.nested(|p| p.binary_expr(0))
     }
 
     /// Left-associative binary operators by precedence level, loosest
@@ -369,7 +424,9 @@ impl Parser {
             let Some(op) = op else { return Ok(lhs) };
             let pos = self.pos();
             self.bump();
+            let left = self.height;
             let rhs = self.binary_expr(level + 1)?;
+            self.grow(left.max(self.height), pos)?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), pos };
         }
     }
@@ -382,7 +439,8 @@ impl Parser {
             _ => return self.postfix_expr(),
         };
         self.bump();
-        let e = self.unary_expr()?;
+        let e = self.nested(Self::unary_expr)?;
+        self.grow(self.height, pos)?;
         Ok(Expr::Unary { op, expr: Box::new(e), pos })
     }
 
@@ -390,19 +448,23 @@ impl Parser {
         let mut e = self.primary_expr()?;
         loop {
             let pos = self.pos();
+            let below = self.height;
             if self.at_punct(P::LParen) {
                 self.bump();
-                let args = self.comma_list(P::RParen, Self::expr)?;
+                let (args, tallest) = self.expr_list(P::RParen)?;
                 self.eat_punct(P::RParen)?;
+                self.grow(below.max(tallest), pos)?;
                 e = Expr::Call { callee: Box::new(e), args, pos };
             } else if self.at_punct(P::Dot) || self.at_punct(P::Arrow) {
                 self.bump();
                 let field = self.eat_ident()?;
+                self.grow(below, pos)?;
                 e = Expr::Field { expr: Box::new(e), field, pos };
             } else if self.at_punct(P::LBracket) {
                 self.bump();
                 let index = self.expr()?;
                 self.eat_punct(P::RBracket)?;
+                self.grow(below.max(self.height), pos)?;
                 e = Expr::IndexAt { expr: Box::new(e), index: Box::new(index), pos };
             } else {
                 return Ok(e);
@@ -412,6 +474,8 @@ impl Parser {
 
     fn primary_expr(&mut self) -> Result<Expr> {
         let pos = self.pos();
+        // a leaf, unless an arm below says otherwise
+        self.height = 1;
         match self.peek() {
             Tok::Int(v) => {
                 self.bump();
@@ -426,16 +490,18 @@ impl Parser {
                 // struct literal `name{...}`
                 if self.at_punct(P::LBrace) {
                     self.bump();
-                    let fields = self.comma_list(P::RBrace, Self::expr)?;
+                    let (fields, tallest) = self.expr_list(P::RBrace)?;
                     self.eat_punct(P::RBrace)?;
+                    self.grow(tallest, pos)?;
                     return Ok(Expr::StructLit { name, fields, pos });
                 }
                 Ok(Expr::Var(name, pos))
             }
             Tok::Punct(P::LBrace) => {
                 self.bump();
-                let elems = self.comma_list(P::RBrace, Self::expr)?;
+                let (elems, tallest) = self.expr_list(P::RBrace)?;
                 self.eat_punct(P::RBrace)?;
+                self.grow(tallest, pos)?;
                 Ok(Expr::BraceList { elems, pos })
             }
             Tok::Punct(P::LParen) => {
@@ -641,6 +707,31 @@ mod tests {
         let Stmt::Assign { value, .. } = &f.body.0[0] else { panic!() };
         // top node is &&
         assert!(matches!(value, Expr::Binary { op: BinOp::And, .. }));
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_position() {
+        let program = |e: &str| format!("void main() {{ int x = {e}; }}");
+        let parens = |n: usize| program(&format!("{}1{}", "(".repeat(n), ")".repeat(n)));
+        // `int x = (` is level 1 of the initializer: one statement, then
+        // the expression, then a level per parenthesis
+        assert!(parse(&parens(MAX_NESTING - 2)).is_ok());
+        let err = parse(&parens(MAX_NESTING - 1)).unwrap_err().to_string();
+        assert!(err.contains("parse error at 1:"), "{err}");
+        assert!(err.contains("nested deeper than 100 levels"), "{err}");
+        // far past any stack
+        assert!(parse(&parens(20_000)).is_err());
+        assert!(parse(&program(&"-".repeat(20_000))).is_err());
+        assert!(parse(&program(&format!("{}1", "f(".repeat(20_000)))).is_err());
+        assert!(parse(&format!("void main() {{ {} }}", "if (1) ".repeat(20_000))).is_err());
+        assert!(parse(&format!("{}int> x() {{ }}", "array<".repeat(20_000))).is_err());
+        // chains grow a tree without recursing: its height is capped too
+        let sum = |n: usize| program(&vec!["1"; n + 1].join(" + "));
+        assert!(parse(&sum(MAX_NESTING - 1)).is_ok());
+        let err = parse(&sum(MAX_NESTING)).unwrap_err().to_string();
+        assert!(err.contains("expression nested deeper than 100 levels"), "{err}");
+        assert!(parse(&program(&format!("a{}", ".f".repeat(20_000)))).is_err());
+        assert!(parse(&program(&format!("a{}", "[0]".repeat(20_000)))).is_err());
     }
 
     #[test]

@@ -44,6 +44,25 @@ pub(crate) fn int_bin(op: BinOp, x: i64, y: i64) -> i64 {
     }
 }
 
+/// `x / 2^k` for `k < 63`, exactly `int_bin(Div, x, 1 << k)`: rounds
+/// toward zero, so a negative `x` is biased by `2^k - 1` before the
+/// arithmetic shift. What the typed tier runs for a division by a
+/// positive power-of-two constant.
+#[inline(always)]
+pub(crate) fn div_pow2(x: i64, k: u32) -> i64 {
+    let bias = (x >> 63) & ((1i64 << k) - 1);
+    (x + bias) >> k
+}
+
+/// `x % 2^k` for `k < 63`, exactly `int_bin(Rem, x, 1 << k)`: the result
+/// has the sign of `x`.
+#[inline(always)]
+pub(crate) fn rem_pow2(x: i64, k: u32) -> i64 {
+    let mask = (1i64 << k) - 1;
+    let bias = (x >> 63) & mask;
+    ((x + bias) & mask) - bias
+}
+
 /// Float arithmetic (`+ - * / %`).
 #[inline(always)]
 pub(crate) fn float_arith(op: BinOp, x: f64, y: f64) -> f64 {
@@ -148,6 +167,20 @@ mod tests {
         assert_eq!(int_bin(BinOp::Rem, i64::MIN, -1), 0);
         assert_eq!(int_bin(BinOp::Div, -7, 2), -3);
         assert_eq!(int_bin(BinOp::Rem, -7, 2), -1);
+    }
+
+    #[test]
+    fn power_of_two_division_and_remainder_are_the_general_ones() {
+        let xs = [0, 1, -1, 2, -2, 3, -3, 7, -7, 8, -8, 1023, -1023, 1024, -1025, 1 << 40];
+        let edge = [i64::MAX, i64::MIN, i64::MIN + 1, i64::MAX - 1, INT_MAX, -INT_MAX];
+        for k in 0..63u32 {
+            let near =
+                [(1i64 << k) - 1, 1i64 << k, (1i64 << k) + 1, -(1i64 << k), -(1i64 << k) - 1];
+            for x in xs.into_iter().chain(edge).chain(near) {
+                assert_eq!(div_pow2(x, k), int_bin(BinOp::Div, x, 1 << k), "{x} / 2^{k}");
+                assert_eq!(rem_pow2(x, k), int_bin(BinOp::Rem, x, 1 << k), "{x} % 2^{k}");
+            }
+        }
     }
 
     #[test]

@@ -267,6 +267,8 @@ impl Value {
 pub(crate) const WIRE_TAG_INT: u8 = 0;
 /// Wire tag of [`Value::Float`] (and of the unboxed `float` element).
 pub(crate) const WIRE_TAG_FLOAT: u8 = 1;
+/// Wire tag of [`Value::Struct`] (and of the flat struct element).
+pub(crate) const WIRE_TAG_STRUCT: u8 = 5;
 
 impl Wire for Value {
     fn flatten(&self, out: &mut Vec<u8>) {
@@ -293,7 +295,7 @@ impl Wire for Value {
                 up[1].flatten(out);
             }
             Value::Struct(id, fields) => {
-                out.push(5);
+                out.push(WIRE_TAG_STRUCT);
                 id.flatten(out);
                 fields.flatten(out);
             }
@@ -324,7 +326,7 @@ impl Wire for Value {
                 [i64::unflatten(r)?, i64::unflatten(r)?],
                 [i64::unflatten(r)?, i64::unflatten(r)?],
             ),
-            5 => Value::Struct(u32::unflatten(r)?, Vec::<Value>::unflatten(r)?),
+            WIRE_TAG_STRUCT => Value::Struct(u32::unflatten(r)?, Vec::<Value>::unflatten(r)?),
             6 => Value::List(ConsList::from_vec(Vec::<Value>::unflatten(r)?)),
             _ => return Err(WireError::Invalid("bad Value tag")),
         })

@@ -34,20 +34,18 @@
 //! the function lowered ([`crate::kernel`]), else this module's
 //! dispatch loop in kernel mode over the same bytecode.
 
-use std::cell::RefCell;
-
 use skil_array::Index;
 use skil_runtime::{CostModel, Machine, Proc, Run};
 
 use crate::bytecode::{Instr, Intr, KernelShape, Program, SkelSite, Src};
 use crate::fo::{BinOp, FoProgram};
 use crate::host::{
-    get_elem, kernel_cycles, kernel_forbids, to_uindex, ArgFns, Batch, KEnv, SkelHost,
+    get_elem, kernel_cycles, kernel_forbids, to_uindex, ArgFn, ArgFns, Batch, KEnv, SkelHost,
 };
-use crate::kernel::{KArg, KernelView};
+use crate::kernel::{KArg, KernelView, TypedSite};
 use crate::native::NativeBackend;
 use crate::scalar::{float_arith, float_cmp, int_bin, neg_int, scalar_intr, Scalar};
-use crate::store::{Elem, FloatElem, IntElem};
+use crate::store::{Direct, Elem};
 use crate::value::Value;
 use crate::Compiled;
 
@@ -185,39 +183,6 @@ fn bin_sl(op: BinOp, float: bool, a: &Sl, b: &Sl) -> Sl {
     } else {
         Sl::I(int_bin(op, a.as_int(), b.as_int()))
     }
-}
-
-/// One function per operator, each [`int_bin`] / [`float_arith`] with the
-/// operator folded in: what a skeleton over unboxed elements calls per
-/// element after resolving its operator section once.
-macro_rules! resolved_op {
-    ($op:expr, [$($v:ident),*], $body:expr $(, _ => $rest:expr)?) => {
-        match $op {
-            $(BinOp::$v => {
-                const OP: BinOp = BinOp::$v;
-                $body
-            })*
-            $(_ => $rest)?
-        }
-    };
-}
-
-/// `op` over `array<int>` elements as a direct function.
-pub(crate) fn int_fn(op: BinOp) -> fn(IntElem, IntElem) -> IntElem {
-    resolved_op!(op, [Add, Sub, Mul, Div, Rem, Eq, Ne, Lt, Le, Gt, Ge, And, Or], |x, y| IntElem(
-        int_bin(OP, x.0, y.0)
-    ))
-}
-
-/// `op` over `array<float>` elements as a direct function — arithmetic
-/// only: comparisons yield `int`, so they are not `(T, T) -> T`.
-pub(crate) fn float_fn(op: BinOp) -> Option<fn(FloatElem, FloatElem) -> FloatElem> {
-    resolved_op!(
-        op,
-        [Add, Sub, Mul, Div, Rem],
-        Some(|x, y| FloatElem(float_arith(OP, x.0, y.0))),
-        _ => None
-    )
 }
 
 /// Fetch a fused-instruction operand. `Top` operands pop; when a fused
@@ -529,8 +494,6 @@ impl Host for Vm<'_, '_, '_> {
             site,
             lifted: &lifted,
             cycles: &self.tables.site_cycles[site_ix],
-            scratch: RefCell::default(),
-            typed_regs: Default::default(),
         };
         let result = self.host.skel(site.op, site.elem, site.ret, &vals, &kvm);
         stack.push(Sl::from_value(result));
@@ -573,9 +536,7 @@ impl Host for KHost<'_> {
 }
 
 /// How the `vm` and `native` engines run one skeleton call's argument
-/// functions. Scratch space (operand stack + frame pool, and one
-/// register file per typed argument function) is interior-mutable so
-/// kernels can be invoked through `Fn` closures.
+/// functions.
 struct KernelVm<'a> {
     code: &'a Program,
     kernel: &'a KernelView,
@@ -586,79 +547,133 @@ struct KernelVm<'a> {
     lifted: &'a [Vec<Value>],
     /// Per argument function: the kernel charge per element.
     cycles: &'a [u64],
-    scratch: RefCell<Scratch>,
-    /// Per argument function (a site has at most four): its typed
-    /// register file, empty until its first element.
-    typed_regs: [RefCell<Vec<u64>>; 4],
 }
 
-impl ArgFns for KernelVm<'_> {
-    fn call<U: Elem, const N: usize>(&self, env: &KEnv<'_>, i: usize, args: [KArg<'_>; N]) -> U {
-        let f = &self.site.fns[i];
-        let lifted = &self.lifted[i][..];
-        let n = lifted.len();
-        let nparams = self.code.funcs[f.fid].nparams;
-        assert_eq!(
-            nparams,
-            n + N,
-            "skil runtime: arity mismatch calling function {}: {} params, {} args",
-            f.fid,
-            nparams,
-            n + N
-        );
-        // parameter position → argument, without materializing a vector
-        let pick = |p: usize| {
-            if p < n {
-                Sl::from_value_ref(&lifted[p])
-            } else {
-                args[p - n].sl()
-            }
-        };
-        U::from_sl(match &f.shape {
-            KernelShape::Bin { op, float, a, b } => bin_sl(*op, *float, &pick(*a), &pick(*b)),
-            KernelShape::Intrinsic { op, slots } => match scalar_sl(*op, |k| pick(slots[k])) {
-                Some(v) => v,
-                None => {
-                    let mut buf = [Value::Unit, Value::Unit, Value::Unit];
-                    for (slot, &p) in buf.iter_mut().zip(slots) {
-                        *slot = pick(p).into_value();
+/// One argument function of a `vm` / `native` site, readied: how it
+/// runs was decided once, by [`KernelVm::prepare`].
+enum Readied<'a> {
+    /// An operator section or one intrinsic over parameters: a direct
+    /// computation, no frame.
+    Trivial { shape: &'a KernelShape, lifted: &'a [Value] },
+    /// Compiled code, one FFI round trip per element.
+    Native { nb: &'a NativeBackend, fid: usize, lifted: &'a [Value], env: &'a KEnv<'a> },
+    /// Typed register code.
+    Typed(TypedSite<'a>),
+    /// The generic loop in kernel mode, on its own scratch.
+    Generic {
+        code: &'a Program,
+        fid: usize,
+        lifted: &'a [Value],
+        host: KHost<'a>,
+        scratch: Scratch,
+    },
+}
+
+impl<const N: usize> ArgFn<N> for Readied<'_> {
+    fn call<U: Elem>(&mut self, args: [KArg<'_>; N]) -> U {
+        match self {
+            Readied::Typed(site) => site.call(&args),
+            other => other.call_untyped(&args),
+        }
+    }
+}
+
+impl Readied<'_> {
+    /// Everything but typed code — out of line, so that a skeleton body
+    /// instantiated per element type carries one call and not three
+    /// interpreters.
+    #[inline(never)]
+    fn call_untyped<U: Elem>(&mut self, args: &[KArg<'_>]) -> U {
+        U::from_sl(match self {
+            Readied::Trivial { shape, lifted } => {
+                // parameter position → argument, without materializing a vector
+                let n = lifted.len();
+                let pick = |p: usize| {
+                    if p < n {
+                        Sl::from_value_ref(&lifted[p])
+                    } else {
+                        args[p - n].sl()
                     }
-                    let v = op.eval_pure(&buf[..slots.len()]);
-                    Sl::from_value(v.expect("shape-classified intrinsic is pure"))
+                };
+                match shape {
+                    KernelShape::Bin { op, float, a, b } => {
+                        bin_sl(*op, *float, &pick(*a), &pick(*b))
+                    }
+                    KernelShape::Intrinsic { op, slots } => {
+                        match scalar_sl(*op, |k| pick(slots[k])) {
+                            Some(v) => v,
+                            None => {
+                                let mut buf = [Value::Unit, Value::Unit, Value::Unit];
+                                for (slot, &p) in buf.iter_mut().zip(slots) {
+                                    *slot = pick(p).into_value();
+                                }
+                                let v = op.eval_pure(&buf[..slots.len()]);
+                                Sl::from_value(v.expect("shape-classified intrinsic is pure"))
+                            }
+                        }
+                    }
+                    KernelShape::General => unreachable!("readied as typed, native or generic"),
                 }
-            },
-            KernelShape::General => {
-                if let Some(nb) = self.native {
-                    return U::from_sl(nb.run_kernel(
-                        f.fid,
-                        lifted,
-                        &args.map(KArg::sl),
-                        env.arrays,
-                    ));
+            }
+            Readied::Native { nb, fid, lifted, env } => {
+                // a skeleton hands an argument function one or two
+                let mut sls = [Sl::I(0), Sl::I(0)];
+                for (sl, arg) in sls.iter_mut().zip(args) {
+                    *sl = arg.sl();
                 }
-                if let Some(tf) = self.kernel.typed(f.fid) {
-                    let mut regs = self.typed_regs[i].borrow_mut();
-                    return self.kernel.call(tf, &mut regs, lifted, &args, env);
-                }
-                let mut s = self.scratch.borrow_mut();
-                let Scratch { stack, frames } = &mut *s;
+                nb.run_kernel(*fid, lifted, &sls[..args.len()], env.arrays)
+            }
+            Readied::Typed(_) => unreachable!("typed code is called in line"),
+            Readied::Generic { code, fid, lifted, host, scratch } => {
+                let Scratch { stack, frames } = scratch;
                 stack.extend(lifted.iter().map(Sl::from_value_ref));
                 stack.extend(args.iter().map(|a| a.sl()));
-                let mut h = KHost { consts: self.consts, env };
-                exec(&mut h, self.code, f.fid, stack, frames);
+                exec(host, code, *fid, stack, frames);
                 stack.pop().expect("kernel return value")
             }
         })
+    }
+}
+
+impl ArgFns for KernelVm<'_> {
+    const TYPED_STORES: bool = true;
+
+    fn prepare<'a, const N: usize>(&'a self, env: &'a KEnv<'a>, i: usize) -> impl ArgFn<N> + 'a {
+        let f = &self.site.fns[i];
+        let lifted = &self.lifted[i][..];
+        let nparams = self.code.funcs[f.fid].nparams;
+        assert_eq!(
+            nparams,
+            lifted.len() + N,
+            "skil runtime: arity mismatch calling function {}: {} params, {} args",
+            f.fid,
+            nparams,
+            lifted.len() + N
+        );
+        if f.shape != KernelShape::General {
+            return Readied::Trivial { shape: &f.shape, lifted };
+        }
+        if let Some(nb) = self.native {
+            return Readied::Native { nb, fid: f.fid, lifted, env };
+        }
+        match self.kernel.typed(f.fid) {
+            Some(tf) => Readied::Typed(TypedSite::new(self.kernel, tf, lifted, env)),
+            None => Readied::Generic {
+                code: self.code,
+                fid: f.fid,
+                lifted,
+                host: KHost { consts: self.consts, env },
+                scratch: Scratch::default(),
+            },
+        }
     }
 
     fn cycles(&self, i: usize) -> u64 {
         self.cycles[i]
     }
 
-    /// Over unboxed elements an operator section or `min`/`max` is one
-    /// direct function.
-    fn direct2<T: Elem>(&self, i: usize) -> Option<fn(T, T) -> T> {
-        T::direct2(&self.site.fns[i].shape, self.lifted[i].len())
+    fn direct2(&self, i: usize) -> Option<Direct> {
+        self.site.direct(i)
     }
 
     /// Only when a compiled module drives kernels *and* at least one

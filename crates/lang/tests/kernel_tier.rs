@@ -19,13 +19,13 @@ const PINNED: [(&str, &[(&str, bool)]); 13] = [
         &[
             ("init_f", true),
             ("zerof", true),
-            // a struct of scalars is one register per field; the fold
-            // still passes `Value`s between them
+            // a struct of scalars is one register per field, and
+            // crosses the fold as those words
             ("make_elemrec", true),
             ("max_abs_in_col", true),
             ("switch_rows", true),
-            // `array_part_bounds` yields `Bounds`
-            ("copy_pivot", false),
+            // `Bounds` is four registers
+            ("copy_pivot", true),
             ("eliminate", true),
             ("normalize", true),
         ],
@@ -54,11 +54,12 @@ const PARAMS: [(&str, &str); 5] = [
 fn classify(listing: &str) -> Vec<(String, bool)> {
     let mut out: Vec<(String, bool)> = Vec::new();
     for line in listing.lines().filter(|l| l.starts_with("site ")) {
-        // `init_f_1+0 [typed]`; trivial shapes carry other tags
+        // `init_f_1+0 [typed]`, `divide_1+0 [generic: why]`; trivial
+        // shapes and direct operators carry other tags
         let mut found: Vec<(usize, bool)> = line
             .match_indices(" [typed]")
             .map(|(at, _)| (at, true))
-            .chain(line.match_indices(" [generic]").map(|(at, _)| (at, false)))
+            .chain(line.match_indices(" [generic: ").map(|(at, _)| (at, false)))
             .collect();
         found.sort_unstable();
         for (at, typed) in found {

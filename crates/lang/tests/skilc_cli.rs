@@ -365,13 +365,15 @@ fn bytecode_listings_of_the_examples_match_their_fixtures() {
 }
 
 /// `--emit-bytecode=kernel` over the examples whose argument functions
-/// the benchmark's `kernel` workload spends its time in: what lowers to
-/// typed register code, what stays generic and why, and the code itself.
+/// the benchmark's `kernel` workload spends its time in, and the one
+/// that is lists all the way down: per site the element store and how
+/// each argument function runs — a direct operator, typed register
+/// code, or generic and why — and the typed code itself.
 #[test]
 fn kernel_listings_match_their_fixtures() {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/listings");
-    for stem in ["mandelbrot", "horner", "monte_carlo", "gauss"] {
+    for stem in ["mandelbrot", "horner", "monte_carlo", "gauss", "shortest_paths", "quicksort"] {
         let out = skilc()
             .arg("--emit-bytecode=kernel")
             .arg(format!("{root}/examples/skil/{stem}.skil"))
@@ -384,10 +386,18 @@ fn kernel_listings_match_their_fixtures() {
         assert!(got == want, "{stem}: the kernel listing differs from its fixture:\n{got}");
     }
     // the tags the fixtures are read for
-    let gauss = std::fs::read_to_string(format!("{fixtures}/gauss.kernel.txt")).expect("fixture");
-    assert!(gauss.contains("fn eliminate_1 [typed]"), "{gauss}");
+    let fixture = |stem: &str| {
+        std::fs::read_to_string(format!("{fixtures}/{stem}.kernel.txt")).expect("fixture")
+    };
+    let gauss = fixture("gauss");
+    assert!(gauss.contains("fn copy_pivot_1 [typed]"), "{gauss}");
     assert!(
-        gauss.contains("fn copy_pivot_1 [generic: array_part_bounds yields Bounds]"),
+        gauss.contains("array_fold elem=float ret=flat fns=(make_elemrec_1+0 [typed]"),
         "{gauss}"
     );
+    let shortest_paths = fixture("shortest_paths");
+    assert!(shortest_paths.contains("[direct(min)]"), "{shortest_paths}");
+    assert!(fixture("quicksort").contains("[generic: "));
+    // a loop's back edge is its test
+    assert!(!fixture("mandelbrot").contains(": jmp @"));
 }

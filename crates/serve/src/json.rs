@@ -60,7 +60,7 @@ impl Json {
 /// input (modulo whitespace). Errors carry a byte offset and message.
 pub fn parse(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -70,9 +70,16 @@ pub fn parse(src: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so an unbounded `[[[[…` would overflow the stack of the thread
+/// that reads it; no request `skild` understands nests deeper than three.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -99,10 +106,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// An array or object, one level further in.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nested deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -442,6 +460,17 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,]", "\"unterminated", "1 2", "nul", "{\"a\":1}x"] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nested deeper than 64 levels"), "{err}");
+        // unbalanced and far past any stack: an error, not an overflow
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

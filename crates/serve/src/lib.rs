@@ -1116,6 +1116,30 @@ mod tests {
     }
 
     #[test]
+    fn a_programs_error_call_is_a_runtime_error_on_a_warm_machine() {
+        // a singular system: column 0 is all zeros, so the pivot search
+        // finds none and the program gives up with `error(1)`
+        let gauss =
+            include_str!("../../../benchmark/programs/gauss.skil").replace("__N__", "4").replace(
+                "float init_f(Index ix) {",
+                "float init_f(Index ix) {\n    if (ix[1] == 0) { return 0.0; }",
+            );
+        let server = Server::new();
+        for engine in [Engine::Ast, Engine::Vm, Engine::Native] {
+            let req = Request { engine, ..Request::program(&gauss) };
+            let Response::Err { kind, message, .. } = server.handle(req) else {
+                panic!("a singular system is an error ({engine:?})");
+            };
+            assert_eq!(kind, ErrorKind::Runtime, "{engine:?}: {message}");
+            assert!(message.contains("program called error(1)"), "{engine:?}: {message}");
+            // the program failed, not the machine: it is pooled again
+            assert_eq!(server.stats().machines_discarded, 0, "{engine:?}");
+            let next = Request { engine, ..Request::program(HELLO) };
+            assert!(matches!(server.handle(next), Response::Ok { warm_machine: true, .. }));
+        }
+    }
+
+    #[test]
     fn crash_fault_plans_ride_per_request() {
         let server = Server::new();
         let crash = Request {

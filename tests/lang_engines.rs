@@ -10,9 +10,10 @@
 //! it degrades to the VM, so the check never spuriously fails).
 //!
 //! The walker keeps every array as `DistArray<Value>`; the VM host
-//! stores `array<int>` / `array<float>` unboxed. Equal `DataPlaneStats`
-//! (the inline/heap envelope split) and equal bytes per processor are
-//! what show the two representations are the same on the wire.
+//! stores `array<int>` / `array<float>` unboxed and arrays of flat
+//! structs as their fields' words. Equal `DataPlaneStats` (the
+//! inline/heap envelope split) and equal bytes per processor are what
+//! show the representations are the same on the wire.
 
 use proptest::prelude::*;
 use skil::lang::{compile, compile_opt, Engine, OptLevel};
@@ -45,32 +46,33 @@ fn examples() -> Vec<(String, String)> {
 }
 
 fn assert_engines_agree(name: &str, src: &str, machine: &Machine) {
+    assert_agree_with_the_walker(name, src, machine, &[Engine::Vm, Engine::Native]);
+}
+
+/// The walker against the VM alone, at every level: for the operator
+/// matrices, which would be a `rustc` run per program under `native`.
+fn assert_vm_agrees(name: &str, src: &str, machine: &Machine) {
+    assert_agree_with_the_walker(name, src, machine, &[Engine::Vm]);
+}
+
+/// Output, virtual time and per-processor stats of `engines` at every
+/// level against the walker's.
+fn assert_agree_with_the_walker(name: &str, src: &str, machine: &Machine, engines: &[Engine]) {
     let compiled = compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
     let ast = compiled.run_with(Engine::Ast, machine);
     for level in LEVELS {
         let c = compile_opt(src, level).unwrap_or_else(|e| panic!("{name} @ -O{level}: {e}"));
-        let vm = c.run_with(Engine::Vm, machine);
-        assert_eq!(ast.results, vm.results, "{name} @ -O{level}: print output differs");
-        assert_eq!(
-            ast.report.sim_cycles, vm.report.sim_cycles,
-            "{name} @ -O{level}: virtual time differs"
-        );
-        assert_eq!(
-            fingerprint(&ast.report),
-            fingerprint(&vm.report),
-            "{name} @ -O{level}: per-processor stats differ"
-        );
-        let native = c.run_with(Engine::Native, machine);
-        assert_eq!(ast.results, native.results, "{name} @ -O{level}: native output differs");
-        assert_eq!(
-            ast.report.sim_cycles, native.report.sim_cycles,
-            "{name} @ -O{level}: native virtual time differs"
-        );
-        assert_eq!(
-            fingerprint(&ast.report),
-            fingerprint(&native.report),
-            "{name} @ -O{level}: native per-processor stats differ"
-        );
+        for &engine in engines {
+            let run = c.run_with(engine, machine);
+            let at = format!("{name} @ -O{level} under {engine:?}");
+            assert_eq!(ast.results, run.results, "{at}: print output differs");
+            assert_eq!(ast.report.sim_cycles, run.report.sim_cycles, "{at}: virtual time differs");
+            assert_eq!(
+                fingerprint(&ast.report),
+                fingerprint(&run.report),
+                "{at}: per-processor stats differ"
+            );
+        }
     }
 }
 
@@ -162,6 +164,23 @@ cell addf(cell a, cell b) { if (a.k < b.k) { return a; } return b; }
 cell mulf(cell a, cell b) { return cell{a.k + b.k, a.w * b.w}; }
 ";
 
+const WIDE_DECLS: &str = "
+struct wide { int k; int b; int c; int d; int e; int f; int g; int h; float w; };
+wide mk(int k, float w) { return wide{k, 1, 2, 3, 4, 5, 6, 7, w}; }
+wide initf(Index ix) { return mk((ix[0] * 7 + ix[1] * 3) % 11 - 4, itof(ix[1]) / 2.0); }
+wide zerof(Index ix) { return mk(0, 0.0); }
+wide bump(wide v, Index ix) { return mk(v.k * 2 + ix[1], v.w + 1.0); }
+int key(wide v, Index ix) { return v.k + v.h; }
+wide unkey(int k, Index ix) { return mk(k - 1, 0.5); }
+wide pick(array<wide> src, wide v, Index ix) {
+    wide o = array_get_elem(src, ix);
+    return mk(o.k + v.k, o.w);
+}
+wide idt(wide v, Index ix) { return v; }
+wide addf(wide a, wide b) { if (a.k < b.k) { return a; } return b; }
+wide mulf(wide a, wide b) { return mk(a.k + b.k, a.w * b.w); }
+";
+
 const INDEX_DECLS: &str = "
 Index initf(Index ix) { return {ix[0] * 2 - ix[1], ix[1]}; }
 Index zerof(Index ix) { return {0, 0}; }
@@ -177,7 +196,7 @@ Index addf(Index a, Index b) { if (a[0] < b[0]) { return a; } return b; }
 Index mulf(Index a, Index b) { return {a[0] + b[0], a[1] * b[1]}; }
 ";
 
-const FLAVORS: [Flavor; 6] = [
+const FLAVORS: [Flavor; 7] = [
     // unboxed, combiners resolved to direct operations
     Flavor {
         name: "int/sections",
@@ -212,11 +231,20 @@ const FLAVORS: [Flavor; 6] = [
         mul: "mulf",
         scan: "mulf",
     },
-    // boxed stores
+    // a flat struct: its fields' words per element
     Flavor {
         name: "struct",
         ty: "cell",
         decls: STRUCT_DECLS,
+        add: "addf",
+        mul: "mulf",
+        scan: "mulf",
+    },
+    // boxed stores: a struct of nine fields is one too many to be flat
+    Flavor {
+        name: "struct/nine fields",
+        ty: "wide",
+        decls: WIDE_DECLS,
         add: "addf",
         mul: "mulf",
         scan: "mulf",
@@ -317,6 +345,12 @@ fn every_skeleton_agrees_on_every_array_representation() {
             assert_engines_agree(f.name, &skeleton_suite(f), &machine);
         }
     }
+    // which store each flavor's arrays get
+    for (flavor, elem) in [(0, "int"), (2, "float"), (4, "flat"), (5, "boxed"), (6, "boxed")] {
+        let listing = compile(&skeleton_suite(&FLAVORS[flavor])).unwrap().disassemble_kernel();
+        let create = format!("array_create elem={elem} fns=(initf_1+0 ");
+        assert!(listing.contains(&create), "{}:\n{listing}", FLAVORS[flavor].name);
+    }
 }
 
 /// Runtime errors raised inside kernels over unboxed stores: the same
@@ -388,22 +422,14 @@ fn kernel_runtime_errors_over_typed_stores_match_the_walker() {
 }
 
 /// What a failed run reports: the structured aborts of a Skil runtime
-/// error, or the message of the panic a program's `error(n)` raises.
+/// error. `error(n)` is one too — the program's failure, not a panic of
+/// the engine's.
 fn failure_of(
     c: &skil::lang::Compiled,
     engine: Engine,
     machine: &Machine,
-) -> Result<Vec<skil::runtime::SimAbort>, String> {
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        c.try_run_with(engine, machine).expect_err("the program fails at run time").aborts
-    }));
-    run.map_err(|payload| {
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("a string panic")
-    })
+) -> Vec<skil::runtime::SimAbort> {
+    c.try_run_with(engine, machine).expect_err("the program fails at run time").aborts
 }
 
 /// Runtime errors raised inside `General` argument functions: the typed
@@ -450,7 +476,7 @@ fn kernel_runtime_errors_match_the_walker_on_every_kernel_tier() {
             "error(n)",
             "int k(int v, Index ix) { if (v == 9) { error(41); } return v + 1; }
              void main() { run(k); }",
-            "skil program called error(41)",
+            "program called error(41)",
         ),
         (
             "Index component out of range",
@@ -524,21 +550,18 @@ fn kernel_runtime_errors_match_the_walker_on_every_kernel_tier() {
             "use of an array being written by this skeleton or already destroyed",
         ),
     ];
+    // every one is a Skil runtime error: the machine survives them all
+    let machine = Machine::new(MachineConfig::square(2).unwrap());
     for (name, body, message) in cases {
         let src = format!("{prelude}\n{body}");
-        // a panic that is not a Skil runtime error poisons its machine
-        let machine = || Machine::new(MachineConfig::square(2).unwrap());
         let compiled = compile(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let want = failure_of(&compiled, Engine::Ast, &machine());
-        let text = match &want {
-            Ok(aborts) => format!("{aborts:?}"),
-            Err(panic) => panic.clone(),
-        };
+        let want = failure_of(&compiled, Engine::Ast, &machine);
+        let text = format!("{want:?}");
         assert!(text.contains(message), "{name}: the walker reports `{text}`");
         for level in LEVELS {
             let c = compile_opt(&src, level).unwrap();
             for engine in [Engine::Vm, Engine::Native] {
-                let got = failure_of(&c, engine, &machine());
+                let got = failure_of(&c, engine, &machine);
                 assert_eq!(want, got, "{name} @ -O{level} under {engine:?}");
             }
         }
@@ -666,8 +689,248 @@ fn struct_kernels_agree_on_both_kernel_tiers() {
     for typed in ["mk_1", "best_1", "turn_1"] {
         assert!(listing.contains(&format!("fn {typed} [typed]")), "{typed}:\n{listing}");
     }
-    for generic in ["mkw_1", "addw_1", "mkn_1", "addn_1"] {
-        assert!(listing.contains(&format!("fn {generic} [generic: ")), "{generic}:\n{listing}");
+    for generic in ["mkw_1+0", "addw_1+0", "mkn_1+0", "addn_1+0"] {
+        assert!(listing.contains(&format!("{generic} [generic: ")), "{generic}:\n{listing}");
+    }
+    // a flat fold result crosses as words; nine fields and a nested
+    // struct stay boxed
+    assert_eq!(listing.matches("array_fold elem=float ret=flat ").count(), 2, "{listing}");
+    assert_eq!(listing.matches("array_fold elem=float ret=boxed ").count(), 2, "{listing}");
+}
+
+/// Struct-valued folds over every store: an `array<int>`, an
+/// `array<float>` and an array of flat structs, whose elements are also
+/// mapped, copied, read and printed.
+#[test]
+fn flat_struct_folds_and_arrays_agree_over_every_store() {
+    let src = "pardata array <$t>;
+        struct pt { int x; float y; int z; };
+        int ints(Index ix) { return (ix[0] * 5 + ix[1]) % 9 - 3; }
+        float floats(Index ix) { return itof(ix[0] * 3 - ix[1]) / 4.0; }
+        pt pts(Index ix) { return pt{ix[0] - 2, itof(ix[1]) * 0.5, ix[0] * ix[1]}; }
+        pt of_int(int v, Index ix) { return pt{v, itof(ix[0]), ix[1]}; }
+        pt of_float(float v, Index ix) { return pt{ix[0], v, ix[1]}; }
+        pt of_pt(pt v, Index ix) { return pt{v.z, v.y + itof(ix[1]), v.x}; }
+        pt mix(int bias, pt a, pt b) {
+            if (a.x + bias < b.x) { return pt{b.x, a.y - b.y, a.z + b.z}; }
+            return pt{a.x - 1, b.y * 0.5 + a.y, b.z - a.z};
+        }
+        pt shift(pt d, pt v, Index ix) { return pt{v.x + d.x, v.y * d.y, v.z + ix[0]}; }
+        int zkey(pt v, Index ix) { return v.z * 3 + v.x; }
+        void main() {
+            array<int> a = array_create(2, {4, 6}, {0,0}, {0-1,0-1}, ints, DISTR_DEFAULT);
+            array<float> b = array_create(2, {4, 6}, {0,0}, {0-1,0-1}, floats, DISTR_DEFAULT);
+            array<pt> c = array_create(2, {4, 6}, {0,0}, {0-1,0-1}, pts, DISTR_DEFAULT);
+            array<pt> d = array_create(2, {4, 6}, {0,0}, {0-1,0-1}, pts, DISTR_DEFAULT);
+            print(array_fold(of_int, mix(1), a));
+            print(array_fold(of_float, mix(0 - 2), b));
+            print(array_fold(of_pt, mix(0), c));
+            array_map(shift(pt{2, 0.5, 0}), c, d);
+            array_map(shift(pt{0 - 1, 2.0, 1}), d, d);
+            print(array_fold(of_pt, mix(3), d));
+            print(array_fold(zkey, (+), d));
+            array_copy(d, c);
+            array_broadcast_part(c, {1, 0});
+            Bounds bds = array_part_bounds(c);
+            pt first = array_get_elem(c, bds->lowerBd);
+            print(first);
+            print(first.y);
+            array_put_elem(c, bds->lowerBd, pt{7, 7.5, 7});
+            print(array_fold(of_pt, mix(0), c));
+        }";
+    let machine = Machine::new(MachineConfig::square(2).unwrap());
+    assert_engines_agree("flat structs", src, &machine);
+    let listing = compile(src).unwrap().disassemble_kernel();
+    for site in [
+        "array_create elem=flat fns=(pts_1+0 [typed])",
+        "array_fold elem=int ret=flat fns=(of_int_1+0 [typed], mix_1+1 [typed])",
+        "array_fold elem=float ret=flat fns=(of_float_1+0 [typed], mix_1+1 [typed])",
+        "array_fold elem=flat ret=flat fns=(of_pt_1+0 [typed], mix_1+1 [typed])",
+        "array_map elem=flat fns=(shift_1+1 [typed])",
+        "array_fold elem=flat ret=int fns=(zkey_1+0 [typed], op_add_int_1+0 [direct(+)])",
+    ] {
+        assert!(listing.contains(site), "{site}:\n{listing}");
+    }
+}
+
+/// `Bounds` in typed argument functions — four registers, each field an
+/// `Index` in place: from `array_part_bounds` inside the function, as a
+/// local, and as a lifted argument.
+#[test]
+fn bounds_fields_in_kernels_agree_on_both_kernel_tiers() {
+    let src = "pardata array <$t>;
+        float init(Index ix) { return itof(ix[0] * 4 + ix[1]); }
+        float edge(array<float> a, float v, Index ix) {
+            Bounds bds = array_part_bounds(a);
+            Index lo = bds->lowerBd;
+            if (ix[0] == lo[0] || ix[1] + 1 == bds->upperBd[1]) { return 0.0 - v; }
+            return v + itof(bds->upperBd[0] * 10 + lo[1]);
+        }
+        int span(Bounds b, float v, Index ix) {
+            int c = 1;
+            return (b->upperBd[0] - b->lowerBd[0]) * 100 + b->upperBd[c] - b->lowerBd[c] + ftoi(v);
+        }
+        int zero(Index ix) { return 0; }
+        int idt(int v, Index ix) { return v; }
+        float fidt(float v, Index ix) { return v; }
+        void main() {
+            array<float> a = array_create(2, {8, 4}, {0,0}, {0-1,0-1}, init, DISTR_DEFAULT);
+            array<float> b = array_create(2, {8, 4}, {0,0}, {0-1,0-1}, init, DISTR_DEFAULT);
+            array<int> n = array_create(2, {8, 4}, {0,0}, {0-1,0-1}, zero, DISTR_DEFAULT);
+            array_map(edge(a), a, b);
+            print(array_fold(fidt, (+), b));
+            array_map(span(array_part_bounds(b)), b, n);
+            print(array_fold(idt, (+), n));
+            print(array_fold(idt, max, n));
+        }";
+    let machine = Machine::new(MachineConfig::square(2).unwrap());
+    assert_engines_agree("Bounds in kernels", src, &machine);
+    let listing = compile(src).unwrap().disassemble_kernel();
+    for typed in ["edge_1+1 [typed]", "span_1+1 [typed]"] {
+        assert!(listing.contains(typed), "{typed}:\n{listing}");
+    }
+    assert!(listing.contains("partbounds "), "{listing}");
+}
+
+/// A function that needs more registers than a frame window has stays
+/// on the generic loop, with the walker's output.
+#[test]
+fn a_function_past_the_register_window_stays_generic() {
+    // 300 distinct constants are 300 registers
+    let steps: String =
+        (0..300).map(|i| format!("s = (s + {}) * 3 % 65521;\n", 1000 + i)).collect();
+    let src = format!(
+        "int big(int v, Index ix) {{ int s = v + ix[0]; {steps} return s; }}
+         int small(int v, Index ix) {{ int s = v; int i = 0; while (i < 3) {{ s = s * 5 % 8; i = i + 1; }} return s; }}
+         int init(Index ix) {{ return ix[0] * 17 - 40; }}
+         int idt(int v, Index ix) {{ return v; }}
+         void main() {{
+             array<int> a = array_create(1, {{16, 1}}, {{0,0}}, {{0-1,0-1}}, init, DISTR_DEFAULT);
+             array_map(big, a, a);
+             print(array_fold(idt, (+), a));
+             array_map(small, a, a);
+             print(array_fold(idt, (+), a));
+         }}"
+    );
+    let machine = Machine::new(MachineConfig::square(2).unwrap());
+    assert_vm_agrees("past the window", &src, &machine);
+    let listing = compile(&src).unwrap().disassemble_kernel();
+    assert!(
+        listing.contains("big_1+0 [generic: needs more registers than a frame window has]"),
+        "{listing}"
+    );
+    assert!(listing.contains("small_1+0 [typed]"), "{listing}");
+}
+
+/// What the direct-operator programs below share: non-zero `int`
+/// arrays that no operator's result turns into a zero divisor (`idiv`
+/// and `irem` are 16 elements whose partition results under `/` resp.
+/// `%` are 100, 37, 23 and 7, which divide in any order a reduction or
+/// a scan composes them), and a `float` one with a NaN, an infinity and
+/// a negative zero in it.
+const DIRECT_DECLS: &str = "pardata array <$t>;
+    int ia(Index ix) { int v = 15 + (ix[0] * 5 + ix[1] * 3) % 6; if ((ix[0] + ix[1]) % 3 == 1) { return 0 - v; } return v; }
+    int ib(Index ix) { int k = (ix[0] + ix[1] * 2) % 5; if (k == 0) { return 7; } if (k == 1) { return 0 - 11; } if (k == 2) { return 13; } if (k == 3) { return 0 - 7; } return 11; }
+    int ic(Index ix) { return ix[0] * 3 - ix[1] * 5 + 1; }
+    int part(int p) { if (p == 0) { return 100; } if (p == 1) { return 37; } if (p == 2) { return 23; } return 7; }
+    int idiv(Index ix) { if (ix[0] % 4 == 0) { return part(ix[0] / 4) * 6; } return ix[0] % 4; }
+    int irem(Index ix) { if (ix[0] % 4 == 0) { return part(ix[0] / 4); } return ix[0] % 4 * 1000; }
+    float fa(Index ix) {
+        float z = 0.0;
+        if (ix[0] == 1 && ix[1] == 0) { return z / z; }
+        if (ix[0] == 0 && ix[1] == 1) { return 1.0 / z; }
+        if (ix[0] == 1 && ix[1] == 1) { return 0.0 - z; }
+        return itof((ix[0] * 7 + ix[1] * 3) % 11 - 4) / 2.0;
+    }
+    float fb(Index ix) { return itof((ix[0] * 3 + ix[1] * 5) % 7) - 2.5; }
+    float fc(Index ix) { return itof(ix[0] - ix[1]) * 0.25; }
+    int land(int a, int b) { return a && b; }
+    int lor(int a, int b) { return a || b; }
+    int ikeep(int v, Index ix) { return v; }
+    float fkeep(float v, Index ix) { return v; }
+    void ishow(array<int> x) {
+        Bounds b = array_part_bounds(x);
+        int i; int j;
+        for (i = b->lowerBd[0]; i < b->upperBd[0]; i = i + 1) {
+            for (j = b->lowerBd[1]; j < b->upperBd[1]; j = j + 1) { print(array_get_elem(x, {i, j})); }
+        }
+    }
+    void fshow(array<float> x) {
+        Bounds b = array_part_bounds(x);
+        int i; int j;
+        for (i = b->lowerBd[0]; i < b->upperBd[0]; i = i + 1) {
+            for (j = b->lowerBd[1]; j < b->upperBd[1]; j = j + 1) { print(array_get_elem(x, {i, j})); }
+        }
+    }";
+
+const INT_SECTIONS: [&str; 15] = [
+    "(+)", "(-)", "(*)", "(/)", "(%)", "(==)", "(!=)", "(<)", "(<=)", "(>)", "(>=)", "land", "lor",
+    "min", "max",
+];
+const FLOAT_SECTIONS: [&str; 7] = ["(+)", "(-)", "(*)", "(/)", "(%)", "fmin", "fmax"];
+
+/// Every operator a fold or a scan resolves to a direct operation, over
+/// `int` and `float` elements — the ones that are neither associative
+/// nor commutative (`-`, `/`, `%`) and NaN operands included — against
+/// the walker at every level.
+#[test]
+fn every_direct_operator_folds_and_scans_like_the_walker() {
+    let mut main = String::new();
+    for (ty, init, keep, show, ops) in [
+        ("int", "ia", "ikeep", "ishow", &INT_SECTIONS[..]),
+        ("float", "fa", "fkeep", "fshow", &FLOAT_SECTIONS[..]),
+    ] {
+        main += &format!(
+            "array<{ty}> {ty}t = array_create(1, {{16, 1}}, {{0,0}}, {{0-1,0-1}}, {init}, DISTR_DEFAULT);\n"
+        );
+        for (k, op) in ops.iter().enumerate() {
+            let init = match (ty, *op) {
+                ("int", "(/)") => "idiv",
+                ("int", "(%)") => "irem",
+                _ => init,
+            };
+            main += &format!(
+                "array<{ty}> {ty}s{k} = array_create(1, {{16, 1}}, {{0,0}}, {{0-1,0-1}}, {init}, DISTR_DEFAULT);
+                 print(array_fold({keep}, {op}, {ty}s{k})); array_scan({op}, {ty}s{k}, {ty}t); {show}({ty}t);\n"
+            );
+        }
+    }
+    let src = format!("{DIRECT_DECLS}\nvoid main() {{ {main} }}");
+    let machine = Machine::new(MachineConfig::square(2).unwrap());
+    assert_vm_agrees("direct folds and scans", &src, &machine);
+    let listing = compile(&src).unwrap().disassemble_kernel();
+    for direct in ["[direct(-)]", "[direct(%)]", "[direct(<=)]", "[direct(||)]", "[direct(min)]"] {
+        assert!(listing.contains(direct), "{direct}:\n{listing}");
+    }
+}
+
+/// `array_gen_mult` over every pair of direct operators — the semiring
+/// pairs over `+ * min max`, whose block pass is monomorphic, and every
+/// other one — on blocks of 1, 2, 7 and 8 columns, against the walker
+/// at every level: the row-major pass composes each element in the
+/// order the walker's does, whatever the operators.
+#[test]
+fn every_direct_operator_pair_multiplies_like_the_walker() {
+    let machine = Machine::new(MachineConfig::square(2).unwrap());
+    for (ty, inits, show, ops) in [
+        ("int", ["ia", "ib", "ic"], "ishow", &["(+)", "(-)", "(*)", "(/)", "(%)", "min", "max"]),
+        ("float", ["fa", "fb", "fc"], "fshow", &FLOAT_SECTIONS),
+    ] {
+        for n in [2, 4, 14, 16] {
+            let mut main = String::new();
+            for (name, init) in ["a", "b", "c"].iter().zip(inits) {
+                main += &format!(
+                    "array<{ty}> {name} = array_create(2, {{{n}, {n}}}, {{0,0}}, {{0-1,0-1}}, {init}, DISTR_TORUS2D);\n"
+                );
+            }
+            for add in ops {
+                for mul in ops {
+                    main += &format!("array_gen_mult(a, b, {add}, {mul}, c); {show}(c);\n");
+                }
+            }
+            let src = format!("{DIRECT_DECLS}\nvoid main() {{ {main} }}");
+            assert_vm_agrees(&format!("gen_mult over {ty}, n={n}"), &src, &machine);
+        }
     }
 }
 

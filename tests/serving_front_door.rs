@@ -31,6 +31,69 @@ fn a_mixed_batch_gets_one_response_per_line_under_one_and_four_workers() {
     assert_eq!(serve(1), serve(4));
 }
 
+/// Requests that used to kill the daemon — unbounded nesting in the
+/// request's JSON and in the program's source overflowed the stack of
+/// the worker parsing it, an absurd `array_create` aborted in the
+/// allocator — are answered, each in its own terms, and the valid
+/// request behind each is answered by the same `serve`.
+#[test]
+fn hostile_nesting_and_sizes_are_answered_and_the_daemon_goes_on() {
+    let program = |id: &str, src: &str| {
+        format!("{{\"id\":\"{id}\",\"program\":\"{}\"}}\n", skil_serve::json::escape(src))
+    };
+    let hello = |id: &str| program(id, "void main() { if (procId == 0) { print(7); } }");
+    let deep = format!("void main() {{ int x = {}1{}; }}", "(".repeat(20_000), ")".repeat(20_000));
+    // at the cap, a program still compiles and runs on a worker's stack
+    let at_cap = format!(
+        "void main() {{ int x = {}1{}; int y = {}; print(x + y); }}",
+        "(".repeat(97),
+        ")".repeat(97),
+        vec!["1"; 100].join(" + ")
+    );
+    let huge = "int zero(Index ix) { return 0; }
+        void main() {
+            array<int> a = array_create(2, {100000000, 100000000}, {0,0}, {0-1,0-1}, zero, DISTR_DEFAULT);
+        }";
+    let input = [
+        "[".repeat(200_000) + "\n",
+        hello("a"),
+        program("deep", &deep),
+        hello("b"),
+        program("cap", &at_cap),
+        program("huge", huge),
+        hello("c"),
+    ]
+    .concat();
+    for threads in [1, 2] {
+        let server = Server::new();
+        let mut stdout = Vec::new();
+        server.serve(input.as_bytes(), &mut stdout, threads).expect("in-memory pipes do not fail");
+        let replies: Vec<&str> = std::str::from_utf8(&stdout).expect("UTF-8").lines().collect();
+        assert_eq!(replies.len(), 7, "one reply per line");
+        let reply = |needle: &str| {
+            *replies.iter().find(|r| r.contains(needle)).unwrap_or_else(|| panic!("no {needle}"))
+        };
+        let nested = reply(r#""kind":"bad_request""#);
+        assert!(nested.contains("nested deeper than 64 levels at byte 64"), "{nested}");
+        let deep = reply(r#""id":"deep""#);
+        assert!(deep.contains(r#""kind":"compile""#), "{deep}");
+        assert!(deep.contains("parse error at 1:122: nested deeper than 100 levels"), "{deep}");
+        let cap = reply(r#""id":"cap""#);
+        assert!(cap.contains(r#""results":[["101"]"#), "{cap}");
+        let huge = reply(r#""id":"huge""#);
+        assert!(huge.contains(r#""kind":"runtime""#), "{huge}");
+        assert!(
+            huge.contains("array_create of 100000000 x 100000000 elements exceeds the limit"),
+            "{huge}"
+        );
+        for id in ["a", "b", "c"] {
+            let ok = reply(&format!(r#""id":"{id}""#));
+            assert!(ok.contains(r#""results":[["7"]"#), "{ok}");
+        }
+        assert_eq!(server.stats().machines_discarded, 0);
+    }
+}
+
 /// Requests of `LINE` bytes each, every one a `hello` under its own id.
 const LINE: usize = 1024;
 

@@ -27,6 +27,7 @@
 //!  "faults":"seed=7,crash=3@1000000"}   optional fault plan
 //! ```
 //!
+//! A mesh or topology of more than 4,096 processors is a `bad_request`.
 //! `{"cmd":"stats"}` returns the serving counters. Every failure mode —
 //! a line that is not UTF-8 or not JSON, compile error, Skil runtime
 //! error, injected crash — is a structured `{"ok":false,"error":{...}}`
@@ -75,8 +76,8 @@ fn main() -> ExitCode {
     let s = server.stats();
     eprintln!(
         "skild: served {} request(s): {} ok, {} error(s); compile cache {} hit / {} miss \
-         ({:.1}% hit rate), {} program(s) in {} byte(s); machines {} warm / {} cold / \
-         {} discarded; {} helper join(s)",
+         ({:.1}% hit rate), {} program(s) in {} byte(s), {} evicted; machines {} warm / \
+         {} cold / {} discarded / {} evicted; {} helper join(s)",
         s.requests,
         s.ok,
         s.errors,
@@ -85,9 +86,11 @@ fn main() -> ExitCode {
         100.0 * s.cache_hit_rate(),
         s.cache_programs,
         s.cache_bytes,
+        s.cache_evictions,
         s.machines_warm,
         s.machines_cold,
         s.machines_discarded,
+        s.machines_evicted,
         s.helper_joins,
     );
     for p in &s.pool {

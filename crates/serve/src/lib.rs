@@ -8,11 +8,14 @@
 //!
 //! - a **compiled-program cache** keyed by
 //!   `(source text, cost model, opt level, engine)` — re-submitting the
-//!   same program skips the whole front end;
+//!   same program skips the whole front end — that holds at most
+//!   [`CACHE_BUDGET_BYTES`], evicting the least recently used programs;
 //! - a **warm-[`Machine`] pool** keyed by mesh shape — worker threads
 //!   and coroutine stacks are reused across requests, and per-request
 //!   fault plans ride on [`Compiled::try_run_faults`] so machines with
-//!   different fault plans share one pool entry;
+//!   different fault plans share one pool entry. A request may ask for
+//!   at most [`MAX_PROCESSORS`] processors, and the pool keeps at most
+//!   as many idle, dropping the least recently checked-in machines;
 //! - a **structured request/response protocol** (JSON lines, see
 //!   [`Server::handle_line`]) in which *every* failure — parse error,
 //!   type error, Skil runtime error, injected crash — is a JSON error
@@ -68,43 +71,147 @@ struct Variant {
     engine: Engine,
 }
 
+/// The most heap bytes the compile cache holds. Skil has no run-time
+/// arguments, so a parameter sweep is a stream of new sources; the
+/// largest cached working set of any benchmark workload is under 1 MiB,
+/// and 32 MiB holds ~2,400 `cold_compile`-sized programs.
+pub const CACHE_BUDGET_BYTES: usize = 32 << 20;
+
+/// The most processors one request may ask for, and the most the idle
+/// pool keeps across all its machines: the largest machine any test or
+/// bench in the repo builds (`bench_scale`'s 64x64).
+pub const MAX_PROCESSORS: usize = 4096;
+
+/// One compiled variant of a cached source.
+struct Entry {
+    variant: Variant,
+    compiled: Arc<Compiled>,
+    /// What the entry adds to the cache's bytes, its text aside.
+    bytes: usize,
+    /// The cache's clock at the entry's insert or latest hit.
+    last_use: u64,
+}
+
 /// The compiled-program cache: source text -> the variants compiled
 /// from it. The key is the text itself (one shared copy per source,
 /// hashed by std's keyed `RandomState`), never a digest of it: two
 /// different programs can not be handed each other's compiled code,
-/// whatever their bytes.
-#[derive(Default)]
+/// whatever their bytes. It owns its size and holds at most `budget`
+/// bytes: the least recently used variants go first, and a source's
+/// text goes with its last variant.
 struct ProgramCache {
-    by_source: HashMap<Arc<str>, Vec<(Variant, Arc<Compiled>)>>,
+    by_source: HashMap<Arc<str>, Vec<Entry>>,
+    budget: usize,
+    /// Live variants, and their bytes: [`ProgramCache::entry_bytes`]
+    /// each plus every live source's text once.
+    programs: usize,
+    bytes: usize,
+    evictions: u64,
+    /// Ticks once per hit and per insert.
+    clock: u64,
 }
 
 impl ProgramCache {
-    fn get(&self, src: &str, variant: Variant) -> Option<&Arc<Compiled>> {
-        self.by_source.get(src)?.iter().find(|(v, _)| *v == variant).map(|(_, c)| c)
+    fn new(budget: usize) -> ProgramCache {
+        ProgramCache {
+            by_source: HashMap::new(),
+            budget,
+            programs: 0,
+            bytes: 0,
+            evictions: 0,
+            clock: 0,
+        }
+    }
+
+    /// Heap bytes a cached program holds, its source text aside.
+    fn entry_bytes(compiled: &Compiled) -> usize {
+        compiled.heap_bytes() + std::mem::size_of::<Compiled>()
+    }
+
+    /// The cached program for `(src, variant)`, now the most recently
+    /// used one.
+    fn get(&mut self, src: &str, variant: Variant) -> Option<&Arc<Compiled>> {
+        let entry = self.by_source.get_mut(src)?.iter_mut().find(|e| e.variant == variant)?;
+        self.clock += 1;
+        entry.last_use = self.clock;
+        Some(&entry.compiled)
     }
 
     /// Keep `compiled` for `(src, variant)` unless a racing compile got
-    /// there first; returns the kept program and the heap bytes this
-    /// insert added to the cache (0 when nothing was kept).
+    /// there first, or it alone would not fit in the budget; returns the
+    /// program to run and what the insert evicted, which the caller
+    /// drops after releasing the cache's lock.
     fn insert(
         &mut self,
         src: &str,
         variant: Variant,
         compiled: Arc<Compiled>,
-    ) -> (Arc<Compiled>, usize) {
+    ) -> (Arc<Compiled>, Vec<Arc<Compiled>>) {
         if let Some(first) = self.get(src, variant) {
-            return (Arc::clone(first), 0);
+            return (Arc::clone(first), Vec::new());
         }
-        let mut added = compiled.heap_bytes() + std::mem::size_of::<Compiled>();
-        let variants = match self.by_source.get_mut(src) {
-            Some(variants) => variants,
+        let bytes = Self::entry_bytes(&compiled);
+        let text = if self.by_source.contains_key(src) { 0 } else { src.len() };
+        if bytes + text > self.budget {
+            return (compiled, Vec::new());
+        }
+        self.clock += 1;
+        let entry = Entry { variant, compiled: Arc::clone(&compiled), bytes, last_use: self.clock };
+        match self.by_source.get_mut(src) {
+            Some(variants) => variants.push(entry),
             None => {
-                added += src.len();
-                self.by_source.entry(Arc::from(src)).or_default()
+                self.by_source.insert(Arc::from(src), vec![entry]);
             }
-        };
-        variants.push((variant, Arc::clone(&compiled)));
-        (compiled, added)
+        }
+        self.programs += 1;
+        self.bytes += bytes + text;
+        let evicted = if self.bytes > self.budget { self.evict() } else { Vec::new() };
+        (compiled, evicted)
+    }
+
+    /// Evict the least recently used variants, the one inserted last
+    /// aside, until the cache is down to three quarters of its budget:
+    /// one sort per batch, and a batch only every quarter budget's worth
+    /// of inserts.
+    fn evict(&mut self) -> Vec<Arc<Compiled>> {
+        let mut by_age: Vec<(u64, usize)> = self
+            .by_source
+            .values()
+            .flatten()
+            .filter(|e| e.last_use != self.clock)
+            .map(|e| (e.last_use, e.bytes))
+            .collect();
+        by_age.sort_unstable();
+        let target = self.budget / 4 * 3;
+        // Text freed with a source's last variant comes on top, so
+        // evicting up to `cutoff` reaches the target.
+        let (mut freed, mut cutoff) = (0, 0);
+        for (last_use, bytes) in by_age {
+            if self.bytes - freed <= target {
+                break;
+            }
+            freed += bytes;
+            cutoff = last_use;
+        }
+        let mut evicted = Vec::new();
+        let (programs, bytes) = (&mut self.programs, &mut self.bytes);
+        self.by_source.retain(|src, variants| {
+            variants.retain(|e| {
+                let keep = e.last_use > cutoff;
+                if !keep {
+                    *programs -= 1;
+                    *bytes -= e.bytes;
+                    evicted.push(Arc::clone(&e.compiled));
+                }
+                keep
+            });
+            if variants.is_empty() {
+                *bytes -= src.len();
+            }
+            !variants.is_empty()
+        });
+        self.evictions += evicted.len() as u64;
+        evicted
     }
 }
 
@@ -386,8 +493,6 @@ struct Counters {
     errors: AtomicU64,
     compile_hits: AtomicU64,
     compile_misses: AtomicU64,
-    cache_programs: AtomicU64,
-    cache_bytes: AtomicU64,
     machines_discarded: AtomicU64,
 }
 
@@ -406,13 +511,72 @@ impl PoolKey {
     }
 }
 
-/// One machine shape's share of the pool: the machines idle right now
-/// and how often a request was handed a warm or a cold one.
+/// How many processors `topo` has, counted wide enough that no
+/// client-chosen mesh overflows it.
+fn processors(topo: Topology) -> u128 {
+    match topo {
+        Topology::Mesh2d(m) | Topology::Hetero { mesh: m, .. } => m.rows as u128 * m.cols as u128,
+        _ => topo.procs() as u128,
+    }
+}
+
+/// One machine shape's share of the pool: the machines idle right now,
+/// each with the pool's clock at its check-in (so oldest first), and
+/// how often a request was handed a warm or a cold one.
 #[derive(Default)]
 struct PoolShape {
-    idle: Vec<Machine>,
+    idle: Vec<(u64, Machine)>,
     warm: u64,
     cold: u64,
+}
+
+/// The warm-machine pool: idle machines by shape, at most `cap`
+/// processors of them across all shapes.
+struct MachinePool {
+    shapes: HashMap<PoolKey, PoolShape>,
+    cap: usize,
+    idle_procs: usize,
+    evicted: u64,
+    /// Ticks once per check-in.
+    clock: u64,
+}
+
+impl MachinePool {
+    fn new(cap: usize) -> MachinePool {
+        MachinePool { shapes: HashMap::new(), cap, idle_procs: 0, evicted: 0, clock: 0 }
+    }
+
+    /// The most recently checked-in idle machine of `key`'s shape,
+    /// counted as a warm checkout.
+    fn take(&mut self, key: PoolKey) -> Option<Machine> {
+        let shape = self.shapes.get_mut(&key)?;
+        let (_, machine) = shape.idle.pop()?;
+        shape.warm += 1;
+        self.idle_procs -= key.topo.procs();
+        Some(machine)
+    }
+
+    /// Keep `machine` idle; returns the least recently checked-in
+    /// machines that no longer fit under the cap, for the caller to drop
+    /// after releasing the pool's lock.
+    fn checkin(&mut self, key: PoolKey, machine: Machine) -> Vec<Machine> {
+        self.clock += 1;
+        self.shapes.entry(key).or_default().idle.push((self.clock, machine));
+        self.idle_procs += key.topo.procs();
+        let mut evicted = Vec::new();
+        while self.idle_procs > self.cap {
+            let (key, shape) = self
+                .shapes
+                .iter_mut()
+                .filter(|(_, shape)| !shape.idle.is_empty())
+                .min_by_key(|(_, shape)| shape.idle[0].0)
+                .expect("idle processors belong to idle machines");
+            evicted.push(shape.idle.remove(0).1);
+            self.idle_procs -= key.topo.procs();
+        }
+        self.evicted += evicted.len() as u64;
+        evicted
+    }
 }
 
 /// Per-machine-shape pool counters: how often requests for this shape
@@ -446,6 +610,9 @@ pub struct StatsSnapshot {
     pub machines_warm: u64,
     pub machines_cold: u64,
     pub machines_discarded: u64,
+    /// Idle machines dropped to keep the pool within
+    /// [`MAX_PROCESSORS`] idle processors.
+    pub machines_evicted: u64,
     /// Runs across all currently idle pooled machines that reused a
     /// parked run arena (mailboxes, scheduler state) instead of
     /// allocating — the per-run setup-floor reduction at work.
@@ -454,12 +621,16 @@ pub struct StatsSnapshot {
     /// currently idle pooled machines — zero for as long as every
     /// request was driven by its request thread alone.
     pub helper_joins: u64,
-    /// Compiled programs held by the cache (it never evicts).
+    /// Compiled programs the cache holds now.
     pub cache_programs: u64,
-    /// Heap bytes the cache holds: every program's
+    /// Heap bytes the cache holds now: every program's
     /// [`Compiled::heap_bytes`] plus the `Compiled` itself, and each
     /// distinct source text once (it is the key).
     pub cache_bytes: u64,
+    /// Programs the cache evicted to stay within its budget.
+    pub cache_evictions: u64,
+    /// The cache's budget, [`CACHE_BUDGET_BYTES`].
+    pub cache_budget_bytes: u64,
     /// Pool counters per mesh shape, sorted by shape.
     pub pool: Vec<PoolShapeStats>,
 }
@@ -480,7 +651,9 @@ impl StatsSnapshot {
         let mut o = ObjWriter::begin(out);
         o.bool("ok", true);
         let mut st = ObjWriter::begin(o.value("stats"));
+        st.num("cache_budget_bytes", self.cache_budget_bytes as f64);
         st.num("cache_bytes", self.cache_bytes as f64);
+        st.num("cache_evictions", self.cache_evictions as f64);
         st.num("cache_hit_rate", self.cache_hit_rate());
         st.num("cache_programs", self.cache_programs as f64);
         st.num("compile_hits", self.compile_hits as f64);
@@ -489,6 +662,7 @@ impl StatsSnapshot {
         st.num("helper_joins", self.helper_joins as f64);
         st.num("machines_cold", self.machines_cold as f64);
         st.num("machines_discarded", self.machines_discarded as f64);
+        st.num("machines_evicted", self.machines_evicted as f64);
         st.num("machines_warm", self.machines_warm as f64);
         st.num("ok", self.ok as f64);
         let pool = st.value("pool");
@@ -519,7 +693,7 @@ impl StatsSnapshot {
 /// from one to another); all interior state is synchronized.
 pub struct Server {
     programs: Mutex<ProgramCache>,
-    pool: Mutex<HashMap<PoolKey, PoolShape>>,
+    pool: Mutex<MachinePool>,
     counters: Counters,
 }
 
@@ -537,8 +711,8 @@ impl Server {
     /// An empty server: no cached programs, no warm machines.
     pub fn new() -> Server {
         Server {
-            programs: Mutex::new(ProgramCache::default()),
-            pool: Mutex::new(HashMap::new()),
+            programs: Mutex::new(ProgramCache::new(CACHE_BUDGET_BYTES)),
+            pool: Mutex::new(MachinePool::new(MAX_PROCESSORS)),
             counters: Counters::default(),
         }
     }
@@ -725,23 +899,26 @@ impl Server {
         let compiled =
             Arc::new(compile_opt(&req.program, req.opt_level).map_err(|e| e.to_string())?);
         self.counters.compile_misses.fetch_add(1, Ordering::Relaxed);
-        let (kept, added) = self.programs.lock().unwrap().insert(&req.program, variant, compiled);
-        if added > 0 {
-            self.counters.cache_programs.fetch_add(1, Ordering::Relaxed);
-            self.counters.cache_bytes.fetch_add(added as u64, Ordering::Relaxed);
-        }
+        let (kept, evicted) = self.programs.lock().unwrap().insert(&req.program, variant, compiled);
+        // Freeing the evicted programs (a request still running one
+        // holds its own `Arc`) is done with the lock released.
+        drop(evicted);
         Ok((kept, false))
     }
 
     /// Take a warm machine for `key` from the pool, or build a cold
     /// one. The returned bool is `true` for warm.
     fn checkout_machine(&self, key: PoolKey) -> Result<(Machine, bool), String> {
+        let procs = processors(key.topo);
+        if procs > MAX_PROCESSORS as u128 {
+            return Err(format!(
+                "{} has {procs} processors; a request may ask for at most {MAX_PROCESSORS}",
+                key.topo.spec()
+            ));
+        }
         let mut pool = self.pool.lock().expect(POISONED);
-        if let Some(shape) = pool.get_mut(&key) {
-            if let Some(m) = shape.idle.pop() {
-                shape.warm += 1;
-                return Ok((m, true));
-            }
+        if let Some(m) = pool.take(key) {
+            return Ok((m, true));
         }
         let cfg = MachineConfig::on_topology(key.topo)
             .map_err(|e| format!("bad machine shape {}: {e}", key.topo.spec()))?;
@@ -749,19 +926,22 @@ impl Server {
             Some(algo) => cfg.with_collective_algo(algo),
             None => cfg,
         };
-        pool.entry(key).or_default().cold += 1;
+        pool.shapes.entry(key).or_default().cold += 1;
         drop(pool);
         Ok((Machine::new(cfg), false))
     }
 
     /// Return a machine to the pool for reuse.
     fn checkin_machine(&self, key: PoolKey, machine: Machine) {
-        self.pool.lock().expect(POISONED).entry(key).or_default().idle.push(machine);
+        let evicted = self.pool.lock().expect(POISONED).checkin(key, machine);
+        // Machines are torn down with the lock released.
+        drop(evicted);
     }
 
     /// Snapshot the counters.
     pub fn stats(&self) -> StatsSnapshot {
         let c = &self.counters;
+        let programs = self.programs.lock().expect(POISONED);
         let mut snapshot = StatsSnapshot {
             requests: c.requests.load(Ordering::Relaxed),
             ok: c.ok.load(Ordering::Relaxed),
@@ -771,16 +951,22 @@ impl Server {
             machines_warm: 0,
             machines_cold: 0,
             machines_discarded: c.machines_discarded.load(Ordering::Relaxed),
+            machines_evicted: 0,
             setup_reuse_hits: 0,
             helper_joins: 0,
-            cache_programs: c.cache_programs.load(Ordering::Relaxed),
-            cache_bytes: c.cache_bytes.load(Ordering::Relaxed),
+            cache_programs: programs.programs as u64,
+            cache_bytes: programs.bytes as u64,
+            cache_evictions: programs.evictions,
+            cache_budget_bytes: programs.budget as u64,
             pool: Vec::new(),
         };
-        for (key, shape) in self.pool.lock().expect(POISONED).iter() {
+        drop(programs);
+        let pool = self.pool.lock().expect(POISONED);
+        snapshot.machines_evicted = pool.evicted;
+        for (key, shape) in &pool.shapes {
             snapshot.machines_warm += shape.warm;
             snapshot.machines_cold += shape.cold;
-            for machine in &shape.idle {
+            for (_, machine) in &shape.idle {
                 snapshot.setup_reuse_hits += machine.setup_reuse_hits();
                 snapshot.helper_joins += machine.helper_joins();
             }
@@ -897,10 +1083,13 @@ mod tests {
                             ("machines_warm", num(s.machines_warm)),
                             ("machines_cold", num(s.machines_cold)),
                             ("machines_discarded", num(s.machines_discarded)),
+                            ("machines_evicted", num(s.machines_evicted)),
                             ("setup_reuse_hits", num(s.setup_reuse_hits)),
                             ("helper_joins", num(s.helper_joins)),
                             ("cache_programs", num(s.cache_programs)),
                             ("cache_bytes", num(s.cache_bytes)),
+                            ("cache_evictions", num(s.cache_evictions)),
+                            ("cache_budget_bytes", num(s.cache_budget_bytes)),
                             ("cache_hit_rate", Json::Num(s.cache_hit_rate())),
                             ("pool", pool),
                         ]),
@@ -970,24 +1159,28 @@ mod tests {
         let vm = Variant { cost_model: COST_MODEL, opt_level: OptLevel::O2, engine: Engine::Vm };
         let ast = Variant { engine: Engine::Ast, ..vm };
         let compiled = |src| Arc::new(compile_opt(src, OptLevel::O2).expect("compiles"));
-        let mut cache = ProgramCache::default();
+        let mut cache = ProgramCache::new(CACHE_BUDGET_BYTES);
         assert!(cache.get(a, vm).is_none());
-        let (ca, added_a) = cache.insert(a, vm, compiled(a));
-        let (cb, added_b) = cache.insert(b, vm, compiled(b));
+        let (ca, _) = cache.insert(a, vm, compiled(a));
+        let added_a = cache.bytes;
+        let (cb, _) = cache.insert(b, vm, compiled(b));
+        let added_b = cache.bytes - added_a;
         assert!(Arc::ptr_eq(cache.get(a, vm).unwrap(), &ca));
         assert!(Arc::ptr_eq(cache.get(b, vm).unwrap(), &cb));
         assert!(!Arc::ptr_eq(&ca, &cb));
         assert!(cache.get(a, ast).is_none());
         // the text is paid for once per source ...
-        assert_eq!(added_a, ca.heap_bytes() + std::mem::size_of::<Compiled>() + a.len());
+        assert_eq!(added_a, ProgramCache::entry_bytes(&ca) + a.len());
         assert_eq!(added_b, added_a);
-        let (_, added_ast) = cache.insert(a, ast, compiled(a));
-        assert_eq!(added_ast, added_a - a.len());
+        let before = cache.bytes;
+        cache.insert(a, ast, compiled(a));
+        assert_eq!(cache.bytes - before, added_a - a.len());
         assert_eq!(cache.by_source.len(), 2);
         // ... and a second compile of a cached key is dropped, not kept
-        let (again, added) = cache.insert(a, vm, compiled(a));
+        let before = (cache.programs, cache.bytes);
+        let (again, _) = cache.insert(a, vm, compiled(a));
         assert!(Arc::ptr_eq(&again, &ca));
-        assert_eq!(added, 0);
+        assert_eq!((cache.programs, cache.bytes), before);
 
         // end to end: each source prints its own constant, hit or miss
         let server = Server::new();
@@ -1024,6 +1217,272 @@ mod tests {
         let stats = v.get("stats").expect("stats object");
         assert_eq!(stats.get("cache_programs").and_then(Json::as_u64), Some(3));
         assert_eq!(stats.get("cache_bytes").and_then(Json::as_u64), Some(three.cache_bytes));
+        assert_eq!(stats.get("cache_evictions").and_then(Json::as_u64), Some(0));
+        let budget = stats.get("cache_budget_bytes").and_then(Json::as_u64);
+        assert_eq!(budget, Some(CACHE_BUDGET_BYTES as u64));
+    }
+
+    const VM: Variant =
+        Variant { cost_model: COST_MODEL, opt_level: OptLevel::O2, engine: Engine::Vm };
+
+    /// Distinct programs of one size: `k` stays four digits.
+    fn numbered(k: usize) -> String {
+        assert!((1000..10_000).contains(&k));
+        format!("void main() {{ if (procId == 0) {{ print({k}); }} }}")
+    }
+
+    fn compiled(src: &str, level: OptLevel) -> Arc<Compiled> {
+        Arc::new(compile_opt(src, level).expect("compiles"))
+    }
+
+    /// What `numbered` costs the cache: the program and its text.
+    fn numbered_bytes() -> usize {
+        cost(&numbered(1000))
+    }
+
+    /// `(programs, bytes)` counted afresh from the live entries with the
+    /// `cache_bytes` formula.
+    fn recount(cache: &ProgramCache) -> (usize, usize) {
+        let programs = cache.by_source.values().map(Vec::len).sum();
+        let bytes = cache
+            .by_source
+            .iter()
+            .flat_map(|(src, variants)| {
+                let text = src.len();
+                variants.iter().map(|e| ProgramCache::entry_bytes(&e.compiled)).chain([text])
+            })
+            .sum();
+        (programs, bytes)
+    }
+
+    /// Whether the cache holds `(src, variant)`, without using it.
+    fn holds(cache: &ProgramCache, src: &str, variant: Variant) -> bool {
+        cache.by_source.get(src).is_some_and(|vs| vs.iter().any(|e| e.variant == variant))
+    }
+
+    /// What `src` costs the cache at -O2.
+    fn cost(src: &str) -> usize {
+        ProgramCache::entry_bytes(&compiled(src, OptLevel::O2)) + src.len()
+    }
+
+    /// A server whose cache holds at most `budget` bytes.
+    fn server_with_budget(budget: usize) -> Server {
+        Server { programs: Mutex::new(ProgramCache::new(budget)), ..Server::new() }
+    }
+
+    #[test]
+    fn a_hit_makes_a_program_the_most_recently_used() {
+        // Room for four and a half; an eviction goes down to three.
+        let mut cache = ProgramCache::new(numbered_bytes() * 9 / 2);
+        let src: Vec<String> = (1000..1005).map(numbered).collect();
+        for s in &src[..4] {
+            assert!(cache.insert(s, VM, compiled(s, OptLevel::O2)).1.is_empty());
+        }
+        assert!(cache.get(&src[0], VM).is_some());
+        let (_, evicted) = cache.insert(&src[4], VM, compiled(&src[4], OptLevel::O2));
+        assert_eq!((evicted.len(), cache.evictions), (2, 2));
+        let live: Vec<bool> = src.iter().map(|s| cache.get(s, VM).is_some()).collect();
+        assert_eq!(live, [true, false, false, true, true]);
+    }
+
+    #[test]
+    fn after_every_insert_the_cache_is_within_budget_and_counts_itself_exactly() {
+        let budget = numbered_bytes() * 6;
+        let mut cache = ProgramCache::new(budget);
+        let mut inserted = 0;
+        for k in 1001..1061 {
+            let s = numbered(k);
+            // every third source in two variants, every fifth hit again
+            let levels: &[OptLevel] =
+                if k % 3 == 0 { &[OptLevel::O2, OptLevel::O0] } else { &[OptLevel::O2] };
+            for &level in levels {
+                let variant = Variant { opt_level: level, ..VM };
+                cache.insert(&s, variant, compiled(&s, level));
+                inserted += 1;
+                assert!(cache.bytes <= budget, "{} > {budget} after {k}", cache.bytes);
+                assert_eq!(recount(&cache), (cache.programs, cache.bytes), "after {k}");
+                assert_eq!(cache.evictions as usize, inserted - cache.programs);
+            }
+            if k % 5 == 0 {
+                assert!(cache.get(&numbered(k - 1), VM).is_some(), "{k}");
+            }
+        }
+        assert!(cache.evictions > 0);
+    }
+
+    #[test]
+    fn a_program_over_the_budget_runs_and_is_not_kept() {
+        let server = server_with_budget(numbered_bytes() - 1);
+        for _ in 0..2 {
+            let Response::Ok { run, cache_hit, .. } = server.handle(Request::program(HELLO)) else {
+                panic!("an uncacheable program still runs");
+            };
+            assert_eq!(run.results[0], vec!["7".to_string()]);
+            assert!(!cache_hit);
+        }
+        let stats = server.stats();
+        assert_eq!((stats.compile_misses, stats.cache_programs, stats.cache_bytes), (2, 0, 0));
+        assert_eq!(stats.cache_evictions, 0);
+    }
+
+    #[test]
+    fn two_variants_of_one_source_evict_apart_and_the_text_goes_with_the_last() {
+        let mut cache = ProgramCache::new(numbered_bytes() * 4);
+        let o0 = Variant { opt_level: OptLevel::O0, ..VM };
+        let shared = numbered(9999);
+        cache.insert(&shared, VM, compiled(&shared, OptLevel::O2));
+        cache.insert(&shared, o0, compiled(&shared, OptLevel::O0));
+        // keep the -O0 variant in use while other sources come and go
+        let mut k = 1000;
+        while holds(&cache, &shared, VM) {
+            assert!(cache.get(&shared, o0).is_some());
+            let s = numbered(k);
+            cache.insert(&s, VM, compiled(&s, OptLevel::O2));
+            k += 1;
+        }
+        assert!(holds(&cache, &shared, o0), "the -O0 variant was used, the -O2 one not");
+        assert_eq!(cache.by_source[shared.as_str()].len(), 1);
+        assert_eq!(recount(&cache), (cache.programs, cache.bytes));
+        // ... and once the -O0 variant goes too, so does the text
+        while cache.by_source.contains_key(shared.as_str()) {
+            let s = numbered(k);
+            cache.insert(&s, VM, compiled(&s, OptLevel::O2));
+            k += 1;
+        }
+        assert_eq!(recount(&cache), (cache.programs, cache.bytes));
+    }
+
+    #[test]
+    fn racing_first_inserts_next_to_an_eviction_all_run_the_kept_program() {
+        // The cache is too full to take FOLD, so its first insert evicts;
+        // the racing ones find it kept and are handed it.
+        let budget = cost(FOLD) + numbered_bytes() * 4;
+        let server = server_with_budget(budget);
+        let mut k = 1000;
+        while server.stats().cache_bytes as usize + cost(FOLD) <= budget {
+            server.handle(Request::program(&numbered(k)));
+            k += 1;
+        }
+        let evictions = server.stats().cache_evictions;
+        let req = Request::program(FOLD);
+        let start = std::sync::Barrier::new(4);
+        let got: Vec<Arc<Compiled>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        server.compile_cached(&req).expect("compiles").0
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("compile thread")).collect()
+        });
+        let (cached, hit) = server.compile_cached(&req).expect("cached");
+        assert!(hit);
+        assert!(got.iter().all(|c| Arc::ptr_eq(c, &cached)), "a racer got a discarded program");
+        let stats = server.stats();
+        assert!(stats.cache_evictions > evictions);
+        assert!(stats.cache_bytes <= stats.cache_budget_bytes);
+        let cache = server.programs.lock().unwrap();
+        assert_eq!(recount(&cache), (cache.programs, cache.bytes));
+    }
+
+    #[test]
+    fn an_evicted_program_still_running_elsewhere_completes_unchanged() {
+        let src = include_str!("../../../examples/skil/shortest_paths.skil");
+        let server = server_with_budget(cost(src) + numbered_bytes() * 4);
+        let req = Request::program(src);
+        let (in_use, hit) = server.compile_cached(&req).expect("compiles");
+        assert!(!hit);
+        let run = |compiled: &Compiled| {
+            let machine = Machine::new(MachineConfig::square(2).unwrap());
+            compiled.try_run_with(Engine::Vm, &machine).expect("runs").report.sim_cycles
+        };
+        let cycles = std::thread::scope(|s| {
+            // one request runs it while later ones push it out
+            let running = s.spawn(|| (0..3).map(|_| run(&in_use)).collect::<Vec<_>>());
+            let mut k = 1000;
+            while holds(&server.programs.lock().unwrap(), src, VM) {
+                server.handle(Request::program(&numbered(k)));
+                k += 1;
+            }
+            running.join().expect("the run")
+        });
+        assert_eq!(cycles, [2_397_316; 3]);
+        // the cache let go of it: the request's `Arc` is the last one
+        assert_eq!(Arc::strong_count(&in_use), 1);
+        assert_eq!(run(&in_use), 2_397_316);
+        let Response::Ok { run, cache_hit: false, .. } = server.handle(req) else {
+            panic!("an evicted program is compiled again");
+        };
+        assert_eq!(run.report.sim_cycles, 2_397_316);
+    }
+
+    /// A pool key for a `rows x cols` mesh.
+    fn mesh_key(rows: usize, cols: usize) -> PoolKey {
+        PoolKey { topo: Topology::Mesh2d(Mesh { rows, cols }), algo: None }
+    }
+
+    fn machine_for(key: PoolKey) -> Machine {
+        Machine::new(MachineConfig::on_topology(key.topo).unwrap())
+    }
+
+    #[test]
+    fn the_idle_pool_drops_the_least_recently_checked_in_machines_past_its_cap() {
+        let mut pool = MachinePool::new(8);
+        let [m2x2, m1x3, m1x1, m1x2] =
+            [(2, 2), (1, 3), (1, 1), (1, 2)].map(|(r, c)| mesh_key(r, c));
+        let idle = |pool: &MachinePool, key| pool.shapes.get(&key).map_or(0, |s| s.idle.len());
+        for key in [m2x2, m1x3, m1x1] {
+            assert!(pool.checkin(key, machine_for(key)).is_empty());
+        }
+        assert_eq!(pool.idle_procs, 8);
+        // 10 processors: the 2x2, checked in first, goes
+        assert_eq!(pool.checkin(m1x2, machine_for(m1x2)).len(), 1);
+        assert_eq!((idle(&pool, m2x2), pool.idle_procs, pool.evicted), (0, 6, 1));
+        // a checkout and a check-in make the 1x3 the most recent ...
+        let warm = pool.take(m1x3).expect("an idle 1x3");
+        assert!(pool.checkin(m1x3, warm).is_empty());
+        // ... so a 2x2 pushes out the 1x1 and then the 1x2, not the 1x3
+        assert_eq!(pool.checkin(m2x2, machine_for(m2x2)).len(), 2);
+        let left: Vec<usize> = [m2x2, m1x3, m1x1, m1x2].map(|k| idle(&pool, k)).to_vec();
+        assert_eq!(left, [1, 1, 0, 0]);
+        assert_eq!((pool.idle_procs, pool.evicted), (7, 3));
+        // a machine larger than the cap is not kept at all
+        let mut small = MachinePool::new(3);
+        assert_eq!(small.checkin(m2x2, machine_for(m2x2)).len(), 1);
+        assert_eq!(small.idle_procs, 0);
+
+        // through the server: warm reuse goes on under the cap
+        let server = Server { pool: Mutex::new(MachinePool::new(8)), ..Server::new() };
+        for mesh in [(2, 2), (1, 3), (1, 3), (1, 2), (1, 3), (2, 2)] {
+            let req = Request { mesh, ..Request::program(HELLO) };
+            assert!(matches!(server.handle(req), Response::Ok { .. }), "{mesh:?}");
+        }
+        let stats = server.stats();
+        // the 1x2 pushed the 2x2 out, which came back cold and pushed the
+        // 1x2 out; the 1x3 was in use throughout and stayed warm
+        assert_eq!((stats.machines_evicted, stats.machines_warm, stats.machines_cold), (2, 2, 4));
+        assert!(stats.pool.iter().map(|p| p.idle * (p.mesh.0 * p.mesh.1) as u64).sum::<u64>() <= 8);
+    }
+
+    #[test]
+    fn a_request_for_more_than_the_processor_cap_is_a_bad_request() {
+        let server = Server::new();
+        for (field, spec, count) in [
+            ("mesh", "65x64", "4160"),
+            ("mesh", "1000x1000", "1000000"),
+            ("mesh", "99999999999x99999999999", "9999999999800000000001"),
+            ("topology", "hypercube:8192", "8192"),
+            ("topology", "fattree:2,65", "4225"),
+        ] {
+            let line = format!(r#"{{"program":"void main() {{}}","{field}":"{spec}"}}"#);
+            let reply = server.handle_line(&line);
+            assert!(reply.contains(r#""kind":"bad_request""#), "{spec}: {reply}");
+            assert!(reply.contains(&format!("has {count} processors")), "{spec}: {reply}");
+        }
+        let stats = server.stats();
+        assert_eq!((stats.errors, stats.machines_cold), (5, 0));
     }
 
     const HELLO: &str = "void main() { if (procId == 0) { print(procId + 7); } }";

@@ -16,16 +16,40 @@ and asserts the daemon:
     program and reused);
   - reports per-shape pool counters for every mesh in the sweep.
 
+Two probes of the daemon's bounded stores replace the batch:
+
+  --sweep N   N distinct sources (the gauss template with a new constant
+              each), the golden shortest_paths program every 50 of them.
+              Asserts from `{"cmd":"stats"}` that the cache evicted and
+              holds no more than its budget, that the golden program hit
+              every time after its first, and that VmHWM stayed under
+              SWEEP_HWM_MB.
+  --shapes N  one small program on N distinct meshes, 1x1 ... 1xN.
+              Asserts that the idle pool dropped machines
+              (`machines_evicted`) and that VmHWM stayed under
+              SHAPES_HWM_MB.
+
 Usage: python3 scripts/serving_smoke.py --bin target/release/skild \
-           [--requests 1000] [--threads 4]
+           [--requests 1000 | --sweep 5000 | --shapes 300] [--threads 4]
 
 Exit code: 0 pass, 1 assertion failure, 2 usage error.
 """
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import threading
+
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+# Peak RSS bounds of the two probes. The cache holds at most 32 MiB and
+# the idle pool at most 4,096 processors (~12.5 kB each). Measured on 2
+# cores at --threads 1 / 4: --sweep 5000 peaks at 41 / 46 MB (156 MB
+# before the cache had a budget), --shapes 300 at 53 / 76 MB (543 MB
+# before the pool had a cap).
+SWEEP_HWM_MB = 64
+SHAPES_HWM_MB = 128
 
 HELLO = "void main() { if (procId == 0) { print(42); } }"
 FOLD = (
@@ -83,12 +107,122 @@ def build_batch(total):
     return lines, expect, garbage
 
 
+def serve_live(binary, threads, lines):
+    """Stream `lines` and then a stats request through one skild. Once
+    every line is answered, and while the daemon still lives, read its
+    /proc status; then end its input. Returns (responses, stats,
+    status, returncode)."""
+    proc = subprocess.Popen(
+        [binary, "--threads", str(threads)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+    def feed():
+        for line in lines + [json.dumps({"cmd": "stats"})]:
+            proc.stdin.write(line + "\n")
+        proc.stdin.flush()
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    responses = [json.loads(proc.stdout.readline()) for _ in range(len(lines) + 1)]
+    writer.join()
+    with open(f"/proc/{proc.pid}/status") as f:
+        status = dict(l.split(":", 1) for l in f if ":" in l)
+    _, summary = proc.communicate(timeout=600)
+    # the summary's first line; one more per pool shape follows
+    print(summary.split("\n", 1)[0], file=sys.stderr)
+    returncode = proc.returncode
+    stats = next(r["stats"] for r in responses if "stats" in r)
+    return [r for r in responses if "stats" not in r], stats, status, returncode
+
+
+def kb(status, field):
+    return int(status[field].split()[0])
+
+
+def sweep(args):
+    """N distinct sources and one hot golden program (see the docstring)."""
+    with open(os.path.join(REPO, "benchmark", "programs", "gauss.skil")) as f:
+        gauss = f.read().replace("__N__", "4")
+    with open(os.path.join(REPO, "examples", "skil", "shortest_paths.skil")) as f:
+        hot = f.read()
+    lines = []
+    for i in range(args.sweep):
+        if i % 50 == 0:
+            lines.append(json.dumps({"id": f"hot{i}", "program": hot}))
+        src = gauss.replace("void main() {", f"void main() {{ if (procId == 0) {{ print({i}); }}", 1)
+        lines.append(json.dumps({"id": f"s{i}", "program": src}))
+    responses, stats, status, code = serve_live(args.bin, args.threads, lines)
+    failures = [f"skild exited {code}"] if code != 0 else []
+    failures += [f"{r.get('id')}: {r}" for r in responses if r.get("ok") is not True][:5]
+    hot = sorted((int(r["id"][3:]), r) for r in responses if r["id"].startswith("hot"))
+    for i, r in hot:
+        if r["sim_cycles"] != 2397316 or r["cache"] != ("miss" if i == 0 else "hit"):
+            failures.append(f"hot program at {i}: {r['cache']}, {r['sim_cycles']} cycles")
+    if stats.get("cache_evictions", 0) == 0:
+        failures.append(f"a {args.sweep}-source sweep evicted nothing")
+    if stats["cache_bytes"] > stats.get("cache_budget_bytes", 0):
+        failures.append(f"cache over its budget: {stats}")
+    hwm = kb(status, "VmHWM") / 1024
+    if hwm > SWEEP_HWM_MB:
+        failures.append(f"VmHWM {hwm:.1f} MB over {SWEEP_HWM_MB} MB")
+    report = (
+        f"{stats['cache_programs']} programs in {stats['cache_bytes']} B "
+        f"(budget {stats.get('cache_budget_bytes')}), {stats.get('cache_evictions')} evicted, "
+        f"{len(hot)} hot hits/misses ok, VmHWM {hwm:.1f} MB"
+    )
+    return failures, report
+
+
+def shapes(args):
+    """One program on N distinct meshes (see the docstring)."""
+    lines = [
+        json.dumps({"id": f"m{k}", "program": HELLO, "mesh": f"1x{k}"})
+        for k in range(1, args.shapes + 1)
+    ]
+    responses, stats, status, code = serve_live(args.bin, args.threads, lines)
+    failures = [f"skild exited {code}"] if code != 0 else []
+    failures += [f"{r.get('id')}: {r}" for r in responses if r.get("ok") is not True][:5]
+    idle = sum(p["idle"] * int(p["mesh"].split("x")[1]) for p in stats["pool"])
+    if stats.get("machines_evicted", 0) == 0:
+        failures.append(f"{args.shapes} shapes evicted no machine")
+    if idle > 4096:
+        failures.append(f"{idle} idle processors, over 4096")
+    hwm = kb(status, "VmHWM") / 1024
+    if hwm > SHAPES_HWM_MB:
+        failures.append(f"VmHWM {hwm:.1f} MB over {SHAPES_HWM_MB} MB")
+    report = (
+        f"{stats.get('machines_evicted')} machines evicted, {idle} processors idle, "
+        f"VmHWM {hwm:.1f} MB, VmRSS {kb(status, 'VmRSS') / 1024:.1f} MB"
+    )
+    return failures, report
+
+
+def finish(failures, report):
+    if failures:
+        print("serving_smoke: FAILURES:", file=sys.stderr)
+        for f in failures[:20]:
+            print(f"  {f}", file=sys.stderr)
+        return 1
+    print(f"serving_smoke: {report}")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--bin", required=True, help="path to the skild binary")
     ap.add_argument("--requests", type=int, default=1000)
+    ap.add_argument("--sweep", type=int, help="N distinct sources plus a hot program")
+    ap.add_argument("--shapes", type=int, help="one program on N distinct meshes")
     ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
+    if args.sweep:
+        return finish(*sweep(args))
+    if args.shapes:
+        return finish(*shapes(args))
 
     lines, expect, garbage = build_batch(args.requests)
     payload = "\n".join(lines) + "\n"
@@ -161,17 +295,12 @@ def main():
             elif pool[mesh]["warm"] + pool[mesh]["cold"] == 0:
                 failures.append(f"pool counters for {mesh} recorded no checkouts")
 
-    if failures:
-        print("serving_smoke: FAILURES:", file=sys.stderr)
-        for f in failures[:20]:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    print(
-        f"serving_smoke: {len(expect)} correlated requests + {garbage} garbage lines "
-        f"all answered structurally; cache hit rate "
-        f"{stats['cache_hit_rate']:.3f}; daemon exited 0"
+    hit_rate = stats["cache_hit_rate"] if stats else 0.0
+    return finish(
+        failures,
+        f"{len(expect)} correlated requests + {garbage} garbage lines "
+        f"all answered structurally; cache hit rate {hit_rate:.3f}; daemon exited 0",
     )
-    return 0
 
 
 if __name__ == "__main__":

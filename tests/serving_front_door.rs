@@ -94,6 +94,54 @@ fn hostile_nesting_and_sizes_are_answered_and_the_daemon_goes_on() {
     }
 }
 
+/// A machine of more than 4,096 processors is refused by its count before
+/// anything is built for it: `1000x1000` asked for 10⁶ coroutine stacks
+/// of 8 MB, and under `ulimit -v` even `64x64` was a panic, a backtrace
+/// and a lost machine. The valid request behind each refusal is answered
+/// by the same `serve`.
+#[test]
+fn machines_past_the_processor_cap_are_refused_and_the_daemon_goes_on() {
+    let probes = [
+        ("mesh", "1000x1000", 1_000_000),
+        ("mesh", "65x64", 4160),
+        ("topology", "hypercube:8192", 8192),
+        ("topology", "fattree:2,65", 4225),
+        ("topology", "hetero:mesh2d:64x65:slowlinks=col32*2", 4160),
+    ];
+    let mut input = String::new();
+    for (i, (field, spec, _)) in probes.iter().enumerate() {
+        input += &format!(
+            "{{\"id\":\"big{i}\",\"program\":\"void main() {{}}\",\"{field}\":\"{spec}\"}}\n"
+        );
+        input += &format!(
+            "{{\"id\":\"ok{i}\",\"program\":\"void main() {{ if (procId == 0) {{ print(7); }} }}\"}}\n"
+        );
+    }
+    for threads in [1, 2] {
+        let server = Server::new();
+        let mut stdout = Vec::new();
+        server.serve(input.as_bytes(), &mut stdout, threads).expect("in-memory pipes do not fail");
+        let replies: Vec<&str> = std::str::from_utf8(&stdout).expect("UTF-8").lines().collect();
+        assert_eq!(replies.len(), 2 * probes.len(), "one reply per line");
+        let reply = |id: String| {
+            let needle = format!(r#""id":"{id}""#);
+            *replies.iter().find(|r| r.contains(&needle)).unwrap_or_else(|| panic!("no {id}"))
+        };
+        for (i, (_, spec, count)) in probes.iter().enumerate() {
+            let big = reply(format!("big{i}"));
+            assert!(big.contains(r#""kind":"bad_request""#), "{spec}: {big}");
+            assert!(big.contains(&format!("has {count} processors")), "{spec}: {big}");
+            assert!(big.contains("at most 4096"), "{spec}: {big}");
+            let ok = reply(format!("ok{i}"));
+            assert!(ok.contains(r#""results":[["7"]"#), "{ok}");
+        }
+        let stats = server.stats();
+        assert_eq!((stats.ok, stats.errors, stats.machines_discarded), (5, 5, 0));
+        let shapes: Vec<&str> = stats.pool.iter().map(|p| p.topology.as_str()).collect();
+        assert_eq!(shapes, ["mesh2d:2x2"], "nothing was built for a refused machine");
+    }
+}
+
 /// Requests of `LINE` bytes each, every one a `hello` under its own id.
 const LINE: usize = 1024;
 

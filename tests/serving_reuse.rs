@@ -11,6 +11,7 @@
 
 use skil::lang::{compile, Compiled, Engine};
 use skil::runtime::{FaultPlan, Machine, MachineConfig, RunReport, SchedulerKind};
+use skil_serve::json::{self, Json};
 use skil_serve::{ErrorKind, Request, Response, Server};
 
 /// Golden virtual run time of `shortest_paths.skil` on a 2x2 mesh,
@@ -98,6 +99,56 @@ fn server_pool_serves_golden_runs_from_warm_machines() {
         assert!(warm_machine, "round {round}: failing request warmed the pool");
     }
     assert_eq!(server.stats().machines_discarded, 0);
+}
+
+/// A parameter sweep reaches the daemon as a stream of new sources. Past
+/// the compile cache's byte budget the least recently used programs go;
+/// the two golden programs, used every 50 requests, are never among
+/// them, and their virtual time does not move.
+#[test]
+fn a_sweep_past_the_cache_budget_evicts_cold_programs_and_keeps_hot_ones() {
+    let example = |name: &str| {
+        let path = format!("{}/examples/skil/{name}.skil", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(path).expect("example exists")
+    };
+    let hot = [(example("shortest_paths"), SHORTEST_PATHS_CYCLES), (example("gauss"), 11_906_936)];
+    let gauss = include_str!("../benchmark/programs/gauss.skil").replace("__N__", "4");
+    let request = |id: &str, src: &str| {
+        format!(r#"{{"id":"{id}","program":"{}"}}"#, skil_serve::json::escape(src))
+    };
+    let server = Server::new();
+    let stats = || server.stats();
+    let mut sweep = 0;
+    let mut past_budget = 0;
+    while past_budget < 100 {
+        if sweep % 50 == 0 {
+            for (src, cycles) in &hot {
+                let reply = json::parse(&server.handle_line(&request("hot", src))).unwrap();
+                assert_eq!(reply.get("sim_cycles").and_then(Json::as_u64), Some(*cycles));
+                let cache = reply.get("cache").and_then(Json::as_str);
+                assert_eq!(cache, Some(if sweep == 0 { "miss" } else { "hit" }), "at {sweep}");
+            }
+        }
+        let k = 100_000_000 + sweep;
+        let src = gauss.replacen(
+            "void main() {",
+            &format!("void main() {{ if (procId == 0) {{ print({k}); }}"),
+            1,
+        );
+        let reply = server.handle_line(&request(&format!("s{sweep}"), &src));
+        assert!(reply.contains(&format!(r#""results":[["{k}""#)), "{reply}");
+        assert!(reply.contains(r#""cache":"miss""#), "{reply}");
+        sweep += 1;
+        if stats().cache_evictions > 0 {
+            past_budget += 1;
+        }
+    }
+    let stats = stats();
+    assert!(stats.cache_bytes <= stats.cache_budget_bytes, "{stats:?}");
+    assert_eq!(stats.cache_budget_bytes, skil_serve::CACHE_BUDGET_BYTES as u64);
+    assert_eq!(stats.cache_programs + stats.cache_evictions, stats.compile_misses);
+    // Nothing here ran long enough to hold a machine: one 2x2 serves all.
+    assert_eq!((stats.machines_cold, stats.machines_evicted), (1, 0));
 }
 
 /// The three programs that used to cost `skild` a response line, a

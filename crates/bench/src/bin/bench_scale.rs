@@ -8,11 +8,6 @@
 //! Emits `BENCH_scale.json` (schema `skil-bench/scale/v1`, gated by
 //! `scripts/bench_gate.py`).
 //!
-//! The report also records the infeasibility probe of DESIGN.md §13:
-//! under `SKIL_MAX_HOST_THREADS=64`, the thread scheduler cannot even
-//! construct a 4,096-processor machine, while the event scheduler
-//! completes the same simulation on its bounded worker pool.
-//!
 //! Usage:
 //!
 //! ```text
@@ -21,7 +16,6 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use skil_runtime::{Machine, MachineConfig, SchedulerKind};
@@ -90,26 +84,6 @@ fn measure_scale(procs: usize, repeats: usize) -> ScalePoint {
     }
 }
 
-/// Can the thread scheduler build a 4,096-processor machine under a
-/// 64-thread host budget? (It cannot; the event scheduler can, and the
-/// sweep above already proved it completes.)
-fn threads_feasible_at(procs: usize, cap: usize) -> bool {
-    std::env::set_var("SKIL_MAX_HOST_THREADS", cap.to_string());
-    // The probe *expects* a panic; keep its backtrace out of the log.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let ok = catch_unwind(AssertUnwindSafe(|| {
-        let m = Machine::new(
-            MachineConfig::procs(procs).unwrap().with_scheduler(SchedulerKind::Threads),
-        );
-        ring_run(&m, 1)
-    }))
-    .is_ok();
-    std::panic::set_hook(hook);
-    std::env::remove_var("SKIL_MAX_HOST_THREADS");
-    ok
-}
-
 fn main() {
     let mut out_path = String::from("BENCH_scale.json");
     let mut repeats = 5usize;
@@ -152,11 +126,6 @@ fn main() {
         "host cost grew super-linearly with processor count: {growth:.2}x"
     );
 
-    let threads_4096 = threads_feasible_at(4096, 64);
-    println!(
-        "thread scheduler at 4096 procs under SKIL_MAX_HOST_THREADS=64: feasible={threads_4096}"
-    );
-
     let mut json = String::from("{\n  \"schema\": \"skil-bench/scale/v1\",\n");
     let _ = writeln!(
         json,
@@ -164,7 +133,6 @@ fn main() {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     );
     let _ = writeln!(json, "  \"total_messages\": {TOTAL_MESSAGES},");
-    let _ = writeln!(json, "  \"threads_feasible_at_4096_under_cap_64\": {threads_4096},");
     json.push_str("  \"scales\": [\n");
     for (i, p) in points.iter().enumerate() {
         let _ = write!(

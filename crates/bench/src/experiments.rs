@@ -34,7 +34,7 @@ pub fn table1(n_base: usize, sides: &[usize], compare_on: &[usize]) -> Vec<Table
 
 /// [`table1`] with an explicit scheduler, for data-plane benches that
 /// need event-vs-threads legs of the same experiment (`None` keeps the
-/// usual `SKIL_SCHEDULER`/default resolution).
+/// machine's default scheduler).
 pub fn table1_on(
     n_base: usize,
     sides: &[usize],

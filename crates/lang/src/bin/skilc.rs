@@ -58,8 +58,8 @@ fn usage() -> ExitCode {
                   prices every message and steers collective selection\n\
          --collective-algo: collective algorithm override for --run:\n\
                   tree | ring | rd | auto (auto picks the cheaper of\n\
-                  ring/rd from the topology's hop metric; also settable\n\
-                  via SKIL_COLLECTIVE_ALGO)\n\
+                  ring/rd from the topology's hop metric); unset, each\n\
+                  collective keeps its default (tree for allreduce)\n\
          --engine: execution engine for --run: vm (default, bytecode),\n\
                   ast (reference walker), or native (rustc-compiled\n\
                   machine code; falls back to vm if rustc is missing);\n\

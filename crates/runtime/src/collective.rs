@@ -60,7 +60,7 @@ pub enum CollectiveAlgo {
 }
 
 impl CollectiveAlgo {
-    /// Parse a `--collective-algo` / `SKIL_COLLECTIVE_ALGO` value.
+    /// Parse a `--collective-algo` / `collective_algo` request value.
     pub fn parse(s: &str) -> Option<Self> {
         match s.trim() {
             "tree" => Some(CollectiveAlgo::Tree),
@@ -1067,17 +1067,32 @@ mod tests {
     }
 
     #[test]
-    fn env_override_forces_collective_algo() {
-        // SKIL_COLLECTIVE_ALGO is read once at machine construction via
-        // resolved_collective_algo; config takes precedence when set.
-        let topo = Topology::parse("mesh2d:2x2").unwrap();
-        let forced = Machine::new(
-            MachineConfig::on_topology(topo)
-                .unwrap()
-                .with_collective_algo(CollectiveAlgo::RecDouble),
-        );
-        let run = forced.run(|p| p.allreduce(61, p.id() as u64, |a, b| a + b, 2));
-        assert!(run.results.iter().all(|&v| v == 6));
+    fn the_configured_algorithm_beats_each_collectives_default() {
+        // `MachineConfig::collective_algo` is the one machine-wide
+        // choice: set, every plain `allreduce` runs it; unset, the
+        // collective keeps its own default, the paper's binomial tree.
+        fn sum(p: &mut crate::Proc<'_>, algo: Option<CollectiveAlgo>) -> u64 {
+            let mine = p.id() as u64;
+            match algo {
+                Some(algo) => p.allreduce_with(algo, 61, mine, |a, b| a + b, 2),
+                None => p.allreduce(61, mine, |a, b| a + b, 2),
+            }
+        }
+        let shape = |run: &crate::Run<u64>| (run.report.sim_cycles, run.report.total_msgs());
+        let plain = machine(8);
+        let default = plain.run(|p| sum(p, None));
+        assert!(default.results.iter().all(|&v| v == 28));
+        assert_eq!(shape(&default), shape(&plain.run(|p| sum(p, Some(CollectiveAlgo::Tree)))));
+        for algo in [CollectiveAlgo::Ring, CollectiveAlgo::RecDouble] {
+            let forced = Machine::new(MachineConfig::procs(8).unwrap().with_collective_algo(algo));
+            let run = forced.run(|p| {
+                assert_eq!(p.collective_algo(), Some(algo));
+                sum(p, None)
+            });
+            assert_eq!(run.results, default.results, "{algo:?}");
+            assert_eq!(shape(&run), shape(&plain.run(|p| sum(p, Some(algo)))), "{algo:?}");
+            assert_ne!(shape(&run), shape(&default), "{algo:?} is not the tree");
+        }
     }
 
     #[test]

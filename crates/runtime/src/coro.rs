@@ -133,21 +133,12 @@ use stubs::{skil_coro_boot, skil_coro_switch};
 // Stacks
 // ---------------------------------------------------------------------------
 
-/// Default coroutine stack size: matches the 8 MiB the thread scheduler
-/// gives each processor worker, so deep divide&conquer recursion behaves
-/// identically under both schedulers. Only touched pages are committed,
-/// so thousands of mostly-idle tasks cost virtual address space, not RSS.
-const DEFAULT_STACK: usize = 8 * 1024 * 1024;
-
-/// Coroutine stack size in bytes (`SKIL_TASK_STACK` override, floored at
-/// 64 KiB so a task can always at least panic with a diagnostic).
-pub(crate) fn stack_size() -> usize {
-    std::env::var("SKIL_TASK_STACK")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.max(64 * 1024))
-        .unwrap_or(DEFAULT_STACK)
-}
+/// Every simulated processor's stack, under either scheduler: 8 MiB for
+/// a coroutine task here and for a thread-scheduler worker thread, so
+/// deep divide&conquer recursion behaves identically under both. Only
+/// touched pages are committed, so thousands of mostly-idle tasks cost
+/// virtual address space, not RSS.
+pub(crate) const STACK_SIZE: usize = 8 * 1024 * 1024;
 
 /// A heap-allocated coroutine stack. Alignment is 16 bytes (both ABIs'
 /// stack alignment); large allocations come from `mmap` under glibc, so

@@ -101,7 +101,7 @@ pub fn runtime_error_message(payload: &(dyn std::any::Any + Send)) -> Option<&st
 }
 
 /// Why a processor went down mid-run (fault injection, delivery-layer
-/// give-up, or a Skil-program runtime error). Ordinary Rust panics in
+/// give-up, a Skil-program runtime error, or a deadlock). Ordinary Rust panics in
 /// user code are *not* represented here — they still poison the machine
 /// and resume on the caller.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,6 +134,18 @@ pub enum AbortCause {
         /// The diagnostic, without the [`RT_ERROR_PREFIX`].
         what: String,
     },
+    /// This processor waited on a receive that can never match: the
+    /// event scheduler proves it structurally, the thread scheduler
+    /// suspects it after the machine's deadlock timeout.
+    Deadlock {
+        /// The awaited source processor.
+        src: usize,
+        /// The awaited tag.
+        tag: u64,
+        /// `(src, tag)` of every envelope queued at this processor, one
+        /// entry per envelope, sorted — a misrouted tag shows up here.
+        pending: Vec<(usize, u64)>,
+    },
 }
 
 impl fmt::Display for AbortCause {
@@ -153,6 +165,12 @@ impl fmt::Display for AbortCause {
             AbortCause::RuntimeError { what } => {
                 write!(f, "Skil runtime error: {what}")
             }
+            AbortCause::Deadlock { src, tag, pending } => write!(
+                f,
+                "deadlock suspected waiting for (src={src}, tag={tag}); {} pending (src, tag) \
+                 envelope(s): {pending:?}",
+                pending.len()
+            ),
         }
     }
 }
@@ -203,9 +221,10 @@ impl fmt::Display for SimFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Fault-model failures keep the historical "PeerDown" headline
         // (the CI fault matrix greps for it); program-level runtime
-        // errors get an accurate one.
+        // errors and deadlocks get an accurate one.
         let label = match self.root().cause {
             AbortCause::RuntimeError { .. } => "runtime error",
+            AbortCause::Deadlock { .. } => "deadlock",
             _ => "PeerDown",
         };
         writeln!(f, "simulation failed: {label} ({} processor(s) down)", self.aborts.len())?;

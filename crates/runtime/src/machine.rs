@@ -11,7 +11,7 @@ use crate::coro::{self, StackPool, Task, TaskBody, TaskFrame};
 use crate::cost::CostModel;
 use crate::error::{runtime_error_message, AbortCause, RtError, SimAbort, SimFailure};
 use crate::fault::FaultPlan;
-use crate::mailbox::{Gate, Mailbox};
+use crate::mailbox::Mailbox;
 use crate::proc::{Proc, Shared};
 use crate::report::{ProcReport, RunReport};
 use crate::sched::{host_cores, worker_loop, EventSched, Seats};
@@ -25,9 +25,10 @@ pub enum SchedulerKind {
     /// small fixed pool of host workers. Host cost grows with *activity*,
     /// not processor count, so thousands of processors fit on one host.
     Event,
-    /// Legacy thread-per-processor core (`SKIL_SCHEDULER=threads`): one
-    /// long-lived OS thread per simulated processor, kept for
-    /// differential testing against the event core.
+    /// Thread-per-processor core: one long-lived OS thread per simulated
+    /// processor. The only core on targets without a coroutine context
+    /// switch, and the reference the differential tests compare the
+    /// event core against ([`MachineConfig::with_scheduler`]).
     Threads,
 }
 
@@ -42,8 +43,9 @@ pub struct MachineConfig {
     /// topologies change only the hop metric messages are priced with.
     pub topology: Topology,
     /// Which allreduce algorithm the collectives use.
-    /// [`CollectiveAlgo::Tree`] (the paper's binomial tree) by default;
-    /// `None` here resolves from `SKIL_COLLECTIVE_ALGO`.
+    /// `None` leaves each collective its own default:
+    /// [`CollectiveAlgo::Tree`] (the paper's binomial tree) for
+    /// `allreduce`, [`CollectiveAlgo::Auto`] for `allgather`.
     pub collective_algo: Option<CollectiveAlgo>,
     /// Cost model (defaults to the calibrated T800).
     pub cost: CostModel,
@@ -57,17 +59,15 @@ pub struct MachineConfig {
     /// reliable-delivery layer is bypassed and the data plane is exactly
     /// the fault-free one, pinned bit-identical by the golden tests).
     pub faults: FaultPlan,
-    /// Scheduler override; `None` resolves from `SKIL_SCHEDULER`
-    /// (default [`SchedulerKind::Event`]).
+    /// Scheduler override; `None` is [`SchedulerKind::Event`], or
+    /// [`SchedulerKind::Threads`] on targets without coroutines.
     pub scheduler: Option<SchedulerKind>,
-    /// Host-parallelism override; `None` resolves from
-    /// `SKIL_WORKER_THREADS`. Under the event scheduler an explicit
-    /// count means exactly that many workers, all in from the start of
-    /// every run; unset, a run starts on the calling thread alone and
-    /// recruits helpers (up to `min(cores, 8, nprocs)`) only while its
-    /// task quanta are coarse and a core is free. Under the thread
-    /// scheduler it is the permit count of the concurrency gate. Either
-    /// way it is a pure host throttle — virtual time cannot observe it.
+    /// The event scheduler's worker count. Set, it means exactly that
+    /// many workers, all in from the start of every run; `None`, a run
+    /// starts on the calling thread alone and recruits helpers (up to
+    /// `min(cores, 8, nprocs)`) only while its task quanta are coarse
+    /// and a core is free. The thread scheduler ignores it. Either way
+    /// it is a pure host throttle — virtual time cannot observe it.
     pub workers: Option<usize>,
 }
 
@@ -114,7 +114,7 @@ impl MachineConfig {
         self
     }
 
-    /// Force a collective algorithm, overriding `SKIL_COLLECTIVE_ALGO`.
+    /// Force a collective algorithm on every collective.
     pub fn with_collective_algo(mut self, algo: CollectiveAlgo) -> Self {
         self.collective_algo = Some(algo);
         self
@@ -144,16 +144,15 @@ impl MachineConfig {
         self
     }
 
-    /// Force a scheduler, overriding `SKIL_SCHEDULER` (differential
-    /// tests use this instead of racing on process-global env vars).
+    /// Force a scheduler (the differential tests compare the two).
     pub fn with_scheduler(mut self, kind: SchedulerKind) -> Self {
         self.scheduler = Some(kind);
         self
     }
 
-    /// Fix host parallelism, overriding `SKIL_WORKER_THREADS`: exactly
-    /// `k` event workers from the start of every run, or `k` thread-gate
-    /// permits, depending on the scheduler.
+    /// Fix the event scheduler's host parallelism: exactly `k` workers
+    /// from the start of every run (the tests' way to force cross-thread
+    /// event runs). The thread scheduler ignores it.
     pub fn with_workers(mut self, k: usize) -> Self {
         self.workers = Some(k.max(1));
         self
@@ -176,11 +175,11 @@ pub struct Run<R> {
 /// each with its own [`Proc`] handle. Under the default event scheduler
 /// every processor is a coroutine task multiplexed onto the calling
 /// thread and a few recruited helpers, so meshes of thousands of
-/// processors fit on one host; under `SKIL_SCHEDULER=threads` each
+/// processors fit on one host; under [`SchedulerKind::Threads`] each
 /// processor owns a host thread. Virtual
 /// time is fully deterministic for programs whose receives name their
 /// source (all skeletons do), independent of host scheduling *and* of
-/// the scheduler choice — CI pins golden `sim_cycles` across both.
+/// the scheduler choice — the golden tests pin `sim_cycles` across both.
 ///
 /// ```
 /// use skil_runtime::{Machine, MachineConfig};
@@ -236,25 +235,8 @@ enum Backend {
     /// helpers are recruited on evidence (no explicit worker count) or
     /// all dispatched at the start of every run.
     Event { pool: OnceLock<WorkerPool>, stacks: StackPool, max_workers: usize, adaptive: bool },
-    /// Thread scheduler: one worker thread per processor, with the
-    /// optional `SKIL_WORKER_THREADS` permit gate.
-    Threads { pool: WorkerPool, gate: Option<Arc<Gate>> },
-}
-
-/// `SKIL_MAX_HOST_THREADS`: a self-imposed cap on worker threads one
-/// machine may spawn, used by CI and the scale bench to demonstrate that
-/// large meshes are infeasible thread-per-processor while the event
-/// scheduler completes them under the same limit.
-fn max_host_threads() -> Option<usize> {
-    std::env::var("SKIL_MAX_HOST_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&k| k >= 1)
-}
-
-/// Parse an env var as a `usize >= 1`.
-fn env_count(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse::<usize>().ok()).filter(|&k| k >= 1)
+    /// Thread scheduler: one worker thread per processor.
+    Threads { pool: WorkerPool },
 }
 
 impl std::fmt::Debug for Machine {
@@ -270,30 +252,20 @@ impl Machine {
     /// Build a machine from a configuration. The machine owns its worker
     /// threads for its whole lifetime; repeated `run` calls dispatch onto
     /// those instead of spawning fresh threads (the event backend spawns
-    /// them at the first run that uses a helper). The scheduler resolves
-    /// from the config override, then `SKIL_SCHEDULER` (`event` |
-    /// `threads`), defaulting to the event core.
+    /// them at the first run that uses a helper). The scheduler is the
+    /// config's, the event core by default; targets without a coroutine
+    /// context switch always get the thread scheduler (identical virtual
+    /// time, bounded scale).
     pub fn new(cfg: MachineConfig) -> Self {
         let n = cfg.mesh.procs();
-        let kind = cfg
-            .scheduler
-            .or_else(|| match std::env::var("SKIL_SCHEDULER").ok().as_deref().map(str::trim) {
-                Some("threads") | Some("thread") => Some(SchedulerKind::Threads),
-                Some("event") | Some("events") => Some(SchedulerKind::Event),
-                _ => None,
-            })
-            .unwrap_or(SchedulerKind::Event);
-        // Targets without a coroutine context switch fall back to the
-        // thread scheduler (identical virtual time, bounded scale).
-        let kind = if coro::SUPPORTED { kind } else { SchedulerKind::Threads };
+        let kind = if coro::SUPPORTED {
+            cfg.scheduler.unwrap_or(SchedulerKind::Event)
+        } else {
+            SchedulerKind::Threads
+        };
         let backend = match kind {
             SchedulerKind::Event => {
-                let explicit = cfg.workers.or_else(|| env_count("SKIL_WORKER_THREADS"));
-                let max_workers = explicit.unwrap_or_else(|| host_cores().min(8)).min(n.max(1));
-                let max_workers = match max_host_threads() {
-                    Some(cap) => max_workers.min(cap),
-                    None => max_workers,
-                };
+                let max_workers = cfg.workers.unwrap_or_else(|| host_cores().min(8)).min(n.max(1));
                 // The calling thread is always one of a run's workers
                 // (see `try_run_faults`), so the pool needs at most
                 // `max_workers - 1` threads, and none before a run
@@ -301,19 +273,12 @@ impl Machine {
                 // adapt.
                 Backend::Event {
                     pool: OnceLock::new(),
-                    stacks: StackPool::new(coro::stack_size()),
+                    stacks: StackPool::new(coro::STACK_SIZE),
                     max_workers,
-                    adaptive: explicit.is_none() && max_workers > 1,
+                    adaptive: cfg.workers.is_none() && max_workers > 1,
                 }
             }
-            SchedulerKind::Threads => {
-                let gate = cfg
-                    .workers
-                    .or_else(|| env_count("SKIL_WORKER_THREADS"))
-                    .filter(|&k| k < n)
-                    .map(|k| Arc::new(Gate::new(k)));
-                Backend::Threads { pool: WorkerPool::new(n, "proc"), gate }
-            }
+            SchedulerKind::Threads => Backend::Threads { pool: WorkerPool::new(n, "proc") },
         };
         Machine {
             cfg,
@@ -342,17 +307,6 @@ impl Machine {
     /// Number of processors.
     pub fn nprocs(&self) -> usize {
         self.cfg.mesh.procs()
-    }
-
-    /// The collective algorithm runs on this machine use: the config
-    /// override, then `SKIL_COLLECTIVE_ALGO` (`tree` | `ring` | `rd` |
-    /// `auto`). `None` leaves each collective its own default
-    /// (binomial tree for the paper's allreduce, hop-metric
-    /// auto-selection for the new allgather).
-    fn resolved_collective_algo(&self) -> Option<CollectiveAlgo> {
-        self.cfg.collective_algo.or_else(|| {
-            std::env::var("SKIL_COLLECTIVE_ALGO").ok().as_deref().and_then(CollectiveAlgo::parse)
-        })
     }
 
     /// The configuration in use.
@@ -441,7 +395,7 @@ impl Machine {
             trace: self.cfg.trace,
             mesh: self.cfg.mesh,
             topo: self.cfg.topology,
-            collective_algo: self.resolved_collective_algo(),
+            collective_algo: self.cfg.collective_algo,
             cost: self.cfg.cost.clone(),
             deadlock_timeout: self.cfg.deadlock_timeout,
             mailboxes,
@@ -449,10 +403,6 @@ impl Machine {
             faults: faults.unwrap_or(&self.cfg.faults).clone(),
             downs,
             down_causes: Mutex::new(causes),
-            gate: match &self.backend {
-                Backend::Threads { gate, .. } => gate.clone(),
-                Backend::Event { .. } => None,
-            },
             sched: sched.clone(),
         };
         let slots: Vec<Mutex<Option<ProcOutcome<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -502,7 +452,7 @@ impl Machine {
         };
 
         match &self.backend {
-            Backend::Threads { pool, .. } => {
+            Backend::Threads { pool } => {
                 // Holding the sender lock for the whole run serializes
                 // concurrent `run` calls on one machine, so each worker
                 // runs exactly one processor of one simulation at a time.
@@ -516,7 +466,6 @@ impl Machine {
                 let mut wait = DispatchWait { latch, expect: 0 };
                 for id in 0..n {
                     let job = move || {
-                        let _permit = shared.gate.as_deref().map(Gate::permit);
                         let mut proc = Proc::new(id, shared);
                         proc_body(id, &mut proc);
                         latch.count_up();
@@ -736,14 +685,6 @@ struct WorkerPool {
 
 impl WorkerPool {
     fn new(n: usize, name: &str) -> Self {
-        if let Some(cap) = max_host_threads() {
-            assert!(
-                n <= cap,
-                "machine needs {n} host threads, exceeding SKIL_MAX_HOST_THREADS={cap}; \
-                 use the event scheduler (SKIL_SCHEDULER=event) to simulate large machines \
-                 on a bounded worker pool"
-            );
-        }
         let mut txs = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for id in 0..n {
@@ -752,7 +693,7 @@ impl WorkerPool {
                 .name(format!("{name}-{id}"))
                 // Deep per-processor recursion (e.g. divide&conquer
                 // skeletons) needs more than the default stack.
-                .stack_size(8 * 1024 * 1024)
+                .stack_size(coro::STACK_SIZE)
                 .spawn(move || {
                     while let Ok(job) = rx.recv() {
                         job();
@@ -959,11 +900,47 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_wakes_blocked_peers_under_both_schedulers() {
+        // The poison sweep reaches a processor blocked in `recv` however
+        // it waits: as a parked event task, or as a thread on its
+        // mailbox condvar. Nothing here may sit out the 10 s timeout.
+        for kind in [SchedulerKind::Event, SchedulerKind::Threads] {
+            let m = Machine::new(
+                MachineConfig::mesh(1, 2)
+                    .unwrap()
+                    .with_scheduler(kind)
+                    .with_timeout(Duration::from_secs(10)),
+            );
+            let start = std::time::Instant::now();
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                m.run(|p| {
+                    if p.id() == 0 {
+                        std::thread::sleep(Duration::from_millis(50));
+                        panic!("deliberate");
+                    }
+                    let _: u8 = p.recv(0, 1);
+                })
+            }))
+            .expect_err("the panic propagates");
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"deliberate"), "{kind:?}");
+            assert!(start.elapsed() < Duration::from_secs(5), "{kind:?}: {:?}", start.elapsed());
+        }
+    }
+
+    /// A 1x2 thread-scheduler machine whose receives time out fast.
+    fn impatient_threads() -> Machine {
+        Machine::new(
+            MachineConfig::mesh(1, 2)
+                .unwrap()
+                .with_scheduler(SchedulerKind::Threads)
+                .with_timeout(Duration::from_millis(100)),
+        )
+    }
+
+    #[test]
     #[should_panic(expected = "deadlock suspected")]
     fn deadlock_detected() {
-        let m = Machine::new(
-            MachineConfig::mesh(1, 2).unwrap().with_timeout(Duration::from_millis(100)),
-        );
+        let m = impatient_threads();
         let _ = m.run(|p| {
             if p.id() == 1 {
                 let _: u8 = p.recv(0, 42); // nobody ever sends
@@ -976,9 +953,7 @@ mod tests {
     fn deadlock_diagnostic_lists_pending_envelopes() {
         // Proc 0 sends tag 7, but proc 1 waits on tag 42: the misrouted
         // envelope must be named in the deadlock panic.
-        let m = Machine::new(
-            MachineConfig::mesh(1, 2).unwrap().with_timeout(Duration::from_millis(100)),
-        );
+        let m = impatient_threads();
         let _ = m.run(|p| {
             if p.id() == 0 {
                 p.send(1, 7, &9u8);
@@ -1265,39 +1240,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_gate_does_not_change_virtual_time() {
-        // Directly exercise a 1-permit gate (the SKIL_WORKER_THREADS=1
-        // path) on a thread-scheduler machine with more processors than
-        // permits: the run must complete (permits are lent out while
-        // parked in recv) with exactly the ungated virtual time.
-        let program = |p: &mut Proc<'_>| {
-            p.charge(100 * (p.id() as u64 + 1));
-            let next = (p.id() + 1) % p.nprocs();
-            let prev = (p.id() + p.nprocs() - 1) % p.nprocs();
-            p.send(next, 9, &(p.id() as u64));
-            let got: u64 = p.recv(prev, 9);
-            p.charge(50);
-            got
-        };
-        let free =
-            Machine::new(MachineConfig::mesh(2, 2).unwrap().with_scheduler(SchedulerKind::Threads))
-                .run(program);
-        let gated = Machine::new(
-            MachineConfig::mesh(2, 2)
-                .unwrap()
-                .with_scheduler(SchedulerKind::Threads)
-                .with_workers(1),
-        );
-        let g = gated.run(program);
-        assert_eq!(g.results, free.results);
-        assert_eq!(g.report.sim_cycles, free.report.sim_cycles);
-        for (pa, pb) in g.report.procs.iter().zip(&free.report.procs) {
-            assert_eq!(pa.finished_at, pb.finished_at);
-            assert_eq!(pa.stats, pb.stats);
-        }
-    }
-
-    #[test]
     fn schedulers_agree_on_virtual_time_and_stats() {
         // The same ring program under every scheduler × worker-count
         // combination must produce identical results, sim_cycles, and
@@ -1380,6 +1322,42 @@ mod tests {
             "structural detection must not wait out the timeout, took {:?}",
             start.elapsed()
         );
+    }
+
+    #[test]
+    fn deadlock_is_a_structured_failure_and_the_machine_stays_usable() {
+        use crate::error::AbortCause;
+        // Both schedulers reach the verdict through the receive's
+        // `TimedOut` arm: a `Deadlock` abort, not a poisoning panic.
+        for m in [Machine::new(MachineConfig::mesh(1, 2).unwrap()), impatient_threads()] {
+            let kind = m.scheduler();
+            let failure = m
+                .try_run(|p| {
+                    if p.id() == 0 {
+                        p.send(1, 7, &9u8);
+                    } else {
+                        let _: u8 = p.recv(0, 42);
+                    }
+                })
+                .expect_err("the receive never matches");
+            assert_eq!(failure.root().proc, 1, "{kind:?}");
+            assert_eq!(
+                failure.root().cause,
+                AbortCause::Deadlock { src: 0, tag: 42, pending: vec![(0, 7)] },
+                "{kind:?}"
+            );
+            assert!(failure.to_string().starts_with("simulation failed: deadlock"), "{failure}");
+            let ok = m.run(|p| {
+                if p.id() == 0 {
+                    p.send(1, 7, &9u8);
+                    0
+                } else {
+                    p.recv::<u8>(0, 7)
+                }
+            });
+            assert_eq!(ok.results, vec![0, 9], "{kind:?}");
+            assert_eq!(m.setup_reuse_hits(), 1, "{kind:?}: the failed run's arena is reused");
+        }
     }
 
     #[test]

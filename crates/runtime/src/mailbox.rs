@@ -131,63 +131,8 @@ pub struct Envelope {
     pub bytes: Payload,
 }
 
-/// A counted-permit gate bounding how many simulated processors run on
-/// host threads at once (`SKIL_WORKER_THREADS`). A processor blocked in
-/// [`Mailbox::get`] releases its permit while parked and re-acquires it
-/// after waking, so any number of processors make progress under any
-/// permit count ≥ 1 — the gate throttles host parallelism only and
-/// cannot change virtual time, which the CI scheduler-independence job
-/// pins by diffing golden `sim_cycles` between permit counts.
-#[derive(Debug)]
-pub struct Gate {
-    permits: Mutex<usize>,
-    cond: Condvar,
-}
-
-impl Gate {
-    /// A gate with `n ≥ 1` permits.
-    pub fn new(n: usize) -> Self {
-        Gate { permits: Mutex::new(n.max(1)), cond: Condvar::new() }
-    }
-
-    /// Block until a permit is available and take it.
-    pub fn acquire(&self) {
-        let mut p = lock(&self.permits);
-        while *p == 0 {
-            p = self.cond.wait(p).unwrap_or_else(|e| e.into_inner());
-        }
-        *p -= 1;
-    }
-
-    /// Return a permit and wake one waiter.
-    pub fn release(&self) {
-        *lock(&self.permits) += 1;
-        self.cond.notify_one();
-    }
-
-    /// Acquire a permit held for the guard's lifetime.
-    pub fn permit(&self) -> Permit<'_> {
-        self.acquire();
-        Permit { gate: self }
-    }
-}
-
-/// RAII permit from [`Gate::permit`]; released on drop (including
-/// unwinds, so a panicking processor cannot starve the gate).
-#[derive(Debug)]
-pub struct Permit<'a> {
-    gate: &'a Gate,
-}
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        self.gate.release();
-    }
-}
-
 /// Everything a bounded mailbox wait consults besides the `(src, tag)`
-/// key: abort flags, the deadlock deadline, and the optional host
-/// concurrency gate.
+/// key: abort flags and the deadlock deadline.
 #[derive(Debug, Clone, Copy)]
 pub struct WaitCtl<'a> {
     /// Global poison flag — a peer panicked with a genuine bug.
@@ -198,9 +143,6 @@ pub struct WaitCtl<'a> {
     pub src_down: Option<&'a AtomicBool>,
     /// Real-time budget before the wait reports a suspected deadlock.
     pub deadline: Duration,
-    /// Host-concurrency gate; the caller holds a permit, which the wait
-    /// lends out while parked.
-    pub gate: Option<&'a Gate>,
 }
 
 /// Envelope queues bucketed by `(src, tag)`.
@@ -316,12 +258,9 @@ impl Mailbox {
     /// `ctl.deadline` total. `ctl.poison` / `ctl.src_down` abort the
     /// wait early when set; whoever sets them must call
     /// [`wake_all`](Mailbox::wake_all) so blocked receivers observe the
-    /// abort immediately. Time spent re-acquiring `ctl.gate` after a
-    /// wakeup is credited back to the deadline — the gate throttles host
-    /// parallelism and must not masquerade as a simulated deadlock.
+    /// abort immediately.
     pub fn get(&self, src: usize, tag: u64, ctl: WaitCtl<'_>) -> RecvOutcome {
         let start = std::time::Instant::now();
-        let mut gate_credit = Duration::ZERO;
         let key = (src, tag);
         let mut b = lock(&self.buckets);
         loop {
@@ -338,34 +277,15 @@ impl Mailbox {
             if ctl.poison.load(Ordering::Acquire) {
                 return RecvOutcome::Poisoned;
             }
-            let elapsed = start.elapsed().saturating_sub(gate_credit);
+            let elapsed = start.elapsed();
             if elapsed >= ctl.deadline {
                 return RecvOutcome::TimedOut;
             }
-            let budget = ctl.deadline - elapsed;
-            match ctl.gate {
-                None => {
-                    let (guard, _timeout) =
-                        self.cond.wait_timeout(b, budget).unwrap_or_else(|e| e.into_inner());
-                    b = guard;
-                }
-                Some(gate) => {
-                    // Lend the permit out for the park. Deposits need the
-                    // bucket lock we hold until `wait_timeout` parks, so
-                    // no wakeup can be lost in between.
-                    gate.release();
-                    let (guard, _timeout) =
-                        self.cond.wait_timeout(b, budget).unwrap_or_else(|e| e.into_inner());
-                    // Re-acquire with the bucket lock dropped: a permit
-                    // holder may itself be blocked on this bucket's lock
-                    // inside `put`.
-                    drop(guard);
-                    let t0 = std::time::Instant::now();
-                    gate.acquire();
-                    gate_credit += t0.elapsed();
-                    b = lock(&self.buckets);
-                }
-            }
+            let (guard, _timeout) = self
+                .cond
+                .wait_timeout(b, ctl.deadline - elapsed)
+                .unwrap_or_else(|e| e.into_inner());
+            b = guard;
         }
     }
 
@@ -463,7 +383,7 @@ mod tests {
     }
 
     fn ctl(poison: &AtomicBool, deadline: Duration) -> WaitCtl<'_> {
-        WaitCtl { poison, src_down: None, deadline, gate: None }
+        WaitCtl { poison, src_down: None, deadline }
     }
 
     #[test]
@@ -559,12 +479,8 @@ mod tests {
         let poison = AtomicBool::new(false);
         let down = AtomicBool::new(true);
         mb.put(env(4, 9, 11));
-        let c = WaitCtl {
-            poison: &poison,
-            src_down: Some(&down),
-            deadline: Duration::from_secs(1),
-            gate: None,
-        };
+        let c =
+            WaitCtl { poison: &poison, src_down: Some(&down), deadline: Duration::from_secs(1) };
         // Sent-before-crash mail is drained first …
         match mb.get(4, 9, c) {
             RecvOutcome::Message(e) => assert_eq!(e.arrival, 11),
@@ -588,7 +504,6 @@ mod tests {
                 poison: &poison2,
                 src_down: Some(&down2),
                 deadline: Duration::from_secs(30),
-                gate: None,
             };
             mb2.get(0, 0, c)
         });
@@ -653,68 +568,5 @@ mod tests {
         }
         assert!(mb.is_empty());
         assert!(mb.pending().is_empty());
-    }
-
-    #[test]
-    fn gate_permits_bound_concurrency() {
-        use std::sync::atomic::AtomicUsize;
-        let gate = Arc::new(Gate::new(2));
-        let running = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let (gate, running, peak) =
-                (Arc::clone(&gate), Arc::clone(&running), Arc::clone(&peak));
-            handles.push(std::thread::spawn(move || {
-                let _permit = gate.permit();
-                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(10));
-                running.fetch_sub(1, Ordering::SeqCst);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(peak.load(Ordering::SeqCst) <= 2, "peak {}", peak.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn parked_receiver_lends_its_permit_out() {
-        // One permit, two parties: the receiver parks first (holding the
-        // only permit), the sender must still be able to run and deposit.
-        let gate = Arc::new(Gate::new(1));
-        let mb = Arc::new(Mailbox::default());
-        let poison = Arc::new(AtomicBool::new(false));
-        let (gate2, mb2, poison2) = (Arc::clone(&gate), Arc::clone(&mb), Arc::clone(&poison));
-        let receiver = std::thread::spawn(move || {
-            let _permit = gate2.permit();
-            let c = WaitCtl {
-                poison: &poison2,
-                src_down: None,
-                deadline: Duration::from_secs(30),
-                gate: Some(&gate2),
-            };
-            mb2.get(5, 5, c)
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        let sender = {
-            let (gate, mb) = (Arc::clone(&gate), Arc::clone(&mb));
-            std::thread::spawn(move || {
-                let _permit = gate.permit(); // must not deadlock
-                mb.put(Envelope {
-                    src: 5,
-                    tag: 5,
-                    seq: 0,
-                    arrival: 1,
-                    bytes: Payload::from_vec(vec![]),
-                });
-            })
-        };
-        sender.join().unwrap();
-        match receiver.join().unwrap() {
-            RecvOutcome::Message(e) => assert_eq!(e.arrival, 1),
-            other => panic!("unexpected outcome {other:?}"),
-        }
     }
 }

@@ -10,7 +10,7 @@ use crate::coro::{TaskFrame, WakeKind};
 use crate::cost::CostModel;
 use crate::error::{AbortCause, SimAbort};
 use crate::fault::{Fate, FaultPlan};
-use crate::mailbox::{Envelope, Gate, Mailbox, Payload, RecvOutcome, WaitCtl, INLINE_PAYLOAD};
+use crate::mailbox::{Envelope, Mailbox, Payload, RecvOutcome, WaitCtl, INLINE_PAYLOAD};
 use crate::report::{CommRow, DataPlaneStats, ProcStats, TraceEvent, TraceKind};
 use crate::sched::EventSched;
 use crate::topology::{Mesh, Ring, Topology, Torus2d};
@@ -56,10 +56,6 @@ pub(crate) struct Shared {
     pub(crate) downs: Vec<AtomicBool>,
     /// Why each down processor went down (diagnostics for `SimFailure`).
     pub(crate) down_causes: Mutex<Vec<Option<AbortCause>>>,
-    /// Host-concurrency gate (`SKIL_WORKER_THREADS`), if any. Only the
-    /// thread scheduler uses it; the event scheduler bounds host
-    /// concurrency by its worker count instead.
-    pub(crate) gate: Option<Arc<Gate>>,
     /// The event scheduler driving this run, when the machine runs in
     /// event mode. Deposit and abort paths use it to make parked
     /// receiver tasks ready.
@@ -254,9 +250,9 @@ impl<'m> Proc<'m> {
         self.shared.topo.hops(self.id, dst)
     }
 
-    /// The machine-wide collective-algorithm selection (config /
-    /// `SKIL_COLLECTIVE_ALGO`); `None` leaves each collective its own
-    /// default.
+    /// The machine-wide collective-algorithm selection
+    /// ([`MachineConfig::collective_algo`](crate::MachineConfig::collective_algo));
+    /// `None` leaves each collective its own default.
     pub fn collective_algo(&self) -> Option<CollectiveAlgo> {
         self.shared.collective_algo
     }
@@ -345,6 +341,19 @@ impl<'m> Proc<'m> {
         std::panic::panic_any(SimAbort {
             proc: self.id,
             cause: AbortCause::RetryExhausted { dst, tag, attempts },
+        })
+    }
+
+    /// Structured abort for a receive that can never match: this
+    /// processor goes down like a crashed one, its waiting peers cascade,
+    /// and the machine stays usable. Everything queued here is snapshot
+    /// so a misrouted tag is diagnosable from the failure alone.
+    #[cold]
+    fn abort_deadlock(&self, src: usize, tag: u64) -> ! {
+        let pending = self.shared.mailboxes[self.id].pending();
+        std::panic::panic_any(SimAbort {
+            proc: self.id,
+            cause: AbortCause::Deadlock { src, tag, pending },
         })
     }
 
@@ -607,7 +616,6 @@ impl<'m> Proc<'m> {
             poison: &shared.poison,
             src_down: Some(&shared.downs[src]),
             deadline: shared.deadlock_timeout,
-            gate: shared.gate.as_deref(),
         };
         let env = loop {
             let outcome = match self.parker {
@@ -645,21 +653,7 @@ impl<'m> Proc<'m> {
                         cause: AbortCause::PeerDown { peer: src },
                     })
                 }
-                RecvOutcome::TimedOut => {
-                    // Snapshot everything queued at the blocked processor
-                    // so a misrouted tag is diagnosable from the message
-                    // alone.
-                    let pending = self.shared.mailboxes[self.id].pending();
-                    panic!(
-                        "processor {}: deadlock suspected waiting for (src={}, tag={}); \
-                         {} pending (src, tag) envelope(s): {:?}",
-                        self.id,
-                        src,
-                        tag,
-                        pending.len(),
-                        pending
-                    )
-                }
+                RecvOutcome::TimedOut => self.abort_deadlock(src, tag),
             }
         };
         self.stats.recvs += 1;
@@ -730,9 +724,9 @@ impl<'m> Proc<'m> {
     /// virtual clock to the message's arrival time if it is in the local
     /// future.
     ///
-    /// Panics on decode failure (an SPMD type mismatch is a program bug)
-    /// and after `deadlock_timeout` of real time with a diagnostic, so
-    /// deadlocked simulations fail loudly instead of hanging the suite.
+    /// Panics on decode failure (an SPMD type mismatch is a program bug).
+    /// A receive that can never match fails the run with a structured
+    /// [`AbortCause::Deadlock`] instead of hanging it.
     pub fn recv<T: Wire>(&mut self, src: usize, tag: u64) -> T {
         // Receiver-side software cost of accepting the message.
         let env = self.recv_envelope(src, tag, self.shared.cost.recv_cpu);

@@ -10,9 +10,8 @@
 //! mailbox, and is made ready again by the deposit that matches it (or
 //! by a poison / peer-down / deadlock wake). Virtual time cannot observe
 //! any of this: arrival timestamps are computed analytically at the
-//! sender, so clocks advance identically under any resume order — the
-//! same argument that made `SKIL_WORKER_THREADS` a pure host throttle
-//! (DESIGN.md §13 spells it out; the golden tests pin it).
+//! sender, so clocks advance identically under any resume order and any
+//! worker count (DESIGN.md §13 spells it out; the golden tests pin it).
 //!
 //! Wakeup protocol (all transitions hand off through a mutex, so frame
 //! state is ordered):
@@ -28,9 +27,9 @@
 //!   flag.
 //! * deadlock: every worker idle + empty heap + live tasks ⇒ no wake can
 //!   be in flight; the lowest-id parked task is resumed with
-//!   [`WakeKind::Deadlock`] and reports the same blocked-`(src, tag)`-
-//!   with-pending-envelopes diagnostic the thread scheduler produces on
-//!   its timeout.
+//!   [`WakeKind::Deadlock`] and fails with the same structured
+//!   `AbortCause::Deadlock` (blocked `(src, tag)`, pending envelopes)
+//!   the thread scheduler raises on its timeout.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -342,7 +341,7 @@ fn block_task(sched: &EventSched, shared: &Shared, id: usize, src: usize, tag: u
 }
 
 /// Resolve a structural deadlock: wake the lowest-id parked task with
-/// [`WakeKind::Deadlock`] so it raises the standard diagnostic.
+/// [`WakeKind::Deadlock`] so it raises the structured deadlock abort.
 fn wake_deadlock_victim(sched: &EventSched, tasks: &[Task], shared: &Shared) {
     for (id, mb) in shared.mailboxes.iter().enumerate() {
         if mb.unpark(|_| true) {

@@ -10,9 +10,8 @@
 //!
 //! The core budget is process-wide, so every test here holds one lock:
 //! a test that expects a free core must not race another test's run.
-//! The suite also runs under `SKIL_WORKER_THREADS=1|2` and
-//! `SKIL_SCHEDULER=threads` in CI; there the default is not adaptive,
-//! and only the equivalence half of each test applies.
+//! On a one-core host nothing can be recruited, and only the
+//! equivalence half of each test applies.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Barrier, Mutex, MutexGuard};
@@ -32,32 +31,16 @@ fn cores() -> usize {
     std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
 }
 
-/// Whether `name` holds a count as the runtime reads one: CI's default
-/// leg sets `SKIL_WORKER_THREADS` to the empty string, which is unset.
-fn env_count_set(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| v.trim().parse::<usize>().is_ok_and(|k| k >= 1))
-}
-
-/// Whether `default_machine` is adaptive here: nothing in the
-/// environment fixes the worker count or the scheduler, and the host
-/// has a second core to recruit onto.
+/// Whether the host has a second core for `default_machine` to recruit
+/// onto.
 fn adaptive_host() -> bool {
     cores() >= 2
-        && !env_count_set("SKIL_WORKER_THREADS")
-        && !env_count_set("SKIL_MAX_HOST_THREADS")
-        && event_scheduler()
 }
 
 /// The unset default. The absurd timeout proves that nothing here is
 /// resolved by the thread scheduler's watchdog.
 fn default_machine(rows: usize, cols: usize) -> Machine {
     Machine::new(MachineConfig::mesh(rows, cols).unwrap().with_timeout(Duration::from_secs(600)))
-}
-
-/// Structural deadlock detection is the event scheduler's; under
-/// `SKIL_SCHEDULER=threads` the same programs sit out the timeout.
-fn event_scheduler() -> bool {
-    default_machine(1, 2).scheduler() == SchedulerKind::Event
 }
 
 fn single_worker_machine(rows: usize, cols: usize) -> Machine {
@@ -137,9 +120,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[test]
 fn fine_grained_programs_never_leave_the_calling_thread() {
     let _serial = serial();
-    if !adaptive_host() {
-        return;
-    }
     let pair = default_machine(1, 2);
     let ping_pong = |m: &Machine| {
         m.run(|p| {
@@ -187,9 +167,6 @@ fn explicit_worker_counts_are_all_in_from_the_start() {
         let m = Machine::new(
             MachineConfig::mesh(2, 2).unwrap().with_scheduler(SchedulerKind::Event).with_workers(k),
         );
-        if m.scheduler() != SchedulerKind::Event || env_count_set("SKIL_MAX_HOST_THREADS") {
-            return;
-        }
         let a = m.run(fine_ring);
         assert_eq!(m.helper_joins(), per_run, "with_workers({k}), first run");
         let b = m.run(fine_ring);
@@ -201,9 +178,6 @@ fn explicit_worker_counts_are_all_in_from_the_start() {
 #[test]
 fn no_run_recruits_while_every_core_is_driving_a_run() {
     let _serial = serial();
-    if !adaptive_host() {
-        return;
-    }
     // One coarse run per core, each from its own thread. The barriers
     // sit inside processor 0's first and last quantum, so every calling
     // thread is seated before any run takes its first sample and stays
@@ -241,9 +215,6 @@ fn no_run_recruits_while_every_core_is_driving_a_run() {
 #[test]
 fn structural_deadlock_still_fires_with_a_helper_joined() {
     let _serial = serial();
-    if !event_scheduler() {
-        return;
-    }
     let start = Instant::now();
     let m = default_machine(2, 2);
     let err = catch_unwind(AssertUnwindSafe(|| {
@@ -272,9 +243,6 @@ fn structural_deadlock_still_fires_with_a_helper_joined() {
 #[test]
 fn structural_deadlock_waits_for_a_helper_that_is_counted_but_not_there_yet() {
     let _serial = serial();
-    if !event_scheduler() {
-        return;
-    }
     // Processor 0's first quantum is coarse with processor 1 waiting,
     // so the caller recruits — on a fresh machine that spawns the
     // helper thread — and then runs processor 1 itself, which blocks at
@@ -318,9 +286,6 @@ fn no_verdict_falls_while_a_counted_helper_is_still_busy_in_another_run() {
             .with_workers(2)
             .with_timeout(Duration::from_secs(600)),
     );
-    if m.scheduler() != SchedulerKind::Event || env_count_set("SKIL_MAX_HOST_THREADS") {
-        return;
-    }
     let (a_started, a_is_running) = mpsc::channel::<()>();
     let (release_a, a_released) = mpsc::channel::<()>();
     let a_released = Mutex::new(a_released);

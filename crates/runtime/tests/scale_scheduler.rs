@@ -11,23 +11,17 @@ use std::time::Duration;
 
 use skil_runtime::{FaultPlan, Machine, MachineConfig, Proc, Run, SchedulerKind};
 
-/// The scheduler × worker-count matrix of the ISSUE: both schedulers,
-/// each at its default parallelism and pinned to one host worker.
-fn matrix(n: usize, faults: Option<&FaultPlan>) -> Vec<(String, Machine)> {
-    let mut out = Vec::new();
-    for kind in [SchedulerKind::Event, SchedulerKind::Threads] {
-        for workers in [None, Some(1)] {
-            let mut cfg = MachineConfig::procs(n).unwrap().with_scheduler(kind);
-            if let Some(k) = workers {
-                cfg = cfg.with_workers(k);
-            }
-            if let Some(f) = faults {
-                cfg = cfg.with_faults(f.clone());
-            }
-            out.push((format!("{kind:?}/workers={workers:?}"), Machine::new(cfg)));
-        }
+#[path = "../../../tests/support/hosts.rs"]
+mod hosts;
+
+/// The scheduler × worker-count matrix: a machine on each host
+/// configuration.
+fn matrix(n: usize, faults: Option<&FaultPlan>) -> Vec<(&'static str, Machine)> {
+    let mut cfg = MachineConfig::procs(n).unwrap();
+    if let Some(f) = faults {
+        cfg = cfg.with_faults(f.clone());
     }
-    out
+    hosts::hosts(cfg).into_iter().map(|(host, cfg)| (host, Machine::new(cfg))).collect()
 }
 
 /// A ring circulation with compute skew and a second skewed round —
@@ -89,11 +83,11 @@ fn differential_matrix_crash_plan() {
     // every matrix cell.
     let faults = FaultPlan::seeded(3).with_crash(2, 500);
     let machines = matrix(8, Some(&faults));
-    let failures: Vec<(&String, Vec<(usize, skil_runtime::AbortCause)>)> = machines
+    let failures: Vec<(&str, Vec<(usize, skil_runtime::AbortCause)>)> = machines
         .iter()
         .map(|(label, m)| {
             let failure = m.try_run(ring_program).expect_err("the crash plan must fail the run");
-            (label, failure.aborts.iter().map(|a| (a.proc, a.cause.clone())).collect())
+            (*label, failure.aborts.iter().map(|a| (a.proc, a.cause.clone())).collect())
         })
         .collect();
     let (_, base) = &failures[0];

@@ -522,7 +522,8 @@ fn processors(topo: Topology) -> u128 {
 
 /// One machine shape's share of the pool: the machines idle right now,
 /// each with the pool's clock at its check-in (so oldest first), and
-/// how often a request was handed a warm or a cold one.
+/// how often a request was handed a warm or a cold one since the entry
+/// was made.
 #[derive(Default)]
 struct PoolShape {
     idle: Vec<(u64, Machine)>,
@@ -531,19 +532,32 @@ struct PoolShape {
 }
 
 /// The warm-machine pool: idle machines by shape, at most `cap`
-/// processors of them across all shapes.
+/// processors of them across all shapes. Evicting a shape's last idle
+/// machine drops the shape's entry, so the map and the per-shape stats
+/// stay bounded however many shapes are asked for; `warm` and `cold`
+/// count every checkout ever made.
 struct MachinePool {
     shapes: HashMap<PoolKey, PoolShape>,
     cap: usize,
     idle_procs: usize,
     evicted: u64,
+    warm: u64,
+    cold: u64,
     /// Ticks once per check-in.
     clock: u64,
 }
 
 impl MachinePool {
     fn new(cap: usize) -> MachinePool {
-        MachinePool { shapes: HashMap::new(), cap, idle_procs: 0, evicted: 0, clock: 0 }
+        MachinePool {
+            shapes: HashMap::new(),
+            cap,
+            idle_procs: 0,
+            evicted: 0,
+            warm: 0,
+            cold: 0,
+            clock: 0,
+        }
     }
 
     /// The most recently checked-in idle machine of `key`'s shape,
@@ -552,8 +566,15 @@ impl MachinePool {
         let shape = self.shapes.get_mut(&key)?;
         let (_, machine) = shape.idle.pop()?;
         shape.warm += 1;
+        self.warm += 1;
         self.idle_procs -= key.topo.procs();
         Some(machine)
+    }
+
+    /// Count a cold machine built for `key`'s shape.
+    fn count_cold(&mut self, key: PoolKey) {
+        self.shapes.entry(key).or_default().cold += 1;
+        self.cold += 1;
     }
 
     /// Keep `machine` idle; returns the least recently checked-in
@@ -565,13 +586,16 @@ impl MachinePool {
         self.idle_procs += key.topo.procs();
         let mut evicted = Vec::new();
         while self.idle_procs > self.cap {
-            let (key, shape) = self
+            let (&key, shape) = self
                 .shapes
                 .iter_mut()
                 .filter(|(_, shape)| !shape.idle.is_empty())
                 .min_by_key(|(_, shape)| shape.idle[0].0)
                 .expect("idle processors belong to idle machines");
             evicted.push(shape.idle.remove(0).1);
+            if shape.idle.is_empty() {
+                self.shapes.remove(&key);
+            }
             self.idle_procs -= key.topo.procs();
         }
         self.evicted += evicted.len() as u64;
@@ -580,10 +604,11 @@ impl MachinePool {
 }
 
 /// Per-machine-shape pool counters: how often requests for this shape
-/// got a warm vs cold machine, and how many idle machines of the shape
-/// are pooled right now. `mesh` is the shape's process grid;
-/// `topology` is the full canonical spec (distinct topologies can share
-/// a grid, e.g. `mesh2d:4x4` and `hypercube:16`).
+/// got a warm vs cold machine since the shape last entered the pool
+/// (evicting its last idle machine takes it out), and how many idle
+/// machines of the shape are pooled right now. `mesh` is the shape's
+/// process grid; `topology` is the full canonical spec (distinct
+/// topologies can share a grid, e.g. `mesh2d:4x4` and `hypercube:16`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub struct PoolShapeStats {
@@ -926,7 +951,7 @@ impl Server {
             Some(algo) => cfg.with_collective_algo(algo),
             None => cfg,
         };
-        pool.shapes.entry(key).or_default().cold += 1;
+        pool.count_cold(key);
         drop(pool);
         Ok((Machine::new(cfg), false))
     }
@@ -963,9 +988,9 @@ impl Server {
         drop(programs);
         let pool = self.pool.lock().expect(POISONED);
         snapshot.machines_evicted = pool.evicted;
+        snapshot.machines_warm = pool.warm;
+        snapshot.machines_cold = pool.cold;
         for (key, shape) in &pool.shapes {
-            snapshot.machines_warm += shape.warm;
-            snapshot.machines_cold += shape.cold;
             for (_, machine) in &shape.idle {
                 snapshot.setup_reuse_hits += machine.setup_reuse_hits();
                 snapshot.helper_joins += machine.helper_joins();
@@ -1467,6 +1492,33 @@ mod tests {
     }
 
     #[test]
+    fn endlessly_many_shapes_leave_a_bounded_pool_and_exact_totals() {
+        // every slow factor is another shape, so a sweep over them is an
+        // unbounded set; the pool keeps 64 idle processors, 16 2x2s
+        let server = Server { pool: Mutex::new(MachinePool::new(64)), ..Server::new() };
+        let requests = 10_000;
+        for factor in 1..=requests {
+            let spec = format!("hetero:mesh2d:2x2:slowlinks=col1*{factor}");
+            let req = Request {
+                topology: Some(Topology::parse(&spec).unwrap()),
+                ..Request::program(HELLO)
+            };
+            assert!(matches!(server.handle(req), Response::Ok { .. }), "{spec}");
+        }
+        let stats = server.stats();
+        assert!(server.pool.lock().unwrap().shapes.len() <= 16);
+        assert!(stats.pool.len() <= 16, "{}", stats.pool.len());
+        assert_eq!((stats.machines_cold, stats.machines_warm), (requests, 0));
+        assert_eq!(stats.machines_evicted, requests - 16);
+        // a shape still pooled is served warm, and counted so
+        let last = format!("hetero:mesh2d:2x2:slowlinks=col1*{requests}");
+        let again =
+            Request { topology: Some(Topology::parse(&last).unwrap()), ..Request::program(HELLO) };
+        assert!(matches!(server.handle(again), Response::Ok { warm_machine: true, .. }));
+        assert_eq!(server.stats().machines_warm, 1);
+    }
+
+    #[test]
     fn a_request_for_more_than_the_processor_cap_is_a_bad_request() {
         let server = Server::new();
         for (field, spec, count) in [
@@ -1650,19 +1702,24 @@ mod tests {
         assert_eq!(stats.get("requests").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("ok").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("compile_misses").and_then(Json::as_u64), Some(1));
-        // One 2x2 run: an explicit worker count `k` has `min(k, 4) - 1`
-        // helpers in from the start; the adaptive default recruits at
-        // most as many, and for a program this small almost surely none.
-        let joins = stats.get("helper_joins").and_then(Json::as_u64).expect("helper_joins");
-        assert_eq!(joins, server.stats().helper_joins);
-        let env = |name| std::env::var(name).ok();
-        let event = !matches!(env("SKIL_SCHEDULER").as_deref(), Some("threads" | "thread"));
-        match env("SKIL_WORKER_THREADS").and_then(|k| k.trim().parse::<u64>().ok()) {
-            Some(k) if event && k >= 1 && env("SKIL_MAX_HOST_THREADS").is_none() => {
-                assert_eq!(joins, k.min(4) - 1)
-            }
-            _ => assert!(joins <= 3, "{joins}"),
-        }
+        // One 2x2 run: the adaptive default recruits at most three
+        // helpers, and for a program this small almost surely none.
+        let joins = |server: &Server| {
+            let reply = json::parse(&server.handle_line(r#"{"cmd":"stats"}"#)).unwrap();
+            let joins = reply.get("stats").and_then(|s| s.get("helper_joins"));
+            let joins = joins.and_then(Json::as_u64).expect("helper_joins");
+            assert_eq!(joins, server.stats().helper_joins);
+            joins
+        };
+        let adaptive = joins(&server);
+        assert!(adaptive <= 3, "{adaptive}");
+        // A pooled machine that ran with two workers from the start has
+        // one helper join more to report, in the snapshot and the reply.
+        let key = PoolKey::of(&Request::program(HELLO));
+        let eager = Machine::new(MachineConfig::on_topology(key.topo).unwrap().with_workers(2));
+        eager.run(|_| ());
+        server.checkin_machine(key, eager);
+        assert_eq!(joins(&server), adaptive + 1);
     }
 
     #[test]

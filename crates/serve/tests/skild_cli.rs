@@ -127,6 +127,21 @@ fn overflowing_division_and_a_destroyed_array_get_one_response_each() {
     assert_eq!(stats.get("machines_discarded").and_then(Json::as_u64), Some(0), "{stats:?}");
 }
 
+/// A deadlocked program is answered `runtime` and leaves nothing on the
+/// daemon's stderr but its summary: no panic message, no backtrace.
+#[test]
+fn a_deadlocked_program_prints_no_panic() {
+    let out = skild(front_door::DEADLOCK_THEN_HELLO.as_bytes());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    let lines = responses(&out);
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    let error = lines[0].get("error").expect("structured error");
+    assert_eq!(error.get("kind").and_then(Json::as_str), Some("runtime"), "{error:?}");
+    assert_eq!(lines[1].get("machine").and_then(Json::as_str), Some("warm"), "{:?}", lines[1]);
+}
+
 /// Wait for `child` to exit by itself; a daemon that is still there
 /// after a minute is killed, and reads as killed.
 fn exit_of(mut child: Child) -> (Option<i32>, String) {

@@ -91,14 +91,17 @@ proptest! {
 /// `SchedulerKind::Event`) produces the same outputs and logical
 /// fingerprint as the clean run, and as the same plan over the condvar
 /// mailbox path (`SchedulerKind::Threads`) — with the plan provably
-/// firing on both.
+/// firing on both, and the clean runs of both paths agreeing too.
 #[test]
 fn recoverable_plan_is_masked_over_the_direct_wake_path() {
     use skil::runtime::SchedulerKind;
     let plan = || FaultPlan::seeded(13).with_drop(0.06).with_dup(0.08);
-    let clean =
-        Machine::new(MachineConfig::mesh(2, 2).unwrap().with_scheduler(SchedulerKind::Event))
-            .run(mixed_traffic);
+    let clean = |kind| {
+        Machine::new(MachineConfig::mesh(2, 2).unwrap().with_scheduler(kind)).run(mixed_traffic)
+    };
+    let (clean, clean_threads) = (clean(SchedulerKind::Event), clean(SchedulerKind::Threads));
+    assert_eq!(clean_threads.results, clean.results);
+    assert_eq!(clean_threads.report.sim_cycles, clean.report.sim_cycles);
     let mut fingerprints = Vec::new();
     for kind in [SchedulerKind::Event, SchedulerKind::Threads] {
         let faulty = Machine::new(

@@ -14,11 +14,18 @@
 //! structs as their fields' words. Equal `DataPlaneStats` (the
 //! inline/heap envelope split) and equal bytes per processor are what
 //! show the representations are the same on the wire.
+//!
+//! None of it may depend on the host configuration either: the fixed
+//! suites run on each of `support/hosts.rs`, the examples and the
+//! generated programs rotate through them.
 
 use proptest::prelude::*;
 use skil::lang::{compile, compile_opt, Engine, OptLevel};
 use skil::runtime::report::DataPlaneStats;
 use skil::runtime::{Machine, MachineConfig, ProcStats, RunReport};
+
+#[path = "support/hosts.rs"]
+mod hosts;
 
 const LEVELS: [OptLevel; 3] = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
 
@@ -28,6 +35,16 @@ type Fp = (usize, u64, ProcStats, DataPlaneStats);
 
 fn fingerprint(r: &RunReport) -> Vec<Fp> {
     r.procs.iter().enumerate().map(|(i, p)| (i, p.finished_at, p.stats, p.data_plane)).collect()
+}
+
+/// A machine for each host configuration of `cfg`.
+fn machines(cfg: MachineConfig) -> Vec<(&'static str, Machine)> {
+    hosts::hosts(cfg).into_iter().map(|(host, cfg)| (host, Machine::new(cfg))).collect()
+}
+
+/// All four host configurations of a 2x2 mesh.
+fn square_machines() -> Vec<(&'static str, Machine)> {
+    machines(MachineConfig::square(2).unwrap())
 }
 
 fn examples() -> Vec<(String, String)> {
@@ -76,33 +93,38 @@ fn assert_agree_with_the_walker(name: &str, src: &str, machine: &Machine, engine
     }
 }
 
-#[test]
-fn every_example_is_bit_identical_across_engines() {
-    let machine = Machine::new(MachineConfig::square(2).unwrap());
-    for (name, src) in examples() {
-        assert_engines_agree(&name, &src, &machine);
+/// Every example on one host configuration of `cfg`, the `k`th example
+/// on host `k + shift`: each test of the examples shifts the rotation.
+fn assert_examples_agree(cfg: MachineConfig, shift: usize) {
+    let machines = machines(cfg);
+    for (k, (name, src)) in examples().into_iter().enumerate() {
+        let (host, machine) = &machines[(k + shift) % machines.len()];
+        assert_engines_agree(&format!("{name} on {host}"), &src, machine);
     }
 }
 
 #[test]
+fn every_example_is_bit_identical_across_engines() {
+    assert_examples_agree(MachineConfig::square(2).unwrap(), 0);
+}
+
+#[test]
 fn engines_agree_with_tracing_on() {
-    let machine = Machine::new(MachineConfig::square(2).unwrap().with_trace());
-    for (name, src) in examples() {
-        assert_engines_agree(&name, &src, &machine);
-    }
+    assert_examples_agree(MachineConfig::square(2).unwrap().with_trace(), 1);
 }
 
 #[test]
 fn engines_agree_on_non_square_meshes() {
     // farm/d&c/scan workloads on a machine shape the goldens don't cover
-    let machine = Machine::new(MachineConfig::mesh(1, 3).unwrap());
-    for (name, src) in examples() {
+    let machines = machines(MachineConfig::mesh(1, 3).unwrap());
+    for (k, (name, src)) in examples().into_iter().enumerate() {
         if name == "gauss.skil" || name == "shortest_paths.skil" {
             // gauss needs sizes divisible by the machine size;
             // shortest_paths' gen_mult needs a square process grid
             continue;
         }
-        assert_engines_agree(&name, &src, &machine);
+        let (host, machine) = &machines[(k + 2) % machines.len()];
+        assert_engines_agree(&format!("{name} on {host}"), &src, machine);
     }
 }
 
@@ -338,11 +360,11 @@ fn skeleton_suite(f: &Flavor) -> String {
 
 #[test]
 fn every_skeleton_agrees_on_every_array_representation() {
-    for trace in [false, true] {
-        let cfg = MachineConfig::square(2).unwrap();
-        let machine = Machine::new(if trace { cfg.with_trace() } else { cfg });
+    let mut machines = square_machines();
+    machines.push(("traced", Machine::new(MachineConfig::square(2).unwrap().with_trace())));
+    for (host, machine) in &machines {
         for f in &FLAVORS {
-            assert_engines_agree(f.name, &skeleton_suite(f), &machine);
+            assert_engines_agree(&format!("{} on {host}", f.name), &skeleton_suite(f), machine);
         }
     }
     // which store each flavor's arrays get
@@ -395,29 +417,31 @@ fn kernel_runtime_errors_over_typed_stores_match_the_walker() {
              }",
         ),
     ];
-    let machine = Machine::new(MachineConfig::square(2).unwrap());
-    for (name, main) in cases {
-        let src = format!("{prelude}\n{main}");
-        let compiled = compile(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let want = compiled
-            .try_run_with(Engine::Ast, &machine)
-            .expect_err("the walker reports a runtime error");
-        assert!(
-            want.to_string().contains("runtime error"),
-            "{name}: not a Skil runtime error: {want}"
-        );
-        for level in LEVELS {
-            let c = compile_opt(&src, level).unwrap();
-            for engine in [Engine::Vm, Engine::Native] {
-                let got = c
-                    .try_run_with(engine, &machine)
-                    .expect_err("every engine reports the runtime error");
-                assert_eq!(want.aborts, got.aborts, "{name} @ -O{level} under {engine:?}");
+    for (host, machine) in &square_machines() {
+        for (name, main) in cases {
+            let src = format!("{prelude}\n{main}");
+            let compiled = compile(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let want = compiled
+                .try_run_with(Engine::Ast, machine)
+                .expect_err("the walker reports a runtime error");
+            assert!(
+                want.to_string().contains("runtime error"),
+                "{name} on {host}: not a Skil runtime error: {want}"
+            );
+            for level in LEVELS {
+                let c = compile_opt(&src, level).unwrap();
+                for engine in [Engine::Vm, Engine::Native] {
+                    let got = c
+                        .try_run_with(engine, machine)
+                        .expect_err("every engine reports the runtime error");
+                    let at = format!("{name} @ -O{level} under {engine:?} on {host}");
+                    assert_eq!(want.aborts, got.aborts, "{at}");
+                }
             }
+            // the machine survives: a clean program still runs on it
+            let ok = compile("void main() { print(procId); }").unwrap().run(machine);
+            assert_eq!(ok.results[3], vec!["3".to_string()]);
         }
-        // the machine survives: a clean program still runs on it
-        let ok = compile("void main() { print(procId); }").unwrap().run(&machine);
-        assert_eq!(ok.results[3], vec!["3".to_string()]);
     }
 }
 
@@ -551,18 +575,19 @@ fn kernel_runtime_errors_match_the_walker_on_every_kernel_tier() {
         ),
     ];
     // every one is a Skil runtime error: the machine survives them all
-    let machine = Machine::new(MachineConfig::square(2).unwrap());
-    for (name, body, message) in cases {
-        let src = format!("{prelude}\n{body}");
-        let compiled = compile(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let want = failure_of(&compiled, Engine::Ast, &machine);
-        let text = format!("{want:?}");
-        assert!(text.contains(message), "{name}: the walker reports `{text}`");
-        for level in LEVELS {
-            let c = compile_opt(&src, level).unwrap();
-            for engine in [Engine::Vm, Engine::Native] {
-                let got = failure_of(&c, engine, &machine);
-                assert_eq!(want, got, "{name} @ -O{level} under {engine:?}");
+    for (host, machine) in &square_machines() {
+        for (name, body, message) in cases {
+            let src = format!("{prelude}\n{body}");
+            let compiled = compile(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let want = failure_of(&compiled, Engine::Ast, machine);
+            let text = format!("{want:?}");
+            assert!(text.contains(message), "{name} on {host}: the walker reports `{text}`");
+            for level in LEVELS {
+                let c = compile_opt(&src, level).unwrap();
+                for engine in [Engine::Vm, Engine::Native] {
+                    let got = failure_of(&c, engine, machine);
+                    assert_eq!(want, got, "{name} @ -O{level} under {engine:?} on {host}");
+                }
             }
         }
     }
@@ -596,12 +621,12 @@ fn negation_and_abs_of_the_minimum_wrap_under_every_engine() {
             array_map(quot, a, a);
             print(array_fold(same, first, a));
         }";
-    let machine = Machine::new(MachineConfig::square(2).unwrap());
-    assert_engines_agree("i64::MIN", src, &machine);
     let min = i64::MIN.to_string();
-    let run = compile(src).unwrap().run(&machine);
     let want = [&min, &min, &min, &min, "0", &min, "0", &min, &min];
-    assert_eq!(run.results[0], want);
+    for (host, machine) in &square_machines() {
+        assert_engines_agree(&format!("i64::MIN on {host}"), src, machine);
+        assert_eq!(compile(src).unwrap().run(machine).results[0], want, "{host}");
+    }
 }
 
 /// A NaN fails every ordered comparison and its own equality, so
@@ -632,10 +657,11 @@ fn nan_comparisons_branch_the_same_way_under_every_engine() {
             array_map(k, a, b);
             print(array_fold(conv, max, b));
         }";
-    let machine = Machine::new(MachineConfig::square(2).unwrap());
-    assert_engines_agree("nan", src, &machine);
-    let run = compile(src).unwrap().run(&machine);
-    assert_eq!(run.results[0], vec!["160".to_string()]);
+    for (host, machine) in &square_machines() {
+        assert_engines_agree(&format!("nan on {host}"), src, machine);
+        let run = compile(src).unwrap().run(machine);
+        assert_eq!(run.results[0], vec!["160".to_string()], "{host}");
+    }
 }
 
 /// Structs of scalars in typed argument functions, one register per
@@ -683,8 +709,9 @@ fn struct_kernels_agree_on_both_kernel_tiers() {
             nest n = array_fold(mkn, addn, a);
             if (procId == 0) { print(t); print(w.a + w.b + w.i); print(n.n); print(n.r.val); }
         }";
-    let machine = Machine::new(MachineConfig::square(2).unwrap());
-    assert_engines_agree("struct kernels", src, &machine);
+    for (host, machine) in &square_machines() {
+        assert_engines_agree(&format!("struct kernels on {host}"), src, machine);
+    }
     let listing = compile_opt(src, OptLevel::O2).unwrap().disassemble_kernel();
     for typed in ["mk_1", "best_1", "turn_1"] {
         assert!(listing.contains(&format!("fn {typed} [typed]")), "{typed}:\n{listing}");
@@ -738,8 +765,9 @@ fn flat_struct_folds_and_arrays_agree_over_every_store() {
             array_put_elem(c, bds->lowerBd, pt{7, 7.5, 7});
             print(array_fold(of_pt, mix(0), c));
         }";
-    let machine = Machine::new(MachineConfig::square(2).unwrap());
-    assert_engines_agree("flat structs", src, &machine);
+    for (host, machine) in &square_machines() {
+        assert_engines_agree(&format!("flat structs on {host}"), src, machine);
+    }
     let listing = compile(src).unwrap().disassemble_kernel();
     for site in [
         "array_create elem=flat fns=(pts_1+0 [typed])",
@@ -783,8 +811,9 @@ fn bounds_fields_in_kernels_agree_on_both_kernel_tiers() {
             print(array_fold(idt, (+), n));
             print(array_fold(idt, max, n));
         }";
-    let machine = Machine::new(MachineConfig::square(2).unwrap());
-    assert_engines_agree("Bounds in kernels", src, &machine);
+    for (host, machine) in &square_machines() {
+        assert_engines_agree(&format!("Bounds in kernels on {host}"), src, machine);
+    }
     let listing = compile(src).unwrap().disassemble_kernel();
     for typed in ["edge_1+1 [typed]", "span_1+1 [typed]"] {
         assert!(listing.contains(typed), "{typed}:\n{listing}");
@@ -812,8 +841,9 @@ fn a_function_past_the_register_window_stays_generic() {
              print(array_fold(idt, (+), a));
          }}"
     );
-    let machine = Machine::new(MachineConfig::square(2).unwrap());
-    assert_vm_agrees("past the window", &src, &machine);
+    for (host, machine) in &square_machines() {
+        assert_vm_agrees(&format!("past the window on {host}"), &src, machine);
+    }
     let listing = compile(&src).unwrap().disassemble_kernel();
     assert!(
         listing.contains("big_1+0 [generic: needs more registers than a frame window has]"),
@@ -896,8 +926,9 @@ fn every_direct_operator_folds_and_scans_like_the_walker() {
         }
     }
     let src = format!("{DIRECT_DECLS}\nvoid main() {{ {main} }}");
-    let machine = Machine::new(MachineConfig::square(2).unwrap());
-    assert_vm_agrees("direct folds and scans", &src, &machine);
+    for (host, machine) in &square_machines() {
+        assert_vm_agrees(&format!("direct folds and scans on {host}"), &src, machine);
+    }
     let listing = compile(&src).unwrap().disassemble_kernel();
     for direct in ["[direct(-)]", "[direct(%)]", "[direct(<=)]", "[direct(||)]", "[direct(min)]"] {
         assert!(listing.contains(direct), "{direct}:\n{listing}");
@@ -911,7 +942,8 @@ fn every_direct_operator_folds_and_scans_like_the_walker() {
 /// order the walker's does, whatever the operators.
 #[test]
 fn every_direct_operator_pair_multiplies_like_the_walker() {
-    let machine = Machine::new(MachineConfig::square(2).unwrap());
+    let machines = square_machines();
+    let mut rotation = machines.iter().cycle();
     for (ty, inits, show, ops) in [
         ("int", ["ia", "ib", "ic"], "ishow", &["(+)", "(-)", "(*)", "(/)", "(%)", "min", "max"]),
         ("float", ["fa", "fb", "fc"], "fshow", &FLOAT_SECTIONS),
@@ -929,7 +961,8 @@ fn every_direct_operator_pair_multiplies_like_the_walker() {
                 }
             }
             let src = format!("{DIRECT_DECLS}\nvoid main() {{ {main} }}");
-            assert_vm_agrees(&format!("gen_mult over {ty}, n={n}"), &src, &machine);
+            let (host, machine) = rotation.next().expect("an endless rotation");
+            assert_vm_agrees(&format!("gen_mult over {ty}, n={n} on {host}"), &src, machine);
         }
     }
 }
@@ -949,23 +982,24 @@ use program_gen::Gen;
 /// the typed register tier wherever it lowers.
 #[test]
 fn generated_kernels_agree_on_both_kernel_tiers() {
-    let machine = Machine::new(MachineConfig::square(2).unwrap());
-    for seed in 0..200 {
+    let machines = square_machines();
+    for seed in 0..200u64 {
+        let (host, machine) = &machines[seed as usize % machines.len()];
         let dna = program_gen::dna(seed);
         let src = Gen { dna: &dna, pos: 0 }.kernel_program();
         let compiled = compile(&src)
             .unwrap_or_else(|e| panic!("seed {seed}: generated program rejected: {e}\n{src}"));
-        let ast = compiled.run_with(Engine::Ast, &machine);
+        let ast = compiled.run_with(Engine::Ast, machine);
         for level in LEVELS {
-            let vm = compile_opt(&src, level).unwrap().run_with(Engine::Vm, &machine);
+            let vm = compile_opt(&src, level).unwrap().run_with(Engine::Vm, machine);
             assert_eq!(
                 ast.results, vm.results,
-                "seed {seed} @ -O{level}: output differs for:\n{src}"
+                "seed {seed} @ -O{level} on {host}: output differs for:\n{src}"
             );
             assert_eq!(
                 fingerprint(&ast.report),
                 fingerprint(&vm.report),
-                "seed {seed} @ -O{level}: stats differ for:\n{src}"
+                "seed {seed} @ -O{level} on {host}: stats differ for:\n{src}"
             );
         }
     }
@@ -976,49 +1010,55 @@ proptest! {
 
     /// Random arithmetic/control-flow/skeleton programs: every engine ×
     /// opt level prints the same values and charges the same cycles,
-    /// processor by processor.
+    /// processor by processor, on a host configuration the program's
+    /// length picks.
     #[test]
     fn random_programs_agree_across_engines(
         dna in proptest::collection::vec(any::<u8>(), 0..160),
     ) {
         let src = Gen { dna: &dna, pos: 0 }.program();
         let compiled = compile(&src).unwrap_or_else(|e| panic!("generated program rejected: {e}\n{src}"));
-        let machine = Machine::new(MachineConfig::square(2).unwrap());
+        let (host, cfg) = hosts::host(dna.len(), MachineConfig::square(2).unwrap());
+        let machine = Machine::new(cfg);
         let ast = compiled.run_with(Engine::Ast, &machine);
         for level in LEVELS {
             let c = compile_opt(&src, level)
                 .unwrap_or_else(|e| panic!("generated program rejected at -O{level}: {e}\n{src}"));
             let vm = c.run_with(Engine::Vm, &machine);
-            prop_assert_eq!(&ast.results, &vm.results, "output differs at -O{} for:\n{}", level, src);
+            prop_assert_eq!(&ast.results, &vm.results, "output differs at -O{} on {} for:\n{}", level, host, src);
             prop_assert_eq!(
                 ast.report.sim_cycles,
                 vm.report.sim_cycles,
-                "virtual time differs at -O{} for:\n{}",
+                "virtual time differs at -O{} on {} for:\n{}",
                 level,
+                host,
                 src
             );
             prop_assert_eq!(
                 fingerprint(&ast.report),
                 fingerprint(&vm.report),
-                "stats differ at -O{} for:\n{}",
+                "stats differ at -O{} on {} for:\n{}",
                 level,
+                host,
                 src
             );
         }
         // the native engine once per case (each random program is a
         // fresh `rustc` invocation; one opt level keeps the suite fast)
         let native = compiled.run_with(Engine::Native, &machine);
-        prop_assert_eq!(&ast.results, &native.results, "native output differs for:\n{}", src);
+        prop_assert_eq!(&ast.results, &native.results, "native output differs on {} for:\n{}", host, src);
         prop_assert_eq!(
             ast.report.sim_cycles,
             native.report.sim_cycles,
-            "native virtual time differs for:\n{}",
+            "native virtual time differs on {} for:\n{}",
+            host,
             src
         );
         prop_assert_eq!(
             fingerprint(&ast.report),
             fingerprint(&native.report),
-            "native stats differ for:\n{}",
+            "native stats differ on {} for:\n{}",
+            host,
             src
         );
     }

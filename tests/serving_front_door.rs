@@ -94,6 +94,28 @@ fn hostile_nesting_and_sizes_are_answered_and_the_daemon_goes_on() {
     }
 }
 
+/// A program that deadlocks was an `internal` reply, a backtrace on
+/// stderr and a discarded machine. It is the program's `runtime`
+/// failure: the machine goes back to the pool and serves the next
+/// request warm.
+#[test]
+fn a_deadlocked_program_is_a_runtime_failure_on_a_machine_that_stays_warm() {
+    let server = Server::new();
+    let mut stdout = Vec::new();
+    let input = front_door::DEADLOCK_THEN_HELLO.as_bytes();
+    server.serve(input, &mut stdout, 1).expect("in-memory pipes do not fail");
+    let replies: Vec<&str> = std::str::from_utf8(&stdout).expect("UTF-8").lines().collect();
+    assert_eq!(replies.len(), 2, "one reply per line: {replies:?}");
+    let stuck = replies[0];
+    assert!(stuck.contains(r#""id":"stuck""#) && stuck.contains(r#""kind":"runtime""#), "{stuck}");
+    assert!(stuck.contains("deadlock suspected waiting for (src="), "{stuck}");
+    let after = replies[1];
+    assert!(after.contains(r#""results":[["7"]"#), "{after}");
+    assert!(after.contains(r#""machine":"warm""#), "{after}");
+    let stats = server.stats();
+    assert_eq!((stats.machines_discarded, stats.machines_cold, stats.machines_warm), (0, 1, 1));
+}
+
 /// A machine of more than 4,096 processors is refused by its count before
 /// anything is built for it: `1000x1000` asked for 10⁶ coroutine stacks
 /// of 8 MB, and under `ulimit -v` even `64x64` was a panic, a backtrace

@@ -8,6 +8,19 @@ use std::collections::HashMap;
 
 use skil_serve::json::{self, Json};
 
+/// A request whose program deadlocks: only processor 0 enters the
+/// fold, so it waits for partial results nobody sends. Then a valid
+/// request for the same machine.
+pub const DEADLOCK_THEN_HELLO: &str = concat!(
+    r#"{"id":"stuck","program":"int first(Index ix) { return ix[0]; } "#,
+    r#"int conv(int v, Index ix) { return v; } void main() { "#,
+    r#"array<int> a = array_create(1, {16,1}, {0,0}, {0-1,0-1}, first, DISTR_DEFAULT); "#,
+    r#"if (procId == 0) { print(array_fold(conv, (+), a)); } }"}"#,
+    "\n",
+    r#"{"id":"after","program":"void main() { if (procId == 0) { print(7); } }"}"#,
+    "\n",
+);
+
 /// What the response to one request line must be.
 #[derive(Debug, Clone, Copy)]
 pub enum Want {

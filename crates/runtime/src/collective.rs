@@ -250,8 +250,7 @@ impl Proc<'_> {
         let tree = BinomialTree::new(self.nprocs(), root);
         // Send to the largest subtree first: its delivery chain is the
         // longest, so it must leave the (serializing) sender earliest.
-        let mut children = tree.children(self.id());
-        children.reverse();
+        let children = tree.children(self.id()).rev();
         // Flatten once: the root encodes the value a single time and
         // every interior node forwards the payload it received, so one
         // buffer crosses the whole tree by pointer clones (or, for the
@@ -261,7 +260,7 @@ impl Proc<'_> {
         // produce.
         let (v, payload) = if self.id() == root {
             let v = val.expect("broadcast root must supply a value");
-            let payload = if children.is_empty() { None } else { Some(self.encode(&v)) };
+            let payload = if children.len() == 0 { None } else { Some(self.encode(&v)) };
             (v, payload)
         } else {
             assert!(val.is_none(), "non-root processor supplied a broadcast value");
@@ -298,9 +297,7 @@ impl Proc<'_> {
         let mut acc = mine;
         // Children arrive in reverse round order: the child with the
         // largest subtree reports last.
-        let mut children = tree.children(self.id());
-        children.reverse();
-        for child in children {
+        for child in tree.children(self.id()).rev() {
             let theirs: T = self.recv(child, tag);
             self.charge(op_cycles);
             acc = combine(acc, theirs);
@@ -349,10 +346,7 @@ impl Proc<'_> {
         F: FnMut(T, T) -> T,
     {
         let algo = match algo {
-            CollectiveAlgo::Auto => {
-                let topo = self.topology();
-                select_allreduce(&topo, &self.cost().clone())
-            }
+            CollectiveAlgo::Auto => select_allreduce(&self.topology(), self.cost()),
             a => a,
         };
         match algo {
@@ -536,10 +530,7 @@ impl Proc<'_> {
         mine: T,
     ) -> Vec<T> {
         let algo = match algo {
-            CollectiveAlgo::Auto => {
-                let topo = self.topology();
-                select_allgather(&topo, &self.cost().clone())
-            }
+            CollectiveAlgo::Auto => select_allgather(&self.topology(), self.cost()),
             a => a,
         };
         match algo {

@@ -19,7 +19,7 @@
 
 use std::cell::{Cell, UnsafeCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 // ---------------------------------------------------------------------------
 // Context switch primitive
@@ -140,16 +140,26 @@ use stubs::{skil_coro_boot, skil_coro_switch};
 /// virtual address space, not RSS.
 pub(crate) const STACK_SIZE: usize = 8 * 1024 * 1024;
 
-/// A heap-allocated coroutine stack. Alignment is 16 bytes (both ABIs'
-/// stack alignment); large allocations come from `mmap` under glibc, so
-/// untouched pages stay uncommitted.
+/// Most idle stacks the process keeps: one per processor of the largest
+/// machine `skild` accepts, so a pool at the cap holds what one
+/// 4,096-processor run needed. Stacks past it are freed.
+pub(crate) const MAX_IDLE_STACKS: usize = 4096;
+
+/// The page a stack's top is rounded down to. 4 KiB divides every page
+/// size the coroutine targets use.
+const PAGE: usize = 4096;
+
+/// A heap-allocated coroutine stack. Large allocations come from `mmap`
+/// under glibc, so untouched pages stay uncommitted.
 pub(crate) struct CoroStack {
     ptr: *mut u8,
     size: usize,
 }
 
-// The stack is plain memory owned by its task; tasks migrate between
-// scheduler workers only through the ready queue's mutex.
+// SAFETY: the stack is plain memory with one owner at a time: a task,
+// which migrates between scheduler workers only through the ready
+// queue's mutex, or the process's pool, which hands stacks between
+// threads only under its own mutex.
 unsafe impl Send for CoroStack {}
 
 impl CoroStack {
@@ -161,9 +171,11 @@ impl CoroStack {
         CoroStack { ptr, size }
     }
 
-    /// One past the highest usable address, 16-aligned.
+    /// One past the highest usable address, on a page boundary: the
+    /// allocator's chunk header puts the block's end a few bytes into a
+    /// page, and a top there would make the first frames straddle two.
     fn top(&self) -> usize {
-        (self.ptr as usize + self.size) & !15
+        (self.ptr as usize + self.size) & !(PAGE - 1)
     }
 }
 
@@ -175,30 +187,49 @@ impl Drop for CoroStack {
     }
 }
 
-/// A reuse pool of coroutine stacks, kept on the `Machine` so repeated
-/// runs (benches, parameter sweeps) do not re-`mmap` per run.
+/// The process's idle coroutine stacks, shared by every machine: a run
+/// borrows one per processor and hands them back when it ends, so an
+/// idle machine owns none and the stacks in existence are bounded by
+/// the processors running at once (plus at most [`MAX_IDLE_STACKS`]
+/// idle ones). Most recently used last, so a run gets the stacks whose
+/// pages are already committed.
 pub(crate) struct StackPool {
-    size: usize,
-    free: Mutex<Vec<CoroStack>>,
+    idle: Mutex<Vec<CoroStack>>,
 }
 
+/// The one stack pool.
+pub(crate) static STACKS: StackPool = StackPool { idle: Mutex::new(Vec::new()) };
+
 impl StackPool {
-    pub(crate) fn new(size: usize) -> Self {
-        StackPool { size, free: Mutex::new(Vec::new()) }
+    fn idle(&self) -> MutexGuard<'_, Vec<CoroStack>> {
+        self.idle.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn take(&self) -> CoroStack {
-        self.free
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_else(|| CoroStack::new(self.size))
-    }
-
-    fn put(&self, stack: CoroStack) {
-        if stack.size == self.size {
-            self.free.lock().unwrap_or_else(|e| e.into_inner()).push(stack);
+    /// `n` [`STACK_SIZE`] stacks: the most recently used idle ones,
+    /// taken under one lock, and new ones for the rest.
+    pub(crate) fn take(&self, n: usize) -> Vec<CoroStack> {
+        let mut stacks = Vec::with_capacity(n);
+        {
+            let mut idle = self.idle();
+            let keep = idle.len().saturating_sub(n);
+            stacks.extend(idle.drain(keep..));
         }
+        stacks.resize_with(n, || CoroStack::new(STACK_SIZE));
+        stacks
+    }
+
+    /// Return a finished run's stacks under one lock. Those past
+    /// [`MAX_IDLE_STACKS`] are freed after the lock is released.
+    pub(crate) fn give_back(&self, mut stacks: Vec<CoroStack>) {
+        let mut idle = self.idle();
+        let keep = stacks.len().min(MAX_IDLE_STACKS.saturating_sub(idle.len()));
+        idle.extend(stacks.drain(..keep));
+        drop(idle);
+    }
+
+    /// How many stacks are idle right now.
+    pub(crate) fn idle_count(&self) -> usize {
+        self.idle().len()
     }
 }
 
@@ -312,7 +343,9 @@ extern "C" fn task_entry(env: *mut TaskEnv) {
 /// One resumable task: a prepared coroutine stack plus its switch frame.
 pub(crate) struct Task {
     frame: Box<TaskFrame>,
-    env: Box<TaskEnv>,
+    /// Read only by the coroutine, through the pointer `new` puts on
+    /// its stack; owned here so it lives as long as the task.
+    _env: Box<TaskEnv>,
     stack: CoroStack,
 }
 
@@ -325,9 +358,8 @@ unsafe impl Send for Task {}
 unsafe impl Sync for Task {}
 
 impl Task {
-    /// Build a task whose first resume starts `body` on `pool`'s stack.
-    pub(crate) fn new(pool: &StackPool, body: TaskBody) -> Self {
-        let stack = pool.take();
+    /// Build a task whose first resume starts `body` on `stack`.
+    pub(crate) fn new(stack: CoroStack, body: TaskBody) -> Self {
         let frame = Box::new(TaskFrame {
             coro_sp: UnsafeCell::new(0),
             caller_sp: UnsafeCell::new(0),
@@ -376,7 +408,7 @@ impl Task {
                 unreachable!("coroutines unsupported on this target");
             }
         }
-        Task { frame, env, stack }
+        Task { frame, _env: env, stack }
     }
 
     /// Run the task until its next yield. The wake kind delivered to a
@@ -396,11 +428,10 @@ impl Task {
         &self.frame
     }
 
-    /// Recycle the stack of a finished task into `pool`.
-    pub(crate) fn recycle(self, pool: &StackPool) {
+    /// The stack of a finished task, for reuse.
+    pub(crate) fn into_stack(self) -> CoroStack {
         debug_assert_eq!(self.frame.reason.get(), YieldReason::Done);
-        drop(self.env);
-        pool.put(self.stack);
+        self.stack
     }
 }
 
@@ -412,7 +443,6 @@ mod tests {
 
     #[test]
     fn task_runs_to_completion_across_yields() {
-        let pool = StackPool::new(256 * 1024);
         let log = Arc::new(Mutex::new(Vec::new()));
         let log2 = Arc::clone(&log);
         let body: TaskBody = Box::new(move |frame| {
@@ -426,7 +456,7 @@ mod tests {
             assert_eq!(w, WakeKind::Deadlock);
             log2.lock().unwrap().push(3);
         });
-        let task = Task::new(&pool, body);
+        let task = Task::new(CoroStack::new(256 * 1024), body);
 
         match task.resume() {
             YieldReason::Blocked { src: 7, tag: 9, vnow: 123 } => {}
@@ -439,32 +469,29 @@ mod tests {
         task.frame().set_wake(WakeKind::Deadlock);
         assert_eq!(task.resume(), YieldReason::Done);
         assert_eq!(*log.lock().unwrap(), vec![1, 2, 3]);
-        task.recycle(&pool);
+        task.into_stack();
     }
 
     #[test]
     fn panicking_body_is_contained() {
-        let pool = StackPool::new(256 * 1024);
         let body: TaskBody = Box::new(|_| {
             // The scheduler's real bodies catch their own panics; prove
             // the entry-point backstop contains one that escapes.
             panic!("deliberate coroutine panic");
         });
-        let task = Task::new(&pool, body);
+        let task = Task::new(CoroStack::new(256 * 1024), body);
         assert_eq!(task.resume(), YieldReason::Done);
-        task.recycle(&pool);
     }
 
     #[test]
     fn thousands_of_tasks_on_one_thread() {
-        let pool = StackPool::new(128 * 1024);
         let counter = Arc::new(AtomicUsize::new(0));
         let n = 4096;
         let tasks: Vec<Task> = (0..n)
             .map(|_| {
                 let c = Arc::clone(&counter);
                 Task::new(
-                    &pool,
+                    CoroStack::new(128 * 1024),
                     Box::new(move |_| {
                         c.fetch_add(1, Ordering::Relaxed);
                     }),
@@ -475,8 +502,34 @@ mod tests {
             assert_eq!(t.resume(), YieldReason::Done);
         }
         assert_eq!(counter.load(Ordering::Relaxed), n);
-        for t in tasks {
-            t.recycle(&pool);
+    }
+
+    #[test]
+    fn stack_tops_sit_on_page_boundaries() {
+        for size in [128 * 1024, STACK_SIZE] {
+            let stack = CoroStack::new(size);
+            assert_eq!(stack.top() % PAGE, 0);
+            assert!(stack.top() <= stack.ptr as usize + size);
         }
+    }
+
+    #[test]
+    fn the_pool_hands_out_the_most_recent_stacks_and_keeps_at_most_its_cap() {
+        // A private pool: the process's one is shared with every test.
+        let pool = StackPool { idle: Mutex::new(Vec::new()) };
+        let addrs = |v: &[CoroStack]| v.iter().map(|s| s.ptr as usize).collect::<Vec<_>>();
+        let first: Vec<CoroStack> = (0..3).map(|_| CoroStack::new(64)).collect();
+        let (older, recent) = (addrs(&first[..1]), addrs(&first[1..]));
+        pool.give_back(first);
+        let two = pool.take(2);
+        assert_eq!(addrs(&two), recent);
+        assert_eq!(pool.idle_count(), 1);
+        let three = pool.take(3);
+        assert_eq!(addrs(&three[..1]), older, "the idle one first, then new ones");
+        assert_eq!(three[1].size, STACK_SIZE);
+        assert_eq!(pool.idle_count(), 0);
+        pool.give_back((0..MAX_IDLE_STACKS + 5).map(|_| CoroStack::new(64)).collect());
+        pool.give_back(two);
+        assert_eq!(pool.idle_count(), MAX_IDLE_STACKS);
     }
 }

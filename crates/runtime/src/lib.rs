@@ -53,7 +53,7 @@ pub use error::{
     runtime_error_message, AbortCause, RtError, SimAbort, SimFailure, WireError, RT_ERROR_PREFIX,
 };
 pub use fault::{Fate, FaultPlan};
-pub use machine::{Machine, MachineConfig, Run, SchedulerKind};
+pub use machine::{helper_threads, stacks_idle, Machine, MachineConfig, Run, SchedulerKind};
 pub use proc::{Proc, SpanStart};
 pub use report::{
     CommMatrix, CommRow, ProcReport, ProcStats, RunReport, SkeletonMetrics, TraceEvent, TraceKind,

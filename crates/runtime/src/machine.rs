@@ -1,13 +1,13 @@
 //! The machine: configuration and SPMD execution.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::collective::CollectiveAlgo;
-use crate::coro::{self, StackPool, Task, TaskBody, TaskFrame};
+use crate::coro::{self, Task, TaskBody, TaskFrame, STACKS};
 use crate::cost::CostModel;
 use crate::error::{runtime_error_message, AbortCause, RtError, SimAbort, SimFailure};
 use crate::fault::FaultPlan;
@@ -228,13 +228,13 @@ struct RunArena {
 /// The execution core a machine was built with.
 enum Backend {
     /// Event scheduler: the calling thread and up to `max_workers - 1`
-    /// helpers drive every processor as a coroutine task; `stacks`
-    /// recycles coroutine stacks across runs. `pool` holds the helper
-    /// threads, spawned at the first recruitment: a machine whose runs
-    /// never earn a helper never owns a thread. `adaptive` is whether
+    /// helpers drive every processor as a coroutine task. The machine
+    /// owns neither: a run borrows its coroutine stacks from the
+    /// process's [`STACKS`] and its helpers from the process's helper
+    /// threads, and hands both back when it ends. `adaptive` is whether
     /// helpers are recruited on evidence (no explicit worker count) or
     /// all dispatched at the start of every run.
-    Event { pool: OnceLock<WorkerPool>, stacks: StackPool, max_workers: usize, adaptive: bool },
+    Event { max_workers: usize, adaptive: bool },
     /// Thread scheduler: one worker thread per processor.
     Threads { pool: WorkerPool },
 }
@@ -249,13 +249,12 @@ impl std::fmt::Debug for Machine {
 }
 
 impl Machine {
-    /// Build a machine from a configuration. The machine owns its worker
-    /// threads for its whole lifetime; repeated `run` calls dispatch onto
-    /// those instead of spawning fresh threads (the event backend spawns
-    /// them at the first run that uses a helper). The scheduler is the
+    /// Build a machine from a configuration. The scheduler is the
     /// config's, the event core by default; targets without a coroutine
     /// context switch always get the thread scheduler (identical virtual
-    /// time, bounded scale).
+    /// time, bounded scale). A thread-scheduler machine owns one thread
+    /// per processor for its whole lifetime; an event machine owns no
+    /// thread and no stack — its runs borrow both from the process.
     pub fn new(cfg: MachineConfig) -> Self {
         let n = cfg.mesh.procs();
         let kind = if coro::SUPPORTED {
@@ -267,16 +266,10 @@ impl Machine {
             SchedulerKind::Event => {
                 let max_workers = cfg.workers.unwrap_or_else(|| host_cores().min(8)).min(n.max(1));
                 // The calling thread is always one of a run's workers
-                // (see `try_run_faults`), so the pool needs at most
-                // `max_workers - 1` threads, and none before a run
-                // recruits a helper. A cap of one leaves nothing to
-                // adapt.
-                Backend::Event {
-                    pool: OnceLock::new(),
-                    stacks: StackPool::new(coro::STACK_SIZE),
-                    max_workers,
-                    adaptive: cfg.workers.is_none() && max_workers > 1,
-                }
+                // (see `try_run_faults`), so a run recruits at most
+                // `max_workers - 1` helpers. A cap of one leaves nothing
+                // to adapt.
+                Backend::Event { max_workers, adaptive: cfg.workers.is_none() && max_workers > 1 }
             }
             SchedulerKind::Threads => Backend::Threads { pool: WorkerPool::new(n, "proc") },
         };
@@ -483,16 +476,17 @@ impl Machine {
                     wait.expect += 1;
                 }
             }
-            Backend::Event { pool, stacks, max_workers, adaptive } => {
+            Backend::Event { max_workers, adaptive } => {
                 let ev: &EventSched = sched.as_deref().expect("event backend has a scheduler");
                 let shared = &shared;
                 let proc_body = &proc_body;
                 // One coroutine task per processor, all ready at virtual
-                // time 0. No worker runs before `worker_loop` below, so
+                // time 0, on stacks borrowed from the process for this
+                // run. No worker runs before `worker_loop` below, so
                 // seeding the ready heap during construction is
                 // race-free.
                 let mut tasks: Vec<Task> = Vec::with_capacity(n);
-                for id in 0..n {
+                for (id, stack) in STACKS.take(n).into_iter().enumerate() {
                     let body = move |frame: *const TaskFrame| {
                         // SAFETY: the frame lives in the task's box for
                         // the task's whole lifetime.
@@ -508,7 +502,7 @@ impl Machine {
                     // only returns once all tasks are `Done` and
                     // `DispatchWait` joins every worker.
                     let body: TaskBody = unsafe { std::mem::transmute(body) };
-                    tasks.push(Task::new(stacks, body));
+                    tasks.push(Task::new(stack, body));
                     ev.push_ready(id, 0);
                 }
                 {
@@ -521,8 +515,7 @@ impl Machine {
                     let mut seats = adaptive.then(Seats::caller);
                     let mut wait = DispatchWait { latch, expect: 0 };
                     // Bring up to `want` helpers into the run: count
-                    // them in, then hand each pool thread a
-                    // `worker_loop` job.
+                    // them in, then hand each a `worker_loop` job.
                     let mut recruit = |want: usize| {
                         let helpers = match &mut seats {
                             Some(seats) => seats.reserve(want),
@@ -531,17 +524,14 @@ impl Machine {
                         if helpers == 0 {
                             return;
                         }
-                        let pool =
-                            pool.get_or_init(|| WorkerPool::new(max_workers - 1, "sim-worker"));
-                        let first = ev.add_workers(helpers);
-                        let txs = lock(&pool.txs);
-                        for tx in &txs[first..first + helpers] {
+                        ev.add_workers(helpers);
+                        for _ in 0..helpers {
                             let job = move || {
                                 // worker_loop is panic-free by
                                 // construction (task bodies contain
                                 // their own unwinds); the catch is a
-                                // backstop so a bug cannot kill the pool
-                                // thread or hang the dispatch.
+                                // backstop so a bug cannot kill the
+                                // helper thread or hang the dispatch.
                                 let _ = catch_unwind(AssertUnwindSafe(|| {
                                     worker_loop(ev, tasks, shared, None)
                                 }));
@@ -552,7 +542,7 @@ impl Machine {
                             // every worker before the borrows go out of
                             // scope.
                             let job: Job = unsafe { std::mem::transmute(job) };
-                            tx.send(job).expect("worker thread alive");
+                            dispatch_helper(job);
                             wait.expect += 1;
                         }
                         self.helper_joins.fetch_add(helpers as u64, Ordering::Relaxed);
@@ -569,9 +559,7 @@ impl Machine {
                     }));
                     // `wait` drops here, joining the helpers.
                 }
-                for t in tasks {
-                    t.recycle(stacks);
-                }
+                STACKS.give_back(tasks.into_iter().map(Task::into_stack).collect());
             }
         }
 
@@ -673,11 +661,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Long-lived worker threads. Spawning a thread costs far more than a
-/// simulated message, so machines that are run repeatedly (parameter
-/// sweeps, benches, the tables) keep their workers across runs. The
-/// thread backend owns one worker per simulated processor; the event
-/// backend owns a few helper threads, spawned when first recruited.
+/// The thread backend's long-lived workers, one per simulated
+/// processor. Spawning a thread costs far more than a simulated
+/// message, so machines that are run repeatedly (parameter sweeps,
+/// benches, the tables) keep their workers across runs.
 struct WorkerPool {
     txs: Mutex<Vec<mpsc::Sender<Job>>>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -715,6 +702,63 @@ impl Drop for WorkerPool {
             let _ = handle.join();
         }
     }
+}
+
+/// The event scheduler's idle helper threads, shared by every machine
+/// in the process: each waits on its own channel for its next job.
+static IDLE_HELPERS: Mutex<Vec<mpsc::Sender<Job>>> = Mutex::new(Vec::new());
+
+/// Helper threads alive, idle or running a job.
+static HELPER_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// Run `job` on an idle helper thread, or on a new one when none is
+/// idle: a run never waits for another run's helper.
+fn dispatch_helper(job: Job) {
+    let idle = lock(&IDLE_HELPERS).pop();
+    if let Some(tx) = idle {
+        tx.send(job).expect("an idle helper waits on its receiver");
+        return;
+    }
+    HELPER_THREADS.fetch_add(1, Ordering::Relaxed);
+    // Detached: a helper lives until it retires or the process ends,
+    // and its jobs catch their own panics.
+    std::thread::Builder::new()
+        .name("sim-helper".into())
+        .spawn(move || helper_loop(job))
+        .expect("spawn helper thread");
+}
+
+/// A helper's life: run a job, then wait for the next one unless
+/// [`host_cores`] helpers are idle already, in which case retire. So
+/// the helpers a burst of runs spawned do not outlive it, and idle ones
+/// never outnumber the cores.
+fn helper_loop(mut job: Job) {
+    let (tx, rx) = mpsc::channel();
+    loop {
+        job();
+        {
+            let mut idle = lock(&IDLE_HELPERS);
+            if idle.len() >= host_cores() {
+                HELPER_THREADS.fetch_sub(1, Ordering::Relaxed);
+                return;
+            }
+            idle.push(tx.clone());
+        }
+        job = rx.recv().expect("a helper holds a sender to itself");
+    }
+}
+
+/// Idle coroutine stacks the process keeps for the next event runs, on
+/// every machine together: at most 4,096, and never more than the most
+/// processors that ran at once.
+pub fn stacks_idle() -> usize {
+    STACKS.idle_count()
+}
+
+/// Event-scheduler helper threads alive in the process, idle or helping
+/// a run. Once no run needs them, at most the host's core count remain.
+pub fn helper_threads() -> usize {
+    HELPER_THREADS.load(Ordering::Relaxed)
 }
 
 /// Completion counter for dispatched jobs.

@@ -8,13 +8,17 @@
 //!
 //! Matching is indexed: envelopes are bucketed by `(src, tag)` in a hash
 //! map of FIFO queues, so a receive is a hash lookup plus a pop instead
-//! of a linear scan of everything queued. Waits are fully event-driven —
+//! of a linear scan of everything queued. The keys are processor ids and
+//! the runtime's own tags, never client text, so they hash with a fixed
+//! multiplicative hasher (`KeyHasher`) rather than the DoS-resistant
+//! SipHash. Waits are fully event-driven —
 //! a receiver blocks on the mailbox condvar until a matching deposit or a
 //! poison wakeup ([`Mailbox::wake_all`]), with the deadline as the only
 //! timeout; there is no periodic poll.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -145,10 +149,42 @@ pub struct WaitCtl<'a> {
     pub deadline: Duration,
 }
 
+/// Hashes a `(src, tag)` key with one multiply per word and a
+/// fold-multiply-fold finish. A multiply only carries a bit upwards, and
+/// the table indexes by the low bits: without the folds, tags that
+/// differ only in a high bit (a collective's second phase) would always
+/// share a bucket.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+/// 2^64 / φ: odd, with well-spread bits.
+const KEY_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(KEY_MUL);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let h = (self.0 ^ (self.0 >> 32)).wrapping_mul(KEY_MUL);
+        h ^ (h >> 32)
+    }
+}
+
 /// Envelope queues bucketed by `(src, tag)`.
 #[derive(Debug, Default)]
 struct Buckets {
-    queues: HashMap<(usize, u64), VecDeque<Envelope>>,
+    queues: HashMap<(usize, u64), VecDeque<Envelope>, BuildHasherDefault<KeyHasher>>,
     /// Total queued envelopes across all buckets.
     len: usize,
     /// Emptied bucket queues kept for reuse: the hot deposit path takes
@@ -542,6 +578,18 @@ mod tests {
             other => panic!("unexpected outcome {other:?}"),
         }
         t.join().unwrap();
+    }
+
+    #[test]
+    fn keys_one_high_tag_bit_apart_hash_apart_in_the_low_bits() {
+        use std::hash::BuildHasher;
+        let hash = |key: (usize, u64)| BuildHasherDefault::<KeyHasher>::default().hash_one(key);
+        for (src, tag) in [(0, 0), (3, 7), (63, 1 << 40)] {
+            for bit in [32, 62, 63] {
+                let (a, b) = (hash((src, tag)), hash((src, tag ^ (1 << bit))));
+                assert_ne!(a & 0xff, b & 0xff, "({src}, {tag}) and bit {bit}");
+            }
+        }
     }
 
     #[test]

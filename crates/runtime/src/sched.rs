@@ -239,12 +239,9 @@ impl EventSched {
     }
 
     /// Count `helpers` more workers into the run, ahead of their
-    /// dispatch. Returns how many helpers the run had before.
-    pub(crate) fn add_workers(&self, helpers: usize) -> usize {
-        let mut st = lock(&self.state);
-        let before = st.workers - 1;
-        st.workers += helpers;
-        before
+    /// dispatch.
+    pub(crate) fn add_workers(&self, helpers: usize) {
+        lock(&self.state).workers += helpers;
     }
 
     /// Rearm a scheduler kept in a machine's run arena for another run

@@ -520,19 +520,23 @@ impl BinomialTree {
         Some(self.abs(x - low))
     }
 
-    /// Children of `id`, in the round order a broadcast visits them.
-    pub fn children(&self, id: usize) -> Vec<usize> {
+    /// Children of `id`, in round order: child `k` is `id`'s partner in
+    /// round `k`. The collectives walk them in reverse, largest subtree
+    /// first, with `.rev()` — no allocation either way.
+    pub fn children(
+        &self,
+        id: usize,
+    ) -> impl DoubleEndedIterator<Item = usize> + ExactSizeIterator {
         let x = self.rel(id);
-        let mut out = Vec::new();
-        let mut bit = 1usize;
-        // A node may only have children at bits above its own lowest set
-        // bit (or all bits for the root).
+        // Children sit at the bits below the node's own lowest set bit
+        // (every bit, for the root) that stay inside the tree.
         let limit = if x == 0 { self.n } else { x & x.wrapping_neg() };
-        while bit < limit && x + bit < self.n {
-            out.push(self.abs(x + bit));
-            bit <<= 1;
+        let mut rounds = 0u32;
+        while (1 << rounds) < limit && x + (1 << rounds) < self.n {
+            rounds += 1;
         }
-        out
+        let tree = *self;
+        (0..rounds).map(move |k| tree.abs(x + (1 << k)))
     }
 
     /// The round in which `id` receives during a broadcast from the root
@@ -637,9 +641,9 @@ mod tests {
         assert_eq!(t.parent(5), Some(4));
         assert_eq!(t.parent(6), Some(4));
         assert_eq!(t.parent(7), Some(6));
-        assert_eq!(t.children(0), vec![1, 2, 4]);
-        assert_eq!(t.children(4), vec![5, 6]);
-        assert_eq!(t.children(7), Vec::<usize>::new());
+        assert_eq!(t.children(0).collect::<Vec<_>>(), vec![1, 2, 4]);
+        assert_eq!(t.children(4).rev().collect::<Vec<_>>(), vec![6, 5]);
+        assert_eq!(t.children(7).len(), 0);
     }
 
     #[test]

@@ -271,14 +271,13 @@ fn structural_deadlock_waits_for_a_helper_that_is_counted_but_not_there_yet() {
 }
 
 #[test]
-fn no_verdict_falls_while_a_counted_helper_is_still_busy_in_another_run() {
+fn a_run_never_waits_for_another_runs_helper() {
     let _serial = serial();
-    // The same window, held open: one machine, two workers from the
-    // start, one pool thread. Run A keeps that thread inside its
-    // `worker_loop` until released, so run B's helper job queues behind
-    // it — B has two workers counted and one present. B's caller must
-    // sit out its structural deadlock until A ends and the helper
-    // arrives to complete the idle count.
+    // One machine, two workers from the start of every run. Run A keeps
+    // its helper inside its `worker_loop` until released; run B, on the
+    // same machine meanwhile, must get a helper of its own — an idle one
+    // or a new thread — and reach its deadlock verdict while A still
+    // holds the first.
     let m = Machine::new(
         MachineConfig::mesh(1, 2)
             .unwrap()
@@ -309,14 +308,40 @@ fn no_verdict_falls_while_a_counted_helper_is_still_busy_in_another_run() {
             .expect_err("deadlock must panic");
             b_ended.send(panic_message(err)).unwrap();
         });
-        assert!(
-            b_verdict.recv_timeout(Duration::from_millis(300)).is_err(),
-            "a deadlock verdict fell with a counted helper still on its way"
-        );
+        let verdict = b_verdict.recv_timeout(Duration::from_secs(30));
         release_a.send(()).unwrap();
-        let msg = b_verdict.recv_timeout(Duration::from_secs(30)).expect("verdict after A ends");
+        let msg = verdict.expect("B's verdict falls while A still holds its helper");
         assert!(msg.contains("deadlock suspected"), "{msg}");
     });
+    assert_eq!(m.helper_joins(), 2);
+}
+
+#[test]
+fn concurrent_runs_leave_at_most_a_core_count_of_helper_threads() {
+    let _serial = serial();
+    // Eight machines at once, each dispatching a helper at the start of
+    // every run: idle helpers are taken, missing ones spawned, and the
+    // surplus retires as the runs end.
+    let reference = single_worker_machine(2, 2).run(fine_ring);
+    let barrier = Barrier::new(8);
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|| {
+                let m = Machine::new(MachineConfig::mesh(2, 2).unwrap().with_workers(2));
+                barrier.wait();
+                for _ in 0..3 {
+                    assert_identical("two workers", &m.run(fine_ring), &reference);
+                }
+                assert_eq!(m.helper_joins(), 3);
+            });
+        }
+    });
+    // A helper retires just after its job signals the run's end.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while skil_runtime::helper_threads() > cores() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(skil_runtime::helper_threads() <= cores(), "{}", skil_runtime::helper_threads());
 }
 
 #[test]

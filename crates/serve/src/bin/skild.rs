@@ -77,7 +77,8 @@ fn main() -> ExitCode {
     eprintln!(
         "skild: served {} request(s): {} ok, {} error(s); compile cache {} hit / {} miss \
          ({:.1}% hit rate), {} program(s) in {} byte(s), {} evicted; machines {} warm / \
-         {} cold / {} discarded / {} evicted; {} helper join(s)",
+         {} cold / {} discarded / {} evicted; {} helper join(s); {} helper thread(s), \
+         {} idle stack(s)",
         s.requests,
         s.ok,
         s.errors,
@@ -92,6 +93,8 @@ fn main() -> ExitCode {
         s.machines_discarded,
         s.machines_evicted,
         s.helper_joins,
+        s.helper_threads,
+        s.stacks_idle,
     );
     for p in &s.pool {
         eprintln!(

@@ -646,6 +646,14 @@ pub struct StatsSnapshot {
     /// currently idle pooled machines — zero for as long as every
     /// request was driven by its request thread alone.
     pub helper_joins: u64,
+    /// Helper threads alive in the process, idle or helping a run
+    /// ([`skil_runtime::helper_threads`]). Process-wide: no pooled
+    /// machine owns one.
+    pub helper_threads: u64,
+    /// Coroutine stacks kept idle for the next runs
+    /// ([`skil_runtime::stacks_idle`]). Process-wide: no pooled machine
+    /// owns one.
+    pub stacks_idle: u64,
     /// Compiled programs the cache holds now.
     pub cache_programs: u64,
     /// Heap bytes the cache holds now: every program's
@@ -685,6 +693,7 @@ impl StatsSnapshot {
         st.num("compile_misses", self.compile_misses as f64);
         st.num("errors", self.errors as f64);
         st.num("helper_joins", self.helper_joins as f64);
+        st.num("helper_threads", self.helper_threads as f64);
         st.num("machines_cold", self.machines_cold as f64);
         st.num("machines_discarded", self.machines_discarded as f64);
         st.num("machines_evicted", self.machines_evicted as f64);
@@ -708,6 +717,7 @@ impl StatsSnapshot {
         pool.push(']');
         st.num("requests", self.requests as f64);
         st.num("setup_reuse_hits", self.setup_reuse_hits as f64);
+        st.num("stacks_idle", self.stacks_idle as f64);
         st.end();
         o.end();
     }
@@ -979,6 +989,8 @@ impl Server {
             machines_evicted: 0,
             setup_reuse_hits: 0,
             helper_joins: 0,
+            helper_threads: skil_runtime::helper_threads() as u64,
+            stacks_idle: skil_runtime::stacks_idle() as u64,
             cache_programs: programs.programs as u64,
             cache_bytes: programs.bytes as u64,
             cache_evictions: programs.evictions,
@@ -1111,6 +1123,8 @@ mod tests {
                             ("machines_evicted", num(s.machines_evicted)),
                             ("setup_reuse_hits", num(s.setup_reuse_hits)),
                             ("helper_joins", num(s.helper_joins)),
+                            ("helper_threads", num(s.helper_threads)),
+                            ("stacks_idle", num(s.stacks_idle)),
                             ("cache_programs", num(s.cache_programs)),
                             ("cache_bytes", num(s.cache_bytes)),
                             ("cache_evictions", num(s.cache_evictions)),

@@ -78,6 +78,39 @@ fn blank_and_crlf_lines_are_read_as_before() {
     assert!(stderr.contains(&format!("1 program(s) in {bytes} byte(s)")), "{stderr}");
 }
 
+/// A pooled machine owns no coroutine stack and no helper thread: after
+/// a compute-bound program on ten distinct shapes, one request at a
+/// time, the daemon keeps at most the largest shape's stacks idle and at
+/// most a core count of helpers, whatever the pool holds.
+#[test]
+fn distinct_shapes_leave_only_the_largest_runs_stacks_and_a_core_count_of_helpers() {
+    let horner = json::escape(include_str!("../../../examples/skil/horner.skil"));
+    let shapes = [(1, 1), (1, 2), (2, 2), (1, 3), (3, 3), (2, 4), (4, 4), (1, 5), (2, 3), (3, 4)];
+    let mut input = String::new();
+    for (rows, cols) in shapes {
+        input += &format!(r#"{{"program":"{horner}","mesh":"{rows}x{cols}"}}"#);
+        input.push('\n');
+    }
+    input += r#"{"cmd":"stats"}"#;
+    let out = skild(input.as_bytes());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let lines = responses(&out);
+    assert!(lines[..shapes.len()].iter().all(|l| l.get("ok") == Some(&Json::Bool(true))));
+    let stats = lines[shapes.len()].get("stats").expect("stats reply");
+    let count = |key: &str| stats.get(key).and_then(Json::as_u64).expect(key);
+    let pool = match stats.get("pool") {
+        Some(Json::Arr(shapes)) => shapes.len(),
+        other => panic!("no pool: {other:?}"),
+    };
+    assert_eq!(pool, shapes.len(), "every machine is pooled: {stats:?}");
+    assert!(count("stacks_idle") <= 16, "{stats:?}");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    assert!(count("helper_threads") <= cores, "{stats:?}");
+    assert!(stderr.contains(" helper thread(s), "), "{stderr}");
+    assert!(stderr.contains(&format!(" {} idle stack(s)", count("stacks_idle"))), "{stderr}");
+}
+
 /// `i64::MIN / -1` panicked in the constant folder, which ran outside
 /// the request's guard: the worker died, the request got no response
 /// line, and the daemon wrote "worker panicked". The same division at

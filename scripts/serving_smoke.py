@@ -24,10 +24,16 @@ Two probes of the daemon's bounded stores replace the batch:
               holds no more than its budget, that the golden program hit
               every time after its first, and that VmHWM stayed under
               SWEEP_HWM_MB.
-  --shapes N  one small program on N distinct meshes, 1x1 ... 1xN.
+  --shapes N  one program on each of N distinct meshes, 1x1 ... 1xN: a
+              one-line program beyond 1x60, then the compute-bound
+              horner example (whose runs recruit helper threads) on
+              1x1 ... 1x60, whose machines the pool then still holds.
               Asserts that the idle pool dropped machines
-              (`machines_evicted`) and that VmHWM stayed under
-              SHAPES_HWM_MB.
+              (`machines_evicted`), that VmHWM stayed under
+              SHAPES_HWM_MB, and that pooled machines own no thread and
+              no stack: Threads is at most the daemon's own plus one
+              idle helper per core, and VmSize at most the idle stacks'
+              8 MiB each plus SHAPES_VMSIZE_EXTRA_MB.
 
 Usage: python3 scripts/serving_smoke.py --bin target/release/skild \
            [--requests 1000 | --sweep 5000 | --shapes 300] [--threads 4]
@@ -43,13 +49,20 @@ import sys
 import threading
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-# Peak RSS bounds of the two probes. The cache holds at most 32 MiB and
-# the idle pool at most 4,096 processors (~12.5 kB each). Measured on 2
-# cores at --threads 1 / 4: --sweep 5000 peaks at 41 / 46 MB (156 MB
-# before the cache had a budget), --shapes 300 at 53 / 76 MB (543 MB
-# before the pool had a cap).
+# Bounds of the two probes. The cache holds at most 32 MiB and the idle
+# pool at most 4,096 processors, which own no coroutine stack and no
+# helper thread: the process keeps at most 4,096 idle stacks, and the
+# idle helpers retire down to one per core. Measured on 2 cores at
+# --threads 1 / 4: --sweep 5000 peaks at 41 / 46 MB (156 MB before the
+# cache had a budget). --shapes 300 peaks at 9.1 / 10.2 MB and ends
+# with 4 / 6 threads and 2.6 / 2.7 GB of address space (300 idle
+# stacks). With stacks and helpers kept per machine it took 53 / 73 MB,
+# 38 / 12 threads and 41 / 59 GB (543 MB before the pool had a cap).
 SWEEP_HWM_MB = 64
-SHAPES_HWM_MB = 128
+SHAPES_HWM_MB = 24
+STACK_MB = 8
+SHAPES_VMSIZE_EXTRA_MB = 1024
+SHAPES_COMPUTE_BOUND = 60
 
 HELLO = "void main() { if (procId == 0) { print(42); } }"
 FOLD = (
@@ -108,8 +121,8 @@ def build_batch(total):
 
 
 def serve_live(binary, threads, lines):
-    """Stream `lines` and then a stats request through one skild. Once
-    every line is answered, and while the daemon still lives, read its
+    """Stream `lines` through one skild and, once every line is
+    answered, a stats request. While the daemon still lives, read its
     /proc status; then end its input. Returns (responses, stats,
     status, returncode)."""
     proc = subprocess.Popen(
@@ -121,22 +134,23 @@ def serve_live(binary, threads, lines):
     )
 
     def feed():
-        for line in lines + [json.dumps({"cmd": "stats"})]:
+        for line in lines:
             proc.stdin.write(line + "\n")
         proc.stdin.flush()
 
     writer = threading.Thread(target=feed)
     writer.start()
-    responses = [json.loads(proc.stdout.readline()) for _ in range(len(lines) + 1)]
+    responses = [json.loads(proc.stdout.readline()) for _ in lines]
     writer.join()
+    proc.stdin.write(json.dumps({"cmd": "stats"}) + "\n")
+    proc.stdin.flush()
+    stats = json.loads(proc.stdout.readline())["stats"]
     with open(f"/proc/{proc.pid}/status") as f:
         status = dict(l.split(":", 1) for l in f if ":" in l)
     _, summary = proc.communicate(timeout=600)
     # the summary's first line; one more per pool shape follows
     print(summary.split("\n", 1)[0], file=sys.stderr)
-    returncode = proc.returncode
-    stats = next(r["stats"] for r in responses if "stats" in r)
-    return [r for r in responses if "stats" not in r], stats, status, returncode
+    return responses, stats, status, proc.returncode
 
 
 def kb(status, field):
@@ -178,10 +192,16 @@ def sweep(args):
 
 
 def shapes(args):
-    """One program on N distinct meshes (see the docstring)."""
+    """One program on each of N distinct meshes (see the docstring)."""
+    with open(os.path.join(REPO, "examples", "skil", "horner.skil")) as f:
+        horner = f.read()
+    small = min(args.shapes, SHAPES_COMPUTE_BOUND)
+    order = list(range(small + 1, args.shapes + 1)) + list(range(1, small + 1))
     lines = [
-        json.dumps({"id": f"m{k}", "program": HELLO, "mesh": f"1x{k}"})
-        for k in range(1, args.shapes + 1)
+        json.dumps(
+            {"id": f"m{k}", "program": horner if k <= small else HELLO, "mesh": f"1x{k}"}
+        )
+        for k in order
     ]
     responses, stats, status, code = serve_live(args.bin, args.threads, lines)
     failures = [f"skild exited {code}"] if code != 0 else []
@@ -194,9 +214,24 @@ def shapes(args):
     hwm = kb(status, "VmHWM") / 1024
     if hwm > SHAPES_HWM_MB:
         failures.append(f"VmHWM {hwm:.1f} MB over {SHAPES_HWM_MB} MB")
+    # Every run is over, so no stack is in use: those mapped are idle.
+    stacks = stats.get("stacks_idle", 0)
+    if stacks > min(4096, args.threads * args.shapes):
+        failures.append(f"{stacks} idle stacks, more than could have run at once")
+    vmsize = kb(status, "VmSize") / 1024
+    if vmsize > stacks * STACK_MB + SHAPES_VMSIZE_EXTRA_MB:
+        failures.append(
+            f"VmSize {vmsize:.0f} MB over {stacks} idle stacks' {stacks * STACK_MB} MB "
+            f"+ {SHAPES_VMSIZE_EXTRA_MB} MB"
+        )
+    # main, the request threads, and the helpers still idle
+    threads, cores = int(status["Threads"]), os.cpu_count() or 1
+    if threads > 1 + args.threads + cores:
+        failures.append(f"{threads} threads, over 1 + {args.threads} + {cores} cores")
     report = (
         f"{stats.get('machines_evicted')} machines evicted, {idle} processors idle, "
-        f"VmHWM {hwm:.1f} MB, VmRSS {kb(status, 'VmRSS') / 1024:.1f} MB"
+        f"VmHWM {hwm:.1f} MB, VmRSS {kb(status, 'VmRSS') / 1024:.1f} MB, "
+        f"VmSize {vmsize:.0f} MB, {stacks} idle stacks, {threads} threads"
     )
     return failures, report
 

@@ -9,13 +9,13 @@
 //! 4. block vs. cyclic distribution (§6 future work) under a triangular
 //!    workload.
 //!
-//! Run with `cargo run --release -p skil-bench --bin ablation`.
+//! Run with `cargo run --release -p skil-bench --bin paper -- ablation`.
 
 use skil_array::{ArraySpec, Distribution, Index};
 use skil_core::{array_create, array_fold, array_fold_to_root, Kernel};
 use skil_runtime::{Distr, Machine, MachineConfig, Proc};
 
-fn main() {
+pub fn run() {
     fold_broadcast_ablation();
     broadcast_strategy_ablation();
     async_overlap_ablation();

@@ -3,12 +3,12 @@
 //! speed-ups Skil vs. DPFL (left panel) and slow-downs Skil vs. Parix-C
 //! (right panel). Prints CSV series plus ASCII plots.
 //!
-//! Run with `cargo run --release -p skil-bench --bin figure1`.
+//! Run with `cargo run --release -p skil-bench --bin paper -- figure1`.
 
 use skil_bench::table::ascii_plot;
 use skil_bench::table2;
 
-fn main() {
+pub fn run() {
     println!("Figure 1 reproduction: Gaussian elimination ratios vs. processors\n");
     let meshes = [(2usize, 2usize), (4, 4), (8, 4), (8, 8)];
     let ns = [64usize, 128, 256, 384, 512, 640];

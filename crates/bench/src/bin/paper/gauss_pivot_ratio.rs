@@ -4,12 +4,12 @@
 //! implementation of the pivot search and exchange, that this brings
 //! considerable communication overhead".
 //!
-//! Run with `cargo run --release -p skil-bench --bin gauss_pivot_ratio`.
+//! Run with `cargo run --release -p skil-bench --bin paper -- gauss_pivot_ratio`.
 
 use skil_bench::gauss_pivot_ratio;
 use skil_bench::paper::PAPER_GAUSS_PIVOT_RATIO;
 
-fn main() {
+pub fn run() {
     println!("Gaussian elimination: complete (pivoting) vs. reduced version\n");
     println!(
         "{:>6} {:>6} {:>12} {:>12} {:>8} {:>8}",

@@ -3,12 +3,12 @@
 //! multiplication algorithm, and obtained Skil times around 20 % slower
 //! than direct C times."
 //!
-//! Run with `cargo run --release -p skil-bench --bin matmul20`.
+//! Run with `cargo run --release -p skil-bench --bin paper -- matmul20`.
 
 use skil_bench::matmul20;
 use skil_bench::paper::PAPER_MATMUL_SKIL_OVER_C;
 
-fn main() {
+pub fn run() {
     println!("Matmul comparison: Skil gen_mult vs. equally optimized Parix-C\n");
     println!(
         "{:>6} {:>6} {:>10} {:>10} {:>8} {:>8}",

@@ -3,12 +3,12 @@
 //! Jacobi relaxation — with the same three-system comparison as the
 //! paper's tables.
 //!
-//! Run with `cargo run --release -p skil-bench --bin pde`.
+//! Run with `cargo run --release -p skil-bench --bin paper -- pde`.
 
 use skil_apps::{jacobi_dpfl, jacobi_parix_c, jacobi_skil};
 use skil_runtime::{Machine, MachineConfig};
 
-fn main() {
+pub fn run() {
     println!("Jacobi/Laplace relaxation, 100 sweeps (simulated T800 mesh)\n");
     println!(
         "{:>6} {:>7} {:>10} {:>10} {:>10} {:>10} {:>8}",

@@ -2,13 +2,13 @@
 //! n ≈ 200 nodes on √p × √p processor meshes, comparing Skil against
 //! DPFL and the older message-passing C program.
 //!
-//! Run with `cargo run --release -p skil-bench --bin table1`.
+//! Run with `cargo run --release -p skil-bench --bin paper -- table1`.
 
 use skil_bench::paper::PAPER_TABLE1;
 use skil_bench::table::{f, fo, header, row};
 use skil_bench::table1;
 
-fn main() {
+pub fn run() {
     println!("Table 1 reproduction: shortest paths, n ~ 200 (simulated T800 mesh)");
     println!("paper columns shown in [brackets]\n");
     let rows = table1(200, &[2, 3, 4, 5, 6, 7, 8], &[2, 4, 6, 8]);

@@ -2,13 +2,13 @@
 //! without pivot search/exchange, matching the DPFL implementation) for
 //! n in 64..=640 on 2×2, 4×4, 8×4 and 8×8 meshes.
 //!
-//! Run with `cargo run --release -p skil-bench --bin table2`.
+//! Run with `cargo run --release -p skil-bench --bin paper -- table2`.
 
 use skil_bench::paper::PAPER_TABLE2;
 use skil_bench::table::{f, fo, header, row};
 use skil_bench::table2;
 
-fn main() {
+pub fn run() {
     println!(
         "Table 2 reproduction: Gaussian elimination without pivoting \
          (simulated T800 mesh)"

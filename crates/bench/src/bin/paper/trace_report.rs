@@ -13,7 +13,7 @@
 //!   `skil-trace-v1`).
 //!
 //! Run with
-//! `cargo run --release -p skil-bench --bin trace_report -- [--out-dir DIR]`.
+//! `cargo run --release -p skil-bench --bin paper -- trace_report [--out-dir DIR]`.
 //!
 //! `--faults SPEC` (e.g. `--faults seed=7,drop=0.08`) runs both
 //! applications under a seeded fault plan: the reliable-delivery layer
@@ -23,44 +23,12 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use skil_apps::{gauss_skil, shpaths_skil};
-use skil_bench::SEED;
-use skil_runtime::{FaultPlan, Machine, MachineConfig, RunReport};
+use skil_bench::{traced_report, TRACE_N};
+use skil_runtime::FaultPlan;
 
-/// Problem size used for both applications (matches the golden tests).
-const N: usize = 24;
-
-fn traced_run(app: &str, faults: &Option<FaultPlan>) -> RunReport {
-    let cfg = || {
-        let c = MachineConfig::square(2).expect("2x2 mesh");
-        match faults {
-            Some(plan) => c.with_faults(plan.clone()),
-            None => c,
-        }
-    };
-    let plain = Machine::new(cfg());
-    let traced = Machine::new(cfg().with_trace());
-    let (plain_cycles, report) = match app {
-        "shpaths" => {
-            (shpaths_skil(&plain, N, SEED).report.sim_cycles, shpaths_skil(&traced, N, SEED).report)
-        }
-        "gauss" => {
-            (gauss_skil(&plain, N, SEED).report.sim_cycles, gauss_skil(&traced, N, SEED).report)
-        }
-        other => unreachable!("unknown app {other}"),
-    };
-    assert_eq!(
-        plain_cycles, report.sim_cycles,
-        "{app}: tracing must not perturb virtual time (off={plain_cycles}, on={})",
-        report.sim_cycles
-    );
-    report
-}
-
-fn main() -> ExitCode {
+pub fn run(args: &[String]) -> ExitCode {
     let mut out_dir = PathBuf::from("results");
     let mut faults: Option<FaultPlan> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -69,7 +37,7 @@ fn main() -> ExitCode {
                 match args.get(i) {
                     Some(d) => out_dir = PathBuf::from(d),
                     None => {
-                        eprintln!("trace_report: --out-dir needs an argument");
+                        eprintln!("paper trace_report: --out-dir needs an argument");
                         return ExitCode::from(2);
                     }
                 }
@@ -77,37 +45,39 @@ fn main() -> ExitCode {
             "--faults" => {
                 i += 1;
                 let Some(spec) = args.get(i) else {
-                    eprintln!("trace_report: --faults needs an argument");
+                    eprintln!("paper trace_report: --faults needs an argument");
                     return ExitCode::from(2);
                 };
                 match FaultPlan::parse(spec) {
                     Ok(plan) => faults = Some(plan),
                     Err(e) => {
-                        eprintln!("trace_report: bad --faults spec: {e}");
+                        eprintln!("paper trace_report: bad --faults spec: {e}");
                         return ExitCode::from(2);
                     }
                 }
             }
             other => {
-                eprintln!("usage: trace_report [--out-dir DIR] [--faults SPEC] (got {other:?})");
+                eprintln!(
+                    "usage: paper trace_report [--out-dir DIR] [--faults SPEC] (got {other:?})"
+                );
                 return ExitCode::from(2);
             }
         }
         i += 1;
     }
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("trace_report: cannot create {}: {e}", out_dir.display());
+        eprintln!("paper trace_report: cannot create {}: {e}", out_dir.display());
         return ExitCode::FAILURE;
     }
 
     for app in ["shpaths", "gauss"] {
-        let report = traced_run(app, &faults);
+        let report = traced_report(app, faults.as_ref());
         let metrics_path = out_dir.join(format!("metrics_{app}.json"));
         let trace_path = out_dir.join(format!("trace_{app}.json"));
         std::fs::write(&metrics_path, report.metrics_json()).expect("write metrics");
         std::fs::write(&trace_path, report.chrome_trace_json()).expect("write trace");
         println!(
-            "{app}: n={N} on 2x2, {} cycles ({:.4}s simulated), {} msgs / {} bytes",
+            "{app}: n={TRACE_N} on 2x2, {} cycles ({:.4}s simulated), {} msgs / {} bytes",
             report.sim_cycles,
             report.sim_seconds,
             report.total_msgs(),

@@ -1,12 +1,11 @@
-//! The experiment drivers shared by the reproduction binaries and the
-//! Criterion benches.
+//! The experiment drivers behind the `paper` binary's subcommands.
 
 use skil_apps::workload::round_up_to_multiple;
 use skil_apps::{
     gauss_dpfl, gauss_parix_c, gauss_skil, gauss_skil_pivot, matmul_c_opt, matmul_skil,
     shpaths_c_old, shpaths_dpfl, shpaths_skil,
 };
-use skil_runtime::{Machine, MachineConfig, SchedulerKind};
+use skil_runtime::{FaultPlan, Machine, MachineConfig, RunReport};
 
 /// The seed all reproduction runs use (results are deterministic).
 pub const SEED: u64 = 0x51_1996;
@@ -29,27 +28,11 @@ pub struct Table1Row {
 /// Run the Table 1 experiment: shortest paths with n ≈ `n_base` on
 /// `sides` × `sides` machines.
 pub fn table1(n_base: usize, sides: &[usize], compare_on: &[usize]) -> Vec<Table1Row> {
-    table1_on(n_base, sides, compare_on, None)
-}
-
-/// [`table1`] with an explicit scheduler, for data-plane benches that
-/// need event-vs-threads legs of the same experiment (`None` keeps the
-/// machine's default scheduler).
-pub fn table1_on(
-    n_base: usize,
-    sides: &[usize],
-    compare_on: &[usize],
-    scheduler: Option<SchedulerKind>,
-) -> Vec<Table1Row> {
     sides
         .iter()
         .map(|&side| {
             let n = round_up_to_multiple(n_base, side);
-            let mut cfg = MachineConfig::square(side).expect("square machine");
-            if let Some(kind) = scheduler {
-                cfg = cfg.with_scheduler(kind);
-            }
-            let m = Machine::new(cfg);
+            let m = Machine::new(MachineConfig::square(side).expect("square machine"));
             let skil = shpaths_skil(&m, n, SEED).sim_seconds;
             let (dpfl, c_old) = if compare_on.contains(&side) {
                 (
@@ -94,22 +77,9 @@ impl Table2Cell {
 /// Run the Table 2 experiment: Gaussian elimination (no pivoting) for
 /// every mesh in `meshes` and size in `ns`.
 pub fn table2(meshes: &[(usize, usize)], ns: &[usize]) -> Vec<Table2Cell> {
-    table2_on(meshes, ns, None)
-}
-
-/// [`table2`] with an explicit scheduler (see [`table1_on`]).
-pub fn table2_on(
-    meshes: &[(usize, usize)],
-    ns: &[usize],
-    scheduler: Option<SchedulerKind>,
-) -> Vec<Table2Cell> {
     let mut out = Vec::new();
     for &(rows, cols) in meshes {
-        let mut cfg = MachineConfig::mesh(rows, cols).expect("mesh");
-        if let Some(kind) = scheduler {
-            cfg = cfg.with_scheduler(kind);
-        }
-        let m = Machine::new(cfg);
+        let m = Machine::new(MachineConfig::mesh(rows, cols).expect("mesh"));
         for &n in ns {
             let skil = gauss_skil(&m, n, SEED).sim_seconds;
             let dpfl = gauss_dpfl(&m, n, SEED).sim_seconds;
@@ -136,6 +106,43 @@ pub fn gauss_pivot_ratio(procs: usize, n: usize) -> (f64, f64) {
     let nopiv = gauss_skil(&m, n, SEED).sim_seconds;
     let piv = gauss_skil_pivot(&m, n, SEED).sim_seconds;
     (nopiv, piv)
+}
+
+/// Problem size of the traced runs `paper trace_report` exports (the
+/// goldens' size).
+pub const TRACE_N: usize = 24;
+
+/// The traced run behind `paper trace_report`'s artifacts: `app`
+/// (`"shpaths"` or `"gauss"`) at [`TRACE_N`] on a 2×2 mesh, under
+/// `faults` if given. Runs it untraced too and panics unless tracing
+/// left the simulated time bit-identical.
+pub fn traced_report(app: &str, faults: Option<&FaultPlan>) -> RunReport {
+    let cfg = || {
+        let c = MachineConfig::square(2).expect("2x2 mesh");
+        match faults {
+            Some(plan) => c.with_faults(plan.clone()),
+            None => c,
+        }
+    };
+    let plain = Machine::new(cfg());
+    let traced = Machine::new(cfg().with_trace());
+    let (plain_cycles, report) = match app {
+        "shpaths" => (
+            shpaths_skil(&plain, TRACE_N, SEED).report.sim_cycles,
+            shpaths_skil(&traced, TRACE_N, SEED).report,
+        ),
+        "gauss" => (
+            gauss_skil(&plain, TRACE_N, SEED).report.sim_cycles,
+            gauss_skil(&traced, TRACE_N, SEED).report,
+        ),
+        other => panic!("unknown app {other}"),
+    };
+    assert_eq!(
+        plain_cycles, report.sim_cycles,
+        "{app}: tracing must not perturb virtual time (off={plain_cycles}, on={})",
+        report.sim_cycles
+    );
+    report
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 
 use proptest::prelude::*;
 use skil_runtime::{
-    CollectiveAlgo, Machine, MachineConfig, ProcStats, Run, SchedulerKind, Topology,
+    select_allgather, select_allreduce, CollectiveAlgo, CostModel, Machine, MachineConfig,
+    ProcStats, Run, SchedulerKind, Topology,
 };
 
 /// Every topology in the zoo that can host `n` processors.
@@ -154,6 +155,57 @@ fn hop_metric_corner_routes() {
     assert_eq!(het.hops(0, 1), 1, "fast side untouched");
     assert_eq!(het.hops(1, 2), 1 + 63, "crossing the cut pays the factor");
     assert_eq!(het.hops(0, 15), 6 + 63, "Manhattan plus one crossing surcharge");
+}
+
+/// The hop-metric selection picks the cheaper algorithm on every zoo
+/// topology at 16 processors. One single-shot collective of a 16-byte
+/// payload — the nominal size `select_allreduce`/`select_allgather`
+/// price — so `sim_cycles` is the latency the closed forms model. Each
+/// row pins (selected, its cycles, rejected, its cycles); the selected
+/// variant must be strictly cheaper.
+#[test]
+fn selected_collective_is_strictly_cheaper_than_the_rejected_one() {
+    use CollectiveAlgo::{RecDouble as Rd, Ring};
+    #[rustfmt::skip]
+    let pins: [(&str, &str, CollectiveAlgo, u64, CollectiveAlgo, u64); 8] = [
+        ("mesh2d:4x4", "allreduce", Ring, 31_958, Rd, 212_712),
+        ("mesh2d:4x4", "allgather", Ring, 16_904, Rd, 217_632),
+        ("hypercube:16", "allreduce", Ring, 32_710, Rd, 208_712),
+        ("hypercube:16", "allgather", Ring, 16_904, Rd, 213_632),
+        ("fattree:2,4", "allreduce", Ring, 39_854, Rd, 224_712),
+        ("fattree:2,4", "allgather", Ring, 20_288, Rd, 229_632),
+        ("hetero:mesh2d:4x4:slowlinks=col2*64", "allreduce", Rd, 338_712, Ring, 387_278),
+        ("hetero:mesh2d:4x4:slowlinks=col2*64", "allgather", Ring, 206_408, Rd, 343_632),
+    ];
+    let cost = CostModel::t800();
+    for (spec, collective, selected, selected_cycles, rejected, rejected_cycles) in pins {
+        let topo = Topology::parse(spec).unwrap();
+        let m = machine(topo, SchedulerKind::Event);
+        let cycles = |algo: CollectiveAlgo| match collective {
+            "allreduce" => {
+                m.run(move |p| {
+                    let mine = [p.id() as u64 + 1, p.id() as u64 * 3];
+                    let add = |a: [u64; 2], b: [u64; 2]| [a[0] + b[0], a[1] + b[1]];
+                    p.allreduce_with(algo, 20, mine, add, 2)
+                })
+                .report
+                .sim_cycles
+            }
+            _ => {
+                m.run(move |p| p.allgather_with(algo, 21, [p.id() as u64 + 1, p.id() as u64 * 3]))
+                    .report
+                    .sim_cycles
+            }
+        };
+        let picked = match collective {
+            "allreduce" => select_allreduce(&topo, &cost),
+            _ => select_allgather(&topo, &cost),
+        };
+        assert_eq!(picked, selected, "{collective} on {spec}: selection changed");
+        let got = (cycles(selected), cycles(rejected));
+        assert_eq!(got, (selected_cycles, rejected_cycles), "{collective} on {spec}");
+        assert!(got.0 < got.1, "{collective} on {spec}: selected {selected:?} is not cheaper");
+    }
 }
 
 /// The total logical message count of each allreduce algorithm is a

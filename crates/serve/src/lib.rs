@@ -79,7 +79,7 @@ pub const CACHE_BUDGET_BYTES: usize = 32 << 20;
 
 /// The most processors one request may ask for, and the most the idle
 /// pool keeps across all its machines: the largest machine any test or
-/// bench in the repo builds (`bench_scale`'s 64x64).
+/// bench in the repo builds (`scale_scheduler`'s 64x64).
 pub const MAX_PROCESSORS: usize = 4096;
 
 /// One compiled variant of a cached source.

@@ -4,11 +4,13 @@
 //! pure function of the simulated run: running the same program twice on
 //! the same machine shape yields **byte-identical** documents. Both
 //! documents must also be syntactically valid JSON — checked here with a
-//! small hand-rolled validator so the test stays dependency-free, and in
-//! CI with `python3 -m json.tool` on the `trace_report` artifacts.
+//! small hand-rolled validator so the test stays dependency-free. The
+//! exports `paper trace_report` writes must equal the committed
+//! `results/` artifacts byte for byte.
 
 use skil::apps::{gauss_skil, shpaths_skil};
 use skil::runtime::{Machine, MachineConfig, RunReport};
+use skil_bench::traced_report;
 
 /// Minimal recursive-descent JSON syntax checker (no value model, just
 /// well-formedness). Returns the rest of the input after one value.
@@ -187,5 +189,42 @@ fn tracing_is_free_in_virtual_time() {
             gauss_skil(&traced, n, 3).report.sim_cycles,
             "gauss n={n}"
         );
+    }
+}
+
+/// `paper trace_report` (shortest paths and gauss, n=24 on 2x2) writes
+/// exactly the committed artifacts: the schema, every counter and every
+/// span. After a deliberate change, regenerate them with
+/// `cargo run --release -p skil-bench --bin paper -- trace_report`.
+#[test]
+fn trace_report_exports_equal_the_committed_artifacts() {
+    let committed = [
+        (
+            "shpaths",
+            include_str!("../results/metrics_shpaths.json"),
+            include_str!("../results/trace_shpaths.json"),
+        ),
+        (
+            "gauss",
+            include_str!("../results/metrics_gauss.json"),
+            include_str!("../results/trace_gauss.json"),
+        ),
+    ];
+    for (app, metrics, trace) in committed {
+        let report = traced_report(app, None);
+        for (kind, got, want) in [
+            ("metrics", report.metrics_json(), metrics),
+            ("trace", report.chrome_trace_json(), trace),
+        ] {
+            let at = got.bytes().zip(want.bytes()).position(|(a, b)| a != b);
+            assert!(
+                got == want,
+                "results/{kind}_{app}.json differs from the export: first at byte {}, \
+                 lengths {} vs {}",
+                at.unwrap_or(got.len().min(want.len())),
+                got.len(),
+                want.len()
+            );
+        }
     }
 }

@@ -148,7 +148,7 @@ where
             if dst != me {
                 let hops = 2 * wrapped_dist(gc, dst_col, s);
                 proc.send_hops(dst, hops, tags::GEN_MULT_A + 0xFFFF, &a_loc);
-                a_loc = proc.recv(src, tags::GEN_MULT_A + 0xFFFF);
+                proc.recv_into(src, tags::GEN_MULT_A + 0xFFFF, &mut a_loc);
             }
         }
         if gc > 0 {
@@ -159,7 +159,7 @@ where
             if dst != me {
                 let hops = 2 * wrapped_dist(gr, dst_row, s);
                 proc.send_hops(dst, hops, tags::GEN_MULT_B + 0xFFFF, &b_loc);
-                b_loc = proc.recv(src, tags::GEN_MULT_B + 0xFFFF);
+                proc.recv_into(src, tags::GEN_MULT_B + 0xFFFF, &mut b_loc);
             }
         }
     }
@@ -178,15 +178,16 @@ where
             break;
         }
         // Rotate A west (receive from the east), B north (receive from
-        // the south), one torus step each.
+        // the south), one torus step each, decoding into the blocks just
+        // sent.
         let (west, wh) = torus.west(me);
         let (east, _) = torus.east(me);
         proc.send_hops(west, wh, tags::GEN_MULT_A + step as u64, &a_loc);
         let (north, nh) = torus.north(me);
         let (south, _) = torus.south(me);
         proc.send_hops(north, nh, tags::GEN_MULT_B + step as u64, &b_loc);
-        a_loc = proc.recv(east, tags::GEN_MULT_A + step as u64);
-        b_loc = proc.recv(south, tags::GEN_MULT_B + step as u64);
+        proc.recv_into(east, tags::GEN_MULT_A + step as u64, &mut a_loc);
+        proc.recv_into(south, tags::GEN_MULT_B + step as u64, &mut b_loc);
     }
     proc.span_end("gen_mult", span);
     Ok(())

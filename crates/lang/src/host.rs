@@ -427,16 +427,24 @@ pub(crate) trait ArgFn<const N: usize> {
 pub(crate) struct Batch<'a> {
     pub(crate) nb: &'a NativeBackend,
     pub(crate) fns: &'a [SkelFn],
-    /// Per argument function: the lifted arguments the site evaluated.
-    pub(crate) lifted: &'a [Vec<Value>],
+    /// The lifted arguments the site evaluated, argument function by
+    /// argument function.
+    pub(crate) lifted: &'a [Value],
 }
 
 impl Batch<'_> {
     /// Argument function `i`: its index in the module and its lifted
     /// arguments.
     fn arg_fn(&self, i: usize) -> (usize, &[Value]) {
-        (self.fns[i].fid, &self.lifted[i])
+        (self.fns[i].fid, lifted_of(self.fns, self.lifted, i))
     }
+}
+
+/// Argument function `i`'s share of `lifted`, the lifted arguments of
+/// all of `fns` in order.
+pub(crate) fn lifted_of<'v>(fns: &[SkelFn], lifted: &'v [Value], i: usize) -> &'v [Value] {
+    let at = fns[..i].iter().map(|f| f.n_lifted).sum();
+    &lifted[at..][..fns[i].n_lifted]
 }
 
 /// The element loops that are instantiated per closed operator: the

@@ -1753,18 +1753,27 @@ pub(crate) struct TypedSite<'a> {
 }
 
 impl<'a> TypedSite<'a> {
+    /// Ready `tf`, laying its prologue out in `prologue` (whatever it
+    /// held is overwritten; its allocation is kept).
     pub(crate) fn new(
         view: &'a KernelView,
         tf: &'a TypedFn,
         lifted: &'a [Value],
         env: &'a KEnv<'a>,
+        mut prologue: Vec<u64>,
     ) -> Self {
         let consts = view.consts_of(tf);
-        let mut prologue = vec![0; tf.nregs as usize];
+        prologue.clear();
+        prologue.resize(tf.nregs as usize, 0);
         prologue[..consts.len()].copy_from_slice(consts);
         let args_at = lifted.iter().fold(consts.len(), |at, v| write_value(&mut prologue, at, v));
         prologue.truncate(args_at);
         TypedSite { view, tf, env, prologue }
+    }
+
+    /// The prologue's buffer, for the next site to lay its own out in.
+    pub(crate) fn take_prologue(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.prologue)
     }
 
     /// Call the function on `lifted ++ args`.

@@ -138,13 +138,12 @@ impl Drop for ConsList {
     fn drop(&mut self) {
         // Unlink iteratively: the derived recursive drop would overflow
         // the stack on long uniquely-owned spines (the 10k+ builds this
-        // representation exists for).
+        // representation exists for). `into_inner` gives up a shared
+        // node's reference in the one atomic decrement; it is then
+        // someone else's job.
         let mut cur = self.head.take();
-        while let Some(node) = cur {
-            match Arc::try_unwrap(node) {
-                Ok(mut n) => cur = n.rest.take(),
-                Err(_) => break, // shared further down — someone else's job
-            }
+        while let Some(mut n) = cur.and_then(Arc::into_inner) {
+            cur = n.rest.take();
         }
     }
 }
@@ -413,6 +412,21 @@ mod tests {
         // shortcut on the shared spine
         let l2 = ConsList::cons(Value::Int(n - 1), &t);
         assert_eq!(l, l2);
+    }
+
+    #[test]
+    fn dropping_unlinks_a_long_spine_and_stops_at_a_shared_tail() {
+        let long = (0..200_000).fold(ConsList::new(), |l, i| ConsList::cons(Value::Int(i), &l));
+        drop(long);
+
+        let tail = ConsList::from_vec((0..1_000).map(Value::Int).collect());
+        let sibling = ConsList::cons(Value::Int(-1), &tail);
+        let kept = ConsList::cons(Value::Int(-2), &tail);
+        drop(tail);
+        drop(sibling);
+        assert_eq!(kept.len(), 1_001);
+        assert_eq!(kept.iter().nth(1_000), Some(&Value::Int(999)));
+        assert_eq!(kept.rest().unwrap().to_vec(), (0..1_000).map(Value::Int).collect::<Vec<_>>());
     }
 
     #[test]

@@ -34,13 +34,17 @@
 //! the function lowered ([`crate::kernel`]), else this module's
 //! dispatch loop in kernel mode over the same bytecode.
 
+use std::cell::RefCell;
+use std::mem::take;
+
 use skil_array::Index;
 use skil_runtime::{CostModel, Machine, Proc, Run};
 
 use crate::bytecode::{Instr, Intr, KernelShape, Program, SkelSite, Src};
 use crate::fo::{BinOp, FoProgram};
 use crate::host::{
-    get_elem, kernel_cycles, kernel_forbids, to_uindex, ArgFn, ArgFns, Batch, KEnv, SkelHost,
+    get_elem, kernel_cycles, kernel_forbids, lifted_of, to_uindex, ArgFn, ArgFns, Batch, KEnv,
+    SkelHost,
 };
 use crate::kernel::{KArg, KernelView, TypedSite};
 use crate::native::NativeBackend;
@@ -94,7 +98,9 @@ pub(crate) fn try_run_program_vm_faults(
     let tables = RunTables::resolve(&compiled.fo, code, &machine.config().cost);
     machine.try_run_faults(faults, |p| {
         let mut vm = Vm::new(code, &compiled.kernel, &tables, p, None);
-        let mut stack = Vec::new();
+        // the benchmark's message-bound programs reach depth 5: one
+        // allocation per processor, not two (4, then 8)
+        let mut stack = Vec::with_capacity(8);
         let mut frames = Vec::new();
         exec(&mut vm, code, main, &mut stack, &mut frames);
         // main's return value (if any) is discarded, as in the walker
@@ -437,6 +443,12 @@ pub(crate) struct Vm<'a, 'p, 'm> {
     /// `Some` when the native engine drives this VM: `General` kernels
     /// are dispatched to compiled code instead of the interpreter.
     native: Option<&'a NativeBackend>,
+    /// A skeleton call's value arguments, then its argument functions'
+    /// lifted ones: emptied after every call, its allocation kept for
+    /// the next.
+    args: Vec<Value>,
+    /// What readied argument functions borrow for the length of a call.
+    lent: Lent,
 }
 
 impl<'a, 'p, 'm> Vm<'a, 'p, 'm> {
@@ -447,7 +459,15 @@ impl<'a, 'p, 'm> Vm<'a, 'p, 'm> {
         proc: &'p mut Proc<'m>,
         native: Option<&'a NativeBackend>,
     ) -> Self {
-        Vm { code, kernel, tables, host: SkelHost::new(proc), native }
+        Vm {
+            code,
+            kernel,
+            tables,
+            host: SkelHost::new(proc),
+            native,
+            args: Vec::new(),
+            lent: Lent::default(),
+        }
     }
 }
 
@@ -477,27 +497,38 @@ impl Host for Vm<'_, '_, '_> {
             nb.begin_skel();
         }
         let site: &SkelSite = &self.code.sites[site_ix];
-        // stack layout: [value args..., fn0 lifted..., fn1 lifted...]
-        let mut lifted: Vec<Vec<Value>> = Vec::with_capacity(site.fns.len());
-        for f in site.fns.iter().rev() {
-            let at = stack.len() - f.n_lifted;
-            lifted.push(stack.drain(at..).map(Sl::into_value).collect());
-        }
-        lifted.reverse();
-        let at = stack.len() - site.nargs;
-        let vals: Vec<Value> = stack.drain(at..).map(Sl::into_value).collect();
+        // stack layout: [value args..., fn0 lifted..., fn1 lifted...],
+        // moved as it is into the processor's argument buffer; a
+        // skeleton's argument functions cannot call skeletons, so the
+        // buffer is free again by the time another call takes it
+        let at = stack.len() - site.nargs - site.fns.iter().map(|f| f.n_lifted).sum::<usize>();
+        self.args.extend(stack.drain(at..).map(Sl::into_value));
+        let (vals, lifted) = self.args.split_at(site.nargs);
         let kvm = KernelVm {
             code: self.code,
             kernel: self.kernel,
             consts: &self.tables.consts,
             native: self.native,
             site,
-            lifted: &lifted,
+            lifted,
             cycles: &self.tables.site_cycles[site_ix],
+            lent: &self.lent,
         };
-        let result = self.host.skel(site.op, site.elem, site.ret, &vals, &kvm);
+        let result = self.host.skel(site.op, site.elem, site.ret, vals, &kvm);
         stack.push(Sl::from_value(result));
+        self.args.clear();
     }
+}
+
+/// A processor's buffers for readied argument functions: each is lent
+/// out by [`KernelVm::prepare`] and given back, emptied, when the readied
+/// function is dropped, so a warm skeleton call allocates none.
+#[derive(Default)]
+struct Lent {
+    /// Typed prologues ([`TypedSite`]).
+    prologues: RefCell<Vec<Vec<u64>>>,
+    /// Generic loop scratch.
+    scratch: RefCell<Vec<Scratch>>,
 }
 
 #[derive(Default)]
@@ -543,10 +574,13 @@ struct KernelVm<'a> {
     consts: &'a [Sl],
     native: Option<&'a NativeBackend>,
     site: &'a SkelSite,
-    /// Per argument function: the lifted arguments the call site evaluated.
-    lifted: &'a [Vec<Value>],
+    /// The lifted arguments the call site evaluated, argument function
+    /// by argument function.
+    lifted: &'a [Value],
     /// Per argument function: the kernel charge per element.
     cycles: &'a [u64],
+    /// The calling processor's buffers for readied functions.
+    lent: &'a Lent,
 }
 
 /// One argument function of a `vm` / `native` site, readied: how it
@@ -557,22 +591,37 @@ enum Readied<'a> {
     Trivial { shape: &'a KernelShape, lifted: &'a [Value] },
     /// Compiled code, one FFI round trip per element.
     Native { nb: &'a NativeBackend, fid: usize, lifted: &'a [Value], env: &'a KEnv<'a> },
-    /// Typed register code.
-    Typed(TypedSite<'a>),
-    /// The generic loop in kernel mode, on its own scratch.
+    /// Typed register code, its prologue lent by `lent`.
+    Typed(TypedSite<'a>, &'a Lent),
+    /// The generic loop in kernel mode, on scratch lent by `lent`.
     Generic {
         code: &'a Program,
         fid: usize,
         lifted: &'a [Value],
         host: KHost<'a>,
         scratch: Scratch,
+        lent: &'a Lent,
     },
+}
+
+impl Drop for Readied<'_> {
+    /// Give the lent buffer back.
+    fn drop(&mut self) {
+        match self {
+            Readied::Typed(site, lent) => lent.prologues.borrow_mut().push(site.take_prologue()),
+            Readied::Generic { scratch, lent, .. } => {
+                scratch.stack.clear();
+                lent.scratch.borrow_mut().push(take(scratch));
+            }
+            Readied::Trivial { .. } | Readied::Native { .. } => {}
+        }
+    }
 }
 
 impl<const N: usize> ArgFn<N> for Readied<'_> {
     fn call<U: Elem>(&mut self, args: [KArg<'_>; N]) -> U {
         match self {
-            Readied::Typed(site) => site.call(&args),
+            Readied::Typed(site, _) => site.call(&args),
             other => other.call_untyped(&args),
         }
     }
@@ -623,8 +672,8 @@ impl Readied<'_> {
                 }
                 nb.run_kernel(*fid, lifted, &sls[..args.len()], env.arrays)
             }
-            Readied::Typed(_) => unreachable!("typed code is called in line"),
-            Readied::Generic { code, fid, lifted, host, scratch } => {
+            Readied::Typed(..) => unreachable!("typed code is called in line"),
+            Readied::Generic { code, fid, lifted, host, scratch, .. } => {
                 let Scratch { stack, frames } = scratch;
                 stack.extend(lifted.iter().map(Sl::from_value_ref));
                 stack.extend(args.iter().map(|a| a.sl()));
@@ -640,7 +689,7 @@ impl ArgFns for KernelVm<'_> {
 
     fn prepare<'a, const N: usize>(&'a self, env: &'a KEnv<'a>, i: usize) -> impl ArgFn<N> + 'a {
         let f = &self.site.fns[i];
-        let lifted = &self.lifted[i][..];
+        let lifted = lifted_of(&self.site.fns, self.lifted, i);
         let nparams = self.code.funcs[f.fid].nparams;
         assert_eq!(
             nparams,
@@ -656,14 +705,19 @@ impl ArgFns for KernelVm<'_> {
         if let Some(nb) = self.native {
             return Readied::Native { nb, fid: f.fid, lifted, env };
         }
+        let lent = self.lent;
         match self.kernel.typed(f.fid) {
-            Some(tf) => Readied::Typed(TypedSite::new(self.kernel, tf, lifted, env)),
+            Some(tf) => {
+                let prologue = lent.prologues.borrow_mut().pop().unwrap_or_default();
+                Readied::Typed(TypedSite::new(self.kernel, tf, lifted, env, prologue), lent)
+            }
             None => Readied::Generic {
                 code: self.code,
                 fid: f.fid,
                 lifted,
                 host: KHost { consts: self.consts, env },
-                scratch: Scratch::default(),
+                scratch: lent.scratch.borrow_mut().pop().unwrap_or_default(),
+                lent,
             },
         }
     }

@@ -1,17 +1,31 @@
-//! The front end's allocation budget, held by counts rather than
-//! timings: heap allocations made by one `compile_opt` and bytes still
-//! live after it, for the five sources the benchmark's `cold_compile`
-//! workload sweeps.
+//! Allocation budgets, held by counts rather than timings.
 //!
-//! The ceilings are 0.4x (allocations) and 0.5x (retained bytes) of what
-//! the String-named, clone-per-call-site front end measured on the same
-//! sources. The counters are per thread: the test harness's own threads
+//! The front end's: heap allocations made by one `compile_opt` and bytes
+//! still live after it, for the five sources the benchmark's
+//! `cold_compile` workload sweeps. The ceilings are 0.4x (allocations)
+//! and 0.5x (retained bytes) of what the String-named,
+//! clone-per-call-site front end measured on the same sources.
+//!
+//! The engine's: allocations of a second, warm run on a one-worker
+//! machine, for three of the benchmark's `message_bound` programs. A
+//! warm skeleton call allocates nothing — the VM keeps its argument
+//! buffers per processor, readied argument functions borrow theirs, and
+//! `array_gen_mult` decodes each rotated block into the one it owns — so
+//! 200 folds allocate no more than 100 do.
+//!
+//! The counters are per thread (a one-worker machine runs every
+//! processor on the calling thread): the test harness's own threads
 //! allocate too, whenever they like.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use skil_lang::{compile_opt, OptLevel};
+use skil_lang::{compile, compile_opt, OptLevel};
+use skil_runtime::{Machine, MachineConfig};
+
+#[allow(dead_code)]
+#[path = "../../../tests/support/hosts.rs"]
+mod hosts;
 
 struct Counting;
 
@@ -50,25 +64,35 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static A: Counting = Counting;
 
-/// A `benchmark/programs` template as `cold_compile` sends it: header
-/// comment dropped, placeholders filled, one constant spliced into
-/// `main`.
-fn source(text: &str, params: &[(&str, &str)]) -> String {
+/// A `benchmark/programs` template as `message_bound` sends it: header
+/// comment dropped, placeholders filled.
+fn template(text: &str, params: &[(&str, &str)]) -> String {
     let mut src = text.split_once("\n\n").expect("header ends at a blank line").1.to_string();
     for (placeholder, value) in params {
         src = src.replace(placeholder, value);
     }
     assert!(!src.contains("__"), "a placeholder was left unfilled");
-    src.replacen("void main() {", "void main() { if (procId == 0) { print(123456789); }", 1)
+    src
+}
+
+/// A template as `cold_compile` sends it: one constant spliced into
+/// `main` as well.
+fn source(text: &str, params: &[(&str, &str)]) -> String {
+    template(text, params).replacen(
+        "void main() {",
+        "void main() { if (procId == 0) { print(123456789); }",
+        1,
+    )
+}
+
+macro_rules! program {
+    ($stem:literal) => {
+        include_str!(concat!("../../../benchmark/programs/", $stem, ".skil"))
+    };
 }
 
 /// (name, source, allocations at the parent, retained bytes at the parent)
 fn cases() -> Vec<(&'static str, String, u64, u64)> {
-    macro_rules! program {
-        ($stem:literal) => {
-            include_str!(concat!("../../../benchmark/programs/", $stem, ".skil"))
-        };
-    }
     vec![
         (
             "farm_sweep",
@@ -116,5 +140,51 @@ fn compile_allocates_in_proportion_to_its_output() {
             reported.abs_diff(retained) * 10 <= retained,
             "{name}: heap_bytes() says {reported}, the allocator holds {retained}"
         );
+    }
+}
+
+/// Allocations of the second of two runs of `src` on a one-worker
+/// `rows x cols` machine: the first warms the machine's run arena.
+fn warm_run_allocs(src: &str, rows: usize, cols: usize) -> u64 {
+    let compiled = compile(src).expect("compiles");
+    let (_, cfg) = hosts::host(1, MachineConfig::mesh(rows, cols).unwrap());
+    let machine = Machine::new(cfg);
+    let cold = compiled.run(&machine);
+    let before = ALLOCS.get();
+    let warm = compiled.run(&machine);
+    let allocs = ALLOCS.get() - before;
+    assert_eq!(warm.results, cold.results);
+    assert_eq!(warm.report.sim_cycles, cold.report.sim_cycles);
+    allocs
+}
+
+#[test]
+fn a_warm_run_allocates_nothing_per_skeleton_call() {
+    let ladder = |folds| template(program!("fold_ladder"), &[("__FOLDS__", folds)]);
+    let (hundred, two_hundred) =
+        (warm_run_allocs(&ladder("100"), 4, 4), warm_run_allocs(&ladder("200"), 4, 4));
+    // when every skeleton call allocated: 5,052 at 100 folds, 9,852 at 200
+    println!("fold_ladder 4x4: {hundred} allocations at 100 folds, {two_hundred} at 200");
+    assert!(
+        two_hundred <= hundred + 16,
+        "100 more folds cost {} allocations",
+        two_hundred.saturating_sub(hundred)
+    );
+
+    // (name, source, machine, allocations when every skeleton call
+    // allocated its arguments' buffers and every rotation its block)
+    let cases = [
+        (
+            "shortest_paths n=16 8x8",
+            template(program!("shortest_paths"), &[("__N__", "16")]),
+            (8, 8),
+            7_503,
+        ),
+        ("gauss n=16 4x4", template(program!("gauss"), &[("__N__", "16")]), (4, 4), 5_455),
+    ];
+    for (name, src, (rows, cols), before) in cases {
+        let allocs = warm_run_allocs(&src, rows, cols);
+        println!("{name}: {allocs} allocations (before: {before})");
+        assert!(allocs * 10 <= before * 4, "{name}: {allocs} allocations, ceiling 0.4 x {before}");
     }
 }

@@ -21,6 +21,8 @@ use std::cell::{Cell, UnsafeCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 
+use crate::mailbox::Envelope;
+
 // ---------------------------------------------------------------------------
 // Context switch primitive
 // ---------------------------------------------------------------------------
@@ -268,18 +270,29 @@ pub(crate) enum WakeKind {
 /// mutex-protected hand-offs (the ready queue, or a mailbox's bucket
 /// lock for the parked-waiter registration), which provide the required
 /// happens-before edges for these plain cells.
-#[derive(Debug)]
 pub(crate) struct TaskFrame {
     coro_sp: UnsafeCell<usize>,
     caller_sp: UnsafeCell<usize>,
     reason: Cell<YieldReason>,
     wake: Cell<WakeKind>,
+    /// The envelope a sender handed over with the wake, put here by the
+    /// worker that popped the task and taken by the task's receive.
+    inbox: Cell<Option<Envelope>>,
 }
 
 // SAFETY: see the ownership protocol above — all cross-thread access is
 // ordered by the scheduler's mutexes.
 unsafe impl Sync for TaskFrame {}
 unsafe impl Send for TaskFrame {}
+
+impl std::fmt::Debug for TaskFrame {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TaskFrame")
+            .field("reason", &self.reason.get())
+            .field("wake", &self.wake.get())
+            .finish_non_exhaustive()
+    }
+}
 
 impl TaskFrame {
     /// Suspend the calling coroutine until the scheduler resumes it,
@@ -303,6 +316,20 @@ impl TaskFrame {
     /// pushing it onto the ready queue.
     pub(crate) fn set_wake(&self, wake: WakeKind) {
         self.wake.set(wake);
+    }
+
+    /// Give the task the envelope its wake carries. Must be called by the
+    /// worker that popped the task off the ready queue, before resuming
+    /// it.
+    pub(crate) fn deliver(&self, env: Envelope) {
+        let stale = self.inbox.replace(Some(env));
+        debug_assert!(stale.is_none(), "one hand-off per wake");
+    }
+
+    /// The envelope delivered with the latest wake, if any. Must only be
+    /// called from inside the task's coroutine.
+    pub(crate) fn take_delivered(&self) -> Option<Envelope> {
+        self.inbox.take()
     }
 
     fn yield_done(&self) -> ! {
@@ -365,6 +392,7 @@ impl Task {
             caller_sp: UnsafeCell::new(0),
             reason: Cell::new(YieldReason::Done),
             wake: Cell::new(WakeKind::Normal),
+            inbox: Cell::new(None),
         });
         let mut env = Box::new(TaskEnv { frame: &*frame, body: Some(body) });
         // Prepare the stack so the first switch "returns" into

@@ -503,7 +503,7 @@ impl Machine {
                     // `DispatchWait` joins every worker.
                     let body: TaskBody = unsafe { std::mem::transmute(body) };
                     tasks.push(Task::new(stack, body));
-                    ev.push_ready(id, 0);
+                    ev.push_ready(id, 0, None);
                 }
                 {
                     let latch = &latch;

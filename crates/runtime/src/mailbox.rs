@@ -15,6 +15,12 @@
 //! a receiver blocks on the mailbox condvar until a matching deposit or a
 //! poison wakeup ([`Mailbox::wake_all`]), with the deadline as the only
 //! timeout; there is no periodic poll.
+//!
+//! An event-scheduler task does not wait on the condvar: it registers
+//! its key with [`Mailbox::park`], and the deposit that matches the
+//! registration ([`Mailbox::put_direct`]) hands the envelope back to the
+//! sender instead of queueing it, for the scheduler to deliver with the
+//! wake. A woken receive then never touches the bucket map again.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -256,38 +262,38 @@ pub enum RecvOutcome {
 }
 
 impl Mailbox {
-    /// Deposit an envelope and wake any waiting receiver. Returns `true`
-    /// when an event-scheduler task parked on this envelope's
-    /// `(src, tag)` key was unparked by the deposit — the caller must
-    /// then make that task ready (see the event core in `sched.rs`).
-    pub fn put(&self, env: Envelope) -> bool {
-        let woke = self.deposit(env);
-        // The condvar broadcast is for thread-scheduler receivers parked
-        // in `get`; whether an event task was unparked is orthogonal.
+    /// Deposit an envelope and wake any receiver waiting in
+    /// [`get`](Mailbox::get) — the thread scheduler's path. Event-scheduler
+    /// tasks are sent to with [`put_direct`](Mailbox::put_direct).
+    pub fn put(&self, env: Envelope) {
+        lock(&self.buckets).push(env);
         self.cond.notify_all();
-        woke
     }
 
-    /// Scheduler-native deposit: like [`put`](Mailbox::put) but without
-    /// the condvar broadcast. Only valid when the receiving processor is
-    /// an event-scheduler task — such tasks never wait on the condvar
-    /// (they park via [`park`](Mailbox::park) and are woken through the
-    /// ready heap), so the broadcast would be pure overhead on the
-    /// per-message fast path.
-    pub(crate) fn put_direct(&self, env: Envelope) -> bool {
-        self.deposit(env)
-    }
-
-    /// Queue an envelope and clear a matching parked-task registration.
-    fn deposit(&self, env: Envelope) -> bool {
+    /// Scheduler-native deposit: no condvar broadcast, and no queueing
+    /// for a receiver that is already waiting. Only valid when the
+    /// receiving processor is an event-scheduler task — such tasks never
+    /// wait on the condvar (they park via [`park`](Mailbox::park) and are
+    /// woken through the ready heap).
+    ///
+    /// When the owning task is parked on the envelope's own `(src, tag)`,
+    /// the registration is cleared and the envelope handed back instead
+    /// of queued: the caller must make the task ready *with* it
+    /// (`EventSched::push_ready`). That bucket is empty then — a task parks
+    /// only over an empty bucket, and the first deposit that matches
+    /// clears the registration — so the hand-off is the flow's oldest
+    /// envelope and per-flow FIFO holds. Otherwise the envelope is queued
+    /// and `None` returned.
+    pub(crate) fn put_direct(&self, env: Envelope) -> Option<Envelope> {
         let mut b = lock(&self.buckets);
         let key = (env.src, env.tag);
-        b.push(env);
-        let woke = b.parked == Some(key);
-        if woke {
+        if b.parked == Some(key) {
+            debug_assert!(!b.queues.contains_key(&key), "a task parks over an empty bucket");
             b.parked = None;
+            return Some(env);
         }
-        woke
+        b.push(env);
+        None
     }
 
     /// Dequeue the oldest envelope matching `(src, tag)`, waiting up to
@@ -335,8 +341,8 @@ impl Mailbox {
     /// Register the owning event task as parked on `(src, tag)`.
     /// Returns `false` — without registering — if a matching envelope is
     /// already queued, in which case the task must stay runnable. The
-    /// registration is cleared by the [`put`](Mailbox::put) that matches
-    /// it or by [`unpark`](Mailbox::unpark).
+    /// registration is cleared by the [`put_direct`](Mailbox::put_direct)
+    /// that matches it or by [`unpark`](Mailbox::unpark).
     pub(crate) fn park(&self, src: usize, tag: u64) -> bool {
         let mut b = lock(&self.buckets);
         if b.queues.contains_key(&(src, tag)) {

@@ -8,13 +8,13 @@ use std::time::Duration;
 use crate::collective::CollectiveAlgo;
 use crate::coro::{TaskFrame, WakeKind};
 use crate::cost::CostModel;
-use crate::error::{AbortCause, SimAbort};
+use crate::error::{AbortCause, SimAbort, WireError};
 use crate::fault::{Fate, FaultPlan};
 use crate::mailbox::{Envelope, Mailbox, Payload, RecvOutcome, WaitCtl, INLINE_PAYLOAD};
 use crate::report::{CommRow, DataPlaneStats, ProcStats, TraceEvent, TraceKind};
 use crate::sched::EventSched;
 use crate::topology::{Mesh, Ring, Topology, Torus2d};
-use crate::wire::Wire;
+use crate::wire::{vec_from_bytes_into, Wire};
 
 /// How many drained encode buffers a processor keeps for reuse. Two is
 /// enough for ping-pong traffic; a little slack covers skeletons that
@@ -403,26 +403,25 @@ impl<'m> Proc<'m> {
     /// Deposit `env` into `dst`'s mailbox and wake the receiver.
     ///
     /// Under the event scheduler this is the scheduler-native path: the
-    /// envelope goes straight into the receiver's queue and a parked
-    /// receiver task is handed to the ready heap at the later of the
-    /// envelope's arrival and its own clock — no condvar is touched,
-    /// because every receiver in an event-mode run is a coroutine task
-    /// (never a thread parked in `Mailbox::get`). The thread scheduler
-    /// keeps the condvar broadcast. Either way the arrival timestamp was
-    /// fixed analytically above, so the choice of path is invisible to
-    /// virtual time.
+    /// envelope goes into the receiver's queue, or, when the receiver
+    /// task is parked waiting for exactly this flow, travels with its
+    /// wake to the ready heap at the later of the envelope's arrival and
+    /// the task's own clock — no condvar is touched, because every
+    /// receiver in an event-mode run is a coroutine task (never a thread
+    /// parked in `Mailbox::get`). The thread scheduler keeps the condvar
+    /// broadcast. Either way the arrival timestamp was fixed analytically
+    /// above, so the choice of path is invisible to virtual time.
     fn put_and_wake(&mut self, dst: usize, env: Envelope) {
         if env.bytes.is_inline() {
             self.dp.inline_msgs += 1;
         } else {
             self.dp.heap_msgs += 1;
         }
-        let arrival = env.arrival;
         match &self.shared.sched {
             Some(sched) => {
                 self.dp.direct_deliveries += 1;
-                if self.shared.mailboxes[dst].put_direct(env) {
-                    sched.push_ready(dst, arrival.max(sched.vnow_hint(dst)));
+                if let Some(env) = self.shared.mailboxes[dst].put_direct(env) {
+                    sched.push_ready(dst, env.arrival.max(sched.vnow_hint(dst)), Some(env));
                 }
             }
             None => {
@@ -677,7 +676,8 @@ impl<'m> Proc<'m> {
     /// then yield back to the scheduler worker (which registers the park
     /// in the mailbox *after* the context is saved — see
     /// `sched::block_task`). Checks mirror [`Mailbox::get`] in the same
-    /// order: queued mail first, then the peer-down flag, then poison. A
+    /// order: mail first — the envelope a sender handed over with the
+    /// wake, then the queue — then the peer-down flag, then poison. A
     /// [`WakeKind::Deadlock`] resume maps to `TimedOut`, so the
     /// diagnostic path is shared with the thread scheduler's wall-clock
     /// timeout.
@@ -694,21 +694,26 @@ impl<'m> Proc<'m> {
             if shared.poison.load(Ordering::Acquire) {
                 return RecvOutcome::Poisoned;
             }
-            match frame.yield_blocked(src, tag, self.now) {
-                WakeKind::Normal => continue,
-                WakeKind::Deadlock => return RecvOutcome::TimedOut,
+            let wake = frame.yield_blocked(src, tag, self.now);
+            if let Some(env) = frame.take_delivered() {
+                return RecvOutcome::Message(env);
+            }
+            if wake == WakeKind::Deadlock {
+                return RecvOutcome::TimedOut;
             }
         }
     }
 
     pub(crate) fn decode_or_panic<T: Wire>(&self, env: &Envelope) -> T {
-        match T::from_bytes(&env.bytes) {
-            Ok(v) => v,
-            Err(e) => panic!(
-                "processor {}: message from {} with tag {} failed to decode: {}",
-                self.id, env.src, env.tag, e
-            ),
-        }
+        T::from_bytes(&env.bytes).unwrap_or_else(|e| self.decode_failed(env, e))
+    }
+
+    #[cold]
+    fn decode_failed(&self, env: &Envelope, e: WireError) -> ! {
+        panic!(
+            "processor {}: message from {} with tag {} failed to decode: {}",
+            self.id, env.src, env.tag, e
+        )
     }
 
     /// Raw receive matching [`send_raw`](Proc::send_raw): charges only
@@ -733,6 +738,18 @@ impl<'m> Proc<'m> {
         let v = self.decode_or_panic(&env);
         self.recycle(env.bytes);
         v
+    }
+
+    /// [`recv`](Proc::recv) of a `Vec<T>` into `out`: its contents are
+    /// replaced by the message's, and its allocation is kept, so a
+    /// skeleton that rotates blocks decodes each into the buffer it
+    /// already owns. Charges and checks are `recv`'s.
+    pub fn recv_into<T: Wire>(&mut self, src: usize, tag: u64, out: &mut Vec<T>) {
+        let env = self.recv_envelope(src, tag, self.shared.cost.recv_cpu);
+        if let Err(e) = vec_from_bytes_into(&env.bytes, out) {
+            self.decode_failed(&env, e);
+        }
+        self.recycle(env.bytes);
     }
 
     /// Raise the local clock to `t` if it is in the future (used by

@@ -19,9 +19,15 @@
 //! * block: the task yields `Blocked{src, tag}`; its worker registers it
 //!   in the mailbox under the bucket lock *after* the context is saved,
 //!   re-checking the queue and abort flags so no deposit is lost.
-//! * deposit: `Mailbox::put` clears a matching registration under the
-//!   same bucket lock and the sender pushes the receiver onto the ready
-//!   heap at its wake time.
+//! * deposit: `Mailbox::put_direct` clears a matching registration under
+//!   the same bucket lock and hands the envelope back instead of queueing
+//!   it; the sender pushes the receiver onto the ready heap at its wake
+//!   time with the envelope beside the entry ([`EventSched::push_ready`]).
+//! * hand-off: the worker that pops the entry puts the envelope on the
+//!   task's frame before resuming it, and the receive takes it from
+//!   there. A woken receive costs five lock round trips — the receive's
+//!   miss, the park, the deposit, the push and the pop — and no bucket
+//!   hash operation after its park.
 //! * abort: poison / mark-down sweeps every mailbox, unparking matching
 //!   waiters; resumed tasks re-run their receive check and observe the
 //!   flag.
@@ -38,7 +44,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::coro::{Task, WakeKind, YieldReason};
-use crate::mailbox::Mailbox;
+use crate::mailbox::{Envelope, Mailbox};
 use crate::proc::Shared;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -118,6 +124,9 @@ pub(crate) struct EventSched {
 struct SchedState {
     /// Min-heap of `(virtual wake time, task id)`.
     ready: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Per task: the envelope its ready entry carries, if a sender
+    /// handed one over with the wake.
+    inbox: Vec<Option<Envelope>>,
     /// Tasks not yet `Done`.
     live: usize,
     /// Workers currently parked in `next_ready`.
@@ -137,6 +146,7 @@ impl EventSched {
         EventSched {
             state: Mutex::new(SchedState {
                 ready: BinaryHeap::with_capacity(tasks),
+                inbox: (0..tasks).map(|_| None).collect(),
                 live: tasks,
                 idle: 0,
                 workers: 1,
@@ -158,9 +168,18 @@ impl EventSched {
     /// delayed by at most the pusher's current quantum, which a shut
     /// gate says is short. On a single-worker run every push takes this
     /// lock-only path.
-    pub(crate) fn push_ready(&self, id: usize, at: u64) {
+    ///
+    /// `env` is set when the wake is the deposit of that envelope
+    /// ([`Mailbox::put_direct`] handed it back): it waits beside the heap
+    /// entry, under the lock the push takes anyway, and reaches the task
+    /// through its frame.
+    pub(crate) fn push_ready(&self, id: usize, at: u64, env: Option<Envelope>) {
         let notify = {
             let mut st = lock(&self.state);
+            if let Some(env) = env {
+                debug_assert!(st.inbox[id].is_none(), "one hand-off per wake");
+                st.inbox[id] = Some(env);
+            }
             st.ready.push(Reverse((at, id)));
             st.idle > 0 && st.coarse
         };
@@ -181,21 +200,22 @@ impl EventSched {
     pub(crate) fn wake_parked(&self, mailboxes: &[Mailbox], pred: impl Fn(usize) -> bool) {
         for (id, mb) in mailboxes.iter().enumerate() {
             if mb.unpark(|(src, _)| pred(src)) {
-                self.push_ready(id, self.vnow_hint(id));
+                self.push_ready(id, self.vnow_hint(id), None);
             }
         }
     }
 
-    /// Pop the next runnable task, parking until one appears. Returns
-    /// `None` once every task is done. `deadlock` is invoked — with the
-    /// scheduler lock released — when every worker is idle with an empty
-    /// heap but live tasks remain; it must make at least one task ready
-    /// (or the wait resumes and tries again).
-    fn next_ready(&self, deadlock: impl Fn()) -> Option<usize> {
+    /// Pop the next runnable task, with the envelope handed over with its
+    /// wake, parking until one appears. Returns `None` once every task is
+    /// done. `deadlock` is invoked — with the scheduler lock released —
+    /// when every worker is idle with an empty heap but live tasks
+    /// remain; it must make at least one task ready (or the wait resumes
+    /// and tries again).
+    fn next_ready(&self, deadlock: impl Fn()) -> Option<(usize, Option<Envelope>)> {
         let mut st = lock(&self.state);
         loop {
             if let Some(Reverse((_, id))) = st.ready.pop() {
-                return Some(id);
+                return Some((id, st.inbox[id].take()));
             }
             if st.live == 0 {
                 self.cond.notify_all();
@@ -245,14 +265,15 @@ impl EventSched {
     }
 
     /// Rearm a scheduler kept in a machine's run arena for another run
-    /// of the same shape: every task live again, empty heap, clocks at
-    /// zero, the calling thread the only worker and the gate as `new`
-    /// leaves it — what one run learned about granularity is not
-    /// carried to the next. Callers only invoke this between runs, when
-    /// no worker is active on the scheduler.
+    /// of the same shape: every task live again, empty heap, no envelope
+    /// pending, clocks at zero, the calling thread the only worker and
+    /// the gate as `new` leaves it — what one run learned about
+    /// granularity is not carried to the next. Callers only invoke this
+    /// between runs, when no worker is active on the scheduler.
     pub(crate) fn reset(&self) {
         let mut st = lock(&self.state);
         st.ready.clear();
+        st.inbox.iter_mut().for_each(|env| *env = None);
         st.live = self.vnow.len();
         st.idle = 0;
         st.workers = 1;
@@ -293,7 +314,10 @@ pub(crate) fn worker_loop(
     let mut resumes = 0u32;
     loop {
         let deadlock = || wake_deadlock_victim(sched, tasks, shared);
-        let Some(id) = sched.next_ready(deadlock) else { return };
+        let Some((id, env)) = sched.next_ready(deadlock) else { return };
+        if let Some(env) = env {
+            tasks[id].frame().deliver(env);
+        }
         let sampled = (sched.adaptive && resumes.is_multiple_of(SAMPLE_EVERY)).then(Instant::now);
         resumes = resumes.wrapping_add(1);
         let yielded = tasks[id].resume();
@@ -323,7 +347,7 @@ fn block_task(sched: &EventSched, shared: &Shared, id: usize, src: usize, tag: u
     if !mb.park(src, tag) {
         // A matching envelope was deposited while the task was running:
         // it never actually blocks.
-        sched.push_ready(id, vnow);
+        sched.push_ready(id, vnow, None);
         return;
     }
     // An abort sweep that scanned this mailbox before the registration
@@ -333,7 +357,7 @@ fn block_task(sched: &EventSched, shared: &Shared, id: usize, src: usize, tag: u
     if (shared.poison.load(Ordering::Acquire) || shared.downs[src].load(Ordering::Acquire))
         && mb.unpark(|_| true)
     {
-        sched.push_ready(id, vnow);
+        sched.push_ready(id, vnow, None);
     }
 }
 
@@ -343,10 +367,36 @@ fn wake_deadlock_victim(sched: &EventSched, tasks: &[Task], shared: &Shared) {
     for (id, mb) in shared.mailboxes.iter().enumerate() {
         if mb.unpark(|_| true) {
             tasks[id].frame().set_wake(WakeKind::Deadlock);
-            sched.push_ready(id, sched.vnow_hint(id));
+            sched.push_ready(id, sched.vnow_hint(id), None);
             return;
         }
     }
     // No parked task found: a racing wake is mid-flight after all; the
     // caller re-enters the wait and will observe it.
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mailbox::Payload;
+
+    fn env(arrival: u64) -> Envelope {
+        Envelope { src: 0, tag: 7, seq: 0, arrival, bytes: Payload::copy_from(&[1, 2]) }
+    }
+
+    #[test]
+    fn a_handed_off_envelope_leaves_with_its_entry_and_not_past_a_reset() {
+        let sched = EventSched::new(2, 1, false);
+        let pop = || sched.next_ready(|| unreachable!("a task is ready")).expect("a live task");
+        sched.push_ready(1, 5, Some(env(5)));
+        sched.push_ready(0, 9, None);
+        let (id, handed) = pop();
+        assert_eq!((id, handed.map(|e| e.arrival)), (1, Some(5)));
+        assert!(matches!(pop(), (0, None)));
+
+        sched.push_ready(1, 5, Some(env(6)));
+        sched.reset();
+        sched.push_ready(1, 0, None);
+        assert!(matches!(pop(), (1, None)), "the next run's first wake carries nothing");
+    }
 }

@@ -82,19 +82,21 @@ pub trait Wire: Sized {
         }
     }
 
-    /// Bulk-decode exactly `n` values. The default loops per element
-    /// with a conservative capacity guess; primitive (POD) types
-    /// override it with a single block copy. Callers are expected to
+    /// Bulk-decode exactly `n` values onto the end of `out`, growing it
+    /// only past its capacity. The default loops per element; primitive
+    /// (POD) types override it with a single block copy, which is what
+    /// makes `Vec<f64>` partition moves cheap. Callers are expected to
     /// have validated `n` against [`Wire::WIRE_SIZE`] and the remaining
     /// input where possible.
-    fn unflatten_many(r: &mut WireReader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
-        // Guard against hostile lengths for variable-size elements: never
-        // pre-reserve more than the input could possibly hold.
-        let mut v = Vec::with_capacity(n.min(r.remaining().max(16)));
+    fn unflatten_extend(
+        r: &mut WireReader<'_>,
+        n: usize,
+        out: &mut Vec<Self>,
+    ) -> Result<(), WireError> {
         for _ in 0..n {
-            v.push(Self::unflatten(r)?);
+            out.push(Self::unflatten(r)?);
         }
-        Ok(v)
+        Ok(())
     }
 
     /// Encode into a fresh buffer.
@@ -157,7 +159,11 @@ macro_rules! wire_int {
                 }
             }
 
-            fn unflatten_many(r: &mut WireReader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
+            fn unflatten_extend(
+                r: &mut WireReader<'_>,
+                n: usize,
+                out: &mut Vec<Self>,
+            ) -> Result<(), WireError> {
                 const SIZE: usize = core::mem::size_of::<$t>();
                 let total = n
                     .checked_mul(SIZE)
@@ -165,29 +171,29 @@ macro_rules! wire_int {
                 let bytes = r.take(total)?;
                 #[cfg(target_endian = "little")]
                 {
-                    let mut v: Vec<$t> = Vec::with_capacity(n);
-                    // SAFETY: the freshly allocated buffer holds `n`
-                    // elements; every bit pattern is a valid $t; and the
+                    out.reserve(n);
+                    let len = out.len();
+                    // SAFETY: `reserve` leaves room for `n` elements past
+                    // `len`; every bit pattern is a valid $t; and the
                     // little-endian wire bytes are the host
                     // representation. One memcpy replaces the per-element
                     // decode loop.
                     unsafe {
                         core::ptr::copy_nonoverlapping(
                             bytes.as_ptr(),
-                            v.as_mut_ptr() as *mut u8,
+                            out.as_mut_ptr().add(len) as *mut u8,
                             total,
                         );
-                        v.set_len(n);
+                        out.set_len(len + n);
                     }
-                    Ok(v)
                 }
                 #[cfg(not(target_endian = "little"))]
-                {
-                    Ok(bytes
+                out.extend(
+                    bytes
                         .chunks_exact(SIZE)
-                        .map(|c| <$t>::from_le_bytes(c.try_into().expect("chunk size")))
-                        .collect())
-                }
+                        .map(|c| <$t>::from_le_bytes(c.try_into().expect("chunk size"))),
+                );
+                Ok(())
             }
         }
     )*};
@@ -275,36 +281,65 @@ impl<T: Wire> Wire for Option<T> {
 
 impl<T: Wire> Wire for Vec<T> {
     fn flatten(&self, out: &mut Vec<u8>) {
+        // fixed-size elements: grow the buffer once, not by doubling (a
+        // recycled send buffer has the capacity of what it carried last)
+        if let Some(size) = T::WIRE_SIZE {
+            out.reserve(size.saturating_mul(self.len()).saturating_add(8));
+        }
         (self.len() as u64).flatten(out);
         T::flatten_slice(self, out);
     }
     fn unflatten(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let n64 = u64::unflatten(r)?;
-        let n = usize::try_from(n64)
-            .map_err(|_| WireError::Invalid("container length prefix overflows"))?;
-        // Validate the claimed count against the actual input before any
-        // allocation or decode work.
-        match T::WIRE_SIZE {
-            // Zero-size elements leave no trace in the payload; cap the
-            // count so a hostile prefix cannot spin the decoder.
-            Some(0) if n > MAX_ZERO_SIZE_ELEMS => {
-                return Err(WireError::Invalid("zero-size element count exceeds cap"));
-            }
-            Some(0) => {}
-            Some(size) => {
-                let total = n
-                    .checked_mul(size)
-                    .ok_or(WireError::Invalid("container length prefix overflows"))?;
-                if total > r.remaining() {
-                    return Err(WireError::Eof { wanted: total, available: r.remaining() });
-                }
-            }
-            // Variable-size elements: unflatten_many's capacity guard
-            // applies, and the per-element decode hits Eof naturally.
-            None => {}
-        }
-        T::unflatten_many(r, n)
+        let mut v = Vec::new();
+        unflatten_vec_onto(r, &mut v)?;
+        Ok(v)
     }
+}
+
+/// Decode a `Vec<T>` onto the end of `out`: read its length prefix,
+/// validate the claimed count against the actual input before any
+/// allocation or decode work, then bulk-decode the elements.
+fn unflatten_vec_onto<T: Wire>(r: &mut WireReader<'_>, out: &mut Vec<T>) -> Result<(), WireError> {
+    let n64 = u64::unflatten(r)?;
+    let n = usize::try_from(n64)
+        .map_err(|_| WireError::Invalid("container length prefix overflows"))?;
+    match T::WIRE_SIZE {
+        // Zero-size elements leave no trace in the payload; cap the
+        // count so a hostile prefix cannot spin the decoder.
+        Some(0) if n > MAX_ZERO_SIZE_ELEMS => {
+            return Err(WireError::Invalid("zero-size element count exceeds cap"));
+        }
+        Some(0) => {}
+        Some(size) => {
+            let total = n
+                .checked_mul(size)
+                .ok_or(WireError::Invalid("container length prefix overflows"))?;
+            if total > r.remaining() {
+                return Err(WireError::Eof { wanted: total, available: r.remaining() });
+            }
+        }
+        // Variable-size elements: the capacity guard below applies, and
+        // the per-element decode hits Eof naturally.
+        None => {}
+    }
+    // Guard against hostile lengths for variable-size elements: never
+    // pre-reserve more than the input could possibly hold.
+    out.reserve_exact(n.min(r.remaining().max(16)));
+    T::unflatten_extend(r, n, out)
+}
+
+/// `Vec::<T>::from_bytes` into `out`: its contents are replaced, its
+/// allocation kept. Every check of `from_bytes` applies — the length
+/// prefix against the input, end of input, trailing bytes; on an error
+/// `out` holds whatever decoded before it.
+pub(crate) fn vec_from_bytes_into<T: Wire>(buf: &[u8], out: &mut Vec<T>) -> Result<(), WireError> {
+    let mut r = WireReader::new(buf);
+    out.clear();
+    unflatten_vec_onto(&mut r, out)?;
+    if r.remaining() != 0 {
+        return Err(WireError::TrailingBytes(r.remaining()));
+    }
+    Ok(())
 }
 
 impl Wire for String {
@@ -544,5 +579,33 @@ mod tests {
         }
         assert_eq!(vals.to_bytes(), generic);
         assert_eq!(Vec::<f64>::from_bytes(&generic).unwrap(), vals);
+    }
+
+    #[test]
+    fn decoding_into_a_vec_keeps_its_allocation_and_every_check() {
+        let mut out = Vec::with_capacity(8);
+        let at = out.as_ptr();
+        vec_from_bytes_into(&vec![3i64, -4, 5].to_bytes(), &mut out).unwrap();
+        assert_eq!((out.as_slice(), out.as_ptr()), (&[3i64, -4, 5][..], at));
+        let mut pairs = vec![(9u8, 9u16)];
+        vec_from_bytes_into(&vec![(1u8, 2u16)].to_bytes(), &mut pairs).unwrap();
+        assert_eq!(pairs, [(1, 2)]);
+
+        // what `from_bytes` rejects, decoding into a vec rejects alike
+        let mut trailing = vec![7u32].to_bytes();
+        trailing.push(0);
+        let mut truncated = 3u64.to_bytes();
+        1u32.flatten(&mut truncated);
+        let mut hostile = (1u64 << 61).to_bytes();
+        hostile.extend_from_slice(&1.0f64.to_le_bytes());
+        for bytes in [trailing, truncated, vec![1, 2, 3]] {
+            let want = Vec::<u32>::from_bytes(&bytes).unwrap_err();
+            assert_eq!(vec_from_bytes_into(&bytes, &mut Vec::<u32>::new()), Err(want));
+        }
+        let want = Vec::<f64>::from_bytes(&hostile).unwrap_err();
+        assert_eq!(vec_from_bytes_into(&hostile, &mut Vec::<f64>::new()), Err(want));
+        let zero_size = u64::MAX.to_bytes();
+        let want = Vec::<()>::from_bytes(&zero_size).unwrap_err();
+        assert_eq!(vec_from_bytes_into(&zero_size, &mut Vec::<()>::new()), Err(want));
     }
 }

@@ -494,6 +494,27 @@ struct Counters {
     compile_hits: AtomicU64,
     compile_misses: AtomicU64,
     machines_discarded: AtomicU64,
+    /// Summed over the runs whose machine went back to the pool, each
+    /// added at its check-in: see [`StatsSnapshot::setup_reuse_hits`].
+    setup_reuse_hits: AtomicU64,
+    helper_joins: AtomicU64,
+}
+
+/// A machine's monotone run counters as it left the pool, for its
+/// check-in to add what its run added to the server's totals.
+#[derive(Debug, Clone, Copy, Default)]
+struct RunTally {
+    setup_reuse_hits: u64,
+    helper_joins: u64,
+}
+
+impl RunTally {
+    fn of(machine: &Machine) -> RunTally {
+        RunTally {
+            setup_reuse_hits: machine.setup_reuse_hits(),
+            helper_joins: machine.helper_joins(),
+        }
+    }
 }
 
 /// What a pooled machine is built on: its physical topology plus any
@@ -638,13 +659,16 @@ pub struct StatsSnapshot {
     /// Idle machines dropped to keep the pool within
     /// [`MAX_PROCESSORS`] idle processors.
     pub machines_evicted: u64,
-    /// Runs across all currently idle pooled machines that reused a
-    /// parked run arena (mailboxes, scheduler state) instead of
-    /// allocating — the per-run setup-floor reduction at work.
+    /// Runs that reused a parked run arena (mailboxes, scheduler state)
+    /// instead of allocating — the per-run setup-floor reduction at
+    /// work — over every run whose machine went back to the pool. A
+    /// run's share is added when its machine is checked in, so the total
+    /// never falls: checking a machine out or evicting it takes nothing
+    /// away.
     pub setup_reuse_hits: u64,
-    /// Helper workers recruited onto other host threads by runs on the
-    /// currently idle pooled machines — zero for as long as every
-    /// request was driven by its request thread alone.
+    /// Helper workers recruited onto other host threads, over the same
+    /// runs and as monotone — zero for as long as every request was
+    /// driven by its request thread alone.
     pub helper_joins: u64,
     /// Helper threads alive in the process, idle or helping a run
     /// ([`skil_runtime::helper_threads`]). Process-wide: no pooled
@@ -869,13 +893,16 @@ impl Server {
         // the request still gets its response line. The machine sits
         // outside the guard so that a panic can find and discard it.
         let mut machine = None;
+        let mut tally = RunTally::default();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let (compiled, cache_hit) =
                 self.compile_cached(req).map_err(|message| (ErrorKind::Compile, message))?;
             let (cold_or_warm, warm_machine) =
                 self.checkout_machine(key).map_err(|message| (ErrorKind::BadRequest, message))?;
+            let machine = machine.insert(cold_or_warm);
+            tally = RunTally::of(machine);
             let run = compiled
-                .try_run_faults(req.engine, machine.insert(cold_or_warm), req.faults.as_ref())
+                .try_run_faults(req.engine, machine, req.faults.as_ref())
                 .map_err(|failure| (ErrorKind::Runtime, failure.to_string()))?;
             Ok((run, cache_hit, warm_machine))
         }));
@@ -886,7 +913,7 @@ impl Server {
             // unwinding out of the engine discards it.
             Ok(result) => {
                 if let Some(machine) = machine {
-                    self.checkin_machine(key, machine);
+                    self.checkin_machine(key, machine, tally);
                 }
                 match result {
                     Ok((run, cache_hit, warm_machine)) => {
@@ -966,8 +993,14 @@ impl Server {
         Ok((Machine::new(cfg), false))
     }
 
-    /// Return a machine to the pool for reuse.
-    fn checkin_machine(&self, key: PoolKey, machine: Machine) {
+    /// Return a machine to the pool for reuse, adding what its runs
+    /// since `checkout` counted to the server's totals.
+    fn checkin_machine(&self, key: PoolKey, machine: Machine, checkout: RunTally) {
+        let now = RunTally::of(&machine);
+        let c = &self.counters;
+        c.setup_reuse_hits
+            .fetch_add(now.setup_reuse_hits - checkout.setup_reuse_hits, Ordering::Relaxed);
+        c.helper_joins.fetch_add(now.helper_joins - checkout.helper_joins, Ordering::Relaxed);
         let evicted = self.pool.lock().expect(POISONED).checkin(key, machine);
         // Machines are torn down with the lock released.
         drop(evicted);
@@ -987,8 +1020,8 @@ impl Server {
             machines_cold: 0,
             machines_discarded: c.machines_discarded.load(Ordering::Relaxed),
             machines_evicted: 0,
-            setup_reuse_hits: 0,
-            helper_joins: 0,
+            setup_reuse_hits: c.setup_reuse_hits.load(Ordering::Relaxed),
+            helper_joins: c.helper_joins.load(Ordering::Relaxed),
             helper_threads: skil_runtime::helper_threads() as u64,
             stacks_idle: skil_runtime::stacks_idle() as u64,
             cache_programs: programs.programs as u64,
@@ -1003,10 +1036,6 @@ impl Server {
         snapshot.machines_warm = pool.warm;
         snapshot.machines_cold = pool.cold;
         for (key, shape) in &pool.shapes {
-            for (_, machine) in &shape.idle {
-                snapshot.setup_reuse_hits += machine.setup_reuse_hits();
-                snapshot.helper_joins += machine.helper_joins();
-            }
             let grid = key.topo.grid();
             snapshot.pool.push(PoolShapeStats {
                 mesh: (grid.rows, grid.cols),
@@ -1506,6 +1535,31 @@ mod tests {
     }
 
     #[test]
+    fn evicting_a_pooled_machine_never_lowers_the_run_totals() {
+        // room for one 2x2, so every other shape pushes the idle one out;
+        // a 2x2 that runs on two workers recruits one helper per run
+        let server = Server { pool: Mutex::new(MachinePool::new(4)), ..Server::new() };
+        let key = mesh_key(2, 2);
+        let eager = Machine::new(MachineConfig::on_topology(key.topo).unwrap().with_workers(2));
+        eager.run(|_| ());
+        eager.run(|_| ());
+        server.checkin_machine(key, eager, RunTally::default());
+        let totals = |s: StatsSnapshot| (s.setup_reuse_hits, s.helper_joins);
+        assert_eq!(totals(server.stats()), (1, 2));
+        let mut last = (1, 2);
+        for mesh in [(2, 2), (2, 2), (1, 3), (2, 2), (1, 2), (2, 2), (2, 2)] {
+            let req = Request { mesh, ..Request::program(HELLO) };
+            assert!(matches!(server.handle(req), Response::Ok { .. }), "{mesh:?}");
+            let now = totals(server.stats());
+            assert!(now.0 >= last.0 && now.1 >= last.1, "{mesh:?}: {last:?} -> {now:?}");
+            last = now;
+        }
+        // the eager machine's two warm requests are in, and it is gone
+        assert!(last.0 >= 3 && last.1 >= 4, "{last:?}");
+        assert!(server.stats().machines_evicted >= 3);
+    }
+
+    #[test]
     fn endlessly_many_shapes_leave_a_bounded_pool_and_exact_totals() {
         // every slow factor is another shape, so a sweep over them is an
         // unbounded set; the pool keeps 64 idle processors, 16 2x2s
@@ -1732,7 +1786,7 @@ mod tests {
         let key = PoolKey::of(&Request::program(HELLO));
         let eager = Machine::new(MachineConfig::on_topology(key.topo).unwrap().with_workers(2));
         eager.run(|_| ());
-        server.checkin_machine(key, eager);
+        server.checkin_machine(key, eager, RunTally::default());
         assert_eq!(joins(&server), adaptive + 1);
     }
 

@@ -20,12 +20,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use skil_lang::{compile, compile_opt, OptLevel};
+use skil_lang::{compile, compile_opt, Engine, OptLevel};
 use skil_runtime::{Machine, MachineConfig};
 
-#[allow(dead_code)]
-#[path = "../../../tests/support/hosts.rs"]
-mod hosts;
+#[path = "../../../tests/support/invariant.rs"]
+mod invariant;
+
+use invariant::{hosts, observe};
 
 struct Counting;
 
@@ -144,17 +145,17 @@ fn compile_allocates_in_proportion_to_its_output() {
 }
 
 /// Allocations of the second of two runs of `src` on a one-worker
-/// `rows x cols` machine: the first warms the machine's run arena.
+/// `rows x cols` machine: the first warms the machine's run arena, and
+/// both observe the same.
 fn warm_run_allocs(src: &str, rows: usize, cols: usize) -> u64 {
     let compiled = compile(src).expect("compiles");
     let (_, cfg) = hosts::host(1, MachineConfig::mesh(rows, cols).unwrap());
     let machine = Machine::new(cfg);
-    let cold = compiled.run(&machine);
+    let cold = compiled.try_run_with(Engine::Vm, &machine);
     let before = ALLOCS.get();
-    let warm = compiled.run(&machine);
+    let warm = compiled.try_run_with(Engine::Vm, &machine);
     let allocs = ALLOCS.get() - before;
-    assert_eq!(warm.results, cold.results);
-    assert_eq!(warm.report.sim_cycles, cold.report.sim_cycles);
+    assert_eq!(observe(&warm), observe(&cold));
     allocs
 }
 

@@ -331,6 +331,58 @@ fn runtime_out_of_bounds_index_is_structured_under_every_engine() {
     }
 }
 
+/// What `--topology` and `--faults` do to a run of either headline
+/// example, which no in-process test reaches: an explicit
+/// `--topology mesh2d:2x2` reproduces the golden cycles, each recoverable
+/// plan prints the clean run's output with nonzero fault counters, and a
+/// crash plan exits 3 naming the `PeerDown` cascade, never a hang.
+#[test]
+fn fault_plans_and_topologies_reach_the_run() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/skil");
+    let recoverable = [
+        (None, "seed=7,drop=0.08"),
+        (None, "seed=11,delay=0.2,max_delay=40000"),
+        (None, "seed=13,drop=0.06,dup=0.08"),
+        (Some("fattree:2,4"), "seed=17,drop=0.05,delay=0.15,max_delay=30000"),
+    ];
+    for (example, golden) in [("shortest_paths", 2_397_316), ("gauss", 11_906_936)] {
+        let path = format!("{root}/{example}.skil");
+        let run = |topology: Option<&str>, faults: Option<&str>| {
+            let mut cmd = skilc();
+            cmd.arg("--run");
+            if let Some(spec) = topology {
+                cmd.args(["--topology", spec]);
+            }
+            if let Some(plan) = faults {
+                cmd.args(["--faults", plan]);
+            }
+            let out = cmd.arg(&path).output().expect("run skilc");
+            let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("utf-8");
+            (out.status.code(), text(out.stdout), text(out.stderr))
+        };
+        let (code, mesh, stderr) = run(Some("mesh2d:2x2"), None);
+        assert_eq!(code, Some(0), "{example}: {stderr}");
+        assert!(stderr.contains(&format!("({golden} cycles")), "{example}: {stderr}");
+        let (_, fattree, _) = run(Some("fattree:2,4"), None);
+        for (topology, plan) in recoverable {
+            let (code, stdout, stderr) = run(topology, Some(plan));
+            let at = format!("{example} under {plan}");
+            assert_eq!(code, Some(0), "{at}: {stderr}");
+            let clean = if topology.is_some() { &fattree } else { &mesh };
+            assert!(stdout == *clean, "{at}: the output differs from the clean run's");
+            let counters = stderr.lines().find(|l| l.starts_with("skilc: faults:"));
+            let zero = "skilc: faults: retries=0 drops=0 dups=0 delays=0";
+            assert!(
+                counters.is_some_and(|c| c != zero),
+                "{at}: the plan injected nothing: {stderr}"
+            );
+        }
+        let (code, _, stderr) = run(None, Some("seed=3,crash=3@1000000"));
+        assert_eq!(code, Some(3), "{example} under a crash: {stderr}");
+        assert!(stderr.contains("PeerDown"), "{example} under a crash: {stderr}");
+    }
+}
+
 /// `--emit-bytecode=raw` and `=opt` over every shipped example, held
 /// against listings written by the compiler that still kept the raw
 /// bytecode in every `Compiled` (`tests/fixtures/listings/`): the raw

@@ -3,26 +3,18 @@
 //! The event scheduler's whole claim is that it changes *host* cost
 //! only: every observable of a run — results, `sim_cycles`, per-proc
 //! `ProcStats`, fault cascades — must be bit-identical to the thread
-//! scheduler's, at any worker count. These tests pin that, plus the
-//! scale the thread scheduler cannot reach (a 64×64 mesh = 4,096
-//! processors on one host).
+//! scheduler's, at any worker count (`tests/support/invariant.rs`).
+//! These tests pin that, plus the scale the thread scheduler cannot
+//! reach (a 64×64 mesh = 4,096 processors on one host).
 
 use std::time::Duration;
 
-use skil_runtime::{FaultPlan, Machine, MachineConfig, Proc, Run, SchedulerKind};
+use skil_runtime::{FaultPlan, Machine, MachineConfig, Proc, SchedulerKind};
 
-#[path = "../../../tests/support/hosts.rs"]
-mod hosts;
+#[path = "../../../tests/support/invariant.rs"]
+mod invariant;
 
-/// The scheduler × worker-count matrix: a machine on each host
-/// configuration.
-fn matrix(n: usize, faults: Option<&FaultPlan>) -> Vec<(&'static str, Machine)> {
-    let mut cfg = MachineConfig::procs(n).unwrap();
-    if let Some(f) = faults {
-        cfg = cfg.with_faults(f.clone());
-    }
-    hosts::hosts(cfg).into_iter().map(|(host, cfg)| (host, Machine::new(cfg))).collect()
-}
+use invariant::{assert_same, configs, machines, Observed, Row};
 
 /// A ring circulation with compute skew and a second skewed round —
 /// enough traffic that scheduler bugs (lost wakeups, wrong arrival
@@ -42,59 +34,28 @@ fn ring_program(p: &mut Proc<'_>) -> u64 {
     acc
 }
 
-fn assert_identical(label: &str, a: &Run<u64>, b: &Run<u64>) {
-    assert_eq!(a.results, b.results, "{label}: results diverged");
-    assert_eq!(a.report.sim_cycles, b.report.sim_cycles, "{label}: sim_cycles diverged");
-    for (i, (pa, pb)) in a.report.procs.iter().zip(&b.report.procs).enumerate() {
-        assert_eq!(pa.finished_at, pb.finished_at, "{label}: proc {i} finished_at");
-        assert_eq!(pa.stats, pb.stats, "{label}: proc {i} stats");
-    }
+/// The ring on every host configuration of 8 processors under `faults`:
+/// what they all observed.
+fn ring_on_every_host(faults: FaultPlan, row: Row<fn(&mut Proc<'_>) -> u64>) -> Observed {
+    let machines = machines(MachineConfig::procs(8).unwrap().with_faults(faults));
+    assert_same(&[row], &configs(&[()], &machines), |f, (), m| m.try_run(f)).remove(0)
 }
 
 #[test]
-fn differential_matrix_fault_free() {
-    let machines = matrix(8, None);
-    let base = machines[0].1.run(ring_program);
-    for (label, m) in &machines[1..] {
-        assert_identical(label, &m.run(ring_program), &base);
-    }
-}
-
-#[test]
-fn differential_matrix_recoverable_fault_plan() {
-    // The PR 5 lossy-but-recoverable plan: drops, duplicates, and
-    // delays that the reliable-delivery layer fully masks. Every cell
-    // of the matrix must agree on clocks AND on fault counters.
-    let faults = FaultPlan::seeded(7).with_drop(0.3).with_dup(0.3).with_delay(0.3, 50_000);
-    let machines = matrix(8, Some(&faults));
-    let base = machines[0].1.run(ring_program);
-    let fault_events: u64 = base.report.procs.iter().map(|p| p.stats.fault_events()).sum();
-    assert!(fault_events > 0, "the plan must actually inject faults");
-    for (label, m) in &machines[1..] {
-        assert_identical(label, &m.run(ring_program), &base);
-    }
-}
-
-#[test]
-fn differential_matrix_crash_plan() {
-    // The PR 5 crash plan: proc 2 dies mid-run and the failure cascades
-    // along wait chains. The structured SimFailure — which processors
-    // aborted, in what order, with what causes — must be identical in
-    // every matrix cell.
-    let faults = FaultPlan::seeded(3).with_crash(2, 500);
-    let machines = matrix(8, Some(&faults));
-    let failures: Vec<(&str, Vec<(usize, skil_runtime::AbortCause)>)> = machines
-        .iter()
-        .map(|(label, m)| {
-            let failure = m.try_run(ring_program).expect_err("the crash plan must fail the run");
-            (*label, failure.aborts.iter().map(|a| (a.proc, a.cause.clone())).collect())
-        })
-        .collect();
-    let (_, base) = &failures[0];
-    assert!(base.iter().any(|(p, _)| *p == 2), "proc 2 must be in the cascade: {base:?}");
-    for (label, aborts) in &failures[1..] {
-        assert_eq!(aborts, base, "{label}: fault cascade diverged");
-    }
+fn differential_matrix_clean_lossy_and_crashed() {
+    let ring = || Row::new("ring", ring_program as fn(&mut Proc<'_>) -> u64);
+    let clean = ring_on_every_host(FaultPlan::none(), ring());
+    // Drops, duplicates, and delays that the reliable-delivery layer
+    // fully masks: every host agrees on the clocks and the fault
+    // counters too.
+    let lossy = FaultPlan::seeded(7).with_drop(0.3).with_dup(0.3).with_delay(0.3, 50_000);
+    ring_on_every_host(lossy, ring().masking(clean));
+    // Processor 2 dies mid-run and the failure cascades along wait
+    // chains: every host reports the same processors, in the same
+    // order, with the same causes.
+    let crashed = ring_on_every_host(FaultPlan::seeded(3).with_crash(2, 500), ring());
+    let Observed::Failed(aborts) = &crashed else { panic!("the crash plan ran: {crashed:?}") };
+    assert!(aborts.iter().any(|a| a.proc == 2), "proc 2 must be in the cascade: {aborts:?}");
 }
 
 #[test]
@@ -135,16 +96,10 @@ const GOLDEN_64X64_RING: u64 = 306_193;
 fn event_scheduler_scale_is_deterministic() {
     // Two 1,024-proc runs of a skewed all-to-neighbour exchange must
     // agree exactly — at scale, with task migration across workers.
-    let runner = || {
-        Machine::new(MachineConfig::mesh(32, 32).unwrap().with_scheduler(SchedulerKind::Event))
-            .run(ring_program)
-    };
-    let a = runner();
-    let b = runner();
-    assert_eq!(a.results, b.results);
-    assert_eq!(a.report.sim_cycles, b.report.sim_cycles);
-    for (pa, pb) in a.report.procs.iter().zip(&b.report.procs) {
-        assert_eq!(pa.finished_at, pb.finished_at);
-        assert_eq!(pa.stats, pb.stats);
-    }
+    let machines = ["first", "second"].map(|name| {
+        let cfg = MachineConfig::mesh(32, 32).unwrap().with_scheduler(SchedulerKind::Event);
+        (name, Machine::new(cfg))
+    });
+    let row = [Row::new("ring on 32x32", ring_program)];
+    assert_same(&row, &configs(&[()], &machines), |f, (), m| m.try_run(f));
 }

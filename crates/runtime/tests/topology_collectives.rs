@@ -1,15 +1,22 @@
 //! Cross-topology collective tests: the four new collectives
 //! (allgather, alltoall, reduce_scatter, neighbor exchange) and both
 //! allreduce/allgather algorithm variants, run on every topology in the
-//! zoo under both schedulers — outputs and per-processor logical
-//! traffic must be bit-identical across schedulers, and the algorithm
-//! variants must agree on results everywhere.
+//! zoo under both schedulers — which must observe each run alike
+//! (`tests/support/invariant.rs`) — and the algorithm variants must
+//! agree on results everywhere.
+
+use std::fmt::Debug;
 
 use proptest::prelude::*;
 use skil_runtime::{
-    select_allgather, select_allreduce, CollectiveAlgo, CostModel, Machine, MachineConfig,
-    ProcStats, Run, SchedulerKind, Topology,
+    select_allgather, select_allreduce, CollectiveAlgo, CostModel, Machine, MachineConfig, Proc,
+    SchedulerKind, Topology,
 };
+
+#[path = "../../../tests/support/invariant.rs"]
+mod invariant;
+
+use invariant::{assert_same, configs, Row};
 
 /// Every topology in the zoo that can host `n` processors.
 fn zoo(n: usize) -> Vec<Topology> {
@@ -36,22 +43,17 @@ fn machine(topo: Topology, sched: SchedulerKind) -> Machine {
     Machine::new(MachineConfig::on_topology(topo).unwrap().with_scheduler(sched))
 }
 
-/// Run `program` on `topo` under both schedulers; assert the outputs,
-/// the virtual run time, and every processor's logical traffic counters
-/// are identical, then hand back the event-scheduler run.
-fn differential<T, F>(topo: Topology, program: F) -> Run<T>
-where
-    T: std::fmt::Debug + PartialEq + Send,
-    F: Fn(&mut skil_runtime::Proc<'_>) -> T + Sync,
-{
-    let event = machine(topo, SchedulerKind::Event).run(&program);
-    let threads = machine(topo, SchedulerKind::Threads).run(&program);
-    assert_eq!(event.results, threads.results, "outputs diverge on {topo}");
-    assert_eq!(event.report.sim_cycles, threads.report.sim_cycles, "sim_cycles diverge on {topo}");
-    let logical =
-        |r: &Run<T>| -> Vec<ProcStats> { r.report.procs.iter().map(|p| p.stats).collect() };
-    assert_eq!(logical(&event), logical(&threads), "per-proc stats diverge on {topo}");
-    event
+/// What each processor of `program` on `topo` returned, as `Debug`
+/// renders it; both schedulers observe the run alike.
+fn on_both_schedulers<T: Debug + Send>(
+    topo: Topology,
+    program: impl Fn(&mut Proc<'_>) -> T + Sync,
+) -> Vec<String> {
+    let machines = [SchedulerKind::Event, SchedulerKind::Threads]
+        .map(|kind| (format!("{kind:?}"), machine(topo, kind)));
+    let row = [Row::new(topo.to_string(), program)];
+    let seen = assert_same(&row, &configs(&[()], &machines), |f, (), m| m.try_run(f));
+    seen[0].procs().iter().map(|p| p.output.clone()).collect()
 }
 
 #[test]
@@ -59,10 +61,11 @@ fn allgather_is_scheduler_identical_on_every_topology() {
     for n in [4, 8, 16] {
         for topo in zoo(n) {
             for algo in [CollectiveAlgo::Ring, CollectiveAlgo::RecDouble, CollectiveAlgo::Auto] {
-                let run =
-                    differential(topo, move |p| p.allgather_with(algo, 7, (p.id() as u64) * 3 + 1));
+                let got = on_both_schedulers(topo, move |p| {
+                    p.allgather_with(algo, 7, (p.id() as u64) * 3 + 1)
+                });
                 let expect: Vec<u64> = (0..n as u64).map(|i| i * 3 + 1).collect();
-                assert!(run.results.iter().all(|v| *v == expect), "{topo} {algo:?}");
+                assert!(got.iter().all(|v| *v == format!("{expect:?}")), "{topo} {algo:?}");
             }
         }
     }
@@ -72,14 +75,14 @@ fn allgather_is_scheduler_identical_on_every_topology() {
 fn alltoall_is_scheduler_identical_on_every_topology() {
     for n in [4, 8, 16] {
         for topo in zoo(n) {
-            let run = differential(topo, |p| {
+            let got = on_both_schedulers(topo, |p| {
                 let n = p.nprocs();
                 let parts: Vec<u64> = (0..n).map(|d| ((p.id() as u64) << 32) | d as u64).collect();
                 p.alltoall(9, parts)
             });
-            for (id, got) in run.results.iter().enumerate() {
+            for (id, got) in got.iter().enumerate() {
                 let expect: Vec<u64> = (0..n).map(|src| ((src as u64) << 32) | id as u64).collect();
-                assert_eq!(*got, expect, "{topo} id={id}");
+                assert_eq!(*got, format!("{expect:?}"), "{topo} id={id}");
             }
         }
     }
@@ -89,15 +92,15 @@ fn alltoall_is_scheduler_identical_on_every_topology() {
 fn reduce_scatter_is_scheduler_identical_on_every_topology() {
     for n in [4, 8, 16] {
         for topo in zoo(n) {
-            let run = differential(topo, |p| {
+            let got = on_both_schedulers(topo, |p| {
                 let n = p.nprocs();
                 let parts: Vec<u64> = (0..n).map(|j| (p.id() * n + j) as u64).collect();
                 p.reduce_scatter(11, parts, |a, b| a + b, 2)
             });
             // Block j reduces sum_id(id*n + j) = n*sum(id) + n*j.
             let base = (n * (n - 1) / 2) as u64 * n as u64;
-            for (id, &got) in run.results.iter().enumerate() {
-                assert_eq!(got, base + (n * id) as u64, "{topo} id={id}");
+            for (id, got) in got.iter().enumerate() {
+                assert_eq!(*got, (base + (n * id) as u64).to_string(), "{topo} id={id}");
             }
         }
     }
@@ -107,11 +110,11 @@ fn reduce_scatter_is_scheduler_identical_on_every_topology() {
 fn neighbor_exchange_is_scheduler_identical_on_every_topology() {
     for n in [4, 8, 16] {
         for topo in zoo(n) {
-            let run = differential(topo, |p| p.neighbor_exchange(13, p.id() as u64 + 100));
-            for (id, got) in run.results.iter().enumerate() {
+            let got = on_both_schedulers(topo, |p| p.neighbor_exchange(13, p.id() as u64 + 100));
+            for (id, got) in got.iter().enumerate() {
                 let expect: Vec<(usize, u64)> =
                     topo.neighbors(id).into_iter().map(|nb| (nb, nb as u64 + 100)).collect();
-                assert_eq!(*got, expect, "{topo} id={id}");
+                assert_eq!(*got, format!("{expect:?}"), "{topo} id={id}");
             }
         }
     }
@@ -122,11 +125,11 @@ fn allreduce_variants_are_scheduler_identical_on_every_topology() {
     for n in [4, 8, 16] {
         for topo in zoo(n) {
             for algo in [CollectiveAlgo::Tree, CollectiveAlgo::Ring, CollectiveAlgo::RecDouble] {
-                let run = differential(topo, move |p| {
+                let got = on_both_schedulers(topo, move |p| {
                     p.allreduce_with(algo, 15, p.id() as u64 + 1, |a, b| a + b, 3)
                 });
                 let expect = (n as u64 * (n as u64 + 1)) / 2;
-                assert!(run.results.iter().all(|&v| v == expect), "{topo} {algo:?}");
+                assert!(got.iter().all(|v| *v == expect.to_string()), "{topo} {algo:?}");
             }
         }
     }

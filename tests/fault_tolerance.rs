@@ -2,19 +2,28 @@
 //!
 //! The contract under test (DESIGN.md §12): any *recoverable* seeded
 //! fault plan — drops, duplicates, and delays within the retry budget —
-//! must be completely invisible to the program. Output, per-processor
+//! is masked (`support/invariant.rs`). Output and each processor's
 //! logical traffic (`compute`, `sends`, `recvs`, `bytes_sent`,
-//! `bytes_recvd`) and the results vector are bit-identical to the
-//! fault-free run; only the *waiting* side of the clock (`wait`,
-//! `finished_at`, and hence `sim_cycles`) may move, because a
-//! retransmitted message genuinely arrives later in virtual time.
-//! Unrecoverable plans (a crash, an exhausted budget) must surface as a
-//! structured `SimFailure`, never a hang.
+//! `bytes_recvd`) equal the fault-free run's; only the *waiting* side of
+//! the clock (`wait`, `finished_at`, and hence `sim_cycles`) may move,
+//! because a retransmitted message genuinely arrives later in virtual
+//! time. The faulty run is itself a pure function of the plan: every
+//! engine and host configuration observes it alike. Unrecoverable plans
+//! (a crash, an exhausted budget) surface as a structured `SimFailure`,
+//! the same everywhere, never a hang.
 
 use proptest::prelude::*;
 use skil::apps::{gauss_skil, shpaths_skil};
-use skil::lang::{compile, Engine};
-use skil::runtime::{FaultPlan, Machine, MachineConfig, Proc, RunReport};
+use skil::lang::{compile, Engine, OptLevel};
+use skil::runtime::{FaultPlan, Machine, MachineConfig, Proc, SchedulerKind};
+
+#[path = "support/invariant.rs"]
+mod invariant;
+#[path = "support/programs.rs"]
+mod programs;
+
+use invariant::{assert_same, configs, machines, observe, Observed, Row};
+use programs::{levels, run, App, ENGINES};
 
 /// A traffic mix covering every delivery path the fault layer touches:
 /// tagged point-to-point sends, synchronous sends, and the binomial-tree
@@ -39,24 +48,12 @@ fn mixed_traffic(p: &mut Proc<'_>) -> (u64, Vec<u64>) {
     (total, gathered.unwrap_or_default())
 }
 
-fn logical_fingerprint(r: &RunReport) -> Vec<(u64, u64, u64, u64, u64)> {
-    r.procs
-        .iter()
-        .map(|p| {
-            let s = p.stats;
-            (s.compute, s.sends, s.recvs, s.bytes_sent, s.bytes_recvd)
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random recoverable schedules are masked: for any seed and any
     /// drop/dup/delay rates up to 30%, the program's results and its
-    /// logical ProcStats equal the fault-free run's exactly. (`wait` and
-    /// `finished_at` are deliberately not compared: retransmissions
-    /// legitimately stretch virtual waiting time.)
+    /// logical ProcStats equal the fault-free run's exactly.
     #[test]
     fn random_recoverable_schedules_are_masked(
         seed in any::<u64>(),
@@ -69,58 +66,34 @@ proptest! {
             .with_drop(f64::from(drop_pct) / 100.0)
             .with_dup(f64::from(dup_pct) / 100.0)
             .with_delay(f64::from(delay_pct) / 100.0, max_delay);
-        let clean = Machine::new(MachineConfig::mesh(2, 2).unwrap()).run(mixed_traffic);
-        let faulty_machine =
-            Machine::new(MachineConfig::mesh(2, 2).unwrap().with_faults(plan));
-        let faulty = faulty_machine.run(mixed_traffic);
-        prop_assert_eq!(&faulty.results, &clean.results);
-        prop_assert_eq!(
-            logical_fingerprint(&faulty.report),
-            logical_fingerprint(&clean.report)
-        );
+        let clean = observe(&Machine::new(MachineConfig::mesh(2, 2).unwrap()).try_run(mixed_traffic));
         // the schedule itself is a pure function of the seed: replaying
         // the faulty run reproduces even the stretched clock
-        let replay = faulty_machine.run(mixed_traffic);
-        prop_assert_eq!(&replay.results, &faulty.results);
-        prop_assert_eq!(replay.report.sim_cycles, faulty.report.sim_cycles);
+        let faulty = [("faulty", Machine::new(MachineConfig::mesh(2, 2).unwrap().with_faults(plan)))];
+        let row = [Row::new("mixed traffic", mixed_traffic)];
+        let seen = assert_same(&row, &configs(&["run", "replay"], &faulty), |f, _, m| m.try_run(f));
+        prop_assert_eq!(seen[0].logical(), clean.logical());
     }
 }
 
 /// The ack/retry protocol is delivery-path-independent: a recoverable
 /// drop+dup plan over the scheduler-native direct-wake path (explicit
-/// `SchedulerKind::Event`) produces the same outputs and logical
-/// fingerprint as the clean run, and as the same plan over the condvar
-/// mailbox path (`SchedulerKind::Threads`) — with the plan provably
-/// firing on both, and the clean runs of both paths agreeing too.
+/// `SchedulerKind::Event`) and over the condvar mailbox path
+/// (`SchedulerKind::Threads`) observes the same, even the stretched
+/// clock, and masks the plan against the clean runs, which agree too.
 #[test]
 fn recoverable_plan_is_masked_over_the_direct_wake_path() {
-    use skil::runtime::SchedulerKind;
-    let plan = || FaultPlan::seeded(13).with_drop(0.06).with_dup(0.08);
-    let clean = |kind| {
-        Machine::new(MachineConfig::mesh(2, 2).unwrap().with_scheduler(kind)).run(mixed_traffic)
+    let on = |faults: FaultPlan| {
+        [SchedulerKind::Event, SchedulerKind::Threads].map(|kind| {
+            let cfg = MachineConfig::mesh(2, 2).unwrap().with_faults(faults.clone());
+            (format!("{kind:?}"), Machine::new(cfg.with_scheduler(kind)))
+        })
     };
-    let (clean, clean_threads) = (clean(SchedulerKind::Event), clean(SchedulerKind::Threads));
-    assert_eq!(clean_threads.results, clean.results);
-    assert_eq!(clean_threads.report.sim_cycles, clean.report.sim_cycles);
-    let mut fingerprints = Vec::new();
-    for kind in [SchedulerKind::Event, SchedulerKind::Threads] {
-        let faulty = Machine::new(
-            MachineConfig::mesh(2, 2).unwrap().with_faults(plan()).with_scheduler(kind),
-        )
-        .run(mixed_traffic);
-        assert_eq!(faulty.results, clean.results, "{kind:?}");
-        assert_eq!(
-            logical_fingerprint(&faulty.report),
-            logical_fingerprint(&clean.report),
-            "{kind:?}"
-        );
-        let events: u64 = faulty.report.procs.iter().map(|p| p.stats.fault_events()).sum();
-        assert!(events > 0, "{kind:?}: plan injected nothing; the test is vacuous");
-        fingerprints.push((faulty.report.sim_cycles, logical_fingerprint(&faulty.report)));
-    }
-    // The injected schedule is a pure function of the seed and virtual
-    // time, so even the stretched clock agrees across delivery paths.
-    assert_eq!(fingerprints[0], fingerprints[1]);
+    let traffic = |f: &fn(&mut Proc<'_>) -> (u64, Vec<u64>), _: &(), m: &Machine| m.try_run(f);
+    let row = || Row::new("mixed traffic", mixed_traffic as fn(&mut Proc<'_>) -> _);
+    let clean = assert_same(&[row()], &configs(&[()], &on(FaultPlan::none())), traffic).remove(0);
+    let plan = FaultPlan::seeded(13).with_drop(0.06).with_dup(0.08);
+    assert_same(&[row().masking(clean)], &configs(&[()], &on(plan)), traffic);
 }
 
 /// An *active* plan whose rates are all zero must be charge-free in the
@@ -129,46 +102,37 @@ fn recoverable_plan_is_masked_over_the_direct_wake_path() {
 /// for both headline applications.
 #[test]
 fn zero_rate_active_plan_keeps_app_goldens() {
-    fn check<T: PartialEq + std::fmt::Debug>(
-        app: impl Fn(&Machine, usize, u64) -> skil::apps::AppOutcome<T>,
-    ) {
-        let plain = Machine::new(MachineConfig::square(2).unwrap());
-        let armed =
-            Machine::new(MachineConfig::square(2).unwrap().with_faults(FaultPlan::seeded(99)));
-        let a = app(&plain, 24, 7);
-        let b = app(&armed, 24, 7);
-        assert_eq!(a.value, b.value);
-        assert_eq!(a.sim_cycles, b.sim_cycles);
-        for (pa, pb) in a.report.procs.iter().zip(&b.report.procs) {
-            assert_eq!(pa.finished_at, pb.finished_at);
-            assert_eq!(pa.stats, pb.stats);
-        }
-    }
-    check(shpaths_skil);
-    check(gauss_skil);
+    let machines = [
+        ("plain", Machine::new(MachineConfig::square(2).unwrap())),
+        (
+            "armed",
+            Machine::new(MachineConfig::square(2).unwrap().with_faults(FaultPlan::seeded(99))),
+        ),
+    ];
+    let rows: [Row<App>; 2] = [
+        Row::new("shortest paths", |m| programs::app(shpaths_skil(m, 24, 7))),
+        Row::new("gauss", |m| programs::app(gauss_skil(m, 24, 7))),
+    ];
+    assert_same(&rows, &configs(&[()], &machines), |app, (), m| app(m));
 }
 
 /// The masking guarantee holds end-to-end through the language: a
 /// compiled Skil program under a lossy plan prints exactly what the
-/// fault-free run prints, on both engines, with nonzero fault counters
-/// proving the plan actually fired.
+/// fault-free run prints, under the walker and the VM alike, with
+/// nonzero fault counters proving the plan actually fired.
 #[test]
 fn lossy_plan_is_invisible_to_skil_programs() {
-    let src = std::fs::read_to_string("examples/skil/shortest_paths.skil").unwrap();
-    let compiled = compile(&src).expect("shortest_paths.skil compiles");
+    let compiled = levels("shortest_paths", &programs::example("shortest_paths.skil"));
+    let engines = [(Engine::Ast, OptLevel::O2), (Engine::Vm, OptLevel::O2)];
+    let on = |faults: FaultPlan| {
+        [("2x2", Machine::new(MachineConfig::square(2).unwrap().with_faults(faults)))]
+    };
+    let row = || Row::new("shortest_paths", &compiled);
+    let clean =
+        assert_same(&[row()], &configs(&engines, &on(FaultPlan::none())), |c, a, m| run(c, a, m));
     let plan = FaultPlan::seeded(13).with_drop(0.06).with_dup(0.08);
-    for engine in [Engine::Ast, Engine::Vm] {
-        let clean = compiled.run_with(engine, &Machine::new(MachineConfig::square(2).unwrap()));
-        let faulty = compiled
-            .try_run_with(
-                engine,
-                &Machine::new(MachineConfig::square(2).unwrap().with_faults(plan.clone())),
-            )
-            .expect("recoverable plan must not abort");
-        assert_eq!(faulty.results, clean.results);
-        let events: u64 = faulty.report.procs.iter().map(|p| p.stats.fault_events()).sum();
-        assert!(events > 0, "plan injected nothing; the test is vacuous");
-    }
+    let masking = [row().masking(clean[0].clone())];
+    assert_same(&masking, &configs(&engines, &on(plan)), |c, a, m| run(c, a, m));
 }
 
 /// A crash plan surfaces through the language as a structured failure
@@ -176,8 +140,7 @@ fn lossy_plan_is_invisible_to_skil_programs() {
 /// with a generic message, and never a hang.
 #[test]
 fn crash_plan_surfaces_peer_down_through_the_language() {
-    let src = std::fs::read_to_string("examples/skil/shortest_paths.skil").unwrap();
-    let compiled = compile(&src).expect("shortest_paths.skil compiles");
+    let compiled = compile(&programs::example("shortest_paths.skil")).expect("compiles");
     let machine = Machine::new(
         MachineConfig::square(2)
             .unwrap()
@@ -190,4 +153,25 @@ fn crash_plan_surfaces_peer_down_through_the_language() {
         msg.contains("processor 3: crashed by fault plan at virtual cycle 1000000"),
         "failure must name the root cause: {msg}"
     );
+}
+
+/// Shortest paths on a 4x4 mesh under each engine on every host
+/// configuration: clean; under drops, duplicates and delays, masked and
+/// with the same clocks and fault counters everywhere; and under a
+/// crash, with the same cascade everywhere, processor 3 in it.
+#[test]
+fn every_engine_and_host_masks_a_plan_and_cascades_a_crash_alike() {
+    let compiled = levels("shortest_paths", &programs::example("shortest_paths.skil"));
+    let on = |faults: FaultPlan| machines(MachineConfig::mesh(4, 4).unwrap().with_faults(faults));
+    let observe = |faults: FaultPlan, row: Row<&[_; 3]>| {
+        assert_same(&[row], &configs(&ENGINES, &on(faults)), |c, a, m| run(c, a, m)).remove(0)
+    };
+    let row = || Row::new("shortest_paths", &compiled);
+    let clean = observe(FaultPlan::none(), row());
+    assert_ne!(clean.procs()[0].output, "[]", "processor 0 prints the fold total");
+    let lossy = FaultPlan::seeded(11).with_drop(0.2).with_dup(0.2).with_delay(0.2, 20_000);
+    observe(lossy, row().masking(clean));
+    let crashed = observe(FaultPlan::seeded(5).with_crash(3, 400), row());
+    let Observed::Failed(aborts) = &crashed else { panic!("the crash plan ran: {crashed:?}") };
+    assert!(aborts.iter().any(|a| a.proc == 3), "processor 3 is in the cascade: {aborts:?}");
 }

@@ -17,6 +17,8 @@ use skil::lang::{compile_opt, OptLevel};
 
 #[path = "support/program_gen.rs"]
 mod program_gen;
+#[path = "support/programs.rs"]
+mod programs;
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/front_end_snapshot.txt");
 
@@ -242,26 +244,12 @@ fn rejected() -> Vec<(&'static str, String)> {
     out
 }
 
-fn examples() -> Vec<(String, String)> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/skil");
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir).expect("examples/skil exists") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().is_some_and(|e| e == "skil") {
-            let src = std::fs::read_to_string(&path).expect("readable");
-            out.push((path.file_name().unwrap().to_string_lossy().into_owned(), src));
-        }
-    }
-    out.sort();
-    out
-}
-
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
 fn corpus() -> Vec<(String, String)> {
-    let mut out = examples();
+    let mut out = programs::examples();
     out.extend(ACCEPTED.iter().map(|&(n, s)| (n.to_string(), s.to_string())));
     for seed in 0..200 {
         let dna = program_gen::dna(seed);

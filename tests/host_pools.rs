@@ -21,6 +21,8 @@ use skil::runtime::{stacks_idle, Machine, MachineConfig, ProcStats, RunReport, T
 
 #[path = "support/hosts.rs"]
 mod hosts;
+#[path = "support/programs.rs"]
+mod programs;
 
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
@@ -41,9 +43,7 @@ fn assert_idle_stacks_bounded(at: &str) {
 }
 
 fn example(name: &str) -> Compiled {
-    let path = format!(concat!(env!("CARGO_MANIFEST_DIR"), "/examples/skil/{}"), name);
-    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    compile(&src).expect("example compiles")
+    compile(&programs::example(name)).expect("example compiles")
 }
 
 /// Everything a run reports that the host could move: the output, the

@@ -1,45 +1,49 @@
-//! Differential tests of the Skil execution engines.
+//! Differential tests of the Skil execution engines, and the pinned
+//! digests of the examples.
 //!
-//! The bytecode VM — at every optimizer level — must be observationally
-//! indistinguishable from the AST walker: identical print output,
-//! identical `sim_cycles`, and identical per-processor `ProcStats` and
-//! `DataPlaneStats` — on every shipped example, on every skeleton over
-//! every array representation, and on randomly generated first-order
-//! programs. Host speed is the only permitted difference. The native
-//! engine rides the same assertions (on hosts without a working `rustc`
-//! it degrades to the VM, so the check never spuriously fails).
+//! The bytecode VM at every opt level, and the native engine, must
+//! observe what the AST walker observes (`support/invariant.rs`): on
+//! every shipped example, on every skeleton over every array
+//! representation, on operator, struct and `Bounds` kernels, on the
+//! runtime errors of kernels and of the skeleton host, and on randomly
+//! generated first-order programs. The fixed suites run on each host
+//! configuration of `support/hosts.rs`; the examples and the generated
+//! programs rotate through them. On hosts without a working `rustc` the
+//! native engine degrades to the VM, so the check never spuriously
+//! fails.
 //!
 //! The walker keeps every array as `DistArray<Value>`; the VM host
 //! stores `array<int>` / `array<float>` unboxed and arrays of flat
-//! structs as their fields' words. Equal `DataPlaneStats` (the
-//! inline/heap envelope split) and equal bytes per processor are what
-//! show the representations are the same on the wire.
+//! structs as their fields' words. Equal `DataPlaneStats` on one host
+//! (the inline/heap envelope split) and equal bytes per processor are
+//! what show the representations are the same on the wire.
 //!
-//! None of it may depend on the host configuration either: the fixed
-//! suites run on each of `support/hosts.rs`, the examples and the
-//! generated programs rotate through them.
+//! `tests/fixtures/digests.txt` pins the digest of every example on a
+//! 2x2 mesh, and of `shortest_paths` and `gauss` on each 16-processor
+//! topology of the zoo under each collective algorithm, so a change to
+//! virtual time is a reviewed diff of it;
+//! `cargo test --test lang_engines -- --ignored` writes it.
 
 use proptest::prelude::*;
-use skil::lang::{compile, compile_opt, Engine, OptLevel};
-use skil::runtime::report::DataPlaneStats;
-use skil::runtime::{Machine, MachineConfig, ProcStats, RunReport};
+use skil::lang::{compile, compile_opt, OptLevel};
+use skil::runtime::{AbortCause, CollectiveAlgo, Machine, MachineConfig, SchedulerKind, Topology};
 
-#[path = "support/hosts.rs"]
-mod hosts;
+#[path = "support/invariant.rs"]
+mod invariant;
+#[path = "support/program_gen.rs"]
+mod program_gen;
+#[path = "support/programs.rs"]
+mod programs;
 
-const LEVELS: [OptLevel; 3] = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
+use invariant::{assert_same, configs, machines, Observed, Row};
+use program_gen::Gen;
+use programs::{digest_line, levels, run, Axis, ALL_LEVELS, ENGINES, VM_LEVELS};
 
-/// Per-processor fingerprint: when it finished, what it computed and
-/// sent, and how its messages were represented on the host.
-type Fp = (usize, u64, ProcStats, DataPlaneStats);
-
-fn fingerprint(r: &RunReport) -> Vec<Fp> {
-    r.procs.iter().enumerate().map(|(i, p)| (i, p.finished_at, p.stats, p.data_plane)).collect()
-}
-
-/// A machine for each host configuration of `cfg`.
-fn machines(cfg: MachineConfig) -> Vec<(&'static str, Machine)> {
-    hosts::hosts(cfg).into_iter().map(|(host, cfg)| (host, Machine::new(cfg))).collect()
+/// What `src` observes, the same under every axis value on every
+/// machine.
+fn assert_agree(name: &str, src: &str, axes: &[Axis], machines: &[(&str, Machine)]) -> Observed {
+    let row = [Row::new(name, levels(name, src))];
+    assert_same(&row, &configs(axes, machines), run).remove(0)
 }
 
 /// All four host configurations of a 2x2 mesh.
@@ -47,84 +51,100 @@ fn square_machines() -> Vec<(&'static str, Machine)> {
     machines(MachineConfig::square(2).unwrap())
 }
 
-fn examples() -> Vec<(String, String)> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/skil");
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir).expect("examples/skil exists") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().is_some_and(|e| e == "skil") {
-            let src = std::fs::read_to_string(&path).expect("readable");
-            out.push((path.file_name().unwrap().to_string_lossy().into_owned(), src));
-        }
-    }
-    assert!(out.len() >= 4, "expected the shipped .skil programs, found {}", out.len());
-    out.sort();
-    out
-}
-
-fn assert_engines_agree(name: &str, src: &str, machine: &Machine) {
-    assert_agree_with_the_walker(name, src, machine, &[Engine::Vm, Engine::Native]);
-}
-
-/// The walker against the VM alone, at every level: for the operator
-/// matrices, which would be a `rustc` run per program under `native`.
-fn assert_vm_agrees(name: &str, src: &str, machine: &Machine) {
-    assert_agree_with_the_walker(name, src, machine, &[Engine::Vm]);
-}
-
-/// Output, virtual time and per-processor stats of `engines` at every
-/// level against the walker's.
-fn assert_agree_with_the_walker(name: &str, src: &str, machine: &Machine, engines: &[Engine]) {
-    let compiled = compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let ast = compiled.run_with(Engine::Ast, machine);
-    for level in LEVELS {
-        let c = compile_opt(src, level).unwrap_or_else(|e| panic!("{name} @ -O{level}: {e}"));
-        for &engine in engines {
-            let run = c.run_with(engine, machine);
-            let at = format!("{name} @ -O{level} under {engine:?}");
-            assert_eq!(ast.results, run.results, "{at}: print output differs");
-            assert_eq!(ast.report.sim_cycles, run.report.sim_cycles, "{at}: virtual time differs");
-            assert_eq!(
-                fingerprint(&ast.report),
-                fingerprint(&run.report),
-                "{at}: per-processor stats differ"
-            );
-        }
-    }
-}
-
-/// Every example on one host configuration of `cfg`, the `k`th example
-/// on host `k + shift`: each test of the examples shifts the rotation.
-fn assert_examples_agree(cfg: MachineConfig, shift: usize) {
+/// Every example under every engine and opt level on one host
+/// configuration of `cfg`, the `k`th example on host `k + shift`; what
+/// each observed.
+fn examples_agree(cfg: MachineConfig, shift: usize) -> Vec<(String, Observed)> {
     let machines = machines(cfg);
-    for (k, (name, src)) in examples().into_iter().enumerate() {
-        let (host, machine) = &machines[(k + shift) % machines.len()];
-        assert_engines_agree(&format!("{name} on {host}"), &src, machine);
+    let examples = programs::examples().into_iter().enumerate();
+    examples
+        .map(|(k, (name, src))| {
+            let host = (k + shift) % machines.len();
+            let seen = assert_agree(&name, &src, &ALL_LEVELS, &machines[host..=host]);
+            (name.trim_end_matches(".skil").to_string(), seen)
+        })
+        .collect()
+}
+
+/// The fixture's lines for the examples on 2x2.
+fn example_digests() -> Vec<String> {
+    examples_agree(MachineConfig::square(2).unwrap(), 0)
+        .into_iter()
+        .map(|(name, seen)| digest_line(&name, "mesh2d:2x2", "default", seen.digest()))
+        .collect()
+}
+
+/// The fixture's lines for `shortest_paths` and `gauss` on every
+/// 16-processor topology of the zoo under every collective algorithm:
+/// `vm` on both schedulers, `ast` and `native` joining on the mesh.
+/// Output is the same in every cell of a program; the rest within a
+/// cell.
+fn topology_digests() -> Vec<String> {
+    let rows = ["shortest_paths", "gauss"]
+        .map(|name| Row::new(name, levels(name, &programs::example(&format!("{name}.skil")))));
+    let mut outputs: [Option<Vec<String>>; 2] = [None, None];
+    let mut lines = Vec::new();
+    for spec in ["mesh2d:4x4", "hypercube:16", "fattree:2,4", "hetero:mesh2d:4x4:slowlinks=col2*64"]
+    {
+        let axes = if spec == "mesh2d:4x4" { &ENGINES[..] } else { &ENGINES[1..2] };
+        for algo in [
+            CollectiveAlgo::Tree,
+            CollectiveAlgo::Ring,
+            CollectiveAlgo::RecDouble,
+            CollectiveAlgo::Auto,
+        ] {
+            let cfg = MachineConfig::on_topology(Topology::parse(spec).unwrap())
+                .unwrap()
+                .with_collective_algo(algo);
+            let machines = [SchedulerKind::Event, SchedulerKind::Threads]
+                .map(|kind| (format!("{kind:?}"), Machine::new(cfg.clone().with_scheduler(kind))));
+            let seen = assert_same(&rows, &configs(axes, &machines), run);
+            for ((row, seen), output) in rows.iter().zip(seen).zip(&mut outputs) {
+                let printed: Vec<String> = seen.procs().iter().map(|p| p.output.clone()).collect();
+                let at = format!("{} on {spec} under {algo:?}", row.name);
+                assert_eq!(&printed, output.get_or_insert_with(|| printed.clone()), "{at}: output");
+                let algo = format!("{algo:?}").to_lowercase();
+                lines.push(digest_line(&row.name, spec, &algo, seen.digest()));
+            }
+        }
     }
+    lines
 }
 
 #[test]
 fn every_example_is_bit_identical_across_engines() {
-    assert_examples_agree(MachineConfig::square(2).unwrap(), 0);
+    programs::assert_pinned(&example_digests());
+}
+
+#[test]
+fn topology_algorithm_scheduler_matrix() {
+    programs::assert_pinned(&topology_digests());
+}
+
+#[test]
+#[ignore = "writes the fixture; run it at the commit whose virtual time is the reference"]
+fn write_digests() {
+    let lines = [example_digests(), topology_digests()].concat();
+    std::fs::write(programs::DIGESTS, lines.join("\n") + "\n").expect("fixture written");
 }
 
 #[test]
 fn engines_agree_with_tracing_on() {
-    assert_examples_agree(MachineConfig::square(2).unwrap().with_trace(), 1);
+    examples_agree(MachineConfig::square(2).unwrap().with_trace(), 1);
 }
 
 #[test]
 fn engines_agree_on_non_square_meshes() {
     // farm/d&c/scan workloads on a machine shape the goldens don't cover
     let machines = machines(MachineConfig::mesh(1, 3).unwrap());
-    for (k, (name, src)) in examples().into_iter().enumerate() {
+    for (k, (name, src)) in programs::examples().into_iter().enumerate() {
         if name == "gauss.skil" || name == "shortest_paths.skil" {
             // gauss needs sizes divisible by the machine size;
             // shortest_paths' gen_mult needs a square process grid
             continue;
         }
-        let (host, machine) = &machines[(k + 2) % machines.len()];
-        assert_engines_agree(&format!("{name} on {host}"), &src, machine);
+        let host = (k + 2) % machines.len();
+        assert_agree(&name, &src, &ALL_LEVELS, &machines[host..=host]);
     }
 }
 
@@ -362,11 +382,8 @@ fn skeleton_suite(f: &Flavor) -> String {
 fn every_skeleton_agrees_on_every_array_representation() {
     let mut machines = square_machines();
     machines.push(("traced", Machine::new(MachineConfig::square(2).unwrap().with_trace())));
-    for (host, machine) in &machines {
-        for f in &FLAVORS {
-            assert_engines_agree(&format!("{} on {host}", f.name), &skeleton_suite(f), machine);
-        }
-    }
+    let rows = FLAVORS.map(|f| Row::new(f.name, levels(f.name, &skeleton_suite(&f))));
+    assert_same(&rows, &configs(&ALL_LEVELS, &machines), run);
     // which store each flavor's arrays get
     for (flavor, elem) in [(0, "int"), (2, "float"), (4, "flat"), (5, "boxed"), (6, "boxed")] {
         let listing = compile(&skeleton_suite(&FLAVORS[flavor])).unwrap().disassemble_kernel();
@@ -417,43 +434,28 @@ fn kernel_runtime_errors_over_typed_stores_match_the_walker() {
              }",
         ),
     ];
-    for (host, machine) in &square_machines() {
-        for (name, main) in cases {
-            let src = format!("{prelude}\n{main}");
-            let compiled = compile(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let want = compiled
-                .try_run_with(Engine::Ast, machine)
-                .expect_err("the walker reports a runtime error");
-            assert!(
-                want.to_string().contains("runtime error"),
-                "{name} on {host}: not a Skil runtime error: {want}"
-            );
-            for level in LEVELS {
-                let c = compile_opt(&src, level).unwrap();
-                for engine in [Engine::Vm, Engine::Native] {
-                    let got = c
-                        .try_run_with(engine, machine)
-                        .expect_err("every engine reports the runtime error");
-                    let at = format!("{name} @ -O{level} under {engine:?} on {host}");
-                    assert_eq!(want.aborts, got.aborts, "{at}");
-                }
-            }
-            // the machine survives: a clean program still runs on it
-            let ok = compile("void main() { print(procId); }").unwrap().run(machine);
-            assert_eq!(ok.results[3], vec!["3".to_string()]);
-        }
+    let machines = square_machines();
+    let rows =
+        cases.map(|(name, main)| Row::new(name, levels(name, &format!("{prelude}\n{main}"))));
+    for (row, seen) in rows.iter().zip(assert_same(&rows, &configs(&ALL_LEVELS, &machines), run)) {
+        runtime_error(&row.name, &seen);
+    }
+    // the machines survive: a clean program still runs on each
+    for (host, machine) in &machines {
+        let ok = compile("void main() { print(procId); }").unwrap().run(machine);
+        assert_eq!(ok.results[3], vec!["3".to_string()], "{host}");
     }
 }
 
-/// What a failed run reports: the structured aborts of a Skil runtime
-/// error. `error(n)` is one too — the program's failure, not a panic of
-/// the engine's.
-fn failure_of(
-    c: &skil::lang::Compiled,
-    engine: Engine,
-    machine: &Machine,
-) -> Vec<skil::runtime::SimAbort> {
-    c.try_run_with(engine, machine).expect_err("the program fails at run time").aborts
+/// What a failed run reports first: a Skil runtime error, the root of
+/// the structured aborts. `error(n)` is one too — the program's failure,
+/// not a panic of the engine's.
+fn runtime_error(name: &str, seen: &Observed) -> String {
+    let Observed::Failed(aborts) = seen else { panic!("{name}: the program ran") };
+    match aborts.iter().map(|a| &a.cause).find(|c| !matches!(c, AbortCause::PeerDown { .. })) {
+        Some(AbortCause::RuntimeError { what }) => what.clone(),
+        root => panic!("{name}: not a Skil runtime error: {root:?}"),
+    }
 }
 
 /// Runtime errors raised inside `General` argument functions: the typed
@@ -574,22 +576,13 @@ fn kernel_runtime_errors_match_the_walker_on_every_kernel_tier() {
             "use of an array being written by this skeleton or already destroyed",
         ),
     ];
-    // every one is a Skil runtime error: the machine survives them all
-    for (host, machine) in &square_machines() {
-        for (name, body, message) in cases {
-            let src = format!("{prelude}\n{body}");
-            let compiled = compile(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let want = failure_of(&compiled, Engine::Ast, machine);
-            let text = format!("{want:?}");
-            assert!(text.contains(message), "{name} on {host}: the walker reports `{text}`");
-            for level in LEVELS {
-                let c = compile_opt(&src, level).unwrap();
-                for engine in [Engine::Vm, Engine::Native] {
-                    let got = failure_of(&c, engine, machine);
-                    assert_eq!(want, got, "{name} @ -O{level} under {engine:?} on {host}");
-                }
-            }
-        }
+    let rows =
+        cases.map(|(name, body, _)| Row::new(name, levels(name, &format!("{prelude}\n{body}"))));
+    let seen = assert_same(&rows, &configs(&ALL_LEVELS, &square_machines()), run);
+    for ((name, _, message), seen) in cases.iter().zip(seen) {
+        runtime_error(name, &seen);
+        let text = format!("{seen:?}");
+        assert!(text.contains(message), "{name}: the walker reports `{text}`");
     }
 }
 
@@ -623,10 +616,8 @@ fn negation_and_abs_of_the_minimum_wrap_under_every_engine() {
         }";
     let min = i64::MIN.to_string();
     let want = [&min, &min, &min, &min, "0", &min, "0", &min, &min];
-    for (host, machine) in &square_machines() {
-        assert_engines_agree(&format!("i64::MIN on {host}"), src, machine);
-        assert_eq!(compile(src).unwrap().run(machine).results[0], want, "{host}");
-    }
+    let seen = assert_agree("i64::MIN", src, &ALL_LEVELS, &square_machines());
+    assert_eq!(seen.procs()[0].output, format!("{want:?}"));
 }
 
 /// A NaN fails every ordered comparison and its own equality, so
@@ -657,11 +648,8 @@ fn nan_comparisons_branch_the_same_way_under_every_engine() {
             array_map(k, a, b);
             print(array_fold(conv, max, b));
         }";
-    for (host, machine) in &square_machines() {
-        assert_engines_agree(&format!("nan on {host}"), src, machine);
-        let run = compile(src).unwrap().run(machine);
-        assert_eq!(run.results[0], vec!["160".to_string()], "{host}");
-    }
+    let seen = assert_agree("nan", src, &ALL_LEVELS, &square_machines());
+    assert_eq!(seen.procs()[0].output, format!("{:?}", ["160"]));
 }
 
 /// Structs of scalars in typed argument functions, one register per
@@ -709,9 +697,7 @@ fn struct_kernels_agree_on_both_kernel_tiers() {
             nest n = array_fold(mkn, addn, a);
             if (procId == 0) { print(t); print(w.a + w.b + w.i); print(n.n); print(n.r.val); }
         }";
-    for (host, machine) in &square_machines() {
-        assert_engines_agree(&format!("struct kernels on {host}"), src, machine);
-    }
+    assert_agree("struct kernels", src, &ALL_LEVELS, &square_machines());
     let listing = compile_opt(src, OptLevel::O2).unwrap().disassemble_kernel();
     for typed in ["mk_1", "best_1", "turn_1"] {
         assert!(listing.contains(&format!("fn {typed} [typed]")), "{typed}:\n{listing}");
@@ -765,9 +751,7 @@ fn flat_struct_folds_and_arrays_agree_over_every_store() {
             array_put_elem(c, bds->lowerBd, pt{7, 7.5, 7});
             print(array_fold(of_pt, mix(0), c));
         }";
-    for (host, machine) in &square_machines() {
-        assert_engines_agree(&format!("flat structs on {host}"), src, machine);
-    }
+    assert_agree("flat structs", src, &ALL_LEVELS, &square_machines());
     let listing = compile(src).unwrap().disassemble_kernel();
     for site in [
         "array_create elem=flat fns=(pts_1+0 [typed])",
@@ -811,9 +795,7 @@ fn bounds_fields_in_kernels_agree_on_both_kernel_tiers() {
             print(array_fold(idt, (+), n));
             print(array_fold(idt, max, n));
         }";
-    for (host, machine) in &square_machines() {
-        assert_engines_agree(&format!("Bounds in kernels on {host}"), src, machine);
-    }
+    assert_agree("Bounds in kernels", src, &ALL_LEVELS, &square_machines());
     let listing = compile(src).unwrap().disassemble_kernel();
     for typed in ["edge_1+1 [typed]", "span_1+1 [typed]"] {
         assert!(listing.contains(typed), "{typed}:\n{listing}");
@@ -841,9 +823,7 @@ fn a_function_past_the_register_window_stays_generic() {
              print(array_fold(idt, (+), a));
          }}"
     );
-    for (host, machine) in &square_machines() {
-        assert_vm_agrees(&format!("past the window on {host}"), &src, machine);
-    }
+    assert_agree("past the window", &src, &VM_LEVELS, &square_machines());
     let listing = compile(&src).unwrap().disassemble_kernel();
     assert!(
         listing.contains("big_1+0 [generic: needs more registers than a frame window has]"),
@@ -926,9 +906,7 @@ fn every_direct_operator_folds_and_scans_like_the_walker() {
         }
     }
     let src = format!("{DIRECT_DECLS}\nvoid main() {{ {main} }}");
-    for (host, machine) in &square_machines() {
-        assert_vm_agrees(&format!("direct folds and scans on {host}"), &src, machine);
-    }
+    assert_agree("direct folds and scans", &src, &VM_LEVELS, &square_machines());
     let listing = compile(&src).unwrap().disassemble_kernel();
     for direct in ["[direct(-)]", "[direct(%)]", "[direct(<=)]", "[direct(||)]", "[direct(min)]"] {
         assert!(listing.contains(direct), "{direct}:\n{listing}");
@@ -943,7 +921,7 @@ fn every_direct_operator_folds_and_scans_like_the_walker() {
 #[test]
 fn every_direct_operator_pair_multiplies_like_the_walker() {
     let machines = square_machines();
-    let mut rotation = machines.iter().cycle();
+    let mut rotation = (0..machines.len()).cycle();
     for (ty, inits, show, ops) in [
         ("int", ["ia", "ib", "ic"], "ishow", &["(+)", "(-)", "(*)", "(/)", "(%)", "min", "max"]),
         ("float", ["fa", "fb", "fc"], "fshow", &FLOAT_SECTIONS),
@@ -961,8 +939,9 @@ fn every_direct_operator_pair_multiplies_like_the_walker() {
                 }
             }
             let src = format!("{DIRECT_DECLS}\nvoid main() {{ {main} }}");
-            let (host, machine) = rotation.next().expect("an endless rotation");
-            assert_vm_agrees(&format!("gen_mult over {ty}, n={n} on {host}"), &src, machine);
+            let host = rotation.next().expect("an endless rotation");
+            let name = format!("gen_mult over {ty}, n={n}");
+            assert_agree(&name, &src, &VM_LEVELS, &machines[host..=host]);
         }
     }
 }
@@ -970,10 +949,6 @@ fn every_direct_operator_pair_multiplies_like_the_walker() {
 // ---------------------------------------------------------------------
 // Random first-order programs.
 // ---------------------------------------------------------------------
-
-#[path = "support/program_gen.rs"]
-mod program_gen;
-use program_gen::Gen;
 
 /// 200 generated kernel-heavy programs — float locals and loops in
 /// argument functions, partial applications that lift array handles,
@@ -983,83 +958,32 @@ use program_gen::Gen;
 #[test]
 fn generated_kernels_agree_on_both_kernel_tiers() {
     let machines = square_machines();
-    for seed in 0..200u64 {
-        let (host, machine) = &machines[seed as usize % machines.len()];
-        let dna = program_gen::dna(seed);
+    for seed in 0..200usize {
+        let dna = program_gen::dna(seed as u64);
         let src = Gen { dna: &dna, pos: 0 }.kernel_program();
-        let compiled = compile(&src)
-            .unwrap_or_else(|e| panic!("seed {seed}: generated program rejected: {e}\n{src}"));
-        let ast = compiled.run_with(Engine::Ast, machine);
-        for level in LEVELS {
-            let vm = compile_opt(&src, level).unwrap().run_with(Engine::Vm, machine);
-            assert_eq!(
-                ast.results, vm.results,
-                "seed {seed} @ -O{level} on {host}: output differs for:\n{src}"
-            );
-            assert_eq!(
-                fingerprint(&ast.report),
-                fingerprint(&vm.report),
-                "seed {seed} @ -O{level} on {host}: stats differ for:\n{src}"
-            );
-        }
+        let host = seed % machines.len();
+        assert_agree(&format!("kernel seed {seed}"), &src, &VM_LEVELS, &machines[host..=host]);
     }
 }
+
+/// The walker, the VM at every opt level, and the native engine once
+/// (each random program is a fresh `rustc` invocation; one opt level
+/// keeps the suite fast).
+const RANDOM_AXES: [Axis; 5] = [VM_LEVELS[0], VM_LEVELS[1], VM_LEVELS[2], VM_LEVELS[3], ENGINES[2]];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random arithmetic/control-flow/skeleton programs: every engine ×
-    /// opt level prints the same values and charges the same cycles,
-    /// processor by processor, on a host configuration the program's
-    /// length picks.
+    /// opt level observes the same, on a host configuration the
+    /// program's length picks.
     #[test]
     fn random_programs_agree_across_engines(
         dna in proptest::collection::vec(any::<u8>(), 0..160),
     ) {
         let src = Gen { dna: &dna, pos: 0 }.program();
-        let compiled = compile(&src).unwrap_or_else(|e| panic!("generated program rejected: {e}\n{src}"));
-        let (host, cfg) = hosts::host(dna.len(), MachineConfig::square(2).unwrap());
-        let machine = Machine::new(cfg);
-        let ast = compiled.run_with(Engine::Ast, &machine);
-        for level in LEVELS {
-            let c = compile_opt(&src, level)
-                .unwrap_or_else(|e| panic!("generated program rejected at -O{level}: {e}\n{src}"));
-            let vm = c.run_with(Engine::Vm, &machine);
-            prop_assert_eq!(&ast.results, &vm.results, "output differs at -O{} on {} for:\n{}", level, host, src);
-            prop_assert_eq!(
-                ast.report.sim_cycles,
-                vm.report.sim_cycles,
-                "virtual time differs at -O{} on {} for:\n{}",
-                level,
-                host,
-                src
-            );
-            prop_assert_eq!(
-                fingerprint(&ast.report),
-                fingerprint(&vm.report),
-                "stats differ at -O{} on {} for:\n{}",
-                level,
-                host,
-                src
-            );
-        }
-        // the native engine once per case (each random program is a
-        // fresh `rustc` invocation; one opt level keeps the suite fast)
-        let native = compiled.run_with(Engine::Native, &machine);
-        prop_assert_eq!(&ast.results, &native.results, "native output differs on {} for:\n{}", host, src);
-        prop_assert_eq!(
-            ast.report.sim_cycles,
-            native.report.sim_cycles,
-            "native virtual time differs on {} for:\n{}",
-            host,
-            src
-        );
-        prop_assert_eq!(
-            fingerprint(&ast.report),
-            fingerprint(&native.report),
-            "native stats differ on {} for:\n{}",
-            host,
-            src
-        );
+        let (host, cfg) = invariant::hosts::host(dna.len(), MachineConfig::square(2).unwrap());
+        let machine = [(host, Machine::new(cfg))];
+        assert_agree(&format!("generated program:\n{src}\n"), &src, &RANDOM_AXES, &machine);
     }
 }

@@ -7,15 +7,20 @@
 //! per-processor stats on the first run, on a rerun of the same warm
 //! machine, and after the machine absorbed a structured failure
 //! (runtime error or injected crash) in between — under both engines
-//! and both schedulers.
+//! and both schedulers (`support/invariant.rs`).
 
 use skil::lang::{compile, Compiled, Engine};
-use skil::runtime::{FaultPlan, Machine, MachineConfig, RunReport, SchedulerKind};
+use skil::runtime::{FaultPlan, Machine, MachineConfig, SchedulerKind};
 use skil_serve::json::{self, Json};
 use skil_serve::{ErrorKind, Request, Response, Server};
 
+#[path = "support/invariant.rs"]
+mod invariant;
+
+use invariant::{assert_same, configs, Row};
+
 /// Golden virtual run time of `shortest_paths.skil` on a 2x2 mesh,
-/// pinned repo-wide (ROADMAP.md, CI greps, `tests/golden_determinism`).
+/// pinned repo-wide (ROADMAP.md, `tests/golden_determinism`).
 const SHORTEST_PATHS_CYCLES: u64 = 2_397_316;
 
 fn shortest_paths() -> Compiled {
@@ -24,55 +29,38 @@ fn shortest_paths() -> Compiled {
     compile(&src).expect("example compiles")
 }
 
-/// Per-processor fingerprint: finish time plus every activity counter.
-fn fingerprint(r: &RunReport) -> Vec<(u64, String)> {
-    r.procs.iter().map(|p| (p.finished_at, format!("{:?}", p.stats))).collect()
-}
-
 #[test]
 fn warm_reuse_is_bit_identical_across_engines_and_schedulers() {
-    let program = shortest_paths();
-    for scheduler in [SchedulerKind::Event, SchedulerKind::Threads] {
-        let machine = Machine::new(MachineConfig::square(2).unwrap().with_scheduler(scheduler));
-        for engine in [Engine::Vm, Engine::Ast] {
-            let first = program.try_run_with(engine, &machine).expect("clean run");
-            assert_eq!(
-                first.report.sim_cycles, SHORTEST_PATHS_CYCLES,
-                "{scheduler:?}/{engine:?} first run"
-            );
-            // Rerun on the SAME machine: worker pool and stacks are
-            // reused, results must not drift by a single cycle or byte.
-            let second = program.try_run_with(engine, &machine).expect("warm run");
-            assert_eq!(second.report.sim_cycles, SHORTEST_PATHS_CYCLES);
-            assert_eq!(first.results, second.results, "{scheduler:?}/{engine:?}");
-            assert_eq!(
-                fingerprint(&first.report),
-                fingerprint(&second.report),
-                "{scheduler:?}/{engine:?} per-proc stats drifted on reuse"
-            );
-        }
-    }
+    let machines = [SchedulerKind::Event, SchedulerKind::Threads].map(|kind| {
+        (format!("{kind:?}"), Machine::new(MachineConfig::square(2).unwrap().with_scheduler(kind)))
+    });
+    // Each engine twice on the SAME machine: the rerun reuses its
+    // worker pool, stacks and run arena, and may not drift by a single
+    // cycle or byte.
+    let engines = [Engine::Vm, Engine::Vm, Engine::Ast, Engine::Ast];
+    let row = [Row::new("shortest_paths", shortest_paths())];
+    let seen =
+        assert_same(&row, &configs(&engines, &machines), |c, &engine, m| c.try_run_with(engine, m));
+    assert_eq!(seen[0].sim_cycles(), SHORTEST_PATHS_CYCLES);
 }
 
 #[test]
 fn warm_reuse_survives_a_structured_failure_in_between() {
-    let program = shortest_paths();
-    let machine = Machine::new(MachineConfig::square(2).unwrap());
-    let before = program.try_run_with(Engine::Vm, &machine).expect("clean run");
-    assert_eq!(before.report.sim_cycles, SHORTEST_PATHS_CYCLES);
-
-    // Crash processor 3 mid-run via a per-request fault plan.
+    let machine = [("event", Machine::new(MachineConfig::square(2).unwrap()))];
     let plan = FaultPlan::parse("seed=7,crash=3@100000").unwrap();
-    let failure = program
-        .try_run_faults(Engine::Vm, &machine, Some(&plan))
-        .expect_err("crash plan must abort");
-    assert!(failure.to_string().contains("crashed by fault plan"), "{failure}");
-
-    // The machine must come back clean: same golden run as before.
-    let after = program.try_run_with(Engine::Vm, &machine).expect("post-failure run");
-    assert_eq!(after.report.sim_cycles, SHORTEST_PATHS_CYCLES);
-    assert_eq!(before.results, after.results);
-    assert_eq!(fingerprint(&before.report), fingerprint(&after.report));
+    let row = [Row::new("shortest_paths", shortest_paths())];
+    // The machine must come back clean: the same golden run as before.
+    let when = ["before a crash", "after a crash"];
+    let seen = assert_same(&row, &configs(&when, &machine), |c, &when, m| {
+        if when == "after a crash" {
+            // Crash processor 3 mid-run via a per-request fault plan.
+            let failure =
+                c.try_run_faults(Engine::Vm, m, Some(&plan)).expect_err("crash plan must abort");
+            assert!(failure.to_string().contains("crashed by fault plan"), "{failure}");
+        }
+        c.try_run_with(Engine::Vm, m)
+    });
+    assert_eq!(seen[0].sim_cycles(), SHORTEST_PATHS_CYCLES);
 }
 
 #[test]

@@ -4,20 +4,10 @@
 use skil::lang::compile;
 use skil::runtime::{Machine, MachineConfig};
 
-fn programs() -> Vec<(String, String)> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/skil");
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir).expect("examples/skil exists") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().is_some_and(|e| e == "skil") {
-            let src = std::fs::read_to_string(&path).expect("readable");
-            out.push((path.file_name().unwrap().to_string_lossy().into_owned(), src));
-        }
-    }
-    assert!(out.len() >= 4, "expected the shipped .skil programs, found {}", out.len());
-    out.sort();
-    out
-}
+#[path = "support/programs.rs"]
+mod programs;
+
+use programs::examples as programs;
 
 #[test]
 fn every_shipped_program_compiles_and_emits_c() {

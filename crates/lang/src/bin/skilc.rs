@@ -7,8 +7,6 @@
 //! skilc --run --topology SPEC        choose the physical topology, e.g.
 //!                                    mesh2d:4x4, hypercube:16, fattree:2,4,
 //!                                    hetero:mesh2d:4x4:slowlinks=col2*64
-//! skilc --run --collective-algo A    force a collective algorithm:
-//!                                    tree | ring | rd | auto
 //! skilc --run --engine ast|vm|native pick the execution engine
 //! skilc --opt-level 0|1|2 ...        bytecode optimizer level (default 2)
 //! skilc --check <file.skil>          parse + type check only
@@ -31,14 +29,13 @@
 //! surfaces as a structured `PeerDown` failure with exit code 3.
 
 use skil_lang::{compile_opt, Engine, OptLevel};
-use skil_runtime::{CollectiveAlgo, FaultPlan, Machine, MachineConfig, Topology};
+use skil_runtime::{FaultPlan, Machine, MachineConfig, Topology};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: skilc [--check | --emit-bytecode[=raw|opt|kernel] | --emit-rust | --run [--mesh RxC] \
-[--topology SPEC] [--collective-algo tree|ring|rd|auto] [--engine ast|vm|native] [--trace] \
-[--faults SPEC]] [--opt-level 0|1|2] <file.skil>\n\
+[--topology SPEC] [--engine ast|vm|native] [--trace] [--faults SPEC]] [--opt-level 0|1|2] <file.skil>\n\
          \n\
          default: emit the instantiated first-order C to stdout\n\
          --check: stop after the polymorphic type check\n\
@@ -55,11 +52,7 @@ fn usage() -> ExitCode {
          --topology: physical topology for --run (subsumes --mesh):\n\
                   mesh2d:RxC | hypercube:N | fattree:LEVELS,ARITY |\n\
                   hetero:mesh2d:RxC:slowlinks=colK*F; the hop metric\n\
-                  prices every message and steers collective selection\n\
-         --collective-algo: collective algorithm override for --run:\n\
-                  tree | ring | rd | auto (auto picks the cheaper of\n\
-                  ring/rd from the topology's hop metric); unset, each\n\
-                  collective keeps its default (tree for allreduce)\n\
+                  prices every message\n\
          --engine: execution engine for --run: vm (default, bytecode),\n\
                   ast (reference walker), or native (rustc-compiled\n\
                   machine code; falls back to vm if rustc is missing);\n\
@@ -93,7 +86,6 @@ fn main() -> ExitCode {
     let mut faults: Option<FaultPlan> = None;
     let mut mesh = (2usize, 2usize);
     let mut topology: Option<Topology> = None;
-    let mut collective_algo: Option<CollectiveAlgo> = None;
     let mut file: Option<String> = None;
 
     let mut i = 0;
@@ -159,15 +151,6 @@ fn main() -> ExitCode {
                         return ExitCode::from(2);
                     }
                 }
-            }
-            "--collective-algo" => {
-                i += 1;
-                let parsed = args.get(i).and_then(|s| CollectiveAlgo::parse(s));
-                let Some(algo) = parsed else {
-                    eprintln!("skilc: --collective-algo takes tree | ring | rd | auto");
-                    return ExitCode::from(2);
-                };
-                collective_algo = Some(algo);
             }
             "--help" | "-h" => return usage(),
             other if !other.starts_with('-') && file.is_none() => {
@@ -237,10 +220,6 @@ fn main() -> ExitCode {
         let cfg = match base {
             Ok(c) => {
                 let c = if trace || trace_out.is_some() { c.with_trace() } else { c };
-                let c = match collective_algo {
-                    Some(algo) => c.with_collective_algo(algo),
-                    None => c,
-                };
                 match &faults {
                     Some(plan) => c.with_faults(plan.clone()),
                     None => c,

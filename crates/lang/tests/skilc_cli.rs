@@ -125,6 +125,21 @@ fn bad_opt_level_shows_usage() {
 }
 
 #[test]
+fn collective_algorithm_flag_is_not_an_option() {
+    // Every collective runs the binomial tree; there is nothing to choose.
+    let path = write_temp("algo.skil", HELLO);
+    let out = skilc()
+        .args(["--run", "--collective-algo", "tree"])
+        .arg(&path)
+        .output()
+        .expect("run skilc");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("usage:"), "{err}");
+    assert!(!err.contains("algo"), "{err}");
+}
+
+#[test]
 fn run_output_identical_at_every_opt_level() {
     let src = "int sumto(int n) {\n\
                  int s = 0;\n\

@@ -45,9 +45,6 @@ pub(crate) mod sched;
 pub mod topology;
 pub mod wire;
 
-pub use collective::{
-    estimate_allgather, estimate_allreduce, select_allgather, select_allreduce, CollectiveAlgo,
-};
 pub use cost::CostModel;
 pub use error::{
     runtime_error_message, AbortCause, RtError, SimAbort, SimFailure, WireError, RT_ERROR_PREFIX,

@@ -6,7 +6,6 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use crate::collective::CollectiveAlgo;
 use crate::coro::{self, Task, TaskBody, TaskFrame, STACKS};
 use crate::cost::CostModel;
 use crate::error::{runtime_error_message, AbortCause, RtError, SimAbort, SimFailure};
@@ -42,11 +41,6 @@ pub struct MachineConfig {
     /// `mesh`, which reproduces the seed simulator bit for bit; other
     /// topologies change only the hop metric messages are priced with.
     pub topology: Topology,
-    /// Which allreduce algorithm the collectives use.
-    /// `None` leaves each collective its own default:
-    /// [`CollectiveAlgo::Tree`] (the paper's binomial tree) for
-    /// `allreduce`, [`CollectiveAlgo::Auto`] for `allgather`.
-    pub collective_algo: Option<CollectiveAlgo>,
     /// Cost model (defaults to the calibrated T800).
     pub cost: CostModel,
     /// Real-time budget before a blocked `recv` reports a deadlock
@@ -78,7 +72,6 @@ impl MachineConfig {
         Ok(MachineConfig {
             mesh,
             topology: Topology::Mesh2d(mesh),
-            collective_algo: None,
             cost: CostModel::t800(),
             deadlock_timeout: Duration::from_secs(20),
             trace: false,
@@ -111,12 +104,6 @@ impl MachineConfig {
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.mesh = topology.grid();
         self.topology = topology;
-        self
-    }
-
-    /// Force a collective algorithm on every collective.
-    pub fn with_collective_algo(mut self, algo: CollectiveAlgo) -> Self {
-        self.collective_algo = Some(algo);
         self
     }
 
@@ -388,7 +375,6 @@ impl Machine {
             trace: self.cfg.trace,
             mesh: self.cfg.mesh,
             topo: self.cfg.topology,
-            collective_algo: self.cfg.collective_algo,
             cost: self.cfg.cost.clone(),
             deadlock_timeout: self.cfg.deadlock_timeout,
             mailboxes,

@@ -5,7 +5,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::collective::CollectiveAlgo;
 use crate::coro::{TaskFrame, WakeKind};
 use crate::cost::CostModel;
 use crate::error::{AbortCause, SimAbort, WireError};
@@ -40,7 +39,6 @@ pub(crate) struct Shared {
     pub(crate) trace: bool,
     pub(crate) mesh: Mesh,
     pub(crate) topo: Topology,
-    pub(crate) collective_algo: Option<CollectiveAlgo>,
     pub(crate) cost: CostModel,
     pub(crate) deadlock_timeout: Duration,
     pub(crate) mailboxes: Vec<Mailbox>,
@@ -242,19 +240,6 @@ impl<'m> Proc<'m> {
     /// The physical interconnect.
     pub fn topology(&self) -> Topology {
         self.shared.topo
-    }
-
-    /// Weighted hop distance from this processor to `dst` on the
-    /// physical interconnect.
-    pub fn hops_to(&self, dst: usize) -> usize {
-        self.shared.topo.hops(self.id, dst)
-    }
-
-    /// The machine-wide collective-algorithm selection
-    /// ([`MachineConfig::collective_algo`](crate::MachineConfig::collective_algo));
-    /// `None` leaves each collective its own default.
-    pub fn collective_algo(&self) -> Option<CollectiveAlgo> {
-        self.shared.collective_algo
     }
 
     /// The ring virtual topology over this machine, priced by the

@@ -268,50 +268,6 @@ impl Topology {
         }
     }
 
-    /// The largest hop distance between any two processors.
-    pub fn diameter(&self) -> usize {
-        match *self {
-            Topology::Mesh2d(m) => m.rows - 1 + m.cols - 1,
-            Topology::Hypercube { dims } => dims as usize,
-            Topology::FatTree { levels, .. } => 2 * levels as usize,
-            Topology::Hetero { mesh, factor, .. } => {
-                mesh.rows - 1 + mesh.cols - 1 + factor.saturating_sub(1)
-            }
-        }
-    }
-
-    /// The physical neighbours of `id`, ascending: mesh/hetero N-E-S-W
-    /// links, hypercube bit flips, fat-tree leaves under the same
-    /// bottom switch. This is what `neighbor_exchange` exchanges with.
-    pub fn neighbors(&self, id: usize) -> Vec<usize> {
-        let mut out = match *self {
-            Topology::Mesh2d(m) | Topology::Hetero { mesh: m, .. } => {
-                let (r, c) = m.coords(id);
-                let mut v = Vec::with_capacity(4);
-                if r > 0 {
-                    v.push(m.id(r - 1, c));
-                }
-                if r + 1 < m.rows {
-                    v.push(m.id(r + 1, c));
-                }
-                if c > 0 {
-                    v.push(m.id(r, c - 1));
-                }
-                if c + 1 < m.cols {
-                    v.push(m.id(r, c + 1));
-                }
-                v
-            }
-            Topology::Hypercube { dims } => (0..dims).map(|d| id ^ (1usize << d)).collect(),
-            Topology::FatTree { arity, .. } => {
-                let base = id - id % arity;
-                (base..base + arity).filter(|&p| p != id).collect()
-            }
-        };
-        out.sort_unstable();
-        out
-    }
-
     /// The canonical spec string (`parse` round-trips it).
     pub fn spec(&self) -> String {
         match *self {
@@ -741,7 +697,6 @@ mod tests {
                 assert_eq!(t.hops(a, b), m.hops(a, b));
             }
         }
-        assert_eq!(t.diameter(), 6);
     }
 
     #[test]
@@ -753,12 +708,8 @@ mod tests {
         assert_eq!(t.hops(0, 1), 1);
         assert_eq!(t.hops(5, 10), 4); // 0101 vs 1010
         assert_eq!(t.hops(3, 3), 0);
-        assert_eq!(t.diameter(), 4);
         // the grid is the near-square factorization
         assert_eq!(t.grid(), Mesh { rows: 4, cols: 4 });
-        // every id has exactly `dims` neighbours, one per flipped bit
-        assert_eq!(t.neighbors(0), vec![1, 2, 4, 8]);
-        assert_eq!(t.neighbors(15), vec![7, 11, 13, 14]);
     }
 
     #[test]
@@ -773,16 +724,12 @@ mod tests {
         assert_eq!(t.hops(0, 15), 4); // corner route
         assert_eq!(t.hops(3, 12), 4);
         assert_eq!(t.hops(7, 7), 0);
-        assert_eq!(t.diameter(), 4);
         // deep binary fat tree corner route
         let d = Topology::parse("fattree:3,2").unwrap();
         assert_eq!(d.procs(), 8);
         assert_eq!(d.hops(0, 1), 2);
         assert_eq!(d.hops(0, 7), 6);
         assert_eq!(d.hops(3, 4), 6);
-        // leaf-switch siblings are the neighbourhood
-        assert_eq!(t.neighbors(5), vec![4, 6, 7]);
-        assert_eq!(d.neighbors(6), vec![7]);
     }
 
     #[test]
@@ -803,7 +750,6 @@ mod tests {
                 assert_eq!(t.hops(a, b), t.hops(b, a));
             }
         }
-        assert_eq!(t.diameter(), 6 + 7);
         // factor 1 degenerates to the plain mesh
         let flat = Topology::parse("hetero:mesh2d:4x4:slowlinks=col2*1").unwrap();
         for a in 0..16 {
@@ -820,35 +766,38 @@ mod tests {
         {
             let t = Topology::parse(spec).unwrap();
             let n = t.procs();
-            let d = t.diameter();
             for a in 0..n {
                 assert_eq!(t.hops(a, a), 0, "{spec}");
                 for b in 0..n {
                     assert_eq!(t.hops(a, b), t.hops(b, a), "{spec}");
-                    assert!(t.hops(a, b) <= d, "{spec}: hops({a},{b}) > diameter");
                 }
             }
         }
     }
 
+    /// Hop-metric pins for the corner routes of the non-mesh topologies.
     #[test]
-    fn neighbors_are_mutual_and_sorted() {
-        for spec in
-            ["mesh2d:3x4", "hypercube:16", "fattree:2,4", "hetero:mesh2d:4x4:slowlinks=col2*8"]
-        {
-            let t = Topology::parse(spec).unwrap();
-            for id in 0..t.procs() {
-                let ns = t.neighbors(id);
-                let mut sorted = ns.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                assert_eq!(ns, sorted, "{spec}: neighbours of {id} sorted+unique");
-                for nb in ns {
-                    assert_ne!(nb, id);
-                    assert!(t.neighbors(nb).contains(&id), "{spec}: {id}<->{nb} mutual");
-                }
-            }
-        }
+    fn hop_metric_corner_routes() {
+        let cube = Topology::parse("hypercube:32").unwrap();
+        assert_eq!(cube.hops(0, 31), 5, "antipodal corners of a 5-cube");
+        assert_eq!(cube.hops(0, 1), 1);
+        assert_eq!(cube.hops(10, 21), 5, "01010 vs 10101 differ everywhere");
+
+        let ft = Topology::parse("fattree:2,4").unwrap();
+        assert_eq!(ft.hops(0, 3), 2, "same leaf switch");
+        assert_eq!(ft.hops(0, 15), 4, "opposite pods climb to the root");
+        assert_eq!(ft.hops(12, 15), 2);
+
+        let deep = Topology::parse("fattree:3,2").unwrap();
+        assert_eq!(deep.hops(0, 1), 2);
+        assert_eq!(deep.hops(0, 7), 6, "full climb in a 3-level tree");
+        assert_eq!(deep.hops(2, 3), 2);
+        assert_eq!(deep.hops(1, 2), 4, "one level up");
+
+        let het = Topology::parse("hetero:mesh2d:4x4:slowlinks=col2*64").unwrap();
+        assert_eq!(het.hops(0, 1), 1, "fast side untouched");
+        assert_eq!(het.hops(1, 2), 1 + 63, "crossing the cut pays the factor");
+        assert_eq!(het.hops(0, 15), 6 + 63, "Manhattan plus one crossing surcharge");
     }
 
     #[test]

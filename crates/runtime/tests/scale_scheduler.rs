@@ -4,17 +4,19 @@
 //! only: every observable of a run — results, `sim_cycles`, per-proc
 //! `ProcStats`, fault cascades — must be bit-identical to the thread
 //! scheduler's, at any worker count (`tests/support/invariant.rs`).
-//! These tests pin that, plus the scale the thread scheduler cannot
-//! reach (a 64×64 mesh = 4,096 processors on one host).
+//! These tests pin that for point-to-point traffic and for the paper's
+//! tree collectives on every topology of the zoo, plus the scale the
+//! thread scheduler cannot reach (a 64×64 mesh = 4,096 processors on
+//! one host).
 
 use std::time::Duration;
 
-use skil_runtime::{FaultPlan, Machine, MachineConfig, Proc, SchedulerKind};
+use skil_runtime::{FaultPlan, Machine, MachineConfig, Proc, SchedulerKind, Topology};
 
 #[path = "../../../tests/support/invariant.rs"]
 mod invariant;
 
-use invariant::{assert_same, configs, machines, Observed, Row};
+use invariant::{assert_same, configs, machines, Observed, Row, Seen};
 
 /// A ring circulation with compute skew and a second skewed round —
 /// enough traffic that scheduler bugs (lost wakeups, wrong arrival
@@ -57,6 +59,107 @@ fn differential_matrix_clean_lossy_and_crashed() {
     let Observed::Failed(aborts) = &crashed else { panic!("the crash plan ran: {crashed:?}") };
     assert!(aborts.iter().any(|a| a.proc == 2), "proc 2 must be in the cascade: {aborts:?}");
 }
+
+/// Every topology of the zoo that can host `n` processors.
+fn zoo(n: usize) -> Vec<Topology> {
+    let mut v = vec![Topology::default_for(n).unwrap()];
+    if n.is_power_of_two() && n > 1 {
+        v.push(Topology::parse(&format!("hypercube:{n}")).unwrap());
+    }
+    let more: &[&str] = match n {
+        16 => &["fattree:2,4", "hetero:mesh2d:4x4:slowlinks=col2*64"],
+        8 => &["fattree:3,2", "hetero:mesh2d:2x4:slowlinks=col1*16"],
+        _ => &[],
+    };
+    v.extend(more.iter().map(|spec| Topology::parse(spec).unwrap()));
+    v
+}
+
+/// A program that returns what its processor got, as a list.
+type Collective = fn(&mut Proc<'_>) -> Vec<u64>;
+
+/// The tree collectives, one row each, after a compute skew so that
+/// arrival order matters. `reduce` concatenates ids, which pins the
+/// tree's combine order; `barrier` returns the release clock.
+fn tree_collective_rows() -> Vec<Row<Collective>> {
+    fn skew(p: &mut Proc<'_>) -> u64 {
+        p.charge(1_000 * (p.id() as u64 % 3));
+        p.id() as u64
+    }
+    fn broadcast(p: &mut Proc<'_>) -> Vec<u64> {
+        let root = p.nprocs() - 1;
+        let id = skew(p);
+        vec![p.broadcast(root, 1, (id as usize == root).then_some(id << 8))]
+    }
+    fn reduce(p: &mut Proc<'_>) -> Vec<u64> {
+        let mine = vec![skew(p)];
+        let concat = |mut a: Vec<u64>, b: Vec<u64>| {
+            a.extend(b);
+            a
+        };
+        p.reduce(0, 2, mine, concat, 7).unwrap_or_default()
+    }
+    fn allreduce(p: &mut Proc<'_>) -> Vec<u64> {
+        let mine = skew(p) + 1;
+        vec![p.allreduce(3, mine, |a, b| a + b, 5)]
+    }
+    fn gather(p: &mut Proc<'_>) -> Vec<u64> {
+        let mine = skew(p) * 10;
+        p.gather(0, 4, mine).unwrap_or_default()
+    }
+    fn barrier(p: &mut Proc<'_>) -> Vec<u64> {
+        skew(p);
+        p.barrier(5);
+        vec![p.now()]
+    }
+    let rows: [(&str, Collective); 5] = [
+        ("broadcast", broadcast),
+        ("reduce", reduce),
+        ("allreduce", allreduce),
+        ("gather", gather),
+        ("barrier", barrier),
+    ];
+    rows.into_iter().map(|(name, program)| Row::new(name, program)).collect()
+}
+
+/// What a processor of a [`Collective`] got, read back from its output.
+fn list(seen: &Seen) -> Vec<u64> {
+    let items = seen.output.trim_matches(['[', ']']);
+    items.split(", ").filter(|s| !s.is_empty()).map(|s| s.parse().unwrap()).collect()
+}
+
+#[test]
+fn tree_collectives_are_alike_on_every_host_and_topology() {
+    let rows = tree_collective_rows();
+    let mut digests = Vec::new();
+    for n in [1, 2, 3, 5, 8, 16] {
+        for topo in zoo(n) {
+            let machines = machines(MachineConfig::on_topology(topo).unwrap());
+            let seen = assert_same(&rows, &configs(&[()], &machines), |f, (), m| m.try_run(f));
+            let got =
+                |row: usize| -> Vec<Vec<u64>> { seen[row].procs().iter().map(list).collect() };
+            let (n, ids) = (n as u64, (0..n as u64).collect::<Vec<_>>());
+            assert!(got(0).iter().all(|v| *v == [(n - 1) << 8]), "{topo}: broadcast");
+            let mut reduced = got(1)[0].clone();
+            reduced.sort_unstable();
+            assert_eq!(reduced, ids, "{topo}: reduce");
+            assert!(got(2).iter().all(|v| *v == [n * (n + 1) / 2]), "{topo}: allreduce");
+            let gathered: Vec<u64> = ids.iter().map(|id| id * 10).collect();
+            assert_eq!(got(3)[0], gathered, "{topo}: gather");
+            let slowest = 1_000 * (n - 1).min(2);
+            assert!(got(4).iter().all(|v| v[0] >= slowest), "{topo}: barrier");
+            digests.extend(seen.iter().map(Observed::digest));
+        }
+    }
+    // Results alone do not show the tree's shape or its send order;
+    // virtual time and the reduce's combine order do. Pinned: update
+    // only with the reason the collectives' virtual time moved.
+    let all = digests.iter().fold(0u64, |h, d| h.rotate_left(7) ^ d);
+    assert_eq!(all, GOLDEN_TREE_COLLECTIVES, "{all:#x}");
+}
+
+/// Pinned fold of every tree-collective row's digest above.
+const GOLDEN_TREE_COLLECTIVES: u64 = 0x70d7_d017_a0b1_5f5e;
 
 #[test]
 fn mesh_64x64_completes_on_the_event_scheduler() {

@@ -98,8 +98,8 @@ fn main() -> ExitCode {
     );
     for p in &s.pool {
         eprintln!(
-            "skild:   pool {} (algo {}): {} warm / {} cold checkout(s), {} idle",
-            p.topology, p.algo, p.warm, p.cold, p.idle
+            "skild:   pool {}: {} warm / {} cold checkout(s), {} idle",
+            p.topology, p.warm, p.cold, p.idle
         );
     }
     match served {

@@ -54,7 +54,7 @@ use std::sync::{Arc, Mutex};
 
 use json::{Json, ObjWriter};
 use skil_lang::{compile_opt, Compiled, Engine, OptLevel};
-use skil_runtime::{CollectiveAlgo, FaultPlan, Machine, MachineConfig, Mesh, Run, Topology};
+use skil_runtime::{FaultPlan, Machine, MachineConfig, Mesh, Run, Topology};
 
 /// What a cached program depends on besides its source text. The cost
 /// model is part of it per the serving contract — today every pooled
@@ -231,8 +231,6 @@ pub struct Request {
     /// Physical topology (`None` = 2-D mesh of the `mesh` shape). When
     /// set, it subsumes `mesh`: the process grid is the topology's.
     pub topology: Option<Topology>,
-    /// Collective-algorithm override (`None` = per-collective default).
-    pub collective_algo: Option<CollectiveAlgo>,
     /// Execution engine.
     pub engine: Engine,
     /// Bytecode optimizer level.
@@ -249,7 +247,6 @@ impl Request {
             program: src.to_string(),
             mesh: (2, 2),
             topology: None,
-            collective_algo: None,
             engine: Engine::Vm,
             opt_level: OptLevel::default(),
             faults: None,
@@ -272,13 +269,7 @@ impl Request {
         for key in map.keys() {
             if !matches!(
                 key.as_str(),
-                "id" | "program"
-                    | "mesh"
-                    | "topology"
-                    | "collective_algo"
-                    | "engine"
-                    | "opt_level"
-                    | "faults"
+                "id" | "program" | "mesh" | "topology" | "engine" | "opt_level" | "faults"
             ) {
                 return Err(format!("unknown request field \"{key}\""));
             }
@@ -307,16 +298,6 @@ impl Request {
                 return Err("\"topology\" must be a spec string like \"hypercube:16\"".to_string())
             }
         };
-        let collective_algo = match map.get("collective_algo") {
-            None => None,
-            Some(Json::Str(s)) => Some(
-                CollectiveAlgo::parse(s)
-                    .ok_or(format!("bad \"collective_algo\" \"{s}\" (tree|ring|rd|auto)"))?,
-            ),
-            Some(_) => {
-                return Err("\"collective_algo\" must be tree, ring, rd, or auto".to_string())
-            }
-        };
         let engine = match map.get("engine") {
             None => Engine::Vm,
             Some(Json::Str(s)) => {
@@ -338,7 +319,7 @@ impl Request {
             }
             Some(_) => return Err("\"faults\" must be a fault-spec string".to_string()),
         };
-        Ok(Request { id, program, mesh, topology, collective_algo, engine, opt_level, faults })
+        Ok(Request { id, program, mesh, topology, engine, opt_level, faults })
     }
 }
 
@@ -517,21 +498,6 @@ impl RunTally {
     }
 }
 
-/// What a pooled machine is built on: its physical topology plus any
-/// collective-algorithm override baked into its config. Machines are
-/// only reused across requests that agree on both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PoolKey {
-    topo: Topology,
-    algo: Option<CollectiveAlgo>,
-}
-
-impl PoolKey {
-    fn of(req: &Request) -> PoolKey {
-        PoolKey { topo: req.effective_topology(), algo: req.collective_algo }
-    }
-}
-
 /// How many processors `topo` has, counted wide enough that no
 /// client-chosen mesh overflows it.
 fn processors(topo: Topology) -> u128 {
@@ -558,7 +524,7 @@ struct PoolShape {
 /// stay bounded however many shapes are asked for; `warm` and `cold`
 /// count every checkout ever made.
 struct MachinePool {
-    shapes: HashMap<PoolKey, PoolShape>,
+    shapes: HashMap<Topology, PoolShape>,
     cap: usize,
     idle_procs: usize,
     evicted: u64,
@@ -581,33 +547,33 @@ impl MachinePool {
         }
     }
 
-    /// The most recently checked-in idle machine of `key`'s shape,
-    /// counted as a warm checkout.
-    fn take(&mut self, key: PoolKey) -> Option<Machine> {
-        let shape = self.shapes.get_mut(&key)?;
+    /// The most recently checked-in idle machine on `topo`, counted as
+    /// a warm checkout.
+    fn take(&mut self, topo: Topology) -> Option<Machine> {
+        let shape = self.shapes.get_mut(&topo)?;
         let (_, machine) = shape.idle.pop()?;
         shape.warm += 1;
         self.warm += 1;
-        self.idle_procs -= key.topo.procs();
+        self.idle_procs -= topo.procs();
         Some(machine)
     }
 
-    /// Count a cold machine built for `key`'s shape.
-    fn count_cold(&mut self, key: PoolKey) {
-        self.shapes.entry(key).or_default().cold += 1;
+    /// Count a cold machine built on `topo`.
+    fn count_cold(&mut self, topo: Topology) {
+        self.shapes.entry(topo).or_default().cold += 1;
         self.cold += 1;
     }
 
     /// Keep `machine` idle; returns the least recently checked-in
     /// machines that no longer fit under the cap, for the caller to drop
     /// after releasing the pool's lock.
-    fn checkin(&mut self, key: PoolKey, machine: Machine) -> Vec<Machine> {
+    fn checkin(&mut self, topo: Topology, machine: Machine) -> Vec<Machine> {
         self.clock += 1;
-        self.shapes.entry(key).or_default().idle.push((self.clock, machine));
-        self.idle_procs += key.topo.procs();
+        self.shapes.entry(topo).or_default().idle.push((self.clock, machine));
+        self.idle_procs += topo.procs();
         let mut evicted = Vec::new();
         while self.idle_procs > self.cap {
-            let (&key, shape) = self
+            let (&topo, shape) = self
                 .shapes
                 .iter_mut()
                 .filter(|(_, shape)| !shape.idle.is_empty())
@@ -615,9 +581,9 @@ impl MachinePool {
                 .expect("idle processors belong to idle machines");
             evicted.push(shape.idle.remove(0).1);
             if shape.idle.is_empty() {
-                self.shapes.remove(&key);
+                self.shapes.remove(&topo);
             }
-            self.idle_procs -= key.topo.procs();
+            self.idle_procs -= topo.procs();
         }
         self.evicted += evicted.len() as u64;
         evicted
@@ -636,9 +602,6 @@ pub struct PoolShapeStats {
     pub mesh: (usize, usize),
     /// Canonical topology spec, e.g. `"mesh2d:2x2"`, `"hypercube:16"`.
     pub topology: String,
-    /// Collective-algorithm override baked into the pooled machines
-    /// (`"default"` when none).
-    pub algo: &'static str,
     pub warm: u64,
     pub cold: u64,
     pub idle: u64,
@@ -730,7 +693,6 @@ impl StatsSnapshot {
                 pool.push(',');
             }
             let mut po = ObjWriter::begin(pool);
-            po.str("algo", p.algo);
             po.num("cold", p.cold as f64);
             po.num("idle", p.idle as f64);
             po.str("mesh", &format!("{}x{}", p.mesh.0, p.mesh.1));
@@ -888,7 +850,7 @@ impl Server {
 
     fn run_request(&self, req: &Request) -> Response {
         let id = req.id.clone();
-        let key = PoolKey::of(req);
+        let topo = req.effective_topology();
         // Front end and engine run under one guard, so whatever panics
         // the request still gets its response line. The machine sits
         // outside the guard so that a panic can find and discard it.
@@ -898,7 +860,7 @@ impl Server {
             let (compiled, cache_hit) =
                 self.compile_cached(req).map_err(|message| (ErrorKind::Compile, message))?;
             let (cold_or_warm, warm_machine) =
-                self.checkout_machine(key).map_err(|message| (ErrorKind::BadRequest, message))?;
+                self.checkout_machine(topo).map_err(|message| (ErrorKind::BadRequest, message))?;
             let machine = machine.insert(cold_or_warm);
             tally = RunTally::of(machine);
             let run = compiled
@@ -913,7 +875,7 @@ impl Server {
             // unwinding out of the engine discards it.
             Ok(result) => {
                 if let Some(machine) = machine {
-                    self.checkin_machine(key, machine, tally);
+                    self.checkin_machine(topo, machine, tally);
                 }
                 match result {
                     Ok((run, cache_hit, warm_machine)) => {
@@ -968,40 +930,36 @@ impl Server {
         Ok((kept, false))
     }
 
-    /// Take a warm machine for `key` from the pool, or build a cold
+    /// Take a warm machine on `topo` from the pool, or build a cold
     /// one. The returned bool is `true` for warm.
-    fn checkout_machine(&self, key: PoolKey) -> Result<(Machine, bool), String> {
-        let procs = processors(key.topo);
+    fn checkout_machine(&self, topo: Topology) -> Result<(Machine, bool), String> {
+        let procs = processors(topo);
         if procs > MAX_PROCESSORS as u128 {
             return Err(format!(
                 "{} has {procs} processors; a request may ask for at most {MAX_PROCESSORS}",
-                key.topo.spec()
+                topo.spec()
             ));
         }
         let mut pool = self.pool.lock().expect(POISONED);
-        if let Some(m) = pool.take(key) {
+        if let Some(m) = pool.take(topo) {
             return Ok((m, true));
         }
-        let cfg = MachineConfig::on_topology(key.topo)
-            .map_err(|e| format!("bad machine shape {}: {e}", key.topo.spec()))?;
-        let cfg = match key.algo {
-            Some(algo) => cfg.with_collective_algo(algo),
-            None => cfg,
-        };
-        pool.count_cold(key);
+        let cfg = MachineConfig::on_topology(topo)
+            .map_err(|e| format!("bad machine shape {}: {e}", topo.spec()))?;
+        pool.count_cold(topo);
         drop(pool);
         Ok((Machine::new(cfg), false))
     }
 
     /// Return a machine to the pool for reuse, adding what its runs
     /// since `checkout` counted to the server's totals.
-    fn checkin_machine(&self, key: PoolKey, machine: Machine, checkout: RunTally) {
+    fn checkin_machine(&self, topo: Topology, machine: Machine, checkout: RunTally) {
         let now = RunTally::of(&machine);
         let c = &self.counters;
         c.setup_reuse_hits
             .fetch_add(now.setup_reuse_hits - checkout.setup_reuse_hits, Ordering::Relaxed);
         c.helper_joins.fetch_add(now.helper_joins - checkout.helper_joins, Ordering::Relaxed);
-        let evicted = self.pool.lock().expect(POISONED).checkin(key, machine);
+        let evicted = self.pool.lock().expect(POISONED).checkin(topo, machine);
         // Machines are torn down with the lock released.
         drop(evicted);
     }
@@ -1035,18 +993,17 @@ impl Server {
         snapshot.machines_evicted = pool.evicted;
         snapshot.machines_warm = pool.warm;
         snapshot.machines_cold = pool.cold;
-        for (key, shape) in &pool.shapes {
-            let grid = key.topo.grid();
+        for (topo, shape) in &pool.shapes {
+            let grid = topo.grid();
             snapshot.pool.push(PoolShapeStats {
                 mesh: (grid.rows, grid.cols),
-                topology: key.topo.spec(),
-                algo: key.algo.map_or("default", |a| a.as_str()),
+                topology: topo.spec(),
                 warm: shape.warm,
                 cold: shape.cold,
                 idle: shape.idle.len() as u64,
             });
         }
-        snapshot.pool.sort_by(|a, b| (&a.topology, a.algo).cmp(&(&b.topology, b.algo)));
+        snapshot.pool.sort_by(|a, b| a.topology.cmp(&b.topology));
         snapshot
     }
 }
@@ -1128,7 +1085,6 @@ mod tests {
                             obj(vec![
                                 ("mesh", Json::Str(format!("{}x{}", p.mesh.0, p.mesh.1))),
                                 ("topology", Json::Str(p.topology.clone())),
-                                ("algo", Json::Str(p.algo.into())),
                                 ("warm", num(p.warm)),
                                 ("cold", num(p.cold)),
                                 ("idle", num(p.idle)),
@@ -1487,12 +1443,12 @@ mod tests {
     }
 
     /// A pool key for a `rows x cols` mesh.
-    fn mesh_key(rows: usize, cols: usize) -> PoolKey {
-        PoolKey { topo: Topology::Mesh2d(Mesh { rows, cols }), algo: None }
+    fn mesh_key(rows: usize, cols: usize) -> Topology {
+        Topology::Mesh2d(Mesh { rows, cols })
     }
 
-    fn machine_for(key: PoolKey) -> Machine {
-        Machine::new(MachineConfig::on_topology(key.topo).unwrap())
+    fn machine_for(topo: Topology) -> Machine {
+        Machine::new(MachineConfig::on_topology(topo).unwrap())
     }
 
     #[test]
@@ -1540,7 +1496,7 @@ mod tests {
         // a 2x2 that runs on two workers recruits one helper per run
         let server = Server { pool: Mutex::new(MachinePool::new(4)), ..Server::new() };
         let key = mesh_key(2, 2);
-        let eager = Machine::new(MachineConfig::on_topology(key.topo).unwrap().with_workers(2));
+        let eager = Machine::new(MachineConfig::on_topology(key).unwrap().with_workers(2));
         eager.run(|_| ());
         eager.run(|_| ());
         server.checkin_machine(key, eager, RunTally::default());
@@ -1783,8 +1739,8 @@ mod tests {
         assert!(adaptive <= 3, "{adaptive}");
         // A pooled machine that ran with two workers from the start has
         // one helper join more to report, in the snapshot and the reply.
-        let key = PoolKey::of(&Request::program(HELLO));
-        let eager = Machine::new(MachineConfig::on_topology(key.topo).unwrap().with_workers(2));
+        let key = Request::program(HELLO).effective_topology();
+        let eager = Machine::new(MachineConfig::on_topology(key).unwrap().with_workers(2));
         eager.run(|_| ());
         server.checkin_machine(key, eager, RunTally::default());
         assert_eq!(joins(&server), adaptive + 1);
@@ -1833,7 +1789,6 @@ mod tests {
         let shape = |mesh, spec: &str, warm, cold, idle| PoolShapeStats {
             mesh,
             topology: spec.to_string(),
-            algo: "default",
             warm,
             cold,
             idle,
@@ -1861,54 +1816,44 @@ mod tests {
     fn topology_requests_pool_separately_from_mesh_requests() {
         let server = Server::new();
         // hypercube:16 and mesh2d:4x4 share a 4x4 process grid but are
-        // distinct machines; collective_algo splits the pool further.
+        // distinct machines.
         let cube = Request {
             topology: Some(Topology::parse("hypercube:16").unwrap()),
             ..Request::program(FOLD)
         };
         let mesh44 = Request { mesh: (4, 4), ..Request::program(FOLD) };
-        let cube_rd = Request { collective_algo: Some(CollectiveAlgo::RecDouble), ..cube.clone() };
         let mut cycles = Vec::new();
-        for req in [cube.clone(), cube, mesh44, cube_rd] {
+        for req in [cube.clone(), cube, mesh44] {
             let Response::Ok { run, .. } = server.handle(req) else {
                 panic!("topology request failed");
             };
             assert_eq!(run.results[0], vec!["120".to_string()]);
             cycles.push(run.report.sim_cycles);
         }
-        // Warm reuse only within the same (topology, algo) shape.
+        // Warm reuse only on the same topology.
         assert_eq!(server.stats().machines_warm, 1);
-        assert_eq!(server.stats().machines_cold, 3);
-        // Identical requests are cycle-identical; the forced rd variant
-        // runs the same program in different virtual time.
+        assert_eq!(server.stats().machines_cold, 2);
+        // Identical requests are cycle-identical; the mesh prices the
+        // same program's messages differently.
         assert_eq!(cycles[0], cycles[1]);
-        assert_ne!(cycles[0], cycles[3]);
-        let pool = server.stats().pool;
-        let specs: Vec<(String, &str)> =
-            pool.iter().map(|p| (p.topology.clone(), p.algo)).collect();
-        assert_eq!(
-            specs,
-            vec![
-                ("hypercube:16".to_string(), "default"),
-                ("hypercube:16".to_string(), "rd"),
-                ("mesh2d:4x4".to_string(), "default"),
-            ]
-        );
+        assert_ne!(cycles[0], cycles[2]);
+        let specs: Vec<String> = server.stats().pool.into_iter().map(|p| p.topology).collect();
+        assert_eq!(specs, ["hypercube:16", "mesh2d:4x4"]);
     }
 
     #[test]
-    fn topology_and_algo_parse_from_json_requests() {
+    fn topology_parses_from_json_requests_and_an_algorithm_field_is_unknown() {
         let server = Server::new();
-        let line = format!(
-            r#"{{"program":{},"topology":"fattree:2,4","collective_algo":"ring"}}"#,
-            Json::Str(FOLD.into())
-        );
+        let line = format!(r#"{{"program":{},"topology":"fattree:2,4"}}"#, Json::Str(FOLD.into()));
         let resp = server.handle_line(&line);
         assert!(resp.contains("\"ok\":true"), "{resp}");
         assert!(resp.contains("\"120\""), "{resp}");
         for (line, needle) in [
             (r#"{"program":"void main() {}","topology":"donut:9"}"#, "unknown kind"),
-            (r#"{"program":"void main() {}","collective_algo":"bogo"}"#, "tree|ring|rd|auto"),
+            (
+                r#"{"program":"void main() {}","collective_algo":"ring"}"#,
+                r#"unknown request field \"collective_algo\""#,
+            ),
             (r#"{"program":"void main() {}","topology":"hypercube:15"}"#, "power of two"),
         ] {
             let resp = server.handle_line(line);

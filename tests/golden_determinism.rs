@@ -162,7 +162,7 @@ fn skil_golden(name: &str, cycles: u64, axes: &[Axis]) {
     let machines = machines(MachineConfig::square(2).unwrap());
     let seen = assert_same(&row, &configs(axes, &machines), run).remove(0);
     assert_eq!(seen.sim_cycles(), cycles, "{name}");
-    programs::assert_pinned(&[digest_line(name, "mesh2d:2x2", "default", seen.digest())]);
+    programs::assert_pinned(&[digest_line(name, "mesh2d:2x2", seen.digest())]);
 }
 
 #[test]

@@ -20,13 +20,13 @@
 //!
 //! `tests/fixtures/digests.txt` pins the digest of every example on a
 //! 2x2 mesh, and of `shortest_paths` and `gauss` on each 16-processor
-//! topology of the zoo under each collective algorithm, so a change to
-//! virtual time is a reviewed diff of it;
+//! topology of the zoo, so a change to virtual time is a reviewed diff
+//! of it;
 //! `cargo test --test lang_engines -- --ignored` writes it.
 
 use proptest::prelude::*;
 use skil::lang::{compile, compile_opt, OptLevel};
-use skil::runtime::{AbortCause, CollectiveAlgo, Machine, MachineConfig, SchedulerKind, Topology};
+use skil::runtime::{AbortCause, Machine, MachineConfig, SchedulerKind, Topology};
 
 #[path = "support/invariant.rs"]
 mod invariant;
@@ -70,15 +70,14 @@ fn examples_agree(cfg: MachineConfig, shift: usize) -> Vec<(String, Observed)> {
 fn example_digests() -> Vec<String> {
     examples_agree(MachineConfig::square(2).unwrap(), 0)
         .into_iter()
-        .map(|(name, seen)| digest_line(&name, "mesh2d:2x2", "default", seen.digest()))
+        .map(|(name, seen)| digest_line(&name, "mesh2d:2x2", seen.digest()))
         .collect()
 }
 
 /// The fixture's lines for `shortest_paths` and `gauss` on every
-/// 16-processor topology of the zoo under every collective algorithm:
-/// `vm` on both schedulers, `ast` and `native` joining on the mesh.
-/// Output is the same in every cell of a program; the rest within a
-/// cell.
+/// 16-processor topology of the zoo: `vm` on both schedulers, `ast`
+/// and `native` joining on the mesh. Output is the same on every
+/// topology of a program; the rest on each topology.
 fn topology_digests() -> Vec<String> {
     let rows = ["shortest_paths", "gauss"]
         .map(|name| Row::new(name, levels(name, &programs::example(&format!("{name}.skil")))));
@@ -87,25 +86,15 @@ fn topology_digests() -> Vec<String> {
     for spec in ["mesh2d:4x4", "hypercube:16", "fattree:2,4", "hetero:mesh2d:4x4:slowlinks=col2*64"]
     {
         let axes = if spec == "mesh2d:4x4" { &ENGINES[..] } else { &ENGINES[1..2] };
-        for algo in [
-            CollectiveAlgo::Tree,
-            CollectiveAlgo::Ring,
-            CollectiveAlgo::RecDouble,
-            CollectiveAlgo::Auto,
-        ] {
-            let cfg = MachineConfig::on_topology(Topology::parse(spec).unwrap())
-                .unwrap()
-                .with_collective_algo(algo);
-            let machines = [SchedulerKind::Event, SchedulerKind::Threads]
-                .map(|kind| (format!("{kind:?}"), Machine::new(cfg.clone().with_scheduler(kind))));
-            let seen = assert_same(&rows, &configs(axes, &machines), run);
-            for ((row, seen), output) in rows.iter().zip(seen).zip(&mut outputs) {
-                let printed: Vec<String> = seen.procs().iter().map(|p| p.output.clone()).collect();
-                let at = format!("{} on {spec} under {algo:?}", row.name);
-                assert_eq!(&printed, output.get_or_insert_with(|| printed.clone()), "{at}: output");
-                let algo = format!("{algo:?}").to_lowercase();
-                lines.push(digest_line(&row.name, spec, &algo, seen.digest()));
-            }
+        let cfg = MachineConfig::on_topology(Topology::parse(spec).unwrap()).unwrap();
+        let machines = [SchedulerKind::Event, SchedulerKind::Threads]
+            .map(|kind| (format!("{kind:?}"), Machine::new(cfg.clone().with_scheduler(kind))));
+        let seen = assert_same(&rows, &configs(axes, &machines), run);
+        for ((row, seen), output) in rows.iter().zip(seen).zip(&mut outputs) {
+            let printed: Vec<String> = seen.procs().iter().map(|p| p.output.clone()).collect();
+            let at = format!("{} on {spec}", row.name);
+            assert_eq!(&printed, output.get_or_insert_with(|| printed.clone()), "{at}: output");
+            lines.push(digest_line(&row.name, spec, seen.digest()));
         }
     }
     lines
@@ -117,7 +106,7 @@ fn every_example_is_bit_identical_across_engines() {
 }
 
 #[test]
-fn topology_algorithm_scheduler_matrix() {
+fn topology_scheduler_matrix() {
     programs::assert_pinned(&topology_digests());
 }
 

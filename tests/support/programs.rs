@@ -80,17 +80,16 @@ pub fn examples() -> Vec<(String, String)> {
     names.iter().map(|name| (name.clone(), example(name))).collect()
 }
 
-/// One line per (program, topology, collective algorithm): the digest
+/// One line per (program, topology): the digest
 /// every configuration of that class observes.
 pub const DIGESTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/digests.txt");
 
 /// A line of [`DIGESTS`].
-pub fn digest_line(program: &str, topology: &str, algo: &str, digest: u64) -> String {
-    format!("{program} {topology} {algo} {digest:016x}")
+pub fn digest_line(program: &str, topology: &str, digest: u64) -> String {
+    format!("{program} {topology} {digest:016x}")
 }
 
-/// Each of `lines` is the fixture's line for its (program, topology,
-/// algorithm).
+/// Each of `lines` is the fixture's line for its (program, topology).
 pub fn assert_pinned(lines: &[String]) {
     let fixture = std::fs::read_to_string(DIGESTS).expect("tests/fixtures/digests.txt exists");
     let key = |line: &str| line.rsplit_once(' ').map(|(key, _)| key.to_string());

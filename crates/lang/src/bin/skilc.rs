@@ -7,8 +7,8 @@
 //! skilc --run --topology SPEC        choose the physical topology, e.g.
 //!                                    mesh2d:4x4, hypercube:16, fattree:2,4,
 //!                                    hetero:mesh2d:4x4:slowlinks=col2*64
-//! skilc --run --engine ast|vm|native pick the execution engine
-//! skilc --opt-level 0|1|2 ...        bytecode optimizer level (default 2)
+//! skilc --run --engine vm|native    pick the execution engine
+//! skilc --opt-level 0|2 ...          bytecode optimizer level (default 2)
 //! skilc --check <file.skil>          parse + type check only
 //! skilc --emit-bytecode <file.skil>  disassemble the optimized bytecode
 //! skilc --emit-bytecode=raw ...      disassemble before optimization
@@ -35,7 +35,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: skilc [--check | --emit-bytecode[=raw|opt|kernel] | --emit-rust | --run [--mesh RxC] \
-[--topology SPEC] [--engine ast|vm|native] [--trace] [--faults SPEC]] [--opt-level 0|1|2] <file.skil>\n\
+[--topology SPEC] [--engine vm|native] [--trace] [--faults SPEC]] [--opt-level 0|2] <file.skil>\n\
          \n\
          default: emit the instantiated first-order C to stdout\n\
          --check: stop after the polymorphic type check\n\
@@ -53,13 +53,12 @@ fn usage() -> ExitCode {
                   mesh2d:RxC | hypercube:N | fattree:LEVELS,ARITY |\n\
                   hetero:mesh2d:RxC:slowlinks=colK*F; the hop metric\n\
                   prices every message\n\
-         --engine: execution engine for --run: vm (default, bytecode),\n\
-                  ast (reference walker), or native (rustc-compiled\n\
-                  machine code; falls back to vm if rustc is missing);\n\
-                  virtual time is identical across engines\n\
-         --opt-level: bytecode optimizer level for the vm engine\n\
-                  (0 raw, 1 local passes, 2 +inlining; default 2);\n\
-                  virtual time is bit-identical at every level\n\
+         --engine: execution engine for --run: vm (default, bytecode)\n\
+                  or native (rustc-compiled machine code; falls back to\n\
+                  vm if rustc is missing); virtual time is identical\n\
+                  across engines\n\
+         --opt-level: bytecode optimizer level (0 raw, 2 every pass;\n\
+                  default 2); virtual time is bit-identical at both\n\
          --trace-out FILE: write the traced run as Chrome trace_events\n\
                   JSON (open in chrome://tracing); implies tracing\n\
          --faults SPEC: seeded fault injection for --run, e.g.\n\

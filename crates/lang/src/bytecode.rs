@@ -37,7 +37,7 @@ use std::fmt::Write as _;
 
 use skil_runtime::CostModel;
 
-use crate::builtins::{DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D};
+use crate::builtins::{Builtin, BuiltinKind, BUILTINS, DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D};
 use crate::fo::{BinOp, FoExpr, FoFunc, FoProgram, FoStmt, FoTy, SkelCall, SkelOp};
 use crate::kernel::Flat;
 use crate::scalar::scalar_intr;
@@ -195,38 +195,11 @@ pub enum Intr {
 }
 
 impl Intr {
-    /// Surface name (for diagnostics and disassembly).
+    /// Surface name (for diagnostics and disassembly): its entry in
+    /// [`BUILTINS`].
     pub fn name(&self) -> &'static str {
-        match self {
-            Intr::Abs => "abs",
-            Intr::Fabs => "fabs",
-            Intr::Min => "min",
-            Intr::Max => "max",
-            Intr::Fmin => "fmin",
-            Intr::Fmax => "fmax",
-            Intr::Sqrt => "sqrt",
-            Intr::Itof => "itof",
-            Intr::Ftoi => "ftoi",
-            Intr::Log2i => "log2i",
-            Intr::IntMax => "int_max",
-            Intr::FltMax => "flt_max",
-            Intr::DistrDefault => "DISTR_DEFAULT",
-            Intr::DistrRing => "DISTR_RING",
-            Intr::DistrTorus2d => "DISTR_TORUS2D",
-            Intr::Error => "error",
-            Intr::Nil => "nil",
-            Intr::Cons => "cons",
-            Intr::Head => "head",
-            Intr::Tail => "tail",
-            Intr::Len => "len",
-            Intr::Append => "append",
-            Intr::ProcId => "procId",
-            Intr::NProcs => "nProcs",
-            Intr::ArrayGetElem => "array_get_elem",
-            Intr::ArrayPutElem => "array_put_elem",
-            Intr::ArrayPartBounds => "array_part_bounds",
-            Intr::Print => "print",
-        }
+        let is = |b: &&Builtin| matches!(b.kind, BuiltinKind::Intrinsic(i) | BuiltinKind::Const(i) if i == *self);
+        BUILTINS.iter().find(is).expect("every intrinsic is a builtin").name
     }
 
     /// True for intrinsics computable from their argument values alone

@@ -15,6 +15,7 @@
 
 use skil_runtime::CostModel;
 
+use crate::builtins::{Builtin, BuiltinKind, BUILTINS};
 use crate::bytecode::Intr;
 use crate::sym::{Names, Sym};
 
@@ -116,21 +117,10 @@ pub enum SkelOp {
 }
 
 impl SkelOp {
-    /// Skeleton name, as in the paper.
+    /// Skeleton name, as in the paper: its entry in [`BUILTINS`].
     pub fn name(&self) -> &'static str {
-        match self {
-            SkelOp::Create => "array_create",
-            SkelOp::Destroy => "array_destroy",
-            SkelOp::Map => "array_map",
-            SkelOp::Fold => "array_fold",
-            SkelOp::Copy => "array_copy",
-            SkelOp::BroadcastPart => "array_broadcast_part",
-            SkelOp::PermuteRows => "array_permute_rows",
-            SkelOp::GenMult => "array_gen_mult",
-            SkelOp::Scan => "array_scan",
-            SkelOp::Dc => "dc",
-            SkelOp::Farm => "farm",
-        }
+        let is = |b: &&Builtin| matches!(b.kind, BuiltinKind::Skeleton { op, .. } if op == *self);
+        BUILTINS.iter().find(is).expect("every skeleton is a builtin").name
     }
 }
 

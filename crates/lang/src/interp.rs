@@ -455,13 +455,23 @@ impl<M: Mode> Ev<'_, M> {
 
 #[cfg(test)]
 mod tests {
-    use crate::compile;
-    use skil_runtime::{Machine, MachineConfig};
+    use crate::{compile, Engine};
+    use skil_runtime::{Machine, MachineConfig, Run};
 
-    fn run(src: &str, procs: usize) -> Vec<Vec<String>> {
+    /// `src` under the walker and the VM, which must print the same and
+    /// charge the same cycles: the walker's run.
+    pub(super) fn run_walker(src: &str, procs: usize) -> Run<Vec<String>> {
         let c = compile(src).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
         let m = Machine::new(MachineConfig::procs(procs).unwrap());
-        c.run(&m).results
+        let walker = c.run_with(Engine::Ast, &m);
+        let vm = c.run_with(Engine::Vm, &m);
+        assert_eq!(walker.results, vm.results, "walker vs vm\n{src}");
+        assert_eq!(walker.report.sim_cycles, vm.report.sim_cycles, "walker vs vm\n{src}");
+        walker
+    }
+
+    pub(super) fn run(src: &str, procs: usize) -> Vec<Vec<String>> {
+        run_walker(src, procs).results
     }
 
     #[test]
@@ -739,10 +749,8 @@ mod tests {
                      int s = array_fold(conv, (+), a);\n\
                      print(s);\n\
                    }";
-        let c = compile(src).unwrap();
-        let m = Machine::new(MachineConfig::procs(4).unwrap());
-        let r1 = c.run(&m);
-        let r2 = c.run(&m);
+        let r1 = run_walker(src, 4);
+        let r2 = run_walker(src, 4);
         assert!(r1.report.sim_cycles > 0);
         assert_eq!(r1.report.sim_cycles, r2.report.sim_cycles);
     }
@@ -750,14 +758,8 @@ mod tests {
 
 #[cfg(test)]
 mod task_skeleton_tests {
+    use super::tests::run;
     use crate::compile;
-    use skil_runtime::{Machine, MachineConfig};
-
-    fn run(src: &str, procs: usize) -> Vec<Vec<String>> {
-        let c = compile(src).unwrap_or_else(|e| panic!("compile failed: {e}"));
-        let m = Machine::new(MachineConfig::procs(procs).unwrap());
-        c.run(&m).results
-    }
 
     #[test]
     fn list_intrinsics() {
@@ -901,13 +903,8 @@ mod task_skeleton_tests {
 
 #[cfg(test)]
 mod control_flow_tests {
-    use crate::compile;
-    use skil_runtime::{Machine, MachineConfig};
-
     fn run1(src: &str) -> Vec<String> {
-        let c = compile(src).unwrap_or_else(|e| panic!("compile failed: {e}"));
-        let m = Machine::new(MachineConfig::procs(1).unwrap());
-        c.run(&m).results.remove(0)
+        super::tests::run(src, 1).remove(0)
     }
 
     #[test]

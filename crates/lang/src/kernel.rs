@@ -5,7 +5,7 @@
 //! function whose parameters, locals, result and callees are all `int`,
 //! `float`, `Index`, `Bounds`, handles of `array<int>` / `array<float>`
 //! or flat structs (at most eight `int` / `float` fields) needs no
-//! tagged slots at all. At `-O1`/`-O2` every such function of shape
+//! tagged slots at all. At `-O2` every such function of shape
 //! [`KernelShape::General`] is lowered — from the optimized bytecode, so
 //! inlining, folding and fusion are inherited and there is still one
 //! optimizer — into three-address code over untagged 8-byte registers
@@ -2037,7 +2037,7 @@ impl KernelView {
                         (None, None) => {
                             let why = match level {
                                 OptLevel::O0 => "-O0",
-                                _ => lower_fn(code, fo, f.fid)
+                                OptLevel::O2 => lower_fn(code, fo, f.fid)
                                     .err()
                                     .unwrap_or("calls a generic function"),
                             };

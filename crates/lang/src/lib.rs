@@ -31,17 +31,18 @@
 //!    [`opt::optimize`] — constant folding, copy/constant propagation,
 //!    dead-store/slot elimination, superinstruction fusion, and leaf
 //!    inlining, preserving every symbolic charge exactly
-//!    (`--opt-level 0|1|2`, default 2).
+//!    (`--opt-level 0|2`, default 2; `0` is the reference).
 //! 5. Either [`emit_c::emit_c`] — pretty-print the first-order program as
 //!    the C the paper's compiler would hand to its back end — or execute
 //!    it SPMD on a [`skil_runtime::Machine`] with skeleton calls
 //!    dispatched to `skil-core` and virtual cycles charged per IR
-//!    operation. Three engines exist: the bytecode VM
-//!    ([`Engine::Vm`], the default: [`vm`]), the AST walker
-//!    ([`interp::run_program`], the reference), and the native engine
+//!    operation. Two engines serve requests: the bytecode VM
+//!    ([`Engine::Vm`], the default: [`vm`]) and the native engine
 //!    ([`Engine::Native`]: [`emit_rust::emit_rust`] output compiled by
-//!    the host `rustc` to a `cdylib` and loaded with `dlopen`) — their
-//!    virtual time is bit-identical by construction.
+//!    the host `rustc` to a `cdylib` and loaded with `dlopen`). The AST
+//!    walker ([`Engine::Ast`], [`interp::run_program`]) is the
+//!    library-only reference both are held to; their virtual time is
+//!    bit-identical by construction.
 //!
 //! ```
 //! use skil_lang::compile;
@@ -97,7 +98,9 @@ pub use value::Value;
 /// Which execution engine runs an instantiated program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// The AST walker — the reference engine.
+    /// The AST walker: the reference the other engines are held to.
+    /// Library-only — [`Engine::from_arg`] does not name it, so neither
+    /// `skilc` nor `skild` runs it.
     Ast,
     /// The bytecode VM — the fast engine, bit-identical virtual time.
     #[default]
@@ -110,10 +113,9 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Parse a CLI/request spelling (`"ast"` / `"vm"` / `"native"`).
+    /// Parse a CLI/request spelling (`"vm"` / `"native"`).
     pub fn from_arg(s: &str) -> Option<Engine> {
         match s {
-            "ast" => Some(Engine::Ast),
             "vm" => Some(Engine::Vm),
             "native" => Some(Engine::Native),
             _ => None,

@@ -31,16 +31,16 @@
 //!
 //! 1. **Label abstraction**: jump targets become label items so passes
 //!    can insert and delete instructions freely.
-//! 2. **Inlining** (O2): calls to small leaf functions (no `Call`, no
+//! 2. **Inlining**: calls to small leaf functions (no `Call`, no
 //!    `Skel`) splice the callee body with rebased slots; the call-site
 //!    `Charge` (which prices the call) stays, so time is unchanged.
-//! 3. **Forward local pass** (O1+): abstract-stack simulation with
+//! 3. **Forward local pass**: abstract-stack simulation with
 //!    deferred operand descriptors. Pushes of slots/constants are
 //!    deferred and either cancelled (folding, propagation) or fused into
 //!    superinstruction operands; charge merging rides the same walk.
-//! 4. **Dead-store elimination** (O1+): backward liveness over the CFG;
+//! 4. **Dead-store elimination**: backward liveness over the CFG;
 //!    a dead `Store` degrades to `Pop`, a dead `StoreS` disappears.
-//! 5. **Slot compaction** (O1+): surviving slots renumber densely
+//! 5. **Slot compaction**: surviving slots renumber densely
 //!    (parameters keep their positions — the VM's argument drain
 //!    depends on them).
 //! 6. **Label resolution** back to pc-relative jumps.
@@ -53,14 +53,14 @@ use crate::scalar::{float_arith, float_cmp, int_bin, neg_int};
 use crate::value::Value;
 
 /// How hard to optimize. `O0` returns `compile_program` output
-/// untouched; `O1` runs the local passes; `O2` adds leaf inlining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+/// untouched, the reference the optimized code is held to; `O2` runs
+/// every pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OptLevel {
     /// Raw `compile_program` bytecode.
     O0,
-    /// Folding, propagation, fusion, dead-store/slot elimination.
-    O1,
-    /// `O1` plus inlining of small leaf functions.
+    /// Leaf inlining, folding, propagation, fusion, dead-store/slot
+    /// elimination.
     #[default]
     O2,
 }
@@ -70,7 +70,6 @@ impl OptLevel {
     pub fn from_arg(s: &str) -> Option<OptLevel> {
         match s {
             "0" => Some(OptLevel::O0),
-            "1" => Some(OptLevel::O1),
             "2" => Some(OptLevel::O2),
             _ => None,
         }
@@ -81,7 +80,6 @@ impl std::fmt::Display for OptLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             OptLevel::O0 => write!(f, "0"),
-            OptLevel::O1 => write!(f, "1"),
             OptLevel::O2 => write!(f, "2"),
         }
     }
@@ -312,18 +310,16 @@ pub fn optimize(p: &Program, level: OptLevel) -> (Program, OptStats) {
     for (fid, src) in p.funcs.iter().enumerate() {
         let (mut items, mut nlabels) = to_items(&src.code);
         let mut nslots = src.nslots;
-        if level >= OptLevel::O2 {
-            inline_pass(
-                &mut items,
-                &mut nlabels,
-                &mut nslots,
-                fid,
-                &p.funcs,
-                &can_inline,
-                &mut intern,
-                &mut stats,
-            );
-        }
+        inline_pass(
+            &mut items,
+            &mut nlabels,
+            &mut nslots,
+            fid,
+            &p.funcs,
+            &can_inline,
+            &mut intern,
+            &mut stats,
+        );
         let items = forward_pass(items, p, &mut intern, &mut stats);
         let mut items = items;
         dse(&mut items, nlabels, &mut stats);
@@ -1470,8 +1466,8 @@ mod tests {
     #[test]
     fn opt_level_args_parse() {
         assert_eq!(OptLevel::from_arg("0"), Some(OptLevel::O0));
-        assert_eq!(OptLevel::from_arg("1"), Some(OptLevel::O1));
         assert_eq!(OptLevel::from_arg("2"), Some(OptLevel::O2));
+        assert_eq!(OptLevel::from_arg("1"), None);
         assert_eq!(OptLevel::from_arg("3"), None);
         assert_eq!(OptLevel::default(), OptLevel::O2);
     }
@@ -1489,15 +1485,13 @@ mod tests {
                    print(x);\n\
                    }";
         let o0 = compile_opt(src, OptLevel::O0).expect("compiles");
-        let o1 = compile_opt(src, OptLevel::O1).expect("compiles");
         let o2 = compile_opt(src, OptLevel::O2).expect("compiles");
         let want = total_charges(&o0.code);
         assert!(want > 0);
-        assert_eq!(total_charges(&o1.code), want);
         assert_eq!(total_charges(&o2.code), want);
         // and the optimizer did something: a*7 and a+b fold or fuse
-        assert!(o1.opt_stats.instrs_after < o1.opt_stats.instrs_before);
-        assert!(o1.opt_stats.charges_merged > 0);
+        assert!(o2.opt_stats.instrs_after < o2.opt_stats.instrs_before);
+        assert!(o2.opt_stats.charges_merged > 0);
     }
 
     #[test]
@@ -1508,7 +1502,7 @@ mod tests {
                    return s;\n\
                    }\n\
                    void main() { print(sumto(10)); }";
-        let c = compile_opt(src, OptLevel::O1).expect("compiles");
+        let c = compile_opt(src, OptLevel::O2).expect("compiles");
         let f =
             &c.code.funcs[c.fo.funcs.iter().position(|f| c.fo.name(f.name) == "sumto_1").unwrap()];
         let has_cmp_branch =
@@ -1524,7 +1518,7 @@ mod tests {
     fn dead_copy_and_its_slot_are_eliminated() {
         let src = "int f(int x) { int t = x; return x; }\n\
                    void main() { print(f(5)); }";
-        let c = compile_opt(src, OptLevel::O1).expect("compiles");
+        let c = compile_opt(src, OptLevel::O2).expect("compiles");
         let f = &c.code.funcs[c.fo.funcs.iter().position(|f| c.fo.name(f.name) == "f_1").unwrap()];
         assert!(
             !f.code.iter().any(|i| matches!(i, Instr::Store(_) | Instr::StoreS(..))),
@@ -1540,11 +1534,11 @@ mod tests {
     fn leaf_calls_inline_and_fold_across_the_boundary() {
         let src = "int n() { return 16; }\n\
                    void main() { print(n() + 2); }";
-        let o1 = compile_opt(src, OptLevel::O1).expect("compiles");
+        let o0 = compile_opt(src, OptLevel::O0).expect("compiles");
         let o2 = compile_opt(src, OptLevel::O2).expect("compiles");
-        let main1 = &o1.code.funcs[o1.code.main.unwrap()];
+        let main0 = &o0.code.funcs[o0.code.main.unwrap()];
         let main2 = &o2.code.funcs[o2.code.main.unwrap()];
-        assert!(main1.code.iter().any(|i| matches!(i, Instr::Call(_))));
+        assert!(main0.code.iter().any(|i| matches!(i, Instr::Call(_))));
         assert!(
             !main2.code.iter().any(|i| matches!(i, Instr::Call(_))),
             "O2 inlines the leaf call: {:?}",
@@ -1555,7 +1549,7 @@ mod tests {
         let folded18 = o2.code.consts.iter().any(|v| matches!(v, Value::Int(18)));
         assert!(folded18, "n() + 2 should fold to 18 after inlining");
         // the call-site charge (pricing the call) must survive inlining
-        assert_eq!(total_charges(&o1.code), total_charges(&o2.code));
+        assert_eq!(total_charges(&o0.code), total_charges(&o2.code));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use skil_lang::{compile_opt, OptLevel};
 
 /// `General`-shape argument functions by source name, in order of first
-/// use at a skeleton site, with how each runs at `-O1`/`-O2`
+/// use at a skeleton site, with how each runs at `-O2`
 /// (`true`: typed). Operator sections and single intrinsics never reach
 /// either tier and are not listed.
 const PINNED: [(&str, &[(&str, bool)]); 13] = [
@@ -103,22 +103,20 @@ fn shipped_argument_functions_lower_as_pinned() {
                 .unwrap_or_else(|| panic!("{dir}/{stem}.skil is not pinned: add it to PINNED"));
             let want: Vec<(String, bool)> =
                 want.1.iter().map(|(n, t)| (n.to_string(), *t)).collect();
-            for level in [OptLevel::O1, OptLevel::O2] {
-                // one program is there for its type error
-                let Ok(c) = compile_opt(&src, level) else {
-                    assert_eq!(stem, "type_error");
-                    continue;
-                };
-                assert_eq!(
-                    classify(&c.disassemble_kernel()),
-                    want,
-                    "{dir}/{stem}.skil @ -O{level}: (argument function, typed)"
-                );
-                seen += 1;
-            }
+            // one program is there for its type error
+            let Ok(c) = compile_opt(&src, OptLevel::O2) else {
+                assert_eq!(stem, "type_error");
+                continue;
+            };
+            assert_eq!(
+                classify(&c.disassemble_kernel()),
+                want,
+                "{dir}/{stem}.skil @ -O2: (argument function, typed)"
+            );
+            seen += 1;
         }
     }
-    assert!(seen >= 2 * 19, "expected the benchmark programs and the examples, saw {seen}");
+    assert!(seen >= 19, "expected the benchmark programs and the examples, saw {seen}");
 }
 
 #[test]

@@ -117,11 +117,17 @@ fn bad_flags_show_usage() {
 }
 
 #[test]
-fn bad_opt_level_shows_usage() {
+fn bad_opt_level_or_engine_shows_usage() {
+    // the walker is a reference for the library's tests, not an engine
+    // to pick, and -O0 and -O2 are the only levels
     let path = write_temp("badopt.skil", HELLO);
-    let out = skilc().arg("--opt-level").arg("9").arg(&path).output().expect("run skilc");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    for args in [["--opt-level", "9"], ["--opt-level", "1"], ["--engine", "ast"]] {
+        let out = skilc().arg("--run").args(args).arg(&path).output().expect("run skilc");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("usage:"), "{args:?}: {err}");
+        assert!(err.contains("[--engine vm|native]") && err.contains("[--opt-level 0|2]"), "{err}");
+    }
 }
 
 #[test]
@@ -150,7 +156,7 @@ fn run_output_identical_at_every_opt_level() {
                void main() { if (procId == 0) { print(sumto(10)); } }";
     let path = write_temp("optlevels.skil", src);
     let mut runs = Vec::new();
-    for level in ["0", "1", "2"] {
+    for level in ["0", "2"] {
         let out = skilc()
             .arg("--run")
             .arg("--opt-level")
@@ -166,8 +172,7 @@ fn run_output_identical_at_every_opt_level() {
         let cycles = stderr.split('(').nth(1).map(|s| s.to_string());
         runs.push((stdout, cycles));
     }
-    assert_eq!(runs[0], runs[1], "-O0 vs -O1");
-    assert_eq!(runs[1], runs[2], "-O1 vs -O2");
+    assert_eq!(runs[0], runs[1], "-O0 vs -O2");
 }
 
 #[test]
@@ -302,11 +307,13 @@ const OOB_INDEX: &str = "int initf(Index ix) { return 0; }\n\
                          }";
 
 /// A Skil runtime error must surface as a structured diagnostic and
-/// exit code 3 — not a raw Rust panic — under every engine.
+/// exit code 3 — not a raw Rust panic — under every engine. The walker
+/// is held to the same messages in-process, by `lang_engines`'
+/// `kernel_runtime_errors_*_match_the_walker*` rows.
 #[test]
 fn runtime_division_by_zero_is_structured_under_every_engine() {
     let path = write_temp("div_zero.skil", DIV_ZERO);
-    for engine in ["ast", "vm", "native"] {
+    for engine in ["vm", "native"] {
         let out = skilc()
             .arg("--run")
             .arg("--engine")
@@ -327,7 +334,7 @@ fn runtime_division_by_zero_is_structured_under_every_engine() {
 #[test]
 fn runtime_out_of_bounds_index_is_structured_under_every_engine() {
     let path = write_temp("oob_index.skil", OOB_INDEX);
-    for engine in ["ast", "vm", "native"] {
+    for engine in ["vm", "native"] {
         let out = skilc()
             .arg("--run")
             .arg("--engine")

@@ -22,8 +22,8 @@
 //! {"id":"r1",                  optional, echoed back
 //!  "program":"<skil source>",  required
 //!  "mesh":"2x2",               optional, default 2x2
-//!  "engine":"vm",              optional, ast|vm|native, default vm
-//!  "opt_level":2,              optional, 0|1|2, default 2
+//!  "engine":"vm",              optional, vm|native, default vm
+//!  "opt_level":2,              optional, 0|2, default 2
 //!  "faults":"seed=7,crash=3@1000000"}   optional fault plan
 //! ```
 //!

@@ -6,9 +6,9 @@
 //!
 //! Three pieces:
 //!
-//! - a **compiled-program cache** keyed by
-//!   `(source text, cost model, opt level, engine)` — re-submitting the
-//!   same program skips the whole front end — that holds at most
+//! - a **compiled-program cache** keyed by `(source text, opt level)`
+//!   — re-submitting the same program, under either engine, skips the
+//!   whole front end — that holds at most
 //!   [`CACHE_BUDGET_BYTES`], evicting the least recently used programs;
 //! - a **warm-[`Machine`] pool** keyed by mesh shape — worker threads
 //!   and coroutine stacks are reused across requests, and per-request
@@ -56,21 +56,6 @@ use json::{Json, ObjWriter};
 use skil_lang::{compile_opt, Compiled, Engine, OptLevel};
 use skil_runtime::{FaultPlan, Machine, MachineConfig, Mesh, Run, Topology};
 
-/// What a cached program depends on besides its source text. The cost
-/// model is part of it per the serving contract — today every pooled
-/// machine uses the T800 model, but a cached program must never outlive
-/// the model its cycles were validated against. The engine is included
-/// for the same forward-compatibility reason (every engine currently
-/// shares one bytecode image; the native engine's compiled module rides
-/// inside [`Compiled`] keyed by content hash, so cached programs reuse
-/// the `dlopen`ed artifact across requests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Variant {
-    cost_model: &'static str,
-    opt_level: OptLevel,
-    engine: Engine,
-}
-
 /// The most heap bytes the compile cache holds. Skil has no run-time
 /// arguments, so a parameter sweep is a stream of new sources; the
 /// largest cached working set of any benchmark workload is under 1 MiB,
@@ -82,9 +67,12 @@ pub const CACHE_BUDGET_BYTES: usize = 32 << 20;
 /// bench in the repo builds (`scale_scheduler`'s 64x64).
 pub const MAX_PROCESSORS: usize = 4096;
 
-/// One compiled variant of a cached source.
+/// One compiled variant of a cached source: one per opt level. The
+/// engine is no part of the key: both engines run the one bytecode
+/// image, and the native engine's module is memoised inside
+/// [`Compiled`].
 struct Entry {
-    variant: Variant,
+    level: OptLevel,
     compiled: Arc<Compiled>,
     /// What the entry adds to the cache's bytes, its text aside.
     bytes: usize,
@@ -128,26 +116,26 @@ impl ProgramCache {
         compiled.heap_bytes() + std::mem::size_of::<Compiled>()
     }
 
-    /// The cached program for `(src, variant)`, now the most recently
+    /// The cached program for `(src, level)`, now the most recently
     /// used one.
-    fn get(&mut self, src: &str, variant: Variant) -> Option<&Arc<Compiled>> {
-        let entry = self.by_source.get_mut(src)?.iter_mut().find(|e| e.variant == variant)?;
+    fn get(&mut self, src: &str, level: OptLevel) -> Option<&Arc<Compiled>> {
+        let entry = self.by_source.get_mut(src)?.iter_mut().find(|e| e.level == level)?;
         self.clock += 1;
         entry.last_use = self.clock;
         Some(&entry.compiled)
     }
 
-    /// Keep `compiled` for `(src, variant)` unless a racing compile got
+    /// Keep `compiled` for `(src, level)` unless a racing compile got
     /// there first, or it alone would not fit in the budget; returns the
     /// program to run and what the insert evicted, which the caller
     /// drops after releasing the cache's lock.
     fn insert(
         &mut self,
         src: &str,
-        variant: Variant,
+        level: OptLevel,
         compiled: Arc<Compiled>,
     ) -> (Arc<Compiled>, Vec<Arc<Compiled>>) {
-        if let Some(first) = self.get(src, variant) {
+        if let Some(first) = self.get(src, level) {
             return (Arc::clone(first), Vec::new());
         }
         let bytes = Self::entry_bytes(&compiled);
@@ -156,7 +144,7 @@ impl ProgramCache {
             return (compiled, Vec::new());
         }
         self.clock += 1;
-        let entry = Entry { variant, compiled: Arc::clone(&compiled), bytes, last_use: self.clock };
+        let entry = Entry { level, compiled: Arc::clone(&compiled), bytes, last_use: self.clock };
         match self.by_source.get_mut(src) {
             Some(variants) => variants.push(entry),
             None => {
@@ -214,10 +202,6 @@ impl ProgramCache {
         evicted
     }
 }
-
-/// The cost model every pooled machine runs — [`MachineConfig::mesh`]'s
-/// default.
-const COST_MODEL: &str = "t800";
 
 /// A parsed, validated run request.
 #[derive(Debug, Clone)]
@@ -301,15 +285,15 @@ impl Request {
         let engine = match map.get("engine") {
             None => Engine::Vm,
             Some(Json::Str(s)) => {
-                Engine::from_arg(s).ok_or(format!("bad \"engine\" \"{s}\" (ast|vm|native)"))?
+                Engine::from_arg(s).ok_or(format!("bad \"engine\" \"{s}\" (vm|native)"))?
             }
-            Some(_) => return Err("\"engine\" must be \"ast\", \"vm\", or \"native\"".to_string()),
+            Some(_) => return Err("\"engine\" must be \"vm\" or \"native\"".to_string()),
         };
         let opt_level = match map.get("opt_level") {
             None => OptLevel::default(),
             Some(v) => {
-                let n = v.as_u64().ok_or("\"opt_level\" must be 0, 1, or 2")?;
-                OptLevel::from_arg(&n.to_string()).ok_or("\"opt_level\" must be 0, 1, or 2")?
+                let n = v.as_u64().ok_or("\"opt_level\" must be 0 or 2")?;
+                OptLevel::from_arg(&n.to_string()).ok_or("\"opt_level\" must be 0 or 2")?
             }
         };
         let faults = match map.get("faults") {
@@ -909,9 +893,7 @@ impl Server {
 
     /// Look the program up in the cache, compiling on a miss.
     fn compile_cached(&self, req: &Request) -> Result<(Arc<Compiled>, bool), String> {
-        let variant =
-            Variant { cost_model: COST_MODEL, opt_level: req.opt_level, engine: req.engine };
-        if let Some(hit) = self.programs.lock().unwrap().get(&req.program, variant) {
+        if let Some(hit) = self.programs.lock().unwrap().get(&req.program, req.opt_level) {
             self.counters.compile_hits.fetch_add(1, Ordering::Relaxed);
             return Ok((Arc::clone(hit), true));
         }
@@ -923,7 +905,8 @@ impl Server {
         let compiled =
             Arc::new(compile_opt(&req.program, req.opt_level).map_err(|e| e.to_string())?);
         self.counters.compile_misses.fetch_add(1, Ordering::Relaxed);
-        let (kept, evicted) = self.programs.lock().unwrap().insert(&req.program, variant, compiled);
+        let (kept, evicted) =
+            self.programs.lock().unwrap().insert(&req.program, req.opt_level, compiled);
         // Freeing the evicted programs (a request still running one
         // holds its own `Arc`) is done with the lock released.
         drop(evicted);
@@ -1176,33 +1159,31 @@ mod tests {
     #[test]
     fn the_cache_is_keyed_by_source_text_not_by_a_digest_of_it() {
         // Two sources that differ in one byte are two entries, each
-        // served its own program; so are two variants of one source,
+        // served its own program; so are two opt levels of one source,
         // which share the one copy of its text.
         let a = "void main() { if (procId == 0) { print(1); } }";
         let b = "void main() { if (procId == 0) { print(2); } }";
-        let vm = Variant { cost_model: COST_MODEL, opt_level: OptLevel::O2, engine: Engine::Vm };
-        let ast = Variant { engine: Engine::Ast, ..vm };
-        let compiled = |src| Arc::new(compile_opt(src, OptLevel::O2).expect("compiles"));
+        let (o0, o2) = (OptLevel::O0, OptLevel::O2);
         let mut cache = ProgramCache::new(CACHE_BUDGET_BYTES);
-        assert!(cache.get(a, vm).is_none());
-        let (ca, _) = cache.insert(a, vm, compiled(a));
+        assert!(cache.get(a, o2).is_none());
+        let (ca, _) = cache.insert(a, o2, compiled(a, o2));
         let added_a = cache.bytes;
-        let (cb, _) = cache.insert(b, vm, compiled(b));
+        let (cb, _) = cache.insert(b, o2, compiled(b, o2));
         let added_b = cache.bytes - added_a;
-        assert!(Arc::ptr_eq(cache.get(a, vm).unwrap(), &ca));
-        assert!(Arc::ptr_eq(cache.get(b, vm).unwrap(), &cb));
+        assert!(Arc::ptr_eq(cache.get(a, o2).unwrap(), &ca));
+        assert!(Arc::ptr_eq(cache.get(b, o2).unwrap(), &cb));
         assert!(!Arc::ptr_eq(&ca, &cb));
-        assert!(cache.get(a, ast).is_none());
+        assert!(cache.get(a, o0).is_none());
         // the text is paid for once per source ...
         assert_eq!(added_a, ProgramCache::entry_bytes(&ca) + a.len());
         assert_eq!(added_b, added_a);
         let before = cache.bytes;
-        cache.insert(a, ast, compiled(a));
-        assert_eq!(cache.bytes - before, added_a - a.len());
+        let (a0, _) = cache.insert(a, o0, compiled(a, o0));
+        assert_eq!(cache.bytes - before, ProgramCache::entry_bytes(&a0));
         assert_eq!(cache.by_source.len(), 2);
         // ... and a second compile of a cached key is dropped, not kept
         let before = (cache.programs, cache.bytes);
-        let (again, _) = cache.insert(a, vm, compiled(a));
+        let (again, _) = cache.insert(a, o2, compiled(a, o2));
         assert!(Arc::ptr_eq(&again, &ca));
         assert_eq!((cache.programs, cache.bytes), before);
 
@@ -1246,9 +1227,6 @@ mod tests {
         assert_eq!(budget, Some(CACHE_BUDGET_BYTES as u64));
     }
 
-    const VM: Variant =
-        Variant { cost_model: COST_MODEL, opt_level: OptLevel::O2, engine: Engine::Vm };
-
     /// Distinct programs of one size: `k` stays four digits.
     fn numbered(k: usize) -> String {
         assert!((1000..10_000).contains(&k));
@@ -1279,9 +1257,9 @@ mod tests {
         (programs, bytes)
     }
 
-    /// Whether the cache holds `(src, variant)`, without using it.
-    fn holds(cache: &ProgramCache, src: &str, variant: Variant) -> bool {
-        cache.by_source.get(src).is_some_and(|vs| vs.iter().any(|e| e.variant == variant))
+    /// Whether the cache holds `(src, level)`, without using it.
+    fn holds(cache: &ProgramCache, src: &str, level: OptLevel) -> bool {
+        cache.by_source.get(src).is_some_and(|vs| vs.iter().any(|e| e.level == level))
     }
 
     /// What `src` costs the cache at -O2.
@@ -1300,12 +1278,12 @@ mod tests {
         let mut cache = ProgramCache::new(numbered_bytes() * 9 / 2);
         let src: Vec<String> = (1000..1005).map(numbered).collect();
         for s in &src[..4] {
-            assert!(cache.insert(s, VM, compiled(s, OptLevel::O2)).1.is_empty());
+            assert!(cache.insert(s, OptLevel::O2, compiled(s, OptLevel::O2)).1.is_empty());
         }
-        assert!(cache.get(&src[0], VM).is_some());
-        let (_, evicted) = cache.insert(&src[4], VM, compiled(&src[4], OptLevel::O2));
+        assert!(cache.get(&src[0], OptLevel::O2).is_some());
+        let (_, evicted) = cache.insert(&src[4], OptLevel::O2, compiled(&src[4], OptLevel::O2));
         assert_eq!((evicted.len(), cache.evictions), (2, 2));
-        let live: Vec<bool> = src.iter().map(|s| cache.get(s, VM).is_some()).collect();
+        let live: Vec<bool> = src.iter().map(|s| cache.get(s, OptLevel::O2).is_some()).collect();
         assert_eq!(live, [true, false, false, true, true]);
     }
 
@@ -1316,19 +1294,18 @@ mod tests {
         let mut inserted = 0;
         for k in 1001..1061 {
             let s = numbered(k);
-            // every third source in two variants, every fifth hit again
+            // every third source at both levels, every fifth hit again
             let levels: &[OptLevel] =
                 if k % 3 == 0 { &[OptLevel::O2, OptLevel::O0] } else { &[OptLevel::O2] };
             for &level in levels {
-                let variant = Variant { opt_level: level, ..VM };
-                cache.insert(&s, variant, compiled(&s, level));
+                cache.insert(&s, level, compiled(&s, level));
                 inserted += 1;
                 assert!(cache.bytes <= budget, "{} > {budget} after {k}", cache.bytes);
                 assert_eq!(recount(&cache), (cache.programs, cache.bytes), "after {k}");
                 assert_eq!(cache.evictions as usize, inserted - cache.programs);
             }
             if k % 5 == 0 {
-                assert!(cache.get(&numbered(k - 1), VM).is_some(), "{k}");
+                assert!(cache.get(&numbered(k - 1), OptLevel::O2).is_some(), "{k}");
             }
         }
         assert!(cache.evictions > 0);
@@ -1352,16 +1329,16 @@ mod tests {
     #[test]
     fn two_variants_of_one_source_evict_apart_and_the_text_goes_with_the_last() {
         let mut cache = ProgramCache::new(numbered_bytes() * 4);
-        let o0 = Variant { opt_level: OptLevel::O0, ..VM };
+        let o0 = OptLevel::O0;
         let shared = numbered(9999);
-        cache.insert(&shared, VM, compiled(&shared, OptLevel::O2));
+        cache.insert(&shared, OptLevel::O2, compiled(&shared, OptLevel::O2));
         cache.insert(&shared, o0, compiled(&shared, OptLevel::O0));
         // keep the -O0 variant in use while other sources come and go
         let mut k = 1000;
-        while holds(&cache, &shared, VM) {
+        while holds(&cache, &shared, OptLevel::O2) {
             assert!(cache.get(&shared, o0).is_some());
             let s = numbered(k);
-            cache.insert(&s, VM, compiled(&s, OptLevel::O2));
+            cache.insert(&s, OptLevel::O2, compiled(&s, OptLevel::O2));
             k += 1;
         }
         assert!(holds(&cache, &shared, o0), "the -O0 variant was used, the -O2 one not");
@@ -1370,7 +1347,7 @@ mod tests {
         // ... and once the -O0 variant goes too, so does the text
         while cache.by_source.contains_key(shared.as_str()) {
             let s = numbered(k);
-            cache.insert(&s, VM, compiled(&s, OptLevel::O2));
+            cache.insert(&s, OptLevel::O2, compiled(&s, OptLevel::O2));
             k += 1;
         }
         assert_eq!(recount(&cache), (cache.programs, cache.bytes));
@@ -1426,7 +1403,7 @@ mod tests {
             // one request runs it while later ones push it out
             let running = s.spawn(|| (0..3).map(|_| run(&in_use)).collect::<Vec<_>>());
             let mut k = 1000;
-            while holds(&server.programs.lock().unwrap(), src, VM) {
+            while holds(&server.programs.lock().unwrap(), src, OptLevel::O2) {
                 server.handle(Request::program(&numbered(k)));
                 k += 1;
             }
@@ -1619,15 +1596,22 @@ mod tests {
     }
 
     #[test]
-    fn opt_level_and_engine_key_the_cache_separately() {
+    fn the_opt_level_keys_the_cache_and_the_engine_does_not() {
         let server = Server::new();
-        for (engine, level) in
-            [(Engine::Vm, OptLevel::O2), (Engine::Vm, OptLevel::O0), (Engine::Ast, OptLevel::O2)]
-        {
+        for (engine, level, hit) in [
+            (Engine::Vm, OptLevel::O2, false),
+            (Engine::Native, OptLevel::O2, true),
+            (Engine::Vm, OptLevel::O0, false),
+        ] {
             let req = Request { engine, opt_level: level, ..Request::program(HELLO) };
-            assert!(matches!(server.handle(req), Response::Ok { cache_hit: false, .. }));
+            let Response::Ok { run, cache_hit, .. } = server.handle(req) else {
+                panic!("{engine:?} -O{level} failed");
+            };
+            assert_eq!(run.results[0], vec!["7".to_string()], "{engine:?} -O{level}");
+            assert_eq!(cache_hit, hit, "{engine:?} -O{level}");
         }
-        assert_eq!(server.stats().compile_misses, 3);
+        let stats = server.stats();
+        assert_eq!((stats.compile_misses, stats.compile_hits), (2, 1));
     }
 
     #[test]
@@ -1702,15 +1686,24 @@ mod tests {
             ("{not json", "bad_request"),
             (r#"{"program":"void main() {}","mesh":"0x4"}"#, "bad_request"),
             (r#"{"program":"void main() {}","engine":"jit"}"#, "bad_request"),
+            (r#"{"program":"void main() {}","engine":"ast"}"#, "bad_request"),
+            (r#"{"program":"void main() {}","opt_level":1}"#, "bad_request"),
             (r#"{"program":"void main() {}","bogus":1}"#, "bad_request"),
             (r#"{"mesh":"2x2"}"#, "bad_request"),
             (r#"{"program":"int main() { return notdefined; }"}"#, "compile"),
         ];
-        for (line, want_kind) in cases {
-            let resp = server.handle_line(line);
-            assert!(resp.contains("\"ok\":false"), "{line} -> {resp}");
-            assert!(resp.contains(&format!("\"kind\":\"{want_kind}\"")), "{line} -> {resp}");
-        }
+        let replies: Vec<String> = cases
+            .iter()
+            .map(|(line, want_kind)| {
+                let resp = server.handle_line(line);
+                assert!(resp.contains("\"ok\":false"), "{line} -> {resp}");
+                assert!(resp.contains(&format!("\"kind\":\"{want_kind}\"")), "{line} -> {resp}");
+                resp
+            })
+            .collect();
+        // an engine or opt level the wire does not take: the reply names those it does
+        assert!(replies[3].contains("(vm|native)"), "{}", replies[3]);
+        assert!(replies[4].contains("must be 0 or 2"), "{}", replies[4]);
         let stats = server.stats();
         assert_eq!(stats.requests, cases.len() as u64);
         assert_eq!(stats.errors, cases.len() as u64);
@@ -1769,11 +1762,11 @@ mod tests {
             assert_eq!(run.results[0], vec!["120".to_string()]);
             assert_eq!(cache_hit, round > 0, "round {round}");
         }
-        // The native result must match the VM's, served from a separate
-        // cache entry (the engine is part of the program key).
+        // The native result must match the VM's, served from the same
+        // cache entry (the engine is no part of the program key).
         let vm = server.handle(Request::program(FOLD));
-        let Response::Ok { run, cache_hit: false, .. } = vm else {
-            panic!("vm run after native must be a fresh cache entry");
+        let Response::Ok { run, cache_hit: true, .. } = vm else {
+            panic!("vm run after native must hit the native run's entry");
         };
         assert_eq!(run.results[0], vec!["120".to_string()]);
     }

@@ -2,9 +2,9 @@
 """CI smoke test for the `skild` serving daemon.
 
 Generates a mixed JSONL batch — clean programs on a sweep of mesh
-shapes (2x2, 1x3, 4x4), all three engines (ast, vm, native), Skil
-runtime errors, crash fault plans, malformed requests, raw non-JSON
-garbage, and a stats query — streams it through one `skild` process,
+shapes (2x2, 1x3, 4x4), both engines (vm, native), Skil runtime
+errors, crash fault plans, malformed requests (among them the walker,
+which is not on the wire), raw non-JSON garbage, and a stats query — streams it through one `skild` process,
 and asserts the daemon:
 
   - stays alive to stdin EOF and exits 0 (no restart, no crash);
@@ -107,7 +107,7 @@ def build_batch(total):
         elif slot < 16:
             add(rid, "runtime", {"program": DIV_ZERO, "engine": "native"})
         elif slot < 17:
-            add(rid, "runtime", {"program": DIV_ZERO, "engine": "ast"})
+            add(rid, "bad_request", {"program": DIV_ZERO, "engine": "ast"})
         elif slot < 18:
             add(rid, "runtime", {"program": FOLD, "faults": "seed=7,crash=3@50"})
         elif slot < 19:

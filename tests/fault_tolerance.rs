@@ -163,7 +163,7 @@ fn crash_plan_surfaces_peer_down_through_the_language() {
 fn every_engine_and_host_masks_a_plan_and_cascades_a_crash_alike() {
     let compiled = levels("shortest_paths", &programs::example("shortest_paths.skil"));
     let on = |faults: FaultPlan| machines(MachineConfig::mesh(4, 4).unwrap().with_faults(faults));
-    let observe = |faults: FaultPlan, row: Row<&[_; 3]>| {
+    let observe = |faults: FaultPlan, row: Row<&[_; 2]>| {
         assert_same(&[row], &configs(&ENGINES, &on(faults)), |c, a, m| run(c, a, m)).remove(0)
     };
     let row = || Row::new("shortest_paths", &compiled);

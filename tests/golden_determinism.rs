@@ -179,14 +179,9 @@ fn skil_gauss_golden_under_both_engines() {
 fn skil_goldens_bit_identical_at_every_opt_level() {
     // The bytecode optimizer may reorder, fuse, fold, and inline, but
     // the pooled symbolic charges must survive exactly: -O0 (raw
-    // compiler output) and -O1 hold the goldens -O2 holds above, digest
-    // for digest.
-    let lower = [
-        (Engine::Vm, OptLevel::O0),
-        (Engine::Vm, OptLevel::O1),
-        (Engine::Native, OptLevel::O0),
-        (Engine::Native, OptLevel::O1),
-    ];
+    // compiler output) holds the goldens -O2 holds above, digest for
+    // digest.
+    let lower = [(Engine::Vm, OptLevel::O0), (Engine::Native, OptLevel::O0)];
     skil_golden("shortest_paths", 2_397_316, &lower);
     skil_golden("gauss", 11_906_936, &lower);
 }
@@ -199,11 +194,8 @@ fn skil_examples_golden_with_tracing_on() {
         ("untraced", Machine::new(MachineConfig::square(2).unwrap())),
         ("traced", Machine::new(MachineConfig::square(2).unwrap().with_trace())),
     ];
-    let mut cells = configs(&VM_LEVELS[3..], &machines[..1]);
-    cells.extend(configs(
-        &[VM_LEVELS[0], VM_LEVELS[1], VM_LEVELS[2], VM_LEVELS[3], ENGINES[2]],
-        &machines[1..],
-    ));
+    let mut cells = configs(&VM_LEVELS[2..], &machines[..1]);
+    cells.extend(configs(&[VM_LEVELS[0], VM_LEVELS[1], VM_LEVELS[2], ENGINES[2]], &machines[1..]));
     for (name, cycles) in [("shortest_paths", 2_397_316), ("gauss", 11_906_936)] {
         let row = [Row::new(name, levels(name, &programs::example(&format!("{name}.skil"))))];
         let seen: Observed = assert_same(&row, &cells, |c, axis, m| {

@@ -448,7 +448,7 @@ fn runtime_error(name: &str, seen: &Observed) -> String {
 }
 
 /// Runtime errors raised inside `General` argument functions: the typed
-/// register tier (`-O1`, `-O2`), the generic loop (`-O0`, and every
+/// register tier (`-O2`), the generic loop (`-O0`, and every
 /// function that does not lower) and the native engine fail on the same
 /// processors with the walker's message. So do the errors the skeleton
 /// host raises itself, whichever engine drives it.
@@ -942,7 +942,7 @@ fn every_direct_operator_pair_multiplies_like_the_walker() {
 /// 200 generated kernel-heavy programs — float locals and loops in
 /// argument functions, partial applications that lift array handles,
 /// `array_get_elem` reads — under the walker and the VM at every opt
-/// level: `-O0` runs every kernel on the generic loop, `-O1`/`-O2` on
+/// level: `-O0` runs every kernel on the generic loop, `-O2` on
 /// the typed register tier wherever it lowers.
 #[test]
 fn generated_kernels_agree_on_both_kernel_tiers() {
@@ -958,7 +958,7 @@ fn generated_kernels_agree_on_both_kernel_tiers() {
 /// The walker, the VM at every opt level, and the native engine once
 /// (each random program is a fresh `rustc` invocation; one opt level
 /// keeps the suite fast).
-const RANDOM_AXES: [Axis; 5] = [VM_LEVELS[0], VM_LEVELS[1], VM_LEVELS[2], VM_LEVELS[3], ENGINES[2]];
+const RANDOM_AXES: [Axis; 4] = [VM_LEVELS[0], VM_LEVELS[1], VM_LEVELS[2], ENGINES[2]];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

@@ -18,35 +18,29 @@ pub type Axis = (Engine, OptLevel);
 pub const ENGINES: [Axis; 3] =
     [(Engine::Ast, OptLevel::O2), (Engine::Vm, OptLevel::O2), (Engine::Native, OptLevel::O2)];
 
-/// The walker, then the VM at every opt level.
-pub const VM_LEVELS: [Axis; 4] = [
-    (Engine::Ast, OptLevel::O0),
-    (Engine::Vm, OptLevel::O0),
-    (Engine::Vm, OptLevel::O1),
-    (Engine::Vm, OptLevel::O2),
-];
+/// The walker, then the VM at both opt levels.
+pub const VM_LEVELS: [Axis; 3] =
+    [(Engine::Ast, OptLevel::O0), (Engine::Vm, OptLevel::O0), (Engine::Vm, OptLevel::O2)];
 
-/// The walker, then the VM and the native engine at every opt level.
-pub const ALL_LEVELS: [Axis; 7] = [
+/// The walker, then the VM and the native engine at both opt levels.
+pub const ALL_LEVELS: [Axis; 5] = [
     VM_LEVELS[0],
     VM_LEVELS[1],
     VM_LEVELS[2],
-    VM_LEVELS[3],
     (Engine::Native, OptLevel::O0),
-    (Engine::Native, OptLevel::O1),
     (Engine::Native, OptLevel::O2),
 ];
 
 /// `src` compiled at each opt level, in level order.
-pub fn levels(name: &str, src: &str) -> [Compiled; 3] {
-    [OptLevel::O0, OptLevel::O1, OptLevel::O2].map(|level| {
+pub fn levels(name: &str, src: &str) -> [Compiled; 2] {
+    [OptLevel::O0, OptLevel::O2].map(|level| {
         compile_opt(src, level).unwrap_or_else(|e| panic!("{name} at -O{level}: {e}\n{src}"))
     })
 }
 
 /// The harness's runner for a program compiled at each opt level.
 pub fn run(
-    c: &[Compiled; 3],
+    c: &[Compiled; 2],
     &(engine, level): &Axis,
     m: &Machine,
 ) -> Result<Run<Vec<String>>, SimFailure> {

@@ -614,7 +614,7 @@ impl<K: ArgFns> Site<'_, K> {
             solve: Kernel::new(|p: &Value| solve.call::<Value>([KArg::V(p)]), self.k.cycles(1)),
             split: Kernel::new(
                 |p: &Value| match split.call::<Value>([KArg::V(p)]) {
-                    Value::List(items) => items.to_vec(),
+                    Value::List(items) => items.into_vec(),
                     other => panic!("skil runtime: split returned {other:?}, not a list"),
                 },
                 self.k.cycles(2),

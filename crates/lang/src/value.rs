@@ -1,68 +1,147 @@
 //! Runtime values of interpreted Skil programs.
 
+use std::fmt;
+use std::mem::take;
 use std::sync::Arc;
 
 use skil_runtime::{Wire, WireError, WireReader};
 
-/// A persistent cons list with structural sharing.
+/// A persistent list: an unrolled spine of shared chunks.
 ///
-/// The paper's `list<$t>` values are classic cons lists, and the
-/// intrinsics (`cons`, `head`, `tail`) are the classic constructors and
-/// selectors. Backing them with a `Vec` made the ubiquitous
-/// `l = cons(x, l)` building loop quadratic: every `cons` copied the
-/// whole tail, and every variable reference deep-cloned the spine. The
-/// shared-node representation makes `cons`, `head`, `tail`, `len`, and
-/// `clone` all O(1); only `append` and traversal (printing, flattening,
-/// equality) walk the spine.
-#[derive(Clone, Debug, Default)]
+/// A chunk holds its bottom element inline, the elements consed on top
+/// of it in a `Vec` (head last), and the list below it. A handle is
+/// `{front, n, len}`: it sees the bottom `n` elements of its front chunk,
+/// then that chunk's `rest`, `len` elements in all. A tail taken inside
+/// a chunk is the same chunk seen with a smaller `n`:
+///
+/// ```text
+///  a      = [3, 2, 1, 0]   {n: 3, len: 4} ─┐
+///  tail a = [2, 1, 0]      {n: 2, len: 3} ─┴─▶ bottom 1 | above [2, 3] | rest ─▶ [0]
+/// ```
+///
+/// Ownership rule: the borrowing operations (`cons`, `rest`, `append`,
+/// which the walker and [`Intr::eval_pure`](crate::bytecode::Intr::eval_pure)
+/// use) never write a chunk; `cons` starts a one-element chunk over the
+/// shared rest. The owned `push_front` and `pop_front` write the front
+/// chunk only when `Arc::get_mut` says the handle is its sole owner *and*
+/// the handle sees all of it; otherwise `push_front` starts a
+/// one-element chunk and `pop_front` clones the head and narrows the
+/// view. `into_vec` moves out of every chunk it solely owns. No handle
+/// ever observes another's change.
+///
+/// Bounds: `cons`, `push_front` (amortized), `pop_front`, `first`,
+/// `rest`, `len` and `clone` are O(1); `append` is O(|left|) and shares
+/// the right list; `from_vec` is one allocation, reusing the `Vec`;
+/// equality and drop are iterative, so a 200k-element list is safe.
+#[derive(Clone, Default)]
 pub struct ConsList {
-    head: Option<Arc<ListNode>>,
+    front: Option<Arc<Chunk>>,
+    /// How many of the front chunk's elements this handle sees (0 iff
+    /// `front` is `None`).
+    n: usize,
+    len: usize,
 }
 
-#[derive(Debug)]
-struct ListNode {
-    elem: Value,
-    /// Length of the list starting at this node (memoized so `len` is
-    /// O(1) despite sharing).
-    len: usize,
-    rest: Option<Arc<ListNode>>,
+struct Chunk {
+    bottom: Value,
+    /// Elements consed on top of `bottom`, the newest last.
+    above: Vec<Value>,
+    rest: ConsList,
+}
+
+impl Chunk {
+    /// The `i`-th element from the bottom (`0` is `bottom`).
+    fn at(&self, i: usize) -> &Value {
+        if i == 0 {
+            &self.bottom
+        } else {
+            &self.above[i - 1]
+        }
+    }
 }
 
 impl ConsList {
     /// The empty list (`nil`).
     pub fn new() -> Self {
-        ConsList { head: None }
+        ConsList::default()
     }
 
     /// Number of elements, O(1).
     pub fn len(&self) -> usize {
-        self.head.as_ref().map_or(0, |n| n.len)
+        self.len
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.head.is_none()
+        self.len == 0
     }
 
-    /// `cons(elem, rest)` — prepend without copying the tail, O(1).
+    /// `cons(elem, rest)` — a one-element chunk over the shared `rest`,
+    /// O(1).
     pub fn cons(elem: Value, rest: &ConsList) -> ConsList {
-        ConsList {
-            head: Some(Arc::new(ListNode { elem, len: rest.len() + 1, rest: rest.head.clone() })),
-        }
+        ConsList::chunk(elem, Vec::new(), rest.clone())
+    }
+
+    /// A new front chunk `bottom` + `above` (head last) over `rest`.
+    fn chunk(bottom: Value, above: Vec<Value>, rest: ConsList) -> ConsList {
+        let n = above.len() + 1;
+        ConsList { n, len: rest.len + n, front: Some(Arc::new(Chunk { bottom, above, rest })) }
     }
 
     /// First element, if any.
     pub fn first(&self) -> Option<&Value> {
-        self.head.as_ref().map(|n| &n.elem)
+        self.front.as_ref().map(|c| c.at(self.n - 1))
     }
 
-    /// The list after the first element — shares the tail, O(1).
+    /// The list after the first element — shares the chunks, O(1).
     pub fn rest(&self) -> Option<ConsList> {
-        self.head.as_ref().map(|n| ConsList { head: n.rest.clone() })
+        let c = self.front.as_ref()?;
+        Some(if self.n == 1 {
+            c.rest.clone()
+        } else {
+            ConsList { front: Some(c.clone()), n: self.n - 1, len: self.len - 1 }
+        })
     }
 
-    /// `append(self, other)` — rebuilds only the left spine (with the
-    /// exact capacity reserved up front) and shares the right list.
+    /// Owned `cons`: push onto the front chunk in place when this handle
+    /// owns it and sees all of it, else start a one-element chunk.
+    pub fn push_front(&mut self, elem: Value) {
+        let n = self.n;
+        match self.front.as_mut().and_then(Arc::get_mut) {
+            Some(c) if c.above.len() + 1 == n => {
+                c.above.push(elem);
+                self.n += 1;
+                self.len += 1;
+            }
+            _ => *self = ConsList::chunk(elem, Vec::new(), take(self)),
+        }
+    }
+
+    /// Owned `tail`, returning the head: pop the front chunk in place
+    /// when this handle owns it and sees all of it, else clone the head
+    /// and narrow the view.
+    pub fn pop_front(&mut self) -> Option<Value> {
+        let n = self.n;
+        let c = self.front.as_mut()?;
+        if n > 1 {
+            self.n -= 1;
+            self.len -= 1;
+            return Some(match Arc::get_mut(c) {
+                Some(c) if c.above.len() + 1 == n => c.above.pop().expect("n > 1"),
+                _ => c.above[n - 2].clone(),
+            });
+        }
+        // the head is the chunk's bottom: step into its rest
+        let (head, rest) = match Arc::try_unwrap(self.front.take().expect("n == 1")) {
+            Ok(Chunk { bottom, mut rest, .. }) => (bottom, take(&mut rest)),
+            Err(c) => (c.bottom.clone(), c.rest.clone()),
+        };
+        *self = rest;
+        Some(head)
+    }
+
+    /// `append(self, other)` — one chunk holding the left elements, over
+    /// the shared right list.
     pub fn append(&self, other: &ConsList) -> ConsList {
         if self.is_empty() {
             return other.clone();
@@ -70,18 +149,12 @@ impl ConsList {
         if other.is_empty() {
             return self.clone();
         }
-        let mut left = Vec::with_capacity(self.len());
-        left.extend(self.iter().cloned());
-        let mut out = other.clone();
-        while let Some(v) = left.pop() {
-            out = ConsList::cons(v, &out);
-        }
-        out
+        ConsList::over(self.to_vec(), other.clone())
     }
 
     /// Iterate front to back.
     pub fn iter(&self) -> ConsIter<'_> {
-        ConsIter { node: self.head.as_deref() }
+        ConsIter { chunk: self.front.as_deref(), i: self.n, len: self.len }
     }
 
     /// Collect into a `Vec` (used at the task-skeleton boundary, where
@@ -92,13 +165,49 @@ impl ConsList {
         out
     }
 
-    /// Build from a `Vec`, preserving order.
-    pub fn from_vec(mut items: Vec<Value>) -> ConsList {
-        let mut out = ConsList::new();
-        while let Some(v) = items.pop() {
-            out = ConsList::cons(v, &out);
+    /// Move into a `Vec`, front to back: the elements of every chunk this
+    /// handle solely owns are moved out (the first such chunk's `Vec`
+    /// becomes the result), those of shared chunks cloned.
+    pub fn into_vec(mut self) -> Vec<Value> {
+        let mut out = Vec::new();
+        while let Some(c) = self.front.take() {
+            let n = self.n;
+            self = match Arc::try_unwrap(c) {
+                Ok(Chunk { bottom, mut above, mut rest }) => {
+                    // what handles since dropped pushed past this view
+                    above.truncate(n - 1);
+                    if out.is_empty() {
+                        above.reverse();
+                        out = above;
+                        out.reserve(rest.len + 1);
+                    } else {
+                        out.extend(above.into_iter().rev());
+                    }
+                    out.push(bottom);
+                    take(&mut rest)
+                }
+                Err(c) => {
+                    out.reserve(n + c.rest.len);
+                    out.extend((0..n).rev().map(|i| c.at(i).clone()));
+                    c.rest.clone()
+                }
+            };
         }
         out
+    }
+
+    /// Build from a `Vec`, preserving order: one allocation.
+    pub fn from_vec(items: Vec<Value>) -> ConsList {
+        ConsList::over(items, ConsList::new())
+    }
+
+    /// `items` (front to back) as one chunk over `rest`.
+    fn over(mut items: Vec<Value>, rest: ConsList) -> ConsList {
+        let Some(bottom) = items.pop() else {
+            return rest;
+        };
+        items.reverse();
+        ConsList::chunk(bottom, items, rest)
     }
 }
 
@@ -114,57 +223,72 @@ impl FromIterator<Value> for ConsList {
     }
 }
 
+impl fmt::Debug for ConsList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 impl PartialEq for ConsList {
     fn eq(&self, other: &Self) -> bool {
-        if self.len() != other.len() {
+        if self.len != other.len {
             return false;
         }
-        let (mut a, mut b) = (self.head.as_ref(), other.head.as_ref());
-        while let (Some(x), Some(y)) = (a, b) {
-            if Arc::ptr_eq(x, y) {
-                return true; // shared tail — equal by construction
+        let (mut a, mut b) = (self.iter(), other.iter());
+        loop {
+            if let (Some(x), Some(y)) = (a.chunk, b.chunk) {
+                if std::ptr::eq(x, y) && a.i == b.i {
+                    return true; // the same view of one chunk: one suffix
+                }
             }
-            if x.elem != y.elem {
-                return false;
+            match (a.next(), b.next()) {
+                (Some(x), Some(y)) if x == y => {}
+                (None, None) => return true,
+                _ => return false,
             }
-            a = x.rest.as_ref();
-            b = y.rest.as_ref();
         }
-        true
     }
 }
 
 impl Drop for ConsList {
     fn drop(&mut self) {
         // Unlink iteratively: the derived recursive drop would overflow
-        // the stack on long uniquely-owned spines (the 10k+ builds this
-        // representation exists for). `into_inner` gives up a shared
-        // node's reference in the one atomic decrement; it is then
-        // someone else's job.
-        let mut cur = self.head.take();
-        while let Some(mut n) = cur.and_then(Arc::into_inner) {
-            cur = n.rest.take();
+        // the stack on a long spine of one-element chunks (the walker's
+        // `cons` builds those). `into_inner` gives up a shared chunk's
+        // reference in the one atomic decrement; it is then someone
+        // else's job.
+        let mut cur = self.front.take();
+        while let Some(mut c) = cur.and_then(Arc::into_inner) {
+            cur = c.rest.front.take();
         }
     }
 }
 
 /// Front-to-back iterator over a [`ConsList`].
 pub struct ConsIter<'a> {
-    node: Option<&'a ListNode>,
+    chunk: Option<&'a Chunk>,
+    /// Elements of `chunk` still to yield (its bottom `i`).
+    i: usize,
+    len: usize,
 }
 
 impl<'a> Iterator for ConsIter<'a> {
     type Item = &'a Value;
 
     fn next(&mut self) -> Option<&'a Value> {
-        let n = self.node?;
-        self.node = n.rest.as_deref();
-        Some(&n.elem)
+        let c = self.chunk?;
+        self.i -= 1;
+        self.len -= 1;
+        let v = c.at(self.i);
+        if self.i == 0 {
+            self.chunk = c.rest.front.as_deref();
+            self.i = c.rest.n;
+        }
+        Some(v)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.node.map_or(0, |n| n.len);
-        (n, Some(n))
+        (self.len, Some(self.len))
     }
 }
 
@@ -192,27 +316,14 @@ pub enum Value {
     Array(usize),
 }
 
+// Frames, operand stacks and boxed arrays hold `Value`s by the million:
+// a list handle must not make every one of them wider.
+const _: () = assert!(std::mem::size_of::<Value>() == 40);
+
 impl Value {
     /// Render for `print`.
     pub fn render(&self) -> String {
-        match self {
-            Value::Int(v) => v.to_string(),
-            Value::Float(v) => format!("{v}"),
-            Value::Unit => "()".into(),
-            Value::Index(ix) => format!("{{{}, {}}}", ix[0], ix[1]),
-            Value::Bounds(lo, up) => {
-                format!("bounds{{[{}, {}] .. [{}, {}]}}", lo[0], lo[1], up[0], up[1])
-            }
-            Value::Struct(_, fields) => {
-                let inner: Vec<String> = fields.iter().map(|f| f.render()).collect();
-                format!("{{{}}}", inner.join(", "))
-            }
-            Value::List(items) => {
-                let inner: Vec<String> = items.iter().map(|f| f.render()).collect();
-                format!("[{}]", inner.join(", "))
-            }
-            Value::Array(h) => format!("array#{h}"),
-        }
+        self.to_string()
     }
 
     /// The `int` inside, or a descriptive panic (interpreter invariants
@@ -247,16 +358,37 @@ impl Value {
             other => panic!("expected array, got {other:?}"),
         }
     }
+}
 
-    /// Approximate wire size in bytes (for cost accounting).
-    pub fn wire_size(&self) -> usize {
+/// What `print` writes: one `String`, however deep the value.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fn seq<'a>(
+            f: &mut fmt::Formatter<'_>,
+            open: &str,
+            items: impl Iterator<Item = &'a Value>,
+            close: &str,
+        ) -> fmt::Result {
+            f.write_str(open)?;
+            for (i, v) in items.enumerate() {
+                if i > 0 {
+                    f.write_str(", ")?;
+                }
+                write!(f, "{v}")?;
+            }
+            f.write_str(close)
+        }
         match self {
-            Value::Int(_) | Value::Float(_) => 9,
-            Value::Unit => 1,
-            Value::Index(_) | Value::Bounds(_, _) => 17,
-            Value::Struct(_, fields) => 5 + fields.iter().map(|f| f.wire_size()).sum::<usize>(),
-            Value::List(items) => 9 + items.iter().map(|f| f.wire_size()).sum::<usize>(),
-            Value::Array(_) => 9,
+            Value::Int(v) => write!(f, "{v}"),
+            Value::Float(v) => write!(f, "{v}"),
+            Value::Unit => f.write_str("()"),
+            Value::Index(ix) => write!(f, "{{{}, {}}}", ix[0], ix[1]),
+            Value::Bounds(lo, up) => {
+                write!(f, "bounds{{[{}, {}] .. [{}, {}]}}", lo[0], lo[1], up[0], up[1])
+            }
+            Value::Struct(_, fields) => seq(f, "{", fields.iter(), "}"),
+            Value::List(items) => seq(f, "[", items.iter(), "]"),
+            Value::Array(h) => write!(f, "array#{h}"),
         }
     }
 }
@@ -334,7 +466,140 @@ impl Wire for Value {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    fn ints(items: &[i64]) -> Vec<Value> {
+        items.iter().copied().map(Value::Int).collect()
+    }
+
+    #[test]
+    fn pushing_and_popping_never_shows_through_an_alias() {
+        // push onto two clones of one list
+        let mut a = ConsList::from_vec(ints(&[1, 2]));
+        let mut b = a.clone();
+        a.push_front(Value::Int(3));
+        b.push_front(Value::Int(4));
+        assert_eq!(a.to_vec(), ints(&[3, 1, 2]));
+        assert_eq!(b.to_vec(), ints(&[4, 1, 2]));
+
+        // push onto a narrowed view of a chunk grown in place
+        let mut a = ConsList::new();
+        for i in [3, 2, 1] {
+            a.push_front(Value::Int(i));
+        }
+        let mut b = a.clone();
+        assert_eq!(b.pop_front(), Some(Value::Int(1)));
+        b.push_front(Value::Int(9));
+        assert_eq!(a.to_vec(), ints(&[1, 2, 3]));
+        assert_eq!(b.to_vec(), ints(&[9, 2, 3]));
+        // ... and once the wider view is gone
+        let mut c = b.rest().unwrap();
+        drop((a, b));
+        c.push_front(Value::Int(8));
+        assert_eq!(c.to_vec(), ints(&[8, 2, 3]));
+
+        // pop a shared chunk, then the same chunk once it is not shared
+        let mut a = ConsList::from_vec(ints(&[1, 2, 3]));
+        let b = a.clone();
+        assert_eq!(a.pop_front(), Some(Value::Int(1)));
+        assert_eq!(b.to_vec(), ints(&[1, 2, 3]));
+        drop(b);
+        assert_eq!(a.pop_front(), Some(Value::Int(2)));
+        assert_eq!(a.to_vec(), ints(&[3]));
+
+        // move out of a chunk another handle shares
+        let a = ConsList::from_vec(ints(&[1, 2, 3]));
+        let b = a.rest().unwrap();
+        assert_eq!(b.into_vec(), ints(&[2, 3]));
+        assert_eq!(a.into_vec(), ints(&[1, 2, 3]));
+    }
+
+    /// One step of the model test: aliased handles and, per handle, the
+    /// `Vec` it must read as.
+    fn step(word: u64, lists: &mut [ConsList], model: &mut [Vec<Value>]) -> Result<(), String> {
+        let k = lists.len() as u64;
+        let (h, g) = ((word / 16 % k) as usize, (word / 64 % k) as usize);
+        let v = Value::Int((word >> 16) as i64 % 1_000);
+        match word % 16 {
+            0 | 1 => {
+                lists[h] = ConsList::cons(v.clone(), &lists[g]);
+                model[h] = [vec![v], model[g].clone()].concat();
+            }
+            2..=4 => {
+                lists[h].push_front(v.clone());
+                model[h].insert(0, v);
+            }
+            5..=7 => {
+                let want = (!model[h].is_empty()).then(|| model[h].remove(0));
+                if lists[h].pop_front() != want {
+                    return Err(format!("pop_front of handle {h}"));
+                }
+            }
+            8 => {
+                if let Some(r) = lists[g].rest() {
+                    lists[h] = r;
+                    model[h] = model[g][1..].to_vec();
+                }
+            }
+            9 => {
+                lists[h] = lists[h].append(&lists[g]);
+                model[h] = [model[h].clone(), model[g].clone()].concat();
+            }
+            10 => {
+                let items: Vec<Value> =
+                    (0..(word >> 8) % 5).map(|i| Value::Int(i as i64)).collect();
+                lists[h] = ConsList::from_vec(items.clone());
+                model[h] = items;
+            }
+            11 => {
+                let moved = take(&mut lists[h]).into_vec();
+                if moved != model[h] {
+                    return Err(format!("into_vec of handle {h}: {moved:?}"));
+                }
+                lists[h] = ConsList::from_vec(moved);
+            }
+            12 | 13 => {
+                lists[h] = lists[g].clone();
+                model[h] = model[g].clone();
+            }
+            14 => {
+                if (lists[h] == lists[g]) != (model[h] == model[g]) {
+                    return Err(format!("handles {h} == {g}"));
+                }
+            }
+            _ => {
+                let back = Value::from_bytes(&Value::List(lists[h].clone()).to_bytes());
+                if back != Ok(Value::List(ConsList::from_vec(model[h].clone()))) {
+                    return Err(format!("wire round trip of handle {h}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Random borrowing and owned operations over four aliased
+        /// handles: after every step, every handle reads as its model.
+        #[test]
+        fn every_handle_reads_as_its_vec_model(
+            words in proptest::collection::vec(any::<u64>(), 1..120),
+        ) {
+            let mut lists = vec![ConsList::new(); 4];
+            let mut model = vec![Vec::new(); 4];
+            for (at, &w) in words.iter().enumerate() {
+                let stepped = step(w, &mut lists, &mut model);
+                prop_assert!(stepped.is_ok(), "step {}: {:?}", at, stepped);
+                for (l, m) in lists.iter().zip(&model) {
+                    prop_assert_eq!(&l.iter().cloned().collect::<Vec<_>>(), m);
+                    prop_assert_eq!(l.len(), m.len());
+                    prop_assert_eq!(l.iter().size_hint(), (m.len(), Some(m.len())));
+                    prop_assert_eq!(l.first(), m.first());
+                }
+            }
+        }
+    }
 
     fn list_of(items: Vec<Value>) -> Value {
         Value::List(ConsList::from_vec(items))
@@ -418,6 +683,22 @@ mod tests {
     fn dropping_unlinks_a_long_spine_and_stops_at_a_shared_tail() {
         let long = (0..200_000).fold(ConsList::new(), |l, i| ConsList::cons(Value::Int(i), &l));
         drop(long);
+        // one chunk, grown in place
+        let mut pushed = ConsList::new();
+        for i in 0..200_000 {
+            pushed.push_front(Value::Int(i));
+        }
+        assert_eq!(pushed.first(), Some(&Value::Int(199_999)));
+        drop(pushed);
+        // a clone held across every push: 200k one-element chunks
+        let mut shared = ConsList::new();
+        for i in 0..200_000 {
+            let held = shared.clone();
+            shared.push_front(Value::Int(i));
+            assert_eq!(shared.rest().unwrap(), held);
+        }
+        assert_eq!(shared.len(), 200_000);
+        drop(shared);
 
         let tail = ConsList::from_vec((0..1_000).map(Value::Int).collect());
         let sibling = ConsList::cons(Value::Int(-1), &tail);

@@ -35,7 +35,7 @@
 //! dispatch loop in kernel mode over the same bytecode.
 
 use std::cell::RefCell;
-use std::mem::take;
+use std::mem::{replace, take};
 
 use skil_array::Index;
 use skil_runtime::{CostModel, Machine, Proc, Run};
@@ -213,16 +213,84 @@ fn scalar_sl(op: Intr, arg: impl Fn(usize) -> Sl) -> Option<Sl> {
 }
 
 /// Intrinsic `op` over the first `n` slots of `args`: the scalar ones
-/// directly, the rest (lists, `error`, the stateful ones) boxed.
+/// directly, the rest (lists, `error`, the stateful ones) boxed. `cons`
+/// and `tail` own their list operand, so a list no one else holds grows
+/// or shrinks in place.
 fn intr_sl<H: Host>(h: &mut H, op: Intr, args: [Sl; 3], n: usize) -> Sl {
     if let Some(v) = scalar_sl(op, |k| args[k].clone()) {
         return v;
     }
-    let vals = args.map(Sl::into_value);
+    let mut vals = args.map(Sl::into_value);
+    match (op, &mut vals) {
+        (Intr::Cons, [x, Value::List(l), _]) => {
+            l.push_front(replace(x, Value::Unit));
+            return Sl::V(Value::List(take(l)));
+        }
+        (Intr::Tail, [Value::List(l), ..]) if !l.is_empty() => {
+            l.pop_front();
+            return Sl::V(Value::List(take(l)));
+        }
+        _ => {}
+    }
     Sl::from_value(match op.eval_pure(&vals[..n]) {
         Some(v) => v,
         None => h.stateful(op, &vals[..n]),
     })
+}
+
+/// `len` / `head` of a list in a frame slot, read where it lies; `None`
+/// leaves the operand to the generic path (which also reports `head` of
+/// an empty list).
+#[inline(always)]
+fn peek_list(op: Intr, src: Src, frame: &[Sl]) -> Option<Sl> {
+    let (Intr::Len | Intr::Head, Src::Slot(s)) = (op, src) else {
+        return None;
+    };
+    let Sl::V(Value::List(l)) = &frame[s as usize] else {
+        return None;
+    };
+    match op {
+        Intr::Len => Some(Sl::I(l.len() as i64)),
+        _ => l.first().map(Sl::from_value_ref),
+    }
+}
+
+/// `x = cons(e, x)` / `x = tail(x)` — an `intr.s` whose next
+/// instruction stores into its list operand's own slot: the list is
+/// updated where it lies instead of a clone being built and stored over
+/// it, so a list no one else holds grows or shrinks in place. `false`
+/// (nothing fetched) leaves the instruction to the generic path.
+#[inline(always)]
+fn list_in_place(
+    op: Intr,
+    srcs: [Src; 3],
+    d: u16,
+    stack: &mut Vec<Sl>,
+    frame: &mut [Sl],
+    consts: &[Sl],
+) -> bool {
+    let (own, d) = (Src::Slot(d), d as usize);
+    match op {
+        Intr::Cons if srcs[1] == own => {
+            if !matches!(frame[d], Sl::V(Value::List(_))) {
+                return false;
+            }
+            let x = fetch(srcs[0], stack, frame, consts).into_value();
+            let Sl::V(Value::List(l)) = &mut frame[d] else {
+                unreachable!("the slot held a list before the element was fetched")
+            };
+            l.push_front(x);
+            true
+        }
+        Intr::Tail if srcs[0] == own => match &mut frame[d] {
+            Sl::V(Value::List(l)) if !l.is_empty() => {
+                l.pop_front();
+                true
+            }
+            _ => false,
+        },
+        _ => false,
+    }
 }
 
 fn field_sl(v: Sl, index: usize) -> Sl {
@@ -403,6 +471,16 @@ fn exec<H: Host>(
                 stack.push(Sl::I(ix[i as usize]));
             }
             Instr::IntrS(op, argc, srcs) => {
+                if let Some(v) = peek_list(op, srcs[0], &frame) {
+                    stack.push(v);
+                    continue;
+                }
+                if let Some(&Instr::Store(d)) = f.code.get(pc) {
+                    if list_in_place(op, srcs, d, stack, &mut frame, h.kconsts()) {
+                        pc += 1;
+                        continue;
+                    }
+                }
                 let n = argc as usize;
                 let mut buf = [Sl::I(0), Sl::I(0), Sl::I(0)];
                 for k in (0..n).rev() {

@@ -11,7 +11,10 @@
 //! warm skeleton call allocates nothing — the VM keeps its argument
 //! buffers per processor, readied argument functions borrow theirs, and
 //! `array_gen_mult` decodes each rotated block into the one it owns — so
-//! 200 folds allocate no more than 100 do.
+//! 200 folds allocate no more than 100 do. And for `hot_small`'s two
+//! list programs on 2x2: a list takes a heap chunk per run of in-place
+//! pushes, not a cell per element, so the ceilings are 0.55x of the
+//! cell-per-`cons` counts.
 //!
 //! The counters are per thread (a one-worker machine runs every
 //! processor on the calling thread): the test harness's own threads
@@ -187,5 +190,27 @@ fn a_warm_run_allocates_nothing_per_skeleton_call() {
         let allocs = warm_run_allocs(&src, rows, cols);
         println!("{name}: {allocs} allocations (before: {before})");
         assert!(allocs * 10 <= before * 4, "{name}: {allocs} allocations, ceiling 0.4 x {before}");
+    }
+}
+
+#[test]
+fn a_warm_list_run_allocates_per_chunk_not_per_element() {
+    // (name, source, machine, allocations when every `cons` and every
+    // decoded or joined list element took a heap cell of its own)
+    let cases = [
+        ("quicksort n=32 2x2", template(program!("quicksort"), &[("__LEN__", "32")]), 948),
+        (
+            "farm_sweep 16x100 2x2",
+            template(program!("farm_sweep"), &[("__TASKS__", "16"), ("__ITERS__", "100")]),
+            221,
+        ),
+    ];
+    for (name, src, before) in cases {
+        let allocs = warm_run_allocs(&src, 2, 2);
+        println!("{name}: {allocs} allocations (before: {before})");
+        assert!(
+            allocs * 100 <= before * 55,
+            "{name}: {allocs} allocations, ceiling 0.55 x {before}"
+        );
     }
 }

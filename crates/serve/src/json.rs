@@ -322,7 +322,24 @@ pub fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
 /// 9e15 without a fraction, everything else as Rust prints an `f64`.
 pub fn write_num<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
     if n.fract() == 0.0 && n.abs() < 9e15 {
-        write!(out, "{}", n as i64)
+        // integral: digits into a stack buffer, not through `core::fmt`
+        let v = n as i64;
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        let mut m = v.unsigned_abs();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (m % 10) as u8;
+            m /= 10;
+            if m == 0 {
+                break;
+            }
+        }
+        if v < 0 {
+            at -= 1;
+            buf[at] = b'-';
+        }
+        out.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
     } else {
         write!(out, "{n}")
     }
@@ -432,6 +449,30 @@ pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn integers_print_as_rust_prints_them() {
+        let mut cases = vec![0i64, 1, -1, 9_000_000_000_000_000 - 1];
+        let mut p = 1i64;
+        for _ in 0..16 {
+            p *= 10;
+            cases.extend([p, p - 1]);
+        }
+        for i in cases.clone() {
+            cases.push(-i);
+        }
+        for i in cases {
+            if (i as f64).abs() >= 9e15 {
+                continue; // printed as an f64: not this branch
+            }
+            let mut out = String::new();
+            write_num(&mut out, i as f64).unwrap();
+            assert_eq!(out, format!("{i}"));
+        }
+        let mut out = String::new();
+        write_num(&mut out, -0.0).unwrap();
+        assert_eq!(out, "0");
+    }
 
     #[test]
     fn roundtrips_the_request_shape() {

@@ -255,12 +255,7 @@ use skil_runtime::SchedulerKind;
 /// Farm `tasks` trivial work items over an `n`-proc event machine and
 /// return the run (golden pinned by callers).
 fn farm_at_scale(n: usize, tasks: u64) -> skil_runtime::Run<Option<u64>> {
-    let m = Machine::new(
-        MachineConfig::procs(n)
-            .unwrap()
-            .with_scheduler(SchedulerKind::Event)
-            .with_timeout(std::time::Duration::from_secs(600)),
-    );
+    let m = Machine::new(MachineConfig::procs(n).unwrap().with_scheduler(SchedulerKind::Event));
     m.run(move |p| {
         let ts = (p.id() == 0).then(|| (0..tasks).collect::<Vec<u64>>());
         farm(p, 0, ts, Kernel::free(|&t: &u64| t.wrapping_mul(2654435761) >> 7))

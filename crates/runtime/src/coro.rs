@@ -1,11 +1,18 @@
-//! Stackful coroutines for the event-driven scheduler.
+//! The scheduler's tasks, on either of two substrates.
 //!
 //! Each simulated processor runs as a resumable task: an ordinary Rust
-//! closure executing on its own private stack, suspended at blocking
-//! points (mailbox waits) by swapping the callee-saved register context
-//! back to the scheduler worker that resumed it. This is what lets one
-//! host thread multiplex thousands of virtual processors — a parked
-//! processor costs a few KB of touched stack instead of an OS thread.
+//! closure suspended at blocking points (mailbox waits) until the
+//! scheduler worker that resumes it hands control back. By default the
+//! closure is a stackful coroutine on a private stack, suspended by
+//! swapping the callee-saved register context back to the worker. This
+//! is what lets one host thread multiplex thousands of virtual
+//! processors — a parked processor costs a few KB of touched stack
+//! instead of an OS thread. A thread task ([`Task::thread`]) runs the
+//! same closure on an OS thread of its own instead, and passes a baton
+//! (a mutex and condvar) back and forth with the worker that resumed
+//! it: the substrate for targets without the context switch. Either
+//! way exactly one side runs at a time, and the scheduler cannot tell
+//! them apart.
 //!
 //! The context switch is the classic callee-saved-register swap
 //! (x86-64 System V and AArch64 AAPCS variants below, selected by
@@ -18,8 +25,8 @@
 //! coroutine's own stack.
 
 use std::cell::{Cell, UnsafeCell};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::mailbox::Envelope;
 
@@ -107,7 +114,7 @@ std::arch::global_asm!(
 );
 
 /// Whether this build has a coroutine context switch for the target.
-/// On other targets the machine falls back to the thread scheduler.
+/// On other targets every task is a thread task.
 pub(crate) const SUPPORTED: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
 
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
@@ -135,9 +142,9 @@ use stubs::{skil_coro_boot, skil_coro_switch};
 // Stacks
 // ---------------------------------------------------------------------------
 
-/// Every simulated processor's stack, under either scheduler: 8 MiB for
-/// a coroutine task here and for a thread-scheduler worker thread, so
-/// deep divide&conquer recursion behaves identically under both. Only
+/// Every simulated processor's stack, on either substrate: 8 MiB for a
+/// coroutine task here and for a thread task's OS thread, so deep
+/// divide&conquer recursion behaves identically on both. Only
 /// touched pages are committed, so thousands of mostly-idle tasks cost
 /// virtual address space, not RSS.
 pub(crate) const STACK_SIZE: usize = 8 * 1024 * 1024;
@@ -204,7 +211,7 @@ pub(crate) static STACKS: StackPool = StackPool { idle: Mutex::new(Vec::new()) }
 
 impl StackPool {
     fn idle(&self) -> MutexGuard<'_, Vec<CoroStack>> {
-        self.idle.lock().unwrap_or_else(|e| e.into_inner())
+        lock(&self.idle)
     }
 
     /// `n` [`STACK_SIZE`] stacks: the most recently used idle ones,
@@ -260,24 +267,75 @@ pub(crate) enum WakeKind {
     Deadlock,
 }
 
-/// Per-task switch state: the two saved stack pointers plus the
-/// yield/wake mailboxes between the task and its current worker.
+/// Per-task switch state: the two saved stack pointers (or a thread
+/// task's baton) plus the yield/wake mailboxes between the task and its
+/// current worker.
 ///
 /// Safety protocol: a task is *owned* by exactly one scheduler worker at
 /// a time — from the moment it is popped off the ready queue (or
 /// created) until its yield returns to that worker, only that worker
 /// touches the frame. Ownership transfers happen exclusively through
 /// mutex-protected hand-offs (the ready queue, or a mailbox's bucket
-/// lock for the parked-waiter registration), which provide the required
+/// lock for the parked-waiter registration, and between a worker and a
+/// thread task's OS thread the baton), which provide the required
 /// happens-before edges for these plain cells.
 pub(crate) struct TaskFrame {
     coro_sp: UnsafeCell<usize>,
     caller_sp: UnsafeCell<usize>,
+    /// `Some` for a thread task: the switch is a baton pass, not a
+    /// context swap — the one branch a switch pays for the substrate.
+    baton: Option<Baton>,
     reason: Cell<YieldReason>,
     wake: Cell<WakeKind>,
     /// The envelope a sender handed over with the wake, put here by the
     /// worker that popped the task and taken by the task's receive.
     inbox: Cell<Option<Envelope>>,
+}
+
+/// Who may run on a thread task's baton.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Turn {
+    /// The worker that resumed the task; the task's OS thread waits.
+    Worker,
+    /// The task's OS thread; the worker waits in [`Task::resume`].
+    Task,
+    /// The run is over ([`Task::close`]): a task thread still waiting
+    /// for its turn unwinds out of its body instead.
+    Closed,
+}
+
+/// A thread task's hand-off between the worker that resumed it and
+/// its OS thread: each side waits on the condvar until the turn is its
+/// own.
+#[derive(Debug)]
+struct Baton {
+    turn: Mutex<Turn>,
+    cond: Condvar,
+}
+
+impl Baton {
+    /// Give the turn to `to`; a closed baton stays closed.
+    fn give(&self, to: Turn) {
+        let mut turn = lock(&self.turn);
+        if *turn != Turn::Closed {
+            *turn = to;
+        }
+        self.cond.notify_all();
+    }
+
+    /// Wait while the turn is `held`; returns the turn that ended the
+    /// wait.
+    fn wait_out(&self, held: Turn) -> Turn {
+        let mut turn = lock(&self.turn);
+        while *turn == held {
+            turn = self.cond.wait(turn).unwrap_or_else(|e| e.into_inner());
+        }
+        *turn
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 // SAFETY: see the ownership protocol above — all cross-thread access is
@@ -295,19 +353,39 @@ impl std::fmt::Debug for TaskFrame {
 }
 
 impl TaskFrame {
-    /// Suspend the calling coroutine until the scheduler resumes it,
+    fn new(baton: Option<Baton>) -> Box<TaskFrame> {
+        Box::new(TaskFrame {
+            coro_sp: UnsafeCell::new(0),
+            caller_sp: UnsafeCell::new(0),
+            baton,
+            reason: Cell::new(YieldReason::Done),
+            wake: Cell::new(WakeKind::Normal),
+            inbox: Cell::new(None),
+        })
+    }
+
+    /// Suspend the calling task until the scheduler resumes it,
     /// reporting `Blocked { src, tag, vnow }` to the worker. Returns the
     /// wake kind ([`WakeKind::Normal`] unless a waker called
     /// [`TaskFrame::set_wake`] before making the task ready), resetting
     /// the cell to `Normal` for the next cycle.
     ///
-    /// Must only be called from inside the task's coroutine.
+    /// Must only be called from inside the task: its coroutine, or its
+    /// OS thread.
     pub(crate) fn yield_blocked(&self, src: usize, tag: u64, vnow: u64) -> WakeKind {
         self.reason.set(YieldReason::Blocked { src, tag, vnow });
-        // SAFETY: called on the coroutine's own stack; the paired
-        // pointers are only used by this task/worker pair (see the
-        // ownership protocol in the type docs).
-        unsafe { skil_coro_switch(self.coro_sp.get(), self.caller_sp.get()) };
+        match &self.baton {
+            // SAFETY: called on the coroutine's own stack; the paired
+            // pointers are only used by this task/worker pair (see the
+            // ownership protocol in the type docs).
+            None => unsafe { skil_coro_switch(self.coro_sp.get(), self.caller_sp.get()) },
+            Some(baton) => {
+                baton.give(Turn::Worker);
+                if baton.wait_out(Turn::Worker) == Turn::Closed {
+                    resume_unwind(Box::new("the run ended with this task still blocked"));
+                }
+            }
+        }
         self.wake.replace(WakeKind::Normal)
     }
 
@@ -367,13 +445,14 @@ extern "C" fn task_entry(env: *mut TaskEnv) {
     unsafe { &*env.frame }.yield_done()
 }
 
-/// One resumable task: a prepared coroutine stack plus its switch frame.
+/// One resumable task: its switch frame, plus a prepared coroutine
+/// stack unless it is a thread task.
 pub(crate) struct Task {
     frame: Box<TaskFrame>,
-    /// Read only by the coroutine, through the pointer `new` puts on
-    /// its stack; owned here so it lives as long as the task.
-    _env: Box<TaskEnv>,
-    stack: CoroStack,
+    /// The coroutine's boot env — read only by the coroutine, through
+    /// the pointer `new` puts on its stack, and owned here so it lives
+    /// as long as the task — and its stack. `None` for a thread task.
+    coro: Option<(Box<TaskEnv>, CoroStack)>,
 }
 
 // SAFETY: scheduler workers share `&[Task]`, but the ownership protocol
@@ -387,13 +466,7 @@ unsafe impl Sync for Task {}
 impl Task {
     /// Build a task whose first resume starts `body` on `stack`.
     pub(crate) fn new(stack: CoroStack, body: TaskBody) -> Self {
-        let frame = Box::new(TaskFrame {
-            coro_sp: UnsafeCell::new(0),
-            caller_sp: UnsafeCell::new(0),
-            reason: Cell::new(YieldReason::Done),
-            wake: Cell::new(WakeKind::Normal),
-            inbox: Cell::new(None),
-        });
+        let frame = TaskFrame::new(None);
         let mut env = Box::new(TaskEnv { frame: &*frame, body: Some(body) });
         // Prepare the stack so the first switch "returns" into
         // `skil_coro_boot` with the entry function and env pointer in
@@ -436,7 +509,38 @@ impl Task {
                 unreachable!("coroutines unsupported on this target");
             }
         }
-        Task { frame, _env: env, stack }
+        Task { frame, coro: Some((env, stack)) }
+    }
+
+    /// A thread task: its body runs on an OS thread the caller spawns
+    /// to run [`run_thread`](Task::run_thread), and each resume passes
+    /// that thread the baton until the body yields or ends.
+    pub(crate) fn thread() -> Self {
+        let baton = Baton { turn: Mutex::new(Turn::Worker), cond: Condvar::new() };
+        Task { frame: TaskFrame::new(Some(baton)), coro: None }
+    }
+
+    /// A thread task's OS thread: wait for the first resume, run `body`,
+    /// and hand the worker `Done`. The body's unwinds stay on this
+    /// thread, as a coroutine's stay on its stack; a task whose run
+    /// closes before its first resume never starts its body.
+    pub(crate) fn run_thread(&self, body: impl FnOnce(&TaskFrame)) {
+        let baton = self.frame.baton.as_ref().expect("a thread task");
+        if baton.wait_out(Turn::Worker) == Turn::Task {
+            let _ = catch_unwind(AssertUnwindSafe(|| body(&self.frame)));
+            self.frame.reason.set(YieldReason::Done);
+        }
+        baton.give(Turn::Worker);
+    }
+
+    /// End a thread task's run: if its thread still waits for a resume,
+    /// it leaves its body by unwinding, so a scope joining the thread
+    /// cannot hang. Every task of a completed run is `Done` already, so
+    /// this only matters when a run ends early. No-op on a coroutine.
+    pub(crate) fn close(&self) {
+        if let Some(baton) = &self.frame.baton {
+            baton.give(Turn::Closed);
+        }
     }
 
     /// Run the task until its next yield. The wake kind delivered to a
@@ -444,10 +548,18 @@ impl Task {
     /// waker left via [`TaskFrame::set_wake`] (default `Normal`). Must
     /// only be called by the worker that currently owns the task.
     pub(crate) fn resume(&self) -> YieldReason {
-        // SAFETY: exclusive ownership by the calling worker (scheduler
-        // invariant); the coroutine context was prepared in `new` or
-        // saved by a previous yield.
-        unsafe { skil_coro_switch(self.frame.caller_sp.get(), self.frame.coro_sp.get()) };
+        match &self.frame.baton {
+            // SAFETY: exclusive ownership by the calling worker
+            // (scheduler invariant); the coroutine context was prepared
+            // in `new` or saved by a previous yield.
+            None => unsafe {
+                skil_coro_switch(self.frame.caller_sp.get(), self.frame.coro_sp.get())
+            },
+            Some(baton) => {
+                baton.give(Turn::Task);
+                baton.wait_out(Turn::Task);
+            }
+        }
         self.frame.reason.get()
     }
 
@@ -456,10 +568,19 @@ impl Task {
         &self.frame
     }
 
-    /// The stack of a finished task, for reuse.
-    pub(crate) fn into_stack(self) -> CoroStack {
+    /// The stack of a finished coroutine task, for reuse.
+    pub(crate) fn into_stack(self) -> Option<CoroStack> {
         debug_assert_eq!(self.frame.reason.get(), YieldReason::Done);
-        self.stack
+        self.coro.map(|(_, stack)| stack)
+    }
+}
+
+/// Closes every task of a run when dropped ([`Task::close`]).
+pub(crate) struct Closing<'a>(pub(crate) &'a [Task]);
+
+impl Drop for Closing<'_> {
+    fn drop(&mut self) {
+        self.0.iter().for_each(Task::close);
     }
 }
 
@@ -469,23 +590,18 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    #[test]
-    fn task_runs_to_completion_across_yields() {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let log2 = Arc::clone(&log);
-        let body: TaskBody = Box::new(move |frame| {
-            // SAFETY: the frame is owned by the resuming Task.
-            let frame = unsafe { &*frame };
-            log2.lock().unwrap().push(1);
-            let w = frame.yield_blocked(7, 9, 123);
-            assert_eq!(w, WakeKind::Normal);
-            log2.lock().unwrap().push(2);
-            let w = frame.yield_blocked(8, 10, 456);
-            assert_eq!(w, WakeKind::Deadlock);
-            log2.lock().unwrap().push(3);
-        });
-        let task = Task::new(CoroStack::new(256 * 1024), body);
+    /// A body that yields twice, the second wake a deadlock, logging
+    /// how far it got.
+    fn two_yields(frame: &TaskFrame, log: &Mutex<Vec<u32>>) {
+        log.lock().unwrap().push(1);
+        assert_eq!(frame.yield_blocked(7, 9, 123), WakeKind::Normal);
+        log.lock().unwrap().push(2);
+        assert_eq!(frame.yield_blocked(8, 10, 456), WakeKind::Deadlock);
+        log.lock().unwrap().push(3);
+    }
 
+    /// Resume a [`two_yields`] task to its end.
+    fn drive_two_yields(task: &Task) {
         match task.resume() {
             YieldReason::Blocked { src: 7, tag: 9, vnow: 123 } => {}
             other => panic!("unexpected yield {other:?}"),
@@ -496,8 +612,52 @@ mod tests {
         }
         task.frame().set_wake(WakeKind::Deadlock);
         assert_eq!(task.resume(), YieldReason::Done);
+    }
+
+    #[test]
+    fn task_runs_to_completion_across_yields() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let log2 = Arc::clone(&log);
+        let body: TaskBody = Box::new(move |frame| {
+            // SAFETY: the frame is owned by the resuming Task.
+            two_yields(unsafe { &*frame }, &log2);
+        });
+        let task = Task::new(CoroStack::new(256 * 1024), body);
+        drive_two_yields(&task);
         assert_eq!(*log.lock().unwrap(), vec![1, 2, 3]);
         task.into_stack();
+    }
+
+    #[test]
+    fn a_thread_task_runs_to_completion_across_yields() {
+        let log = Mutex::new(Vec::new());
+        let task = Task::thread();
+        std::thread::scope(|s| {
+            s.spawn(|| task.run_thread(|frame| two_yields(frame, &log)));
+            let _closing = Closing(std::slice::from_ref(&task));
+            drive_two_yields(&task);
+        });
+        assert_eq!(*log.lock().unwrap(), vec![1, 2, 3]);
+        assert!(task.into_stack().is_none(), "a thread task has no coroutine stack");
+    }
+
+    #[test]
+    fn a_thread_task_still_blocked_when_its_run_closes_leaves_its_body() {
+        let log = Mutex::new(Vec::new());
+        let task = Task::thread();
+        std::thread::scope(|s| {
+            s.spawn(|| task.run_thread(|frame| two_yields(frame, &log)));
+            let _closing = Closing(std::slice::from_ref(&task));
+            assert!(matches!(task.resume(), YieldReason::Blocked { src: 7, .. }));
+        });
+        assert_eq!(*log.lock().unwrap(), vec![1], "the body went no further than its yield");
+        // and a thread whose run closes before its first resume never
+        // starts its body
+        let task = Task::thread();
+        std::thread::scope(|s| {
+            s.spawn(|| task.run_thread(|_| unreachable!("never resumed")));
+            task.close();
+        });
     }
 
     #[test]
@@ -509,6 +669,12 @@ mod tests {
         });
         let task = Task::new(CoroStack::new(256 * 1024), body);
         assert_eq!(task.resume(), YieldReason::Done);
+        // likewise on a thread task's OS thread
+        let task = Task::thread();
+        std::thread::scope(|s| {
+            s.spawn(|| task.run_thread(|_| panic!("deliberate thread-task panic")));
+            assert_eq!(task.resume(), YieldReason::Done);
+        });
     }
 
     #[test]

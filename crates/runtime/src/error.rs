@@ -135,8 +135,8 @@ pub enum AbortCause {
         what: String,
     },
     /// This processor waited on a receive that can never match: the
-    /// event scheduler proves it structurally, the thread scheduler
-    /// suspects it after the machine's deadlock timeout.
+    /// scheduler proves it structurally — every live task parked, no
+    /// wake in flight.
     Deadlock {
         /// The awaited source processor.
         src: usize,

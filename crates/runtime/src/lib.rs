@@ -4,8 +4,10 @@
 //! MIMD machine the Skil paper evaluates on: a Parsytec MC — 64 T800
 //! transputers at 20 MHz on a 2-D mesh, running the Parix OS.
 //!
-//! SPMD programs run as real Rust closures, one host thread per simulated
-//! processor. Each processor carries a virtual cycle clock; computation
+//! SPMD programs run as real Rust closures, one task of a discrete-event
+//! scheduler per simulated processor — a coroutine, or an OS thread of
+//! its own ([`SchedulerKind::Threads`]) — on a few host threads. Each
+//! processor carries a virtual cycle clock; computation
 //! advances it via [`Proc::charge`], and messages carry arrival
 //! timestamps computed from a calibrated LogP-style link model
 //! ([`CostModel`]). `recv` raises the receiver's clock to the arrival

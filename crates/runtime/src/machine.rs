@@ -3,10 +3,9 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard};
 
-use crate::coro::{self, Task, TaskBody, TaskFrame, STACKS};
+use crate::coro::{self, Closing, Task, TaskBody, TaskFrame, STACKS};
 use crate::cost::CostModel;
 use crate::error::{runtime_error_message, AbortCause, RtError, SimAbort, SimFailure};
 use crate::fault::FaultPlan;
@@ -16,18 +15,21 @@ use crate::report::{ProcReport, RunReport};
 use crate::sched::{host_cores, worker_loop, EventSched, Seats};
 use crate::topology::{Mesh, Topology};
 
-/// Which execution core drives the simulated processors.
+/// The substrate the event scheduler's tasks run on. Either way one
+/// scheduler drives them: tasks are resumed by virtual time from a ready
+/// heap on the calling thread and the helpers a run recruits, delivery
+/// hands envelopes to parked receivers, and a deadlock is found
+/// structurally. Virtual time cannot tell the substrates apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// Discrete-event core (the default): every processor is a stackful
-    /// coroutine task scheduled by virtual time from a ready heap onto a
-    /// small fixed pool of host workers. Host cost grows with *activity*,
-    /// not processor count, so thousands of processors fit on one host.
+    /// Every processor is a stackful coroutine (the default). Host cost
+    /// grows with *activity*, not processor count, so thousands of
+    /// processors fit on one host.
     Event,
-    /// Thread-per-processor core: one long-lived OS thread per simulated
-    /// processor. The only core on targets without a coroutine context
-    /// switch, and the reference the differential tests compare the
-    /// event core against ([`MachineConfig::with_scheduler`]).
+    /// Every processor is an OS thread of its own, spawned for the run,
+    /// that passes a baton back and forth with the worker resuming it.
+    /// The only substrate on targets without a coroutine context
+    /// switch, and one host row of the tests.
     Threads,
 }
 
@@ -43,25 +45,21 @@ pub struct MachineConfig {
     pub topology: Topology,
     /// Cost model (defaults to the calibrated T800).
     pub cost: CostModel,
-    /// Real-time budget before a blocked `recv` reports a deadlock
-    /// (thread scheduler only; the event scheduler detects deadlock
-    /// structurally, with no timeout).
-    pub deadlock_timeout: Duration,
     /// Record per-processor skeleton trace events.
     pub trace: bool,
     /// Fault-injection plan ([`FaultPlan::none`] by default: the
     /// reliable-delivery layer is bypassed and the data plane is exactly
     /// the fault-free one, pinned bit-identical by the golden tests).
     pub faults: FaultPlan,
-    /// Scheduler override; `None` is [`SchedulerKind::Event`], or
+    /// Task substrate override; `None` is [`SchedulerKind::Event`], or
     /// [`SchedulerKind::Threads`] on targets without coroutines.
     pub scheduler: Option<SchedulerKind>,
-    /// The event scheduler's worker count. Set, it means exactly that
-    /// many workers, all in from the start of every run; `None`, a run
+    /// The scheduler's worker count. Set, it means exactly that many
+    /// workers, all in from the start of every run; `None`, a run
     /// starts on the calling thread alone and recruits helpers (up to
     /// `min(cores, 8, nprocs)`) only while its task quanta are coarse
-    /// and a core is free. The thread scheduler ignores it. Either way
-    /// it is a pure host throttle — virtual time cannot observe it.
+    /// and a core is free. Either way it is a pure host throttle —
+    /// virtual time cannot observe it.
     pub workers: Option<usize>,
 }
 
@@ -73,7 +71,6 @@ impl MachineConfig {
             mesh,
             topology: Topology::Mesh2d(mesh),
             cost: CostModel::t800(),
-            deadlock_timeout: Duration::from_secs(20),
             trace: false,
             faults: FaultPlan::none(),
             scheduler: None,
@@ -113,12 +110,6 @@ impl MachineConfig {
         self
     }
 
-    /// Replace the deadlock timeout.
-    pub fn with_timeout(mut self, t: Duration) -> Self {
-        self.deadlock_timeout = t;
-        self
-    }
-
     /// Enable per-processor skeleton tracing.
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
@@ -131,15 +122,14 @@ impl MachineConfig {
         self
     }
 
-    /// Force a scheduler (the differential tests compare the two).
+    /// Force a task substrate (the tests run both).
     pub fn with_scheduler(mut self, kind: SchedulerKind) -> Self {
         self.scheduler = Some(kind);
         self
     }
 
-    /// Fix the event scheduler's host parallelism: exactly `k` workers
-    /// from the start of every run (the tests' way to force cross-thread
-    /// event runs). The thread scheduler ignores it.
+    /// Fix the scheduler's host parallelism: exactly `k` workers from the
+    /// start of every run (the tests' way to force cross-thread runs).
     pub fn with_workers(mut self, k: usize) -> Self {
         self.workers = Some(k.max(1));
         self
@@ -159,14 +149,14 @@ pub struct Run<R> {
 /// A simulated distributed-memory machine.
 ///
 /// `run` executes one SPMD program: the same closure on every processor,
-/// each with its own [`Proc`] handle. Under the default event scheduler
-/// every processor is a coroutine task multiplexed onto the calling
-/// thread and a few recruited helpers, so meshes of thousands of
-/// processors fit on one host; under [`SchedulerKind::Threads`] each
-/// processor owns a host thread. Virtual
-/// time is fully deterministic for programs whose receives name their
-/// source (all skeletons do), independent of host scheduling *and* of
-/// the scheduler choice — the golden tests pin `sim_cycles` across both.
+/// each with its own [`Proc`] handle. Every processor is a task of the
+/// event scheduler, multiplexed onto the calling thread and a few
+/// recruited helpers — a coroutine by default, so meshes of thousands
+/// of processors fit on one host, or an OS thread of its own under
+/// [`SchedulerKind::Threads`]. Virtual time is fully deterministic for
+/// programs whose receives name their source (all skeletons do),
+/// independent of host scheduling *and* of the substrate — the golden
+/// tests pin `sim_cycles` across both.
 ///
 /// ```
 /// use skil_runtime::{Machine, MachineConfig};
@@ -187,7 +177,17 @@ pub struct Run<R> {
 /// ```
 pub struct Machine {
     cfg: MachineConfig,
-    backend: Backend,
+    /// The task substrate this machine resolved to.
+    kind: SchedulerKind,
+    /// Most workers a run may reach: the calling thread plus up to
+    /// `max_workers - 1` helpers. The machine owns neither, nor any
+    /// task: a run borrows its coroutine stacks from the process's
+    /// [`STACKS`] (or spawns its thread tasks) and its helpers from the
+    /// process's helper threads, and hands them back when it ends.
+    max_workers: usize,
+    /// Whether helpers are recruited on evidence (no explicit worker
+    /// count) or all dispatched at the start of every run.
+    adaptive: bool,
     /// Parked per-run allocations (mailboxes, abort flags, event
     /// scheduler) from completed runs, ready for the next run to reuse —
     /// the warm-machine floor reduction. One entry per concurrently
@@ -209,21 +209,7 @@ struct RunArena {
     mailboxes: Vec<Mailbox>,
     downs: Vec<AtomicBool>,
     causes: Vec<Option<AbortCause>>,
-    sched: Option<Arc<EventSched>>,
-}
-
-/// The execution core a machine was built with.
-enum Backend {
-    /// Event scheduler: the calling thread and up to `max_workers - 1`
-    /// helpers drive every processor as a coroutine task. The machine
-    /// owns neither: a run borrows its coroutine stacks from the
-    /// process's [`STACKS`] and its helpers from the process's helper
-    /// threads, and hands both back when it ends. `adaptive` is whether
-    /// helpers are recruited on evidence (no explicit worker count) or
-    /// all dispatched at the start of every run.
-    Event { max_workers: usize, adaptive: bool },
-    /// Thread scheduler: one worker thread per processor.
-    Threads { pool: WorkerPool },
+    sched: EventSched,
 }
 
 impl std::fmt::Debug for Machine {
@@ -236,33 +222,28 @@ impl std::fmt::Debug for Machine {
 }
 
 impl Machine {
-    /// Build a machine from a configuration. The scheduler is the
-    /// config's, the event core by default; targets without a coroutine
-    /// context switch always get the thread scheduler (identical virtual
-    /// time, bounded scale). A thread-scheduler machine owns one thread
-    /// per processor for its whole lifetime; an event machine owns no
-    /// thread and no stack — its runs borrow both from the process.
+    /// Build a machine from a configuration. The task substrate is the
+    /// config's, coroutines by default; targets without a coroutine
+    /// context switch always get thread tasks (identical virtual time,
+    /// bounded scale). A machine owns no thread and no stack — its runs
+    /// borrow or spawn them.
     pub fn new(cfg: MachineConfig) -> Self {
-        let n = cfg.mesh.procs();
         let kind = if coro::SUPPORTED {
             cfg.scheduler.unwrap_or(SchedulerKind::Event)
         } else {
             SchedulerKind::Threads
         };
-        let backend = match kind {
-            SchedulerKind::Event => {
-                let max_workers = cfg.workers.unwrap_or_else(|| host_cores().min(8)).min(n.max(1));
-                // The calling thread is always one of a run's workers
-                // (see `try_run_faults`), so a run recruits at most
-                // `max_workers - 1` helpers. A cap of one leaves nothing
-                // to adapt.
-                Backend::Event { max_workers, adaptive: cfg.workers.is_none() && max_workers > 1 }
-            }
-            SchedulerKind::Threads => Backend::Threads { pool: WorkerPool::new(n, "proc") },
-        };
+        let max_workers =
+            cfg.workers.unwrap_or_else(|| host_cores().min(8)).min(cfg.mesh.procs().max(1));
         Machine {
+            // The calling thread is always one of a run's workers (see
+            // `try_run_faults`), so a run recruits at most
+            // `max_workers - 1` helpers. A cap of one leaves nothing to
+            // adapt.
+            adaptive: cfg.workers.is_none() && max_workers > 1,
             cfg,
-            backend,
+            kind,
+            max_workers,
             arena: Mutex::new(Vec::new()),
             reuse_hits: AtomicU64::new(0),
             helper_joins: AtomicU64::new(0),
@@ -294,12 +275,9 @@ impl Machine {
         &self.cfg
     }
 
-    /// Which scheduler this machine resolved to.
+    /// Which task substrate this machine resolved to.
     pub fn scheduler(&self) -> SchedulerKind {
-        match self.backend {
-            Backend::Event { .. } => SchedulerKind::Event,
-            Backend::Threads { .. } => SchedulerKind::Threads,
-        }
+        self.kind
     }
 
     /// Run an SPMD program on every processor and collect the results.
@@ -363,12 +341,7 @@ impl Machine {
                 (0..n).map(|_| Mailbox::default()).collect(),
                 (0..n).map(|_| AtomicBool::new(false)).collect(),
                 vec![None; n],
-                match &self.backend {
-                    Backend::Event { max_workers, adaptive, .. } => {
-                        Some(Arc::new(EventSched::new(n, *max_workers, *adaptive)))
-                    }
-                    Backend::Threads { .. } => None,
-                },
+                EventSched::new(n, self.max_workers, self.adaptive),
             ),
         };
         let shared = Shared {
@@ -376,22 +349,21 @@ impl Machine {
             mesh: self.cfg.mesh,
             topo: self.cfg.topology,
             cost: self.cfg.cost.clone(),
-            deadlock_timeout: self.cfg.deadlock_timeout,
             mailboxes,
             poison: AtomicBool::new(false),
             faults: faults.unwrap_or(&self.cfg.faults).clone(),
             downs,
             down_causes: Mutex::new(causes),
-            sched: sched.clone(),
+            sched,
         };
         let slots: Vec<Mutex<Option<ProcOutcome<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let latch = Latch::default();
 
-        // Runs one processor's program against `proc`, recording the
-        // outcome in its slot. Shared verbatim by both backends — the
-        // only behavioural difference between schedulers is *where* the
-        // body runs and how its receives wait.
-        let proc_body = |id: usize, proc: &mut Proc<'_>| {
+        // Runs processor `id`'s program on its task, recording the
+        // outcome in its slot. Shared verbatim by both substrates — the
+        // only difference between them is *where* the body runs.
+        let proc_body = |id: usize, frame: &TaskFrame| {
+            let mut proc = Proc::new(id, &shared, frame);
+            let proc = &mut proc;
             let result = match catch_unwind(AssertUnwindSafe(|| program(proc))) {
                 Ok(r) => Ok(r),
                 // A structured simulated failure: mark this processor
@@ -430,124 +402,7 @@ impl Machine {
             *lock(&slots[id]) = Some(ProcOutcome { result, report });
         };
 
-        match &self.backend {
-            Backend::Threads { pool } => {
-                // Holding the sender lock for the whole run serializes
-                // concurrent `run` calls on one machine, so each worker
-                // runs exactly one processor of one simulation at a time.
-                let txs = lock(&pool.txs);
-                let shared = &shared;
-                let latch = &latch;
-                let proc_body = &proc_body;
-                // Dropped at scope end (or on an unwind mid-dispatch):
-                // blocks until every job dispatched so far has finished,
-                // which is what makes the borrow erasure below sound.
-                let mut wait = DispatchWait { latch, expect: 0 };
-                for id in 0..n {
-                    let job = move || {
-                        let mut proc = Proc::new(id, shared);
-                        proc_body(id, &mut proc);
-                        latch.count_up();
-                    };
-                    let job: Box<dyn FnOnce() + Send + '_> = Box::new(job);
-                    // SAFETY: the job borrows `shared`, `slots`, `latch`,
-                    // and `program` (via `proc_body`) from this stack
-                    // frame. `DispatchWait` waits for every dispatched
-                    // job to complete before this frame can be left
-                    // (normally or by unwinding), so the borrows outlive
-                    // all uses. Workers never hold a job across
-                    // iterations of their receive loop.
-                    let job: Job = unsafe { std::mem::transmute(job) };
-                    txs[id].send(job).expect("worker thread alive");
-                    wait.expect += 1;
-                }
-            }
-            Backend::Event { max_workers, adaptive } => {
-                let ev: &EventSched = sched.as_deref().expect("event backend has a scheduler");
-                let shared = &shared;
-                let proc_body = &proc_body;
-                // One coroutine task per processor, all ready at virtual
-                // time 0, on stacks borrowed from the process for this
-                // run. No worker runs before `worker_loop` below, so
-                // seeding the ready heap during construction is
-                // race-free.
-                let mut tasks: Vec<Task> = Vec::with_capacity(n);
-                for (id, stack) in STACKS.take(n).into_iter().enumerate() {
-                    let body = move |frame: *const TaskFrame| {
-                        // SAFETY: the frame lives in the task's box for
-                        // the task's whole lifetime.
-                        let frame = unsafe { &*frame };
-                        let mut proc = Proc::new(id, shared);
-                        proc.set_parker(frame);
-                        proc_body(id, &mut proc);
-                    };
-                    let body: Box<dyn FnOnce(*const TaskFrame) + Send + '_> = Box::new(body);
-                    // SAFETY: same borrow-erasure argument as the thread
-                    // backend — every task runs to completion before the
-                    // dispatch scope below is left, because `worker_loop`
-                    // only returns once all tasks are `Done` and
-                    // `DispatchWait` joins every worker.
-                    let body: TaskBody = unsafe { std::mem::transmute(body) };
-                    tasks.push(Task::new(stack, body));
-                    ev.push_ready(id, 0, None);
-                }
-                {
-                    let latch = &latch;
-                    let tasks = &tasks;
-                    // An adaptive run's share of the process-wide core
-                    // budget; an explicit worker count sits outside it.
-                    // Declared first so it is given back last, after
-                    // `wait` has joined the helpers.
-                    let mut seats = adaptive.then(Seats::caller);
-                    let mut wait = DispatchWait { latch, expect: 0 };
-                    // Bring up to `want` helpers into the run: count
-                    // them in, then hand each a `worker_loop` job.
-                    let mut recruit = |want: usize| {
-                        let helpers = match &mut seats {
-                            Some(seats) => seats.reserve(want),
-                            None => want,
-                        };
-                        if helpers == 0 {
-                            return;
-                        }
-                        ev.add_workers(helpers);
-                        for _ in 0..helpers {
-                            let job = move || {
-                                // worker_loop is panic-free by
-                                // construction (task bodies contain
-                                // their own unwinds); the catch is a
-                                // backstop so a bug cannot kill the
-                                // helper thread or hang the dispatch.
-                                let _ = catch_unwind(AssertUnwindSafe(|| {
-                                    worker_loop(ev, tasks, shared, None)
-                                }));
-                                latch.count_up();
-                            };
-                            let job: Box<dyn FnOnce() + Send + '_> = Box::new(job);
-                            // SAFETY: as above; `DispatchWait` joins
-                            // every worker before the borrows go out of
-                            // scope.
-                            let job: Job = unsafe { std::mem::transmute(job) };
-                            dispatch_helper(job);
-                            wait.expect += 1;
-                        }
-                        self.helper_joins.fetch_add(helpers as u64, Ordering::Relaxed);
-                    };
-                    if !adaptive && *max_workers > 1 {
-                        recruit(max_workers - 1);
-                    }
-                    // The calling thread is the first worker, and until
-                    // a helper is recruited the only one: the whole
-                    // simulation runs right here — no dispatch, no
-                    // latch wait, no cross-thread handoff at all.
-                    let _ = catch_unwind(AssertUnwindSafe(|| {
-                        worker_loop(ev, tasks, shared, Some(&mut recruit))
-                    }));
-                    // `wait` drops here, joining the helpers.
-                }
-                STACKS.give_back(tasks.into_iter().map(Task::into_stack).collect());
-            }
-        }
+        self.run_tasks(&shared, &proc_body);
 
         let mut results = Vec::with_capacity(n);
         let mut procs = Vec::with_capacity(n);
@@ -577,7 +432,7 @@ impl Machine {
         // `runtime_error_is_structured_and_does_not_poison` pins that a
         // machine stays usable after one.
         {
-            let Shared { mailboxes, downs, down_causes, .. } = shared;
+            let Shared { mailboxes, downs, down_causes, sched, .. } = shared;
             for mb in &mailboxes {
                 mb.reset();
             }
@@ -586,9 +441,7 @@ impl Machine {
             }
             let mut causes = down_causes.into_inner().unwrap_or_else(|e| e.into_inner());
             causes.iter_mut().for_each(|c| *c = None);
-            if let Some(s) = &sched {
-                s.reset();
-            }
+            sched.reset();
             lock(&self.arena).push(RunArena { mailboxes, downs, causes, sched });
         }
         if !aborts.is_empty() {
@@ -606,6 +459,107 @@ impl Machine {
                 procs,
             },
         })
+    }
+
+    /// Run one task per processor, processor `id`'s running `body(id,
+    /// frame)`, until every task is done: coroutines on stacks borrowed
+    /// from the process for this run, or thread tasks on OS threads
+    /// spawned for it. The calling thread is the first worker.
+    fn run_tasks(&self, shared: &Shared, body: &(dyn Fn(usize, &TaskFrame) + Sync)) {
+        let n = self.nprocs();
+        let ev = &shared.sched;
+        let tasks: Vec<Task> = match self.kind {
+            SchedulerKind::Event => STACKS
+                .take(n)
+                .into_iter()
+                .enumerate()
+                .map(|(id, stack)| {
+                    // SAFETY: the frame lives in the task's box for the
+                    // task's whole lifetime.
+                    let body = move |frame: *const TaskFrame| body(id, unsafe { &*frame });
+                    let body: Box<dyn FnOnce(*const TaskFrame) + Send + '_> = Box::new(body);
+                    // SAFETY: every task runs to completion before `drive`
+                    // returns, because `worker_loop` only returns once all
+                    // tasks are `Done` and `DispatchWait` joins every
+                    // worker — so the body's borrows outlive all uses.
+                    let body: TaskBody = unsafe { std::mem::transmute(body) };
+                    Task::new(stack, body)
+                })
+                .collect(),
+            SchedulerKind::Threads => (0..n).map(|_| Task::thread()).collect(),
+        };
+        // Every task ready at virtual time 0. No worker runs before
+        // `drive`, so seeding the ready heap here is race-free.
+        for id in 0..n {
+            ev.push_ready(id, 0, None);
+        }
+        let drive = |tasks: &[Task]| {
+            // An adaptive run's share of the process-wide core budget; an
+            // explicit worker count sits outside it. Declared first so it
+            // is given back last, after `wait` has joined the helpers.
+            let mut seats = self.adaptive.then(Seats::caller);
+            let mut wait = DispatchWait { done: None, expect: 0 };
+            // Bring up to `want` helpers into the run: count them in,
+            // then hand each a `worker_loop` job.
+            let mut recruit = |want: usize| {
+                let helpers = match &mut seats {
+                    Some(seats) => seats.reserve(want),
+                    None => want,
+                };
+                if helpers == 0 {
+                    return;
+                }
+                ev.add_workers(helpers);
+                for _ in 0..helpers {
+                    let done = wait.sender();
+                    let job = move || {
+                        // worker_loop is panic-free by construction (task
+                        // bodies contain their own unwinds); the catch is
+                        // a backstop so a bug cannot kill the helper
+                        // thread or hang the dispatch.
+                        let _ =
+                            catch_unwind(AssertUnwindSafe(|| worker_loop(ev, tasks, shared, None)));
+                        let _ = done.send(());
+                    };
+                    let job: Box<dyn FnOnce() + Send + '_> = Box::new(job);
+                    // SAFETY: the job borrows this frame's state;
+                    // `DispatchWait` joins every worker before the borrows
+                    // go out of scope, even on an unwind.
+                    let job: Job = unsafe { std::mem::transmute(job) };
+                    dispatch_helper(job);
+                    wait.expect += 1;
+                }
+                self.helper_joins.fetch_add(helpers as u64, Ordering::Relaxed);
+            };
+            if !self.adaptive && self.max_workers > 1 {
+                recruit(self.max_workers - 1);
+            }
+            // The calling thread is the first worker, and until a helper
+            // is recruited the only one: the whole simulation runs right
+            // here — no dispatch, no join, no cross-thread handoff at
+            // all.
+            let _ = catch_unwind(AssertUnwindSafe(|| {
+                worker_loop(ev, tasks, shared, Some(&mut recruit))
+            }));
+            // `wait` drops here, joining the helpers.
+        };
+        match self.kind {
+            SchedulerKind::Event => drive(&tasks),
+            SchedulerKind::Threads => std::thread::scope(|s| {
+                // Dropped after `drive` has joined the helpers and before
+                // the scope joins the task threads, even on an unwind.
+                let _closing = Closing(&tasks);
+                for (id, task) in tasks.iter().enumerate() {
+                    std::thread::Builder::new()
+                        .name(format!("proc-{id}"))
+                        .stack_size(coro::STACK_SIZE)
+                        .spawn_scoped(s, move || task.run_thread(|frame| body(id, frame)))
+                        .expect("spawn processor thread");
+                }
+                drive(&tasks);
+            }),
+        }
+        STACKS.give_back(tasks.into_iter().filter_map(Task::into_stack).collect());
     }
 }
 
@@ -646,49 +600,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// The thread backend's long-lived workers, one per simulated
-/// processor. Spawning a thread costs far more than a simulated
-/// message, so machines that are run repeatedly (parameter sweeps,
-/// benches, the tables) keep their workers across runs.
-struct WorkerPool {
-    txs: Mutex<Vec<mpsc::Sender<Job>>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn new(n: usize, name: &str) -> Self {
-        let mut txs = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for id in 0..n {
-            let (tx, rx) = mpsc::channel::<Job>();
-            let handle = std::thread::Builder::new()
-                .name(format!("{name}-{id}"))
-                // Deep per-processor recursion (e.g. divide&conquer
-                // skeletons) needs more than the default stack.
-                .stack_size(coro::STACK_SIZE)
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        job();
-                    }
-                })
-                .expect("spawn processor worker");
-            txs.push(tx);
-            handles.push(handle);
-        }
-        WorkerPool { txs: Mutex::new(txs), handles }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the channels ends the worker loops.
-        lock(&self.txs).clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
 
 /// The event scheduler's idle helper threads, shared by every machine
 /// in the process: each waits on its own channel for its next job.
@@ -747,37 +658,34 @@ pub fn helper_threads() -> usize {
     HELPER_THREADS.load(Ordering::Relaxed)
 }
 
-/// Completion counter for dispatched jobs.
-#[derive(Default)]
-struct Latch {
-    done: Mutex<usize>,
-    cond: Condvar,
-}
-
-impl Latch {
-    fn count_up(&self) {
-        *lock(&self.done) += 1;
-        self.cond.notify_all();
-    }
-
-    fn wait_for(&self, n: usize) {
-        let mut done = lock(&self.done);
-        while *done < n {
-            done = self.cond.wait(done).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
 /// Waits (on drop) for every job dispatched so far, so stack borrows
-/// handed to the pool cannot dangle even if dispatch unwinds.
-struct DispatchWait<'a> {
-    latch: &'a Latch,
+/// handed to helpers cannot dangle even if dispatch unwinds. A job's
+/// last act is a send on a clone of `done`'s sender. The channel lives
+/// on the heap: a helper still inside that send when the wait ends must
+/// not touch the waiting frame, which may already hold the thread's
+/// next run. It is made with the first job, so a run without helpers
+/// allocates nothing here.
+struct DispatchWait {
+    done: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+    /// Jobs dispatched, each owing one send.
     expect: usize,
 }
 
-impl Drop for DispatchWait<'_> {
+impl DispatchWait {
+    /// A sender for the next job to report on.
+    fn sender(&mut self) -> mpsc::Sender<()> {
+        self.done.get_or_insert_with(mpsc::channel).0.clone()
+    }
+}
+
+impl Drop for DispatchWait {
     fn drop(&mut self) {
-        self.latch.wait_for(self.expect);
+        if let Some((_, rx)) = &self.done {
+            for _ in 0..self.expect {
+                // Never an error: `done` keeps a sender alive.
+                let _ = rx.recv();
+            }
+        }
     }
 }
 
@@ -798,6 +706,23 @@ struct ProcOutcome<R> {
 mod tests {
     use super::*;
     use crate::cost::CostModel;
+    use std::time::{Duration, Instant};
+
+    const SUBSTRATES: [SchedulerKind; 2] = [SchedulerKind::Event, SchedulerKind::Threads];
+
+    /// A 1x2 machine on `kind`.
+    fn pair(kind: SchedulerKind) -> Machine {
+        Machine::new(MachineConfig::mesh(1, 2).unwrap().with_scheduler(kind))
+    }
+
+    /// Processor 0 sends `(0, 7)`, processor 1 waits on `(0, 42)`.
+    fn misrouted(p: &mut Proc<'_>) {
+        if p.id() == 0 {
+            p.send(1, 7, &9u8);
+        } else {
+            let _: u8 = p.recv(0, 42);
+        }
+    }
 
     #[test]
     fn spmd_ids_cover_machine() {
@@ -930,18 +855,21 @@ mod tests {
     }
 
     #[test]
+    fn thread_tasks_run_on_threads_of_their_own() {
+        let names = |kind| pair(kind).run(|_| std::thread::current().name().map(str::to_owned));
+        let threads = names(SchedulerKind::Threads).results;
+        assert_eq!(threads, [Some("proc-0".to_owned()), Some("proc-1".to_owned())]);
+        let coroutines = names(SchedulerKind::Event).results;
+        assert!(coroutines.iter().flatten().all(|n| !n.starts_with("proc-")), "{coroutines:?}");
+    }
+
+    #[test]
     fn a_panic_wakes_blocked_peers_under_both_schedulers() {
-        // The poison sweep reaches a processor blocked in `recv` however
-        // it waits: as a parked event task, or as a thread on its
-        // mailbox condvar. Nothing here may sit out the 10 s timeout.
-        for kind in [SchedulerKind::Event, SchedulerKind::Threads] {
-            let m = Machine::new(
-                MachineConfig::mesh(1, 2)
-                    .unwrap()
-                    .with_scheduler(kind)
-                    .with_timeout(Duration::from_secs(10)),
-            );
-            let start = std::time::Instant::now();
+        // The poison sweep reaches a processor blocked in `recv` on
+        // either substrate, as a parked task, within the second.
+        for kind in SUBSTRATES {
+            let m = pair(kind);
+            let start = Instant::now();
             let err = catch_unwind(AssertUnwindSafe(|| {
                 m.run(|p| {
                     if p.id() == 0 {
@@ -953,44 +881,8 @@ mod tests {
             }))
             .expect_err("the panic propagates");
             assert_eq!(err.downcast_ref::<&str>(), Some(&"deliberate"), "{kind:?}");
-            assert!(start.elapsed() < Duration::from_secs(5), "{kind:?}: {:?}", start.elapsed());
+            assert!(start.elapsed() < Duration::from_secs(1), "{kind:?}: {:?}", start.elapsed());
         }
-    }
-
-    /// A 1x2 thread-scheduler machine whose receives time out fast.
-    fn impatient_threads() -> Machine {
-        Machine::new(
-            MachineConfig::mesh(1, 2)
-                .unwrap()
-                .with_scheduler(SchedulerKind::Threads)
-                .with_timeout(Duration::from_millis(100)),
-        )
-    }
-
-    #[test]
-    #[should_panic(expected = "deadlock suspected")]
-    fn deadlock_detected() {
-        let m = impatient_threads();
-        let _ = m.run(|p| {
-            if p.id() == 1 {
-                let _: u8 = p.recv(0, 42); // nobody ever sends
-            }
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "pending (src, tag) envelope(s): [(0, 7)]")]
-    fn deadlock_diagnostic_lists_pending_envelopes() {
-        // Proc 0 sends tag 7, but proc 1 waits on tag 42: the misrouted
-        // envelope must be named in the deadlock panic.
-        let m = impatient_threads();
-        let _ = m.run(|p| {
-            if p.id() == 0 {
-                p.send(1, 7, &9u8);
-            } else {
-                let _: u8 = p.recv(0, 42);
-            }
-        });
     }
 
     #[test]
@@ -1061,40 +953,35 @@ mod tests {
     #[test]
     fn crash_surfaces_as_structured_failure_not_a_hang() {
         use crate::error::AbortCause;
-        // Proc 0 crashes at cycle 1000; proc 1 blocks on a message that
-        // will never come. Without down-propagation this would sit on the
-        // deadlock timeout (set absurdly high here to prove the wakeup is
-        // event-driven, not timeout-driven).
-        let start = std::time::Instant::now();
-        let m = Machine::new(
-            MachineConfig::mesh(1, 2)
-                .unwrap()
-                .with_timeout(Duration::from_secs(600))
-                .with_faults(FaultPlan::seeded(1).with_crash(0, 1000)),
-        );
-        let failure = m
-            .try_run(|p| {
-                if p.id() == 0 {
-                    p.charge(5_000); // crosses the crash cycle
-                    p.send(1, 1, &1u8);
-                } else {
-                    let _: u8 = p.recv(0, 1);
-                }
-            })
-            .expect_err("the crash must fail the run");
-        assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "peers should abort promptly, took {:?}",
-            start.elapsed()
-        );
-        assert_eq!(failure.root().proc, 0);
-        assert!(matches!(failure.root().cause, AbortCause::Crashed { cycle: 1000 }));
-        // The blocked peer cascaded with PeerDown rather than hanging.
-        assert!(failure
-            .aborts
-            .iter()
-            .any(|a| a.proc == 1 && matches!(a.cause, AbortCause::PeerDown { peer: 0 })));
-        assert!(failure.to_string().contains("PeerDown"));
+        // Proc 1 parks on a message from proc 0, which then crosses its
+        // crash cycle: down-propagation wakes the parked task into
+        // `PeerDown` on either substrate, within the second.
+        for kind in SUBSTRATES {
+            let cfg = MachineConfig::mesh(1, 2).unwrap().with_scheduler(kind);
+            let m = Machine::new(cfg.with_faults(FaultPlan::seeded(1).with_crash(0, 1000)));
+            let start = Instant::now();
+            let failure = m
+                .try_run(|p| {
+                    if p.id() == 0 {
+                        let _: u8 = p.recv(1, 9); // proc 1 has sent it, then parked
+                        p.charge(5_000); // crosses the crash cycle
+                        p.send(1, 1, &1u8);
+                    } else {
+                        p.send(0, 9, &0u8);
+                        let _: u8 = p.recv(0, 1);
+                    }
+                })
+                .expect_err("the crash must fail the run");
+            assert!(start.elapsed() < Duration::from_secs(1), "{kind:?}: {:?}", start.elapsed());
+            assert_eq!(failure.root().proc, 0);
+            assert!(matches!(failure.root().cause, AbortCause::Crashed { cycle: 1000 }));
+            // The blocked peer cascaded with PeerDown rather than hanging.
+            assert!(failure
+                .aborts
+                .iter()
+                .any(|a| a.proc == 1 && matches!(a.cause, AbortCause::PeerDown { peer: 0 })));
+            assert!(failure.to_string().contains("PeerDown"));
+        }
     }
 
     #[test]
@@ -1126,12 +1013,9 @@ mod tests {
         // 1x3 chain: 2 waits on 1, 1 waits on 0, 0 crashes. The cascade
         // must reach processor 2 through the intermediate hop.
         let m = Machine::new(
-            MachineConfig::mesh(1, 3)
-                .unwrap()
-                .with_timeout(Duration::from_secs(600))
-                .with_faults(FaultPlan::seeded(3).with_crash(0, 100)),
+            MachineConfig::mesh(1, 3).unwrap().with_faults(FaultPlan::seeded(3).with_crash(0, 100)),
         );
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let failure = m
             .try_run(|p| match p.id() {
                 0 => {
@@ -1222,10 +1106,9 @@ mod tests {
         let m = Machine::new(
             MachineConfig::mesh(1, 2)
                 .unwrap()
-                .with_timeout(Duration::from_secs(600))
                 .with_faults(FaultPlan::seeded(4).with_drop(1.0).with_budget(3)),
         );
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let failure = m
             .try_run(|p| {
                 if p.id() == 0 {
@@ -1305,71 +1188,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pending (src, tag) envelope(s): [(0, 7)]")]
-    fn event_scheduler_deadlock_diagnostic_lists_pending_envelopes() {
-        // Same diagnostic as the thread scheduler's timeout path, but
-        // detected structurally (empty ready heap + live tasks), so no
-        // timeout is needed — the huge one here proves it isn't used.
-        let m = Machine::new(
-            MachineConfig::mesh(1, 2)
-                .unwrap()
-                .with_scheduler(SchedulerKind::Event)
-                .with_timeout(Duration::from_secs(600)),
-        );
-        let _ = m.run(|p| {
-            if p.id() == 0 {
-                p.send(1, 7, &9u8);
-            } else {
-                let _: u8 = p.recv(0, 42);
-            }
-        });
-    }
-
-    #[test]
     fn event_scheduler_detects_deadlock_promptly_without_timeout() {
-        let start = std::time::Instant::now();
-        let m = Machine::new(
-            MachineConfig::mesh(1, 2)
-                .unwrap()
-                .with_scheduler(SchedulerKind::Event)
-                .with_timeout(Duration::from_secs(600)),
-        );
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            m.run(|p| {
-                if p.id() == 1 {
-                    let _: u8 = p.recv(0, 42); // nobody ever sends
-                }
-            })
-        }))
-        .expect_err("deadlock must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "non-string panic payload".into());
-        assert!(msg.contains("deadlock suspected"), "unexpected panic: {msg}");
-        assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "structural detection must not wait out the timeout, took {:?}",
-            start.elapsed()
-        );
+        // Detected structurally (empty ready heap + live tasks) on either
+        // substrate, with the misrouted envelope named in the panic.
+        for kind in SUBSTRATES {
+            let m = pair(kind);
+            let start = Instant::now();
+            let err = catch_unwind(AssertUnwindSafe(|| m.run(misrouted)))
+                .expect_err("deadlock must panic");
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_else(|| "non-string panic payload".into());
+            assert!(msg.contains("deadlock suspected"), "{kind:?}: unexpected panic: {msg}");
+            assert!(msg.contains("pending (src, tag) envelope(s): [(0, 7)]"), "{kind:?}: {msg}");
+            assert!(start.elapsed() < Duration::from_secs(1), "{kind:?}: {:?}", start.elapsed());
+        }
     }
 
     #[test]
     fn deadlock_is_a_structured_failure_and_the_machine_stays_usable() {
         use crate::error::AbortCause;
-        // Both schedulers reach the verdict through the receive's
-        // `TimedOut` arm: a `Deadlock` abort, not a poisoning panic.
-        for m in [Machine::new(MachineConfig::mesh(1, 2).unwrap()), impatient_threads()] {
-            let kind = m.scheduler();
-            let failure = m
-                .try_run(|p| {
-                    if p.id() == 0 {
-                        p.send(1, 7, &9u8);
-                    } else {
-                        let _: u8 = p.recv(0, 42);
-                    }
-                })
-                .expect_err("the receive never matches");
+        // The verdict is a `Deadlock` abort, not a poisoning panic.
+        for kind in SUBSTRATES {
+            let m = pair(kind);
+            let start = Instant::now();
+            let failure = m.try_run(misrouted).expect_err("the receive never matches");
+            assert!(start.elapsed() < Duration::from_secs(1), "{kind:?}: {:?}", start.elapsed());
             assert_eq!(failure.root().proc, 1, "{kind:?}");
             assert_eq!(
                 failure.root().cause,
@@ -1391,14 +1236,33 @@ mod tests {
     }
 
     #[test]
+    fn a_deadlock_cycle_is_broken_at_its_lowest_id() {
+        use crate::error::AbortCause;
+        // Processors 1 and 2 wait on each other: the resolver wakes the
+        // lowest-id parked task, and the other cascades from it.
+        for kind in SUBSTRATES {
+            let m = Machine::new(MachineConfig::mesh(1, 3).unwrap().with_scheduler(kind));
+            let failure = m
+                .try_run(|p| match p.id() {
+                    1 => p.recv::<u8>(2, 5),
+                    2 => p.recv::<u8>(1, 6),
+                    _ => 0,
+                })
+                .expect_err("a cycle never completes");
+            let aborts: Vec<_> = failure.aborts.iter().map(|a| (a.proc, a.cause.clone())).collect();
+            let deadlock = AbortCause::Deadlock { src: 2, tag: 5, pending: vec![] };
+            assert_eq!(aborts, [(1, deadlock), (2, AbortCause::PeerDown { peer: 1 })], "{kind:?}");
+        }
+    }
+
+    #[test]
     fn runtime_error_is_structured_and_does_not_poison() {
         use crate::error::{AbortCause, RT_ERROR_PREFIX};
         // Proc 0 hits a Skil runtime error; proc 1 is blocked on it.
         // Expected: a structured RuntimeError root with a PeerDown
         // cascade — no poison, no hang, and the machine stays usable.
-        let start = std::time::Instant::now();
-        let m =
-            Machine::new(MachineConfig::mesh(1, 2).unwrap().with_timeout(Duration::from_secs(600)));
+        let start = Instant::now();
+        let m = Machine::new(MachineConfig::mesh(1, 2).unwrap());
         let failure = m
             .try_run(|p| {
                 if p.id() == 0 {
@@ -1453,7 +1317,7 @@ mod tests {
             p.charge(50);
             got
         };
-        for kind in [SchedulerKind::Event, SchedulerKind::Threads] {
+        for kind in SUBSTRATES {
             let m = Machine::new(MachineConfig::mesh(2, 2).unwrap().with_scheduler(kind));
             let a = m.run(program);
             let b = m.run(program);
@@ -1477,8 +1341,8 @@ mod tests {
                 let _: Vec<u8> = p.recv(0, 2);
             }
         };
-        for kind in [SchedulerKind::Event, SchedulerKind::Threads] {
-            let m = Machine::new(MachineConfig::mesh(1, 2).unwrap().with_scheduler(kind));
+        for kind in SUBSTRATES {
+            let m = pair(kind);
             assert_eq!(m.setup_reuse_hits(), 0);
             let a = m.run(program);
             assert_eq!(m.setup_reuse_hits(), 0, "first run is cold");
@@ -1488,14 +1352,7 @@ mod tests {
             assert_eq!(da, db, "{kind:?}: counters must not depend on arena reuse");
             assert_eq!(da.inline_msgs, 1, "{kind:?}");
             assert_eq!(da.heap_msgs, 1, "{kind:?}");
-            match kind {
-                SchedulerKind::Event => {
-                    assert_eq!((da.direct_deliveries, da.condvar_deliveries), (2, 0));
-                }
-                SchedulerKind::Threads => {
-                    assert_eq!((da.direct_deliveries, da.condvar_deliveries), (0, 2));
-                }
-            }
+            assert_eq!((da.direct_deliveries, da.condvar_deliveries), (2, 0), "{kind:?}");
         }
     }
 

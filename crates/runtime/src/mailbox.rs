@@ -11,23 +11,18 @@
 //! of a linear scan of everything queued. The keys are processor ids and
 //! the runtime's own tags, never client text, so they hash with a fixed
 //! multiplicative hasher (`KeyHasher`) rather than the DoS-resistant
-//! SipHash. Waits are fully event-driven —
-//! a receiver blocks on the mailbox condvar until a matching deposit or a
-//! poison wakeup ([`Mailbox::wake_all`]), with the deadline as the only
-//! timeout; there is no periodic poll.
+//! SipHash.
 //!
-//! An event-scheduler task does not wait on the condvar: it registers
-//! its key with [`Mailbox::park`], and the deposit that matches the
-//! registration ([`Mailbox::put_direct`]) hands the envelope back to the
-//! sender instead of queueing it, for the scheduler to deliver with the
-//! wake. A woken receive then never touches the bucket map again.
+//! A receiver that finds nothing registers its key with
+//! [`Mailbox::park`], and the deposit that matches the registration
+//! ([`Mailbox::put_direct`]) hands the envelope back to the sender
+//! instead of queueing it, for the scheduler to deliver with the wake. A
+//! woken receive then never touches the bucket map again.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Lock a mutex, ignoring poisoning: mailbox state is a plain queue and
 /// stays consistent even if a holder panicked mid-operation.
@@ -141,20 +136,6 @@ pub struct Envelope {
     pub bytes: Payload,
 }
 
-/// Everything a bounded mailbox wait consults besides the `(src, tag)`
-/// key: abort flags and the deadlock deadline.
-#[derive(Debug, Clone, Copy)]
-pub struct WaitCtl<'a> {
-    /// Global poison flag — a peer panicked with a genuine bug.
-    pub poison: &'a AtomicBool,
-    /// The sender's down flag — it crashed under the fault plan or gave
-    /// up delivering. Checked only after the queue is drained, so
-    /// messages deposited before the crash still deliver.
-    pub src_down: Option<&'a AtomicBool>,
-    /// Real-time budget before the wait reports a suspected deadlock.
-    pub deadline: Duration,
-}
-
 /// Hashes a `(src, tag)` key with one multiply per word and a
 /// fold-multiply-fold finish. A multiply only carries a bit upwards, and
 /// the table indexes by the low bits: without the folds, tags that
@@ -198,10 +179,8 @@ struct Buckets {
     /// transient `(src, tag)` flow. Bounded so mailboxes that see many
     /// distinct tags (farms index tags by task) cannot hoard memory.
     spare: Vec<VecDeque<Envelope>>,
-    /// The owning processor's event-scheduler wait registration: the
-    /// `(src, tag)` key it is parked on, if any. Only the event
-    /// scheduler sets this; under the thread scheduler waits park on
-    /// the condvar instead.
+    /// The owning processor's wait registration: the `(src, tag)` key
+    /// its task is parked on, if any.
     parked: Option<(usize, u64)>,
 }
 
@@ -244,37 +223,12 @@ impl Buckets {
 #[derive(Debug, Default)]
 pub struct Mailbox {
     buckets: Mutex<Buckets>,
-    cond: Condvar,
-}
-
-/// Outcome of a bounded wait on a mailbox.
-#[derive(Debug)]
-pub enum RecvOutcome {
-    /// A matching envelope was dequeued.
-    Message(Envelope),
-    /// The machine was poisoned (a peer panicked).
-    Poisoned,
-    /// The awaited sender went down (fault-model crash or delivery
-    /// give-up) and its queue holds no matching envelope.
-    PeerDown,
-    /// The deadline passed with no matching message.
-    TimedOut,
 }
 
 impl Mailbox {
-    /// Deposit an envelope and wake any receiver waiting in
-    /// [`get`](Mailbox::get) — the thread scheduler's path. Event-scheduler
-    /// tasks are sent to with [`put_direct`](Mailbox::put_direct).
-    pub fn put(&self, env: Envelope) {
-        lock(&self.buckets).push(env);
-        self.cond.notify_all();
-    }
-
-    /// Scheduler-native deposit: no condvar broadcast, and no queueing
-    /// for a receiver that is already waiting. Only valid when the
-    /// receiving processor is an event-scheduler task — such tasks never
-    /// wait on the condvar (they park via [`park`](Mailbox::park) and are
-    /// woken through the ready heap).
+    /// Deposit an envelope, with no queueing for a receiver that is
+    /// already waiting: a receiving task parks via
+    /// [`park`](Mailbox::park) and is woken through the ready heap.
     ///
     /// When the owning task is parked on the envelope's own `(src, tag)`,
     /// the registration is cleared and the envelope handed back instead
@@ -296,49 +250,14 @@ impl Mailbox {
         None
     }
 
-    /// Dequeue the oldest envelope matching `(src, tag)`, waiting up to
-    /// `ctl.deadline` total. `ctl.poison` / `ctl.src_down` abort the
-    /// wait early when set; whoever sets them must call
-    /// [`wake_all`](Mailbox::wake_all) so blocked receivers observe the
-    /// abort immediately.
-    pub fn get(&self, src: usize, tag: u64, ctl: WaitCtl<'_>) -> RecvOutcome {
-        let start = std::time::Instant::now();
-        let key = (src, tag);
-        let mut b = lock(&self.buckets);
-        loop {
-            if let Some(env) = b.pop(key) {
-                return RecvOutcome::Message(env);
-            }
-            // Queue first, flags second: envelopes deposited before a
-            // crash are still delivered.
-            if let Some(down) = ctl.src_down {
-                if down.load(Ordering::Acquire) {
-                    return RecvOutcome::PeerDown;
-                }
-            }
-            if ctl.poison.load(Ordering::Acquire) {
-                return RecvOutcome::Poisoned;
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= ctl.deadline {
-                return RecvOutcome::TimedOut;
-            }
-            let (guard, _timeout) = self
-                .cond
-                .wait_timeout(b, ctl.deadline - elapsed)
-                .unwrap_or_else(|e| e.into_inner());
-            b = guard;
-        }
-    }
-
     /// Non-blocking dequeue of the oldest `(src, tag)` envelope — the
-    /// event scheduler's receive fast path (a blocked event task parks
-    /// via [`park`](Mailbox::park) instead of the condvar).
+    /// receive's fast path (a receive that misses parks via
+    /// [`park`](Mailbox::park)).
     pub(crate) fn try_take(&self, src: usize, tag: u64) -> Option<Envelope> {
         lock(&self.buckets).pop((src, tag))
     }
 
-    /// Register the owning event task as parked on `(src, tag)`.
+    /// Register the owning task as parked on `(src, tag)`.
     /// Returns `false` — without registering — if a matching envelope is
     /// already queued, in which case the task must stay runnable. The
     /// registration is cleared by the [`put_direct`](Mailbox::put_direct)
@@ -387,14 +306,6 @@ impl Mailbox {
         b.parked = None;
     }
 
-    /// Wake every blocked receiver so it can re-check the poison flag.
-    /// Taking the lock before notifying closes the race with a receiver
-    /// that has checked the flag but not yet parked on the condvar.
-    pub fn wake_all(&self) {
-        drop(lock(&self.buckets));
-        self.cond.notify_all();
-    }
-
     /// Number of queued envelopes (diagnostics only).
     pub fn len(&self) -> usize {
         lock(&self.buckets).len
@@ -424,21 +335,19 @@ mod tests {
         Envelope { src, tag, seq: 0, arrival, bytes: Payload::from_vec(Vec::new()) }
     }
 
-    fn ctl(poison: &AtomicBool, deadline: Duration) -> WaitCtl<'_> {
-        WaitCtl { poison, src_down: None, deadline }
+    fn put(mb: &Mailbox, env: Envelope) {
+        assert!(mb.put_direct(env).is_none(), "nobody is parked: the envelope is queued");
     }
 
     #[test]
     fn matches_src_and_tag() {
         let mb = Mailbox::default();
-        let poison = AtomicBool::new(false);
-        mb.put(env(1, 10, 5));
-        mb.put(env(2, 10, 6));
-        mb.put(env(1, 11, 7));
-        match mb.get(2, 10, ctl(&poison, Duration::from_secs(1))) {
-            RecvOutcome::Message(e) => assert_eq!((e.src, e.tag, e.arrival), (2, 10, 6)),
-            other => panic!("unexpected outcome {other:?}"),
-        }
+        put(&mb, env(1, 10, 5));
+        put(&mb, env(2, 10, 6));
+        put(&mb, env(1, 11, 7));
+        let e = mb.try_take(2, 10).expect("a match");
+        assert_eq!((e.src, e.tag, e.arrival), (2, 10, 6));
+        assert!(mb.try_take(1, 99).is_none(), "no match for another tag");
         assert_eq!(mb.len(), 2);
         assert_eq!(mb.pending(), vec![(1, 10), (1, 11)]);
     }
@@ -446,144 +355,24 @@ mod tests {
     #[test]
     fn fifo_per_pair() {
         let mb = Mailbox::default();
-        let poison = AtomicBool::new(false);
-        mb.put(env(1, 10, 100));
-        mb.put(env(1, 10, 200));
-        let a = match mb.get(1, 10, ctl(&poison, Duration::from_secs(1))) {
-            RecvOutcome::Message(e) => e.arrival,
-            _ => panic!(),
-        };
-        let b = match mb.get(1, 10, ctl(&poison, Duration::from_secs(1))) {
-            RecvOutcome::Message(e) => e.arrival,
-            _ => panic!(),
-        };
+        put(&mb, env(1, 10, 100));
+        put(&mb, env(1, 10, 200));
+        let a = mb.try_take(1, 10).unwrap().arrival;
+        let b = mb.try_take(1, 10).unwrap().arrival;
         assert_eq!((a, b), (100, 200));
     }
 
     #[test]
-    fn times_out_without_match() {
+    fn a_park_is_refused_over_a_queued_match_and_cleared_by_the_matching_deposit() {
         let mb = Mailbox::default();
-        let poison = AtomicBool::new(false);
-        mb.put(env(1, 10, 5));
-        match mb.get(1, 99, ctl(&poison, Duration::from_millis(60))) {
-            RecvOutcome::TimedOut => {}
-            other => panic!("unexpected outcome {other:?}"),
-        }
-        // The non-matching envelope is untouched.
-        assert_eq!(mb.len(), 1);
-    }
-
-    #[test]
-    fn poison_aborts_wait() {
-        let mb = Arc::new(Mailbox::default());
-        let poison = Arc::new(AtomicBool::new(false));
-        let mb2 = Arc::clone(&mb);
-        let poison2 = Arc::clone(&poison);
-        let t = std::thread::spawn(move || mb2.get(0, 0, ctl(&poison2, Duration::from_secs(30))));
-        std::thread::sleep(Duration::from_millis(50));
-        poison.store(true, Ordering::Release);
-        mb.wake_all();
-        match t.join().unwrap() {
-            RecvOutcome::Poisoned => {}
-            other => panic!("unexpected outcome {other:?}"),
-        }
-    }
-
-    #[test]
-    fn poison_wakeup_is_prompt() {
-        // Event-driven wakeup: a blocked receiver must observe poisoning
-        // well before any polling interval would have fired.
-        let mb = Arc::new(Mailbox::default());
-        let poison = Arc::new(AtomicBool::new(false));
-        let mb2 = Arc::clone(&mb);
-        let poison2 = Arc::clone(&poison);
-        let t = std::thread::spawn(move || {
-            let start = std::time::Instant::now();
-            let out = mb2.get(0, 0, ctl(&poison2, Duration::from_secs(30)));
-            (out, start.elapsed())
-        });
-        std::thread::sleep(Duration::from_millis(40));
-        poison.store(true, Ordering::Release);
-        let poisoned_at = std::time::Instant::now();
-        mb.wake_all();
-        let (out, _waited) = t.join().unwrap();
-        assert!(matches!(out, RecvOutcome::Poisoned));
-        assert!(
-            poisoned_at.elapsed() < Duration::from_secs(5),
-            "wakeup took {:?}",
-            poisoned_at.elapsed()
-        );
-    }
-
-    #[test]
-    fn peer_down_aborts_wait_but_queued_mail_still_delivers() {
-        let mb = Mailbox::default();
-        let poison = AtomicBool::new(false);
-        let down = AtomicBool::new(true);
-        mb.put(env(4, 9, 11));
-        let c =
-            WaitCtl { poison: &poison, src_down: Some(&down), deadline: Duration::from_secs(1) };
-        // Sent-before-crash mail is drained first …
-        match mb.get(4, 9, c) {
-            RecvOutcome::Message(e) => assert_eq!(e.arrival, 11),
-            other => panic!("unexpected outcome {other:?}"),
-        }
-        // … and only then does the down flag surface.
-        match mb.get(4, 9, c) {
-            RecvOutcome::PeerDown => {}
-            other => panic!("unexpected outcome {other:?}"),
-        }
-    }
-
-    #[test]
-    fn peer_down_wakeup_is_prompt() {
-        let mb = Arc::new(Mailbox::default());
-        let poison = Arc::new(AtomicBool::new(false));
-        let down = Arc::new(AtomicBool::new(false));
-        let (mb2, poison2, down2) = (Arc::clone(&mb), Arc::clone(&poison), Arc::clone(&down));
-        let t = std::thread::spawn(move || {
-            let c = WaitCtl {
-                poison: &poison2,
-                src_down: Some(&down2),
-                deadline: Duration::from_secs(30),
-            };
-            mb2.get(0, 0, c)
-        });
-        std::thread::sleep(Duration::from_millis(40));
-        down.store(true, Ordering::Release);
-        let marked_at = std::time::Instant::now();
-        mb.wake_all();
-        assert!(matches!(t.join().unwrap(), RecvOutcome::PeerDown));
-        assert!(
-            marked_at.elapsed() < Duration::from_secs(5),
-            "wakeup took {:?}",
-            marked_at.elapsed()
-        );
-    }
-
-    #[test]
-    fn cross_thread_delivery() {
-        let mb = Arc::new(Mailbox::default());
-        let poison = AtomicBool::new(false);
-        let mb2 = Arc::clone(&mb);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            mb2.put(Envelope {
-                src: 3,
-                tag: 7,
-                seq: 0,
-                arrival: 42,
-                bytes: Payload::from_vec(vec![1, 2]),
-            });
-        });
-        match mb.get(3, 7, ctl(&poison, Duration::from_secs(5))) {
-            RecvOutcome::Message(e) => {
-                assert_eq!(e.arrival, 42);
-                assert_eq!(&e.bytes[..], &[1, 2]);
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
-        t.join().unwrap();
+        put(&mb, env(1, 10, 5));
+        assert!(!mb.park(1, 10), "a matching envelope is queued: the task stays runnable");
+        assert!(mb.park(2, 10));
+        put(&mb, env(1, 10, 6));
+        let handed = mb.put_direct(env(2, 10, 7)).expect("handed to the parked task");
+        assert_eq!(handed.arrival, 7);
+        assert!(!mb.unpark(|_| true), "the deposit cleared the registration");
+        assert_eq!(mb.pending(), vec![(1, 10), (1, 10)]);
     }
 
     #[test]
@@ -603,21 +392,15 @@ mod tests {
         // Indexed matching: interleave 64 (src, tag) pairs and drain them
         // in an unrelated order.
         let mb = Mailbox::default();
-        let poison = AtomicBool::new(false);
         for src in 1..9 {
             for tag in 0..8u64 {
-                mb.put(env(src, tag, (src as u64) * 100 + tag));
+                put(&mb, env(src, tag, (src as u64) * 100 + tag));
             }
         }
         assert_eq!(mb.len(), 64);
         for tag in (0..8u64).rev() {
             for src in (1..9).rev() {
-                match mb.get(src, tag, ctl(&poison, Duration::from_secs(1))) {
-                    RecvOutcome::Message(e) => {
-                        assert_eq!(e.arrival, (src as u64) * 100 + tag)
-                    }
-                    other => panic!("unexpected outcome {other:?}"),
-                }
+                assert_eq!(mb.try_take(src, tag).unwrap().arrival, (src as u64) * 100 + tag);
             }
         }
         assert!(mb.is_empty());

@@ -3,13 +3,12 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use crate::coro::{TaskFrame, WakeKind};
 use crate::cost::CostModel;
 use crate::error::{AbortCause, SimAbort, WireError};
 use crate::fault::{Fate, FaultPlan};
-use crate::mailbox::{Envelope, Mailbox, Payload, RecvOutcome, WaitCtl, INLINE_PAYLOAD};
+use crate::mailbox::{Envelope, Mailbox, Payload, INLINE_PAYLOAD};
 use crate::report::{CommRow, DataPlaneStats, ProcStats, TraceEvent, TraceKind};
 use crate::sched::EventSched;
 use crate::topology::{Mesh, Ring, Topology, Torus2d};
@@ -40,7 +39,6 @@ pub(crate) struct Shared {
     pub(crate) mesh: Mesh,
     pub(crate) topo: Topology,
     pub(crate) cost: CostModel,
-    pub(crate) deadlock_timeout: Duration,
     pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) poison: AtomicBool,
     /// The active fault plan ([`FaultPlan::none`] ⇒ the reliable-delivery
@@ -54,23 +52,17 @@ pub(crate) struct Shared {
     pub(crate) downs: Vec<AtomicBool>,
     /// Why each down processor went down (diagnostics for `SimFailure`).
     pub(crate) down_causes: Mutex<Vec<Option<AbortCause>>>,
-    /// The event scheduler driving this run, when the machine runs in
-    /// event mode. Deposit and abort paths use it to make parked
-    /// receiver tasks ready.
-    pub(crate) sched: Option<Arc<EventSched>>,
+    /// The scheduler driving this run. Deposit and abort paths use it
+    /// to make parked receiver tasks ready.
+    pub(crate) sched: EventSched,
 }
 
 impl Shared {
-    /// Poison the machine and wake every receiver blocked on a mailbox so
+    /// Poison the machine and wake every receiver parked on a mailbox so
     /// the abort is observed immediately (no polling interval).
     pub(crate) fn poison_all(&self) {
         self.poison.store(true, Ordering::Release);
-        for mb in &self.mailboxes {
-            mb.wake_all();
-        }
-        if let Some(sched) = &self.sched {
-            sched.wake_parked(&self.mailboxes, |_| true);
-        }
+        self.sched.wake_parked(&self.mailboxes, |_| true);
     }
 
     /// Mark `id` down for a simulated reason and wake every blocked
@@ -84,12 +76,7 @@ impl Shared {
             causes[id].get_or_insert(cause);
         }
         self.downs[id].store(true, Ordering::Release);
-        for mb in &self.mailboxes {
-            mb.wake_all();
-        }
-        if let Some(sched) = &self.sched {
-            sched.wake_parked(&self.mailboxes, |src| src == id);
-        }
+        self.sched.wake_parked(&self.mailboxes, |src| src == id);
     }
 }
 
@@ -134,14 +121,13 @@ pub struct Proc<'m> {
     /// Next sequence number expected per `(src, tag)` flow; envelopes
     /// below it are duplicates and are suppressed.
     recv_seq: HashMap<(usize, u64), u64>,
-    /// The coroutine switch frame, when this processor runs as an event
-    /// task: blocking receives yield through it back to the scheduler
-    /// worker instead of parking the host thread on a condvar.
-    parker: Option<&'m TaskFrame>,
+    /// The task's switch frame: blocking receives yield through it back
+    /// to the scheduler worker.
+    parker: &'m TaskFrame,
 }
 
 impl<'m> Proc<'m> {
-    pub(crate) fn new(id: usize, shared: &'m Shared) -> Self {
+    pub(crate) fn new(id: usize, shared: &'m Shared, parker: &'m TaskFrame) -> Self {
         let comm = shared.trace.then(|| CommRow::new(shared.mesh.procs()));
         let faults_active = shared.faults.is_active();
         let crash_limit = if faults_active {
@@ -163,14 +149,8 @@ impl<'m> Proc<'m> {
             crash_limit,
             send_seq: HashMap::new(),
             recv_seq: HashMap::new(),
-            parker: None,
+            parker,
         }
-    }
-
-    /// Attach the event-task switch frame (event scheduler only; set
-    /// before the SPMD body runs).
-    pub(crate) fn set_parker(&mut self, frame: &'m TaskFrame) {
-        self.parker = Some(frame);
     }
 
     /// Whether event tracing is enabled for this run.
@@ -385,34 +365,22 @@ impl<'m> Proc<'m> {
         }
     }
 
-    /// Deposit `env` into `dst`'s mailbox and wake the receiver.
-    ///
-    /// Under the event scheduler this is the scheduler-native path: the
+    /// Deposit `env` into `dst`'s mailbox and wake the receiver: the
     /// envelope goes into the receiver's queue, or, when the receiver
     /// task is parked waiting for exactly this flow, travels with its
     /// wake to the ready heap at the later of the envelope's arrival and
-    /// the task's own clock — no condvar is touched, because every
-    /// receiver in an event-mode run is a coroutine task (never a thread
-    /// parked in `Mailbox::get`). The thread scheduler keeps the condvar
-    /// broadcast. Either way the arrival timestamp was fixed analytically
-    /// above, so the choice of path is invisible to virtual time.
+    /// the task's own clock. Either way the arrival timestamp was fixed
+    /// analytically above, so the path is invisible to virtual time.
     fn put_and_wake(&mut self, dst: usize, env: Envelope) {
         if env.bytes.is_inline() {
             self.dp.inline_msgs += 1;
         } else {
             self.dp.heap_msgs += 1;
         }
-        match &self.shared.sched {
-            Some(sched) => {
-                self.dp.direct_deliveries += 1;
-                if let Some(env) = self.shared.mailboxes[dst].put_direct(env) {
-                    sched.push_ready(dst, env.arrival.max(sched.vnow_hint(dst)), Some(env));
-                }
-            }
-            None => {
-                self.dp.condvar_deliveries += 1;
-                self.shared.mailboxes[dst].put(env);
-            }
+        self.dp.direct_deliveries += 1;
+        if let Some(env) = self.shared.mailboxes[dst].put_direct(env) {
+            let sched = &self.shared.sched;
+            sched.push_ready(dst, env.arrival.max(sched.vnow_hint(dst)), Some(env));
         }
     }
 
@@ -589,56 +557,23 @@ impl<'m> Proc<'m> {
     /// without re-flattening.
     pub(crate) fn recv_envelope(&mut self, src: usize, tag: u64, recv_cost: u64) -> Envelope {
         self.check_peer(src);
-        // Borrow the wait flags straight off the `'m`-lived shared state
-        // so `ctl` stays usable while the loop mutates `self`.
-        let shared: &'m Shared = self.shared;
-        // Down-propagation is unconditional (not gated on the fault
-        // plan): a Skil runtime error can down a processor in any run,
-        // and its blocked peers must cascade as `PeerDown` rather than
-        // sit out the deadlock timeout.
-        let ctl = WaitCtl {
-            poison: &shared.poison,
-            src_down: Some(&shared.downs[src]),
-            deadline: shared.deadlock_timeout,
-        };
         let env = loop {
-            let outcome = match self.parker {
-                None => shared.mailboxes[self.id].get(src, tag, ctl),
-                Some(frame) => self.event_wait(frame, src, tag),
-            };
-            match outcome {
-                RecvOutcome::Message(e) => {
-                    if self.faults_active {
-                        let expected = self.recv_seq.entry((src, tag)).or_insert(0);
-                        if e.seq < *expected {
-                            // A duplicate copy the ack protocol already
-                            // delivered: suppress it charge-free (it
-                            // affects neither the clock nor the logical
-                            // traffic counters) and keep waiting.
-                            self.stats.dups += 1;
-                            let at = self.now;
-                            self.trace_instant(TraceKind::Dup, "fault.dup_suppressed", at);
-                            continue;
-                        }
-                        *expected = e.seq + 1;
-                    }
-                    break e;
+            let e = self.wait_for(src, tag);
+            if self.faults_active {
+                let expected = self.recv_seq.entry((src, tag)).or_insert(0);
+                if e.seq < *expected {
+                    // A duplicate copy the ack protocol already
+                    // delivered: suppress it charge-free (it affects
+                    // neither the clock nor the logical traffic
+                    // counters) and keep waiting.
+                    self.stats.dups += 1;
+                    let at = self.now;
+                    self.trace_instant(TraceKind::Dup, "fault.dup_suppressed", at);
+                    continue;
                 }
-                RecvOutcome::Poisoned => {
-                    panic!("processor {}: aborted (a peer processor panicked)", self.id)
-                }
-                RecvOutcome::PeerDown => {
-                    // Structured cascade through the machine's failure
-                    // path: the job wrapper marks this processor down
-                    // too, so failure propagates along wait chains
-                    // instead of hanging anyone.
-                    std::panic::panic_any(SimAbort {
-                        proc: self.id,
-                        cause: AbortCause::PeerDown { peer: src },
-                    })
-                }
-                RecvOutcome::TimedOut => self.abort_deadlock(src, tag),
+                *expected = e.seq + 1;
             }
+            break e;
         };
         self.stats.recvs += 1;
         self.stats.bytes_recvd += env.bytes.len() as u64;
@@ -657,34 +592,49 @@ impl<'m> Proc<'m> {
         env
     }
 
-    /// The event-scheduler receive wait: poll the queue and abort flags,
-    /// then yield back to the scheduler worker (which registers the park
-    /// in the mailbox *after* the context is saved — see
-    /// `sched::block_task`). Checks mirror [`Mailbox::get`] in the same
-    /// order: mail first — the envelope a sender handed over with the
-    /// wake, then the queue — then the peer-down flag, then poison. A
-    /// [`WakeKind::Deadlock`] resume maps to `TimedOut`, so the
-    /// diagnostic path is shared with the thread scheduler's wall-clock
-    /// timeout.
-    fn event_wait(&self, frame: &TaskFrame, src: usize, tag: u64) -> RecvOutcome {
+    /// Wait for the oldest `(src, tag)` envelope, or abort: mail first —
+    /// the envelope a sender handed over with the wake, then the queue —
+    /// then the peer-down flag, then poison; with none of them, yield
+    /// back to the scheduler worker (which registers the park in the
+    /// mailbox *after* the context is saved — see `sched::block_task`).
+    /// Down-propagation is unconditional (not gated on the fault plan):
+    /// a Skil runtime error can down a processor in any run, and its
+    /// blocked peers must cascade as `PeerDown`. A [`WakeKind::Deadlock`]
+    /// resume — the scheduler found every live task parked — raises the
+    /// structured deadlock abort.
+    fn wait_for(&self, src: usize, tag: u64) -> Envelope {
         let shared = self.shared;
         let mb = &shared.mailboxes[self.id];
         loop {
             if let Some(env) = mb.try_take(src, tag) {
-                return RecvOutcome::Message(env);
+                return env;
             }
-            if shared.downs[src].load(Ordering::Acquire) {
-                return RecvOutcome::PeerDown;
+            let down = shared.downs[src].load(Ordering::Acquire);
+            if down || shared.poison.load(Ordering::Acquire) {
+                // A sender deposits before it goes down, so with the flag
+                // seen its last envelopes are visible now, even those
+                // queued after the miss above.
+                if let Some(env) = mb.try_take(src, tag) {
+                    return env;
+                }
+                if down {
+                    // Structured cascade through the machine's failure
+                    // path: the job wrapper marks this processor down
+                    // too, so failure propagates along wait chains
+                    // instead of hanging anyone.
+                    std::panic::panic_any(SimAbort {
+                        proc: self.id,
+                        cause: AbortCause::PeerDown { peer: src },
+                    })
+                }
+                panic!("processor {}: aborted (a peer processor panicked)", self.id)
             }
-            if shared.poison.load(Ordering::Acquire) {
-                return RecvOutcome::Poisoned;
-            }
-            let wake = frame.yield_blocked(src, tag, self.now);
-            if let Some(env) = frame.take_delivered() {
-                return RecvOutcome::Message(env);
+            let wake = self.parker.yield_blocked(src, tag, self.now);
+            if let Some(env) = self.parker.take_delivered() {
+                return env;
             }
             if wake == WakeKind::Deadlock {
-                return RecvOutcome::TimedOut;
+                self.abort_deadlock(src, tag);
             }
         }
     }

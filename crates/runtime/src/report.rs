@@ -108,9 +108,8 @@ impl ProcStats {
 /// is pinned bit-identical across schedulers by the differential tests.
 /// For a fixed machine configuration the counters are still fully
 /// deterministic (the payload representation is a pure function of the
-/// encoded length, and the delivery path is a pure function of the
-/// scheduler), so exports that embed them stay byte-identical across
-/// runs.
+/// encoded length, and every delivery takes the one direct path), so
+/// exports that embed them stay byte-identical across runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DataPlaneStats {
     /// Envelopes whose payload travelled inline in the envelope
@@ -119,12 +118,13 @@ pub struct DataPlaneStats {
     pub inline_msgs: u64,
     /// Envelopes whose payload travelled as a shared heap buffer.
     pub heap_msgs: u64,
-    /// Envelopes deposited over the scheduler-native path: straight into
-    /// the receiver's queue, waking the parked task through the event
-    /// scheduler's ready heap — no condvar broadcast.
+    /// Envelopes deposited over the scheduler-native path: into the
+    /// receiver's queue, or handed to its parked task through the ready
+    /// heap. Every envelope is.
     pub direct_deliveries: u64,
-    /// Envelopes deposited through the condvar mailbox path (the thread
-    /// scheduler's delivery mechanism).
+    /// Always 0: the condvar mailbox path it counted is gone. Kept only
+    /// because the benchmark (`benchmark/src/trace.rs`) and the metrics
+    /// export still read it.
     pub condvar_deliveries: u64,
 }
 

@@ -1,7 +1,9 @@
 //! The discrete-event scheduler: thousands of virtual processors on a
 //! few host workers that a run has to earn.
 //!
-//! Each processor is a coroutine [`Task`](crate::coro::Task). A ready
+//! Each processor is a [`Task`](crate::coro::Task): a coroutine, or on
+//! the thread substrate an OS thread that passes a baton back and forth
+//! with its worker — the loop below cannot tell them apart. A ready
 //! queue — a binary heap ordered by the task's virtual clock (processor
 //! id as the deterministic tie-break) — feeds the run's workers: the
 //! calling thread, plus helpers recruited only while task quanta are
@@ -33,9 +35,9 @@
 //!   flag.
 //! * deadlock: every worker idle + empty heap + live tasks ⇒ no wake can
 //!   be in flight; the lowest-id parked task is resumed with
-//!   [`WakeKind::Deadlock`] and fails with the same structured
-//!   `AbortCause::Deadlock` (blocked `(src, tag)`, pending envelopes)
-//!   the thread scheduler raises on its timeout.
+//!   [`WakeKind::Deadlock`] and fails with the structured
+//!   `AbortCause::Deadlock` (blocked `(src, tag)`, pending envelopes).
+//!   No wall clock is involved.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -100,9 +102,9 @@ impl Drop for Seats {
     }
 }
 
-/// Shared state of one simulation's event scheduler. Intentionally
-/// `'static` (task handles are plain indices) so `Shared` can hold it
-/// behind an `Arc` and wake parked tasks from abort paths.
+/// Shared state of one simulation's event scheduler. Task handles are
+/// plain indices, so `Shared` holds it by value and wakes parked tasks
+/// from abort paths, and a machine's run arena keeps it between runs.
 #[derive(Debug)]
 pub(crate) struct EventSched {
     state: Mutex<SchedState>,

@@ -37,10 +37,9 @@ fn adaptive_host() -> bool {
     cores() >= 2
 }
 
-/// The unset default. The absurd timeout proves that nothing here is
-/// resolved by the thread scheduler's watchdog.
+/// The unset default.
 fn default_machine(rows: usize, cols: usize) -> Machine {
-    Machine::new(MachineConfig::mesh(rows, cols).unwrap().with_timeout(Duration::from_secs(600)))
+    Machine::new(MachineConfig::mesh(rows, cols).unwrap())
 }
 
 fn single_worker_machine(rows: usize, cols: usize) -> Machine {
@@ -279,11 +278,7 @@ fn a_run_never_waits_for_another_runs_helper() {
     // or a new thread — and reach its deadlock verdict while A still
     // holds the first.
     let m = Machine::new(
-        MachineConfig::mesh(1, 2)
-            .unwrap()
-            .with_scheduler(SchedulerKind::Event)
-            .with_workers(2)
-            .with_timeout(Duration::from_secs(600)),
+        MachineConfig::mesh(1, 2).unwrap().with_scheduler(SchedulerKind::Event).with_workers(2),
     );
     let (a_started, a_is_running) = mpsc::channel::<()>();
     let (release_a, a_released) = mpsc::channel::<()>();

@@ -1,9 +1,8 @@
-//! Delivery to a parked receiver. Under the event scheduler the deposit
-//! that matches a parked receive hands its envelope over with the wake
-//! instead of queueing it; the thread scheduler queues as always. These
-//! tests pin what the hand-off must not change, under each of the four
-//! host configurations: per-flow FIFO, duplicate suppression, mail
-//! before aborts, and nothing carried from one run to the next.
+//! Delivery to a parked receiver. The deposit that matches a parked
+//! receive hands its envelope over with the wake instead of queueing
+//! it. These tests pin what the hand-off must not change, under each of
+//! the four host configurations: per-flow FIFO, duplicate suppression,
+//! mail before aborts, and nothing carried from one run to the next.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;

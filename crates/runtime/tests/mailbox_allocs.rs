@@ -1,5 +1,5 @@
 //! Steady-state allocations per message for inline (≤ 64-byte payload)
-//! versus heap envelopes, under both schedulers.
+//! versus heap envelopes, on both task substrates.
 //!
 //! A counting `#[global_allocator]` measures two runs of different
 //! message counts on one machine; the difference divided by the extra

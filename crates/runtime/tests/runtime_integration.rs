@@ -2,7 +2,6 @@
 //! failure injection, and virtual-time invariants.
 
 use skil_runtime::{CostModel, Machine, MachineConfig, Ring, Torus2d, Wire};
-use std::time::Duration;
 
 #[test]
 fn raw_link_sends_are_cheaper_than_routed_sends() {
@@ -97,7 +96,7 @@ fn torus_rotation_round_trip() {
 #[should_panic(expected = "decode")]
 fn type_mismatch_between_procs_fails_loudly() {
     // failure injection: sender and receiver disagree on the type
-    let m = Machine::new(MachineConfig::mesh(1, 2).unwrap().with_timeout(Duration::from_secs(5)));
+    let m = Machine::new(MachineConfig::mesh(1, 2).unwrap());
     let _ = m.run(|p| {
         if p.id() == 0 {
             p.send(1, 1, &3u8); // one byte
@@ -112,7 +111,7 @@ fn type_mismatch_between_procs_fails_loudly() {
 fn collective_participant_crash_poisons_peers() {
     // failure injection: one participant dies inside a collective; the
     // others must abort promptly rather than hang
-    let m = Machine::new(MachineConfig::procs(8).unwrap().with_timeout(Duration::from_secs(30)));
+    let m = Machine::new(MachineConfig::procs(8).unwrap());
     let _ = m.run(|p| {
         if p.id() == 3 {
             panic!("injected fault");

@@ -1,15 +1,12 @@
 //! Scheduler differential matrix and large-mesh scale tests.
 //!
-//! The event scheduler's whole claim is that it changes *host* cost
-//! only: every observable of a run — results, `sim_cycles`, per-proc
-//! `ProcStats`, fault cascades — must be bit-identical to the thread
-//! scheduler's, at any worker count (`tests/support/invariant.rs`).
-//! These tests pin that for point-to-point traffic and for the paper's
-//! tree collectives on every topology of the zoo, plus the scale the
-//! thread scheduler cannot reach (a 64×64 mesh = 4,096 processors on
-//! one host).
-
-use std::time::Duration;
+//! The host configuration changes *host* cost only: every observable of
+//! a run — results, `sim_cycles`, per-proc `ProcStats`, fault cascades —
+//! must be bit-identical on both task substrates and at any worker
+//! count (`tests/support/invariant.rs`). These tests pin that for
+//! point-to-point traffic and for the paper's tree collectives on every
+//! topology of the zoo, plus the scale only coroutine tasks reach (a
+//! 64×64 mesh = 4,096 processors on one host).
 
 use skil_runtime::{FaultPlan, Machine, MachineConfig, Proc, SchedulerKind, Topology};
 
@@ -163,16 +160,11 @@ const GOLDEN_TREE_COLLECTIVES: u64 = 0x70d7_d017_a0b1_5f5e;
 
 #[test]
 fn mesh_64x64_completes_on_the_event_scheduler() {
-    // 4,096 processors on one host — the scale the ROADMAP names as the
-    // thread scheduler's ceiling. A ring circulation crosses every
+    // 4,096 processors on one host — past what an OS thread per
+    // processor affords. A ring circulation crosses every
     // processor, so the golden sim_cycles below witnesses all 4,096
     // clocks advancing identically run over run.
-    let m = Machine::new(
-        MachineConfig::mesh(64, 64)
-            .unwrap()
-            .with_scheduler(SchedulerKind::Event)
-            .with_timeout(Duration::from_secs(600)),
-    );
+    let m = Machine::new(MachineConfig::mesh(64, 64).unwrap().with_scheduler(SchedulerKind::Event));
     assert_eq!(m.scheduler(), SchedulerKind::Event);
     let run = m.run(|p| {
         let n = p.nprocs();

@@ -76,10 +76,10 @@ proptest! {
     }
 }
 
-/// The ack/retry protocol is delivery-path-independent: a recoverable
-/// drop+dup plan over the scheduler-native direct-wake path (explicit
-/// `SchedulerKind::Event`) and over the condvar mailbox path
-/// (`SchedulerKind::Threads`) observes the same, even the stretched
+/// The ack/retry protocol is substrate-independent: a recoverable
+/// drop+dup plan over the direct-wake path, with coroutine tasks
+/// (`SchedulerKind::Event`) and with thread tasks
+/// (`SchedulerKind::Threads`), observes the same, even the stretched
 /// clock, and masks the plan against the clean runs, which agree too.
 #[test]
 fn recoverable_plan_is_masked_over_the_direct_wake_path() {

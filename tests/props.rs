@@ -439,11 +439,9 @@ proptest! {
         prop_assert_eq!(da.heap_msgs, db.heap_msgs);
         // 55- and 56-byte vectors ride inline; the 57-byte one is heap.
         prop_assert!(da.inline_msgs >= 2 && da.heap_msgs >= 1);
-        // Delivery routing is where the schedulers legitimately differ:
-        // event mode is all direct wakes, thread mode all condvar.
+        // One scheduler: every delivery is direct on both substrates.
+        prop_assert_eq!(da, db);
         prop_assert_eq!(da.direct_deliveries, da.inline_msgs + da.heap_msgs);
         prop_assert_eq!(da.condvar_deliveries, 0);
-        prop_assert_eq!(db.condvar_deliveries, db.inline_msgs + db.heap_msgs);
-        prop_assert_eq!(db.direct_deliveries, 0);
     }
 }

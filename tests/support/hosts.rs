@@ -5,9 +5,9 @@
 
 use skil_runtime::{MachineConfig, SchedulerKind};
 
-/// Host configuration `i % 4` of `cfg`, with its name: the event
-/// scheduler adaptive, on one worker or on two from the start of every
-/// run, or the thread scheduler.
+/// Host configuration `i % 4` of `cfg`, with its name: the scheduler
+/// adaptive, on one worker or on two from the start of every run, on
+/// coroutine tasks, or adaptive on thread tasks.
 pub fn host(i: usize, cfg: MachineConfig) -> (&'static str, MachineConfig) {
     match i % 4 {
         0 => ("event", cfg),

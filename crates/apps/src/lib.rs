@@ -18,28 +18,23 @@
 //! virtual-cycle costs, so the simulated run times reproduce the shape
 //! of the paper's Tables 1-2 and Figure 1.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod costs;
 pub mod dpfl;
-pub mod fft;
 pub mod gauss;
-pub mod integrate;
 pub mod jacobi;
 pub mod matmul;
 pub mod outcome;
 pub mod quicksort;
 pub mod shortest_paths;
-pub mod strassen;
 pub mod tags;
 pub mod workload;
 
-pub use fft::fft_dc;
 pub use gauss::{gauss_dpfl, gauss_parix_c, gauss_skil, gauss_skil_pivot};
-pub use integrate::integrate_dc;
 pub use jacobi::{jacobi_dpfl, jacobi_parix_c, jacobi_skil};
 pub use matmul::{matmul_c_opt, matmul_skil};
 pub use outcome::AppOutcome;
 pub use quicksort::quicksort_skil;
 pub use shortest_paths::{shpaths_c_old, shpaths_c_opt, shpaths_dpfl, shpaths_skil};
-pub use strassen::strassen_dc;

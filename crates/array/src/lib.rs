@@ -17,17 +17,16 @@
 //!   and block-cyclic [`Distribution`]s and overlapping partitions
 //!   ([`HaloArray`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod array;
-pub mod dlist;
 pub mod error;
 pub mod halo;
 pub mod layout;
 pub mod shape;
 
 pub use array::{ArraySpec, DistArray};
-pub use dlist::DistList;
 pub use error::{ArrayError, Result};
 pub use halo::HaloArray;
 pub use layout::{Distribution, Layout};

@@ -22,12 +22,12 @@
 //! [`Kernel`]s: a real closure plus the virtual-cycle cost the calibrated
 //! T800 model charges per invocation (see `skil-runtime::CostModel`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod comm;
 pub mod copy;
 pub mod create;
-pub mod dlist_skel;
 pub mod fold;
 pub mod gen_mult;
 pub mod halo_skel;
@@ -36,12 +36,10 @@ pub mod map;
 pub mod scan;
 pub mod tags;
 pub mod task;
-pub mod transpose;
 
 pub use comm::{array_broadcast_part, array_permute_rows, switch_rows};
 pub use copy::array_copy;
 pub use create::{array_create, array_destroy};
-pub use dlist_skel::{dl_filter, dl_gather, dl_len, dl_map, dl_rebalance, dl_reduce};
 pub use fold::{array_fold, array_fold_bulk, array_fold_to_root, fold_local};
 pub use gen_mult::{array_gen_mult, array_gen_mult_blocks, block_mult_add};
 pub use halo_skel::{halo_exchange, stencil_map};
@@ -51,4 +49,3 @@ pub use map::{
 };
 pub use scan::array_scan;
 pub use task::{dc_seq, divide_conquer, farm, DcOps};
-pub use transpose::array_transpose;

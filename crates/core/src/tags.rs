@@ -26,7 +26,5 @@ pub const FARM: u64 = 0x0C00_0000;
 pub const DC_DOWN: u64 = 0x0D00_0000;
 /// Divide&conquer solution collection; low bits carry the level.
 pub const DC_UP: u64 = 0x0E00_0000;
-/// `array_rotate_rows` / `array_rotate_cols`.
-pub const ROTATE: u64 = 0x0F00_0000;
 /// `array_scan` (prefix) tree phases.
 pub const SCAN: u64 = 0x1000_0000;

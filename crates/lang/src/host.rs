@@ -26,6 +26,8 @@
 //! over scalars ([`Direct`]) picks, once, a loop instantiated for it
 //! ([`DirectLoops`]).
 
+#![forbid(unsafe_code)]
+
 use skil_array::{ArraySpec, Bounds, DistArray, Distribution, Index};
 use skil_core::{
     array_broadcast_part, array_copy, array_create, array_fold, array_fold_bulk, array_gen_mult,

@@ -53,6 +53,8 @@
 //! dropped here (and are no-ops on the generic loop) and no virtual
 //! cycle can move, whichever form runs.
 
+#![forbid(unsafe_code)]
+
 use std::cell::RefCell;
 use std::fmt::Write as _;
 

@@ -18,6 +18,8 @@
 //! with every array [`ArrayStore::Boxed`]: that the typed variants agree
 //! with it is what the differential tests check.
 
+#![forbid(unsafe_code)]
+
 use skil_array::{Bounds, DistArray, Index};
 use skil_runtime::{Wire, WireError, WireReader};
 

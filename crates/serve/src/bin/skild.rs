@@ -34,6 +34,8 @@
 //! response; the daemon never exits on a request, only on stdin EOF
 //! (exit 0) or the first failing read or write (exit 1).
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use skil_serve::Server;

@@ -42,6 +42,7 @@
 //! assert_eq!(server.stats().compile_hits, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;

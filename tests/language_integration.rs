@@ -5,6 +5,14 @@
 use skil::lang::compile;
 use skil::runtime::{Machine, MachineConfig};
 
+#[path = "support/invariant.rs"]
+mod invariant;
+#[path = "support/programs.rs"]
+mod programs;
+
+use invariant::{assert_same, configs, machines, Row};
+use programs::{levels, ALL_LEVELS};
+
 fn run(src: &str, procs: usize) -> Vec<Vec<String>> {
     let c = compile(src).unwrap_or_else(|e| panic!("compile failed: {e}"));
     let m = Machine::new(MachineConfig::procs(procs).unwrap());
@@ -221,4 +229,54 @@ fn type_errors_are_reported_with_phase() {
     assert_eq!(format!("{}", e.phase), "type");
     let e = compile("void main() { x = ; }").unwrap_err();
     assert_eq!(format!("{}", e.phase), "parse");
+}
+
+/// `examples/skil/integrate.skil` with the integrand's feature at `c`
+/// and the tolerance `tol`; the shipped program has `0.3` and `1e-8`.
+fn integrate_src(c: &str, tol: &str) -> String {
+    let src = programs::example("integrate.skil");
+    for shipped in ["float c = 0.3;", "cons(1e-8, nil())"] {
+        assert!(src.contains(shipped), "integrate.skil sets `{shipped}`");
+    }
+    src.replace("float c = 0.3;", &format!("float c = {c};"))
+        .replace("cons(1e-8, nil())", &format!("cons({tol}, nil())"))
+}
+
+/// Simulated cycles of `integrate.skil` at `c` and `tol` on `procs`
+/// processors.
+fn integrate_cycles(c: &str, tol: &str, procs: usize) -> u64 {
+    let c = compile(&integrate_src(c, tol)).unwrap_or_else(|e| panic!("compile failed: {e}"));
+    c.run(&Machine::new(MachineConfig::procs(procs).unwrap())).report.sim_cycles
+}
+
+/// The introduction's adaptive integration through `dc`: one value on
+/// every machine size, engine, opt level and host configuration, and
+/// it is the integral.
+#[test]
+fn integrate_is_accurate_on_any_machine() {
+    let (c, a, b) = (0.3f64, 0.0f64, 2.0f64);
+    let antiderivative = |x: f64| ((x - c) / 0.1).atan() / 0.1 + x * x * x / 3.0;
+    let exact = antiderivative(b) - antiderivative(a);
+    let area = "30.277529431614767";
+    assert!((area.parse::<f64>().unwrap() - exact).abs() < 1e-5, "{area} vs {exact}");
+    let row = [Row::new("integrate", levels("integrate", &programs::example("integrate.skil")))];
+    for procs in [1usize, 2, 4, 8] {
+        let machines = machines(MachineConfig::procs(procs).unwrap());
+        let seen = assert_same(&row, &configs(&ALL_LEVELS, &machines), programs::run).remove(0);
+        assert_eq!(seen.procs()[0].output, format!("{:?}", [area]), "p={procs}");
+    }
+}
+
+#[test]
+fn parallel_integration_is_faster_in_virtual_time() {
+    let (t1, t8) = (integrate_cycles("0.3", "1e-10", 1), integrate_cycles("0.3", "1e-10", 8));
+    assert!(t8 * 2 < t1, "8 procs should be >2x faster: {t1} vs {t8}");
+}
+
+#[test]
+fn adaptivity_focuses_on_the_feature() {
+    // with the sharp feature outside [0, 2], far fewer leaves are
+    // needed: the smooth integrand converges at once
+    let (sharp, smooth) = (integrate_cycles("1.0", "1e-8", 1), integrate_cycles("50.0", "1e-8", 1));
+    assert!(smooth < sharp, "smooth {smooth} vs sharp {sharp}");
 }

@@ -275,30 +275,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// dl_filter + dl_rebalance preserve the filtered sequence exactly
-    /// and balance the segment sizes.
-    #[test]
-    fn dlist_filter_rebalance_invariants(
-        n in 0usize..80,
-        procs in prop_oneof![Just(1usize), Just(2), Just(5), Just(8)],
-        modulus in 1u64..7,
-    ) {
-        use skil::array::DistList;
-        use skil::core::{dl_filter, dl_gather, dl_rebalance};
-        let m = Machine::new(MachineConfig::procs(procs).unwrap());
-        let run = m.run(|p| {
-            let mut l = DistList::create(p, n, |i| i as u64).unwrap();
-            dl_filter(p, Kernel::free(move |&v: &u64| v.is_multiple_of(modulus)), &mut l).unwrap();
-            dl_rebalance(p, &mut l).unwrap();
-            (l.local_len(), dl_gather(p, 0, &l))
-        });
-        let expect: Vec<u64> = (0..n as u64).filter(|v| v.is_multiple_of(modulus)).collect();
-        prop_assert_eq!(run.results[0].1.as_ref().unwrap(), &expect);
-        let sizes: Vec<usize> = run.results.iter().map(|r| r.0).collect();
-        let (mn, mx) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-        prop_assert!(mx - mn <= 1, "sizes {:?}", sizes);
-    }
-
     /// array_scan equals the sequential prefix combination.
     #[test]
     fn scan_matches_sequential(

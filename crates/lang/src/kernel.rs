@@ -3,23 +3,25 @@
 //!
 //! Instantiation leaves first-order *monomorphic* code, so an argument
 //! function whose parameters, locals, result and callees are all `int`,
-//! `float`, `Index`, `Bounds`, handles of `array<int>` / `array<float>`
-//! or flat structs (at most eight `int` / `float` fields) needs no
-//! tagged slots at all. At `-O2` every such function of shape
-//! [`KernelShape::General`] is lowered — from the optimized bytecode, so
-//! inlining, folding and fusion are inherited and there is still one
-//! optimizer — into three-address code over untagged 8-byte registers
-//! ([`KIns`]): the operator and the operand type are resolved per
-//! instruction, an `Index` is two consecutive registers, a `Bounds` four
-//! and a struct one per field (a field access is the register itself),
-//! constants sit in registers, and there is no operand stack at run
-//! time. A loop is bottom-tested ([`rotate_loops`]) and a division or
-//! remainder by a positive power-of-two constant is a shift or a mask.
-//! A function that uses anything else (lists, structs of more than
-//! scalars, `print`, `array_put_elem`, a skeleton, a callee over structs)
-//! or needs more registers than a frame window has is not lowered and
-//! runs on the generic loop of [`crate::vm`] over the program's own
-//! bytecode, exactly as it does at `-O0`.
+//! `float`, `Index`, `Bounds`, handles of `array<int>` / `array<float>`,
+//! flat structs (at most eight `int` / `float` fields) or lists of
+//! `int`, `float` or lists of those needs no tagged slots at all. At
+//! `-O2` every such function of shape [`KernelShape::General`] is
+//! lowered — from the optimized bytecode, so inlining, folding and
+//! fusion are inherited and there is still one optimizer — into
+//! three-address code over untagged 8-byte registers ([`KIns`]): the
+//! operator and the operand type are resolved per instruction, an
+//! `Index` is two consecutive registers, a `Bounds` four and a struct
+//! one per field (a field access is the register itself), constants sit
+//! in registers, and there is no operand stack at run time. A loop is
+//! bottom-tested ([`rotate_loops`]) and a division or remainder by a
+//! positive power-of-two constant is a shift or a mask. A function that
+//! uses anything else (lists of structs or nested three deep, structs of
+//! more than scalars, `print`, `array_put_elem`, a skeleton, a callee
+//! over structs or lists) or needs more registers than a frame window
+//! has is not lowered and runs on the generic loop of [`crate::vm`] over
+//! the program's own bytecode, exactly as it does at `-O0`; the listing
+//! names what blocked it.
 //!
 //! ## Frame layout
 //!
@@ -36,15 +38,34 @@
 //! allocation pass. A call opens the callee's window right above the
 //! caller's frame in the same register file.
 //!
+//! ## Lists
+//!
+//! A list is one register, and the list it names is that register's
+//! entry in a side window of [`ConsList`]s beside the registers — a
+//! handle, not a copy, and nothing allocated to hold it. A `list<T>`'s
+//! element type is inferred with the slot types (`nil()` is a list of
+//! anything until a `cons`, a store or the signature says which). The
+//! list instructions run out of line, as one arm of the dispatch loop,
+//! so the scalar arms compile as they would without them. They keep the
+//! generic loop's ownership: `x = cons(e, x)` and `x = tail(x)` update
+//! `x` where it lies, `cons` consumes a temporary list and copies a
+//! variable's, a store moves a temporary, and a returned list is moved
+//! out of the frame while the frame's other lists are dropped — so a
+//! list no one else holds grows, shrinks and crosses back into the
+//! skeleton (whose `dc` moves the chunks it alone holds) without a copy
+//! of an element or a heap cell per element. Warm, the paper's quicksort
+//! of 32 elements on a 2x2 mesh makes 371 allocations at `-O2`, 403 on
+//! the generic loop.
+//!
 //! ## A site's argument function
 //!
 //! A skeleton call readies each typed argument function once
 //! ([`TypedSite`]): register file allocated, constants and lifted
 //! arguments written, first element-argument register known. Per
 //! element the skeleton writes the arguments — a scalar or an index as
-//! it is, a flat struct as its words ([`KArg::W`]) — and runs; a struct
-//! result is read back as words, so a struct-valued fold allocates
-//! nothing per element.
+//! it is, a flat struct as its words ([`KArg::W`]), a list as a handle
+//! in the side window — and runs; a struct result is read back as
+//! words, so a struct-valued fold allocates nothing per element.
 //!
 //! ## Virtual time
 //!
@@ -57,6 +78,7 @@
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::mem::take;
 
 use skil_array::Index;
 
@@ -69,7 +91,7 @@ use crate::scalar::{
 };
 use crate::store::{Elem, FlatElem, FloatElem, IntElem};
 use crate::sym::Names;
-use crate::value::Value;
+use crate::value::{ConsList, Value};
 use crate::vm::Sl;
 
 // ---------------------------------------------------------------------
@@ -94,6 +116,62 @@ pub(crate) enum KTy {
     /// Partition bounds: four registers, `lower[0], lower[1], upper[0],
     /// upper[1]` — each of its two fields is an `Index` in place.
     Bounds,
+    /// A list: register `r`'s list is entry `r` of the side window
+    /// beside the registers.
+    List(LElem),
+}
+
+/// A list's element type, as far as lowering knows it: `nil()` is a
+/// list of anything until a `cons`, a store, a join or the function's
+/// signature says which.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LElem {
+    Any,
+    Int,
+    Float,
+    /// A list of lists of anything.
+    AnyList,
+    IntList,
+    FloatList,
+}
+
+impl LElem {
+    /// The element type; `None` while it is unknown.
+    fn ty(self) -> Option<KTy> {
+        Some(match self {
+            LElem::Any => return None,
+            LElem::Int => KTy::Int,
+            LElem::Float => KTy::Float,
+            LElem::AnyList => KTy::List(LElem::Any),
+            LElem::IntList => KTy::List(LElem::Int),
+            LElem::FloatList => KTy::List(LElem::Float),
+        })
+    }
+
+    /// The element type of a list of `ty` (`None`: not yet known);
+    /// `None` for what the tier keeps no list of.
+    fn of(ty: Option<KTy>) -> Option<LElem> {
+        Some(match ty {
+            None => LElem::Any,
+            Some(KTy::Int) => LElem::Int,
+            Some(KTy::Float) => LElem::Float,
+            Some(KTy::List(LElem::Any)) => LElem::AnyList,
+            Some(KTy::List(LElem::Int)) => LElem::IntList,
+            Some(KTy::List(LElem::Float)) => LElem::FloatList,
+            Some(_) => return None,
+        })
+    }
+
+    /// What both element types can be; `None` when they disagree.
+    fn join(self, other: LElem) -> Option<LElem> {
+        use LElem::*;
+        match (self, other) {
+            (a, b) if a == b => Some(a),
+            (Any, x) | (x, Any) => Some(x),
+            (AnyList, x @ (IntList | FloatList)) | (x @ (IntList | FloatList), AnyList) => Some(x),
+            _ => None,
+        }
+    }
 }
 
 /// A struct instance whose fields are all `int` or `float`.
@@ -150,18 +228,40 @@ impl Flat {
 }
 
 impl KTy {
-    fn of(fo: &FoProgram, ty: &FoTy) -> Option<KTy> {
-        Some(match ty {
+    /// `ty` in tier types, or why the tier keeps no value of it.
+    fn of(fo: &FoProgram, ty: &FoTy) -> Result<KTy, Blocker> {
+        Ok(match ty {
             FoTy::Void => KTy::Unit,
             FoTy::Int => KTy::Int,
             FoTy::Float => KTy::Float,
             FoTy::Index => KTy::Index,
-            FoTy::Array(t) if **t == FoTy::Int => KTy::ArrInt,
-            FoTy::Array(t) if **t == FoTy::Float => KTy::ArrFloat,
-            FoTy::Struct(_) => KTy::Struct(Flat::of_ty(fo, ty)?),
+            FoTy::Array(t) => match **t {
+                FoTy::Int => KTy::ArrInt,
+                FoTy::Float => KTy::ArrFloat,
+                _ => return Err(Blocker::WideArray),
+            },
+            FoTy::Struct(_) => KTy::Struct(Flat::of_ty(fo, ty).ok_or(Blocker::WideStruct)?),
             FoTy::Bounds => KTy::Bounds,
-            _ => return None,
+            FoTy::List(t) => KTy::List(match &**t {
+                FoTy::Int => LElem::Int,
+                FoTy::Float => LElem::Float,
+                FoTy::List(u) if **u == FoTy::Int => LElem::IntList,
+                FoTy::List(u) if **u == FoTy::Float => LElem::FloatList,
+                FoTy::Struct(_) => return Err(Blocker::ListOfStructs),
+                FoTy::Array(_) => return Err(Blocker::ListOfArrays),
+                FoTy::List(u) if matches!(**u, FoTy::List(_)) => return Err(Blocker::DeepList),
+                FoTy::List(_) => return Err(Blocker::WideLists),
+                _ => return Err(Blocker::ListOfIndexes),
+            }),
         })
+    }
+
+    /// What both types can be; `None` when they disagree.
+    fn join(self, other: KTy) -> Option<KTy> {
+        match (self, other) {
+            (KTy::List(a), KTy::List(b)) => a.join(b).map(KTy::List),
+            (a, b) => (a == b).then_some(a),
+        }
     }
 
     fn words(self) -> usize {
@@ -184,8 +284,56 @@ impl KTy {
             KTy::ArrFloat => "array<float>",
             KTy::Struct(_) => "struct",
             KTy::Bounds => "Bounds",
+            KTy::List(LElem::Any) => "list<?>",
+            KTy::List(LElem::Int) => "list<int>",
+            KTy::List(LElem::Float) => "list<float>",
+            KTy::List(LElem::AnyList) => "list<list<?>>",
+            KTy::List(LElem::IntList) => "list<list<int>>",
+            KTy::List(LElem::FloatList) => "list<list<float>>",
         }
     }
+}
+
+/// Defines [`Blocker`]: per variant the type it names, phrased both ways
+/// the listing gives it — as a function's own signature and as a
+/// callee's.
+macro_rules! blockers {
+    ($( $name:ident = $what:literal ),* $(,)?) => {
+        /// A type that keeps a function off the tier.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Blocker {
+            $( $name ),*
+        }
+
+        impl Blocker {
+            fn in_signature(self) -> Why {
+                match self {
+                    $( Blocker::$name => concat!("its signature has ", $what) ),*
+                }
+            }
+
+            fn in_callee(self) -> Why {
+                match self {
+                    $( Blocker::$name => concat!("calls a function over ", $what) ),*
+                }
+            }
+        }
+    };
+}
+
+blockers! {
+    WideArray = "an array of more than scalars",
+    WideStruct = "a struct of more than scalars",
+    ListOfStructs = "a list of structs",
+    ListOfArrays = "a list of arrays",
+    ListOfIndexes = "a list of Index or Bounds values",
+    DeepList = "a list nested more than two deep",
+    WideLists = "a list of lists of more than scalars",
+    VoidParam = "a void parameter",
+    // what typed code calls only over scalars, arrays and indexes
+    Structs = "structs",
+    Lists = "lists",
+    Bounds = "Bounds",
 }
 
 /// A frame register: an index into the activation's window of
@@ -312,6 +460,31 @@ kins! {
     PartBounds(d: r, arr: r),
     /// `error(a)`.
     Error(a: r),
+    // Lists, in the side window; an operand `l` is `side[l]`. Run out of
+    // line, as one arm of the dispatch loop (see `Lists`).
+    /// `d = nil()`.
+    Nil(d: r),
+    /// `d = len(l)`.
+    Len(d: r, l: r),
+    /// `d = head(l)` of a list of scalars: the element's bits.
+    Head(d: r, l: r),
+    /// `d = head(l)` of a list of lists.
+    HeadL(d: r, l: r),
+    /// `d = tail(l)`; in place when `d == l`.
+    Tail(d: r, l: r),
+    /// `d = cons(e, l)` onto an int, consuming `l`: in place when no
+    /// other list shares its front.
+    ConsI(d: r, e: r, l: r),
+    /// The same with a float.
+    ConsF(d: r, e: r, l: r),
+    /// The same with the list `e`.
+    ConsL(d: r, e: r, l: r),
+    /// `d = append(a, b)`.
+    Append(d: r, a: r, b: r),
+    /// Copy a list: a second handle on the same chunks.
+    MovL(d: r, l: r),
+    /// Move a list out of a temporary that is dead after.
+    TakeL(d: r, l: r),
     Jmp(to: t),
     Jz(a: r, to: t),
     Jnz(a: r, to: t),
@@ -344,6 +517,9 @@ kins! {
     RetN(a: r),
     /// Return from a `void` function.
     Ret0(),
+    /// Return a list: it stays in the side window, at `l`, where the
+    /// skeleton takes it.
+    RetL(l: r),
 }
 
 impl KIns {
@@ -414,7 +590,45 @@ impl KIns {
                 | KIns::Ret2(_)
                 | KIns::RetN(_)
                 | KIns::Ret0()
+                | KIns::RetL(_)
                 | KIns::Error(_)
+        )
+    }
+
+    /// The register a list instruction computes into, but for the
+    /// in-place `tail`.
+    fn list_dest_mut(&mut self) -> Option<&mut R> {
+        match self {
+            KIns::Tail(d, l) if d == l => None,
+            KIns::Nil(d)
+            | KIns::Len(d, _)
+            | KIns::Head(d, _)
+            | KIns::HeadL(d, _)
+            | KIns::Tail(d, _)
+            | KIns::ConsI(d, ..)
+            | KIns::ConsF(d, ..)
+            | KIns::ConsL(d, ..)
+            | KIns::Append(d, ..) => Some(d),
+            _ => None,
+        }
+    }
+
+    /// Reads or writes the side window.
+    fn is_list(&self) -> bool {
+        matches!(
+            self,
+            KIns::Nil(..)
+                | KIns::Len(..)
+                | KIns::Head(..)
+                | KIns::HeadL(..)
+                | KIns::Tail(..)
+                | KIns::ConsI(..)
+                | KIns::ConsF(..)
+                | KIns::ConsL(..)
+                | KIns::Append(..)
+                | KIns::MovL(..)
+                | KIns::TakeL(..)
+                | KIns::RetL(..)
         )
     }
 
@@ -492,14 +706,16 @@ impl KIns {
 /// Why a function stays on the generic loop.
 type Why = &'static str;
 
-/// A function's signature in tier types; `None` when a parameter or the
-/// result is a list, a struct that is not flat, or an array of anything
-/// but `int` or `float`.
-fn signature(fo: &FoProgram, fid: usize) -> Option<(Vec<KTy>, KTy)> {
+/// A function's signature in tier types, or the first type in it the
+/// tier keeps no value of.
+fn signature(fo: &FoProgram, fid: usize) -> Result<(Vec<KTy>, KTy), Blocker> {
     let f = &fo.funcs[fid];
-    let params: Option<Vec<KTy>> =
-        f.params.iter().map(|(_, ty)| KTy::of(fo, ty).filter(|t| *t != KTy::Unit)).collect();
-    Some((params?, KTy::of(fo, &f.ret)?))
+    let param = |ty| match KTy::of(fo, ty)? {
+        KTy::Unit => Err(Blocker::VoidParam),
+        ty => Ok(ty),
+    };
+    let params: Result<Vec<KTy>, Blocker> = f.params.iter().map(|(_, ty)| param(ty)).collect();
+    Ok((params?, KTy::of(fo, &f.ret)?))
 }
 
 /// A value on the abstract operand stack: its type (`None` while slot
@@ -574,8 +790,11 @@ struct Lower<'a> {
     dead: bool,
     /// An inference pass learned a slot type.
     changed: bool,
-    /// An inference pass read a slot whose type it did not know yet.
+    /// An inference pass read a slot whose type it did not know yet,
+    /// or not all of.
     unknown: bool,
+    /// The next instruction was lowered with this one.
+    skip: bool,
     calls: Vec<usize>,
 }
 
@@ -708,8 +927,7 @@ fn rotate_loops(code: &mut Vec<KIns>) {
 
 fn lower_fn(code: &Program, fo: &FoProgram, fid: usize) -> Result<Lowered, Why> {
     let f = &code.funcs[fid];
-    let (params, ret) =
-        signature(fo, fid).ok_or("its signature has a list or a struct of more than scalars")?;
+    let (params, ret) = signature(fo, fid).map_err(Blocker::in_signature)?;
     if ret == KTy::Bounds {
         return Err("returns Bounds");
     }
@@ -763,6 +981,7 @@ fn lower_fn(code: &Program, fo: &FoProgram, fid: usize) -> Result<Lowered, Why> 
         dead: false,
         changed: false,
         unknown: false,
+        skip: false,
         calls: Vec::new(),
     };
     // infer slot types: one pass, unless it read a slot before the
@@ -820,6 +1039,9 @@ impl Lower<'_> {
         self.changed = false;
         self.unknown = false;
         for (pc, ins) in code.iter().enumerate() {
+            if std::mem::take(&mut self.skip) {
+                continue;
+            }
             self.pc = pc;
             if self.is_target[pc] {
                 self.label(pc)?;
@@ -878,7 +1100,7 @@ impl Lower<'_> {
 
     fn expect(&self, o: Opnd, want: KTy) -> Result<Opnd, Why> {
         match o.ty {
-            Some(ty) if ty != want => Err("an operand has an unexpected type"),
+            Some(ty) if ty.join(want).is_none() => Err("an operand has an unexpected type"),
             None if self.emit => Err("a value's type could not be inferred"),
             _ => Ok(o),
         }
@@ -891,6 +1113,9 @@ impl Lower<'_> {
                 Some(KTy::Index) => self.ins(KIns::Mov2(d, a)),
                 Some(KTy::Struct(flat)) => self.ins(KIns::MovN(d, a, flat.n)),
                 Some(KTy::Bounds) => self.ins(KIns::MovN(d, a, 4)),
+                // a temporary that is moved is dead: it was popped
+                Some(KTy::List(_)) if a as usize >= self.tbase => self.ins(KIns::TakeL(d, a)),
+                Some(KTy::List(_)) => self.ins(KIns::MovL(d, a)),
                 _ => self.ins(KIns::Mov(d, a)),
             }
         }
@@ -946,11 +1171,12 @@ impl Lower<'_> {
 
     fn slot(&mut self, s: u16) -> Result<Opnd, Why> {
         let ty = self.slot_ty[s as usize];
-        if ty.is_none() {
-            if self.emit {
-                return Err("a variable is read but never assigned a scalar");
-            }
-            self.unknown = true;
+        match ty {
+            None if self.emit => return Err("a variable is read but never assigned"),
+            None => self.unknown = true,
+            // a list of what is not known yet
+            Some(KTy::List(LElem::Any | LElem::AnyList)) => self.unknown = true,
+            Some(_) => {}
         }
         Ok(Opnd::new(ty, self.slot_reg[s as usize]))
     }
@@ -968,13 +1194,13 @@ impl Lower<'_> {
     /// recording the slot's type and saving what still aliases it.
     fn slot_dest(&mut self, s: u16, ty: KTy) -> Result<R, Why> {
         let slot = &mut self.slot_ty[s as usize];
-        match *slot {
-            None => {
-                *slot = Some(ty);
-                self.changed = true;
-            }
-            Some(have) if have != ty => return Err("a variable holds values of two types"),
-            Some(_) => {}
+        let ty = match *slot {
+            None => ty,
+            Some(have) => have.join(ty).ok_or("a variable holds values of two types")?,
+        };
+        if *slot != Some(ty) {
+            *slot = Some(ty);
+            self.changed = true;
         }
         let reg = self.slot_reg[s as usize];
         self.spill_aliases(reg, ty.words());
@@ -988,7 +1214,20 @@ impl Lower<'_> {
             None if self.emit => Err("a value's type could not be inferred"),
             None => Ok(()),
             Some(ty) => {
+                let emitted = self.out.len();
                 let d = self.slot_dest(s, ty)?;
+                // a list instruction that computed `v` computes the
+                // variable instead, unless a copy of its old value was
+                // just saved
+                if self.out.len() == emitted && v.reg as usize >= self.tbase && emitted > self.fence
+                {
+                    if let Some(dest) = self.out.last_mut().and_then(KIns::list_dest_mut) {
+                        if *dest == v.reg {
+                            *dest = d;
+                            return Ok(());
+                        }
+                    }
+                }
                 self.mov(Some(ty), d, v.reg);
                 Ok(())
             }
@@ -1008,8 +1247,8 @@ impl Lower<'_> {
                 }
                 for (h, n) in have.iter_mut().zip(now) {
                     match (*h, n) {
-                        (Some(a), Some(b)) if a != b => {
-                            return Err("operand types disagree at a jump target")
+                        (Some(a), Some(b)) => {
+                            *h = Some(a.join(b).ok_or("operand types disagree at a jump target")?)
                         }
                         (None, Some(_)) => *h = n,
                         _ => {}
@@ -1279,17 +1518,154 @@ impl Lower<'_> {
                 }
                 _ => return Err("array_part_bounds of something that is not a scalar array"),
             },
-            _ => return Err("a list or constant intrinsic"),
+            (Intr::Nil, []) => {
+                let d = self.push_result(Some(KTy::List(LElem::Any)));
+                self.ins(KIns::Nil(d));
+            }
+            (Intr::Len, [l]) => {
+                self.list_elem(*l)?;
+                let d = self.push_result(Some(int));
+                self.ins(KIns::Len(d, l.reg));
+            }
+            (Intr::Head, [l]) => {
+                let ty = self.list_elem(*l)?.and_then(LElem::ty);
+                let d = self.push_result(ty);
+                match ty {
+                    Some(KTy::List(_)) => self.ins(KIns::HeadL(d, l.reg)),
+                    Some(_) => self.ins(KIns::Head(d, l.reg)),
+                    None if self.emit => return Err("a list's element type could not be inferred"),
+                    None => self.unknown = true,
+                }
+            }
+            (Intr::Tail, [l]) => {
+                self.list_elem(*l)?;
+                let d = self.push_result(l.ty);
+                self.ins(KIns::Tail(d, l.reg));
+            }
+            (Intr::Cons, [e, l]) => {
+                let ty = self.cons_ty(*e, *l)?;
+                // `cons` consumes its list: a variable's is copied first,
+                // to the temporary above the result's
+                let depth = self.vs.len();
+                self.max_depth = self.max_depth.max(depth + 2);
+                let l = if (l.reg as usize) < self.tbase {
+                    let copy = self.home(depth + 1);
+                    self.ins(KIns::MovL(copy, l.reg));
+                    copy
+                } else {
+                    l.reg
+                };
+                let d = self.push_result(Some(ty));
+                self.cons(d, *e, l)?;
+            }
+            (Intr::Append, [a, b]) => {
+                let (ea, eb) = (self.list_elem(*a)?, self.list_elem(*b)?);
+                let ty = match (ea, eb) {
+                    (Some(x), Some(y)) => {
+                        Some(KTy::List(x.join(y).ok_or("append of two list types")?))
+                    }
+                    (x, y) => x.or(y).map(KTy::List),
+                };
+                let d = self.push_result(ty);
+                self.ins(KIns::Append(d, a.reg, b.reg));
+            }
+            _ => return Err("a constant intrinsic"),
         }
         Ok(())
     }
 
+    /// The element type of list operand `l`; `None` while its type is
+    /// unknown.
+    fn list_elem(&mut self, l: Opnd) -> Result<Option<LElem>, Why> {
+        match l.ty {
+            Some(KTy::List(e)) => Ok(Some(e)),
+            Some(_) => Err("a list intrinsic on something that is not a list"),
+            None if self.emit => Err("a value's type could not be inferred"),
+            None => {
+                self.unknown = true;
+                Ok(None)
+            }
+        }
+    }
+
+    /// The type of `cons(e, l)`.
+    fn cons_ty(&mut self, e: Opnd, l: Opnd) -> Result<KTy, Why> {
+        let elem = LElem::of(e.ty).ok_or(match e.ty {
+            Some(KTy::List(_)) => "a list nested more than two deep",
+            _ => "a list of more than scalars",
+        })?;
+        let elem = match self.list_elem(l)? {
+            Some(have) => have.join(elem).ok_or("cons onto a list of another type")?,
+            None => elem,
+        };
+        Ok(KTy::List(elem))
+    }
+
+    /// `d = cons(e, l)`, consuming `l`.
+    fn cons(&mut self, d: R, e: Opnd, l: R) -> Result<(), Why> {
+        let make = match e.ty {
+            Some(KTy::Int) => KIns::ConsI,
+            Some(KTy::Float) => KIns::ConsF,
+            Some(KTy::List(_)) => KIns::ConsL,
+            _ if self.emit => return Err("a value's type could not be inferred"),
+            _ => return Ok(()),
+        };
+        self.ins(make(d, e.reg, l));
+        Ok(())
+    }
+
+    /// `x = cons(e, x)` or `x = tail(x)` for the `store` that follows
+    /// (`s` is `x`'s slot): the list is updated where it lies, as the
+    /// generic loop does, so one no other list shares grows or shrinks
+    /// in place.
+    fn list_in_place(&mut self, op: Intr, srcs: [Src; 3], s: u16) -> Result<(), Why> {
+        let x = self.slot(s)?;
+        match op {
+            Intr::Cons => {
+                let e = self.src(srcs[0])?;
+                let ty = self.cons_ty(e, x)?;
+                let d = self.slot_dest(s, ty)?;
+                self.cons(d, e, d)?;
+            }
+            _ => {
+                self.list_elem(x)?;
+                if let Some(ty) = x.ty {
+                    let d = self.slot_dest(s, ty)?;
+                    self.ins(KIns::Tail(d, d));
+                }
+            }
+        }
+        self.skip = true;
+        Ok(())
+    }
+
+    /// The slot `x` of an `intr.s` that computes `cons(e, x)` or
+    /// `tail(x)` when the next instruction stores that into `x`.
+    fn stores_in_place(&self, op: Intr, srcs: [Src; 3]) -> Option<u16> {
+        let own = match op {
+            Intr::Cons => srcs[1],
+            Intr::Tail => srcs[0],
+            _ => return None,
+        };
+        match (own, self.f.code.get(self.pc + 1)) {
+            (Src::Slot(s), Some(Instr::Store(d))) if *d == s && !self.is_target[self.pc + 1] => {
+                Some(s)
+            }
+            _ => None,
+        }
+    }
+
     fn call(&mut self, fid: usize) -> Result<(), Why> {
-        let (params, ret) = signature(self.fo, fid)
-            .filter(|(params, ret)| {
-                !params.iter().chain([ret]).any(|t| matches!(t, KTy::Struct(_) | KTy::Bounds))
-            })
-            .ok_or("calls a function over structs, lists or Bounds")?;
+        let (params, ret) = signature(self.fo, fid).map_err(Blocker::in_callee)?;
+        for ty in params.iter().chain([&ret]) {
+            let blocker = match ty {
+                KTy::Struct(_) => Blocker::Structs,
+                KTy::List(_) => Blocker::Lists,
+                KTy::Bounds => Blocker::Bounds,
+                _ => continue,
+            };
+            return Err(blocker.in_callee());
+        }
         let fid16 = u16::try_from(fid).map_err(|_| "too many functions")?;
         if params.len() > 32 {
             return Err("calls a function with more than 32 parameters");
@@ -1318,6 +1694,7 @@ impl Lower<'_> {
             KTy::Unit => KIns::Ret0(),
             KTy::Index => KIns::Ret2(v.reg),
             KTy::Struct(_) => KIns::RetN(v.reg),
+            KTy::List(_) => KIns::RetL(v.reg),
             _ => KIns::Ret(v.reg),
         });
         self.dead = true;
@@ -1449,6 +1826,9 @@ impl Lower<'_> {
                 self.intr(op, &args)?;
             }
             Instr::IntrS(op, argc, srcs) => {
+                if let Some(s) = self.stores_in_place(op, srcs) {
+                    return self.list_in_place(op, srcs, s);
+                }
                 let n = argc as usize;
                 let mut args = [Opnd::UNIT; 3];
                 for k in (0..n).rev() {
@@ -1522,6 +1902,9 @@ pub(crate) struct TypedFn {
     nparams: u8,
     /// Registers per temporary.
     twidth: u8,
+    /// It, or a function it calls, has lists: it runs with a side
+    /// window entry per register.
+    lists: bool,
 }
 
 /// The typed code of a program: built by [`KernelView::build`] once per
@@ -1602,7 +1985,23 @@ impl KernelView {
         }
         let mut index = vec![NONE; code.funcs.len()];
         let (mut fns, mut typed_code, mut consts) = (Vec::new(), Vec::new(), Vec::new());
-        for (fid, l) in lower_all(fo, code, &roots(code)).into_iter().enumerate() {
+        let lowered = lower_all(fo, code, &roots(code));
+        let mut lists: Vec<bool> = lowered
+            .iter()
+            .map(|l| {
+                l.as_ref().is_some_and(|l| {
+                    l.params.iter().any(|ty| matches!(ty, KTy::List(_)))
+                        || l.code.iter().any(KIns::is_list)
+                })
+            })
+            .collect();
+        // and what calls it, to a fixed point: calls may recurse
+        while let Some(fid) = (0..lowered.len()).find(|&fid| {
+            !lists[fid] && lowered[fid].as_ref().is_some_and(|l| l.calls.iter().any(|&c| lists[c]))
+        }) {
+            lists[fid] = true;
+        }
+        for (fid, l) in lowered.into_iter().enumerate() {
             let Some(l) = l else { continue };
             index[fid] = u16::try_from(fns.len()).ok().filter(|i| *i != NONE).expect("few kernels");
             fns.push(TypedFn {
@@ -1619,6 +2018,7 @@ impl KernelView {
                 ret: l.ret,
                 nparams: l.params.len() as u8,
                 twidth: l.twidth as u8,
+                lists: lists[fid],
             });
             typed_code.extend(l.code);
             consts.extend(l.consts.iter().map(|c| c.1));
@@ -1684,9 +2084,9 @@ impl KArg<'_> {
         }
     }
 
-    /// Write the argument into a typed parameter's registers; returns
-    /// the register after it.
-    fn write(self, regs: &mut [u64], at: usize) -> usize {
+    /// Write the argument into a typed parameter's registers (a list
+    /// into its side window entry); returns the register after it.
+    fn write(self, regs: &mut [u64], side: &mut [ConsList], at: usize) -> usize {
         match self {
             KArg::I(v) => regs[at] = v as u64,
             KArg::F(v) => regs[at] = v.to_bits(),
@@ -1700,15 +2100,16 @@ impl KArg<'_> {
                 regs[at..at + w.len()].copy_from_slice(w);
                 return at + w.len();
             }
-            KArg::V(v) => return write_value(regs, at, v),
+            KArg::V(v) => return write_value(regs, side, at, v),
         }
         at + 1
     }
 }
 
-/// Write a value a typed parameter can take into its registers;
-/// returns the register after it.
-fn write_value(regs: &mut [u64], at: usize, v: &Value) -> usize {
+/// Write a value a typed parameter can take into its registers, a list
+/// into its side window entry when there is one; returns the register
+/// after it.
+fn write_value(regs: &mut [u64], side: &mut [ConsList], at: usize, v: &Value) -> usize {
     match v {
         Value::Int(i) => regs[at] = *i as u64,
         Value::Float(f) => regs[at] = f.to_bits(),
@@ -1725,20 +2126,82 @@ fn write_value(regs: &mut [u64], at: usize, v: &Value) -> usize {
             return at + 4;
         }
         Value::Struct(_, fields) => {
-            return fields.iter().fold(at, |at, field| write_value(regs, at, field));
+            return fields.iter().fold(at, |at, field| write_value(regs, side, at, field));
+        }
+        Value::List(l) => {
+            if let Some(entry) = side.get_mut(at) {
+                *entry = l.clone();
+            }
         }
         other => panic!("typed kernel parameter given {other:?}"),
     }
     at + 1
 }
 
+/// A register file: the frame window of the typed function running,
+/// and its callees' above it; and, once a function with lists has run,
+/// the side window of the lists the registers name, as long as they.
+struct Regs {
+    words: Vec<u64>,
+    side: Vec<ConsList>,
+}
+
 thread_local! {
-    /// This thread's register file: the frame window of the typed
-    /// function it is running, and its callees' above it. A typed
-    /// function runs to its `ret` without yielding — it cannot
-    /// communicate — so one file per thread serves every processor
-    /// scheduled on it, and no skeleton call holds a window of its own.
-    static REGS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// This thread's register file. A typed function runs to its `ret`
+    /// without yielding — it cannot communicate — so one file per
+    /// thread serves every processor scheduled on it, and no skeleton
+    /// call holds a window of its own.
+    static REGS: RefCell<Regs> = const { RefCell::new(Regs { words: Vec::new(), side: Vec::new() }) };
+}
+
+/// Where typed code keeps its lists: the side window, or — for code
+/// that neither has a list nor calls code that has one — nowhere, so
+/// that its dispatch loop is the one it would be without lists.
+trait Lists {
+    /// Run list instruction `ins` of the frame at `base`.
+    fn op(&mut self, ins: KIns, r: &mut [u64; WINDOW], base: usize);
+    /// Before `f` runs on the frame at `base`.
+    fn enter(&mut self, f: &TypedFn, base: usize);
+    /// After `f` returned from the frame at `base`: drop the lists it
+    /// leaves behind, so that they share no chunk with its result and
+    /// a skeleton taking the result apart moves what it alone holds.
+    fn leave(&mut self, f: &TypedFn, base: usize);
+}
+
+/// The lists of code that has none.
+struct NoLists;
+
+impl Lists for NoLists {
+    fn op(&mut self, ins: KIns, _: &mut [u64; WINDOW], _: usize) {
+        unreachable!("{ins} in code without lists")
+    }
+
+    fn enter(&mut self, _: &TypedFn, _: usize) {}
+
+    fn leave(&mut self, _: &TypedFn, _: usize) {}
+}
+
+/// The side window: register `r`'s list, for the frame at `base`, is
+/// entry `base + r`.
+impl Lists for Vec<ConsList> {
+    fn op(&mut self, ins: KIns, r: &mut [u64; WINDOW], base: usize) {
+        list_op(ins, r, &mut self[base..])
+    }
+
+    fn enter(&mut self, f: &TypedFn, base: usize) {
+        if f.lists && self.len() < base + WINDOW {
+            self.resize_with(base + WINDOW, ConsList::new);
+        }
+    }
+
+    fn leave(&mut self, f: &TypedFn, base: usize) {
+        if f.lists {
+            let frame = &mut self[base..base + f.nregs as usize];
+            for l in frame.iter_mut().filter(|l| !l.is_empty()) {
+                *l = ConsList::new();
+            }
+        }
+    }
 }
 
 /// A typed argument function readied for one skeleton call: its
@@ -1749,6 +2212,8 @@ pub(crate) struct TypedSite<'a> {
     view: &'a KernelView,
     tf: &'a TypedFn,
     env: &'a KEnv<'a>,
+    /// The lifted arguments: a list among them is written per call.
+    lifted: &'a [Value],
     /// The frame's first registers: constants, then the lifted
     /// arguments. The element arguments follow.
     prologue: Vec<u64>,
@@ -1768,9 +2233,10 @@ impl<'a> TypedSite<'a> {
         prologue.clear();
         prologue.resize(tf.nregs as usize, 0);
         prologue[..consts.len()].copy_from_slice(consts);
-        let args_at = lifted.iter().fold(consts.len(), |at, v| write_value(&mut prologue, at, v));
+        let args_at =
+            lifted.iter().fold(consts.len(), |at, v| write_value(&mut prologue, &mut [], at, v));
         prologue.truncate(args_at);
-        TypedSite { view, tf, env, prologue }
+        TypedSite { view, tf, env, lifted, prologue }
     }
 
     /// The prologue's buffer, for the next site to lay its own out in.
@@ -1780,14 +2246,17 @@ impl<'a> TypedSite<'a> {
 
     /// Call the function on `lifted ++ args`.
     pub(crate) fn call<U: Elem>(&mut self, args: &[KArg<'_>]) -> U {
-        REGS.with_borrow_mut(|regs| {
+        REGS.with_borrow_mut(|Regs { words: regs, side }| {
             if regs.len() < WINDOW {
                 regs.resize(WINDOW, 0);
             }
             let args_at = self.prologue.len();
             regs[..args_at].copy_from_slice(&self.prologue);
-            args.iter().fold(args_at, |at, arg| arg.write(regs, at));
-            let out = self.view.run(self.tf, regs, 0, self.env);
+            if self.tf.lists {
+                return self.call_with_lists(regs, side, args);
+            }
+            args.iter().fold(args_at, |at, arg| arg.write(regs, &mut [], at));
+            let out = self.view.run(self.tf, regs, &mut NoLists, 0, self.env);
             match self.tf.ret {
                 // a struct stays in the frame
                 KTy::Struct(flat) => {
@@ -1797,13 +2266,50 @@ impl<'a> TypedSite<'a> {
             }
         })
     }
+
+    /// [`TypedSite::call`] of a function that has lists, once its
+    /// prologue is in `regs` — out of line, so that the call of one
+    /// that has none stays what it was.
+    #[inline(never)]
+    fn call_with_lists<U: Elem>(
+        &self,
+        regs: &mut Vec<u64>,
+        side: &mut Vec<ConsList>,
+        args: &[KArg<'_>],
+    ) -> U {
+        side.enter(self.tf, 0);
+        // the prologue has no side window: its lifted lists are written
+        // here
+        let consts = self.tf.nconsts as usize;
+        let args_at = self.lifted.iter().fold(consts, |at, v| write_value(regs, side, at, v));
+        args.iter().fold(args_at, |at, arg| arg.write(regs, side, at));
+        let out = self.view.run(self.tf, regs, side, 0, self.env);
+        let result = match self.tf.ret {
+            KTy::Struct(flat) => {
+                U::from_words(self.tf.ret, &regs[out[0] as usize..][..flat.n as usize])
+            }
+            // a list stays in the frame too, and is moved out of it
+            KTy::List(_) => U::from_sl(Sl::V(Value::List(take(&mut side[out[0] as usize])))),
+            ty => U::from_words(ty, &out),
+        };
+        side.leave(self.tf, 0);
+        result
+    }
 }
 
 impl KernelView {
     /// Run `tf` on the frame at `base` (`stack` holds a whole window
-    /// from there on); returns its result registers or, of a struct
-    /// (which stays in the frame), the first's number.
-    fn run(&self, tf: &TypedFn, stack: &mut Vec<u64>, base: usize, env: &KEnv<'_>) -> [u64; 2] {
+    /// from there on, and so does `lists` if `tf` has lists); returns
+    /// its result registers or, of a struct or a list (which stay in the
+    /// frame), the first's number.
+    fn run<L: Lists>(
+        &self,
+        tf: &TypedFn,
+        stack: &mut Vec<u64>,
+        lists: &mut L,
+        base: usize,
+        env: &KEnv<'_>,
+    ) -> [u64; 2] {
         let code = &self.code[tf.code_at as usize..][..tf.ncode as usize];
         let mut pc = 0usize;
         loop {
@@ -1950,6 +2456,17 @@ impl KernelView {
                         }
                     }
                     KIns::Error(a) => program_error(int!(a)),
+                    ins @ (KIns::Nil(..)
+                    | KIns::Len(..)
+                    | KIns::Head(..)
+                    | KIns::HeadL(..)
+                    | KIns::Tail(..)
+                    | KIns::ConsI(..)
+                    | KIns::ConsF(..)
+                    | KIns::ConsL(..)
+                    | KIns::Append(..)
+                    | KIns::MovL(..)
+                    | KIns::TakeL(..)) => lists.op(ins, r, base),
                     KIns::Jmp(t) => pc = t as usize,
                     KIns::Jz(a, t) => jump_if!(r[a as usize] == 0, t),
                     KIns::Jnz(a, t) => jump_if!(r[a as usize] != 0, t),
@@ -1974,7 +2491,7 @@ impl KernelView {
                     KIns::Call(fid, args, d) => break (fid, args, d),
                     KIns::Ret(a) => return [r[a as usize], 0],
                     KIns::Ret2(a) => return [r[a as usize], r[a as usize + 1]],
-                    KIns::RetN(a) => return [a as u64, 0],
+                    KIns::RetN(a) | KIns::RetL(a) => return [a as u64, 0],
                     KIns::Ret0() => return [0, 0],
                 }
             };
@@ -1994,12 +2511,65 @@ impl KernelView {
                 stack.copy_within(from..from + words, to);
                 to += words;
             }
-            let out = self.run(callee, stack, cbase, env);
+            lists.enter(callee, cbase);
+            let out = self.run(callee, stack, lists, cbase, env);
+            lists.leave(callee, cbase);
             stack[base + d as usize] = out[0];
             if callee.ret == KTy::Index {
                 stack[base + d as usize + 1] = out[1];
             }
         }
+    }
+}
+
+/// A list instruction: `r` is the frame's registers, `side` its lists
+/// (and its callees', from the frame's first register on).
+#[inline(never)]
+fn list_op(ins: KIns, r: &mut [u64; WINDOW], side: &mut [ConsList]) {
+    fn first<'l>(l: &'l ConsList, what: &str) -> &'l Value {
+        l.first().unwrap_or_else(|| panic!("skil runtime: {what} of an empty list"))
+    }
+    /// `side[d] = cons(x, side[l])`, consuming `side[l]`.
+    fn cons(side: &mut [ConsList], d: R, x: Value, l: R) {
+        if d != l {
+            side[d as usize] = take(&mut side[l as usize]);
+        }
+        side[d as usize].push_front(x);
+    }
+    match ins {
+        KIns::Nil(d) => side[d as usize] = ConsList::new(),
+        KIns::Len(d, l) => r[d as usize] = side[l as usize].len() as u64,
+        KIns::Head(d, l) => {
+            r[d as usize] = match first(&side[l as usize], "head") {
+                Value::Int(v) => *v as u64,
+                Value::Float(v) => v.to_bits(),
+                other => panic!("typed code took {other:?} for a scalar element"),
+            }
+        }
+        KIns::HeadL(d, l) => match first(&side[l as usize], "head") {
+            Value::List(h) => side[d as usize] = h.clone(),
+            other => panic!("typed code took {other:?} for a list element"),
+        },
+        KIns::Tail(d, l) if d == l => {
+            if side[d as usize].pop_front().is_none() {
+                panic!("skil runtime: tail of an empty list")
+            }
+        }
+        KIns::Tail(d, l) => {
+            let rest = side[l as usize].rest();
+            side[d as usize] =
+                rest.unwrap_or_else(|| panic!("skil runtime: tail of an empty list"));
+        }
+        KIns::ConsI(d, e, l) => cons(side, d, Value::Int(r[e as usize] as i64), l),
+        KIns::ConsF(d, e, l) => cons(side, d, Value::Float(f64::from_bits(r[e as usize])), l),
+        KIns::ConsL(d, e, l) => {
+            let x = Value::List(side[e as usize].clone());
+            cons(side, d, x, l)
+        }
+        KIns::Append(d, a, b) => side[d as usize] = side[a as usize].append(&side[b as usize]),
+        KIns::MovL(d, l) => side[d as usize] = side[l as usize].clone(),
+        KIns::TakeL(d, l) => side[d as usize] = take(&mut side[l as usize]),
+        other => unreachable!("{other} is no list instruction"),
     }
 }
 

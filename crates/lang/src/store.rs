@@ -366,6 +366,7 @@ impl Elem for Value {
             KTy::Index => Value::Index([w[0] as i64, w[1] as i64]),
             KTy::ArrInt | KTy::ArrFloat => Value::Array(w[0] as usize),
             KTy::Bounds => unreachable!("no argument function returns Bounds"),
+            KTy::List(_) => unreachable!("a list result is taken from the side window"),
             KTy::Struct(flat) => {
                 let field = |(k, w): (usize, &u64)| Value::from_words(flat.field(k), &[*w]);
                 Value::Struct(flat.sid as u32, w.iter().enumerate().map(field).collect())

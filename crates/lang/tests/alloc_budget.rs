@@ -14,7 +14,8 @@
 //! 200 folds allocate no more than 100 do. And for `hot_small`'s two
 //! list programs on 2x2: a list takes a heap chunk per run of in-place
 //! pushes, not a cell per element, so the ceilings are 0.55x of the
-//! cell-per-`cons` counts.
+//! cell-per-`cons` counts; quicksort's, now that its argument functions
+//! run as typed code over lists, is the 403 the generic loop made.
 //!
 //! The counters are per thread (a one-worker machine runs every
 //! processor on the calling thread): the test harness's own threads
@@ -196,21 +197,22 @@ fn a_warm_run_allocates_nothing_per_skeleton_call() {
 #[test]
 fn a_warm_list_run_allocates_per_chunk_not_per_element() {
     // (name, source, machine, allocations when every `cons` and every
-    // decoded or joined list element took a heap cell of its own)
+    // decoded or joined list element took a heap cell of its own,
+    // ceiling)
     let cases = [
-        ("quicksort n=32 2x2", template(program!("quicksort"), &[("__LEN__", "32")]), 948),
+        // quicksort's argument functions are typed register code over
+        // lists: no more than the 403 of the generic loop they replace
+        ("quicksort n=32 2x2", template(program!("quicksort"), &[("__LEN__", "32")]), 948, 403),
         (
             "farm_sweep 16x100 2x2",
             template(program!("farm_sweep"), &[("__TASKS__", "16"), ("__ITERS__", "100")]),
             221,
+            221 * 55 / 100,
         ),
     ];
-    for (name, src, before) in cases {
+    for (name, src, before, ceiling) in cases {
         let allocs = warm_run_allocs(&src, 2, 2);
-        println!("{name}: {allocs} allocations (before: {before})");
-        assert!(
-            allocs * 100 <= before * 55,
-            "{name}: {allocs} allocations, ceiling 0.55 x {before}"
-        );
+        println!("{name}: {allocs} allocations (before: {before}, ceiling {ceiling})");
+        assert!(allocs <= ceiling, "{name}: {allocs} allocations, ceiling {ceiling}");
     }
 }

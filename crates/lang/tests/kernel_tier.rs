@@ -32,13 +32,14 @@ const PINNED: [(&str, &[(&str, bool)]); 14] = [
     ),
     ("hello", &[]),
     ("horner", &[("xval", true), ("horner", true), ("conv", true), ("fmaxf", true)]),
-    // a problem is a `list<float>`
-    ("integrate", &[("is_flat", false), ("solve", false), ("bisect", false), ("sum", false)]),
+    // a problem is a `list<float>`, a split a `list<list<float>>`
+    ("integrate", &[("is_flat", true), ("solve", true), ("bisect", true), ("sum", true)]),
     ("mandelbrot", &[("escape", true), ("conv", true)]),
     ("monte_carlo", &[("hits", true), ("conv", true)]),
     ("prefix_stats", &[("sample", true), ("zero", true), ("conv", true)]),
-    // lists all the way down
-    ("quicksort", &[("is_simple", false), ("ident", false), ("divide", false), ("concat3", false)]),
+    // lists all the way down: a register names its list in the side
+    // window
+    ("quicksort", &[("is_simple", true), ("ident", true), ("divide", true), ("concat3", true)]),
     ("shortest_paths", &[("init_f", true), ("zero", true), ("conv", true)]),
     ("type_error", &[]),
 ];
@@ -132,4 +133,36 @@ fn nothing_lowers_at_o0() {
             "{stem} @ -O0 stays the plain stack machine"
         );
     }
+}
+
+#[test]
+fn a_refusal_names_what_blocked_the_function() {
+    let src = "struct pt { int x; int y; };
+        struct bag { int n; list<int> items; };
+        int firstx(list<pt> ps) { return head(ps).x; }
+        int deep(list< list< list<int> > > l) { int n = len(l); return n * 2 + 1; }
+        int count(bag b) { return b.n + len(b.items); }
+        int total(list<int> l) { int s = 0; while (len(l) > 0) { s = s + head(l); l = tail(l); } return s; }
+        int viatotal(list<int> l) { return total(l) + 1; }
+        void main() {
+            list< list<pt> > a = cons(cons(pt{1, 2}, nil()), nil());
+            list< list< list< list<int> > > > b = cons(nil(), nil());
+            list<bag> c = cons(bag{1, cons(2, nil())}, nil());
+            list< list<int> > d = cons(cons(3, nil()), nil());
+            print(farm(firstx, a));
+            print(farm(deep, b));
+            print(farm(count, c));
+            print(farm(viatotal, d));
+            print(farm(total, d));
+        }";
+    let listing = compile_opt(src, OptLevel::O2).expect("compiles").disassemble_kernel();
+    for (f, why) in [
+        ("firstx", "its signature has a list of structs"),
+        ("deep", "its signature has a list nested more than two deep"),
+        ("count", "its signature has a struct of more than scalars"),
+        ("viatotal", "calls a function over lists"),
+    ] {
+        assert!(listing.contains(&format!("{f}_1+0 [generic: {why}]")), "{f}:\n{listing}");
+    }
+    assert!(listing.contains("total_1+0 [typed]"), "{listing}");
 }

@@ -447,7 +447,9 @@ fn bytecode_listings_of_the_examples_match_their_fixtures() {
 fn kernel_listings_match_their_fixtures() {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/listings");
-    for stem in ["mandelbrot", "horner", "monte_carlo", "gauss", "shortest_paths", "quicksort"] {
+    for stem in
+        ["mandelbrot", "horner", "monte_carlo", "gauss", "shortest_paths", "quicksort", "integrate"]
+    {
         let out = skilc()
             .arg("--emit-bytecode=kernel")
             .arg(format!("{root}/examples/skil/{stem}.skil"))
@@ -471,7 +473,16 @@ fn kernel_listings_match_their_fixtures() {
     );
     let shortest_paths = fixture("shortest_paths");
     assert!(shortest_paths.contains("[direct(min)]"), "{shortest_paths}");
-    assert!(fixture("quicksort").contains("[generic: "));
+    // lists lower, and a variable updated from itself is updated in
+    // place: `rest = tail(rest)`, `smaller = cons(x, smaller)`
+    let quicksort = fixture("quicksort");
+    assert!(quicksort.contains("fn divide_1 [typed] (params=1 at r1, regs=15) -> list<list<int>>"));
+    assert!(quicksort.contains(": tail r3, r3\n") && quicksort.contains(": consi r4, r6, r4\n"));
+    assert!(!quicksort.contains("[generic: "), "{quicksort}");
+    let integrate = fixture("integrate");
+    assert!(
+        integrate.contains("fn bisect_1 [typed] (params=1 at r2, regs=17) -> list<list<float>>")
+    );
     // a loop's back edge is its test
     assert!(!fixture("mandelbrot").contains(": jmp @"));
 }

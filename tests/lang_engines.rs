@@ -575,6 +575,191 @@ fn kernel_runtime_errors_match_the_walker_on_every_kernel_tier() {
     }
 }
 
+/// Typed list code where ownership and inference are easy to get wrong:
+/// a copy kept while the original shrinks in place, an element type
+/// learned only on one path, a list of lists taken apart and rebuilt, a
+/// parameter drained in place and returned, one never read. The walker's
+/// output at both opt levels, every function typed.
+#[test]
+fn list_kernel_edge_cases_agree_on_both_kernel_tiers() {
+    let src = "
+        // aliasing: a copy keeps the old list while the original shrinks in place
+        list<int> alias(list<int> p) {
+            list<int> a = p;
+            list<int> b = a;
+            a = tail(a);
+            a = cons(len(b), a);
+            b = cons(head(a), b);
+            return append(a, b);
+        }
+        // a list's element type learned late: nil() on one path, ints on the other
+        list<int> late(int t) {
+            list<int> l = nil();
+            if (t % 2 == 0) { l = cons(t, l); }
+            list<int> m = l;
+            while (len(m) < 3) { m = cons(len(m) * t, m); }
+            return append(m, l);
+        }
+        // the element of a list of lists taken apart and rebuilt, in place
+        list< list<int> > nest(int t) {
+            list< list<int> > out = nil();
+            int i = 0;
+            while (i < abs(t) % 4 + 2) {
+                out = cons(cons(i, nil()), out);
+                i = i + 1;
+            }
+            list<int> first = head(out);
+            out = tail(out);
+            out = cons(cons(len(first) + t, first), out);
+            return cons(nil(), out);
+        }
+        // a parameter list consumed in place and returned
+        list<int> drain(list<int> p) {
+            while (len(p) > 1) { p = tail(p); }
+            return p;
+        }
+        // a list parameter that is never read
+        int unused(list<float> p, int t) { return t * 2; }
+        float fsum(list<float> p) {
+            float s = 0.0;
+            list<float> q = p;
+            while (len(q) > 0) { s = s + head(q) * itof(len(q)); q = tail(q); }
+            return s + itof(len(p));
+        }
+        void main() {
+            list<int> ints = nil();
+            list< list<int> > lists = nil();
+            list< list<float> > floats = nil();
+            list<float> fl = nil();
+            int i;
+            for (i = 0; i < 6; i = i + 1) {
+                ints = cons(i * 7 - 3, ints);
+                lists = cons(ints, lists);
+                fl = cons(itof(i) * 0.5, fl);
+                floats = cons(fl, floats);
+            }
+            list< list<int> > r0 = farm(alias, lists);
+            list< list<int> > r1 = farm(late, ints);
+            list< list< list<int> > > r2 = farm(nest, ints);
+            list< list<int> > r3 = farm(drain, lists);
+            list<int> r4 = farm(unused(fl), ints);
+            list<float> r5 = farm(fsum, floats);
+            if (procId == 0) { print(r0); print(r1); print(r2); print(r3); print(r4); print(r5); }
+        }";
+    assert_agree("list edge cases", src, &VM_LEVELS, &square_machines());
+    let listing = compile_opt(src, OptLevel::O2).unwrap().disassemble_kernel();
+    for f in ["alias", "late", "nest", "drain", "unused", "fsum"] {
+        assert!(listing.contains(&format!("fn {f}_1 [typed]")), "{f}:\n{listing}");
+    }
+}
+
+/// Runtime errors raised inside typed list argument functions of a `dc`
+/// — `head` and `tail` of an empty list, in place or not, and
+/// `error(n)` — fail on the processors, at the cycles and with the
+/// message of the walker and the generic loop.
+#[test]
+fn list_kernel_runtime_errors_match_the_walker_on_both_kernel_tiers() {
+    let dc = |triv: &str, solve: &str, split: &str| {
+        format!(
+            "{triv}
+            {solve}
+            {split}
+            list<int> join(list< list<int> > parts) {{
+                list<int> out = nil();
+                while (len(parts) > 0) {{ out = append(out, head(parts)); parts = tail(parts); }}
+                return out;
+            }}
+            void main() {{
+                list<int> l = nil();
+                int i;
+                for (i = 0; i < 12; i = i + 1) {{ l = cons((i * 7) % 11, l); }}
+                list<int> r = dc(triv, solve, split, join, l);
+                if (procId == 0) {{ print(r); }}
+            }}"
+        )
+    };
+    let triv = "int triv(list<int> p) { return len(p) <= 1; }";
+    let solve = "list<int> solve(list<int> p) { return p; }";
+    let split = "list< list<int> > split(list<int> p) {
+            list<int> a = nil();
+            list<int> b = nil();
+            while (len(p) > 0) { a = cons(head(p), a); p = tail(p); b = cons(len(a), b); }
+            return cons(tail(a), cons(b, nil()));
+        }";
+    let cases = [
+        (
+            "head of nil()",
+            dc(
+                triv,
+                "list<int> solve(list<int> p) {
+                    list<int> e = nil();
+                    if (len(p) > 5) { e = p; }
+                    return cons(head(e), e);
+                }",
+                split,
+            ),
+            "head of an empty list",
+            ["solve"],
+        ),
+        (
+            "tail of nil(), in place",
+            dc(
+                "int triv(list<int> p) {
+                    list<int> e = nil();
+                    if (len(p) > 5) { e = p; }
+                    e = tail(e);
+                    return len(e) <= 1;
+                }",
+                solve,
+                split,
+            ),
+            "tail of an empty list",
+            ["triv"],
+        ),
+        (
+            "tail of nil()",
+            dc(
+                triv,
+                "list<int> solve(list<int> p) {
+                    list<int> e = nil();
+                    if (len(p) > 5) { e = p; }
+                    return tail(e);
+                }",
+                split,
+            ),
+            "tail of an empty list",
+            ["solve"],
+        ),
+        (
+            "error(n)",
+            dc(
+                triv,
+                solve,
+                "list< list<int> > split(list<int> p) {
+                    if (len(p) == 3) { error(len(p) + 40); }
+                    return cons(tail(p), cons(cons(head(p), nil()), nil()));
+                }",
+            ),
+            "program called error(43)",
+            ["split"],
+        ),
+    ];
+    let rows = cases.each_ref().map(|(name, src, ..)| Row::new(*name, levels(name, src)));
+    let seen = assert_same(&rows, &configs(&VM_LEVELS, &square_machines()), run);
+    for ((name, src, message, typed), seen) in cases.iter().zip(seen) {
+        assert_eq!(runtime_error(name, &seen), *message, "{name}");
+        let Observed::Failed(aborts) = &seen else { unreachable!("it failed") };
+        assert!(
+            matches!(aborts[0].cause, AbortCause::RuntimeError { .. }),
+            "{name}: the root cause is on processor 0: {aborts:?}"
+        );
+        let listing = compile_opt(src, OptLevel::O2).unwrap().disassemble_kernel();
+        for f in typed {
+            assert!(listing.contains(&format!("fn {f}_1 [typed]")), "{name}: {f}\n{listing}");
+        }
+    }
+}
+
 /// Integer negation, `abs`, and division and remainder by -1 wrap on the
 /// minimum, like every other integer operator, at run time and in the
 /// constant folder alike.
@@ -952,6 +1137,30 @@ fn generated_kernels_agree_on_both_kernel_tiers() {
         let src = Gen { dna: &dna, pos: 0 }.kernel_program();
         let host = seed % machines.len();
         assert_agree(&format!("kernel seed {seed}"), &src, &VM_LEVELS, &machines[host..=host]);
+    }
+}
+
+/// 60 generated list programs — `dc` and `farm` argument functions over
+/// `list<int>`, `list<float>` and `list<list<int>>`, with lifted lists
+/// and loops that update their lists in place — under the walker and
+/// the VM at both opt levels: `-O0` runs them on the generic loop,
+/// `-O2` as typed register code, every one of them.
+#[test]
+fn generated_list_kernels_agree_on_both_kernel_tiers() {
+    let machines = square_machines();
+    for seed in 0..60usize {
+        let dna = program_gen::dna(1_000 + seed as u64);
+        let src = Gen { dna: &dna, pos: 0 }.list_program();
+        let host = seed % machines.len();
+        let name = format!("list seed {seed}:\n{src}\n");
+        assert_agree(&name, &src, &VM_LEVELS, &machines[host..=host]);
+        let listing = compile_opt(&src, OptLevel::O2).unwrap().disassemble_kernel();
+        for f in ["ltriv", "lsolve", "lsplit", "ljoin", "ftriv", "fsolve", "fsplit", "fjoin"] {
+            assert!(listing.contains(&format!("fn {f}_1 [typed]")), "{name}{listing}");
+        }
+        for f in ["wscore", "wsum", "wchunk", "wnum", "lsum"] {
+            assert!(listing.contains(&format!("fn {f}_1 [typed]")), "{name}{listing}");
+        }
     }
 }
 

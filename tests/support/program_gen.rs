@@ -495,4 +495,185 @@ impl<'a> Gen<'a> {
         }
         src + "}\n"
     }
+
+    // -----------------------------------------------------------------
+    // List programs (`list_program`): `dc` and `farm` argument functions
+    // over `list<int>`, `list<float>` and lists of those. Separate from
+    // everything above, whose output stays as it is.
+    // -----------------------------------------------------------------
+
+    /// An int expression over `vars` that may be a list's length.
+    fn list_int(&mut self, vars: &[String], depth: u32) -> String {
+        self.expr_in(vars, depth, false)
+    }
+
+    /// `name` gets a parity split of `p`: two strictly smaller parts of
+    /// a list of two or more, and now and then an empty third one.
+    fn list_split(&mut self, name: &str, t: &str) -> String {
+        let empty = if self.byte().is_multiple_of(3) { "cons(nil(), " } else { "" };
+        let close = if empty.is_empty() { "" } else { ")" };
+        format!(
+            "list< list<{t}> > {name}(list<{t}> p) {{
+    list<{t}> a = nil();
+    list<{t}> b = nil();
+    int i = 0;
+    while (len(p) > 0) {{
+        if (i % 2 == 0) {{ a = cons(head(p), a); }} else {{ b = cons(head(p), b); }}
+        p = tail(p);
+        i = i + 1;
+    }}
+    return {empty}cons(a, cons(b, nil())){close};
+}}\n"
+        )
+    }
+
+    /// A program whose skeleton argument functions work on lists: a
+    /// `dc` over `list<int>` (solved with a lifted `int`, split into a
+    /// `list<list<int>>`, joined with `append`), a `dc` over
+    /// `list<float>` to a `float`, and `farm`s whose workers loop over
+    /// an `int` list, a `float` list, and a lifted list, or call a
+    /// function over `int`s that builds a list of its own. Loops update
+    /// their lists in place (`l = tail(l)`, `l = cons(x, l)`).
+    pub fn list_program(&mut self) -> String {
+        let mut src = String::new();
+        let k = 1 + self.byte() % 3;
+        src += &format!("int ltriv(list<int> p) {{ return len(p) <= {k}; }}\n");
+        let keep = self.list_int(&["x".into(), "c".into()], 1);
+        let val = self.list_int(&["x".into(), "c".into(), "len(out)".into()], 2);
+        src += &format!(
+            "list<int> lsolve(int c, list<int> p) {{
+    list<int> out = nil();
+    while (len(p) > 0) {{
+        int x = head(p);
+        if (x >= {keep}) {{ out = cons(x + ({val}), out); }}
+        p = tail(p);
+    }}
+    return out;
+}}\n"
+        );
+        src += &self.list_split("lsplit", "int");
+        let joined = if self.byte().is_multiple_of(2) {
+            "append(out, head(parts))"
+        } else {
+            "append(head(parts), out)"
+        };
+        let mark = if self.byte().is_multiple_of(2) { "cons(len(out), out)" } else { "out" };
+        src += &format!(
+            "list<int> ljoin(list< list<int> > parts) {{
+    list<int> out = nil();
+    while (len(parts) > 0) {{
+        out = {joined};
+        parts = tail(parts);
+    }}
+    return {mark};
+}}\n"
+        );
+
+        let k = 1 + self.byte() % 3;
+        src += &format!("int ftriv(list<float> p) {{ return len(p) <= {k}; }}\n");
+        let step = self.fexpr(&["s".into(), "head(p)".into()], &["len(p)".into()], 2, false);
+        src += &format!(
+            "float fsolve(list<float> p) {{
+    float s = 0.5;
+    while (len(p) > 0) {{
+        s = s * 0.5 + head(p) - ({step});
+        p = tail(p);
+    }}
+    return s;
+}}\n"
+        );
+        src += &self.list_split("fsplit", "float");
+        src += "float fjoin(list<float> parts) {
+    float s = 0.0;
+    while (len(parts) > 0) { s = s + head(parts); parts = tail(parts); }
+    return s;
+}\n";
+
+        // a list built and read back inside a function over scalars,
+        // called from typed code with and without lists of its own
+        let step = self.list_int(&["i".into(), "k".into()], 1);
+        src += &format!(
+            "int lsum(int k) {{
+    list<int> l = nil();
+    int i = 0;
+    while (i < abs(k) % 5) {{ l = cons({step}, l); i = i + 1; }}
+    int s = 0;
+    while (len(l) > 0) {{ s = s * 2 + head(l); l = tail(l); }}
+    return s;
+}}
+int wnum(int t) {{ return lsum(t) + t; }}\n"
+        );
+        let score = self.list_int(&["n".into(), "head(t)".into(), "c".into()], 2);
+        src += &format!(
+            "int wscore(int c, list<int> t) {{
+    int n = c;
+    while (len(t) > 0) {{ n = n * 3 + head(t) - ({score}) + lsum(n); t = tail(t); }}
+    return n;
+}}\n"
+        );
+        let fstep = self.fexpr(&["s".into(), "head(t)".into()], &[], 2, false);
+        src += &format!(
+            "float wsum(list<float> t) {{
+    float s = 0.0;
+    while (len(t) > 0) {{ s = s + head(t) * ({fstep}); t = tail(t); }}
+    return s;
+}}\n"
+        );
+        // a lifted list, and a list of lists built and read back
+        let item = self.list_int(&["i".into(), "t".into()], 1);
+        src += &format!(
+            "list< list<int> > wchunk(list<int> base, int t) {{
+    list< list<int> > out = nil();
+    list<int> cur = nil();
+    list<int> b = base;
+    int i = 0;
+    while (i < abs(t) % 4 + 1) {{
+        cur = cons({item}, cur);
+        if (len(b) > 0) {{ cur = cons(head(b), cur); b = tail(b); }}
+        out = cons(cur, out);
+        if (len(out) > 2) {{ cur = append(head(tail(out)), nil()); }}
+        i = i + 1;
+    }}
+    return out;
+}}\n"
+        );
+
+        src += "void main() {\n    int i;\n";
+        let (n, m) = (4 + self.byte() % 24, 3 + self.byte() % 40);
+        let elem = self.list_int(&["i".into()], 2);
+        src += &format!(
+            "    list<int> l = nil();
+    for (i = 0; i < {n}; i = i + 1) {{ l = cons((i * {m}) % 29 + ({elem}), l); }}\n"
+        );
+        let n = 2 + self.byte() % 12;
+        let felem = self.fexpr(&[], &["i".into()], 2, false);
+        src += &format!(
+            "    list<float> fl = nil();
+    for (i = 0; i < {n}; i = i + 1) {{ fl = cons(itof(i % 5) * 1.25 + ({felem}), fl); }}\n"
+        );
+        src += "    list< list<int> > tasks = nil();\n    list< list<float> > ftasks = nil();\n";
+        src += "    list<int> cur = nil();\n    list<float> fcur = nil();\n";
+        let n = 1 + self.byte() % 6;
+        src += &format!(
+            "    for (i = 0; i < {n}; i = i + 1) {{
+        cur = cons(i * 3 - 2, cur);
+        fcur = cons(itof(i) * 0.75, fcur);
+        tasks = cons(cur, tasks);
+        ftasks = cons(fcur, ftasks);
+    }}\n"
+        );
+        let c = self.byte() as i64 % 9 - 4;
+        let c2 = self.byte() as i64 % 9 - 4;
+        src += &format!(
+            "    list<int> sorted = dc(ltriv, lsolve({c}), lsplit, ljoin, l);
+    float area = dc(ftriv, fsolve, fsplit, fjoin, fl);
+    list<int> scores = farm(wscore({c2}), tasks);
+    list<float> sums = farm(wsum, ftasks);
+    list< list< list<int> > > chunks = farm(wchunk(l), cur);
+    list<int> nums = farm(wnum, cur);
+    if (procId == 0) {{ print(sorted); print(area); print(scores); print(sums); print(chunks); print(nums); }}
+}}\n"
+        );
+        src
+    }
 }

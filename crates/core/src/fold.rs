@@ -121,10 +121,9 @@ fn merge_partials<U>(
 }
 
 /// [`array_fold`] whose fused local pass runs as **one** `local` call
-/// over the whole partition: the native engine's batch path crosses its
-/// FFI boundary once per skeleton instead of once per element, and a
-/// caller that knows its folding operator picks a specialised pass once
-/// instead of dispatching on it per element. `local` must perform
+/// over the whole partition: a caller that knows its folding operator
+/// picks a specialised pass once instead of dispatching on it per
+/// element. `local` must perform
 /// exactly what [`fold_local`] does; charges and the tree reduction are
 /// identical to `array_fold` with kernels of `conv_cycles` /
 /// `fold_cycles`.

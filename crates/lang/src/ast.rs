@@ -1,6 +1,8 @@
 //! The abstract syntax tree of Skil source programs. Identifiers are
 //! [`Sym`]s of the program's own symbol table ([`Program::syms`]).
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use crate::diag::Pos;

@@ -28,6 +28,8 @@
 //! layer (output is identical to the fault-free run), while a crash
 //! surfaces as a structured `PeerDown` failure with exit code 3.
 
+#![forbid(unsafe_code)]
+
 use skil_lang::{compile_opt, Engine, OptLevel};
 use skil_runtime::{FaultPlan, Machine, MachineConfig, Topology};
 use std::process::ExitCode;

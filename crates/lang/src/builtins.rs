@@ -3,6 +3,8 @@
 //! looks a name up here first and in the program's own declarations
 //! second; no compile builds or copies an environment of builtins.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use crate::bytecode::Intr;

@@ -32,6 +32,8 @@
 //! execute as direct computations with no frame at all, everything else
 //! runs its bytecode per element on a reusable flat frame.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::fmt::Write as _;
 

@@ -1,5 +1,7 @@
 //! The polymorphic type checker.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use crate::ast::*;

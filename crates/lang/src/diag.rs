@@ -1,5 +1,7 @@
 //! Compiler diagnostics with source positions.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 /// A position in the source text.

@@ -13,6 +13,8 @@
 //! table, intrinsics are resolved to [`Intr`], child lists are
 //! exact-size boxed slices, and an expression node is three words.
 
+#![forbid(unsafe_code)]
+
 use skil_runtime::CostModel;
 
 use crate::builtins::{Builtin, BuiltinKind, BUILTINS};

@@ -14,11 +14,11 @@
 //! engines, [`ArgFns`]: how a site's argument functions are readied and
 //! invoked. It has two implementations, monomorphized into the bodies:
 //! the VM's (`KernelVm` in [`crate::vm`]: trivial shapes, typed register
-//! code, the generic loop, or the native module) and the AST walker's
-//! ([`crate::interp`], which evaluates the first-order tree). Arrays
-//! live in an [`ArrayStore`]; the `vm` and `native` engines pick the
-//! variant from the static element type, the walker keeps every array
-//! [`ArrayStore::Boxed`].
+//! code or the generic loop, under the `vm` and `native` engines alike)
+//! and the AST walker's ([`crate::interp`], which evaluates the
+//! first-order tree). Arrays live in an [`ArrayStore`]; the `vm` and
+//! `native` engines pick the variant from the static element type, the
+//! walker keeps every array [`ArrayStore::Boxed`].
 //!
 //! No element crosses a dynamic boundary that the skeleton call could
 //! have resolved: an argument function is readied once per call
@@ -37,10 +37,9 @@ use skil_core::{
 use skil_runtime::{CostModel, Distr, Proc};
 
 use crate::builtins::{DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D};
-use crate::bytecode::{ElemKind, Intr, SkelFn};
+use crate::bytecode::{ElemKind, Intr};
 use crate::fo::{static_cost, BinOp, FoExpr, FoFunc, FoStmt, SkelOp};
 use crate::kernel::KArg;
-use crate::native::NativeBackend;
 use crate::store::{with_kind, with_store, ArrayStore, Direct, Elem, FlatElem, FloatElem, IntElem};
 use crate::value::{ConsList, Value};
 use crate::vm::Sl;
@@ -410,12 +409,6 @@ pub(crate) trait ArgFns {
     fn direct2(&self, _i: usize) -> Option<Direct> {
         None
     }
-
-    /// The compiled module to run a skeleton's whole local pass through
-    /// in one call, when one drives this site.
-    fn batch(&self) -> Option<Batch<'_>> {
-        None
-    }
 }
 
 /// One argument function of `N` element arguments, readied by
@@ -423,30 +416,6 @@ pub(crate) trait ArgFns {
 pub(crate) trait ArgFn<const N: usize> {
     /// Invoke it with `lifted ++ args`.
     fn call<U: Elem>(&mut self, args: [KArg<'_>; N]) -> U;
-}
-
-/// A compiled module, and how it names a site's argument functions.
-pub(crate) struct Batch<'a> {
-    pub(crate) nb: &'a NativeBackend,
-    pub(crate) fns: &'a [SkelFn],
-    /// The lifted arguments the site evaluated, argument function by
-    /// argument function.
-    pub(crate) lifted: &'a [Value],
-}
-
-impl Batch<'_> {
-    /// Argument function `i`: its index in the module and its lifted
-    /// arguments.
-    fn arg_fn(&self, i: usize) -> (usize, &[Value]) {
-        (self.fns[i].fid, lifted_of(self.fns, self.lifted, i))
-    }
-}
-
-/// Argument function `i`'s share of `lifted`, the lifted arguments of
-/// all of `fns` in order.
-pub(crate) fn lifted_of<'v>(fns: &[SkelFn], lifted: &'v [Value], i: usize) -> &'v [Value] {
-    let at = fns[..i].iter().map(|f| f.n_lifted).sum();
-    &lifted[at..][..fns[i].n_lifted]
 }
 
 /// The element loops that are instantiated per closed operator: the
@@ -579,24 +548,10 @@ impl<K: ArgFns> Site<'_, K> {
     }
 
     /// Argument function 0 as the per-element `(element, index) -> U`
-    /// function of a map. On the batch path the whole local pass over
-    /// `src` runs compiled, now, in one FFI call, and the returned
-    /// function only hands the results out in order.
-    fn elem_fn<T: Elem, U: Elem>(
-        &self,
-        src: &DistArray<T>,
-        batch: Option<Batch<'_>>,
-    ) -> impl FnMut(&T, Index) -> U + '_ {
-        let mut pre = batch.map(|b| {
-            let ixs: Vec<Index> = src.layout().local_indices(src.proc_id()).collect();
-            let (fid, lifted) = b.arg_fn(0);
-            b.nb.bulk_map::<T, U>(fid, lifted, src.local_data(), &ixs, self.env.arrays).into_iter()
-        });
+    /// function of a map.
+    fn elem_fn<T: Elem, U: Elem>(&self) -> impl FnMut(&T, Index) -> U + '_ {
         let mut f = self.arg_fn::<2>(0);
-        move |v, ix| match pre.as_mut() {
-            Some(it) => it.next().expect("prefetched map element"),
-            None => f.call([v.arg(), KArg::Ix(ix)]),
-        }
+        move |v, ix| f.call([v.arg(), KArg::Ix(ix)])
     }
 
     /// The paper's introduction skeleton, bridged to the parallel
@@ -641,24 +596,8 @@ impl<K: ArgFns> Site<'_, K> {
 
     #[inline(never)]
     fn create<T: Elem>(&self, proc: &mut Proc<'_>, spec: ArraySpec) -> DistArray<T> {
-        // Batch path: compiled initializer, one FFI round trip for the
-        // whole partition. A spec `plan` error skips the prefetch;
-        // `array_create` then reports the identical error before any
-        // kernel call.
-        let mut pre = self.k.batch().and_then(|b| {
-            let (layout, _) = spec.plan(proc).ok()?;
-            let ixs: Vec<Index> = layout.local_indices(self.env.me).collect();
-            let (fid, lifted) = b.arg_fn(0);
-            Some(b.nb.bulk_create::<T>(fid, lifted, &ixs, self.env.arrays).into_iter())
-        });
         let mut f = self.arg_fn::<1>(0);
-        let init = Kernel::new(
-            |ix: Index| match pre.as_mut() {
-                Some(it) => it.next().expect("planned bulk element"),
-                None => f.call([KArg::Ix(ix)]),
-            },
-            self.k.cycles(0),
-        );
+        let init = Kernel::new(|ix: Index| f.call([KArg::Ix(ix)]), self.k.cycles(0));
         rt(array_create(proc, spec, init))
     }
 
@@ -668,35 +607,16 @@ impl<K: ArgFns> Site<'_, K> {
         from: &DistArray<T>,
         to: &mut DistArray<U>,
     ) {
-        // the batch path is gated on the same conformability check
-        // `array_map` makes before any kernel call
-        let f = self.elem_fn(from, self.k.batch().filter(|_| from.conformable(to)));
-        rt(array_map(proc, Kernel::new(f, self.k.cycles(0)), from, to))
+        rt(array_map(proc, Kernel::new(self.elem_fn(), self.k.cycles(0)), from, to))
     }
 
     fn map_inplace<T: Elem>(&self, proc: &mut Proc<'_>, arr: &mut DistArray<T>) {
-        // the batch path reads the same pre-map snapshot
-        let f = self.elem_fn::<T, T>(arr, self.k.batch());
-        rt(array_map_inplace(proc, Kernel::new(f, self.k.cycles(0)), arr))
+        rt(array_map_inplace(proc, Kernel::new(self.elem_fn(), self.k.cycles(0)), arr))
     }
 
     #[inline(never)]
     fn fold<T: Elem, U: DirectLoops>(&self, proc: &mut Proc<'_>, arr: &DistArray<T>) -> U {
         let (conv_cycles, fold_cycles) = (self.k.cycles(0), self.k.cycles(1));
-        if let Some(b) = self.k.batch() {
-            // batch path: the fused convert+fold local pass runs
-            // compiled in one FFI call; the tree reduction still
-            // dispatches per hop
-            let local = |a: &DistArray<T>| {
-                let ixs: Vec<Index> = a.layout().local_indices(a.proc_id()).collect();
-                let vs = a.local_data();
-                (!vs.is_empty()).then(|| {
-                    b.nb.bulk_fold::<T, U>(b.arg_fn(0), b.arg_fn(1), vs, &ixs, self.env.arrays)
-                })
-            };
-            let fold = self.kernel2::<U>(1);
-            return rt(array_fold_bulk(proc, conv_cycles, fold_cycles, local, fold, arr));
-        }
         let mut conv = self.arg_fn::<2>(0);
         let conv = |v: &T, ix: Index| conv.call::<U>([v.arg(), KArg::Ix(ix)]);
         match self.k.direct2(1) {

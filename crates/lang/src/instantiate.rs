@@ -22,6 +22,8 @@
 //! application of those. Function-valued *results* would require
 //! eta-expansion at the call site and are rejected with a diagnostic.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::rc::Rc;
 

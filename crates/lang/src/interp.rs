@@ -23,6 +23,8 @@
 //! not mutate arrays, call skeletons, or print — which is exactly the
 //! discipline the paper's argument functions observe.
 
+#![forbid(unsafe_code)]
+
 use skil_runtime::{CostModel, Machine, Run};
 
 use crate::bytecode::{ElemKind, Intr};

@@ -17,17 +17,17 @@
 //! At run time the real [`Vm`] stays in charge host-side: the generated
 //! `skil_main` calls back through a `HostVt` vtable for charges, array
 //! access, printing, and whole skeleton dispatch (so virtual time and
-//! skeleton semantics are *shared* with the VM, not reimplemented), and
-//! the VM's kernel dispatch routes `General`-shape kernels back into
-//! the module through [`NativeBackend`]. Panics never cross the FFI
-//! boundary in either direction: host callbacks catch and stash their
-//! payload (resumed verbatim after the module returns failure, so
-//! `SimAbort` and `skil runtime:` classification in the runtime is
-//! engine-independent), and the generated module reports its own
-//! panics through `set_error`.
+//! skeleton semantics are *shared* with the VM, not reimplemented).
+//! A skeleton's argument functions never run in the module: the VM's
+//! kernel executors run them, exactly as under the `vm` engine. Panics
+//! never cross the FFI boundary in either direction: host callbacks
+//! catch and stash their payload (resumed verbatim after the module
+//! returns failure, so `SimAbort` and `skil runtime:` classification in
+//! the runtime is engine-independent), and the generated module reports
+//! its own panics through `set_error`.
 
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::env;
 use std::ffi::c_void;
@@ -35,13 +35,11 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use skil_array::Index;
 use skil_runtime::{Machine, Run, SimFailure};
 
 use crate::bytecode::Program;
 use crate::emit_rust::{emit_rust, ABI_VERSION};
-use crate::host::{get_elem, kernel_forbids, part_bounds, to_uindex};
-use crate::store::{ArrayStore, FlatElem, FloatElem, IntElem};
+use crate::host::{get_elem, part_bounds, to_uindex};
 use crate::sym::Names;
 use crate::value::Value;
 use crate::vm::{Host, RunTables, Sl, Vm};
@@ -52,17 +50,10 @@ use crate::vm::{Host, RunTables, Sl, Vm};
 
 #[repr(C)]
 #[derive(Clone, Copy)]
-pub(crate) struct FfiVal {
+struct FfiVal {
     tag: u64,
     a: u64,
     b: u64,
-}
-
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct FfiBuf {
-    ptr: *const u8,
-    len: usize,
 }
 
 const T_UNIT: u64 = 0;
@@ -102,104 +93,41 @@ const HOST_VTABLE: HostVt = HostVt {
 // Value wire codec (mirror of the generated prelude's `enc`/`dec`).
 // ---------------------------------------------------------------------
 
-/// What crosses the FFI boundary as one [`FfiVal`]: boxed values, VM
-/// slots, and the unboxed array elements, which skip the `Value` on
-/// both sides.
-pub(crate) trait FfiCodec: Sized {
-    /// Encode for sending: `T_BYTES` payloads carry an *offset* into
-    /// `buf`.
-    fn enc(&self, buf: &mut Vec<u8>) -> FfiVal;
-
-    /// Decode a value *received* from the module: `T_BYTES` payloads
-    /// carry an offset into the caller-provided byte buffer.
-    ///
-    /// # Safety
-    /// `base`/`blen` must describe the module's live encode buffer.
-    unsafe fn dec(fv: &FfiVal, base: *const u8, blen: usize) -> Self;
-}
-
-impl FfiCodec for Value {
-    fn enc(&self, buf: &mut Vec<u8>) -> FfiVal {
-        match self {
-            Value::Unit => FfiVal { tag: T_UNIT, a: 0, b: 0 },
-            Value::Int(x) => IntElem(*x).enc(buf),
-            Value::Float(x) => FloatElem(*x).enc(buf),
-            Value::Array(h) => FfiVal { tag: T_ARR, a: *h as u64, b: 0 },
-            Value::Index(ix) => FfiVal { tag: T_IX, a: ix[0] as u64, b: ix[1] as u64 },
-            other => {
-                let start = buf.len();
-                enc_value_bytes(other, buf);
-                FfiVal { tag: T_BYTES, a: start as u64, b: (buf.len() - start) as u64 }
-            }
-        }
-    }
-
-    unsafe fn dec(fv: &FfiVal, base: *const u8, blen: usize) -> Value {
-        match fv.tag {
-            T_UNIT => Value::Unit,
-            T_INT => Value::Int(fv.a as i64),
-            T_FLT => Value::Float(f64::from_bits(fv.a)),
-            T_ARR => Value::Array(fv.a as usize),
-            T_IX => Value::Index([fv.a as i64, fv.b as i64]),
-            T_BYTES => {
-                let s = std::slice::from_raw_parts(base, blen);
-                let mut p = fv.a as usize;
-                dec_value_bytes(s, &mut p)
-            }
-            other => panic!("skil native: bad ffi tag {other}"),
+/// Encode a value for sending: `T_BYTES` payloads carry an *offset*
+/// into `buf`.
+fn enc(v: &Value, buf: &mut Vec<u8>) -> FfiVal {
+    match v {
+        Value::Unit => FfiVal { tag: T_UNIT, a: 0, b: 0 },
+        Value::Int(x) => FfiVal { tag: T_INT, a: *x as u64, b: 0 },
+        Value::Float(x) => FfiVal { tag: T_FLT, a: x.to_bits(), b: 0 },
+        Value::Array(h) => FfiVal { tag: T_ARR, a: *h as u64, b: 0 },
+        Value::Index(ix) => FfiVal { tag: T_IX, a: ix[0] as u64, b: ix[1] as u64 },
+        other => {
+            let start = buf.len();
+            enc_value_bytes(other, buf);
+            FfiVal { tag: T_BYTES, a: start as u64, b: (buf.len() - start) as u64 }
         }
     }
 }
 
-impl FfiCodec for IntElem {
-    fn enc(&self, _buf: &mut Vec<u8>) -> FfiVal {
-        FfiVal { tag: T_INT, a: self.0 as u64, b: 0 }
-    }
-
-    unsafe fn dec(fv: &FfiVal, _base: *const u8, _blen: usize) -> IntElem {
-        assert!(fv.tag == T_INT, "skil native: ffi tag {} where an int was expected", fv.tag);
-        IntElem(fv.a as i64)
-    }
-}
-
-impl FfiCodec for FloatElem {
-    fn enc(&self, _buf: &mut Vec<u8>) -> FfiVal {
-        FfiVal { tag: T_FLT, a: self.0.to_bits(), b: 0 }
-    }
-
-    unsafe fn dec(fv: &FfiVal, _base: *const u8, _blen: usize) -> FloatElem {
-        assert!(fv.tag == T_FLT, "skil native: ffi tag {} where a float was expected", fv.tag);
-        FloatElem(f64::from_bits(fv.a))
-    }
-}
-
-/// The module keeps structs boxed: a flat element crosses as the
-/// `Value` it stands for.
-impl FfiCodec for FlatElem {
-    fn enc(&self, buf: &mut Vec<u8>) -> FfiVal {
-        self.to_value().enc(buf)
-    }
-
-    unsafe fn dec(fv: &FfiVal, base: *const u8, blen: usize) -> FlatElem {
-        FlatElem::from_value(&Value::dec(fv, base, blen))
-    }
-}
-
-impl FfiCodec for Sl {
-    fn enc(&self, buf: &mut Vec<u8>) -> FfiVal {
-        match self {
-            Sl::I(x) => IntElem(*x).enc(buf),
-            Sl::F(x) => FloatElem(*x).enc(buf),
-            Sl::V(v) => v.enc(buf),
+/// Decode a value *received* from the module: `T_BYTES` payloads carry
+/// an offset into the caller-provided byte buffer.
+///
+/// # Safety
+/// `base`/`blen` must describe the module's live encode buffer.
+unsafe fn dec(fv: &FfiVal, base: *const u8, blen: usize) -> Value {
+    match fv.tag {
+        T_UNIT => Value::Unit,
+        T_INT => Value::Int(fv.a as i64),
+        T_FLT => Value::Float(f64::from_bits(fv.a)),
+        T_ARR => Value::Array(fv.a as usize),
+        T_IX => Value::Index([fv.a as i64, fv.b as i64]),
+        T_BYTES => {
+            let s = std::slice::from_raw_parts(base, blen);
+            let mut p = fv.a as usize;
+            dec_value_bytes(s, &mut p)
         }
-    }
-
-    unsafe fn dec(fv: &FfiVal, base: *const u8, blen: usize) -> Sl {
-        match fv.tag {
-            T_INT => Sl::I(fv.a as i64),
-            T_FLT => Sl::F(f64::from_bits(fv.a)),
-            _ => Sl::from_value(Value::dec(fv, base, blen)),
-        }
+        other => panic!("skil native: bad ffi tag {other}"),
     }
 }
 
@@ -251,7 +179,11 @@ fn enc_value_bytes(v: &Value, buf: &mut Vec<u8>) {
 /// Encode one slot for *returning* to the module: absolute pointer.
 fn enc_abs(v: &Sl, buf: &mut Vec<u8>) -> FfiVal {
     buf.clear();
-    let mut fv = v.enc(buf);
+    let mut fv = match v {
+        Sl::I(x) => FfiVal { tag: T_INT, a: *x as u64, b: 0 },
+        Sl::F(x) => FfiVal { tag: T_FLT, a: x.to_bits(), b: 0 },
+        Sl::V(v) => enc(v, buf),
+    };
     if fv.tag == T_BYTES {
         fv.a += buf.as_ptr() as u64;
     }
@@ -307,32 +239,12 @@ fn dec_value_bytes(s: &[u8], p: &mut usize) -> Value {
 type CtxNewFn = extern "C" fn(*mut c_void, *const HostVt, i64, i64, *const u64) -> *mut c_void;
 type CtxFreeFn = extern "C" fn(*mut c_void);
 type MainFn = extern "C" fn(*mut c_void) -> i32;
-type KernelFn =
-    extern "C" fn(*mut c_void, u32, *const FfiVal, u32, *mut FfiVal, *mut FfiBuf) -> i32;
-#[allow(clippy::type_complexity)]
-type KbulkFn = extern "C" fn(
-    *mut c_void,
-    u32,
-    u32,
-    u32,
-    *const FfiVal,
-    u32,
-    *const FfiVal,
-    u32,
-    *const FfiVal,
-    u32,
-    u32,
-    *mut FfiVal,
-    *mut FfiBuf,
-) -> i32;
 
 /// A loaded generated module: resolved entry points of one program.
 pub(crate) struct NativeModule {
     ctx_new: CtxNewFn,
     ctx_free: CtxFreeFn,
     main: MainFn,
-    kernel: KernelFn,
-    kbulk: KbulkFn,
 }
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -490,8 +402,6 @@ fn load_or_build(src: &str, hash: u64) -> Result<NativeModule, String> {
                 "skil_ctx_free",
             )?),
             main: std::mem::transmute::<*mut c_void, MainFn>(dl_sym(handle, "skil_main")?),
-            kernel: std::mem::transmute::<*mut c_void, KernelFn>(dl_sym(handle, "skil_kernel")?),
-            kbulk: std::mem::transmute::<*mut c_void, KbulkFn>(dl_sym(handle, "skil_kbulk")?),
         })
     }
 }
@@ -502,77 +412,41 @@ fn load_or_build(src: &str, hash: u64) -> Result<NativeModule, String> {
 
 type VmStatic = Vm<'static, 'static, 'static>;
 
-#[derive(Clone, Copy)]
-enum Mode {
-    /// `skil_main` is running: full VM delegation.
-    Full,
-    /// A kernel is running inside a host skeleton: read-only array
-    /// access against the skeleton's view, everything else is an error
-    /// — the same contract as the VM's kernel mode.
-    Kernel,
-}
-
 /// One processor's callback target. Shared (`&HostBox`) across
 /// reentrant FFI frames; interior mutability throughout.
 struct HostBox {
-    /// The type-erased `&mut Vm` this run executes under. Only
-    /// dereferenced in `Full` mode (during `cb_skel` the VM borrow is
-    /// live on the stack; kernel-mode callbacks never touch it).
+    /// The type-erased `&mut Vm` this run executes under. A callback
+    /// only arrives while `skil_main` runs and no host frame holds a
+    /// reference into the VM: `cb_skel` runs the whole skeleton call,
+    /// argument functions included, before it returns to the module.
     vm: *mut VmStatic,
-    mode: Cell<Mode>,
-    /// `Kernel` mode's array view: the slice the skeleton handed to
-    /// [`NativeBackend::run_kernel`] (raw because its lifetime is the
-    /// duration of that one call).
-    karrays: Cell<(*const Option<ArrayStore>, usize)>,
     /// Panic payload caught in a callback, resumed verbatim host-side
     /// after the module reports failure.
     stash: RefCell<Option<Box<dyn Any + Send>>>,
     /// Diagnostic from the module's own panics (via `set_error`).
     error: RefCell<Option<String>>,
-    /// Scratch operand stack + frame pool for skeleton dispatch.
-    scratch: RefCell<KScratch>,
+    /// Scratch operand stack for skeleton dispatch.
+    stack: RefCell<Vec<Sl>>,
     /// Encode buffer for values returned to the module.
     outbuf: RefCell<Vec<u8>>,
-    /// Encode buffers for kernel arguments.
-    kargbuf: RefCell<Vec<u8>>,
-    kargv: RefCell<Vec<FfiVal>>,
-}
-
-#[derive(Default)]
-struct KScratch {
-    stack: Vec<Sl>,
-    frames: Vec<Vec<Sl>>,
 }
 
 impl HostBox {
     fn new(vm: *mut VmStatic) -> HostBox {
         HostBox {
             vm,
-            mode: Cell::new(Mode::Full),
-            karrays: Cell::new((std::ptr::null(), 0)),
             stash: RefCell::new(None),
             error: RefCell::new(None),
-            scratch: RefCell::new(KScratch::default()),
+            stack: RefCell::new(Vec::new()),
             outbuf: RefCell::new(Vec::new()),
-            kargbuf: RefCell::new(Vec::new()),
-            kargv: RefCell::new(Vec::new()),
         }
     }
 
-    /// The array table a callback reads in the current mode.
-    fn arrays(&self) -> &[Option<ArrayStore>] {
-        match self.mode.get() {
-            // SAFETY: `vm` is the `Vm` of the run this box serves; in
-            // full mode `skil_main` is running and no host frame holds a
-            // reference into it.
-            Mode::Full => unsafe { &(*self.vm).host.arrays },
-            // SAFETY: `run_kernel` / `bulk` set the slice for exactly
-            // the call during which the mode is `Kernel`.
-            Mode::Kernel => {
-                let (p, n) = self.karrays.get();
-                unsafe { std::slice::from_raw_parts(p, n) }
-            }
-        }
+    /// The VM of the run this box serves.
+    #[allow(clippy::mut_from_ref)]
+    fn vm(&self) -> &mut VmStatic {
+        // SAFETY: `vm` outlives the module's run; see the field.
+        unsafe { &mut *self.vm }
     }
 
     /// After the module reported failure: re-raise what really
@@ -608,20 +482,13 @@ fn hostbox(h: *mut c_void) -> &'static HostBox {
 
 extern "C" fn cb_charge(h: *mut c_void, sum: u64) -> i32 {
     let hb = hostbox(h);
-    guard(hb, || {
-        // kernels never charge (their variants elide every Charge), so
-        // a flush can only arrive in full mode
-        if let Mode::Full = hb.mode.get() {
-            let vm = unsafe { &mut *hb.vm };
-            vm.host.proc.charge(sum);
-        }
-    })
+    guard(hb, || hb.vm().host.proc.charge(sum))
 }
 
 extern "C" fn cb_get_elem(h: *mut c_void, arr: u64, i: i64, j: i64, out: *mut FfiVal) -> i32 {
     let hb = hostbox(h);
     guard(hb, || {
-        let v = get_elem(hb.arrays(), arr as usize, to_uindex([i, j]));
+        let v = get_elem(&hb.vm().host.arrays, arr as usize, to_uindex([i, j]));
         let mut ob = hb.outbuf.borrow_mut();
         let fv = enc_abs(&v, &mut ob);
         unsafe {
@@ -640,20 +507,18 @@ extern "C" fn cb_put_elem(
     blen: usize,
 ) -> i32 {
     let hb = hostbox(h);
-    guard(hb, || match hb.mode.get() {
-        Mode::Full => {
-            let v = unsafe { Sl::dec(&*fv, base, blen) };
-            let vm = unsafe { &mut *hb.vm };
-            vm.host.put_elem(arr as usize, to_uindex([i, j]), v);
-        }
-        Mode::Kernel => kernel_forbids("array_put_elem"),
+    guard(hb, || {
+        // SAFETY: the module passes its value and its live encode
+        // buffer for the length of the call
+        let v = Sl::from_value(unsafe { dec(&*fv, base, blen) });
+        hb.vm().host.put_elem(arr as usize, to_uindex([i, j]), v);
     })
 }
 
 extern "C" fn cb_part_bounds(h: *mut c_void, arr: u64, out: *mut i64) -> i32 {
     let hb = hostbox(h);
     guard(hb, || {
-        let b = part_bounds(hb.arrays(), arr as usize);
+        let b = part_bounds(&hb.vm().host.arrays, arr as usize);
         let vals = [b.lower[0] as i64, b.lower[1] as i64, b.upper[0] as i64, b.upper[1] as i64];
         unsafe {
             std::ptr::copy_nonoverlapping(vals.as_ptr(), out, 4);
@@ -663,13 +528,10 @@ extern "C" fn cb_part_bounds(h: *mut c_void, arr: u64, out: *mut i64) -> i32 {
 
 extern "C" fn cb_print(h: *mut c_void, fv: *const FfiVal, base: *const u8, blen: usize) -> i32 {
     let hb = hostbox(h);
-    guard(hb, || match hb.mode.get() {
-        Mode::Full => {
-            let v = unsafe { Value::dec(&*fv, base, blen) };
-            let vm = unsafe { &mut *hb.vm };
-            vm.host.print(&v);
-        }
-        Mode::Kernel => kernel_forbids("print"),
+    guard(hb, || {
+        // SAFETY: as in `cb_put_elem`
+        let v = unsafe { dec(&*fv, base, blen) };
+        hb.vm().host.print(&v);
     })
 }
 
@@ -684,19 +546,15 @@ extern "C" fn cb_skel(
 ) -> i32 {
     let hb = hostbox(h);
     guard(hb, || {
-        if let Mode::Kernel = hb.mode.get() {
-            kernel_forbids("skeleton call");
-        }
         let args = unsafe { std::slice::from_raw_parts(argv, argc as usize) };
         let res = {
-            let vm = unsafe { &mut *hb.vm };
-            let mut sc = hb.scratch.borrow_mut();
-            let KScratch { stack, frames } = &mut *sc;
+            let mut stack = hb.stack.borrow_mut();
             stack.clear();
             for fv in args {
-                stack.push(unsafe { Sl::dec(fv, base, blen) });
+                // SAFETY: as in `cb_put_elem`
+                stack.push(Sl::from_value(unsafe { dec(fv, base, blen) }));
             }
-            vm.skel(site as usize, stack, frames);
+            hb.vm().skel(site as usize, &mut stack);
             stack.pop().expect("skeleton result")
         };
         let mut ob = hb.outbuf.borrow_mut();
@@ -712,220 +570,6 @@ extern "C" fn cb_set_error(h: *mut c_void, ptr: *const u8, len: usize) {
     let msg = unsafe { std::slice::from_raw_parts(ptr, len) };
     *hb.error.borrow_mut() = Some(String::from_utf8_lossy(msg).into_owned());
 }
-
-// ---------------------------------------------------------------------
-// Kernel dispatch back into the module.
-// ---------------------------------------------------------------------
-
-/// The native engine's hook into kernel dispatch, installed on the VM
-/// for native runs: `General`-shape skeleton argument functions are run
-/// by machine code compiled from the same (charge-stripped) bytecode.
-/// Trivial shapes (`Bin`, `Intrinsic`) never cross this boundary — the
-/// host fast paths in the kernel VM stay in force under every engine.
-pub(crate) struct NativeBackend {
-    module: Arc<NativeModule>,
-    gctx: Cell<*mut c_void>,
-    hb: Cell<*const HostBox>,
-    /// Encoded lifted-argument prefixes, keyed by the lifted slice's
-    /// address — stable for one skeleton call, cleared by `begin_skel`.
-    /// Without this, a lifted list or struct re-encodes per element
-    /// (quadratic for a skeleton mapping over n elements).
-    lifted: RefCell<Vec<LiftedEnc>>,
-}
-
-struct LiftedEnc {
-    key: (*const Value, usize),
-    vals: Vec<FfiVal>,
-    buf: Vec<u8>,
-}
-
-impl NativeBackend {
-    /// A skeleton call is starting: the encoded-lifted-argument cache
-    /// resets here. Lifted values are immutable and alive for the whole
-    /// skeleton call, so anything keyed on their address is valid until
-    /// the next `begin_skel`.
-    pub(crate) fn begin_skel(&self) {
-        self.lifted.borrow_mut().clear();
-    }
-
-    /// Run argument function `fid` on `lifted ++ extra`.
-    pub(crate) fn run_kernel(
-        &self,
-        fid: usize,
-        lifted: &[Value],
-        extra: &[Sl],
-        arrays: &[Option<ArrayStore>],
-    ) -> Sl {
-        let hb = unsafe { &*self.hb.get() };
-        let mut buf = hb.kargbuf.borrow_mut();
-        let mut av = hb.kargv.borrow_mut();
-        buf.clear();
-        av.clear();
-        {
-            // lifted prefix: encoded once per skeleton call, not once
-            // per element (entry byte buffers never move — only the
-            // entry list itself grows)
-            let mut cache = self.lifted.borrow_mut();
-            let key = (lifted.as_ptr(), lifted.len());
-            let ent = match cache.iter().position(|e| e.key == key) {
-                Some(i) => &cache[i],
-                None => {
-                    let mut ebuf = Vec::new();
-                    let vals = lifted.iter().map(|v| v.enc(&mut ebuf)).collect();
-                    cache.push(LiftedEnc { key, vals, buf: ebuf });
-                    cache.last().expect("just pushed")
-                }
-            };
-            let base = ent.buf.as_ptr() as u64;
-            av.extend(ent.vals.iter().map(|fv| {
-                let mut fv = *fv;
-                if fv.tag == T_BYTES {
-                    fv.a += base;
-                }
-                fv
-            }));
-        }
-        let nl = av.len();
-        for v in extra {
-            let fv = v.enc(&mut buf);
-            av.push(fv);
-        }
-        // fix offsets to absolute pointers only after all extra
-        // arguments encoded — the buffer no longer reallocates
-        let base = buf.as_ptr() as u64;
-        for fv in av[nl..].iter_mut() {
-            if fv.tag == T_BYTES {
-                fv.a += base;
-            }
-        }
-        let prev = hb.mode.replace(Mode::Kernel);
-        hb.karrays.set((arrays.as_ptr(), arrays.len()));
-        let mut out = FfiVal { tag: 0, a: 0, b: 0 };
-        let mut ob = FfiBuf { ptr: std::ptr::null(), len: 0 };
-        let st = (self.module.kernel)(
-            self.gctx.get(),
-            fid as u32,
-            av.as_ptr(),
-            av.len() as u32,
-            &mut out,
-            &mut ob,
-        );
-        hb.mode.set(prev);
-        if st != 0 {
-            hb.raise();
-        }
-        unsafe { Sl::dec(&out, ob.ptr, ob.len) }
-    }
-
-    /// `array_create`'s local pass in one call: `fid(ix)` per index, in
-    /// order. Behaves exactly like `ixs.len()` `run_kernel` calls.
-    pub(crate) fn bulk_create<U: FfiCodec>(
-        &self,
-        fid: usize,
-        lifted: &[Value],
-        ixs: &[Index],
-        arrays: &[Option<ArrayStore>],
-    ) -> Vec<U> {
-        if ixs.is_empty() {
-            return Vec::new();
-        }
-        self.bulk(BULK_CREATE, (fid, lifted), (0, &[]), None::<&[Value]>, ixs, arrays)
-    }
-
-    /// `array_map`'s local pass in one call: `fid(v, ix)` per element.
-    pub(crate) fn bulk_map<T: FfiCodec, U: FfiCodec>(
-        &self,
-        fid: usize,
-        lifted: &[Value],
-        vals: &[T],
-        ixs: &[Index],
-        arrays: &[Option<ArrayStore>],
-    ) -> Vec<U> {
-        if ixs.is_empty() {
-            return Vec::new();
-        }
-        self.bulk(BULK_MAP, (fid, lifted), (0, &[]), Some(vals), ixs, arrays)
-    }
-
-    /// `array_fold`'s fused local pass in one call: convert each
-    /// element and fold it into the running partition value. The caller
-    /// guarantees a non-empty partition.
-    pub(crate) fn bulk_fold<T: FfiCodec, U: FfiCodec>(
-        &self,
-        conv: (usize, &[Value]),
-        fold: (usize, &[Value]),
-        vals: &[T],
-        ixs: &[Index],
-        arrays: &[Option<ArrayStore>],
-    ) -> U {
-        self.bulk(BULK_FOLD, conv, fold, Some(vals), ixs, arrays).pop().expect("fold result")
-    }
-
-    /// One `skil_kbulk` call: the whole local pass of a skeleton in a
-    /// single FFI round trip. Per element the module receives the same
-    /// arguments — and makes host callbacks in the same order — as the
-    /// per-element [`NativeBackend::run_kernel`] path.
-    fn bulk<T: FfiCodec, U: FfiCodec>(
-        &self,
-        op: u32,
-        f1: (usize, &[Value]),
-        f2: (usize, &[Value]),
-        vals: Option<&[T]>,
-        ixs: &[Index],
-        arrays: &[Option<ArrayStore>],
-    ) -> Vec<U> {
-        let hb = unsafe { &*self.hb.get() };
-        let mut buf = hb.kargbuf.borrow_mut();
-        buf.clear();
-        let mut l1v: Vec<FfiVal> = f1.1.iter().map(|v| v.enc(&mut buf)).collect();
-        let mut l2v: Vec<FfiVal> = f2.1.iter().map(|v| v.enc(&mut buf)).collect();
-        let ne = if vals.is_some() { 2 } else { 1 };
-        let mut ev: Vec<FfiVal> = Vec::with_capacity(ixs.len() * ne);
-        for (i, ix) in ixs.iter().enumerate() {
-            if let Some(vs) = vals {
-                ev.push(vs[i].enc(&mut buf));
-            }
-            ev.push(FfiVal { tag: T_IX, a: ix[0] as u64, b: ix[1] as u64 });
-        }
-        // offsets become absolute only after everything is encoded —
-        // the buffer no longer reallocates
-        let base = buf.as_ptr() as u64;
-        for fv in l1v.iter_mut().chain(l2v.iter_mut()).chain(ev.iter_mut()) {
-            if fv.tag == T_BYTES {
-                fv.a += base;
-            }
-        }
-        let nout = if op == BULK_FOLD { 1 } else { ixs.len() };
-        let mut out = vec![FfiVal { tag: 0, a: 0, b: 0 }; nout];
-        let mut ob = FfiBuf { ptr: std::ptr::null(), len: 0 };
-        let prev = hb.mode.replace(Mode::Kernel);
-        hb.karrays.set((arrays.as_ptr(), arrays.len()));
-        let st = (self.module.kbulk)(
-            self.gctx.get(),
-            op,
-            f1.0 as u32,
-            f2.0 as u32,
-            l1v.as_ptr(),
-            l1v.len() as u32,
-            l2v.as_ptr(),
-            l2v.len() as u32,
-            ev.as_ptr(),
-            ixs.len() as u32,
-            ne as u32,
-            out.as_mut_ptr(),
-            &mut ob,
-        );
-        hb.mode.set(prev);
-        if st != 0 {
-            hb.raise();
-        }
-        out.iter().map(|fv| unsafe { U::dec(fv, ob.ptr, ob.len) }).collect()
-    }
-}
-
-const BULK_CREATE: u32 = 0;
-const BULK_MAP: u32 = 1;
-const BULK_FOLD: u32 = 2;
 
 /// Frees the generated context even when the run unwinds.
 struct CtxGuard {
@@ -980,19 +624,11 @@ pub(crate) fn try_run_native_faults(
     machine.try_run_faults(faults, |p| {
         let me = p.id() as i64;
         let np = p.nprocs() as i64;
-        let backend = NativeBackend {
-            module: module.clone(),
-            gctx: Cell::new(std::ptr::null_mut()),
-            hb: Cell::new(std::ptr::null()),
-            lifted: RefCell::new(Vec::new()),
-        };
-        let mut vm = Vm::new(code, &compiled.kernel, &tables, p, Some(&backend));
+        let mut vm = Vm::new(code, &compiled.kernel, &tables, p);
         let costs_ptr = tables.costs.as_ptr();
         let hb = HostBox::new(&mut vm as *mut Vm<'_, '_, '_> as *mut VmStatic);
-        backend.hb.set(&hb as *const HostBox);
         let gctx =
             (module.ctx_new)(&hb as *const HostBox as *mut c_void, &HOST_VTABLE, me, np, costs_ptr);
-        backend.gctx.set(gctx);
         let _guard = CtxGuard { free: module.ctx_free, gctx };
         let st = (module.main)(gctx);
         if st != 0 {
@@ -1028,19 +664,24 @@ mod tests {
             Value::List(ConsList::from_vec(vec![Value::Int(1), Value::Int(2)])),
         ];
         let mut buf = Vec::new();
-        let fvs: Vec<FfiVal> = vals.iter().map(|v| v.enc(&mut buf)).collect();
+        let fvs: Vec<FfiVal> = vals.iter().map(|v| enc(v, &mut buf)).collect();
         let base = buf.as_ptr();
         for (v, fv) in vals.iter().zip(&fvs) {
-            let back = unsafe { Value::dec(fv, base, buf.len()) };
+            let back = unsafe { dec(fv, base, buf.len()) };
             assert_eq!(*v, back);
-            // a slot decodes to the same value, unboxing the scalars
-            let slot = unsafe { Sl::dec(fv, base, buf.len()) };
-            assert_eq!(*v, slot.into_value());
         }
-        // unboxed elements use the scalar tags, so either side may box
-        let fv = IntElem(-7).enc(&mut buf);
-        assert_eq!(unsafe { Value::dec(&fv, base, 0) }, Value::Int(-7));
-        let fv = Value::Float(2.5).enc(&mut buf);
-        assert_eq!(unsafe { FloatElem::dec(&fv, base, 0) }, FloatElem(2.5));
+        // a returned slot carries the scalar tags unboxed and an
+        // aggregate at an absolute address
+        let mut out = Vec::new();
+        for v in &vals {
+            let fv = enc_abs(&Sl::from_value_ref(v), &mut out);
+            // SAFETY: `out` holds the encoded bytes and is not touched
+            // until the next iteration; a scalar reads no bytes
+            let back = match fv.tag {
+                T_BYTES => unsafe { dec(&FfiVal { a: 0, ..fv }, fv.a as *const u8, fv.b as usize) },
+                _ => unsafe { dec(&fv, out.as_ptr(), 0) },
+            };
+            assert_eq!(*v, back);
+        }
     }
 }

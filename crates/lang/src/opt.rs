@@ -45,6 +45,8 @@
 //!    depends on them).
 //! 6. **Label resolution** back to pc-relative jumps.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use crate::bytecode::{CompiledFunc, CostExpr, Instr, Intr, Program, Src};

@@ -1,5 +1,7 @@
 //! Recursive-descent parser for Skil.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use crate::ast::*;

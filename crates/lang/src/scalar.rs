@@ -8,6 +8,8 @@
 //! native module cannot call them and restates them in its prelude
 //! ([`crate::emit_rust`]), which the differential tests hold to these.
 
+#![forbid(unsafe_code)]
+
 use crate::bytecode::Intr;
 use crate::fo::BinOp;
 use crate::value::Value;

@@ -26,7 +26,6 @@ use skil_runtime::{Wire, WireError, WireReader};
 use crate::bytecode::{ElemKind, Intr, KernelShape};
 use crate::fo::BinOp;
 use crate::kernel::{Flat, KArg, KTy};
-use crate::native::FfiCodec;
 use crate::scalar::{float_arith, int_bin, scalar_intr, Scalar};
 use crate::value::{Value, WIRE_TAG_FLOAT, WIRE_TAG_INT, WIRE_TAG_STRUCT};
 use crate::vm::Sl;
@@ -158,7 +157,7 @@ impl Wire for FlatElem {
 }
 
 /// What the skeleton bridge needs of an array element representation.
-pub(crate) trait Elem: Wire + Clone + FfiCodec + 'static {
+pub(crate) trait Elem: Wire + Clone + 'static {
     /// Take an element out of a VM slot. The type checker guarantees
     /// the slot's type; a mismatch is an engine bug and panics.
     fn from_sl(s: Sl) -> Self;
@@ -579,8 +578,7 @@ mod tests {
                 prop_assert_eq!(f.to_bytes(), b.to_bytes());
                 prop_assert_eq!(Some(*f).to_bytes(), Some(b.clone()).to_bytes());
                 prop_assert_eq!(FlatElem::from_bytes(&b.to_bytes()).unwrap(), *f);
-                // and by way of the `Value`, as the native module and
-                // the generic loop see it
+                // and by way of the `Value`, as the generic loop sees it
                 prop_assert_eq!(FlatElem::from_value(&f.to_value()), *f);
             }
         }

@@ -15,6 +15,8 @@
 //! table reads it and stores only the program's own names. Nothing else
 //! is shared between compiles.
 
+#![forbid(unsafe_code)]
+
 use std::hash::{BuildHasher, RandomState};
 use std::sync::OnceLock;
 

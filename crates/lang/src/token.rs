@@ -1,5 +1,7 @@
 //! Tokens and the lexer.
 
+#![forbid(unsafe_code)]
+
 use crate::diag::{Diag, Phase, Pos, Result};
 use crate::fo::BinOp;
 use crate::sym::{Interner, Names, Sym};

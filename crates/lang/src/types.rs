@@ -7,6 +7,8 @@
 //! leads however to safer programs, as a polymorphic type checking is
 //! performed."
 
+#![forbid(unsafe_code)]
+
 use crate::ast::{StructDecl, TypeExpr};
 use crate::diag::{Diag, Phase, Pos, Result};
 use crate::sym::{Names, Sym, SymMap};

@@ -1,5 +1,7 @@
 //! Runtime values of interpreted Skil programs.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::mem::take;
 use std::sync::Arc;

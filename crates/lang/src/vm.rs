@@ -32,7 +32,11 @@
 //! What a `General` argument function runs as is decided once per
 //! compiled program by its [`KernelView`]: typed register code where
 //! the function lowered ([`crate::kernel`]), else this module's
-//! dispatch loop in kernel mode over the same bytecode.
+//! dispatch loop in kernel mode over the same bytecode. The native
+//! engine runs main-mode code compiled and hands every skeleton call
+//! back to [`Vm::skel`], so its argument functions run here too.
+
+#![forbid(unsafe_code)]
 
 use std::cell::RefCell;
 use std::mem::{replace, take};
@@ -40,14 +44,12 @@ use std::mem::{replace, take};
 use skil_array::Index;
 use skil_runtime::{CostModel, Machine, Proc, Run};
 
-use crate::bytecode::{Instr, Intr, KernelShape, Program, SkelSite, Src};
+use crate::bytecode::{Instr, Intr, KernelShape, Program, SkelFn, SkelSite, Src};
 use crate::fo::{BinOp, FoProgram};
 use crate::host::{
-    get_elem, kernel_cycles, kernel_forbids, lifted_of, to_uindex, ArgFn, ArgFns, Batch, KEnv,
-    SkelHost,
+    get_elem, kernel_cycles, kernel_forbids, to_uindex, ArgFn, ArgFns, KEnv, SkelHost,
 };
 use crate::kernel::{KArg, KernelView, TypedSite};
-use crate::native::NativeBackend;
 use crate::scalar::{float_arith, float_cmp, int_bin, neg_int, scalar_intr, Scalar};
 use crate::store::{Direct, Elem};
 use crate::value::Value;
@@ -97,7 +99,7 @@ pub(crate) fn try_run_program_vm_faults(
     assert_eq!(code.funcs[main].nparams, 0, "main takes no arguments");
     let tables = RunTables::resolve(&compiled.fo, code, &machine.config().cost);
     machine.try_run_faults(faults, |p| {
-        let mut vm = Vm::new(code, &compiled.kernel, &tables, p, None);
+        let mut vm = Vm::new(code, &compiled.kernel, &tables, p);
         // the benchmark's message-bound programs reach depth 5: one
         // allocation per processor, not two (4, then 8)
         let mut stack = Vec::with_capacity(8);
@@ -311,7 +313,7 @@ pub(crate) trait Host {
     fn get_elem(&mut self, h: usize, ix: Index) -> Sl;
     /// Non-pure intrinsics (`eval_pure` already declined).
     fn stateful(&mut self, op: Intr, vals: &[Value]) -> Value;
-    fn skel(&mut self, site: usize, stack: &mut Vec<Sl>, frames: &mut Vec<Vec<Sl>>);
+    fn skel(&mut self, site: usize, stack: &mut Vec<Sl>);
 }
 
 /// Execute function `fid`: pops its arguments off the operand stack,
@@ -408,7 +410,7 @@ fn exec<H: Host>(
                 stack.push(intr_sl(h, op, buf, n));
             }
             Instr::Call(callee) => exec(h, code, callee as usize, stack, frames),
-            Instr::Skel(site) => h.skel(site as usize, stack, frames),
+            Instr::Skel(site) => h.skel(site as usize, stack),
             Instr::Ret => break,
             Instr::RetUnit => {
                 stack.push(Sl::V(Value::Unit));
@@ -518,9 +520,6 @@ pub(crate) struct Vm<'a, 'p, 'm> {
     /// The run's resolved pools.
     pub(crate) tables: &'a RunTables,
     pub(crate) host: SkelHost<'p, 'm>,
-    /// `Some` when the native engine drives this VM: `General` kernels
-    /// are dispatched to compiled code instead of the interpreter.
-    native: Option<&'a NativeBackend>,
     /// A skeleton call's value arguments, then its argument functions'
     /// lifted ones: emptied after every call, its allocation kept for
     /// the next.
@@ -535,14 +534,12 @@ impl<'a, 'p, 'm> Vm<'a, 'p, 'm> {
         kernel: &'a KernelView,
         tables: &'a RunTables,
         proc: &'p mut Proc<'m>,
-        native: Option<&'a NativeBackend>,
     ) -> Self {
         Vm {
             code,
             kernel,
             tables,
             host: SkelHost::new(proc),
-            native,
             args: Vec::new(),
             lent: Lent::default(),
         }
@@ -570,10 +567,7 @@ impl Host for Vm<'_, '_, '_> {
 
     /// Hand a skeleton call site to the shared host, with the kernel VM
     /// as what runs its argument functions.
-    fn skel(&mut self, site_ix: usize, stack: &mut Vec<Sl>, _frames: &mut Vec<Vec<Sl>>) {
-        if let Some(nb) = self.native {
-            nb.begin_skel();
-        }
+    fn skel(&mut self, site_ix: usize, stack: &mut Vec<Sl>) {
         let site: &SkelSite = &self.code.sites[site_ix];
         // stack layout: [value args..., fn0 lifted..., fn1 lifted...],
         // moved as it is into the processor's argument buffer; a
@@ -586,7 +580,6 @@ impl Host for Vm<'_, '_, '_> {
             code: self.code,
             kernel: self.kernel,
             consts: &self.tables.consts,
-            native: self.native,
             site,
             lifted,
             cycles: &self.tables.site_cycles[site_ix],
@@ -639,18 +632,17 @@ impl Host for KHost<'_> {
         self.env.stateful(op, vals)
     }
 
-    fn skel(&mut self, _site: usize, _stack: &mut Vec<Sl>, _frames: &mut Vec<Vec<Sl>>) {
+    fn skel(&mut self, _site: usize, _stack: &mut Vec<Sl>) {
         kernel_forbids("skeleton call")
     }
 }
 
 /// How the `vm` and `native` engines run one skeleton call's argument
-/// functions.
+/// functions: the same way under both.
 struct KernelVm<'a> {
     code: &'a Program,
     kernel: &'a KernelView,
     consts: &'a [Sl],
-    native: Option<&'a NativeBackend>,
     site: &'a SkelSite,
     /// The lifted arguments the call site evaluated, argument function
     /// by argument function.
@@ -667,8 +659,6 @@ enum Readied<'a> {
     /// An operator section or one intrinsic over parameters: a direct
     /// computation, no frame.
     Trivial { shape: &'a KernelShape, lifted: &'a [Value] },
-    /// Compiled code, one FFI round trip per element.
-    Native { nb: &'a NativeBackend, fid: usize, lifted: &'a [Value], env: &'a KEnv<'a> },
     /// Typed register code, its prologue lent by `lent`.
     Typed(TypedSite<'a>, &'a Lent),
     /// The generic loop in kernel mode, on scratch lent by `lent`.
@@ -691,7 +681,7 @@ impl Drop for Readied<'_> {
                 scratch.stack.clear();
                 lent.scratch.borrow_mut().push(take(scratch));
             }
-            Readied::Trivial { .. } | Readied::Native { .. } => {}
+            Readied::Trivial { .. } => {}
         }
     }
 }
@@ -707,7 +697,7 @@ impl<const N: usize> ArgFn<N> for Readied<'_> {
 
 impl Readied<'_> {
     /// Everything but typed code — out of line, so that a skeleton body
-    /// instantiated per element type carries one call and not three
+    /// instantiated per element type carries one call and not two
     /// interpreters.
     #[inline(never)]
     fn call_untyped<U: Elem>(&mut self, args: &[KArg<'_>]) -> U {
@@ -739,16 +729,8 @@ impl Readied<'_> {
                             }
                         }
                     }
-                    KernelShape::General => unreachable!("readied as typed, native or generic"),
+                    KernelShape::General => unreachable!("readied as typed or generic"),
                 }
-            }
-            Readied::Native { nb, fid, lifted, env } => {
-                // a skeleton hands an argument function one or two
-                let mut sls = [Sl::I(0), Sl::I(0)];
-                for (sl, arg) in sls.iter_mut().zip(args) {
-                    *sl = arg.sl();
-                }
-                nb.run_kernel(*fid, lifted, &sls[..args.len()], env.arrays)
             }
             Readied::Typed(..) => unreachable!("typed code is called in line"),
             Readied::Generic { code, fid, lifted, host, scratch, .. } => {
@@ -760,6 +742,13 @@ impl Readied<'_> {
             }
         })
     }
+}
+
+/// Argument function `i`'s share of `lifted`, the lifted arguments of
+/// all of `fns` in order.
+fn lifted_of<'v>(fns: &[SkelFn], lifted: &'v [Value], i: usize) -> &'v [Value] {
+    let at = fns[..i].iter().map(|f| f.n_lifted).sum();
+    &lifted[at..][..fns[i].n_lifted]
 }
 
 impl ArgFns for KernelVm<'_> {
@@ -779,9 +768,6 @@ impl ArgFns for KernelVm<'_> {
         );
         if f.shape != KernelShape::General {
             return Readied::Trivial { shape: &f.shape, lifted };
-        }
-        if let Some(nb) = self.native {
-            return Readied::Native { nb, fid: f.fid, lifted, env };
         }
         let lent = self.lent;
         match self.kernel.typed(f.fid) {
@@ -806,16 +792,5 @@ impl ArgFns for KernelVm<'_> {
 
     fn direct2(&self, i: usize) -> Option<Direct> {
         self.site.direct(i)
-    }
-
-    /// Only when a compiled module drives kernels *and* at least one
-    /// argument function is `General`-shaped. Trivial shapes never cross
-    /// the FFI alone; their host fast paths are cheaper than any round
-    /// trip.
-    fn batch(&self) -> Option<Batch<'_>> {
-        let nb = self.native?;
-        let fns = &self.site.fns[..];
-        let general = fns.iter().any(|f| f.shape == KernelShape::General);
-        general.then_some(Batch { nb, fns, lifted: self.lifted })
     }
 }

@@ -148,16 +148,20 @@ fn compile_allocates_in_proportion_to_its_output() {
     }
 }
 
-/// Allocations of the second of two runs of `src` on a one-worker
-/// `rows x cols` machine: the first warms the machine's run arena, and
-/// both observe the same.
-fn warm_run_allocs(src: &str, rows: usize, cols: usize) -> u64 {
+/// Allocations of the second of two runs of `src` under `engine` on a
+/// one-worker `rows x cols` machine: the first warms the machine's run
+/// arena, and both observe the same.
+fn warm_run_allocs(src: &str, engine: Engine, rows: usize, cols: usize) -> u64 {
     let compiled = compile(src).expect("compiles");
+    if engine == Engine::Native {
+        // without a module the run would fall back to the VM and pass
+        compiled.native_ready().expect("the native engine runs on this host");
+    }
     let (_, cfg) = hosts::host(1, MachineConfig::mesh(rows, cols).unwrap());
     let machine = Machine::new(cfg);
-    let cold = compiled.try_run_with(Engine::Vm, &machine);
+    let cold = compiled.try_run_with(engine, &machine);
     let before = ALLOCS.get();
-    let warm = compiled.try_run_with(Engine::Vm, &machine);
+    let warm = compiled.try_run_with(engine, &machine);
     let allocs = ALLOCS.get() - before;
     assert_eq!(observe(&warm), observe(&cold));
     allocs
@@ -166,8 +170,10 @@ fn warm_run_allocs(src: &str, rows: usize, cols: usize) -> u64 {
 #[test]
 fn a_warm_run_allocates_nothing_per_skeleton_call() {
     let ladder = |folds| template(program!("fold_ladder"), &[("__FOLDS__", folds)]);
-    let (hundred, two_hundred) =
-        (warm_run_allocs(&ladder("100"), 4, 4), warm_run_allocs(&ladder("200"), 4, 4));
+    let (hundred, two_hundred) = (
+        warm_run_allocs(&ladder("100"), Engine::Vm, 4, 4),
+        warm_run_allocs(&ladder("200"), Engine::Vm, 4, 4),
+    );
     // when every skeleton call allocated: 5,052 at 100 folds, 9,852 at 200
     println!("fold_ladder 4x4: {hundred} allocations at 100 folds, {two_hundred} at 200");
     assert!(
@@ -188,7 +194,7 @@ fn a_warm_run_allocates_nothing_per_skeleton_call() {
         ("gauss n=16 4x4", template(program!("gauss"), &[("__N__", "16")]), (4, 4), 5_455),
     ];
     for (name, src, (rows, cols), before) in cases {
-        let allocs = warm_run_allocs(&src, rows, cols);
+        let allocs = warm_run_allocs(&src, Engine::Vm, rows, cols);
         println!("{name}: {allocs} allocations (before: {before})");
         assert!(allocs * 10 <= before * 4, "{name}: {allocs} allocations, ceiling 0.4 x {before}");
     }
@@ -211,8 +217,25 @@ fn a_warm_list_run_allocates_per_chunk_not_per_element() {
         ),
     ];
     for (name, src, before, ceiling) in cases {
-        let allocs = warm_run_allocs(&src, 2, 2);
+        let allocs = warm_run_allocs(&src, Engine::Vm, 2, 2);
         println!("{name}: {allocs} allocations (before: {before}, ceiling {ceiling})");
         assert!(allocs <= ceiling, "{name}: {allocs} allocations, ceiling {ceiling}");
     }
+}
+
+#[test]
+fn a_warm_native_run_allocates_what_the_vm_does() {
+    // Argument functions run on the VM's kernel executors under both
+    // engines. What the native engine adds is main's side: the host's
+    // decodes of skeleton-call arguments and its callback buffers, a few
+    // per processor. The module's own allocations are its allocator's
+    // and not counted here, so native measured 307 to vm's 423 (and
+    // 1,853 when the module ran argument functions itself, a batch
+    // buffer per skeleton call).
+    const MARGIN: u64 = 16;
+    let src = template(program!("gauss"), &[("__N__", "16")]);
+    let vm = warm_run_allocs(&src, Engine::Vm, 2, 2);
+    let native = warm_run_allocs(&src, Engine::Native, 2, 2);
+    println!("gauss n=16 2x2: {native} allocations under native, {vm} under vm");
+    assert!(native <= vm + MARGIN, "native {native} allocations, ceiling {vm} + {MARGIN}");
 }

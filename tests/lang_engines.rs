@@ -977,30 +977,40 @@ fn bounds_fields_in_kernels_agree_on_both_kernel_tiers() {
     assert!(listing.contains("partbounds "), "{listing}");
 }
 
-/// A function that needs more registers than a frame window has stays
-/// on the generic loop, with the walker's output.
+/// A function the typed tier refuses — one that needs more registers
+/// than a frame window has, one over a list of structs — stays on the
+/// generic loop, with the walker's output under both engines: `native`
+/// runs argument functions on the same kernel executors as `vm`.
 #[test]
 fn a_function_past_the_register_window_stays_generic() {
     // 300 distinct constants are 300 registers
     let steps: String =
         (0..300).map(|i| format!("s = (s + {}) * 3 % 65521;\n", 1000 + i)).collect();
     let src = format!(
-        "int big(int v, Index ix) {{ int s = v + ix[0]; {steps} return s; }}
+        "struct pt {{ int x; int y; }};
+         int big(int v, Index ix) {{ int s = v + ix[0]; {steps} return s; }}
          int small(int v, Index ix) {{ int s = v; int i = 0; while (i < 3) {{ s = s * 5 % 8; i = i + 1; }} return s; }}
          int init(Index ix) {{ return ix[0] * 17 - 40; }}
          int idt(int v, Index ix) {{ return v; }}
+         int firstx(list<pt> ps) {{ return head(ps).x * 10 + len(ps); }}
          void main() {{
              array<int> a = array_create(1, {{16, 1}}, {{0,0}}, {{0-1,0-1}}, init, DISTR_DEFAULT);
              array_map(big, a, a);
              print(array_fold(idt, (+), a));
              array_map(small, a, a);
              print(array_fold(idt, (+), a));
+             list< list<pt> > ps = cons(cons(pt{{1, 2}}, nil()), cons(cons(pt{{5, 6}}, cons(pt{{7, 8}}, nil())), nil()));
+             print(farm(firstx, ps));
          }}"
     );
-    assert_agree("past the window", &src, &VM_LEVELS, &square_machines());
+    assert_agree("past the window", &src, &ALL_LEVELS, &square_machines());
     let listing = compile(&src).unwrap().disassemble_kernel();
     assert!(
         listing.contains("big_1+0 [generic: needs more registers than a frame window has]"),
+        "{listing}"
+    );
+    assert!(
+        listing.contains("firstx_1+0 [generic: its signature has a list of structs]"),
         "{listing}"
     );
     assert!(listing.contains("small_1+0 [typed]"), "{listing}");

@@ -8,6 +8,7 @@ use std::rc::Rc;
 use crate::diag::Pos;
 use crate::fo::BinOp;
 use crate::sym::{Interner, Sym};
+use crate::token::{Lits, Slot};
 
 /// A surface type expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,10 +171,10 @@ pub enum UnOp {
 /// An expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
-    /// Integer literal.
-    Int(i64, Pos),
-    /// Float literal.
-    Float(f64, Pos),
+    /// Integer literal, by its slot in [`Program::lits`].
+    Int(Slot, Pos),
+    /// Float literal, by its slot in [`Program::lits`].
+    Float(Slot, Pos),
     /// Variable (or function) reference.
     Var(Sym, Pos),
     /// Application. Currying: `f(a)(b)` parses as
@@ -275,4 +276,6 @@ pub struct Program {
     pub items: Vec<Item>,
     /// The identifiers the items refer to.
     pub syms: Interner,
+    /// The literals' values: no pass before the back end reads one.
+    pub lits: Lits,
 }

@@ -867,9 +867,10 @@ impl FnCompiler<'_> {
 
     fn expr(&mut self, e: &FoExpr) {
         match e {
-            FoExpr::Int(v) => self.push_int(*v),
-            FoExpr::Float(v) => {
-                let i = self.pools.constant(ConstKey::Float(v.to_bits()), Value::Float(*v));
+            FoExpr::Int(slot) => self.push_int(self.prog.lits.int(*slot)),
+            FoExpr::Float(slot) => {
+                let v = self.prog.lits.float(*slot);
+                let i = self.pools.constant(ConstKey::Float(v.to_bits()), Value::Float(v));
                 self.code.push(Instr::Const(i));
             }
             FoExpr::Var(n) => {
@@ -1134,6 +1135,7 @@ pub fn disassemble(p: &Program, names: &Names) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::token::{Lits, Slot};
 
     #[test]
     fn cost_expr_resolves_linearly() {
@@ -1166,6 +1168,8 @@ mod tests {
                 body: body.into(),
             }],
             names: crate::sym::Interner::new().to_names(),
+            // `Int(Slot(v))` reads `v`
+            lits: Lits::ints(&[0, 1, 2, 3]),
             ..FoProgram::default()
         }
     }
@@ -1176,7 +1180,8 @@ mod tests {
         // merges with the load of `x0`, and the listing must show the
         // resolved cost expression next to the charge, not just the
         // pool index.
-        let x_plus_1 = FoExpr::binary(BinOp::Add, false, FoExpr::Var(Sym::X0), FoExpr::Int(1));
+        let x_plus_1 =
+            FoExpr::binary(BinOp::Add, false, FoExpr::Var(Sym::X0), FoExpr::Int(Slot(1)));
         let prog = program(FoTy::Int, vec![FoStmt::Return(Some(x_plus_1))]);
         let listing = disassemble(&compile_program(&prog), &prog.names);
         // pool entry 0 is the binop charge alone (interned before the
@@ -1195,7 +1200,8 @@ mod tests {
     fn charge_merging_stops_at_labels() {
         // while (x0) { x0 = x0 - 1; } — the loop-top label must keep the
         // per-iteration charge separate from the preceding charges
-        let x_minus_1 = FoExpr::binary(BinOp::Sub, false, FoExpr::Var(Sym::X0), FoExpr::Int(1));
+        let x_minus_1 =
+            FoExpr::binary(BinOp::Sub, false, FoExpr::Var(Sym::X0), FoExpr::Int(Slot(1)));
         let prog = program(
             FoTy::Void,
             vec![FoStmt::While {
@@ -1218,10 +1224,11 @@ mod tests {
     fn inner_scopes_shadow_and_end() {
         // { int x1 = 1; { int x1 = 2; } x1 = 3; } — the assignment after
         // the inner block must hit the outer slot
-        let decl = |v| FoStmt::Decl { name: Sym::X1, ty: FoTy::Int, init: Some(FoExpr::Int(v)) };
+        let decl =
+            |v| FoStmt::Decl { name: Sym::X1, ty: FoTy::Int, init: Some(FoExpr::Int(Slot(v))) };
         let inner =
-            FoStmt::If { cond: FoExpr::Int(1), then: Box::new([decl(2)]), els: Box::new([]) };
-        let assign = FoStmt::Assign { name: Sym::X1, value: FoExpr::Int(3) };
+            FoStmt::If { cond: FoExpr::Int(Slot(1)), then: Box::new([decl(2)]), els: Box::new([]) };
+        let assign = FoStmt::Assign { name: Sym::X1, value: FoExpr::Int(Slot(3)) };
         let code = compile_program(&program(FoTy::Void, vec![decl(1), inner, assign]));
         let stores: Vec<u16> = code.funcs[0]
             .code

@@ -9,6 +9,7 @@ use crate::builtins::{Builtin, BuiltinKind};
 use crate::diag::{Diag, Phase, Pos, Result};
 use crate::fo::BinOp;
 use crate::sym::{Interner, Sym, SymMap};
+use crate::token::Lits;
 use crate::types::{bound, Scheme, ShowTy, Ty, TypeDefs, Unifier, VarMap};
 
 /// Lexical scopes for local variables.
@@ -21,6 +22,9 @@ pub struct Checked {
     /// The program's identifiers (the instantiation pass adds the names
     /// of the instances it makes, then hands the table to its output).
     pub syms: Interner,
+    /// The literals' values, shared with the parsed program and handed
+    /// on to the instantiation's output unread.
+    pub lits: Lits,
     /// Struct and pardata definitions.
     pub defs: TypeDefs,
     /// Every user function's type scheme.
@@ -35,6 +39,7 @@ pub struct Checked {
 pub fn check(prog: &Program) -> Result<Checked> {
     let mut ck = Checked {
         syms: prog.syms.clone(),
+        lits: prog.lits.clone(),
         defs: TypeDefs::default(),
         funcs: SymMap::default(),
         user_funcs: SymMap::default(),

@@ -9,6 +9,7 @@
 
 use crate::fo::*;
 use crate::sym::Names;
+use crate::token::Lits;
 use std::fmt::Write;
 
 /// Emit the whole program as C-like text.
@@ -35,7 +36,7 @@ pub fn emit_c(prog: &FoProgram) -> String {
     for f in &prog.funcs {
         let _ = writeln!(out, "{}", signature(prog, f));
         let _ = writeln!(out, "{{");
-        let mut e = Emitter { names: &prog.names, skels: &mut skel_instances };
+        let mut e = Emitter { names: &prog.names, lits: &prog.lits, skels: &mut skel_instances };
         for s in f.body.iter() {
             e.stmt(&mut out, s, 1);
         }
@@ -75,10 +76,12 @@ fn indent(out: &mut String, level: usize) {
     }
 }
 
-/// Walks function bodies, spelling names through the program's table
-/// and collecting the specialized skeleton instances it meets.
+/// Walks function bodies, spelling names and literals through the
+/// program's tables and collecting the specialized skeleton instances
+/// it meets.
 struct Emitter<'a> {
     names: &'a Names,
+    lits: &'a Lits,
     skels: &'a mut Vec<String>,
 }
 
@@ -182,9 +185,9 @@ impl Emitter<'_> {
 
     fn expr(&mut self, e: &FoExpr) -> String {
         match e {
-            FoExpr::Int(v) => v.to_string(),
-            FoExpr::Float(v) => {
-                let s = format!("{v}");
+            FoExpr::Int(slot) => self.lits.int(*slot).to_string(),
+            FoExpr::Float(slot) => {
+                let s = format!("{}", self.lits.float(*slot));
                 if s.contains('.') || s.contains('e') {
                     s
                 } else {

@@ -46,7 +46,7 @@ use crate::value::Value;
 /// Version stamp of the generated-module ABI (entry points, `HostVt`
 /// layout, value wire format). The loader refuses modules whose
 /// `skil_abi()` disagrees; bump on any change to the prelude contract.
-pub const ABI_VERSION: u64 = 4;
+pub const ABI_VERSION: u64 = 5;
 
 macro_rules! w {
     ($out:expr, $($arg:tt)*) => { let _ = writeln!($out, $($arg)*); };

@@ -20,6 +20,7 @@ use skil_runtime::CostModel;
 use crate::builtins::{Builtin, BuiltinKind, BUILTINS};
 use crate::bytecode::Intr;
 use crate::sym::{Names, Sym};
+use crate::token::{Lits, Slot};
 
 /// A monomorphic first-order type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -199,10 +200,10 @@ impl BinOp {
 /// A first-order expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FoExpr {
-    /// Integer literal.
-    Int(i64),
-    /// Float literal.
-    Float(f64),
+    /// Integer literal, by its slot in [`FoProgram::lits`].
+    Int(Slot),
+    /// Float literal, by its slot in [`FoProgram::lits`].
+    Float(Slot),
     /// Local variable or parameter.
     Var(Sym),
     /// Call of a first-order instance.
@@ -339,7 +340,7 @@ pub struct FoFunc {
 
 /// The complete instantiated program. Instances are few (a program has
 /// tens), so lookup by name is a scan over their `Sym`s.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FoProgram {
     /// Monomorphized structs.
     pub structs: Vec<FoStruct>,
@@ -347,6 +348,9 @@ pub struct FoProgram {
     pub funcs: Vec<FoFunc>,
     /// The string table every `Sym` in the program indexes.
     pub names: Names,
+    /// The values behind the literals' slots: the back end reads them,
+    /// and a program of the same shape swaps in its own.
+    pub lits: Lits,
 }
 
 impl FoProgram {
@@ -443,6 +447,7 @@ impl FoProgram {
                 .map(|f| fields(&f.params) + ty(&f.ret) + stmts(&f.body))
                 .sum::<usize>()
             + self.names.heap_bytes()
+            + self.lits.heap_bytes()
     }
 
     /// True when no expression anywhere contains a higher-order construct
@@ -601,7 +606,7 @@ mod tests {
                 BinOp::Add,
                 false,
                 FoExpr::Var(Sym::X0),
-                FoExpr::Int(1),
+                FoExpr::Int(Slot(0)),
             )))],
         );
         assert_eq!(static_cost(&f, &c), c.int_op + c.load);
@@ -616,7 +621,7 @@ mod tests {
             FoExpr::Var(Sym::X0),
             FoExpr::Var(Sym::X1),
         ));
-        let light = FoStmt::Expr(FoExpr::Int(0));
+        let light = FoStmt::Expr(FoExpr::Int(Slot(0)));
         let f = func(
             &[],
             FoTy::Void,

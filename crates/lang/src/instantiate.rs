@@ -98,7 +98,7 @@ pub struct FnVal {
 
 /// Run the instantiation procedure on a checked program. The result
 /// carries the program's names (the checker's, plus those of the
-/// instances made here) as its string table.
+/// instances made here) as its string table, and its literal table.
 pub fn instantiate(ck: &mut Checked) -> Result<FoProgram> {
     let mut inst = Instantiator {
         ck,
@@ -115,6 +115,7 @@ pub fn instantiate(ck: &mut Checked) -> Result<FoProgram> {
     out.structs.shrink_to_fit();
     out.funcs.shrink_to_fit();
     out.names = ck.syms.to_names();
+    out.lits = ck.lits.clone();
     Ok(out)
 }
 
@@ -870,8 +871,8 @@ impl<'a> Instantiator<'a> {
 
     fn tr_expr(&mut self, e: &Expr, ctx: &mut Ctx) -> Result<FoExpr> {
         match e {
-            Expr::Int(v, _) => Ok(FoExpr::Int(*v)),
-            Expr::Float(v, _) => Ok(FoExpr::Float(*v)),
+            Expr::Int(slot, _) => Ok(FoExpr::Int(*slot)),
+            Expr::Float(slot, _) => Ok(FoExpr::Float(*slot)),
             Expr::Var(name, pos) => {
                 if ctx.binding(*name).is_some() {
                     return self.err(
@@ -1418,7 +1419,14 @@ mod more_tests {
         };
         let FoExpr::Call(callee, args) = &printed[0] else { panic!("{printed:?}") };
         assert_eq!(p.name(*callee), "add3_1");
-        assert_eq!(**args, [FoExpr::Int(1), FoExpr::Int(2), FoExpr::Int(3)]);
+        let values: Vec<i64> = args
+            .iter()
+            .map(|a| match a {
+                FoExpr::Int(slot) => p.lits.int(*slot),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(values, [1, 2, 3]);
     }
 
     #[test]

@@ -375,8 +375,8 @@ impl<M: Mode> Ev<'_, M> {
 
     fn eval_expr(&mut self, e: &FoExpr, locals: &mut Locals) -> Value {
         match e {
-            FoExpr::Int(v) => Value::Int(*v),
-            FoExpr::Float(v) => Value::Float(*v),
+            FoExpr::Int(slot) => Value::Int(self.prog.lits.int(*slot)),
+            FoExpr::Float(slot) => Value::Float(self.prog.lits.float(*slot)),
             FoExpr::Var(n) => {
                 self.mode.charge(|c| c.load);
                 locals.lookup(*n, self.prog).clone()

@@ -10,7 +10,11 @@
 //! 0. [`sym`] — identifiers are interned once, by the lexer, into a
 //!    symbol table that belongs to this compile alone; every later pass
 //!    carries `u32` symbols, and the table ends up as the string table
-//!    of the result.
+//!    of the result. Literals likewise: the lexer puts each literal's
+//!    value in the program's one [`token::Lits`] table and every pass
+//!    up to and including instantiation carries its [`token::Slot`]
+//!    alone, so that the front end ([`front_end`]) cannot depend on a
+//!    value and the back end (step 4) is the first to read one.
 //! 1. [`parser::parse`] — a C-subset grammar extended with type
 //!    variables (`$t`), functional parameters (`int is_trivial($a)`),
 //!    currying/partial application (`above_thresh(t)`), operator sections
@@ -163,20 +167,36 @@ pub fn compile(src: &str) -> diag::Result<Compiled> {
     compile_opt(src, OptLevel::default())
 }
 
-/// Compile Skil source at an explicit opt level. Every level computes
-/// the same values and charges bit-identical virtual time; higher
-/// levels only run faster on the host.
+/// Compile Skil source at an explicit opt level: the front end, then the
+/// back end. Every level computes the same values and charges
+/// bit-identical virtual time; higher levels only run faster on the
+/// host.
 pub fn compile_opt(src: &str, level: OptLevel) -> diag::Result<Compiled> {
-    let prog = parser::parse(src)?;
+    Ok(Compiled::from_front_end(front_end(token::Lexed::new(src)?)?, level))
+}
+
+/// The front end: parse, check and instantiate a lexed source. It works
+/// on literal slots and never reads a value (only a parse diagnostic's
+/// text quotes one), so the sources of one [`token::Lexed::shape`]
+/// succeed or fail together, and their programs differ in
+/// [`FoProgram::lits`] alone.
+pub fn front_end(lexed: token::Lexed) -> diag::Result<FoProgram> {
+    let prog = parser::parse_lexed(lexed)?;
     let mut ck = check::check(&prog)?;
-    let fo = instantiate::instantiate(&mut ck)?;
-    let raw = bytecode::compile_program(&fo);
-    let (code, opt_stats) = opt::optimize(&raw, level);
-    let kernel = kernel::KernelView::build(&fo, &code, level);
-    Ok(Compiled { fo, code, opt_level: level, opt_stats, kernel, native_cache: Default::default() })
+    instantiate::instantiate(&mut ck)
 }
 
 impl Compiled {
+    /// The back end: compile an instantiated program to bytecode,
+    /// optimize it and build its kernel view. This is where literals'
+    /// values are read.
+    pub fn from_front_end(fo: FoProgram, level: OptLevel) -> Compiled {
+        let raw = bytecode::compile_program(&fo);
+        let (code, opt_stats) = opt::optimize(&raw, level);
+        let kernel = kernel::KernelView::build(&fo, &code, level);
+        Compiled { fo, code, opt_level: level, opt_stats, kernel, native_cache: Default::default() }
+    }
+
     /// Emit the program as the C-like code the paper's compiler would
     /// produce.
     pub fn emit_c(&self) -> String {

@@ -352,11 +352,15 @@ fn load_or_build(src: &str, hash: u64) -> Result<NativeModule, String> {
             .map_err(|e| format!("cannot write {}: {e}", rs.display()))?;
         let rustc = env::var("SKIL_NATIVE_RUSTC").unwrap_or_else(|_| "rustc".to_string());
         let tmp = dir.join(format!("{tmp_stem}.so"));
+        // Unoptimized: the module is `main`'s glue around host calls
+        // (every argument function runs on the VM's kernel executors),
+        // so optimizing it costs `rustc` several times the build time
+        // and saves a request no measurable host time (DESIGN.md §15).
         let out = std::process::Command::new(&rustc)
             .arg("--edition=2021")
             .arg("--crate-type=cdylib")
             .arg("-C")
-            .arg("opt-level=3")
+            .arg("opt-level=0")
             .arg("-o")
             .arg(&tmp)
             .arg(&rs)

@@ -8,15 +8,20 @@ use crate::ast::*;
 use crate::diag::{Diag, Phase, Pos, Result};
 use crate::fo::BinOp;
 use crate::sym::{Interner, Sym};
-use crate::token::{lex_into, Punct as P, Spanned, Tok};
+use crate::token::{Lexed, Lits, Punct as P, Spanned, Tok};
 
 /// Parse a complete Skil program.
 pub fn parse(src: &str) -> Result<Program> {
-    let mut syms = Interner::new();
-    let toks = lex_into(src, &mut syms)?;
-    let mut p = Parser { toks, at: 0, syms, nest: 0, height: 0 };
+    parse_lexed(Lexed::new(src)?)
+}
+
+/// Parse a lexed program. Only a diagnostic's text reads a literal's
+/// value; the tree holds its slot.
+pub fn parse_lexed(lexed: Lexed) -> Result<Program> {
+    let Lexed { toks, syms, lits } = lexed;
+    let mut p = Parser { toks, at: 0, syms, lits, nest: 0, height: 0 };
     let items = p.program()?;
-    Ok(Program { items, syms: p.syms })
+    Ok(Program { items, syms: p.syms, lits: p.lits })
 }
 
 /// How deep statements, expressions and types may nest, each. The
@@ -31,6 +36,7 @@ struct Parser {
     toks: Vec<Spanned>,
     at: usize,
     syms: Interner,
+    lits: Lits,
     /// Statements, expressions and types open around `at`: how deep the
     /// parser's own recursion is.
     nest: usize,
@@ -65,7 +71,7 @@ impl Parser {
     }
 
     fn describe(&self, t: Tok) -> String {
-        t.describe(&self.syms)
+        t.describe(&self.syms, &self.lits)
     }
 
     /// Parse one statement, expression or type a level further in.
@@ -479,13 +485,13 @@ impl Parser {
         // a leaf, unless an arm below says otherwise
         self.height = 1;
         match self.peek() {
-            Tok::Int(v) => {
+            Tok::Int(slot) => {
                 self.bump();
-                Ok(Expr::Int(v, pos))
+                Ok(Expr::Int(slot, pos))
             }
-            Tok::Float(v) => {
+            Tok::Float(slot) => {
                 self.bump();
-                Ok(Expr::Float(v, pos))
+                Ok(Expr::Float(slot, pos))
             }
             Tok::Ident(name) => {
                 self.bump();

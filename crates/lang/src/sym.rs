@@ -73,7 +73,7 @@ impl Sym {
 }
 
 /// Strings stored back to back: one buffer and the end offset of each.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Table {
     buf: String,
     ends: Vec<u32>,
@@ -132,7 +132,7 @@ fn fill_slot(slots: &mut [u32], hasher: &RandomState, s: &str, n: u32) {
 /// The strings behind a compile's [`Sym`]s. The language's own names are
 /// read from the shared seed; the table holds only what the program
 /// added.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Names {
     own: Table,
 }

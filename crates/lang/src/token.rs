@@ -2,6 +2,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::sync::Arc;
+
 use crate::diag::{Diag, Phase, Pos, Result};
 use crate::fo::BinOp;
 use crate::sym::{Interner, Names, Sym};
@@ -69,9 +71,9 @@ pub enum Tok {
     /// Type variable `$t`.
     TypeVar(Sym),
     /// Integer literal.
-    Int(i64),
+    Int(Slot),
     /// Float literal.
-    Float(f64),
+    Float(Slot),
     /// Punctuation / operator.
     Punct(Punct),
     /// End of input.
@@ -79,13 +81,14 @@ pub enum Tok {
 }
 
 impl Tok {
-    /// Render for error messages.
-    pub fn describe(&self, names: &Names) -> String {
+    /// Render for error messages: a diagnostic's text is the one place
+    /// before the back end that quotes a literal's value.
+    pub fn describe(&self, names: &Names, lits: &Lits) -> String {
         match self {
             Tok::Ident(s) => format!("identifier `{}`", names.get(*s)),
             Tok::TypeVar(s) => format!("type variable `${}`", names.get(*s)),
-            Tok::Int(v) => format!("integer `{v}`"),
-            Tok::Float(v) => format!("float `{v}`"),
+            Tok::Int(s) => format!("integer `{}`", lits.int(*s)),
+            Tok::Float(s) => format!("float `{}`", lits.float(*s)),
             Tok::Punct(p) => format!("`{}`", p.as_str()),
             Tok::Eof => "end of input".into(),
         }
@@ -101,14 +104,150 @@ pub struct Spanned {
     pub pos: Pos,
 }
 
-/// Tokenize Skil source text with a symbol table of its own (the
-/// identifiers' spellings are dropped with it; [`lex_into`] keeps them).
-pub fn lex(src: &str) -> Result<Vec<Spanned>> {
-    lex_into(src, &mut Interner::new())
+/// A literal's slot: its ordinal among the literal tokens of its
+/// source. The syntax tree and the first-order program carry slots;
+/// only the back end reads the value behind one, in [`Lits`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Slot(pub(crate) u32);
+
+/// The values of a program's literals, by [`Slot`]: the bits of an
+/// `int` or of a `float`, as the slot's token or node says. One table
+/// per program, made by the lexer and shared (not copied) by the syntax
+/// tree, the checker and the first-order program.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Lits(Arc<[u64]>);
+
+impl Lits {
+    /// The value of an integer literal.
+    pub fn int(&self, slot: Slot) -> i64 {
+        self.0[slot.0 as usize] as i64
+    }
+
+    /// The value of a float literal.
+    pub fn float(&self, slot: Slot) -> f64 {
+        f64::from_bits(self.0[slot.0 as usize])
+    }
+
+    /// Number of literals.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the program has no literal.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// A table of integers, for tests that build programs by hand.
+    #[cfg(test)]
+    pub(crate) fn ints(values: &[i64]) -> Lits {
+        Lits(values.iter().map(|&v| v as u64).collect())
+    }
+
+    /// Heap bytes held: the values and the shared count.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.0) + 2 * std::mem::size_of::<usize>()
+    }
 }
 
-/// Tokenize Skil source text, interning identifiers into `syms`.
-pub fn lex_into(src: &str, syms: &mut Interner) -> Result<Vec<Spanned>> {
+/// What stands in for each character of an `int` / a `float` literal in
+/// a [`Lexed::shape`]: characters the lexer rejects outside a comment,
+/// so two sources that lex share a shape only if they lex to the same
+/// tokens but for their literals' values.
+const INT_MASK: char = '#';
+const FLOAT_MASK: char = '~';
+
+/// A lexed source: the parser's input.
+#[derive(Debug)]
+pub struct Lexed {
+    /// The tokens, [`Tok::Eof`] last.
+    pub toks: Vec<Spanned>,
+    /// The identifiers the tokens refer to.
+    pub syms: Interner,
+    /// The literals' values.
+    pub lits: Lits,
+}
+
+impl Lexed {
+    /// Tokenize Skil source text.
+    pub fn new(src: &str) -> Result<Lexed> {
+        let mut syms = Interner::new();
+        let mut lits = Vec::new();
+        let toks = lex_into(src, &mut syms, &mut lits)?;
+        Ok(Lexed { toks, syms, lits: Lits(lits.into()) })
+    }
+
+    /// The shape of `src`, which these tokens were lexed from: the text
+    /// with each character of a literal masked by its kind. The front
+    /// end reads no literal's value, so two sources of one shape
+    /// compile to one program but for its [`Lits`]. (A literal keeps
+    /// its length, so every position a diagnostic names stays put.)
+    pub fn shape(&self, src: &str) -> String {
+        let bytes = src.as_bytes();
+        let mut key = String::with_capacity(src.len());
+        // `line_start` is where line `line` begins; `copied` is how much
+        // of `src` is in `key`
+        let (mut line, mut line_start, mut copied) = (1, 0, 0);
+        for t in &self.toks {
+            let mask = match t.tok {
+                Tok::Int(_) => INT_MASK,
+                Tok::Float(_) => FLOAT_MASK,
+                _ => continue,
+            };
+            while line < t.pos.line {
+                line_start +=
+                    bytes[line_start..].iter().position(|&b| b == b'\n').expect("a line") + 1;
+                line += 1;
+            }
+            let start = line_start + t.pos.col as usize - 1;
+            let (end, _) = number_end(bytes, start);
+            key.push_str(&src[copied..start]);
+            key.extend(std::iter::repeat_n(mask, end - start));
+            copied = end;
+        }
+        key.push_str(&src[copied..]);
+        key
+    }
+}
+
+/// Tokenize Skil source text with symbol and literal tables of its own
+/// (both are dropped; [`Lexed::new`] keeps them).
+pub fn lex(src: &str) -> Result<Vec<Spanned>> {
+    Lexed::new(src).map(|lexed| lexed.toks)
+}
+
+/// Where the number starting at `bytes[i]` ends, and whether it is a
+/// float (a fraction or an exponent).
+fn number_end(bytes: &[u8], i: usize) -> (usize, bool) {
+    let digits = |mut j: usize| {
+        while j < bytes.len() && bytes[j].is_ascii_digit() {
+            j += 1;
+        }
+        j
+    };
+    let mut j = digits(i);
+    let mut is_float = false;
+    if j + 1 < bytes.len() && bytes[j] == b'.' && bytes[j + 1].is_ascii_digit() {
+        is_float = true;
+        j = digits(j + 1);
+    }
+    // exponent
+    if j < bytes.len() && (bytes[j] == b'e' || bytes[j] == b'E') {
+        let mut k = j + 1;
+        if k < bytes.len() && (bytes[k] == b'+' || bytes[k] == b'-') {
+            k += 1;
+        }
+        if k < bytes.len() && bytes[k].is_ascii_digit() {
+            is_float = true;
+            j = digits(k);
+        }
+    }
+    (j, is_float)
+}
+
+/// Tokenize Skil source text, interning identifiers into `syms` and
+/// appending each literal's value to `lits`.
+fn lex_into(src: &str, syms: &mut Interner, lits: &mut Vec<u64>) -> Result<Vec<Spanned>> {
     let bytes = src.as_bytes();
     // one allocation: a token is rarely shorter than two bytes
     let mut out = Vec::with_capacity(bytes.len() / 2 + 1);
@@ -206,49 +345,27 @@ pub fn lex_into(src: &str, syms: &mut Interner) -> Result<Vec<Spanned>> {
         }
         // number
         if c.is_ascii_digit() {
-            let mut j = i;
-            let mut is_float = false;
-            while j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
-                j += 1;
-            }
-            if j < bytes.len()
-                && bytes[j] == b'.'
-                && j + 1 < bytes.len()
-                && (bytes[j + 1] as char).is_ascii_digit()
-            {
-                is_float = true;
-                j += 1;
-                while j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
-                    j += 1;
-                }
-            }
-            // exponent
-            if j < bytes.len() && (bytes[j] == b'e' || bytes[j] == b'E') {
-                let mut k = j + 1;
-                if k < bytes.len() && (bytes[k] == b'+' || bytes[k] == b'-') {
-                    k += 1;
-                }
-                if k < bytes.len() && (bytes[k] as char).is_ascii_digit() {
-                    is_float = true;
-                    j = k;
-                    while j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
-                        j += 1;
-                    }
-                }
-            }
+            let (j, is_float) = number_end(bytes, i);
             let text = &src[i..j];
-            let tok = if is_float {
-                Tok::Float(text.parse().map_err(|_| {
-                    Diag::new(Phase::Lex, start, format!("bad float literal `{text}`"))
-                })?)
+            let bits = if is_float {
+                text.parse::<f64>()
+                    .map_err(|_| {
+                        Diag::new(Phase::Lex, start, format!("bad float literal `{text}`"))
+                    })?
+                    .to_bits()
             } else {
-                Tok::Int(text.parse().map_err(|_| {
+                text.parse::<i64>().map_err(|_| {
                     Diag::new(Phase::Lex, start, format!("integer literal `{text}` overflows"))
-                })?)
+                })? as u64
             };
+            let slot = Slot(u32::try_from(lits.len()).expect("slots fit 32 bits"));
+            lits.push(bits);
             col += (j - i) as u32;
             i = j;
-            out.push(Spanned { tok, pos: start });
+            out.push(Spanned {
+                tok: if is_float { Tok::Float(slot) } else { Tok::Int(slot) },
+                pos: start,
+            });
             continue;
         }
         if let Some(p) = Punct::at(&bytes[i..]) {
@@ -270,14 +387,13 @@ mod tests {
 
     /// Tokens rendered back to text, identifiers by their spelling.
     fn toks(src: &str) -> Vec<String> {
-        let mut syms = Interner::new();
-        let toks = lex_into(src, &mut syms).unwrap();
+        let Lexed { toks, syms, lits } = Lexed::new(src).unwrap();
         toks.iter()
             .map(|s| match s.tok {
                 Tok::Ident(n) => syms.get(n).to_string(),
                 Tok::TypeVar(n) => format!("${}", syms.get(n)),
-                Tok::Int(v) => format!("{v}"),
-                Tok::Float(v) => format!("{v:?}"),
+                Tok::Int(v) => format!("{}", lits.int(v)),
+                Tok::Float(v) => format!("{:?}", lits.float(v)),
                 Tok::Punct(p) => p.as_str().to_string(),
                 Tok::Eof => "<eof>".to_string(),
             })
@@ -294,8 +410,7 @@ mod tests {
 
     #[test]
     fn identifiers_are_interned_once() {
-        let mut syms = Interner::new();
-        let t = lex_into("int f(int x) { return x; }", &mut syms).unwrap();
+        let t = lex("int f(int x) { return x; }").unwrap();
         assert_eq!(t[0].tok, Tok::Ident(Sym::INT));
         assert_eq!(t[0].tok, t[3].tok);
         assert_eq!(t[4].tok, t[8].tok, "both `x`");
@@ -318,6 +433,30 @@ mod tests {
         assert_eq!(toks("2.5e-1")[0], "0.25");
         // `1.` is Int then Punct (field access style), not a float
         assert_eq!(toks("1.x")[..2], ["1", "."]);
+    }
+
+    #[test]
+    fn a_literal_is_its_ordinal_among_the_literals() {
+        let Lexed { toks, lits, .. } = Lexed::new("f(7, x, 2.5) + 7").unwrap();
+        let slots: Vec<Tok> = toks
+            .iter()
+            .map(|t| t.tok)
+            .filter(|t| matches!(t, Tok::Int(_) | Tok::Float(_)))
+            .collect();
+        assert_eq!(slots, [Tok::Int(Slot(0)), Tok::Float(Slot(1)), Tok::Int(Slot(2))]);
+        assert_eq!((lits.int(Slot(0)), lits.float(Slot(1)), lits.int(Slot(2))), (7, 2.5, 7));
+        assert_eq!(lits.len(), 3);
+    }
+
+    #[test]
+    fn a_shape_masks_each_literal_by_kind_and_keeps_its_length() {
+        let shape = |src: &str| Lexed::new(src).unwrap().shape(src);
+        let src = "x = 12 /* 3 */ + 1.5e3;\n  y(1.x, 7) // 9\n";
+        assert_eq!(shape(src), "x = ## /* 3 */ + ~~~~~;\n  y(#.x, #) // 9\n");
+        assert_eq!(shape("f(34)"), shape("f(99)"));
+        assert_ne!(shape("f(34)"), shape("f(3.4)"), "int and float differ");
+        assert_ne!(shape("f(34)"), shape("f(345)"), "so do lengths");
+        assert_eq!(shape("f(1e5)"), shape("f(2.5)"), "a float is a float");
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! still live after it, for the five sources the benchmark's
 //! `cold_compile` workload sweeps. The ceilings are 0.4x (allocations)
 //! and 0.5x (retained bytes) of what the String-named,
-//! clone-per-call-site front end measured on the same sources.
+//! clone-per-call-site front end measured on the same sources. And the
+//! allocations of the compile `skild` makes when it has the source's
+//! shape cached (lex, key, clone the cached front end, back end): fewer
+//! than a compile's, and at most 1.1x the count pinned.
 //!
 //! The engine's: allocations of a second, warm run on a one-worker
 //! machine, for three of the benchmark's `message_bound` programs. A
@@ -24,7 +27,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use skil_lang::{compile, compile_opt, Engine, OptLevel};
+use skil_lang::token::Lexed;
+use skil_lang::{compile, compile_opt, front_end, Compiled, Engine, FoProgram, OptLevel};
 use skil_runtime::{Machine, MachineConfig};
 
 #[path = "../../../tests/support/invariant.rs"]
@@ -144,6 +148,51 @@ fn compile_allocates_in_proportion_to_its_output() {
         assert!(
             reported.abs_diff(retained) * 10 <= retained,
             "{name}: heap_bytes() says {reported}, the allocator holds {retained}"
+        );
+    }
+}
+
+/// (name, allocations of a shape-hit compile when it was pinned, in a
+/// release build; the ceiling is 1.1x)
+const SHAPE_HITS: [(&str, u64); 5] = [
+    ("farm_sweep", 168),
+    ("prefix_stats", 328),
+    ("quicksort", 300),
+    ("shortest_paths", 374),
+    ("gauss", 740),
+];
+
+/// What `skild` does for a source whose shape it has cached: lex it, key
+/// it, and put the cached front end's program, with the source's own
+/// literals swapped in, through the back end.
+fn shape_hit(src: &str, cached: &FoProgram) -> Compiled {
+    let lexed = Lexed::new(src).expect("lexes");
+    let shape = std::hint::black_box(lexed.shape(src));
+    drop(shape);
+    Compiled::from_front_end(FoProgram { lits: lexed.lits, ..cached.clone() }, OptLevel::O2)
+}
+
+#[test]
+fn a_shape_hit_allocates_less_than_a_compile() {
+    for ((name, src, ..), (pinned_name, pinned)) in cases().into_iter().zip(SHAPE_HITS) {
+        assert_eq!(name, pinned_name);
+        // another constant: the sweep's next source
+        let variant = src.replacen("123456789", "987654321", 1);
+        let cached = front_end(Lexed::new(&src).expect("lexes")).expect("compiles");
+        drop(shape_hit(&variant, &cached));
+
+        let allocs0 = ALLOCS.get();
+        let compiled = compile_opt(&variant, OptLevel::default()).expect("compiles");
+        let cold = ALLOCS.get() - allocs0;
+        let allocs0 = ALLOCS.get();
+        let hit = shape_hit(&variant, &cached);
+        let allocs = ALLOCS.get() - allocs0;
+        println!("{name}: shape hit {allocs} allocations (pinned {pinned}), compile {cold}");
+        assert_eq!(hit.disassemble(), compiled.disassemble(), "{name}");
+        assert!(allocs < cold, "{name}: a shape hit made {allocs} allocations, a compile {cold}");
+        assert!(
+            allocs * 10 <= pinned * 11,
+            "{name}: {allocs} allocations per shape hit, ceiling 1.1 x {pinned}"
         );
     }
 }

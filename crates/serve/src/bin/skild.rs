@@ -78,9 +78,9 @@ fn main() -> ExitCode {
     let s = server.stats();
     eprintln!(
         "skild: served {} request(s): {} ok, {} error(s); compile cache {} hit / {} miss \
-         ({:.1}% hit rate), {} program(s) in {} byte(s), {} evicted; machines {} warm / \
-         {} cold / {} discarded / {} evicted; {} helper join(s); {} helper thread(s), \
-         {} idle stack(s)",
+         ({:.1}% hit rate), {} program(s) in {} byte(s), {} evicted; shapes {} hit / {} miss, \
+         {} kept, {} evicted; machines {} warm / {} cold / {} discarded / {} evicted; \
+         {} helper join(s); {} helper thread(s), {} idle stack(s)",
         s.requests,
         s.ok,
         s.errors,
@@ -90,6 +90,10 @@ fn main() -> ExitCode {
         s.cache_programs,
         s.cache_bytes,
         s.cache_evictions,
+        s.shape_hits,
+        s.shape_misses,
+        s.cache_shapes,
+        s.shape_evictions,
         s.machines_warm,
         s.machines_cold,
         s.machines_discarded,

@@ -8,8 +8,12 @@
 //!
 //! - a **compiled-program cache** keyed by `(source text, opt level)`
 //!   — re-submitting the same program, under either engine, skips the
-//!   whole front end — that holds at most
-//!   [`CACHE_BUDGET_BYTES`], evicting the least recently used programs;
+//!   whole compile — and, under it, a cache of front ends keyed by the
+//!   source's *shape* (its text with every literal's value masked,
+//!   [`Lexed::shape`]) — a new source that differs from a cached one only
+//!   in its literals, as a parameter sweep's do, skips the front end and
+//!   pays for the back end alone. Both hold at most [`CACHE_BUDGET_BYTES`]
+//!   together, evicting the least recently used entries;
 //! - a **warm-[`Machine`] pool** keyed by mesh shape — worker threads
 //!   and coroutine stacks are reused across requests, and per-request
 //!   fault plans ride on [`Compiled::try_run_faults`] so machines with
@@ -54,13 +58,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use json::{Json, ObjWriter};
-use skil_lang::{compile_opt, Compiled, Engine, OptLevel};
+use skil_lang::token::Lexed;
+use skil_lang::{front_end, Compiled, Engine, FoProgram, OptLevel};
 use skil_runtime::{FaultPlan, Machine, MachineConfig, Mesh, Run, Topology};
 
-/// The most heap bytes the compile cache holds. Skil has no run-time
-/// arguments, so a parameter sweep is a stream of new sources; the
-/// largest cached working set of any benchmark workload is under 1 MiB,
-/// and 32 MiB holds ~2,400 `cold_compile`-sized programs.
+/// The most heap bytes the compile cache holds, compiled programs and
+/// front ends together. Skil has no run-time arguments, so a parameter
+/// sweep is a stream of new sources; the largest cached working set of
+/// any benchmark workload is under 1 MiB, and 32 MiB holds ~2,400
+/// `cold_compile`-sized programs.
 pub const CACHE_BUDGET_BYTES: usize = 32 << 20;
 
 /// The most processors one request may ask for, and the most the idle
@@ -81,33 +87,58 @@ struct Entry {
     last_use: u64,
 }
 
+/// A cached front end: the instantiated program of one shape, whose
+/// literal table a later source of the shape replaces with its own.
+struct Shape {
+    fo: Arc<FoProgram>,
+    /// What the shape adds to the cache's bytes, its key included.
+    bytes: usize,
+    /// The cache's clock at the shape's insert or latest hit.
+    last_use: u64,
+}
+
 /// The compiled-program cache: source text -> the variants compiled
-/// from it. The key is the text itself (one shared copy per source,
-/// hashed by std's keyed `RandomState`), never a digest of it: two
-/// different programs can not be handed each other's compiled code,
-/// whatever their bytes. It owns its size and holds at most `budget`
-/// bytes: the least recently used variants go first, and a source's
-/// text goes with its last variant.
+/// from it, and shape -> the front end of a source of that shape. Each
+/// key is the text itself (one shared copy per source, hashed by std's
+/// keyed `RandomState`), never a digest of it: two different programs
+/// can not be handed each other's compiled code, whatever their bytes.
+/// It owns its size and holds at most `budget` bytes: the least recently
+/// used variants and shapes go first, and a source's text goes with its
+/// last variant.
 struct ProgramCache {
     by_source: HashMap<Arc<str>, Vec<Entry>>,
+    shapes: HashMap<Box<str>, Shape>,
     budget: usize,
-    /// Live variants, and their bytes: [`ProgramCache::entry_bytes`]
-    /// each plus every live source's text once.
+    /// Live variants, and every entry's bytes:
+    /// [`ProgramCache::entry_bytes`] per variant, every live source's
+    /// text once, and [`ProgramCache::shape_bytes`] per shape.
     programs: usize,
     bytes: usize,
+    /// Variants evicted, and shapes evicted.
     evictions: u64,
+    shape_evictions: u64,
     /// Ticks once per hit and per insert.
     clock: u64,
+}
+
+/// What an eviction took out of the cache, for the caller to drop after
+/// releasing the cache's lock.
+#[derive(Default)]
+struct Evicted {
+    programs: Vec<Arc<Compiled>>,
+    shapes: Vec<Arc<FoProgram>>,
 }
 
 impl ProgramCache {
     fn new(budget: usize) -> ProgramCache {
         ProgramCache {
             by_source: HashMap::new(),
+            shapes: HashMap::new(),
             budget,
             programs: 0,
             bytes: 0,
             evictions: 0,
+            shape_evictions: 0,
             clock: 0,
         }
     }
@@ -115,6 +146,38 @@ impl ProgramCache {
     /// Heap bytes a cached program holds, its source text aside.
     fn entry_bytes(compiled: &Compiled) -> usize {
         compiled.heap_bytes() + std::mem::size_of::<Compiled>()
+    }
+
+    /// Heap bytes a cached front end holds, its key included.
+    fn shape_bytes(shape: &str, fo: &FoProgram) -> usize {
+        shape.len() + fo.heap_bytes() + std::mem::size_of::<FoProgram>()
+    }
+
+    /// The front end cached for `shape`, now the most recently used
+    /// entry.
+    fn get_shape(&mut self, shape: &str) -> Option<Arc<FoProgram>> {
+        let cached = self.shapes.get_mut(shape)?;
+        self.clock += 1;
+        cached.last_use = self.clock;
+        Some(Arc::clone(&cached.fo))
+    }
+
+    /// Keep `fo` as the front end of `shape` unless a racing compile got
+    /// there first, or it alone would not fit in the budget; returns
+    /// what the insert evicted.
+    fn insert_shape(&mut self, shape: String, fo: Arc<FoProgram>) -> Evicted {
+        let bytes = Self::shape_bytes(&shape, &fo);
+        if self.shapes.contains_key(shape.as_str()) || bytes > self.budget {
+            return Evicted::default();
+        }
+        self.clock += 1;
+        self.shapes.insert(shape.into(), Shape { fo, bytes, last_use: self.clock });
+        self.bytes += bytes;
+        if self.bytes > self.budget {
+            self.evict()
+        } else {
+            Evicted::default()
+        }
     }
 
     /// The cached program for `(src, level)`, now the most recently
@@ -135,14 +198,14 @@ impl ProgramCache {
         src: &str,
         level: OptLevel,
         compiled: Arc<Compiled>,
-    ) -> (Arc<Compiled>, Vec<Arc<Compiled>>) {
+    ) -> (Arc<Compiled>, Evicted) {
         if let Some(first) = self.get(src, level) {
-            return (Arc::clone(first), Vec::new());
+            return (Arc::clone(first), Evicted::default());
         }
         let bytes = Self::entry_bytes(&compiled);
         let text = if self.by_source.contains_key(src) { 0 } else { src.len() };
         if bytes + text > self.budget {
-            return (compiled, Vec::new());
+            return (compiled, Evicted::default());
         }
         self.clock += 1;
         let entry = Entry { level, compiled: Arc::clone(&compiled), bytes, last_use: self.clock };
@@ -154,22 +217,19 @@ impl ProgramCache {
         }
         self.programs += 1;
         self.bytes += bytes + text;
-        let evicted = if self.bytes > self.budget { self.evict() } else { Vec::new() };
+        let evicted = if self.bytes > self.budget { self.evict() } else { Evicted::default() };
         (compiled, evicted)
     }
 
-    /// Evict the least recently used variants, the one inserted last
-    /// aside, until the cache is down to three quarters of its budget:
-    /// one sort per batch, and a batch only every quarter budget's worth
-    /// of inserts.
-    fn evict(&mut self) -> Vec<Arc<Compiled>> {
-        let mut by_age: Vec<(u64, usize)> = self
-            .by_source
-            .values()
-            .flatten()
-            .filter(|e| e.last_use != self.clock)
-            .map(|e| (e.last_use, e.bytes))
-            .collect();
+    /// Evict the least recently used variants and shapes, the entry
+    /// inserted last aside, until the cache is down to three quarters of
+    /// its budget: one sort per batch, and a batch only every quarter
+    /// budget's worth of inserts.
+    fn evict(&mut self) -> Evicted {
+        let variants = self.by_source.values().flatten().map(|e| (e.last_use, e.bytes));
+        let shapes = self.shapes.values().map(|s| (s.last_use, s.bytes));
+        let mut by_age: Vec<(u64, usize)> =
+            variants.chain(shapes).filter(|&(last_use, _)| last_use != self.clock).collect();
         by_age.sort_unstable();
         let target = self.budget / 4 * 3;
         // Text freed with a source's last variant comes on top, so
@@ -182,7 +242,7 @@ impl ProgramCache {
             freed += bytes;
             cutoff = last_use;
         }
-        let mut evicted = Vec::new();
+        let mut evicted = Evicted::default();
         let (programs, bytes) = (&mut self.programs, &mut self.bytes);
         self.by_source.retain(|src, variants| {
             variants.retain(|e| {
@@ -190,7 +250,7 @@ impl ProgramCache {
                 if !keep {
                     *programs -= 1;
                     *bytes -= e.bytes;
-                    evicted.push(Arc::clone(&e.compiled));
+                    evicted.programs.push(Arc::clone(&e.compiled));
                 }
                 keep
             });
@@ -199,7 +259,16 @@ impl ProgramCache {
             }
             !variants.is_empty()
         });
-        self.evictions += evicted.len() as u64;
+        self.shapes.retain(|_, s| {
+            let keep = s.last_use > cutoff;
+            if !keep {
+                *bytes -= s.bytes;
+                evicted.shapes.push(Arc::clone(&s.fo));
+            }
+            keep
+        });
+        self.evictions += evicted.programs.len() as u64;
+        self.shape_evictions += evicted.shapes.len() as u64;
         evicted
     }
 }
@@ -459,6 +528,8 @@ struct Counters {
     errors: AtomicU64,
     compile_hits: AtomicU64,
     compile_misses: AtomicU64,
+    shape_hits: AtomicU64,
+    shape_misses: AtomicU64,
     machines_discarded: AtomicU64,
     /// Summed over the runs whose machine went back to the pool, each
     /// added at its check-in: see [`StatsSnapshot::setup_reuse_hits`].
@@ -601,6 +672,12 @@ pub struct StatsSnapshot {
     pub errors: u64,
     pub compile_hits: u64,
     pub compile_misses: u64,
+    /// Compile-cache misses whose shape was cached: the back end alone
+    /// ran.
+    pub shape_hits: u64,
+    /// Compile-cache misses whose source lexed and whose shape was not
+    /// cached: the front end ran, and may have failed.
+    pub shape_misses: u64,
     pub machines_warm: u64,
     pub machines_cold: u64,
     pub machines_discarded: u64,
@@ -628,12 +705,17 @@ pub struct StatsSnapshot {
     pub stacks_idle: u64,
     /// Compiled programs the cache holds now.
     pub cache_programs: u64,
+    /// Front ends the cache holds now, one per shape.
+    pub cache_shapes: u64,
     /// Heap bytes the cache holds now: every program's
-    /// [`Compiled::heap_bytes`] plus the `Compiled` itself, and each
-    /// distinct source text once (it is the key).
+    /// [`Compiled::heap_bytes`] plus the `Compiled` itself, each
+    /// distinct source text once (it is the key), and every shape's
+    /// [`FoProgram::heap_bytes`] plus the `FoProgram` itself and its key.
     pub cache_bytes: u64,
     /// Programs the cache evicted to stay within its budget.
     pub cache_evictions: u64,
+    /// Front ends the cache evicted to stay within its budget.
+    pub shape_evictions: u64,
     /// The cache's budget, [`CACHE_BUDGET_BYTES`].
     pub cache_budget_bytes: u64,
     /// Pool counters per mesh shape, sorted by shape.
@@ -661,6 +743,7 @@ impl StatsSnapshot {
         st.num("cache_evictions", self.cache_evictions as f64);
         st.num("cache_hit_rate", self.cache_hit_rate());
         st.num("cache_programs", self.cache_programs as f64);
+        st.num("cache_shapes", self.cache_shapes as f64);
         st.num("compile_hits", self.compile_hits as f64);
         st.num("compile_misses", self.compile_misses as f64);
         st.num("errors", self.errors as f64);
@@ -688,6 +771,9 @@ impl StatsSnapshot {
         pool.push(']');
         st.num("requests", self.requests as f64);
         st.num("setup_reuse_hits", self.setup_reuse_hits as f64);
+        st.num("shape_evictions", self.shape_evictions as f64);
+        st.num("shape_hits", self.shape_hits as f64);
+        st.num("shape_misses", self.shape_misses as f64);
         st.num("stacks_idle", self.stacks_idle as f64);
         st.end();
         o.end();
@@ -903,8 +989,7 @@ impl Server {
         // the same program; the first insert stays and both run it, so
         // whatever one `Compiled` memoizes (the prepared native module)
         // is what every later request sees.
-        let compiled =
-            Arc::new(compile_opt(&req.program, req.opt_level).map_err(|e| e.to_string())?);
+        let compiled = Arc::new(self.compile(&req.program, req.opt_level)?);
         self.counters.compile_misses.fetch_add(1, Ordering::Relaxed);
         let (kept, evicted) =
             self.programs.lock().unwrap().insert(&req.program, req.opt_level, compiled);
@@ -912,6 +997,33 @@ impl Server {
         // holds its own `Arc`) is done with the lock released.
         drop(evicted);
         Ok((kept, false))
+    }
+
+    /// What `compile_opt` computes, with the front end of a cached
+    /// source of the same shape when there is one: its program takes
+    /// this source's literal table and goes through the back end. The
+    /// front end reads no literal's value, so a shape is cached only
+    /// after a front end of it succeeded, and every diagnostic comes
+    /// from this source's own lexer or front end.
+    fn compile(&self, src: &str, level: OptLevel) -> Result<Compiled, String> {
+        let lexed = Lexed::new(src).map_err(|e| e.to_string())?;
+        let shape = lexed.shape(src);
+        let cached = self.programs.lock().expect(POISONED).get_shape(&shape);
+        let fo = match cached {
+            Some(template) => {
+                self.counters.shape_hits.fetch_add(1, Ordering::Relaxed);
+                FoProgram { lits: lexed.lits, ..FoProgram::clone(&template) }
+            }
+            None => {
+                self.counters.shape_misses.fetch_add(1, Ordering::Relaxed);
+                let fo = front_end(lexed).map_err(|e| e.to_string())?;
+                let evicted =
+                    self.programs.lock().expect(POISONED).insert_shape(shape, Arc::new(fo.clone()));
+                drop(evicted);
+                fo
+            }
+        };
+        Ok(Compiled::from_front_end(fo, level))
     }
 
     /// Take a warm machine on `topo` from the pool, or build a cold
@@ -958,6 +1070,8 @@ impl Server {
             errors: c.errors.load(Ordering::Relaxed),
             compile_hits: c.compile_hits.load(Ordering::Relaxed),
             compile_misses: c.compile_misses.load(Ordering::Relaxed),
+            shape_hits: c.shape_hits.load(Ordering::Relaxed),
+            shape_misses: c.shape_misses.load(Ordering::Relaxed),
             machines_warm: 0,
             machines_cold: 0,
             machines_discarded: c.machines_discarded.load(Ordering::Relaxed),
@@ -967,8 +1081,10 @@ impl Server {
             helper_threads: skil_runtime::helper_threads() as u64,
             stacks_idle: skil_runtime::stacks_idle() as u64,
             cache_programs: programs.programs as u64,
+            cache_shapes: programs.shapes.len() as u64,
             cache_bytes: programs.bytes as u64,
             cache_evictions: programs.evictions,
+            shape_evictions: programs.shape_evictions,
             cache_budget_bytes: programs.budget as u64,
             pool: Vec::new(),
         };
@@ -996,6 +1112,7 @@ impl Server {
 mod tests {
     use super::*;
     use json::obj;
+    use skil_lang::compile_opt;
 
     /// A response as a [`Json`] tree: the encoder `to_json_line` used to
     /// be, kept as its oracle. A `BTreeMap` orders the members.
@@ -1086,6 +1203,8 @@ mod tests {
                             ("errors", num(s.errors)),
                             ("compile_hits", num(s.compile_hits)),
                             ("compile_misses", num(s.compile_misses)),
+                            ("shape_hits", num(s.shape_hits)),
+                            ("shape_misses", num(s.shape_misses)),
                             ("machines_warm", num(s.machines_warm)),
                             ("machines_cold", num(s.machines_cold)),
                             ("machines_discarded", num(s.machines_discarded)),
@@ -1095,8 +1214,10 @@ mod tests {
                             ("helper_threads", num(s.helper_threads)),
                             ("stacks_idle", num(s.stacks_idle)),
                             ("cache_programs", num(s.cache_programs)),
+                            ("cache_shapes", num(s.cache_shapes)),
                             ("cache_bytes", num(s.cache_bytes)),
                             ("cache_evictions", num(s.cache_evictions)),
+                            ("shape_evictions", num(s.shape_evictions)),
                             ("cache_budget_bytes", num(s.cache_budget_bytes)),
                             ("cache_hit_rate", Json::Num(s.cache_hit_rate())),
                             ("pool", pool),
@@ -1207,17 +1328,21 @@ mod tests {
         server.handle(Request::program(HELLO));
         let one = server.stats();
         assert_eq!(one.cache_programs, 1);
+        assert_eq!(one.cache_shapes, 1);
         let hello = compile_opt(HELLO, OptLevel::default()).unwrap();
         let per_program = (hello.heap_bytes() + std::mem::size_of::<Compiled>()) as u64;
-        assert_eq!(one.cache_bytes, per_program + HELLO.len() as u64);
-        // a compile error caches nothing
+        let per_shape = shape_cost(HELLO) as u64;
+        assert_eq!(one.cache_bytes, per_program + HELLO.len() as u64 + per_shape);
+        // a compile error caches nothing, not even its shape
         server.handle(Request::program("void main() { int x = 1.5; }"));
         assert_eq!(server.stats().cache_bytes, one.cache_bytes);
+        assert_eq!(server.stats().cache_shapes, 1);
         server.handle(Request { opt_level: OptLevel::O0, ..Request::program(HELLO) });
         server.handle(Request::program(FOLD));
         let three = server.stats();
-        assert_eq!(three.cache_programs, 3);
-        assert!(three.cache_bytes > one.cache_bytes + per_program + FOLD.len() as u64);
+        assert_eq!((three.cache_programs, three.cache_shapes), (3, 2));
+        let fold = (shape_cost(FOLD) + FOLD.len()) as u64;
+        assert!(three.cache_bytes > one.cache_bytes + per_program + fold);
         let line = server.handle_line(r#"{"cmd":"stats"}"#);
         let v = json::parse(&line).unwrap();
         let stats = v.get("stats").expect("stats object");
@@ -1226,6 +1351,19 @@ mod tests {
         assert_eq!(stats.get("cache_evictions").and_then(Json::as_u64), Some(0));
         let budget = stats.get("cache_budget_bytes").and_then(Json::as_u64);
         assert_eq!(budget, Some(CACHE_BUDGET_BYTES as u64));
+        assert_eq!(stats.get("cache_shapes").and_then(Json::as_u64), Some(2));
+        assert_eq!(stats.get("shape_evictions").and_then(Json::as_u64), Some(0));
+        // HELLO's -O0 variant reused its shape; the type error ran a
+        // front end of its own
+        assert_eq!(stats.get("shape_hits").and_then(Json::as_u64), Some(1));
+        assert_eq!(stats.get("shape_misses").and_then(Json::as_u64), Some(3));
+    }
+
+    /// What the front end of `src` costs the cache.
+    fn shape_cost(src: &str) -> usize {
+        let lexed = Lexed::new(src).unwrap();
+        let shape = lexed.shape(src);
+        ProgramCache::shape_bytes(&shape, &front_end(lexed).unwrap())
     }
 
     /// Distinct programs of one size: `k` stays four digits.
@@ -1247,15 +1385,12 @@ mod tests {
     /// `cache_bytes` formula.
     fn recount(cache: &ProgramCache) -> (usize, usize) {
         let programs = cache.by_source.values().map(Vec::len).sum();
-        let bytes = cache
-            .by_source
-            .iter()
-            .flat_map(|(src, variants)| {
-                let text = src.len();
-                variants.iter().map(|e| ProgramCache::entry_bytes(&e.compiled)).chain([text])
-            })
-            .sum();
-        (programs, bytes)
+        let variants = cache.by_source.iter().flat_map(|(src, variants)| {
+            let text = src.len();
+            variants.iter().map(|e| ProgramCache::entry_bytes(&e.compiled)).chain([text])
+        });
+        let shapes = cache.shapes.iter().map(|(shape, s)| ProgramCache::shape_bytes(shape, &s.fo));
+        (programs, variants.chain(shapes).sum())
     }
 
     /// Whether the cache holds `(src, level)`, without using it.
@@ -1279,11 +1414,11 @@ mod tests {
         let mut cache = ProgramCache::new(numbered_bytes() * 9 / 2);
         let src: Vec<String> = (1000..1005).map(numbered).collect();
         for s in &src[..4] {
-            assert!(cache.insert(s, OptLevel::O2, compiled(s, OptLevel::O2)).1.is_empty());
+            assert!(cache.insert(s, OptLevel::O2, compiled(s, OptLevel::O2)).1.programs.is_empty());
         }
         assert!(cache.get(&src[0], OptLevel::O2).is_some());
         let (_, evicted) = cache.insert(&src[4], OptLevel::O2, compiled(&src[4], OptLevel::O2));
-        assert_eq!((evicted.len(), cache.evictions), (2, 2));
+        assert_eq!((evicted.programs.len(), cache.evictions), (2, 2));
         let live: Vec<bool> = src.iter().map(|s| cache.get(s, OptLevel::O2).is_some()).collect();
         assert_eq!(live, [true, false, false, true, true]);
     }
@@ -1314,6 +1449,7 @@ mod tests {
 
     #[test]
     fn a_program_over_the_budget_runs_and_is_not_kept() {
+        // room for HELLO's front end, not for its compiled program
         let server = server_with_budget(numbered_bytes() - 1);
         for _ in 0..2 {
             let Response::Ok { run, cache_hit, .. } = server.handle(Request::program(HELLO)) else {
@@ -1323,8 +1459,17 @@ mod tests {
             assert!(!cache_hit);
         }
         let stats = server.stats();
-        assert_eq!((stats.compile_misses, stats.cache_programs, stats.cache_bytes), (2, 0, 0));
-        assert_eq!(stats.cache_evictions, 0);
+        assert_eq!((stats.compile_misses, stats.cache_programs), (2, 0));
+        assert_eq!((stats.shape_misses, stats.shape_hits, stats.cache_shapes), (1, 1, 1));
+        assert_eq!(stats.cache_bytes as usize, shape_cost(HELLO));
+        assert_eq!((stats.cache_evictions, stats.shape_evictions), (0, 0));
+        // and with no room for either, nothing is kept
+        let server = server_with_budget(shape_cost(HELLO) - 1);
+        for _ in 0..2 {
+            assert!(matches!(server.handle(Request::program(HELLO)), Response::Ok { .. }));
+        }
+        let stats = server.stats();
+        assert_eq!((stats.shape_misses, stats.cache_shapes, stats.cache_bytes), (2, 0, 0));
     }
 
     #[test]
@@ -1550,6 +1695,83 @@ mod tests {
                           if (procId == 0) { print(total); } \
                         }";
 
+    /// A program that prints `lit` on processor 0.
+    fn printing(lit: &str) -> String {
+        format!("void main() {{ if (procId == 0) {{ print({lit}); }} }}")
+    }
+
+    #[test]
+    fn sources_that_differ_in_literal_values_alone_share_one_front_end() {
+        let server = Server::new();
+        // (literal, printed, shape hit)
+        for (lit, printed, shape_hit) in [
+            ("12", "12", false),
+            ("34", "34", true),
+            // a float of the same length is another shape ...
+            ("1.5", "1.5", false),
+            ("2.5", "2.5", true),
+            ("1e3", "1000", true),
+            // ... and so is an int of another length
+            ("345", "345", false),
+            ("1234", "1234", false),
+        ] {
+            let hits = server.stats().shape_hits;
+            let Response::Ok { run, cache_hit, .. } =
+                server.handle(Request::program(&printing(lit)))
+            else {
+                panic!("{lit} failed");
+            };
+            assert_eq!(run.results[0], vec![printed.to_string()], "{lit}");
+            assert!(!cache_hit, "the response reports the compile cache: {lit}");
+            assert_eq!(server.stats().shape_hits - hits, shape_hit as u64, "{lit}");
+        }
+        let stats = server.stats();
+        assert_eq!((stats.shape_misses, stats.cache_shapes, stats.cache_programs), (4, 4, 7));
+        // both opt levels and both engines share a shape
+        for (engine, opt_level) in [(Engine::Vm, OptLevel::O0), (Engine::Native, OptLevel::O2)] {
+            let req = Request { engine, opt_level, ..Request::program(&printing("56")) };
+            let Response::Ok { run, .. } = server.handle(req) else { panic!("{engine:?}") };
+            assert_eq!(run.results[0], vec!["56".to_string()]);
+        }
+        assert_eq!((server.stats().shape_hits, server.stats().shape_misses), (5, 4));
+    }
+
+    #[test]
+    fn a_variant_of_a_cached_shape_fails_exactly_as_compile_opt_fails_it() {
+        let server = Server::new();
+        let compile_error = |src: &str| {
+            let Response::Err { kind: ErrorKind::Compile, message, .. } =
+                server.handle(Request::program(src))
+            else {
+                panic!("{src} compiled");
+            };
+            assert_eq!(message, compile_opt(src, OptLevel::O2).unwrap_err().to_string());
+            message
+        };
+        // the largest nineteen-digit literal that lexes caches its shape;
+        // a variant of it that overflows is a lex error of its own
+        assert!(matches!(
+            server.handle(Request::program(&printing("1000000000000000000"))),
+            Response::Ok { .. }
+        ));
+        assert_eq!(server.stats().cache_shapes, 1);
+        let overflow = compile_error(&printing("9999999999999999999"));
+        assert!(overflow.contains("`9999999999999999999` overflows"), "{overflow}");
+        // a parse error quotes the literal it met, variant by variant,
+        // and its shape is never cached
+        for (src, found) in [
+            ("void main() { print(12 34); }", "found integer `34`"),
+            ("void main() { print(56 78); }", "found integer `78`"),
+            ("void main() { print(5.5 6.5); }", "found float `6.5`"),
+        ] {
+            let message = compile_error(src);
+            assert!(message.contains(found), "{message}");
+        }
+        let stats = server.stats();
+        assert_eq!((stats.shape_hits, stats.shape_misses, stats.cache_shapes), (0, 4, 1));
+        assert_eq!((stats.compile_misses, stats.errors), (1, 4));
+    }
+
     #[test]
     fn caches_compiles_and_reuses_machines() {
         let server = Server::new();
@@ -1720,6 +1942,28 @@ mod tests {
         assert_eq!(stats.get("requests").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("ok").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("compile_misses").and_then(Json::as_u64), Some(1));
+        // another constant: a compile miss, and a shape hit
+        server.handle(Request::program(&HELLO.replace('7', "8")));
+        let resp = server.handle_line(r#"{"cmd":"stats"}"#);
+        let v = json::parse(&resp).unwrap();
+        let count = |key: &str| v.get("stats").and_then(|s| s.get(key)).and_then(Json::as_u64);
+        assert_eq!(count("compile_misses"), Some(2));
+        assert_eq!((count("shape_hits"), count("shape_misses")), (Some(1), Some(1)));
+        assert_eq!((count("cache_shapes"), count("shape_evictions")), (Some(1), Some(0)));
+        // the writer's keys ascend
+        let keys = [
+            "cache_programs",
+            "cache_shapes",
+            "compile_hits",
+            "setup_reuse_hits",
+            "shape_evictions",
+            "shape_hits",
+            "shape_misses",
+            "stacks_idle",
+        ];
+        let at: Vec<usize> =
+            keys.iter().map(|k| resp.find(&format!("\"{k}\":")).unwrap()).collect();
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "{resp}");
         // One 2x2 run: the adaptive default recruits at most three
         // helpers, and for a program this small almost surely none.
         let joins = |server: &Server| {

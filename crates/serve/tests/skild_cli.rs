@@ -111,6 +111,63 @@ fn distinct_shapes_leave_only_the_largest_runs_stacks_and_a_core_count_of_helper
     assert!(stderr.contains(&format!(" {} idle stack(s)", count("stacks_idle"))), "{stderr}");
 }
 
+/// A parameter sweep — sources that differ in one constant — through
+/// the daemon: every answer is what a fresh server gives that line, the
+/// front end runs once, and a variant that fails after its shape is
+/// cached, or a parse error that quotes a literal, gets the diagnostic
+/// its own compile gives.
+#[test]
+fn a_sweep_runs_the_front_end_once_and_answers_every_line_as_a_fresh_server_would() {
+    let gauss = include_str!("../../../benchmark/programs/gauss.skil").replace("__N__", "4");
+    let line = |k: &str| {
+        let src = gauss.replacen(
+            "void main() {",
+            &format!("void main() {{ if (procId == 0) {{ print({k}); }}"),
+            1,
+        );
+        format!(r#"{{"id":"{k}","program":"{}"}}"#, json::escape(&src))
+    };
+    let sweep: Vec<String> = (0..12).map(|i| line(&(100_000_000 + 7 * i).to_string())).collect();
+    let failing = [
+        // nineteen digits, one more than i64 holds: a lex error
+        line("9999999999999999999"),
+        r#"{"id":"p","program":"void main() { print(12 34); }"}"#.to_string(),
+    ];
+    let mut input = String::new();
+    for l in sweep.iter().chain(&failing) {
+        input += l;
+        input.push('\n');
+    }
+    input += r#"{"cmd":"stats"}"#;
+    let out = skild(input.as_bytes());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let lines = responses(&out);
+    let without_machine = |reply: Json| match reply {
+        Json::Obj(mut members) => {
+            members.remove("machine");
+            Json::Obj(members)
+        }
+        other => other,
+    };
+    for (i, l) in sweep.iter().chain(&failing).enumerate() {
+        let fresh = json::parse(&skil_serve::Server::new().handle_line(l)).unwrap();
+        assert_eq!(without_machine(lines[i].clone()), without_machine(fresh), "line {i}");
+    }
+    let message = |reply: &Json| {
+        let error = reply.get("error").expect("an error");
+        assert_eq!(error.get("kind").and_then(Json::as_str), Some("compile"));
+        error.get("message").and_then(Json::as_str).unwrap().to_string()
+    };
+    assert!(message(&lines[12]).contains("overflows"), "{:?}", lines[12]);
+    assert!(message(&lines[13]).contains("found integer `34`"), "{:?}", lines[13]);
+    let stats = lines[14].get("stats").expect("stats reply");
+    let count = |key: &str| stats.get(key).and_then(Json::as_u64).expect(key);
+    assert_eq!((count("shape_hits"), count("shape_misses")), (11, 2), "{stats:?}");
+    assert_eq!((count("cache_shapes"), count("compile_misses")), (1, 12), "{stats:?}");
+    assert!(stderr.contains("shapes 11 hit / 2 miss, 1 kept, 0 evicted"), "{stderr}");
+}
+
 /// `i64::MIN / -1` panicked in the constant folder, which ran outside
 /// the request's guard: the worker died, the request got no response
 /// line, and the daemon wrote "worker panicked". The same division at
